@@ -12,10 +12,10 @@ Usage::
         [--sizes 100,250,500,1000,10000,100000] [--hours H] \
         [--hypervisor NAME]
 
-Interpretation: fault-free runs take the columnar fast path (flat
+Interpretation: fault-free runs drive the columnar event loop (flat
 arrays + the compiled event kernel when a C compiler is present), so
 wall time grows roughly linearly with fleet size at a much higher
-hosts/s than the classic object loop; the acceptance bars are 1000
+hosts/s than the archived object loop; the acceptance bars are 1000
 hosts / 24 h well under 30 s and 100k hosts / 24 h under 5 s.  Serial
 timings use ``jobs=1`` deliberately: below ~1M hosts the worker-pool
 dispatch costs more than the sharded build saves.

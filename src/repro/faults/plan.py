@@ -63,7 +63,7 @@ SITES: Dict[str, str] = {
     "measure.transient": TRANSIENT,  # around the measurement function
     "cache.corrupt": EACH,         # repro.core.cache.ResultCache.put
     "checkpoint.lost": TRANSIENT,  # repro.virt.checkpoint.restore_checkpoint
-    "host.dropout": EACH,          # repro.fleet.server.simulate_fleet
+    "host.dropout": EACH,          # repro.fleet.server.FleetServer.run
     "mem.pressure_spike": EACH,    # repro.virt.memory.MultiVmHost host tick
     "server.outage": EACH,         # repro.fleet.recovery.outage_windows
     "net.partition": EACH,         # repro.fleet.server upload attempts

@@ -1,7 +1,9 @@
-/* The fleet fast loop's event kernel, compiled at import time.
+/* The fleet event kernel for fault-free runs, compiled at import time.
  *
- * This is a line-for-line transliteration of the pure-Python fast loop
- * in repro/fleet/server.py (`FleetServer._fast_loop_python`) — same
+ * This is a line-for-line transliteration of the fault-free branches of
+ * the pure-Python loop in repro/fleet/server.py
+ * (`FleetServer._fast_loop_python`; the recovery machine of fault
+ * storms is not carried here) — same
  * events, same (time, seq) heap order, same float operations in the
  * same order, so the canonical flat state it produces is byte-identical
  * to the Python fallback's.  Compile with `-ffp-contract=off` (no FMA
@@ -76,6 +78,7 @@ typedef struct {
     int64_t seq, n_valid, n_rep, ret_count;
     int64_t ok_n, err_n, stale_n, tmo_n, red_n;
     double err_cpu, stale_cpu, red_cpu;
+    int64_t need_peak;          /* longest need queue after a dispatch */
 } FleetCtx;
 
 static void heap_push(FleetCtx *c, double t, int64_t seq, uint64_t pay)
@@ -235,6 +238,8 @@ static void dispatch(FleetCtx *c, int64_t h, double now)
     c->wu_hosts[wid * c->max_replicas + c->wu_issued[wid]] = (int32_t)h;
     c->wu_issued[wid]++;
     c->wu_out[wid]++;
+    if (c->need_count > c->need_peak)
+        c->need_peak = c->need_count;
     if (has_fin && fin <= c->horizon) {
         heap_push(c, fin, c->seq++,
                   ((uint64_t)K_COMPLETE << 32) | (uint64_t)rid);

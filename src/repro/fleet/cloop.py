@@ -1,7 +1,9 @@
 """Compile-on-first-use ctypes driver for the fleet event kernel.
 
-The hot event loop of the columnar fleet path lives in ``_cloop.c``, a
-straight transliteration of ``FleetServer._fast_loop_python``.  This
+The hot event loop of fault-free fleet runs lives in ``_cloop.c``, a
+straight transliteration of the fault-free branches of
+``FleetServer._fast_loop_python`` (storm runs always take the Python
+loop, which alone carries the recovery machine).  This
 module compiles it with the system C compiler on first use (cached in
 the temp directory, keyed by a hash of the source), loads it through
 :mod:`ctypes`, and drives the pause/resume protocol: the kernel returns
@@ -76,6 +78,7 @@ class _FleetCtx(ctypes.Structure):
         ("ok_n", _I), ("err_n", _I), ("stale_n", _I), ("tmo_n", _I),
         ("red_n", _I),
         ("err_cpu", _D), ("stale_cpu", _D), ("red_cpu", _D),
+        ("need_peak", _I),
     ]
 
 
@@ -272,6 +275,7 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
     ctx.ret_count = 0
     ctx.ok_n = ctx.err_n = ctx.stale_n = ctx.tmo_n = ctx.red_n = 0
     ctx.err_cpu = ctx.stale_cpu = ctx.red_cpu = 0.0
+    ctx.need_peak = 0
 
     while True:
         status = lib.fleet_run(ctypes.byref(ctx))
@@ -337,6 +341,7 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
     return {
         "n_valid": int(ctx.n_valid),
         "n_rep": n_rep,
+        "need_peak": int(ctx.need_peak),
         "ok_n": int(ctx.ok_n),
         "err_n": int(ctx.err_n),
         "stale_n": int(ctx.stale_n),

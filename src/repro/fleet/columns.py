@@ -122,13 +122,33 @@ class FleetColumns:
     def views(self) -> "HostViews":
         return HostViews(self)
 
+    def depart_at(self, cut: np.ndarray) -> None:
+        """Make host ``i`` depart for good at ``cut[i]``, in place.
+
+        ``cut[i]`` must not be later than the host's own departure
+        (``inf`` leaves it alone).  Each host's sessions become
+        ``[(s, min(e, cut)) for s, e in sessions if s < cut]``, in one
+        vectorised pass over the CSR layout.
+        """
+        n = len(self)
+        owner = np.repeat(np.arange(n), np.diff(self.s_off))
+        limit = cut[owner]
+        keep = self.s_starts < limit
+        self.departure_s = np.minimum(self.departure_s, cut)
+        self.s_ends = np.minimum(self.s_ends, limit)[keep]
+        self.s_starts = self.s_starts[keep]
+        s_off = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner[keep], minlength=n), out=s_off[1:])
+        self.s_off = s_off
+        self._views = [None] * n
+
 
 class HostViews(Sequence):
     """A lazy ``Sequence[FleetHost]`` over :class:`FleetColumns`.
 
-    The classic event loop (and any test poking ``server.hosts[i]``)
-    sees ordinary ``FleetHost`` records; each is materialised from the
-    columns on first touch and cached on the column store.
+    Consumers of the object API (tests, figures) see ordinary
+    ``FleetHost`` records; each is materialised from the columns on
+    first touch and cached on the column store.
     """
 
     __slots__ = ("_cols",)

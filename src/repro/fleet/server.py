@@ -29,6 +29,8 @@ Server mechanics modelled (the V-BOINC / BOINC server loop):
 Failure & recovery (active only when :data:`repro.faults.FAULTS` arms
 the sites; see :mod:`repro.fleet.recovery` for the model):
 
+* **host.dropout** — selected hosts depart early: their traces are
+  clipped before the loop starts;
 * **server.outage** — dispatch halts inside drawn down-windows (hosts
   re-poll at the window's end) and finished results buffer host-side on
   the upload retry policy;
@@ -43,33 +45,32 @@ the sites; see :mod:`repro.fleet.recovery` for the model):
   (every such validation tallied as a validation risk), recovering when
   the backlog drains to zero.
 
-Two executions of the same loop coexist.  The **classic** loop walks
-``FleetHost`` objects and ``WorkUnit``/``Replica`` records — it runs
-whenever the server is handed a host list, or faults/metrics are armed.
-The **columnar** loop (:meth:`FleetServer._fast_run`) drives the same
-events over :class:`repro.fleet.columns.FleetColumns` flat arrays and
-parallel lists; it is the fault-free production path and is
-byte-identical to the classic loop at every seed/config (asserted by
-the equivalence tests against the archived pre-columnar server in
-``tests/_reference_fleet.py``).
+There is one event loop, over :class:`repro.fleet.columns.FleetColumns`
+flat arrays and parallel lists (:meth:`FleetServer._fast_loop_python`).
+With no fault plan armed, the compiled kernel (:mod:`repro.fleet.cloop`,
+a transliteration of the loop's fault-free branches) runs it whenever a
+C compiler is present; fault storms run the Python loop, which alone
+carries the recovery machine.  Which one runs depends on the input
+alone: the ``fleet.*`` metrics are derived from the final flat state
+after the loop, so ``--metrics`` never moves a run.  Every report is
+byte-identical to the archived pre-columnar object server in
+``tests/_reference_fleet.py`` (asserted by the equivalence suites).
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
-import itertools
 import math
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.faults import FAULTS
 from repro.fleet.calibration import fleet_slowdown
-from repro.fleet.churn import active_seconds, finish_time
 from repro.fleet.columns import (
     FleetColumns,
     build_fleet_columns,
@@ -77,15 +78,8 @@ from repro.fleet.columns import (
 from repro.fleet.config import FleetConfig
 from repro.fleet.cloop import run_event_loop as _c_event_loop
 from repro.fleet.fastrng import VecPcg
-from repro.fleet.host import FleetHost, build_fleet_hosts
 from repro.fleet.recovery import outage_windows, rollback_seconds
-from repro.fleet.validation import (
-    CANONICAL_KEY,
-    QuorumValidator,
-    erroneous_key,
-)
 from repro.obs.metrics import METRICS
-from repro.simcore.rng import RngStreams
 
 # event kinds (ints so heap tuples compare cheaply and deterministically)
 _REQUEST = 0
@@ -95,41 +89,6 @@ _UPLOAD = 3
 
 #: Cap on the host poll backoff when the server has no work to give.
 _MAX_POLL_BACKOFF_S = 7200.0
-
-
-@dataclass
-class Replica:
-    """One issued copy of a work unit on one host."""
-
-    rid: int
-    wu_id: int
-    host: int
-    dispatched_s: float
-    deadline_s: float
-    cpu_s: float                      #: active seconds if it completes
-    finish_s: Optional[float]         #: None = never completes in-trace
-    completed: bool = False           #: result delivered to the server
-    timed_out: bool = False
-    rolled_back_s: float = 0.0        #: redone seconds after a vm.crash
-    crash_wall_s: Optional[float] = None  #: when the crash lands in-trace
-    rollback_counted: bool = False
-    upload_attempts: int = 0
-    compute_done_s: Optional[float] = None  #: compute finished, upload pending
-
-
-@dataclass
-class WorkUnit:
-    """Server-side state of one work unit."""
-
-    wu_id: int
-    flops: float
-    issued: int = 0
-    outstanding: int = 0
-    timeouts: int = 0
-    validated_at: Optional[float] = None
-    hosts: set = field(default_factory=set)
-    ok_returns: List = field(default_factory=list)  # (host, cpu_s)
-    degraded_by: Optional[int] = None  #: host whose lone result validated
 
 
 @dataclass
@@ -267,11 +226,12 @@ def _percentile(sorted_values: List[float], q: float) -> float:
 
 
 class _FastPrep:
-    """Read-only inputs of the columnar fast loop.
+    """Read-only inputs of the columnar event loop.
 
     One instance is shared by the compiled event kernel
-    (:mod:`repro.fleet.cloop` / ``_cloop.c``) and the pure-Python
-    fallback loop, so both paths start from literally the same floats.
+    (:mod:`repro.fleet.cloop` / ``_cloop.c``) and the pure-Python loop,
+    so both paths start from literally the same floats.  ``an`` is each
+    host's active seconds per unit, checkpoint tax included.
     ``delays`` is the poll-backoff table ``min(poll·2^(f−1), cap)``
     pre-tabulated until it saturates; doubling is an exact float
     operation, so the table entries equal the inline expression.
@@ -285,446 +245,40 @@ class _FastPrep:
 class FleetServer:
     """One project server driving a fleet of sampled volunteer hosts."""
 
-    def __init__(self, config: FleetConfig,
-                 hosts: Union[Sequence[FleetHost], FleetColumns],
-                 dropouts: int = 0):
+    def __init__(self, config: FleetConfig, columns: FleetColumns):
         self.config = config
-        self.columns: Optional[FleetColumns] = \
-            hosts if isinstance(hosts, FleetColumns) else None
-        self.hosts: Sequence[FleetHost] = \
-            self.columns.views() if self.columns is not None else hosts
-        self.dropouts = dropouts
+        self.columns = columns
         self.policy = config.recovery_policy()
-        # server.outage schedule: drawn once, from the fault stream only
-        self._outages: List[Tuple[float, float]] = (
-            outage_windows(config.duration_s, self.policy.outage_scale_s)
-            if FAULTS.enabled else [])
-        self._outage_starts = [start for start, _ in self._outages]
-        self.validator = QuorumValidator(config.quorum)
-        # Columns + no faults/metrics run the flat fast loop, which keeps
-        # work-unit and replica state in parallel lists of its own; the
-        # classic loop materialises the record objects.  Eligibility is
-        # re-checked in run() so arming FAULTS/METRICS between
-        # construction and run still lands on the classic loop.
-        self._fast = (self.columns is not None and dropouts == 0
-                      and not FAULTS.enabled and not METRICS.enabled)
-        self.workunits: List[WorkUnit] = []
-        self.need: deque = deque()
-        self._poll_failures: List[int] = []
-        if not self._fast:
-            self._init_classic_state()
-        self.replicas: List[Replica] = []
-        self._rng_serve: Dict[int, RngStreams] = {}
-        self._session_starts: Dict[int, Tuple[float, ...]] = {}
-        self._heap: List = []
-        self._seq = itertools.count()
-        self._n_valid = 0
-        # tallies
-        self.results_ok = 0
-        self.results_erroneous = 0
-        self.results_stale = 0
-        self.timeouts = 0
-        self.redundant_results = 0
-        self.erroneous_cpu_s = 0.0
-        self.stale_cpu_s = 0.0
-        self.redundant_cpu_s = 0.0
-        self._wasted_by_host: Dict[int, float] = {}
-        # recovery tallies
-        self.uploads_retried = 0
-        self.uploads_lost = 0
-        self.vm_crashes = 0
-        self.rolled_back_cpu_s = 0.0
-        self.lost_upload_cpu_s = 0.0
-        self.degraded_validated = 0
-        self._upload_backlog = 0
-        self._degraded = False
-        self._degraded_since: Optional[float] = None
-        self._degraded_windows: List[Tuple[float, float]] = []
-
-    def _init_classic_state(self) -> None:
-        """Materialise the record-object state the classic loop drives."""
-        if self.workunits:
-            return
-        self.workunits = [
-            WorkUnit(wu_id=i, flops=self.config.wu_flops)
-            for i in range(self.config.resolved_workunits())
-        ]
-        self.need = deque()
-        for wu in self.workunits:
-            for _ in range(self.config.quorum):
-                self.need.append(wu.wu_id)
-        self._poll_failures = [0] * len(self.hosts)
-        self._fast = False
-
-    # -- event plumbing --------------------------------------------------
-
-    def _push(self, time_s: float, kind: int, payload: int) -> None:
-        heapq.heappush(self._heap, (time_s, next(self._seq), kind, payload))
-
-    def _waste_on(self, host_index: int, cpu_s: float) -> None:
-        self._wasted_by_host[host_index] = \
-            self._wasted_by_host.get(host_index, 0.0) + cpu_s
-
-    def _outage_at(self, time_s: float) -> Optional[Tuple[float, float]]:
-        """The ``[start, end)`` outage window covering ``time_s``, if any.
-
-        Windows are sorted and disjoint, so a bisect over the start
-        times replaces the old linear scan — under a long storm this
-        runs on every request/upload event of a multi-million-event run.
-        """
-        index = bisect.bisect_right(self._outage_starts, time_s) - 1
-        if index >= 0:
-            window = self._outages[index]
-            if time_s < window[1]:
-                return window
-        return None
-
-    def _serve_uniform(self, host_index: int) -> float:
-        """Next draw on one host's ``serve``/``error`` stream (lazy).
-
-        Streams materialise on first use instead of eagerly for every
-        host — most hosts never return an acceptable result in a short
-        run.  With columns in hand the serve fork's seed is already a
-        column; deriving the stream from it is bit-identical to the
-        object path's ``fork(f"host-{i}").fork("serve")`` chain.
-        """
-        rng = self._rng_serve.get(host_index)
-        if rng is None:
-            if self.columns is not None:
-                rng = RngStreams(int(self.columns.serve_seed[host_index]))
-            else:
-                rng = RngStreams(self.config.seed) \
-                    .fork(f"host-{self.hosts[host_index].index}") \
-                    .fork("serve")
-            self._rng_serve[host_index] = rng
-        return rng.uniform("error")
-
-    def _starts_for(self, host_index: int) -> Tuple[float, ...]:
-        """Cached per-host session-start tuple for bisect lookups.
-
-        ``finish_time``/``active_seconds`` used to rebuild the start
-        list from the session pairs on every call — an O(sessions)
-        allocation inside the two hottest per-event helpers."""
-        starts = self._session_starts.get(host_index)
-        if starts is None:
-            starts = tuple(s for s, _ in self.hosts[host_index].sessions)
-            self._session_starts[host_index] = starts
-        return starts
-
-    # -- server policy ---------------------------------------------------
-
-    def _deadline_for(self, wu: WorkUnit, host: FleetHost,
-                      now: float) -> float:
-        """Deadline from the *nominal* expected wall time (the server
-        knows the hypervisor's calibrated slowdown and the fleet's mean
-        availability, not this host's private trace), stretched by the
-        backoff factor for every timeout the work unit already suffered."""
-        cfg = self.config
-        nominal_rate = cfg.host_gflops_median * 1e9 \
-            / fleet_slowdown(host.hypervisor)
-        expected_wall = (wu.flops / nominal_rate) / cfg.availability_mean
-        stretch = cfg.backoff_factor ** min(wu.timeouts, 8)
-        return now + cfg.deadline_factor * expected_wall * stretch
-
-    def _take_work(self, host_index: int) -> Optional[WorkUnit]:
-        """Oldest needed replica this host may serve (FIFO with skips)."""
-        stash = []
-        found = None
-        while self.need:
-            wu_id = self.need.popleft()
-            wu = self.workunits[wu_id]
-            if wu.validated_at is not None \
-                    or wu.issued >= self.config.max_replicas:
-                continue  # entry is stale; drop it
-            if host_index in wu.hosts:
-                stash.append(wu_id)
-                continue
-            found = wu
-            break
-        self.need.extendleft(reversed(stash))
-        return found
-
-    def _maybe_reissue(self, wu: WorkUnit) -> None:
-        """Queue another replica when the quorum is no longer reachable
-        from matching results plus outstanding replicas."""
-        if wu.validated_at is not None:
-            return
-        potential = self.validator.matching_count(wu.wu_id) + wu.outstanding
-        if potential < self.config.quorum \
-                and wu.issued < self.config.max_replicas:
-            self.need.append(wu.wu_id)
-
-    # -- event handlers --------------------------------------------------
-
-    def _handle_request(self, host_index: int, now: float) -> None:
-        host = self.hosts[host_index]
-        window = self._outage_at(now)
-        if window is not None:
-            # scheduler down: the host re-polls when the window ends
-            # (poll-failure backoff untouched — this is not a dry queue)
-            if window[1] < min(self.config.duration_s, host.departure_s):
-                self._push(window[1], _REQUEST, host_index)
-            return
-        wu = self._take_work(host_index)
-        if wu is None:
-            if self._n_valid >= len(self.workunits):
-                return  # everything validated; the host retires
-            failures = self._poll_failures[host_index] = \
-                self._poll_failures[host_index] + 1
-            delay = min(self.config.poll_interval_s * (2.0 ** (failures - 1)),
-                        _MAX_POLL_BACKOFF_S)
-            next_poll = now + delay
-            if next_poll < min(self.config.duration_s, host.departure_s):
-                self._push(next_poll, _REQUEST, host_index)
-            return
-        self._poll_failures[host_index] = 0
-        starts = self._starts_for(host_index)
-        rid = len(self.replicas)
-        active_needed = wu.flops / host.rate_flops_per_s
-        interval = self.config.checkpoint_interval_s
-        if interval > 0 and host.checkpoint_cost_s > 0:
-            # checkpoint tax: one image write per interval of compute
-            active_needed *= 1.0 + host.checkpoint_cost_s / interval
-        rolled_back = 0.0
-        crash_wall: Optional[float] = None
-        if FAULTS.enabled and FAULTS.would_fire("vm.crash", key=rid,
-                                                attempt=0):
-            # crash point as a fraction of this replica's compute; the
-            # guest restores from its last checkpoint, redoing only
-            # progress − last_checkpoint seconds.  would_fire + record
-            # so a crash the trace never reaches is not tallied.
-            progress = FAULTS.uniform("vm.crash", rid, "at") * active_needed
-            crash_wall = finish_time(host.sessions, now, progress, starts)
-            if crash_wall is not None:
-                FAULTS.record("vm.crash")
-                rolled_back = rollback_seconds(progress, interval)
-                active_needed += rolled_back
-                self.vm_crashes += 1
-        deadline = self._deadline_for(wu, host, now)
-        finish = finish_time(host.sessions, now, active_needed, starts)
-        replica = Replica(rid=rid, wu_id=wu.wu_id, host=host_index,
-                          dispatched_s=now, deadline_s=deadline,
-                          cpu_s=active_needed, finish_s=finish,
-                          rolled_back_s=rolled_back,
-                          crash_wall_s=crash_wall)
-        self.replicas.append(replica)
-        wu.issued += 1
-        wu.outstanding += 1
-        wu.hosts.add(host_index)
-        if finish is not None:
-            self._push(finish, _COMPLETE, rid)
-        if deadline <= self.config.duration_s:
-            self._push(deadline, _DEADLINE, rid)
-        if METRICS.enabled:
-            METRICS.inc("fleet.dispatched")
-            METRICS.gauge_max("fleet.need_queue_peak", len(self.need))
-
-    def _handle_deadline(self, rid: int, now: float) -> None:
-        replica = self.replicas[rid]
-        if replica.completed or replica.timed_out:
-            return
-        replica.timed_out = True
-        wu = self.workunits[replica.wu_id]
-        wu.outstanding -= 1
-        if wu.validated_at is None:
-            wu.timeouts += 1
-            self.timeouts += 1
-            if METRICS.enabled:
-                METRICS.inc("fleet.timeouts")
-            self._maybe_reissue(wu)
-
-    def _handle_complete(self, rid: int, now: float) -> None:
-        replica = self.replicas[rid]
-        replica.compute_done_s = now
-        self._count_rollback(replica)
-        if self._n_valid < len(self.workunits):
-            # the host is free again: poll immediately.  Once every work
-            # unit has validated the poll could only retire the host, so
-            # it is skipped — the elided events are provably dead (the
-            # report never changes; asserted by the regression tests).
-            self._push(now, _REQUEST, replica.host)
-        self._attempt_upload(rid, now)
-
-    def _count_rollback(self, replica: Replica) -> None:
-        """Tally a crash's redone seconds exactly once per replica."""
-        if replica.rolled_back_s and not replica.rollback_counted:
-            replica.rollback_counted = True
-            self.rolled_back_cpu_s += replica.rolled_back_s
-            self._waste_on(replica.host, replica.rolled_back_s)
-            if METRICS.enabled:
-                METRICS.inc("fleet.rolled_back")
-
-    def _attempt_upload(self, rid: int, now: float) -> None:
-        """Try to deliver a finished result; buffer it when blocked.
-
-        A server outage blocks every upload until the window ends; a
-        ``net.partition`` draw loses this one attempt.  Either way the
-        host retries on exponential backoff until the retry budget runs
-        out, then the result is gone for good.
-        """
-        replica = self.replicas[rid]
-        window = self._outage_at(now)
-        earliest_retry = now
-        if window is not None:
-            earliest_retry = window[1]
-        elif not (FAULTS.enabled
-                  and FAULTS.fires("net.partition", key=rid,
-                                   attempt=replica.upload_attempts)):
-            self._deliver_result(rid, now)
-            return
-        attempt = replica.upload_attempts
-        replica.upload_attempts = attempt + 1
-        if attempt >= self.policy.upload_retries:
-            self._drop_upload(rid, now)
-            return
-        self.uploads_retried += 1
-        retry_at = max(now + self.policy.retry_delay_s(attempt),
-                       earliest_retry)
-        self._upload_backlog += 1
-        self._update_degraded(now)
-        self._push(retry_at, _UPLOAD, rid)
-        if METRICS.enabled:
-            METRICS.inc("fleet.upload_retried")
-
-    def _handle_upload(self, rid: int, now: float) -> None:
-        self._upload_backlog -= 1
-        self._attempt_upload(rid, now)
-        self._update_degraded(now)
-
-    def _drop_upload(self, rid: int, now: float) -> None:
-        """Retry budget exhausted: the computed result is lost."""
-        replica = self.replicas[rid]
-        wu = self.workunits[replica.wu_id]
-        replica.completed = True
-        self.uploads_lost += 1
-        useful = replica.cpu_s - replica.rolled_back_s
-        self.lost_upload_cpu_s += useful
-        self._waste_on(replica.host, useful)
-        if not replica.timed_out:
-            wu.outstanding -= 1
-            replica.timed_out = True
-        if METRICS.enabled:
-            METRICS.inc("fleet.upload_lost")
-        self._maybe_reissue(wu)
-
-    def _update_degraded(self, now: float) -> None:
-        """Degraded-mode hysteresis on the buffered-upload backlog."""
-        threshold = self.policy.degraded_threshold
-        if threshold <= 0:
-            return
-        if not self._degraded and self._upload_backlog > threshold:
-            self._degraded = True
-            self._degraded_since = now
-            if METRICS.enabled:
-                METRICS.inc("fleet.degraded_entered")
-        elif self._degraded and self._upload_backlog == 0:
-            self._degraded = False
-            self._degraded_windows.append((self._degraded_since, now))
-            self._degraded_since = None
-
-    def _deliver_result(self, rid: int, now: float) -> None:
-        replica = self.replicas[rid]
-        replica.completed = True
-        host = self.hosts[replica.host]
-        wu = self.workunits[replica.wu_id]
-        # rolled-back seconds are already tallied as their own waste
-        # bucket, so every path below accounts the useful remainder only
-        useful = replica.cpu_s - replica.rolled_back_s
-        if replica.timed_out or now > replica.deadline_s:
-            # past deadline: the server already reassigned; discard
-            self.results_stale += 1
-            self.stale_cpu_s += useful
-            self._waste_on(replica.host, useful)
-            if not replica.timed_out:
-                wu.outstanding -= 1
-                replica.timed_out = True
-            if METRICS.enabled:
-                METRICS.inc("fleet.stale")
-            self._maybe_reissue(wu)
-            return
-        wu.outstanding -= 1
-        if wu.validated_at is not None:
-            self.redundant_results += 1
-            self.redundant_cpu_s += useful
-            self._waste_on(replica.host, useful)
-            if METRICS.enabled:
-                METRICS.inc("fleet.redundant")
-            return
-        bad = self._serve_uniform(replica.host) < host.error_rate
-        if bad:
-            key = erroneous_key(wu.wu_id, replica.host, rid)
-            self.results_erroneous += 1
-            self.erroneous_cpu_s += useful
-            self._waste_on(replica.host, useful)
-            self.validator.record(wu.wu_id, replica.host, key)
-            if METRICS.enabled:
-                METRICS.inc("fleet.erroneous")
-            self._maybe_reissue(wu)
-            return
-        self.results_ok += 1
-        wu.ok_returns.append((replica.host, useful))
-        if self.validator.record(wu.wu_id, replica.host, CANONICAL_KEY):
-            wu.validated_at = now
-            self._n_valid += 1
-            if METRICS.enabled:
-                METRICS.inc("fleet.validated")
-                METRICS.observe("fleet.makespan_s", now)
-                METRICS.hist("fleet.makespan_h", now / 3600.0)
-        elif self._degraded:
-            # degraded mode: the backlog is past threshold, so the
-            # server accepts this lone result as quorum-of-1 — a
-            # validation risk, counted as such
-            wu.validated_at = now
-            wu.degraded_by = replica.host
-            self._n_valid += 1
-            self.degraded_validated += 1
-            if METRICS.enabled:
-                METRICS.inc("fleet.validated")
-                METRICS.inc("fleet.degraded_validated")
-                METRICS.observe("fleet.makespan_s", now)
-                METRICS.hist("fleet.makespan_h", now / 3600.0)
-        else:
-            self._maybe_reissue(wu)
-
-    # -- the run ---------------------------------------------------------
+        #: effective host.dropout departures, decided by :meth:`run`
+        self.dropouts = 0
+        #: the canonical flat state of the last :meth:`run`
+        self.state: Optional[Dict[str, Any]] = None
 
     def run(self) -> FleetReport:
-        if self._fast and not FAULTS.enabled and not METRICS.enabled:
-            return self._fast_run()
-        self._init_classic_state()
-        horizon = self.config.duration_s
-        for host in self.hosts:
-            if host.sessions:
-                self._push(host.sessions[0][0], _REQUEST, host.index)
-        heap = self._heap
-        while heap:
-            time_s, _seq, kind, payload = heapq.heappop(heap)
-            if time_s > horizon:
-                break
-            if kind == _REQUEST:
-                self._handle_request(payload, time_s)
-            elif kind == _COMPLETE:
-                self._handle_complete(payload, time_s)
-            elif kind == _UPLOAD:
-                self._handle_upload(payload, time_s)
-            else:
-                self._handle_deadline(payload, time_s)
-        return self._report()
+        """Run the event loop and render its report.
 
-    # -- the columnar fast loop ------------------------------------------
-
-    def _fast_run(self) -> FleetReport:
-        """Run the columnar fast path (fault-free only).
-
-        Builds the shared read-only prep, runs the event loop — the
-        compiled C kernel when available, the pure-Python fallback
-        otherwise; both produce the identical canonical flat state —
-        and renders one report from that state.
+        Every fault decision is taken here, so a plan armed after
+        construction still applies in full.  With a plan armed,
+        ``host.dropout`` clips the columns, the ``server.outage``
+        schedule is drawn, and the Python loop runs the recovery
+        machine.  Otherwise the compiled kernel runs the loop, or the
+        Python loop when no kernel is available; both produce the
+        identical canonical flat state.
         """
-        prep = self._fast_prep()
-        state = _c_event_loop(prep)
-        if state is None:
-            state = self._fast_loop_python(prep)
+        cfg = self.config
+        if FAULTS.enabled:
+            self.dropouts = _apply_host_dropout(self.columns,
+                                                cfg.duration_s)
+            outages = outage_windows(cfg.duration_s,
+                                     self.policy.outage_scale_s)
+            prep = self._fast_prep()
+            state = self._fast_loop_python(prep, outages)
+        else:
+            prep = self._fast_prep()
+            state = _c_event_loop(prep)
+            if state is None:
+                state = self._fast_loop_python(prep)
+        self.state = state
         return self._fast_report(prep, state)
 
     def _fast_prep(self) -> _FastPrep:
@@ -744,12 +298,16 @@ class FleetServer:
         an = cfg.wu_flops / cols.rate_flops_per_s
         interval = cfg.checkpoint_interval_s
         if interval > 0:
+            # checkpoint tax: one image write per interval of compute
             ck = cols.checkpoint_cost_s
             an = np.where(ck > 0.0, an * (1.0 + ck / interval), an)
         prep.an = an
         prep.hv_code = cols.hv_code
-        # deadline base per profile: deadline = now + base * stretch^t,
-        # identical float order to _deadline_for
+        # Deadline base per profile: deadline = now + base * stretch^t.
+        # The server prices a unit from the *nominal* expected wall time
+        # (the hypervisor's calibrated slowdown and the fleet's mean
+        # availability, not this host's private trace), stretched by the
+        # backoff factor for every timeout the unit already suffered.
         base_by_code = [
             cfg.deadline_factor
             * ((cfg.wu_flops / (cfg.host_gflops_median * 1e9
@@ -767,33 +325,51 @@ class FleetServer:
         prep.serve_seed = cols.serve_seed
         return prep
 
-    def _fast_loop_python(self, prep: _FastPrep) -> Dict[str, Any]:
-        """The classic event loop over flat columns (fault-free only).
+    def _fast_loop_python(
+            self, prep: _FastPrep,
+            outages: Optional[List[Tuple[float, float]]] = None,
+    ) -> Dict[str, Any]:
+        """The fleet event loop over flat columns.
 
-        Same events, same order, same floats — the differences are
-        representational (parallel lists instead of ``Replica`` /
-        ``WorkUnit`` records, pre-drawn error uniforms, a monotone
-        per-host cursor into the CSR trace) plus three provably
-        unobservable event elisions:
+        ``outages`` is ``None`` for a fault-free run.  A storm run
+        passes its drawn ``server.outage`` schedule (possibly empty),
+        which arms the recovery machine: dispatch halts inside outage
+        windows, a finished result uploads separately from its
+        completion (``_UPLOAD`` retries with backoff, ``net.partition``
+        draws keyed by ``(rid, attempt)``, a spent budget loses the
+        result), ``vm.crash`` rolls a replica back to its last
+        checkpoint, and degraded-mode hysteresis on the upload backlog
+        validates lone results as quorum-of-1.
+
+        Storage is parallel lists instead of per-replica / per-unit
+        records, with pre-drawn error uniforms and a monotone per-host
+        cursor into the CSR trace.  Three event elisions keep the heap
+        small without changing any observable:
 
         * a completion at ``t`` re-dispatches inline when no other event
           is scheduled at ``t`` — the pushed re-poll would pop next
-          anyway (any tied event carries a smaller sequence number);
-        * a replica whose completion lands at or before its deadline
-          never pushes the deadline event (the completed flag makes the
-          deadline handler a no-op);
+          anyway (any tied event carries a smaller sequence number, and
+          every event the delivery pushes a larger one);
+        * in a fault-free run a replica whose completion lands at or
+          before its deadline never pushes the deadline event: the
+          completion is also the delivery, so the completed flag makes
+          the deadline a no-op.  Storms deliver late, so they push it;
         * events past the horizon are never pushed — the loop stops at
           the first popped time past the horizon, processing none of
           them, and relative order among surviving events is preserved.
 
-        Replica flag bits: 1 = timed out, 2 = completed.  Work-unit
+        Replica flag bits: 1 = timed out, 2 = completed (delivered or
+        dropped), 4 = computed with the upload still buffered.  Work-unit
         validator state: 0 = open, 1 = validated, 2 = locked by a
         quorum-of-1 erroneous result (the validator accepted a bad key,
-        so later matching results can never validate the unit).
+        so later matching results can never validate the unit).  A unit
+        validated in degraded mode keeps its validator state and is
+        tagged in ``degraded_by`` instead.
 
-        ``repro/fleet/_cloop.c`` is a transliteration of this loop;
-        both return the canonical flat state that
-        :meth:`_fast_report` renders.
+        ``repro/fleet/_cloop.c`` is a transliteration of the fault-free
+        branches; both return the canonical flat state that
+        :meth:`_fast_report` renders.  Storm runs add a ``recovery``
+        entry.
         """
         cfg = self.config
         horizon = prep.horizon
@@ -802,6 +378,7 @@ class FleetServer:
         max_replicas = prep.max_replicas
         poll_interval = cfg.poll_interval_s
         nwu = prep.nwu
+        storm = outages is not None
 
         # per-host columns as plain python lists (fastest scalar indexing)
         departure = prep.departure.tolist()
@@ -831,14 +408,30 @@ class FleetServer:
         r_flag = bytearray()
 
         # serve-stream error uniforms, drawn one vectorised round at a
-        # time: draws[r][h] is the object path's (r+1)-th uniform("error")
-        # on host h's serve fork
+        # time: draws[r][h] is the (r+1)-th uniform("error") on host h's
+        # serve fork
         serve_vec = VecPcg.seeded(prep.serve_seed, "error")
         err_rate = prep.err_rate
         draws: List[array] = []
         ucur = [0] * n
         cur = off[:n]               # per-host session cursor (monotone)
         poll_fail = [0] * n
+
+        # recovery state (storms only); the replica-keyed maps stay sparse
+        outage_starts = [start for start, _ in outages] if storm else []
+        outage_ends = [end for _, end in outages] if storm else []
+        retries = self.policy.upload_retries
+        retry_delay_s = self.policy.retry_delay_s
+        threshold = self.policy.degraded_threshold
+        interval = cfg.checkpoint_interval_s
+        crash_rb: Dict[int, float] = {}   # rid -> nonzero rolled-back s
+        attempts: Dict[int, int] = {}     # rid -> upload attempts so far
+        degraded_by: Dict[int, int] = {}  # wid -> host of the lone result
+        degraded_windows: List[Tuple[float, float]] = []
+        degraded_since: Optional[float] = None
+        backlog = 0
+        retried = lost_n = crashes = rb_n = entered = deg_val = 0
+        rb_cpu = lost_cpu = 0.0
 
         heap: List[Tuple[float, int, int, int]] = []
         seq = 0
@@ -851,12 +444,66 @@ class FleetServer:
         pop = heapq.heappop
 
         n_valid = 0
+        need_peak = 0
         ok_n = err_n = stale_n = tmo_n = red_n = 0
         err_cpu = stale_cpu = red_cpu = 0.0
         waste = [0.0] * n
 
+        def finish_at(c: int, hi: int, now: float,
+                      remaining: float) -> Optional[float]:
+            """When ``remaining`` active seconds after ``now`` are done
+            on sessions ``c:hi`` (``None``: the trace runs out first)."""
+            for j in range(c, hi):
+                s = fs[j]
+                e = fe[j]
+                lo = s if s > now else now
+                if lo >= e:
+                    continue
+                span = e - lo
+                if span >= remaining:
+                    return lo + remaining
+                remaining -= span
+            return None
+
+        def outage_end(now: float) -> Optional[float]:
+            """End of the outage window covering ``now`` (``None``: the
+            server is up).  Windows are sorted and disjoint."""
+            i = bisect.bisect_right(outage_starts, now) - 1
+            if i >= 0 and now < outage_ends[i]:
+                return outage_ends[i]
+            return None
+
+        def useful_of(rid: int, h: int) -> float:
+            """Replica ``rid``'s compute seconds net of a crash's redo
+            (rolled-back seconds are tallied as their own waste bucket)."""
+            rolled_back = crash_rb.get(rid)
+            if rolled_back is None:
+                return an[h]
+            return (an[h] + rolled_back) - rolled_back
+
+        def maybe_reissue(wid: int) -> None:
+            """Queue another replica when the quorum is no longer
+            reachable from matching results plus outstanding replicas."""
+            if wu_validated[wid] is None:
+                hl = wu_holders[wid]
+                if ((0 if hl is None else len(hl)) + wu_out[wid]
+                        < quorum) and wu_issued[wid] < max_replicas:
+                    need.append(wid)
+
         def dispatch(h: int, now: float) -> None:
-            nonlocal seq
+            nonlocal seq, need_peak, crashes
+            end = outage_end(now) if outage_starts else None
+            if end is not None:
+                # scheduler down: the host re-polls when the window ends
+                # (poll-failure backoff untouched — this is not a dry
+                # queue)
+                limit = departure[h]
+                if horizon < limit:
+                    limit = horizon
+                if end < limit:
+                    push(heap, (end, seq, _REQUEST, h))
+                    seq += 1
+                return
             wid = -1
             stash = None
             while need:
@@ -893,26 +540,29 @@ class FleetServer:
                 return
             poll_fail[h] = 0
             rid = len(r_disp)
-            t = wu_tmo[wid]
-            deadline = now + base[h] * stretch[t if t < 8 else 8]
             hi = off[h + 1]
             c = cur[h]
             while c + 1 < hi and fs[c + 1] <= now:
                 c += 1
             cur[h] = c
-            fin = None
-            remaining = an[h]
-            for j in range(c, hi):
-                s = fs[j]
-                e = fe[j]
-                lo = s if s > now else now
-                if lo >= e:
-                    continue
-                span = e - lo
-                if span >= remaining:
-                    fin = lo + remaining
-                    break
-                remaining -= span
+            active = an[h]
+            if storm and FAULTS.would_fire("vm.crash", key=rid, attempt=0):
+                # crash point as a fraction of this replica's compute;
+                # the guest restores from its last checkpoint, redoing
+                # only progress − last_checkpoint seconds.  would_fire +
+                # record so a crash the trace never reaches is not
+                # tallied.
+                progress = FAULTS.uniform("vm.crash", rid, "at") * active
+                if finish_at(c, hi, now, progress) is not None:
+                    FAULTS.record("vm.crash")
+                    rolled_back = rollback_seconds(progress, interval)
+                    active += rolled_back
+                    crashes += 1
+                    if rolled_back:
+                        crash_rb[rid] = rolled_back
+            t = wu_tmo[wid]
+            deadline = now + base[h] * stretch[t if t < 8 else 8]
+            fin = finish_at(c, hi, now, active)
             r_pack.append((wid, h, deadline))
             r_disp.append(now)
             r_flag.append(0)
@@ -923,46 +573,123 @@ class FleetServer:
                 wu_hosts[wid] = [h]
             else:
                 hl.append(h)
+            if len(need) > need_peak:
+                need_peak = len(need)
             if fin is not None and fin <= horizon:
                 push(heap, (fin, seq, _COMPLETE, rid))
                 seq += 1
-                if deadline < fin:
-                    push(heap, (deadline, seq, _DEADLINE, rid))
-                    seq += 1
-            elif deadline <= horizon:
+            if deadline <= horizon \
+                    and (storm or fin is None or deadline < fin):
                 push(heap, (deadline, seq, _DEADLINE, rid))
                 seq += 1
+
+        def update_degraded(now: float) -> None:
+            """Degraded-mode hysteresis on the buffered-upload backlog."""
+            nonlocal degraded_since, entered
+            if threshold <= 0:
+                return
+            if degraded_since is None:
+                if backlog > threshold:
+                    degraded_since = now
+                    entered += 1
+            elif backlog == 0:
+                degraded_windows.append((degraded_since, now))
+                degraded_since = None
+
+        def upload_through(rid: int, wid: int, h: int, now: float) -> bool:
+            """One upload attempt of a finished result; True when it
+            reaches the server now.
+
+            A server outage blocks every upload until the window ends; a
+            ``net.partition`` draw loses this one attempt.  Either way
+            the host retries on exponential backoff until the retry
+            budget runs out, then the result is gone for good.
+            """
+            nonlocal seq, backlog, retried, lost_n, lost_cpu
+            attempt = attempts.get(rid, 0)
+            earliest = outage_end(now)
+            if earliest is None:
+                if not FAULTS.fires("net.partition", key=rid,
+                                    attempt=attempt):
+                    return True
+                earliest = now
+            attempts[rid] = attempt + 1
+            if attempt >= retries:
+                # retry budget exhausted: the computed result is lost
+                fl = r_flag[rid]
+                r_flag[rid] = fl | 2
+                lost_n += 1
+                useful = useful_of(rid, h)
+                lost_cpu += useful
+                waste[h] += useful
+                if not fl & 1:
+                    wu_out[wid] -= 1
+                    r_flag[rid] = fl | 3
+                maybe_reissue(wid)
+                return False
+            retried += 1
+            retry_at = now + retry_delay_s(attempt)
+            if retry_at < earliest:
+                retry_at = earliest
+            backlog += 1
+            update_degraded(now)
+            if retry_at <= horizon:
+                push(heap, (retry_at, seq, _UPLOAD, rid))
+                seq += 1
+            return False
 
         while heap:
             time_s, _s, kind, payload = pop(heap)
             if time_s > horizon:
                 break
-            if kind == _COMPLETE:
-                rid = payload
-                wid, h, deadline = r_pack[rid]
+            if kind == _REQUEST:
+                dispatch(payload, time_s)
+                continue
+            rid = payload
+            if kind == _DEADLINE:
                 fl = r_flag[rid]
-                r_flag[rid] = fl | 2
+                if not fl & 3:
+                    r_flag[rid] = fl | 1
+                    wid = r_pack[rid][0]
+                    wu_out[wid] -= 1
+                    if wu_validated[wid] is None:
+                        wu_tmo[wid] += 1
+                        tmo_n += 1
+                        maybe_reissue(wid)
+                continue
+            # _COMPLETE or _UPLOAD: a finished result heads for the server
+            wid, h, deadline = r_pack[rid]
+            redispatch = False
+            if kind == _COMPLETE:
                 redispatch = n_valid < nwu
                 if redispatch and heap and heap[0][0] == time_s:
                     # a tied event must process first: fall back to the
-                    # classic re-poll push (delivery pushes no events,
-                    # so relative order matches the object loop)
+                    # plain re-poll push
                     push(heap, (time_s, seq, _REQUEST, h))
                     seq += 1
                     redispatch = False
-                useful = an[h]
-                if fl or time_s > deadline:
+                if storm:
+                    r_flag[rid] |= 4
+                    rolled_back = crash_rb.get(rid)
+                    if rolled_back is not None:
+                        rb_n += 1
+                        rb_cpu += rolled_back
+                        waste[h] += rolled_back
+            else:
+                backlog -= 1
+            if not storm or upload_through(rid, wid, h, time_s):
+                fl = r_flag[rid]
+                r_flag[rid] = fl | 2
+                useful = useful_of(rid, h)
+                if fl & 1 or time_s > deadline:
+                    # past deadline: the server already reassigned
                     stale_n += 1
                     stale_cpu += useful
                     waste[h] += useful
-                    if not fl:
+                    if not fl & 1:
                         wu_out[wid] -= 1
-                        r_flag[rid] = 3
-                    if wu_validated[wid] is None:
-                        hl = wu_holders[wid]
-                        if ((0 if hl is None else len(hl)) + wu_out[wid]
-                                < quorum) and wu_issued[wid] < max_replicas:
-                            need.append(wid)
+                        r_flag[rid] = fl | 3
+                    maybe_reissue(wid)
                 elif wu_validated[wid] is not None:
                     wu_out[wid] -= 1
                     red_n += 1
@@ -982,10 +709,7 @@ class FleetServer:
                         waste[h] += useful
                         if quorum == 1 and wu_state[wid] == 0:
                             wu_state[wid] = 2
-                        hl = wu_holders[wid]
-                        if ((0 if hl is None else len(hl)) + wu_out[wid]
-                                < quorum) and wu_issued[wid] < max_replicas:
-                            need.append(wid)
+                        maybe_reissue(wid)
                     else:
                         ok_n += 1
                         ret_wid.append(wid)
@@ -997,37 +721,27 @@ class FleetServer:
                                 hl = wu_holders[wid] = [h]
                             else:
                                 hl.append(h)
-                            if len(hl) >= quorum:
-                                wu_state[wid] = 1
-                                wu_validated[wid] = time_s
-                                n_valid += 1
-                            elif (len(hl) + wu_out[wid] < quorum
-                                  and wu_issued[wid] < max_replicas):
-                                need.append(wid)
+                        if wu_state[wid] == 0 and len(hl) >= quorum:
+                            wu_state[wid] = 1
+                            wu_validated[wid] = time_s
+                            n_valid += 1
+                        elif degraded_since is not None:
+                            # degraded mode: the backlog is past
+                            # threshold, so the server accepts this lone
+                            # result as quorum-of-1 — a validation risk,
+                            # counted as such
+                            wu_validated[wid] = time_s
+                            degraded_by[wid] = h
+                            n_valid += 1
+                            deg_val += 1
                         else:
-                            # bad-locked: the match can never validate
-                            hl = wu_holders[wid]
-                            if ((0 if hl is None else len(hl)) + wu_out[wid]
-                                    < quorum) \
-                                    and wu_issued[wid] < max_replicas:
-                                need.append(wid)
-                if redispatch:
-                    dispatch(h, time_s)
-            elif kind == _REQUEST:
-                dispatch(payload, time_s)
-            else:
-                rid = payload
-                if not r_flag[rid]:
-                    r_flag[rid] = 1
-                    wid = r_pack[rid][0]
-                    wu_out[wid] -= 1
-                    if wu_validated[wid] is None:
-                        wu_tmo[wid] += 1
-                        tmo_n += 1
-                        hl = wu_holders[wid]
-                        if ((0 if hl is None else len(hl)) + wu_out[wid]
-                                < quorum) and wu_issued[wid] < max_replicas:
-                            need.append(wid)
+                            # still open, or bad-locked: the match can
+                            # never validate
+                            maybe_reissue(wid)
+            if kind == _UPLOAD:
+                update_degraded(time_s)
+            if redispatch:
+                dispatch(h, time_s)
 
         hold_flat = np.full(nwu * quorum, -1, dtype=np.int32)
         nhold = np.zeros(nwu, dtype=np.uint8)
@@ -1035,9 +749,10 @@ class FleetServer:
             if hl:
                 hold_flat[wid * quorum:wid * quorum + len(hl)] = hl
                 nhold[wid] = len(hl)
-        return {
+        state = {
             "n_valid": n_valid,
             "n_rep": len(r_disp),
+            "need_peak": need_peak,
             "ok_n": ok_n,
             "err_n": err_n,
             "stale_n": stale_n,
@@ -1063,14 +778,31 @@ class FleetServer:
             "r_flag": np.frombuffer(bytes(r_flag), dtype=np.uint8),
             "waste": np.array(waste, dtype=np.float64),
         }
+        if storm:
+            if degraded_since is not None:
+                degraded_windows.append((degraded_since, horizon))
+            state["recovery"] = {
+                "outages": list(outages),
+                "uploads_retried": retried,
+                "uploads_lost": lost_n,
+                "lost_cpu": lost_cpu,
+                "vm_crashes": crashes,
+                "rolled_back": rb_n,
+                "rolled_back_cpu": rb_cpu,
+                "crash_rb": crash_rb,
+                "degraded_entered": entered,
+                "degraded_windows": degraded_windows,
+                "degraded_validated": deg_val,
+                "degraded_by": degraded_by,
+            }
+        return state
 
     def _fast_report(self, prep: _FastPrep,
                      state: Dict[str, Any]) -> FleetReport:
-        """Mirror of :meth:`_report` over the canonical flat state —
-        field for field, float operation for float operation.
+        """Render the one report from the canonical flat state.
 
-        Every accumulation whose order the classic report fixes (the
-        wid-major walk over ok returns, the rid-order walk over
+        Every accumulation whose order the archived object server fixes
+        (the wid-major walk over ok returns, the rid-order walk over
         incomplete replicas, the host-order per-hypervisor buckets)
         stays a Python left fold here; numpy only gathers, sorts, and
         counts — operations with no float-order freedom.
@@ -1096,11 +828,13 @@ class FleetServer:
         nhold = state["nhold"].tolist()
         hold_flat = state["hold_flat"].tolist()
         waste = state["waste"].tolist()
+        rec = state.get("recovery") or _NO_RECOVERY
+        degraded_by = rec["degraded_by"]
+        crash_rb = rec["crash_rb"]
 
         # ok returns, wid-major with delivery order preserved within a
-        # wid — exactly the classic ``for wu: for wu.ok_returns`` walk.
-        # Per-host ok counts are order-free integers, so numpy may count
-        # them; the cpu folds stay sequential.
+        # wid.  Per-host ok counts are order-free integers, so numpy may
+        # count them; the cpu folds stay sequential.
         ret_wid = state["ret_wid"]
         order = np.argsort(ret_wid, kind="stable")
         rw = ret_wid[order].tolist()
@@ -1121,17 +855,28 @@ class FleetServer:
                 if validated:
                     b = wid * quorum
                     qset = set(hold_flat[b:b + nhold[wid]])
+                elif wid in degraded_by:
+                    # degraded quorum-of-1: the lone accepted result is
+                    # the load-bearing one.  On a bad-locked unit the
+                    # validator's quorum is the erroneous holder, which
+                    # has no ok return, so nothing is load-bearing.
+                    validated = True
+                    qset = {degraded_by[wid]} if st[wid] == 0 else set()
             if validated:
                 if h in qset:
                     quorum_cpu += cpu
                     quorum_cpu_by_host[h] += cpu
                 else:
+                    # a second matching result landed between quorum
+                    # completion and now: counted but not load-bearing
                     redundant_cpu += cpu
                     waste[h] += cpu
             else:
                 pending_cpu += cpu
 
-        lost_cpu = 0.0
+        lost_cpu = rec["lost_cpu"]
+        rolled_back = rec["rolled_back_cpu"]
+        rb_n = rec["rolled_back"]
         in_flight_cpu = 0.0
         r_flag = state["r_flag"]
         incomplete = np.flatnonzero((r_flag & 2) == 0)
@@ -1140,9 +885,23 @@ class FleetServer:
             fe = prep.fe.tolist()
             off = prep.soff.tolist()
             departure = prep.departure.tolist()
-            hosts_sub = state["r_host"][incomplete].tolist()
-            disp_sub = state["r_disp"][incomplete].tolist()
-            for h, start in zip(hosts_sub, disp_sub):
+            an = prep.an.tolist()
+            for rid, h, start, fl in zip(
+                    incomplete.tolist(),
+                    state["r_host"][incomplete].tolist(),
+                    state["r_disp"][incomplete].tolist(),
+                    r_flag[incomplete].tolist()):
+                rb = crash_rb.get(rid)
+                if fl & 4:
+                    # computed, upload still buffered at the horizon:
+                    # the result never lands, so its useful seconds are
+                    # lost
+                    useful = an[h]
+                    if rb is not None:
+                        useful = (useful + rb) - rb
+                    lost_cpu += useful
+                    waste[h] += useful
+                    continue
                 spent = 0.0
                 if horizon > start:
                     lo_i = off[h]
@@ -1160,13 +919,20 @@ class FleetServer:
                         if hi2 > lo:
                             spent += hi2 - lo
                         j += 1
+                if rb is not None:
+                    # the crash landed in-trace (traces end at the
+                    # horizon), so its redone seconds belong to the
+                    # rollback bucket
+                    rb_n += 1
+                    rolled_back += rb
+                    waste[h] += rb
+                    spent -= rb
                 if departure[h] <= horizon:
                     lost_cpu += spent
                     waste[h] += spent
                 else:
                     in_flight_cpu += spent
 
-        rolled_back = 0.0
         wasted = (err_cpu + stale_cpu + redundant_cpu + lost_cpu
                   + rolled_back)
         total_cpu = quorum_cpu + wasted + pending_cpu + in_flight_cpu
@@ -1175,6 +941,8 @@ class FleetServer:
         wu_issued = state["wu_issued"]
         wu_out = state["wu_out"]
         not_valid = wu_state != 1
+        if degraded_by:
+            not_valid[list(degraded_by)] = False
         unsent = int(np.count_nonzero(not_valid & (wu_issued == 0)))
         started = not_valid & (wu_issued > 0)
         failed = int(np.count_nonzero(
@@ -1194,9 +962,8 @@ class FleetServer:
 
         # per-hypervisor buckets.  hosts/results_ok are exact integer
         # accumulations (any order gives the same float), so numpy
-        # counts them; the two cpu columns fold per code in host order,
-        # exactly the classic per-host walk (its += 0.0 terms for
-        # untouched hosts are float identities).
+        # counts them; the two cpu columns fold per code in host order
+        # (the += 0.0 terms for untouched hosts are float identities).
         ncodes = len(cols.hv_names)
         hv_code = prep.hv_code.tolist()
         qc_sum = [0.0] * ncodes
@@ -1209,7 +976,7 @@ class FleetServer:
             ok_by_host, dtype=np.float64), minlength=ncodes)
         codes, first_at = np.unique(prep.hv_code, return_index=True)
         per_hv: Dict[str, Dict[str, float]] = {}
-        # insertion order = first-appearance order, as the classic walk
+        # insertion order = first-appearance order in host index order
         for code in codes[np.argsort(first_at)].tolist():
             name = cols.hv_names[code]
             denom = qc_sum[code] + w_sum[code]
@@ -1222,18 +989,37 @@ class FleetServer:
                 "slowdown": fleet_slowdown(name),
             }
 
-        # expose the classic tallies for introspection parity
-        self._n_valid = n_valid
-        self.results_ok = ok_n
-        self.results_erroneous = err_n
-        self.results_stale = stale_n
-        self.timeouts = tmo_n
-        self.redundant_results = red_n
-        self.erroneous_cpu_s = err_cpu
-        self.stale_cpu_s = stale_cpu
-        self.redundant_cpu_s = red_cpu
-        self._wasted_by_host = {
-            h: v for h, v in enumerate(waste) if v != 0.0}
+        outages = rec["outages"]
+        degraded_windows = rec["degraded_windows"]
+        if METRICS.enabled:
+            # The fleet.* metrics, derived once from the final state.
+            # Counters exist only once their event happened.  Validation
+            # times never decrease in event order, so replaying the
+            # sorted makespans folds the timer in validation order.
+            for name, count in (
+                    ("fleet.dispatched", n_rep),
+                    ("fleet.timeouts", tmo_n),
+                    ("fleet.stale", stale_n),
+                    ("fleet.redundant", red_n),
+                    ("fleet.erroneous", err_n),
+                    ("fleet.validated", n_valid),
+                    ("fleet.degraded_validated",
+                     rec["degraded_validated"]),
+                    ("fleet.rolled_back", rb_n),
+                    ("fleet.upload_retried", rec["uploads_retried"]),
+                    ("fleet.upload_lost", rec["uploads_lost"]),
+                    ("fleet.degraded_entered", rec["degraded_entered"])):
+                if count:
+                    METRICS.inc(name, count)
+            if n_rep:
+                METRICS.gauge_max("fleet.need_queue_peak",
+                                  state["need_peak"])
+            for at in makespans:
+                METRICS.observe("fleet.makespan_s", at)
+                METRICS.hist("fleet.makespan_h", at / 3600.0)
+            METRICS.inc("fleet.hosts", n)
+            METRICS.inc("fleet.workunits", nwu)
+            METRICS.inc("fleet.departures", departures)
 
         return FleetReport(
             config=cfg.to_dict(),
@@ -1270,178 +1056,27 @@ class FleetServer:
             realized_availability=realized_availability,
             per_hypervisor=per_hv,
             recovery={
-                "outages": 0,
-                "outage_s": 0,
-                "uploads_retried": 0,
-                "uploads_lost": 0,
-                "vm_crashes": 0,
-                "rolled_back_s": 0.0,
-                "degraded_windows": 0,
-                "degraded_s": 0,
-                "degraded_validated": 0,
+                "outages": len(outages),
+                "outage_s": sum(end - start for start, end in outages),
+                "uploads_retried": rec["uploads_retried"],
+                "uploads_lost": rec["uploads_lost"],
+                "vm_crashes": rec["vm_crashes"],
+                "rolled_back_s": rolled_back,
+                "degraded_windows": len(degraded_windows),
+                "degraded_s": sum(end - start
+                                  for start, end in degraded_windows),
+                "degraded_validated": rec["degraded_validated"],
             },
         )
 
-    # -- accounting ------------------------------------------------------
 
-    def _report(self) -> FleetReport:
-        cfg = self.config
-        horizon = cfg.duration_s
-        quorum_cpu = 0.0
-        redundant_cpu = self.redundant_cpu_s
-        pending_cpu = 0.0
-        ok_by_host: Dict[int, int] = {}
-        quorum_cpu_by_host: Dict[int, float] = {}
-        for wu in self.workunits:
-            validated = wu.validated_at is not None
-            qset = (set(self.validator.quorum_hosts(wu.wu_id))
-                    if validated else set())
-            if validated and not qset and wu.degraded_by is not None:
-                # degraded quorum-of-1: the lone accepted result is the
-                # load-bearing one; any other matching returns are
-                # redundant via the branch below
-                qset = {wu.degraded_by}
-            for host_index, cpu in wu.ok_returns:
-                ok_by_host[host_index] = ok_by_host.get(host_index, 0) + 1
-                if host_index in qset:
-                    quorum_cpu += cpu
-                    quorum_cpu_by_host[host_index] = \
-                        quorum_cpu_by_host.get(host_index, 0.0) + cpu
-                elif validated:
-                    # a second matching result landed between quorum
-                    # completion and now: counted but not load-bearing
-                    redundant_cpu += cpu
-                    self._waste_on(host_index, cpu)
-                else:
-                    pending_cpu += cpu
-        lost_cpu = self.lost_upload_cpu_s
-        in_flight_cpu = 0.0
-        for replica in self.replicas:
-            if replica.completed:
-                continue
-            host = self.hosts[replica.host]
-            if replica.compute_done_s is not None:
-                # computed, upload still buffered at the horizon: the
-                # result never lands, so its useful seconds are lost
-                useful = replica.cpu_s - replica.rolled_back_s
-                lost_cpu += useful
-                self._waste_on(replica.host, useful)
-                continue
-            spent = active_seconds(host.sessions, replica.dispatched_s,
-                                   horizon, self._starts_for(replica.host))
-            if replica.crash_wall_s is not None \
-                    and not replica.rollback_counted:
-                # the crash landed in-trace (traces end at the horizon),
-                # so its redone seconds belong to the rollback bucket
-                self._count_rollback(replica)
-                spent -= replica.rolled_back_s
-            if host.departure_s <= horizon:
-                lost_cpu += spent
-                self._waste_on(replica.host, spent)
-            else:
-                in_flight_cpu += spent
-        wasted = (self.erroneous_cpu_s + self.stale_cpu_s + redundant_cpu
-                  + lost_cpu + self.rolled_back_cpu_s)
-        total_cpu = quorum_cpu + wasted + pending_cpu + in_flight_cpu
-        waste_fraction = wasted / total_cpu if total_cpu else 0.0
-
-        valid = self._n_valid
-        failed = sum(
-            1 for wu in self.workunits
-            if wu.validated_at is None and wu.outstanding == 0
-            and wu.issued >= cfg.max_replicas
-        )
-        in_progress = sum(1 for wu in self.workunits
-                          if wu.validated_at is None and wu.issued > 0) \
-            - failed
-        unsent = sum(1 for wu in self.workunits if wu.issued == 0)
-        makespans = sorted(wu.validated_at for wu in self.workunits
-                           if wu.validated_at is not None)
-        makespan = {
-            "mean": (sum(makespans) / len(makespans)) if makespans else 0.0,
-            "p50": _percentile(makespans, 0.50),
-            "p90": _percentile(makespans, 0.90),
-            "p99": _percentile(makespans, 0.99),
-        }
-        departures = sum(1 for h in self.hosts if h.departure_s <= horizon)
-        session_time = sum(
-            e - s for h in self.hosts for s, e in h.sessions)
-        realized_availability = session_time / (horizon * len(self.hosts))
-
-        per_hv: Dict[str, Dict[str, float]] = {}
-        wasted_cpu_by_host = self._wasted_by_host
-        for host in self.hosts:
-            stats = per_hv.setdefault(host.hypervisor, {
-                "hosts": 0.0, "results_ok": 0.0, "quorum_cpu_s": 0.0,
-                "wasted_cpu_s": 0.0, "waste_fraction": 0.0,
-                "slowdown": fleet_slowdown(host.hypervisor),
-            })
-            stats["hosts"] += 1
-            stats["results_ok"] += ok_by_host.get(host.index, 0)
-            stats["quorum_cpu_s"] += quorum_cpu_by_host.get(host.index, 0.0)
-            stats["wasted_cpu_s"] += wasted_cpu_by_host.get(host.index, 0.0)
-        for stats in per_hv.values():
-            denom = stats["quorum_cpu_s"] + stats["wasted_cpu_s"]
-            stats["waste_fraction"] = \
-                stats["wasted_cpu_s"] / denom if denom else 0.0
-
-        degraded_windows = list(self._degraded_windows)
-        if self._degraded and self._degraded_since is not None:
-            degraded_windows.append((self._degraded_since, horizon))
-        recovery = {
-            "outages": len(self._outages),
-            "outage_s": sum(end - start for start, end in self._outages),
-            "uploads_retried": self.uploads_retried,
-            "uploads_lost": self.uploads_lost,
-            "vm_crashes": self.vm_crashes,
-            "rolled_back_s": self.rolled_back_cpu_s,
-            "degraded_windows": len(degraded_windows),
-            "degraded_s": sum(end - start
-                              for start, end in degraded_windows),
-            "degraded_validated": self.degraded_validated,
-        }
-
-        if METRICS.enabled:
-            METRICS.inc("fleet.hosts", len(self.hosts))
-            METRICS.inc("fleet.workunits", len(self.workunits))
-            METRICS.inc("fleet.departures", departures)
-
-        return FleetReport(
-            config=cfg.to_dict(),
-            hosts=len(self.hosts),
-            workunits=len(self.workunits),
-            duration_s=horizon,
-            valid=valid,
-            failed=failed,
-            in_progress=in_progress,
-            unsent=unsent,
-            replicas_issued=len(self.replicas),
-            results_ok=self.results_ok,
-            results_erroneous=self.results_erroneous,
-            results_stale=self.results_stale,
-            timeouts=self.timeouts,
-            redundant_results=self.redundant_results,
-            departures=departures,
-            dropouts=self.dropouts,
-            throughput_per_hour=valid / (horizon / 3600.0),
-            makespan_s=makespan,
-            cpu_s={
-                "quorum": quorum_cpu,
-                "redundant": redundant_cpu,
-                "erroneous": self.erroneous_cpu_s,
-                "stale": self.stale_cpu_s,
-                "lost": lost_cpu,
-                "rolled_back": self.rolled_back_cpu_s,
-                "pending": pending_cpu,
-                "in_flight": in_flight_cpu,
-                "wasted": wasted,
-                "total": total_cpu,
-            },
-            waste_fraction=waste_fraction,
-            realized_availability=realized_availability,
-            per_hypervisor=per_hv,
-            recovery=recovery,
-        )
+#: The ``recovery`` state of a fault-free run: nothing happened.
+_NO_RECOVERY: Dict[str, Any] = {
+    "outages": [], "uploads_retried": 0, "uploads_lost": 0,
+    "lost_cpu": 0.0, "vm_crashes": 0, "rolled_back": 0,
+    "rolled_back_cpu": 0.0, "crash_rb": {}, "degraded_entered": 0,
+    "degraded_windows": [], "degraded_validated": 0, "degraded_by": {},
+}
 
 
 def simulate_fleet(config: FleetConfig,
@@ -1454,27 +1089,17 @@ def simulate_fleet(config: FleetConfig,
     building dispatches to the persistent worker pool only above
     :data:`repro.fleet.host.MIN_PARALLEL_HOSTS` — small fleets run
     serially because pool dispatch would cost more than it saves.
-
-    Fault-free runs build :class:`~repro.fleet.columns.FleetColumns`
-    (byte-identical to the object build) and take the columnar loop;
-    fault storms mutate per-host traces (``host.dropout``) and consult
-    the injector mid-event, so they keep the object path.
     """
-    if FAULTS.enabled:
-        hosts = build_fleet_hosts(config, jobs=jobs)
-        dropouts = _apply_host_dropout(hosts, config.duration_s)
-        return FleetServer(config, hosts, dropouts=dropouts).run()
-    columns = build_fleet_columns(config, jobs=jobs)
-    return FleetServer(config, columns).run()
+    return FleetServer(config, build_fleet_columns(config, jobs=jobs)).run()
 
 
-def _apply_host_dropout(hosts: List[FleetHost], horizon_s: float) -> int:
+def _apply_host_dropout(columns: FleetColumns, horizon_s: float) -> int:
     """Injection site ``host.dropout``: permanently remove hosts early.
 
     Each selected host departs at a deterministic fraction of the
     horizon (drawn from the fault plan, keyed by host index): its
-    departure time is truncated and later availability sessions are
-    clipped.  This *changes results by design* — the fault-plan token is
+    departure time is truncated, sessions starting at or after it are
+    removed and the rest clipped (:meth:`FleetColumns.depart_at`).  This *changes results by design* — the fault-plan token is
     folded into the cache identity so such runs never collide with
     fault-free ones.
 
@@ -1485,18 +1110,18 @@ def _apply_host_dropout(hosts: List[FleetHost], horizon_s: float) -> int:
     it (``report.departures`` counts each departed host once;
     ``report.dropouts`` counts only dropouts that moved a departure).
     """
+    departure = columns.departure_s.tolist()
+    cut = np.full(len(departure), np.inf)
     dropouts = 0
-    for host in hosts:
-        if not FAULTS.would_fire("host.dropout", key=host.index, attempt=0):
+    for index, departure_s in enumerate(departure):
+        if not FAULTS.would_fire("host.dropout", key=index, attempt=0):
             continue
-        dropout_s = FAULTS.uniform("host.dropout", key=host.index) \
-            * horizon_s
-        if dropout_s >= host.departure_s:
+        dropout_s = FAULTS.uniform("host.dropout", key=index) * horizon_s
+        if dropout_s >= departure_s:
             continue  # already departed on its own: nothing to inject
         FAULTS.record("host.dropout")
         dropouts += 1
-        host.departure_s = dropout_s
-        host.sessions = [(start, min(end, dropout_s))
-                         for start, end in host.sessions
-                         if start < dropout_s]
+        cut[index] = dropout_s
+    if dropouts:
+        columns.depart_at(cut)
     return dropouts

@@ -4,10 +4,10 @@ For arbitrary (seed, quorum, error rate, hypervisor, horizon) draws,
 ``simulate_fleet`` — columns, vectorised RNG, the C kernel when a
 compiler is present, Python fallback otherwise — must reproduce the
 archived pre-columnar server (:mod:`tests._reference_fleet`) byte for
-byte through ``FleetReport.to_dict()``.  Under a fault storm both
-implementations take the object path, so the same identity pins the
-hot-path bugfixes (start-list rebuild, bisected outage lookup, gated
-re-poll) as pure refactors there too.
+byte through ``FleetReport.to_dict()``.  Under a fault storm (outages,
+partitions, crashes, dropouts, degraded mode, any retry budget) the
+Python loop's recovery machine must match the oracle's object loop the
+same way.
 """
 
 import json
@@ -58,9 +58,18 @@ def test_columnar_report_byte_identical_to_reference(draw):
 @settings(max_examples=10, deadline=None)
 @given(scenarios,
        st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
-       st.floats(min_value=0.0, max_value=0.5, allow_nan=False))
-def test_storm_report_byte_identical_to_reference(draw, outage, crash):
-    config = build_config(draw)
+       st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
+       st.floats(min_value=0.0, max_value=0.3, allow_nan=False),
+       st.integers(min_value=0, max_value=60),
+       st.integers(min_value=0, max_value=4))
+def test_storm_report_byte_identical_to_reference(draw, outage, crash,
+                                                  dropout, threshold,
+                                                  retries):
+    # dropout, degraded mode and the retry budget widen the storm to
+    # every branch of the recovery machine
+    config = FleetConfig(**{**build_config(draw).to_dict(),
+                            "degraded_threshold": threshold,
+                            "upload_retries": retries})
 
     def plan():
         # plans carry per-(site, key) attempt counters, so each run
@@ -68,7 +77,8 @@ def test_storm_report_byte_identical_to_reference(draw, outage, crash):
         return (FaultPlan(seed=draw["seed"] % 65536)
                 .arm("server.outage", outage)
                 .arm("net.partition", crash / 2.0)
-                .arm("vm.crash", crash))
+                .arm("vm.crash", crash)
+                .arm("host.dropout", dropout))
 
     with injected(plan()):
         live = simulate_fleet(config, jobs=1).to_dict()

@@ -15,8 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults import FaultPlan, injected
-from repro.fleet import FleetConfig, build_fleet_hosts
-from repro.fleet.server import FleetServer
+from repro.fleet import FleetConfig, FleetServer, build_fleet_columns
 
 probs = st.floats(min_value=0.0, max_value=0.8, allow_nan=False)
 
@@ -43,8 +42,7 @@ def storm_server(storm):
             .arm("net.partition", storm["partition"])
             .arm("vm.crash", storm["crash"]))
     with injected(plan):
-        hosts = build_fleet_hosts(config, jobs=1)
-        server = FleetServer(config, hosts)
+        server = FleetServer(config, build_fleet_columns(config, jobs=1))
         report = server.run()
     return config, server, report
 
@@ -53,16 +51,27 @@ def storm_server(storm):
 @given(storms)
 def test_no_validation_without_true_quorum_unless_degraded(storm):
     config, server, report = storm_server(storm)
+    state = server.state
+    quorum = config.quorum
+    holders = state["hold_flat"].tolist()
+    nhold = state["nhold"].tolist()
+    wu_state = state["wu_state"].tolist()
+    validated_at = state["wu_validated"].tolist()
+    degraded_by = state["recovery"]["degraded_by"]
     degraded_tagged = 0
-    for wu in server.workunits:
-        hosts = set(server.validator.quorum_hosts(wu.wu_id))
-        if wu.validated_at is None:
-            assert wu.degraded_by is None
-            continue
-        if wu.degraded_by is not None:
+    true_quorum = 0
+    for wid in range(report.workunits):
+        # the distinct hosts holding the canonical result
+        hosts = set(holders[wid * quorum:wid * quorum + nhold[wid]])
+        if wid in degraded_by:
+            # the tag only ever marks a unit validated without a quorum
+            assert wu_state[wid] != 1 and validated_at[wid] > 0.0
             degraded_tagged += 1
-        else:
-            assert len(hosts) >= config.quorum
+        elif wu_state[wid] == 1:
+            assert len(hosts) >= quorum
+            true_quorum += 1
+    # every validation is either a true quorum or a tagged degraded one
+    assert true_quorum + degraded_tagged == report.valid
     # every quorum-of-1 acceptance is visible in the risk counter
     assert degraded_tagged == report.recovery["degraded_validated"]
     if config.degraded_threshold == 0:

@@ -15,7 +15,9 @@ from repro.errors import ExperimentError
 from repro.faults import FAULTS, RUNLOG, injected, parse_fault_spec
 from repro.fleet import (
     FleetConfig,
+    FleetServer,
     RecoveryPolicy,
+    build_fleet_columns,
     checkpoint_cost_s,
     outage_windows,
     rollback_seconds,
@@ -168,6 +170,16 @@ class TestStormBehaviour:
         assert recovery["degraded_s"] > 0.0
         assert recovery["degraded_validated"] > 0
         assert recovery["degraded_validated"] <= report.valid
+
+    def test_plan_armed_after_construction_still_applies(self):
+        # Regression: the outage schedule used to be drawn at
+        # construction, so a plan armed before run() ran with faults on
+        # but no outages.  Every fault decision now happens in run().
+        server = FleetServer(CONFIG, build_fleet_columns(CONFIG, jobs=1))
+        with injected(parse_fault_spec(STORM)):
+            late = server.run()
+        assert late.recovery["outages"] > 0
+        assert late.to_dict() == storm_run().to_dict()
 
     def test_degraded_off_by_default(self):
         assert storm_run().recovery["degraded_validated"] == 0

@@ -15,7 +15,7 @@ from repro.core.experiment import Repeater, repeat
 from repro.core.parallel import ParallelRepeater, map_shards
 from repro.errors import CheckpointError, ExperimentError
 from repro.faults import FAULTS, RUNLOG, FaultPlan, injected
-from repro.fleet.server import FleetConfig, build_fleet_hosts, simulate_fleet
+from repro.fleet import FleetConfig, build_fleet_columns, simulate_fleet
 from repro.simcore.rng import derive_rep_seed
 
 
@@ -258,18 +258,26 @@ class TestHostDropoutSite:
         assert first.to_dict() != baseline.to_dict()  # dropouts bite
 
     def test_dropout_truncates_departures_and_sessions(self):
+        import tests._reference_fleet as ref
         from repro.fleet.server import _apply_host_dropout
 
-        baseline = build_fleet_hosts(self.CONFIG, jobs=1)
-        hosts = build_fleet_hosts(self.CONFIG, jobs=1)
+        baseline = build_fleet_columns(self.CONFIG, jobs=1)
+        columns = build_fleet_columns(self.CONFIG, jobs=1)
         with injected(FaultPlan(seed=3).arm("host.dropout", 0.4)):
-            _apply_host_dropout(hosts, self.CONFIG.duration_s)
-        dropped = [h for h, b in zip(hosts, baseline)
+            _apply_host_dropout(columns, self.CONFIG.duration_s)
+        hosts = columns.views()
+        dropped = [h for h, b in zip(hosts, baseline.views())
                    if h.departure_s < b.departure_s]
         assert dropped  # p=0.4 over 40 hosts: some must drop out
         for host in dropped:
             assert all(end <= host.departure_s + 1e-9
                        for _start, end in host.sessions)
+        # the columns pass clips exactly as the object pass did
+        objects = ref.build_fleet_hosts(self.CONFIG, jobs=1)
+        with injected(FaultPlan(seed=3).arm("host.dropout", 0.4)):
+            ref._apply_host_dropout(objects, self.CONFIG.duration_s)
+        assert [h.to_dict() for h in hosts] == \
+            [h.to_dict() for h in objects]
 
     def test_no_plan_means_no_dropout(self):
         baseline = simulate_fleet(self.CONFIG, jobs=1)
@@ -282,7 +290,9 @@ class TestHostDropoutSite:
         # permanently must not move the departure, must not count as an
         # injection, and must not show up in the effective tally — the
         # host departed exactly once, on its own schedule.
-        from repro.fleet.host import FleetHost
+        import numpy as np
+
+        from repro.fleet import FleetColumns
         from repro.fleet.server import _apply_host_dropout
 
         horizon = 10000.0
@@ -290,23 +300,28 @@ class TestHostDropoutSite:
         draw = [plan.uniform("host.dropout", key=i) * horizon
                 for i in (0, 1)]
 
-        def mk(index, departure_s):
-            return FleetHost(index=index, name=f"h{index}",
-                             hypervisor="vmplayer", slowdown=1.1,
-                             gflops=1.0, availability=0.8, error_rate=0.0,
-                             sessions=[(0.0, departure_s)],
-                             departure_s=departure_s)
-
         # Host 0 departs naturally before its drawn dropout (no-op);
-        # host 1 departs after it (the dropout bites).
-        hosts = [mk(0, draw[0] / 2.0), mk(1, draw[1] * 2.0 + 1.0)]
+        # host 1 departs after it (the dropout bites).  Each host has
+        # one session lasting until its own departure.
+        departures = np.array([draw[0] / 2.0, draw[1] * 2.0 + 1.0])
+        columns = FleetColumns(
+            config=FleetConfig(hosts=2, error_rate=0.0),
+            hv_names=("vmplayer",), hv_code=np.zeros(2, dtype=np.uint16),
+            gflops=np.ones(2), availability=np.full(2, 0.8),
+            slowdown=np.full(2, 1.1), departure_s=departures.copy(),
+            checkpoint_cost_s=np.zeros(2),
+            serve_seed=np.zeros(2, dtype=np.uint64),
+            s_starts=np.zeros(2), s_ends=departures.copy(),
+            s_off=np.array([0, 1, 2], dtype=np.int64))
         with injected(plan):
-            effective = _apply_host_dropout(hosts, horizon)
+            effective = _apply_host_dropout(columns, horizon)
+        hosts = columns.views()
         assert effective == 1
         assert plan.injected["host.dropout"] == 1  # no-op not tallied
         assert hosts[0].departure_s == draw[0] / 2.0
         assert hosts[0].sessions == [(0.0, draw[0] / 2.0)]
         assert hosts[1].departure_s == draw[1]
+        assert hosts[1].sessions == [(0.0, draw[1])]
 
     def test_report_counts_effective_dropouts_once(self):
         with injected(FaultPlan(seed=3).arm("host.dropout", 0.4)) as plan:
