@@ -12,10 +12,14 @@
  *
  * All memory is owned by Python (numpy arrays); this kernel only reads
  * and writes through the pointers in FleetCtx.  When a buffer would
- * overflow or the pre-drawn uniform supply runs dry, the kernel returns
- * a pause status *before* consuming the event; the ctypes wrapper grows
- * or refills the buffer, updates the context, and calls fleet_run again
- * — the loop resumes exactly where it stopped.
+ * overflow, the kernel returns a pause status *before* consuming the
+ * event; the ctypes wrapper grows the buffer, updates the context, and
+ * calls fleet_run again — the loop resumes exactly where it stopped.
+ *
+ * The serve-stream error uniforms are drawn here, not pre-drawn: each
+ * host's PCG64 lane (numpy's generator, XSL-RR output, next_double) is
+ * stepped on demand through unsigned __int128 arithmetic.  A compiler
+ * without that type fails the build, and the run takes the Python loop.
  *
  * Every struct field is 8 bytes wide (int64/double/pointer) so the
  * layout matches the ctypes.Structure in cloop.py with no padding.
@@ -23,12 +27,21 @@
 
 #include <stdint.h>
 
+#ifndef __SIZEOF_INT128__
+#error "the serve-stream PCG64 needs unsigned __int128"
+#endif
+
+typedef unsigned __int128 u128;
+
+/* PCG_DEFAULT_MULTIPLIER_128 */
+#define PCG_MULT ((((u128)2549297995355413924ULL) << 64) \
+                  | (u128)4865540595714422341ULL)
+
 #define ST_DONE 0
-#define ST_NEED_DRAWS 1
-#define ST_GROW_HEAP 2
-#define ST_GROW_NEED 3
-#define ST_GROW_REP 4
-#define ST_GROW_RET 5
+#define ST_GROW_HEAP 1
+#define ST_GROW_NEED 2
+#define ST_GROW_REP 3
+#define ST_GROW_RET 4
 
 #define K_REQUEST 0
 #define K_DEADLINE 1
@@ -43,9 +56,9 @@ typedef struct {
     const double *fs, *fe;
     const int64_t *soff;
     const double *departure, *an, *base, *stretch, *delays;
-    /* pre-drawn serve-stream uniforms: rounds x n, row-major */
-    const double *draws;
-    int64_t rounds_avail;
+    /* per-host serve-stream PCG64 lanes as 64-bit halves */
+    uint64_t *pcg_lo, *pcg_hi;
+    const uint64_t *inc_lo, *inc_hi;
     /* work-unit state */
     uint8_t *wu_state;          /* 0 open, 1 validated, 2 bad-locked */
     double *wu_validated;
@@ -98,10 +111,9 @@ static void heap_push(FleetCtx *c, double t, int64_t seq, uint64_t pay)
     c->h_pay[i] = pay;
 }
 
-static void heap_pop(FleetCtx *c, double *t, int64_t *seq, uint64_t *pay)
+static void heap_pop(FleetCtx *c, double *t, uint64_t *pay)
 {
     *t = c->h_t[0];
-    *seq = c->h_seq[0];
     *pay = c->h_pay[0];
     int64_t len = --c->heap_len;
     if (len == 0)
@@ -132,6 +144,23 @@ static void heap_pop(FleetCtx *c, double *t, int64_t *seq, uint64_t *pay)
     c->h_t[i] = lt;
     c->h_seq[i] = ls;
     c->h_pay[i] = lp;
+}
+
+/* The next uniform of host h's serve stream: one PCG64 step, the
+ * XSL-RR output, then (u64 >> 11) * 2^-53 — numpy's next_double. */
+static double serve_uniform(FleetCtx *c, int64_t h)
+{
+    u128 st = (((u128)c->pcg_hi[h]) << 64) | c->pcg_lo[h];
+    u128 inc = (((u128)c->inc_hi[h]) << 64) | c->inc_lo[h];
+    st = st * PCG_MULT + inc;
+    uint64_t lo = (uint64_t)st;
+    uint64_t hi = (uint64_t)(st >> 64);
+    c->pcg_lo[h] = lo;
+    c->pcg_hi[h] = hi;
+    uint64_t value = hi ^ lo;
+    unsigned rot = (unsigned)(hi >> 58);
+    uint64_t out = (value >> rot) | (value << ((64u - rot) & 63u));
+    return (double)(out >> 11) * (1.0 / 9007199254740992.0);
 }
 
 static void need_append(FleetCtx *c, int32_t wid)
@@ -269,9 +298,8 @@ int fleet_run(FleetCtx *c)
         if (c->need_count + 2 > c->need_cap)
             return ST_GROW_NEED;
         double t;
-        int64_t seq;
         uint64_t pay;
-        heap_pop(c, &t, &seq, &pay);
+        heap_pop(c, &t, &pay);
         int kind = (int)(pay >> 32);
         int64_t payload = (int64_t)(pay & 0xffffffffu);
         if (kind == K_COMPLETE) {
@@ -280,13 +308,6 @@ int fleet_run(FleetCtx *c)
             int64_t h = c->r_host[rid];
             double deadline = c->r_dead[rid];
             uint8_t fl = c->r_flag[rid];
-            /* will this delivery consume a serve uniform?  pause for a
-             * refill before mutating anything if the supply is dry */
-            if (!fl && t <= deadline && c->wu_state[wid] != 1
-                && c->ucur[h] >= c->rounds_avail) {
-                heap_push(c, t, seq, pay);
-                return ST_NEED_DRAWS;
-            }
             c->r_flag[rid] = fl | 2;
             int redispatch = c->n_valid < c->nwu;
             if (redispatch && c->heap_len > 0 && c->h_t[0] == t) {
@@ -314,9 +335,8 @@ int fleet_run(FleetCtx *c)
                 c->waste[h] += useful;
             } else {
                 c->wu_out[wid]--;
-                int32_t u = c->ucur[h]++;
-                double d = c->draws[(int64_t)u * c->n + h];
-                if (d < c->err_rate) {
+                c->ucur[h]++;
+                if (serve_uniform(c, h) < c->err_rate) {
                     c->err_n++;
                     c->err_cpu += useful;
                     c->waste[h] += useful;

@@ -7,12 +7,15 @@ loop, which alone carries the recovery machine).  This
 module compiles it with the system C compiler on first use (cached in
 the temp directory, keyed by a hash of the source), loads it through
 :mod:`ctypes`, and drives the pause/resume protocol: the kernel returns
-to Python whenever a growable buffer would overflow or the pre-drawn
-serve uniforms run dry, the driver grows/refills the numpy buffer and
-resumes.  Everything the kernel touches is a numpy array owned here, so
-the canonical flat state comes back with zero copying.
+to Python whenever a growable buffer would overflow, the driver grows
+the numpy buffer and resumes.  The serve-stream error uniforms never
+cross the boundary: each host's PCG64 lane is handed over once as
+64-bit state and increment halves, and the kernel steps it on demand.
+Everything the kernel touches is a numpy array owned here, so the
+canonical flat state comes back with zero copying.
 
-No compiler, a failed compile, or ``REPRO_NO_CLOOP=1`` all degrade to
+No compiler, a failed compile (including a compiler without
+``unsigned __int128``), or ``REPRO_NO_CLOOP=1`` all degrade to
 ``run_event_loop`` returning ``None``; the server then runs the
 pure-Python fallback loop, which produces byte-identical state.
 """
@@ -26,7 +29,7 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,11 +40,10 @@ __all__ = ["available", "run_event_loop"]
 _SRC = Path(__file__).with_name("_cloop.c")
 
 _ST_DONE = 0
-_ST_NEED_DRAWS = 1
-_ST_GROW_HEAP = 2
-_ST_GROW_NEED = 3
-_ST_GROW_REP = 4
-_ST_GROW_RET = 5
+_ST_GROW_HEAP = 1
+_ST_GROW_NEED = 2
+_ST_GROW_REP = 3
+_ST_GROW_RET = 4
 
 _K_REQUEST = 0
 
@@ -61,7 +63,7 @@ class _FleetCtx(ctypes.Structure):
         ("fs", _P), ("fe", _P), ("soff", _P),
         ("departure", _P), ("an", _P), ("base", _P),
         ("stretch", _P), ("delays", _P),
-        ("draws", _P), ("rounds_avail", _I),
+        ("pcg_lo", _P), ("pcg_hi", _P), ("inc_lo", _P), ("inc_hi", _P),
         ("wu_state", _P), ("wu_validated", _P),
         ("wu_issued", _P), ("wu_out", _P), ("wu_tmo", _P),
         ("wu_holders", _P), ("wu_nhold", _P), ("wu_hosts", _P),
@@ -164,8 +166,8 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
     nwu = prep.nwu
     quorum = prep.quorum
     max_replicas = prep.max_replicas
-    if quorum > 255 or n >= 2 ** 32 or nwu >= 2 ** 31:
-        return None  # outside the kernel's packing assumptions
+    if quorum > 255 or n >= 2 ** 31 or nwu >= 2 ** 31:
+        return None  # host and unit ids are int32 inside the kernel
 
     soff = np.ascontiguousarray(prep.soff, dtype=np.int64)
     fs = np.ascontiguousarray(prep.fs, dtype=np.float64)
@@ -224,9 +226,9 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
     poll_fail = np.zeros(n, dtype=np.int32)
     cur = soff[:n].copy()
 
-    serve_vec = VecPcg.seeded(prep.serve_seed, "error")
-    draw_rounds = 0
-    draws = np.empty((8, n), dtype=np.float64)
+    serve = VecPcg.seeded(prep.serve_seed, "error")
+    pcg_lo, pcg_hi = _halves(serve.s)
+    inc_lo, inc_hi = _halves(serve.inc)
 
     ctx = _FleetCtx()
     ctx.n = n
@@ -245,10 +247,10 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
             ("wu_tmo", wu_tmo), ("wu_holders", wu_holders),
             ("wu_nhold", wu_nhold), ("wu_hosts", wu_hosts),
             ("waste", waste), ("ucur", ucur),
-            ("poll_fail", poll_fail), ("cur", cur)):
+            ("poll_fail", poll_fail), ("cur", cur),
+            ("pcg_lo", pcg_lo), ("pcg_hi", pcg_hi),
+            ("inc_lo", inc_lo), ("inc_hi", inc_hi)):
         setattr(ctx, name, _addr(arr))
-    ctx.draws = _addr(draws)
-    ctx.rounds_avail = draw_rounds
     ctx.r_wid = _addr(r_wid)
     ctx.r_host = _addr(r_host)
     ctx.r_dead = _addr(r_dead)
@@ -281,16 +283,7 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
         status = lib.fleet_run(ctypes.byref(ctx))
         if status == _ST_DONE:
             break
-        if status == _ST_NEED_DRAWS:
-            if draw_rounds == draws.shape[0]:
-                grown = np.empty((2 * draw_rounds, n), dtype=np.float64)
-                grown[:draw_rounds] = draws
-                draws = grown
-                ctx.draws = _addr(draws)
-            draws[draw_rounds] = serve_vec.doubles()
-            draw_rounds += 1
-            ctx.rounds_avail = draw_rounds
-        elif status == _ST_GROW_REP:
+        if status == _ST_GROW_REP:
             rep_cap *= 2
             r_wid, r_host, r_dead, r_disp, r_flag = (
                 _grow(r_wid, rep_cap), _grow(r_host, rep_cap),
@@ -364,6 +357,13 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
         "r_flag": r_flag[:n_rep],
         "waste": waste,
     }
+
+
+def _halves(limbs: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """The low and high 64-bit words of 128-bit values held as four
+    32-bit limbs (:class:`VecPcg` lanes), least significant first."""
+    u32 = np.uint64(32)
+    return limbs[0] | (limbs[1] << u32), limbs[2] | (limbs[3] << u32)
 
 
 def _grow(arr: np.ndarray, new_cap: int) -> np.ndarray:

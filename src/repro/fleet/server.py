@@ -225,6 +225,45 @@ def _percentile(sorted_values: List[float], q: float) -> float:
     return sorted_values[rank]
 
 
+def _left_fold(start: float, values: np.ndarray) -> float:
+    """``start + values[0] + values[1] + …`` strictly left to right.
+
+    ``np.cumsum`` (``add.accumulate``) is a sequential recurrence, never
+    pairwise, so this equals the Python ``+=`` loop bit for bit.
+    """
+    return float(np.cumsum(np.concatenate(([start], values)))[-1])
+
+
+def _online_seconds(prep: "_FastPrep", hosts: np.ndarray,
+                    starts: np.ndarray) -> np.ndarray:
+    """On-line seconds of each host between its start and the horizon.
+
+    Entry ``i`` folds host ``hosts[i]``'s sessions left to right from
+    the last one starting at or before ``starts[i]``, clipped to
+    ``[starts[i], horizon)`` — the same walk, in the same order, as a
+    per-replica ``bisect`` loop, run as one ``np.add.at`` over the
+    expanded (replica, session) table.
+    """
+    horizon = prep.horizon
+    lo = prep.soff[hosts]
+    count = prep.soff[hosts + 1] - lo
+    row = np.repeat(np.arange(hosts.size), count)
+    j = np.repeat(lo - (np.cumsum(count) - count), count) \
+        + np.arange(row.size)
+    s = prep.fs[j]
+    start = starts[row]
+    # sessions are sorted per host: the walk starts at the last session
+    # starting at or before ``start`` (the first one when none does)
+    began = np.bincount(row[s <= start], minlength=hosts.size)
+    first = lo + np.maximum(began - 1, 0)
+    left = np.maximum(s, start)
+    right = np.minimum(prep.fe[j], horizon)
+    keep = (j >= first[row]) & (s < horizon) & (right > left)
+    spent = np.zeros(hosts.size)
+    np.add.at(spent, row[keep], right[keep] - left[keep])
+    return spent
+
+
 class _FastPrep:
     """Read-only inputs of the columnar event loop.
 
@@ -802,10 +841,13 @@ class FleetServer:
         """Render the one report from the canonical flat state.
 
         Every accumulation whose order the archived object server fixes
-        (the wid-major walk over ok returns, the rid-order walk over
-        incomplete replicas, the host-order per-hypervisor buckets)
-        stays a Python left fold here; numpy only gathers, sorts, and
-        counts — operations with no float-order freedom.
+        keeps that order: the wid-major walk over ok returns, the
+        rid-order walk over unfinished replicas, the host-order
+        per-hypervisor buckets.  Each runs as numpy primitives that are
+        sequential left folds in input order (:func:`_left_fold`,
+        weighted ``np.bincount``, ``np.add.at``), so they equal the
+        ``+=`` loops bit for bit; pairwise reductions (``np.sum``,
+        ``add.reduce``, ``reduceat``, ``dot``) never touch a float here.
         """
         cfg = self.config
         cols = self.columns
@@ -824,114 +866,91 @@ class FleetServer:
         stale_cpu = state["stale_cpu"]
         red_cpu = state["red_cpu"]
         wu_state = state["wu_state"]
-        st = wu_state.tobytes()
-        nhold = state["nhold"].tolist()
-        hold_flat = state["hold_flat"].tolist()
-        waste = state["waste"].tolist()
         rec = state.get("recovery") or _NO_RECOVERY
         degraded_by = rec["degraded_by"]
         crash_rb = rec["crash_rb"]
 
-        # ok returns, wid-major with delivery order preserved within a
-        # wid.  Per-host ok counts are order-free integers, so numpy may
-        # count them; the cpu folds stay sequential.
-        ret_wid = state["ret_wid"]
-        order = np.argsort(ret_wid, kind="stable")
-        rw = ret_wid[order].tolist()
-        rh = state["ret_host"][order].tolist()
-        rc = state["ret_cpu"][order].tolist()
-        ok_by_host = np.bincount(state["ret_host"], minlength=n).tolist()
-        quorum_cpu = 0.0
-        redundant_cpu = red_cpu
-        pending_cpu = 0.0
-        quorum_cpu_by_host = [0.0] * n
-        prev_wid = -1
-        validated = False
-        qset: set = set()
-        for wid, h, cpu in zip(rw, rh, rc):
-            if wid != prev_wid:
-                prev_wid = wid
-                validated = st[wid] == 1
-                if validated:
-                    b = wid * quorum
-                    qset = set(hold_flat[b:b + nhold[wid]])
-                elif wid in degraded_by:
-                    # degraded quorum-of-1: the lone accepted result is
-                    # the load-bearing one.  On a bad-locked unit the
-                    # validator's quorum is the erroneous holder, which
-                    # has no ok return, so nothing is load-bearing.
-                    validated = True
-                    qset = {degraded_by[wid]} if st[wid] == 0 else set()
-            if validated:
-                if h in qset:
-                    quorum_cpu += cpu
-                    quorum_cpu_by_host[h] += cpu
-                else:
-                    # a second matching result landed between quorum
-                    # completion and now: counted but not load-bearing
-                    redundant_cpu += cpu
-                    waste[h] += cpu
-            else:
-                pending_cpu += cpu
+        # Each unit's load-bearing quorum: the validator's holders on a
+        # validated unit; on a degraded quorum-of-1 unit the lone
+        # accepted host, or nobody when the unit is bad-locked (its
+        # validator quorum is the erroneous holder, which has no ok
+        # return).  Other units are still pending.
+        settled = wu_state == 1
+        lone_host = np.full(nwu, -1, dtype=np.int64)
+        if degraded_by:
+            dwid = np.fromiter(degraded_by, dtype=np.int64,
+                               count=len(degraded_by))
+            dhost = np.fromiter(degraded_by.values(), dtype=np.int64,
+                                count=len(degraded_by))
+            settled[dwid] = True
+            lone_host[dwid] = np.where(wu_state[dwid] == 0, dhost, -1)
 
-        lost_cpu = rec["lost_cpu"]
-        rolled_back = rec["rolled_back_cpu"]
-        rb_n = rec["rolled_back"]
-        in_flight_cpu = 0.0
+        # ok returns, wid-major with delivery order preserved within a
+        # wid; every fold below runs in that order.  With fewer than
+        # 2**32 returns the composites wid << 32 | index are unique, so
+        # numpy's faster unstable sort orders them as a stable argsort.
+        ret_host = state["ret_host"]
+        ret_wid = state["ret_wid"]
+        order = np.sort((ret_wid.astype(np.int64) << 32)
+                        | np.arange(ret_wid.size)) & 0xFFFFFFFF
+        rw = ret_wid[order]
+        rh = ret_host[order]
+        rc = state["ret_cpu"][order]
+        ok_by_host = np.bincount(ret_host, minlength=n)
+        slots = ((np.arange(quorum) < state["nhold"][rw][:, None])
+                 & (wu_state[rw] == 1)[:, None])
+        holds = state["hold_flat"].reshape(-1, quorum)[rw]
+        in_quorum = (((holds == rh[:, None]) & slots).any(axis=1)
+                     | (rh == lone_host[rw]))
+        done = settled[rw]
+        load = done & in_quorum
+        # a second matching result landed between quorum completion
+        # and now: counted but not load-bearing
+        extra = done & ~in_quorum
+        quorum_cpu = _left_fold(0.0, rc[load])
+        redundant_cpu = _left_fold(red_cpu, rc[extra])
+        pending_cpu = _left_fold(0.0, rc[~done])
+        quorum_cpu_by_host = np.bincount(rh[load], weights=rc[load],
+                                         minlength=n)
+        waste = state["waste"].copy()
+        np.add.at(waste, rh[extra], rc[extra])
+
+        # replicas still unfinished at the horizon, in rid order
         r_flag = state["r_flag"]
         incomplete = np.flatnonzero((r_flag & 2) == 0)
-        if incomplete.size:
-            fs = prep.fs.tolist()
-            fe = prep.fe.tolist()
-            off = prep.soff.tolist()
-            departure = prep.departure.tolist()
-            an = prep.an.tolist()
-            for rid, h, start, fl in zip(
-                    incomplete.tolist(),
-                    state["r_host"][incomplete].tolist(),
-                    state["r_disp"][incomplete].tolist(),
-                    r_flag[incomplete].tolist()):
-                rb = crash_rb.get(rid)
-                if fl & 4:
-                    # computed, upload still buffered at the horizon:
-                    # the result never lands, so its useful seconds are
-                    # lost
-                    useful = an[h]
-                    if rb is not None:
-                        useful = (useful + rb) - rb
-                    lost_cpu += useful
-                    waste[h] += useful
-                    continue
-                spent = 0.0
-                if horizon > start:
-                    lo_i = off[h]
-                    hi_i = off[h + 1]
-                    j = bisect.bisect_right(fs, start, lo_i, hi_i) - 1
-                    if j < lo_i:
-                        j = lo_i
-                    while j < hi_i:
-                        s = fs[j]
-                        if s >= horizon:
-                            break
-                        e = fe[j]
-                        lo = s if s > start else start
-                        hi2 = e if e < horizon else horizon
-                        if hi2 > lo:
-                            spent += hi2 - lo
-                        j += 1
-                if rb is not None:
-                    # the crash landed in-trace (traces end at the
-                    # horizon), so its redone seconds belong to the
-                    # rollback bucket
-                    rb_n += 1
-                    rolled_back += rb
-                    waste[h] += rb
-                    spent -= rb
-                if departure[h] <= horizon:
-                    lost_cpu += spent
-                    waste[h] += spent
-                else:
-                    in_flight_cpu += spent
+        ih = state["r_host"][incomplete]
+        # crash_rb holds only nonzero rollbacks, so 0.0 means no crash
+        rb = np.zeros(incomplete.size)
+        if crash_rb:
+            by_rid = np.zeros(n_rep)
+            by_rid[np.fromiter(crash_rb, dtype=np.int64,
+                               count=len(crash_rb))] = np.fromiter(
+                crash_rb.values(), dtype=np.float64, count=len(crash_rb))
+            rb = by_rid[incomplete]
+        has_rb = rb != 0.0
+        # computed, upload still buffered at the horizon: the result
+        # never lands, so its useful seconds are lost
+        buffered = (r_flag[incomplete] & 4) != 0
+        useful = prep.an[ih]
+        useful = np.where(has_rb, (useful + rb) - rb, useful)
+        # the rest ran on-line from dispatch to the horizon; a crash
+        # landed in-trace (traces end at the horizon), so its redone
+        # seconds belong to the rollback bucket
+        spent = _online_seconds(prep, ih, state["r_disp"][incomplete])
+        crashed = has_rb & ~buffered
+        spent = np.where(crashed, spent - rb, spent)
+        departed = ~buffered & (prep.departure[ih] <= horizon)
+        running = ~buffered & ~departed
+        lost_cpu = _left_fold(rec["lost_cpu"], np.where(
+            buffered, useful, spent)[buffered | departed])
+        rolled_back = _left_fold(rec["rolled_back_cpu"], rb[crashed])
+        rb_n = rec["rolled_back"] + int(np.count_nonzero(crashed))
+        in_flight_cpu = _left_fold(0.0, spent[running])
+        # per replica, its lost (or rolled-back) seconds, then its lost
+        # on-line seconds, all landing on the host's waste in rid order
+        adds = np.stack([np.where(buffered, useful, rb), spent], axis=1)
+        lands = np.stack([buffered | crashed, departed], axis=1)
+        np.add.at(waste, np.repeat(ih, 2)[lands.ravel()], adds[lands])
 
         wasted = (err_cpu + stale_cpu + redundant_cpu + lost_cpu
                   + rolled_back)
@@ -940,16 +959,14 @@ class FleetServer:
 
         wu_issued = state["wu_issued"]
         wu_out = state["wu_out"]
-        not_valid = wu_state != 1
-        if degraded_by:
-            not_valid[list(degraded_by)] = False
+        not_valid = ~settled
         unsent = int(np.count_nonzero(not_valid & (wu_issued == 0)))
         started = not_valid & (wu_issued > 0)
         failed = int(np.count_nonzero(
             started & (wu_out == 0) & (wu_issued >= cfg.max_replicas)))
         in_progress = int(np.count_nonzero(started)) - failed
         makespans = np.sort(
-            state["wu_validated"][np.logical_not(not_valid)]).tolist()
+            state["wu_validated"][settled]).tolist()
         makespan = {
             "mean": (sum(makespans) / len(makespans)) if makespans else 0.0,
             "p50": _percentile(makespans, 0.50),
@@ -960,20 +977,17 @@ class FleetServer:
         session_time = sum((cols.s_ends - cols.s_starts).tolist())
         realized_availability = session_time / (horizon * n)
 
-        # per-hypervisor buckets.  hosts/results_ok are exact integer
-        # accumulations (any order gives the same float), so numpy
-        # counts them; the two cpu columns fold per code in host order
-        # (the += 0.0 terms for untouched hosts are float identities).
+        # per-hypervisor buckets, each a weighted bincount folding its
+        # hosts in host order (the += 0.0 terms for untouched hosts are
+        # float identities)
         ncodes = len(cols.hv_names)
-        hv_code = prep.hv_code.tolist()
-        qc_sum = [0.0] * ncodes
-        w_sum = [0.0] * ncodes
-        for code, qv, wv in zip(hv_code, quorum_cpu_by_host, waste):
-            qc_sum[code] += qv
-            w_sum[code] += wv
+        qc_sum = np.bincount(prep.hv_code, weights=quorum_cpu_by_host,
+                             minlength=ncodes).tolist()
+        w_sum = np.bincount(prep.hv_code, weights=waste,
+                            minlength=ncodes).tolist()
         host_count = np.bincount(prep.hv_code, minlength=ncodes)
-        ok_count = np.bincount(prep.hv_code, weights=np.asarray(
-            ok_by_host, dtype=np.float64), minlength=ncodes)
+        ok_count = np.bincount(prep.hv_code, weights=ok_by_host,
+                               minlength=ncodes)
         codes, first_at = np.unique(prep.hv_code, return_index=True)
         per_hv: Dict[str, Dict[str, float]] = {}
         # insertion order = first-appearance order in host index order

@@ -10,11 +10,15 @@ Pins the three contracts the columnar rewrite rides on:
   archived object server's (:mod:`tests._reference_fleet`)
   :meth:`FleetReport.to_dict` byte for byte;
 * ``--metrics`` observes without steering: a metrics run takes the same
-  path as a plain one, and its ``fleet.*`` snapshot equals the oracle's.
+  path as a plain one, and its ``fleet.*`` snapshot equals the oracle's;
+* the numpy primitives the report folds with are sequential left folds
+  in input order, bit for bit the Python ``+=`` loops they replace.
 """
 
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import tests._reference_fleet as ref
@@ -25,9 +29,10 @@ from repro.fleet import (
     build_fleet_columns,
     simulate_fleet,
 )
+from repro.fleet import cloop
 from repro.fleet.cloop import available as cloop_available
 from repro.fleet.cloop import run_event_loop
-from repro.fleet.server import _percentile
+from repro.fleet.server import _left_fold, _percentile
 from repro.obs.metrics import METRICS
 
 CONFIGS = [
@@ -38,6 +43,10 @@ CONFIGS = [
     FleetConfig(hosts=80, seed=3, duration_s=86400.0, workunits=200,
                 quorum=3, max_replicas=5, error_rate=0.1,
                 hypervisor="qemu", checkpoint_interval_s=3600.0),
+    # > 10k delivered results, hundreds of redundant ones, and hosts
+    # drawing more serve uniforms than any small fleet
+    FleetConfig(hosts=2000, seed=1, duration_s=43200.0, workunits=5000,
+                hypervisor="mixed", error_rate=0.3),
 ]
 
 
@@ -105,6 +114,12 @@ class TestKernelMatchesFallback:
         py_state = server._fast_loop_python(prep)
         assert set(c_state) == set(py_state)
         assert c_state["need_peak"] > 0
+        if config.hosts >= 2000:
+            assert c_state["red_n"] > 0
+            assert c_state["ok_n"] + c_state["err_n"] > 10_000
+            # each ok result consumed one serve uniform: some host
+            # steps its lane more than 8 times
+            assert np.bincount(c_state["ret_host"]).max() > 8
         for key, c_val in c_state.items():
             p_val = py_state[key]
             if hasattr(c_val, "tobytes"):
@@ -177,3 +192,83 @@ class TestMetricsParity:
         observed, _ = fleet_metrics(simulate_fleet, CONFIGS[0])
         assert calls == [CONFIGS[0].hosts, CONFIGS[0].hosts]
         assert canonical(observed) == canonical(plain)
+
+
+class TestKernelSizeGuard:
+    """Host ids are int32 inside the kernel: 2**31 hosts fall back."""
+
+    def prep(self, n):
+        # only the fields the guard reads: touching any other one raises
+        return SimpleNamespace(n=n, nwu=10, quorum=2, max_replicas=8)
+
+    def test_int32_overflow_returns_none_before_allocating(self,
+                                                           monkeypatch):
+        monkeypatch.setattr(cloop, "_load", lambda: object())
+        assert run_event_loop(self.prep(2 ** 31)) is None
+
+    def test_largest_int32_host_count_passes_the_guard(self, monkeypatch):
+        monkeypatch.setattr(cloop, "_load", lambda: object())
+        with pytest.raises(AttributeError):
+            run_event_loop(self.prep(2 ** 31 - 1))
+
+
+def python_fold(start, values):
+    total = start
+    for value in values.tolist():
+        total += value
+    return total
+
+
+def python_bins(index, values, base):
+    bins = base.tolist()
+    for i, value in zip(index.tolist(), values.tolist()):
+        bins[i] += value
+    return np.array(bins)
+
+
+class TestOrderExactFolds:
+    """Pins the fold primitives of ``FleetServer._fast_report``.
+
+    On data where pairwise summation (``np.sum``) and a left fold
+    round differently, ``np.cumsum`` with the start prepended, weighted
+    ``np.bincount`` and ``np.add.at`` must equal the Python ``+=`` loop
+    bit for bit; a numpy that vectorises them differently fails here.
+    """
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        rng = np.random.default_rng(20090525)
+        size = 20_000
+        # mixed magnitudes, signs and few bins: rounding depends on order
+        values = (rng.standard_normal(size)
+                  * 10.0 ** rng.integers(-6, 10, size))
+        index = rng.integers(0, 17, size)
+        return values, index
+
+    def test_data_separates_pairwise_from_sequential(self, data):
+        values, index = data
+        assert float(np.sum(values)) != python_fold(0.0, values)
+        pairwise = np.array([np.sum(values[index == b]) for b in range(17)])
+        sequential = python_bins(index, values, np.zeros(17))
+        assert pairwise.tobytes() != sequential.tobytes()
+
+    @pytest.mark.parametrize("start", [0.0, 12345.678, -1e9])
+    def test_cumsum_with_start(self, data, start):
+        values, _ = data
+        expected = python_fold(start, values)
+        assert np.float64(_left_fold(start, values)).tobytes() == \
+            np.float64(expected).tobytes()
+        assert _left_fold(start, values[:0]) == start
+
+    def test_weighted_bincount(self, data):
+        values, index = data
+        got = np.bincount(index, weights=values, minlength=20)
+        assert got.tobytes() == \
+            python_bins(index, values, np.zeros(20)).tobytes()
+
+    def test_add_at(self, data):
+        values, index = data
+        base = np.linspace(-5e8, 5e8, 17)
+        got = base.copy()
+        np.add.at(got, index, values)
+        assert got.tobytes() == python_bins(index, values, base).tobytes()
