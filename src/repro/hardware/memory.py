@@ -119,7 +119,9 @@ class MemoryAccounting:
         fit (300 MB guest in 1 GB host), so this path only matters for
         the what-if examples.
         """
-        committed = self.committed_bytes
+        # Read once per scheduling decision: fold the int commitments
+        # directly rather than through the property (exact either way).
+        committed = sum(self.commitments.values())
         capacity = self.spec.capacity_bytes
         if committed <= capacity:
             return 1.0

@@ -45,7 +45,7 @@ class SimThread:
     """A schedulable thread.  All mutation goes through the scheduler."""
 
     __slots__ = (
-        "name", "base_priority", "state", "core",
+        "name", "base_priority", "state",
         "mix", "remaining_cycles", "completion",
         "quantum_used", "rr_seq", "last_ran_at", "ready_since",
         "boost_cpu_remaining", "group",
@@ -65,7 +65,6 @@ class SimThread:
         # threads (device/timer emulation interrupts guest execution).
         self.group = group
         self.state = ThreadState.BLOCKED
-        self.core: Optional[int] = None
         self.mix: InstructionMix = MIX_IDLE
         self.remaining_cycles = 0.0
         self.completion: Optional["SimEvent"] = None
@@ -86,15 +85,6 @@ class SimThread:
         if self.boost_cpu_remaining > 0.0:
             return PRIORITY_REALTIME
         return self.base_priority
-
-    @property
-    def runnable(self) -> bool:
-        return self.state in (ThreadState.READY, ThreadState.RUNNING)
-
-    def sort_key(self):
-        """Scheduler ordering: higher effective priority first, then FIFO
-        within a priority level (``rr_seq`` is the round-robin counter)."""
-        return (-self.effective_priority, self.rr_seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -11,10 +11,10 @@ Design notes
   the single hottest operation in the simulator.
 * Cancellation is O(1): handles are flagged and skipped when popped
   (lazy deletion), the standard technique for binary-heap timer wheels.
-* :meth:`run` inlines the pop/dispatch loop (rather than calling
-  :meth:`step` per event) and drains same-instant batches without
-  re-touching the clock; :meth:`step` remains the one-event-at-a-time
-  API for tests and debuggers.
+* :meth:`run` and :meth:`run_until_event` inline the pop/dispatch loop
+  (rather than calling :meth:`step` per event); :meth:`run` also drains
+  same-instant batches without re-touching the clock.  :meth:`step`
+  remains the one-event-at-a-time API for tests and debuggers.
 * The engine knows nothing about processes, CPUs or OSes; those layers
   build on :meth:`schedule`/:meth:`schedule_at` plus ``SimEvent``.
 """
@@ -315,6 +315,11 @@ class Engine:
             wall_started = perf_counter()  # repro: allow-wall-clock (metrics)
             start_processed = self._processed
             METRICS.gauge_max("engine.heap_size", len(self._heap))
+        # step() inlined: one Python frame for the whole drain.  The limit
+        # and the non-daemon count are checked before every dispatch, as
+        # one step() per iteration would.
+        heap = self._heap
+        thash = self._thash
         while not event.triggered:
             if limit is not None and self._now >= limit:
                 raise SimulationError(f"time limit {limit}s reached before event")
@@ -323,7 +328,22 @@ class Engine:
                     "event queue drained (only daemon housekeeping left) "
                     "before event triggered"
                 )
-            if not self.step():
+            while heap:
+                when, seq, handle = heappop(heap)
+                if handle._cancelled:
+                    continue
+                if when < self._now - 1e-12:
+                    raise SimulationError("heap yielded an event from the past")
+                if not handle.daemon:
+                    self._non_daemon_pending -= 1
+                    handle._on_cancel = None  # fired: a late cancel() is a no-op
+                self._now = when
+                self._processed += 1
+                if thash is not None:
+                    thash.update(when, seq, handle.fn)
+                handle.fn(*handle.args)
+                break
+            else:
                 raise SimulationError("event queue drained before event triggered")
         if metrics_on:
             dispatched = self._processed - start_processed
