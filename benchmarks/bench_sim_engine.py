@@ -22,11 +22,12 @@ best-of-N events/s per workload plus scheduler decisions/s — to
     PYTHONPATH=src python benchmarks/bench_sim_engine.py \
         [--reps 15] [--label TEXT] [--out PATH]
 
-Decisions are counted on an untimed run (the simulation is
-deterministic, so the count is exact); the timed runs are unpatched.
+Decisions are read from the scheduler's own pass counter after an
+untimed run (the simulation is deterministic, so the count is exact).
 """
 
 import argparse
+import json
 import pathlib
 import platform
 import statistics
@@ -110,6 +111,11 @@ def tcp_packet_rate():
 
 def scheduler_decisions(horizon_s: float = 5.0):
     """Host compute threads beside a VM's vCPU and service thread."""
+    return _decision_world(horizon_s).engine
+
+
+def _decision_world(horizon_s: float) -> Scheduler:
+    """Run the ``scheduler_decisions`` world; returns its scheduler."""
     engine = Engine()
     machine = Machine(engine, core2duo_e6600("bench"), RngStreams(0))
     scheduler = Scheduler(engine, machine)
@@ -131,7 +137,7 @@ def scheduler_decisions(horizon_s: float = 5.0):
     vmm = scheduler.spawn("vmm", PRIORITY_HIGH, group="vm")
     engine.process(service(vmm))
     engine.run_until_event(engine.timeout(horizon_s))
-    return engine
+    return scheduler
 
 
 WORKLOADS = {
@@ -143,20 +149,9 @@ WORKLOADS = {
 
 
 def count_decisions() -> int:
-    """Decision passes (placements) of one ``scheduler_decisions`` run."""
-    original = Scheduler._place_threads
-    calls = [0]
-
-    def counted(self):
-        calls[0] += 1
-        return original(self)
-
-    Scheduler._place_threads = counted
-    try:
-        scheduler_decisions()
-    finally:
-        Scheduler._place_threads = original
-    return calls[0]
+    """Decision passes (placements) of one ``scheduler_decisions`` run,
+    as the scheduler counts them."""
+    return _decision_world(5.0).decisions
 
 
 def measure(reps: int) -> list:
@@ -237,6 +232,15 @@ def test_scheduler_decision_rate(benchmark):
 
 def test_decision_count_is_deterministic():
     assert count_decisions() == count_decisions() > 1000
+
+
+def test_decision_count_matches_the_trajectory():
+    """The scheduler makes as many decision passes as the last recorded
+    run counted: a speed-up must not change the work per run."""
+    history = json.loads(RESULTS_PATH.read_text())
+    last = next(run for run in history[-1]["runs"]
+                if run["name"] == "scheduler_decisions")
+    assert count_decisions() == last["decisions"]
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from Figure 2 (Matrix, FP-heavy) in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,21 @@ class InstructionMix:
                 raise ValueError(f"mix {self.name!r}: {attr}={value} out of [0, 1]")
         if self.cpi <= 0:
             raise ValueError(f"mix {self.name!r}: cpi must be positive")
+        # The scheduler's speed table hashes tuples of mixes on every
+        # decision: compute the field-tuple hash the dataclass would
+        # generate once (frozen, so it cannot go stale).
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f.name) for f in fields(self)])
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__ so the cached hash is recomputed
+        # under the unpickling process's string-hash seed.
+        return (type(self), self._fields())
 
     def cycles_for(self, instructions: float) -> float:
         """Cycle demand of ``instructions`` of this mix on the native core."""

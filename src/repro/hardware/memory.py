@@ -17,7 +17,7 @@ into host *and* guest compute speed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.errors import SimulationError
 from repro.hardware.specs import MemorySpec
@@ -30,6 +30,10 @@ class MemoryAccounting:
 
     spec: MemorySpec
     commitments: Dict[str, int] = field(default_factory=dict)
+    #: :meth:`paging_penalty_factor` as of the last commitment change
+    #: (``None`` until read again); the scheduler reads it every decision.
+    _paging: Optional[float] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     @property
     def committed_bytes(self) -> int:
@@ -72,6 +76,7 @@ class MemoryAccounting:
                 f"({total_after} > {self.ceiling_bytes})"
             )
         self.commitments[owner] = self.commitments.get(owner, 0) + nbytes
+        self._paging = None
 
     def release(self, owner: str, nbytes: int | None = None) -> None:
         """Release part or all of an owner's commitment."""
@@ -87,6 +92,7 @@ class MemoryAccounting:
             self.commitments[owner] = remaining
         else:
             self.commitments.pop(owner, None)
+        self._paging = None
 
     def adjust(self, owner: str, delta: int) -> int:
         """Dynamic-commitment path: grow or shrink an owner's commitment.
@@ -119,11 +125,16 @@ class MemoryAccounting:
         fit (300 MB guest in 1 GB host), so this path only matters for
         the what-if examples.
         """
-        # Read once per scheduling decision: fold the int commitments
-        # directly rather than through the property (exact either way).
-        committed = sum(self.commitments.values())
-        capacity = self.spec.capacity_bytes
-        if committed <= capacity:
-            return 1.0
-        overshoot = (committed - capacity) / capacity
-        return 1.0 / (1.0 + 4.0 * overshoot)
+        # Read on every scheduling decision: the int commitments are
+        # summed once per change (commit/release reset the cache).
+        paging = self._paging
+        if paging is None:
+            committed = sum(self.commitments.values())
+            capacity = self.spec.capacity_bytes
+            if committed <= capacity:
+                paging = 1.0
+            else:
+                overshoot = (committed - capacity) / capacity
+                paging = 1.0 / (1.0 + 4.0 * overshoot)
+            self._paging = paging
+        return paging

@@ -77,28 +77,35 @@ class TcpSocket:
             raise NetworkError(f"send on closed socket {self.name!r}")
         if nbytes <= 0:
             raise NetworkError(f"send size must be positive, got {nbytes}")
-        mtu = self.device.mtu_payload_bytes
-        serialize = getattr(self.device, "serialize_tx", False)
+        # The device, its flags and the destination are fixed for the
+        # stream: read them once, not once per frame.
+        stack = self.stack
+        stats = stack.stats
+        charge = stack.charge
+        send_cycles = stack.params.net_send_per_packet_cycles
+        device = self.device
+        transmit = device.transmit
+        mtu = device.mtu_payload_bytes
+        serialize = getattr(device, "serialize_tx", False)
+        peer = self.peer
+        remote = peer.stack
         remaining = nbytes
         last_ev: Optional[SimEvent] = None
         while remaining > 0:
             payload = min(mtu, remaining)
             remaining -= payload
-            yield self.stack.charge(
-                thread, self.stack.params.net_send_per_packet_cycles,
-                MIX_KERNEL, CostKind.KERNEL_CONTROL,
-            )
-            peer = self.peer
-            ev = self.device.transmit(
-                payload, remote=self.peer.stack,
+            yield charge(thread, send_cycles, MIX_KERNEL,
+                         CostKind.KERNEL_CONTROL)
+            ev = transmit(
+                payload, remote=remote,
                 on_delivered=lambda p=payload, pr=peer: pr._deliver(p),
             )
-            self.stack.stats.packets_sent += 1
-            self.stack.stats.bytes_sent += payload
+            stats.packets_sent += 1
+            stats.bytes_sent += payload
             if serialize:
                 yield ev
             last_ev = ev
-        if last_ev is not None and not last_ev.triggered:
+        if last_ev is not None and not last_ev._triggered:
             yield last_ev
 
     def _deliver(self, payload: int) -> None:
@@ -110,13 +117,14 @@ class TcpSocket:
         """Receive until ``nbytes`` have arrived; returns the byte count."""
         if nbytes <= 0:
             raise NetworkError(f"recv size must be positive, got {nbytes}")
+        get = self.rx.get
+        charge = self.stack.charge
+        recv_cycles = self.stack.params.net_recv_per_packet_cycles
         received = 0
         while received < nbytes:
-            payload = yield self.rx.get()
-            yield self.stack.charge(
-                thread, self.stack.params.net_recv_per_packet_cycles,
-                MIX_KERNEL, CostKind.KERNEL_CONTROL,
-            )
+            payload = yield get()
+            yield charge(thread, recv_cycles, MIX_KERNEL,
+                         CostKind.KERNEL_CONTROL)
             received += payload
         return received
 
@@ -177,7 +185,9 @@ class NetStack:
         self._listeners: Dict[int, Store] = {}
         self._udp_ports: Dict[int, UdpSocket] = {}
         self._socket_seq = 0
-        self._routes: Dict[int, Any] = {}
+        # Keyed by the remote stack object (identity hash), which the
+        # route keeps alive, so no later stack can inherit its route.
+        self._routes: Dict["NetStack", Any] = {}
 
     # -- device selection ------------------------------------------------
 
@@ -185,12 +195,12 @@ class NetStack:
         """Route traffic for ``remote`` through ``device`` instead of the
         NIC.  Used by VMs: a guest stack is reached *through the VMM*,
         not over the physical wire."""
-        self._routes[id(remote)] = device
+        self._routes[remote] = device
 
     def device_for(self, remote: "NetStack"):
         if remote is self:
             return self.loopback
-        return self._routes.get(id(remote), self.nic)
+        return self._routes.get(remote, self.nic)
 
     # -- TCP ---------------------------------------------------------------
 

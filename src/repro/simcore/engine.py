@@ -29,6 +29,7 @@ from repro.audit.tracehash import TRACE_HASH
 from repro.errors import SimulationError
 from repro.obs.metrics import METRICS
 from repro.simcore.events import AllOf, AnyOf, EventHandle, SimEvent, Timeout
+from repro.simcore.process import SimProcess
 from repro.simcore.trace import Tracer
 
 
@@ -134,11 +135,9 @@ class Engine:
     def any_of(self, events) -> AnyOf:
         return AnyOf(self, events)
 
-    def process(self, gen: Generator, name: str = "") -> "SimProcess":
+    def process(self, gen: Generator, name: str = "") -> SimProcess:
         """Start a generator-based process (see :mod:`repro.simcore.process`)."""
-        from repro.simcore.process import SimProcess
-
-        return SimProcess(self, gen, name=name)
+        return SimProcess(self, gen, name)
 
     # -- main loop ----------------------------------------------------------
 
@@ -320,7 +319,7 @@ class Engine:
         # one step() per iteration would.
         heap = self._heap
         thash = self._thash
-        while not event.triggered:
+        while not event._triggered:
             if limit is not None and self._now >= limit:
                 raise SimulationError(f"time limit {limit}s reached before event")
             if self._non_daemon_pending <= 0:
@@ -354,9 +353,9 @@ class Engine:
             METRICS.gauge_max("engine.heap_size", len(self._heap))
             if wall > 0.0:
                 METRICS.gauge_max("engine.events_per_sec", dispatched / wall)
-        if not event.ok:
-            raise event.value
-        return event.value
+        if not event._ok:
+            raise event._value
+        return event._value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Engine t={self._now:.6f} pending={len(self._heap)}>"

@@ -35,6 +35,14 @@ class SimProcess(SimEvent):
 
     The first resume is scheduled at the current instant (not run inline),
     so creating a process never re-enters user code synchronously.
+
+    Hot path: a yield on a pending event appends the resume callback to
+    the event's waiters directly, and a yield on an event that has already
+    fired resumes the generator at once in the same frame — the
+    synchronous resume ``add_callback`` would make, without a nested call
+    per step.  The bound callback is built per wait, not cached on the
+    process: a cached one would put every process in a reference cycle
+    that only the cyclic collector frees.
     """
 
     __slots__ = ("gen", "name", "_waiting_on", "_started", "_resume_scheduled")
@@ -53,7 +61,7 @@ class SimProcess(SimEvent):
 
     @property
     def alive(self) -> bool:
-        return not self.triggered
+        return not self._triggered
 
     def _first_resume(self) -> None:
         self._resume_scheduled = None
@@ -61,43 +69,55 @@ class SimProcess(SimEvent):
         self._advance(None, None)
 
     def _on_wait_complete(self, event: SimEvent) -> None:
-        if self.triggered:
+        if self._triggered:
             return
         self._waiting_on = None
-        if event.ok:
-            self._advance(event.value, None)
+        if event._ok:
+            self._advance(event._value, None)
         else:
-            self._advance(None, event.value)
+            self._advance(None, event._value)
 
     def _advance(self, value: Any, exc: Optional[BaseException]) -> None:
         """Resume the generator with a value or throw, then re-suspend."""
-        try:
-            if exc is not None:
-                target = self.gen.throw(exc)
-            else:
-                target = self.gen.send(value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except Interrupted as interrupt:
-            # An uncaught interrupt terminates the process "successfully
-            # cancelled": treat as failure so waiters notice.
-            self.fail(interrupt)
-            return
-        except Exception as error:
-            self.fail(error)
-            return
+        gen = self.gen
+        while True:
+            try:
+                if exc is not None:
+                    target = gen.throw(exc)
+                else:
+                    target = gen.send(value)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                return
+            except Interrupted as interrupt:
+                # An uncaught interrupt terminates the process "successfully
+                # cancelled": treat as failure so waiters notice.
+                self.fail(interrupt)
+                return
+            except Exception as error:
+                self.fail(error)
+                return
 
-        if not isinstance(target, SimEvent):
-            self.gen.close()
-            self.fail(
-                SimulationError(
-                    f"process {self.name!r} yielded {target!r}; expected a SimEvent"
+            if not isinstance(target, SimEvent):
+                gen.close()
+                self.fail(
+                    SimulationError(
+                        f"process {self.name!r} yielded {target!r}; expected a SimEvent"
+                    )
                 )
-            )
-            return
-        self._waiting_on = target
-        target.add_callback(self._on_wait_complete)
+                return
+            if not target._triggered:
+                self._waiting_on = target
+                target._callbacks.append(self._on_wait_complete)
+                return
+            # Already fired: resume at once, as add_callback would.
+            if self._triggered:
+                return
+            self._waiting_on = None
+            if target._ok:
+                value, exc = target._value, None
+            else:
+                value, exc = None, target._value
 
     # -- interruption --------------------------------------------------------
 
@@ -105,9 +125,10 @@ class SimProcess(SimEvent):
         """Throw :class:`Interrupted` into the process at its wait point.
 
         No-op on finished processes.  A process that has not yet had its
-        first resume is simply cancelled.
+        first resume is simply cancelled.  The wait callback of an
+        interrupted wait stays registered on its event.
         """
-        if self.triggered:
+        if self._triggered:
             return
         if not self._started:
             if self._resume_scheduled is not None:
@@ -116,21 +137,16 @@ class SimProcess(SimEvent):
             self.gen.close()
             self.fail(Interrupted(cause))
             return
-        waiting = self._waiting_on
         self._waiting_on = None
-        if waiting is not None:
-            # Detach: the stale wait callback checks self.triggered, and we
-            # may re-wait on the same event later, so just let it dangle.
-            pass
         # Deliver the interrupt at the current instant via the engine so we
         # never re-enter the generator from inside its own call stack.
         self.engine.schedule(0.0, self._deliver_interrupt, cause)
 
     def _deliver_interrupt(self, cause: Any) -> None:
-        if self.triggered:
+        if self._triggered:
             return
         self._advance(None, Interrupted(cause))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "done" if self.triggered else ("waiting" if self._waiting_on else "ready")
+        state = "done" if self._triggered else ("waiting" if self._waiting_on else "ready")
         return f"<SimProcess {self.name!r} {state}>"

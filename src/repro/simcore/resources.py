@@ -140,7 +140,7 @@ class Store:
     def _deliver(self, item: Any) -> None:
         while self._getters:
             getter = self._getters.popleft()
-            if not getter.triggered:
+            if not getter._triggered:
                 getter.succeed(item)
                 return
         self._items.append(item)
@@ -150,7 +150,8 @@ class Store:
         ev = SimEvent(self.engine)
         if self._items:
             ev.succeed(self._items.popleft())
-            self._drain_putters()
+            if self._putters:
+                self._drain_putters()
         else:
             self._getters.append(ev)
         return ev
@@ -159,7 +160,8 @@ class Store:
         """Non-blocking get: ``(True, item)`` or ``(False, None)``."""
         if self._items:
             item = self._items.popleft()
-            self._drain_putters()
+            if self._putters:
+                self._drain_putters()
             return True, item
         return False, None
 

@@ -41,6 +41,7 @@ class VirtualNic:
         self.vm = vm
         self.mode = mode
         self.stats = VNicStats()
+        self._process_name = f"{vm.name}.vnic"
 
     @property
     def mtu_payload_bytes(self) -> int:
@@ -57,40 +58,39 @@ class VirtualNic:
         """
         if payload_bytes <= 0:
             raise NetworkError(f"vnic frame of {payload_bytes} bytes")
-        done = self.vm.engine.event()
-        guest_net = getattr(self.vm, "guest_net", None)
-        internal = remote is self.vm.host_kernel.net or (
-            guest_net is not None and remote is guest_net
-        )
-        self.vm.engine.process(
+        vm = self.vm
+        engine = vm.engine
+        done = SimEvent(engine)
+        internal = remote is vm.host_kernel.net or (
+            remote is not None and remote is vm.guest_net)
+        engine.process(
             self._service(payload_bytes, internal, on_delivered, done),
-            name=f"{self.vm.name}.vnic",
+            self._process_name,
         )
         return done
 
     def _service(self, payload_bytes: int, internal: bool, on_delivered,
                  done: SimEvent):
+        """One frame through the VMM; failures go to the guest-side waiter."""
+        vm = self.vm
+        stats = self.stats
+        cycles = self.mode.per_packet_cycles
         try:
-            yield from self._service_inner(payload_bytes, internal, on_delivered)
+            stats.frames += 1
+            stats.payload_bytes += payload_bytes
+            stats.emulation_cycles += cycles
+            # device emulation / NAT proxy on the vCPU host thread
+            yield vm.vcpu.charge_host_native(cycles, MIX_VMM_SERVICE)
+            if internal:
+                # VMM injects the frame into the host/guest stack directly
+                yield vm.engine.timeout(20e-6)
+                if on_delivered is not None:
+                    on_delivered()
+            else:
+                yield vm.host_machine.nic.transmit(
+                    payload_bytes, on_delivered=on_delivered
+                )
         except Exception as error:  # propagate to the guest-side waiter
             done.fail(error)
             return
         done.succeed(None)
-
-    def _service_inner(self, payload_bytes: int, internal: bool, on_delivered):
-        self.stats.frames += 1
-        self.stats.payload_bytes += payload_bytes
-        self.stats.emulation_cycles += self.mode.per_packet_cycles
-        # device emulation / NAT proxy on the vCPU host thread
-        yield self.vm.vcpu.charge_host_native(
-            self.mode.per_packet_cycles, MIX_VMM_SERVICE
-        )
-        if internal:
-            # VMM injects the frame into the host/guest stack directly
-            yield self.vm.engine.timeout(20e-6)
-            if on_delivered is not None:
-                on_delivered()
-        else:
-            yield self.vm.host_machine.nic.transmit(
-                payload_bytes, on_delivered=on_delivered
-            )

@@ -235,3 +235,154 @@ def test_every_branch_of_the_decision_pass_is_reached():
     assert {"sched.place", "sched.segment_done", "sched.boost"} <= categories
     assert actual["l2"][0] > 0.0       # contended seconds
     assert actual == expected
+
+
+def _world(plan, **overrides):
+    """A fixed world over ``plan`` with every controller action off."""
+    world = {"threads": plan, "boost": False, "scan_interval": 0.02,
+             "starvation_threshold": 0.2, "boost_cpu": 0.01,
+             "quantum": 0.02, "reads": [], "exits": [], "overcommit": None,
+             "horizon": 0.05, "metrics": True}
+    world.update(overrides)
+    return world
+
+
+def _thread(priority, group, cycles, mix=0, count=3, sleep=0.0):
+    return {"priority": priority, "group": group, "exit_after": None,
+            "segments": [(cycles, mix, sleep, False)] * count}
+
+
+def _placements(result):
+    return [(time, fields["thread"], fields["core"])
+            for time, category, fields in result["records"]
+            if category == "sched.place"]
+
+
+def test_one_runnable_thread_on_two_cores():
+    world = _world([_thread(8, None, 2e6, count=4, sleep=1e-4)])
+    expected = _run_world(world, ref.Scheduler, _reference_drain)
+    actual = _run_world(world, Scheduler, _live_drain)
+    # the lone thread always lands on core 0; core 1 never runs
+    assert {core for _, _, core in _placements(actual)} == {0}
+    assert actual["cores"][1][0] == 0.0
+    assert actual["threads"][0][2] == 4          # segments completed
+    assert actual == expected
+
+
+def test_more_runnable_threads_than_cores_with_group_preference():
+    """A VM's service thread (13) and vCPU (8) beside a foreign thread
+    (8): the vCPU was submitted first, so it wins the rr order, but when
+    the foreign thread arrives the group preference hands it the vCPU's
+    core."""
+    world = _world([_thread(13, "vm-a", 3e7, mix=5),
+                    _thread(8, "vm-a", 3e7),
+                    _thread(8, None, 3e7, mix=1)], quantum=0.003)
+    expected = _run_world(world, ref.Scheduler, _reference_drain)
+    actual = _run_world(world, Scheduler, _live_drain)
+    at_start = [(name, core) for time, name, core in _placements(actual)
+                if time == 0.0]
+    assert at_start == [("t0", 0), ("t1", 1), ("t2", 1)]
+    assert actual["metrics"]["counters"]["sched.preemptions"] > 0
+    assert actual == expected
+
+
+def test_boost_granted_between_decisions():
+    """An idle-class thread starved by two normal threads is boosted by
+    the balance-set scan, which runs between decisions."""
+    world = _world([_thread(8, None, 6e7), _thread(8, None, 6e7),
+                    _thread(4, None, 1e6)],
+                   boost=True, scan_interval=0.005,
+                   starvation_threshold=0.005, boost_cpu=0.001,
+                   horizon=0.1)
+    expected = _run_world(world, ref.Scheduler, _reference_drain)
+    actual = _run_world(world, Scheduler, _live_drain)
+    assert actual["metrics"]["counters"]["sched.starvation_boosts"] > 0
+    assert "t2" in {name for _, name, _ in _placements(actual)}
+    assert actual == expected
+
+
+def test_completion_resubmits_from_inside_the_decision_pass():
+    """Back-to-back segments: each completion resumes its process inside
+    the pass, which submits again; the pass restarts with fresh state."""
+    world = _world([_thread(8, None, 1e6, count=6),
+                    _thread(8, "vm-a", 2e6, mix=3, count=4)])
+    inside = {"reference": [], "live": []}
+
+    def recording(cls, label):
+        class Recording(cls):
+            def submit(self, thread, cycles, mix):
+                inside[label].append(self._in_decide)
+                return super().submit(thread, cycles, mix)
+
+        return Recording
+
+    expected = _run_world(world, recording(ref.Scheduler, "reference"),
+                          _reference_drain)
+    actual = _run_world(world, recording(Scheduler, "live"), _live_drain)
+    assert any(inside["live"])
+    assert inside["live"] == inside["reference"]
+    assert actual["threads"][0][2] == 6
+    assert actual == expected
+
+
+def test_completion_coinciding_with_a_quantum_expiry():
+    """t1's segment ends exactly as t0's quantum runs out, and t1 submits
+    again from inside the pass.  The round-robin rotation of t0 must come
+    after that re-entrant submit, so t1 keeps its core and t0 waits."""
+    quantum = 0.02
+    exact = core2duo_e6600("equiv").cpu.frequency_hz * quantum
+    world = _world([_thread(8, None, 4e8, mix=4, count=1),
+                    _thread(8, None, exact, mix=4, count=2),
+                    _thread(8, None, 4e8, mix=4, count=1)],
+                   quantum=quantum)
+    expected = _run_world(world, ref.Scheduler, _reference_drain)
+    actual = _run_world(world, Scheduler, _live_drain)
+    at_expiry = [(name, core) for time, name, core in _placements(actual)
+                 if time == quantum]
+    assert at_expiry == [("t2", 0), ("t1", 1)]
+    assert actual == expected
+
+
+def test_instruction_mix_hash_is_the_field_tuple_hash():
+    """The cached hash is the dataclass-generated one, so value-equal
+    copies share one speed-table entry."""
+    for mix in MIXES:
+        assert hash(mix) == hash(dataclasses.astuple(mix))
+    assert _SEVENZIP_COPY is not MIX_SEVENZIP
+    assert hash(_SEVENZIP_COPY) == hash(MIX_SEVENZIP)
+    engine = Engine()
+    machine = Machine(engine, core2duo_e6600("hash"), RngStreams(0))
+    scheduler = Scheduler(engine, machine,
+                          boost=BoostPolicy(enabled=False))
+    first = scheduler.spawn("a", 8)
+    engine.run_until_event(scheduler.submit(first, 1e6, MIX_SEVENZIP))
+    engine.run_until_event(scheduler.submit(first, 1e6, _SEVENZIP_COPY))
+    assert list(scheduler._speed_table) == [(MIX_SEVENZIP, None),
+                                            (None, None)]
+
+
+def test_decision_counter_counts_the_archived_placement_passes():
+    """``Scheduler.decisions`` counts exactly the passes that reached
+    placement — the ``_place_threads`` calls of the archived scheduler."""
+    world = _world([_thread(13, "vm-a", 3e6, mix=5, count=4, sleep=1e-3),
+                    _thread(8, "vm-a", 1e7, count=4),
+                    _thread(8, None, 1e7, mix=1, count=4)],
+                   boost=True, scan_interval=0.005,
+                   starvation_threshold=0.005, quantum=0.003)
+    seen = {}
+
+    class CountingReference(ref.Scheduler):
+        placements = 0
+
+        def _place_threads(self):
+            CountingReference.placements += 1
+            return super()._place_threads()
+
+    def live(*args, **kwargs):
+        seen["live"] = Scheduler(*args, **kwargs)
+        return seen["live"]
+
+    expected = _run_world(world, CountingReference, _reference_drain)
+    actual = _run_world(world, live, _live_drain)
+    assert seen["live"].decisions == CountingReference.placements > 10
+    assert actual == expected

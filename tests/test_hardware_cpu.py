@@ -1,7 +1,14 @@
 """Instruction mixes."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.hardware.cpu import (
     MIX_EINSTEIN,
     MIX_IDLE,
@@ -82,3 +89,19 @@ class TestBlend:
 
     def test_with_kernel_frac(self):
         assert MIX_MATRIX.with_kernel_frac(0.5).kernel_frac == 0.5
+
+
+class TestCachedHash:
+    def test_unpickled_mix_rehashes_under_its_own_hash_seed(self):
+        """A mix pickled here and loaded in a process with another string
+        hash seed hashes as that process's field tuple, not with the
+        cached value it was pickled with."""
+        code = ("import dataclasses, pickle, sys\n"
+                "mix = pickle.loads(sys.stdin.buffer.read())\n"
+                "print(hash(mix) == hash(dataclasses.astuple(mix)))\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "12345"}
+        done = subprocess.run([sys.executable, "-c", code],
+                              input=pickle.dumps(MIX_SEVENZIP), env=env,
+                              capture_output=True, timeout=60, check=True)
+        assert done.stdout.strip() == b"True"

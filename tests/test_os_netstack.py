@@ -1,11 +1,15 @@
 """Network stack: TCP streams, UDP datagrams, routing."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import NetworkError
 from repro.hardware.machine import Machine
 from repro.hardware.specs import core2duo_e6600
 from repro.osmodel.kernel import Kernel, ubuntu_params
+from repro.osmodel.netstack import NetStack
 from repro.osmodel.threads import PRIORITY_NORMAL
 from repro.simcore.rng import RngStreams
 from repro.units import MB
@@ -191,3 +195,21 @@ class TestRouting:
     def test_self_uses_loopback(self, lan):
         local, _ = lan
         assert local.net.device_for(local.net) is local.net.loopback
+
+    def test_route_never_passes_to_a_later_stack(self, engine, kernel):
+        """A route pins its own stack; a stack built after the first one
+        is dropped (which may reuse its ``id()``) still takes the NIC."""
+        device = object()
+        gone = NetStack(engine, ubuntu_params(), kernel.machine.nic,
+                        kernel.charge_native, hostname="gone")
+        kernel.net.register_route(gone, device)
+        alive = weakref.ref(gone)
+        del gone
+        gc.collect()
+        assert alive() is not None
+        assert kernel.net.device_for(alive()) is device
+        for index in range(64):
+            newcomer = NetStack(engine, ubuntu_params(), kernel.machine.nic,
+                                kernel.charge_native, hostname=f"new{index}")
+            assert kernel.net.device_for(newcomer) is kernel.machine.nic
+            del newcomer

@@ -1,12 +1,21 @@
 """Pinned event schedules of both paper experiments.
 
-``tests/data/trace_hash_fig{1,5}_fast.json`` hold the trace-hash
-snapshot and the figure digest of ``fig1`` (guest performance) and
-``fig5`` (host intrusiveness) at fast fidelity, run serially — the same
-runs ``REPRO_FAST=1 repro audit FIG`` makes.  The snapshot folds every
-dispatched event's ``(time, seq, callback)``, so it catches a change in
-event order or timing that leaves the figure bytes alone.  A
-deliberate model change re-pins both files (see ``_pin`` below).
+``tests/data/trace_hash_{fig}_{fidelity}.json`` hold the trace-hash
+snapshot and the figure digest of one figure, run serially:
+
+* ``fig1`` (guest CPU) and ``fig5`` (host intrusiveness, NBench MEM) at
+  fast fidelity — the same runs ``REPRO_FAST=1 repro audit FIG`` makes;
+* ``fig4`` (NetBench through each virtual NIC) and ``fig7`` (host CPU
+  under a background VM) at ``reps=1``.  These are the packet- and
+  quantum-heavy figures; with the trace hash on, fig4 takes ~6 s at one
+  repetition against ~20 s at fast fidelity's three, so one repetition
+  keeps the suite short while still folding every dispatched event of
+  every environment.
+
+The snapshot folds every dispatched event's ``(time, seq, callback)``,
+so it catches a change in event order or timing that leaves the figure
+bytes alone.  A deliberate model change re-pins the files (see ``_pin``
+below); a performance change must leave them alone.
 """
 
 import hashlib
@@ -20,8 +29,12 @@ from repro.audit import TRACE_HASH, compare_snapshots
 from repro.audit.bisect import _figure_bytes
 
 DATA = Path(__file__).resolve().parent / "data"
-CONFIG = RunConfig(fast=True, jobs=1, cache=False, metrics=False,
-                   trace_hash=True)
+CONFIGS = {
+    "fast": RunConfig(fast=True, jobs=1, cache=False, metrics=False,
+                      trace_hash=True),
+    "reps1": RunConfig(reps=1, jobs=1, cache=False, metrics=False,
+                       trace_hash=True),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -33,9 +46,10 @@ def _clean_global_recorder():
     TRACE_HASH.reset()
 
 
-def _pin(fig_id):
+def _pin(fig_id, fidelity):
     """The pinned record of ``fig_id`` as the current code produces it."""
-    result = run(RunRequest(kind="figure", target=fig_id, config=CONFIG))
+    result = run(RunRequest(kind="figure", target=fig_id,
+                            config=CONFIGS[fidelity]))
     return {
         "figure": fig_id,
         "figure_sha256": hashlib.sha256(_figure_bytes(result)).hexdigest(),
@@ -43,10 +57,16 @@ def _pin(fig_id):
     }
 
 
-@pytest.mark.parametrize("fig_id", ["fig1", "fig5"])
+#: Figure -> the fidelity it is pinned at.
+PINNED = {"fig1": "fast", "fig4": "reps1", "fig5": "fast", "fig7": "reps1"}
+
+
+@pytest.mark.parametrize("fig_id", sorted(PINNED))
 def test_event_schedule_matches_pin(fig_id):
-    pinned = json.loads((DATA / f"trace_hash_{fig_id}_fast.json").read_text())
-    current = _pin(fig_id)
+    fidelity = PINNED[fig_id]
+    pinned = json.loads(
+        (DATA / f"trace_hash_{fig_id}_{fidelity}.json").read_text())
+    current = _pin(fig_id, fidelity)
     assert compare_snapshots(pinned["trace_hash"],
                              current["trace_hash"]) == []
     assert current == pinned
