@@ -169,34 +169,20 @@ def repeat(measure: MeasureFn, *, base_seed: int = 0,
 
     ``reps=`` / ``jobs=`` are explicit overrides; otherwise both resolve
     through the activated :class:`repro.api.RunConfig` (or, deprecated,
-    the legacy environment).  With more than one job and more than one
-    repetition the work is fanned out over a process pool (bit-identical
-    results; see :class:`repro.core.parallel.ParallelRepeater`).
-    ``jobs=1``, a single repetition, or an unpicklable ``measure`` all
-    fall back to the serial :class:`Repeater`.
-
-    ``retries`` / ``task_timeout_s`` / ``min_reps`` (explicit, or set on
-    the activated config, or implied by an active fault plan) route the
-    run through the resilient execution path even at one job — retried
+    the legacy environment).  Routing is
+    :class:`repro.core.parallel.ParallelRepeater`'s: more than one job
+    fans the repetitions out over a process pool (bit-identical
+    results), and ``retries`` / ``task_timeout_s`` / ``min_reps``
+    (explicit, or set on the activated config, or implied by an active
+    fault plan) retry failed repetitions even at one job — retried
     repetitions re-derive the same seeds, so recovered results are
     byte-identical to undisturbed ones.
     """
-    from repro.core.parallel import ParallelRepeater, resolve_jobs
-    from repro.faults import FAULTS
+    from repro.core.parallel import ParallelRepeater
 
     if reps is None:
         reps = resolve_reps(default_reps)
-    elif reps < 1:
-        raise ExperimentError(f"reps must be >= 1, got {reps}")
-    n_jobs = resolve_jobs(jobs)
-    explicit_resilience = any(
-        value is not None for value in (retries, task_timeout_s, min_reps))
-    if (n_jobs > 1 and reps > 1) or explicit_resilience or FAULTS.enabled:
-        return ParallelRepeater(
-            base_seed, reps, jobs=n_jobs, retries=retries,
-            task_timeout_s=task_timeout_s, min_reps=min_reps,
-        ).run(measure)
-    repeater = ParallelRepeater(base_seed, reps, jobs=1)
-    if repeater._resilient:  # config-level retries/min_reps at one job
-        return repeater.run(measure)
-    return Repeater(base_seed, reps).run(measure)
+    return ParallelRepeater(
+        base_seed, reps, jobs=jobs, retries=retries,
+        task_timeout_s=task_timeout_s, min_reps=min_reps,
+    ).run(measure)

@@ -39,19 +39,18 @@ depend on the metrics registry being enabled.
 
 Resilience
 ----------
-Desktop grids assume workers die; so does this layer.  When retries, a
-per-task timeout, a ``min_reps`` floor, or an active
-:data:`repro.faults.FAULTS` plan is in force, :class:`ParallelRepeater`
-switches to a round-based resilient path: failed/timed-out/crashed
-repetitions are resubmitted (capped exponential backoff between rounds,
-the pool invalidated and lazily rebuilt if broken), and every retried
-repetition re-derives the **same** seed — so a fault-injected run that
-recovers is byte-identical to a fault-free one.  With ``min_reps`` the
-run degrades gracefully: it completes with at least that many successes
-and records the dropped seeds plus remote tracebacks (in
-``RepeatedResult.dropped`` and the parent-side
-:data:`repro.faults.RUNLOG`, which run manifests pick up).  With none
-of those in force the legacy fail-fast path runs untouched.
+Desktop grids assume workers die; so does this layer.  Repetitions and
+shards share one round engine (:func:`_run_rounds`): submit a round,
+wait on each future (with the task timeout, if any), classify the
+outcome, fold it, and resubmit the failed/timed-out/crashed ones after
+a capped exponential backoff, the pool invalidated and lazily rebuilt
+if broken.  Every retried repetition re-derives the **same** seed — so a
+fault-injected run that recovers is byte-identical to a fault-free one.
+Fail-fast is simply that engine with ``retries=0`` and no timeout.
+With ``min_reps`` the run degrades gracefully: it completes with at
+least that many successes and records the dropped seeds plus remote
+tracebacks (in ``RepeatedResult.dropped`` and the parent-side
+:data:`repro.faults.RUNLOG`, which run manifests pick up).
 
 Fault-injection sites hosted here: ``worker.crash`` (hard ``os._exit``
 in the worker body — breaks the pool), ``worker.hang`` (bounded sleep,
@@ -59,17 +58,19 @@ to trip task timeouts) and ``measure.transient`` (raise-once
 :class:`repro.faults.InjectedFault` around the measurement).  Each
 disabled site costs one attribute read and a branch.
 
-Fallbacks: ``jobs=1``, a measurement function the pickle module cannot
-serialise (e.g. a test-local closure), or — on the fail-fast path —
-per-task work below the pool-dispatch threshold (``reps`` <=
-:data:`SERIAL_FALLBACK_REPS`) run serially in-process, recording
+Fallbacks: ``jobs=1`` or a function the pickle module cannot serialise
+(e.g. a test-local closure) run in-process — through the plain serial
+:class:`repro.core.experiment.Repeater` (or ``[fn(t) for t in tasks]``)
+when no retries, timeout, ``min_reps`` or fault plan is in force, else
+through the engine's in-process round.  With none of those in force,
+repetitions below the pool-dispatch threshold (``reps`` <=
+:data:`SERIAL_FALLBACK_REPS`) also run serially, recording
 ``parallel.fallback_serial`` in METRICS; dispatch overhead only buys
-wall-clock when there is enough work to amortise it.  The resilient
-path never falls back on size alone: its timeout and process-level
-fault semantics need real worker processes.  Worker failures are
-re-raised as :class:`ExperimentError` carrying the offending repetition
-index and derived seed plus the remote traceback, so any failing
-repetition can be reproduced standalone with ``measure(seed)``.
+wall-clock when there is enough work to amortise it.  Worker failures
+are re-raised as :class:`ExperimentError` naming the lowest failing
+index (and, for repetitions, its derived seed) plus the remote
+traceback, so any failing repetition can be reproduced standalone with
+``measure(seed)``.
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ import os
 import pickle
 import time
 import traceback
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from concurrent.futures import Future, TimeoutError as FutureTimeoutError
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.audit.tracehash import TRACE_HASH
 from repro.core.experiment import (
@@ -92,20 +93,14 @@ from repro.core.workerpool import (
     WorkerPool,
     WorkerResult,
     WorkerResultError,
-    _pool_context,  # noqa: F401  (re-exported; pre-pool callers import it here)
     build_task_context,
     get_pool,
     next_run_token,
-    shutdown_pools,  # noqa: F401  (re-exported for the CLI/benchmarks)
 )
 from repro.errors import ExperimentError
 from repro.faults import FAULTS, RUNLOG
 from repro.obs.metrics import METRICS
 from repro.simcore.rng import derive_rep_seed
-
-#: Legacy environment variable for the default worker count (interpreted
-#: only by :meth:`repro.api.RunConfig.from_env`).
-JOBS_ENV = "REPRO_JOBS"
 
 #: Backoff before retry round ``n`` is ``RETRY_BACKOFF_S * 2**(n-1)``,
 #: capped at :data:`RETRY_BACKOFF_CAP_S`.
@@ -189,8 +184,8 @@ def _run_repetition(measure: MeasureFn, repetition: int, seed: int,
     repetition's counters, which the parent merges back — and likewise
     for the audit trace-hash recorder, whose streams are labelled
     ``g<hash_group>/rep<n>`` (the group id is allocated parent-side) so
-    they line up key-for-key with a serial run.  The resilient serial
-    path runs this in the parent with ``snapshot_registry=False``
+    they line up key-for-key with a serial run.  The engine's in-process
+    round runs this in the parent with ``snapshot_registry=False``
     (never reset the parent registries, parent recorders accumulate
     directly) and ``in_worker=False`` (process-level sites stay quiet).
     """
@@ -229,20 +224,23 @@ def _run_repetition(measure: MeasureFn, repetition: int, seed: int,
     return repetition, seed, result, error, queue_wait, wall, snapshot, thash
 
 
-def _run_shard(fn, index: int, task: Any, attempt: int = 0
+def _run_shard(fn, index: int, task: Any, attempt: int = 0,
+               in_worker: bool = True
                ) -> Tuple[int, Any, Optional[str],
                           Optional[Dict[str, Any]]]:
     """Worker body for :func:`map_shards`: one shard, errors as text.
 
     Returns ``(index, result, error, counter_snapshot)``; same metrics
     snapshot/reset and fault-site protocol as :func:`_run_repetition`
-    (shard keys are ``"shard:<index>"``).
+    (shard keys are ``"shard:<index>"``).  In the parent
+    (``in_worker=False``) the registry is neither reset nor snapshotted
+    and the process-level sites stay quiet.
     """
-    metrics_on = METRICS.enabled
+    metrics_on = METRICS.enabled and in_worker
     if metrics_on:
         METRICS.reset()
     try:
-        if FAULTS.enabled:
+        if FAULTS.enabled and in_worker:
             key = f"shard:{index}"
             if FAULTS.would_fire("worker.crash", key=key, attempt=attempt):
                 os._exit(17)
@@ -282,7 +280,7 @@ def _resilience_settings(retries: Optional[int],
 
 
 # ---------------------------------------------------------------------------
-# Spec construction and shared dispatch plumbing
+# Spec construction and the round engine
 # ---------------------------------------------------------------------------
 
 def _rep_spec(fn_blob: bytes, repetition: int, seed: int, attempt: int,
@@ -312,27 +310,11 @@ def _shard_spec(fn_blob: bytes, index: int, task: Any, attempt: int,
     }
 
 
-def _submit_batch(pool: WorkerPool, specs: List[Dict[str, Any]]) -> list:
-    """Submit one round of specs; a worker that died idle between
-    dispatches breaks submission, so retry once on a rebuilt pool."""
-    try:
-        return [pool.submit(spec) for spec in specs]
-    except Exception:
-        pool.invalidate()
-        return [pool.submit(spec) for spec in specs]
-
-
-def _salvage_results(results: List[WorkerResult], metrics_on: bool) -> int:
-    """Merge completed workers' observability after a broken round;
-    returns how many tasks had finished."""
-    for result in results:
-        if metrics_on and result.metrics is not None:
-            METRICS.merge(result.metrics)
-        if result.trace_hash is not None:
-            TRACE_HASH.merge(result.trace_hash)
-        if result.runlog is not None:
-            RUNLOG.merge(result.runlog)
-    return len(results)
+def _resolved(result: WorkerResult) -> Future:
+    """An in-process result dressed as an already-finished future."""
+    future: Future = Future()
+    future.set_result(result)
+    return future
 
 
 def _fold_observability(result: WorkerResult, metrics_on: bool,
@@ -350,6 +332,103 @@ def _fold_observability(result: WorkerResult, metrics_on: bool,
         RUNLOG.merge(result.runlog)
 
 
+#: A failure as the engine classifies it: ``(broke_pool, text)``.
+_Failure = Tuple[bool, str]
+
+
+def _run_rounds(count: int, submit: Callable[[int, int], Future],
+                pool: Optional[WorkerPool], crash_key: Callable[[int], Any],
+                retries: int, timeout: Optional[float], timers: bool
+                ) -> Tuple[Dict[int, WorkerResult], Dict[int, _Failure]]:
+    """The one dispatch engine behind repetitions and shards.
+
+    Each round submits every pending index (``submit(index, attempt)``
+    — a pool dispatch, or with ``pool=None`` an in-process run returned
+    as a finished future), waits on the futures in index order,
+    classifies each outcome (success, worker error, untrusted payload,
+    timeout, broken pool), folds the observability of every returned
+    attempt, and leaves the failures pending for the next round after a
+    capped exponential backoff.  Returns the successes and the last
+    failure of every index that never succeeded.
+    """
+    metrics_on = METRICS.enabled
+    done: Dict[int, WorkerResult] = {}
+    failures: Dict[int, _Failure] = {}
+    pending = list(range(count))
+    for attempt in range(retries + 1):
+        if not pending:
+            break
+        if attempt:
+            time.sleep(_backoff_s(attempt))
+            RUNLOG.retries += len(pending)
+            if metrics_on:
+                METRICS.inc("parallel.retries", len(pending))
+        try:
+            futures = [submit(index, attempt) for index in pending]
+        except Exception:
+            # A worker died idle since the last dispatch: rebuild and
+            # resubmit once, without spending an attempt.  (In-process
+            # submits capture every exception, so ``pool`` is set here.)
+            pool.invalidate()
+            futures = [submit(index, attempt) for index in pending]
+        broken = False
+        for index, future in zip(pending, futures):
+            try:
+                outcome = future.result(timeout=timeout)
+            except FutureTimeoutError:
+                future.cancel()
+                pool.abandon(future)
+                RUNLOG.timeouts += 1
+                if metrics_on:
+                    METRICS.inc("parallel.timeouts")
+                failures[index] = (False, f"timed out after {timeout}s")
+                broken = True  # the hung worker occupies a slot
+                continue
+            except Exception as exc:
+                # A crashed worker takes its fault tally with it; the
+                # decision is deterministic, so account it parent-side.
+                if FAULTS.enabled and FAULTS.would_fire(
+                        "worker.crash", key=crash_key(index),
+                        attempt=attempt):
+                    FAULTS.record("worker.crash")
+                failures[index] = (True, str(exc))
+                broken = True
+                continue
+            try:
+                result = outcome if pool is None \
+                    else WorkerResult.from_wire(outcome)
+            except WorkerResultError as exc:
+                if metrics_on:
+                    METRICS.inc("parallel.payload_quarantined")
+                failures[index] = (False, f"untrusted worker result: {exc}")
+                continue
+            _fold_observability(result, metrics_on, timers)
+            if result.error is None:
+                done[index] = result
+                failures.pop(index, None)
+            else:
+                failures[index] = (False, result.error)
+        pending = sorted(failures)
+        if broken:
+            pool.invalidate()
+    return done, failures
+
+
+def _failure_error(label: str, noun: str, count: int, completed: int,
+                   attempts: int, failure: _Failure,
+                   hint: str = "") -> ExperimentError:
+    """The run's error, worded after its lowest failing index's last
+    failure: a broken pool, or a failure after every attempt."""
+    broke_pool, text = failure
+    if broke_pool:
+        return ExperimentError(
+            f"{label} broke the worker pool after {completed} of {count} "
+            f"{noun} had completed: {text}")
+    return ExperimentError(
+        f"{label} failed after {attempts} attempt(s) ({completed} of "
+        f"{count} {noun} completed){hint}.\nWorker traceback:\n{text}")
+
+
 def map_shards(fn, tasks, jobs: Optional[int] = None,
                retries: Optional[int] = None,
                task_timeout_s: Optional[float] = None) -> list:
@@ -359,9 +438,9 @@ def map_shards(fn, tasks, jobs: Optional[int] = None,
     future shard-shaped work): tasks must be picklable and independent,
     and because results come back in submission order the caller's merge
     is bit-identical to ``[fn(t) for t in tasks]`` at any worker count.
-    Serial fallbacks (one worker, one task, unpicklable ``fn``) run
-    in-process; worker failures re-raise as :class:`ExperimentError`
-    naming the shard index with the remote traceback attached.
+    One worker, one task or an unpicklable ``fn`` run in-process; worker
+    failures re-raise as :class:`ExperimentError` naming the lowest
+    failing shard index with the remote traceback attached.
 
     Dispatch goes through the persistent pool keyed by the resolved job
     count, so consecutive ``map_shards`` calls (every fleet size in a
@@ -369,155 +448,54 @@ def map_shards(fn, tasks, jobs: Optional[int] = None,
 
     With ``retries``/``task_timeout_s`` (explicit or from the activated
     run config) failed, crashed or timed-out shards are resubmitted —
-    every shard must ultimately succeed (there is no ``min_reps``
-    analogue for shards, since a missing shard would skew the merge).
+    in-process too — and every shard must ultimately succeed (there is
+    no ``min_reps`` analogue for shards, since a missing shard would
+    skew the merge).
     """
     tasks = list(tasks)
-    jobs_resolved = resolve_jobs(jobs)
-    workers = min(jobs_resolved, len(tasks)) if tasks else 0
+    jobs = resolve_jobs(jobs)
+    workers = min(jobs, len(tasks)) if tasks else 0
     retries, task_timeout_s, _ = _resilience_settings(
         retries, task_timeout_s, None)
     fn_blob = _encode_fn(fn) if workers > 1 else None
-    if workers <= 1 or fn_blob is None:
-        return [fn(task) for task in tasks]
-    metrics_on = METRICS.enabled
-    context = build_task_context()
-    run_token = next_run_token()
-    pool = get_pool(jobs_resolved)
-    if retries > 0 or task_timeout_s is not None or FAULTS.enabled:
-        results = _map_shards_resilient(
-            pool, fn_blob, tasks, retries, task_timeout_s, metrics_on,
-            context, run_token)
+    pool = None
+    if fn_blob is not None:
+        pool = get_pool(jobs)
+        context = build_task_context()
+        run_token = next_run_token()
+
+        def submit(index: int, attempt: int) -> Future:
+            return pool.submit(_shard_spec(fn_blob, index, tasks[index],
+                                           attempt, context, run_token))
+    elif retries:
+        def submit(index: int, attempt: int) -> Future:
+            _index, values, error, _snap = _run_shard(
+                fn, index, tasks[index], attempt, in_worker=False)
+            return _resolved(WorkerResult("shard", index, error=error,
+                                          values=values))
     else:
-        specs = [_shard_spec(fn_blob, index, task, 0, context, run_token)
-                 for index, task in enumerate(tasks)]
-        futures = _submit_batch(pool, specs)
-        results = []
-        for index, future in enumerate(futures):
-            try:
-                wire = future.result()
-            except Exception as exc:
-                pool.invalidate()
-                finished = _salvage_results(results, metrics_on)
-                raise ExperimentError(
-                    f"shard {index} broke the worker pool after "
-                    f"{finished} of {len(tasks)} shards had "
-                    f"completed: {exc}"
-                ) from exc
-            try:
-                results.append(WorkerResult.from_wire(wire))
-            except WorkerResultError as exc:
-                if metrics_on:
-                    METRICS.inc("parallel.payload_quarantined")
-                _salvage_results(results, metrics_on)
-                raise ExperimentError(
-                    f"shard {index} returned an untrusted result: {exc}"
-                ) from exc
-        for result in results:
-            if result.error is not None:
-                raise ExperimentError(
-                    f"shard {result.index} failed in a worker.\n"
-                    f"Worker traceback:\n{result.error}"
-                )
-        for result in results:
-            _fold_observability(result, metrics_on, timers=False)
-    if metrics_on:
-        METRICS.inc("parallel.shards", len(results))
-        METRICS.gauge_max("parallel.workers", workers)
-    return [result.values for result in results]
-
-
-def _map_shards_resilient(pool: WorkerPool, fn_blob: bytes, tasks,
-                          retries: int, task_timeout_s: Optional[float],
-                          metrics_on: bool, context: Dict[str, Any],
-                          run_token: int) -> List[WorkerResult]:
-    """Round-based retry engine for :func:`map_shards`.
-
-    Returns completed :class:`WorkerResult` records in task order
-    (snapshots already merged); raises :class:`ExperimentError` if any
-    shard is still failing after the final round.
-    """
-    pending = list(range(len(tasks)))
-    done: Dict[int, WorkerResult] = {}
-    failures: Dict[int, str] = {}
-    for round_no in range(retries + 1):
-        if not pending:
-            break
-        if round_no > 0:
-            time.sleep(_backoff_s(round_no))
-            RUNLOG.retries += len(pending)
-            if metrics_on:
-                METRICS.inc("parallel.retries", len(pending))
-        try:
-            futures = {index: pool.submit(
-                _shard_spec(fn_blob, index, tasks[index], round_no,
-                            context, run_token))
-                for index in pending}
-        except Exception as exc:
-            pool.invalidate()
-            for index in pending:
-                failures[index] = f"worker pool broke: {exc}"
-            continue
-        still_pending: List[int] = []
-        pool_broken = False
-        for index in pending:
-            future = futures[index]
-            try:
-                wire = future.result(timeout=task_timeout_s)
-            except FutureTimeoutError:
-                future.cancel()
-                pool.abandon(future)
-                RUNLOG.timeouts += 1
-                if metrics_on:
-                    METRICS.inc("parallel.timeouts")
-                failures[index] = (
-                    f"timed out after {task_timeout_s}s")
-                still_pending.append(index)
-                pool_broken = True  # a hung worker occupies a slot
-                continue
-            except Exception as exc:
-                if FAULTS.enabled and FAULTS.would_fire(
-                        "worker.crash", key=f"shard:{index}",
-                        attempt=round_no):
-                    FAULTS.record("worker.crash")
-                failures[index] = f"worker pool broke: {exc}"
-                still_pending.append(index)
-                pool_broken = True
-                continue
-            try:
-                result = WorkerResult.from_wire(wire)
-            except WorkerResultError as exc:
-                if metrics_on:
-                    METRICS.inc("parallel.payload_quarantined")
-                failures[index] = f"untrusted worker result: {exc}"
-                still_pending.append(index)
-                continue
-            _fold_observability(result, metrics_on, timers=False)
-            if result.error is None:
-                done[index] = result
-            else:
-                failures[index] = result.error
-                still_pending.append(index)
-        pending = still_pending
-        if pool_broken:
-            pool.invalidate()
-    if pending:
-        first = pending[0]
-        raise ExperimentError(
-            f"shard {first} failed after {retries + 1} attempt(s) "
-            f"({len(done)} of {len(tasks)} shards completed).\n"
-            f"Last error:\n{failures[first]}"
-        )
-    return [done[index] for index in sorted(done)]
+        return [fn(task) for task in tasks]
+    done, failures = _run_rounds(
+        len(tasks), submit, pool, lambda index: f"shard:{index}",
+        retries, task_timeout_s, timers=False)
+    if METRICS.enabled:
+        METRICS.inc("parallel.shards", len(done))
+        if pool is not None:
+            METRICS.gauge_max("parallel.workers", workers)
+    if failures:
+        first = min(failures)
+        raise _failure_error(f"shard {first}", "shards", len(tasks),
+                             len(done), retries + 1, failures[first])
+    return [done[index].values for index in range(len(tasks))]
 
 
 class ParallelRepeater:
     """Drop-in :class:`Repeater` that spreads repetitions over processes.
 
     ``retries`` / ``task_timeout_s`` / ``min_reps`` default from the
-    activated :class:`repro.api.RunConfig`; when all are unset and no
-    fault plan is active the legacy fail-fast path runs byte-for-byte
-    unchanged.
+    activated :class:`repro.api.RunConfig`.  Every pooled or in-process
+    run goes through the one round engine (:func:`_run_rounds`);
+    fail-fast is that engine with ``retries=0`` and no timeout.
     """
 
     def __init__(self, base_seed: int = 0, reps: int = 5,
@@ -536,255 +514,96 @@ class ParallelRepeater:
             raise ExperimentError(
                 f"min_reps ({self.min_reps}) cannot exceed reps ({reps})")
 
-    @property
-    def _resilient(self) -> bool:
-        return (self.retries > 0 or self.task_timeout_s is not None
-                or self.min_reps is not None or FAULTS.enabled)
-
     def run(self, measure: MeasureFn) -> RepeatedResult:
+        """Run every repetition; retried ones re-derive the **same**
+        seed, so a recovered result is byte-identical to a fault-free
+        one.
+
+        With no retries, timeout, ``min_reps`` or fault plan in force,
+        one worker, an unpicklable ``measure`` and runs of at most
+        :data:`SERIAL_FALLBACK_REPS` repetitions take the plain serial
+        :class:`Repeater`; otherwise one worker or an unpicklable
+        ``measure`` take the engine's in-process round, where the parent
+        registries accumulate directly and ``task_timeout_s`` cannot
+        interrupt the work.
+        """
         workers = min(self.jobs, self.reps)
-        if self._resilient:
-            return self._run_resilient(measure, workers)
-        if workers <= 1:
-            return Repeater(self.base_seed, self.reps).run(measure)
-        if self.reps <= SERIAL_FALLBACK_REPS:
+        plain = not (self.retries or self.task_timeout_s is not None
+                     or self.min_reps is not None or FAULTS.enabled)
+        if plain and workers > 1 and self.reps <= SERIAL_FALLBACK_REPS:
             # Adaptive fallback: too little work to amortise dispatch.
             if METRICS.enabled:
                 METRICS.inc("parallel.fallback_serial")
             return Repeater(self.base_seed, self.reps).run(measure)
-        fn_blob = _encode_fn(measure)
-        if fn_blob is None:
+        fn_blob = _encode_fn(measure) if workers > 1 else None
+        if plain and fn_blob is None:
             return Repeater(self.base_seed, self.reps).run(measure)
         seeds = [derive_rep_seed(self.base_seed, repetition)
                  for repetition in range(self.reps)]
         metrics_on = METRICS.enabled
         thash_on = TRACE_HASH.enabled
         hash_group = TRACE_HASH.begin_group() if thash_on else 0
-        context = build_task_context()
-        run_token = next_run_token()
-        pool = get_pool(self.jobs)
-        specs = [_rep_spec(fn_blob, repetition, seed, 0, hash_group,
-                           context, run_token)
-                 for repetition, seed in enumerate(seeds)]
-        futures = _submit_batch(pool, specs)
-        results: List[WorkerResult] = []
-        # Collect in repetition order; the lowest failing index wins,
-        # matching the serial path's first-failure semantics.
-        for repetition, future in enumerate(futures):
-            try:
-                wire = future.result()
-            except Exception as exc:
-                pool.invalidate()
-                finished = _salvage_results(results, metrics_on)
-                raise ExperimentError(
-                    f"repetition {repetition} "
-                    f"(seed {seeds[repetition]}) broke the worker "
-                    f"pool after {finished} of {self.reps} "
-                    f"repetitions had completed: {exc}"
-                ) from exc
-            try:
-                results.append(WorkerResult.from_wire(wire))
-            except WorkerResultError as exc:
+        pool = None
+        if fn_blob is not None:
+            pool = get_pool(self.jobs)
+            context = build_task_context()
+            run_token = next_run_token()
+
+            def submit(repetition: int, attempt: int) -> Future:
+                return pool.submit(_rep_spec(
+                    fn_blob, repetition, seeds[repetition], attempt,
+                    hash_group, context, run_token))
+        else:
+            def submit(repetition: int, attempt: int) -> Future:
+                _rep, seed, values, error, _qw, wall, _snap, _thash = \
+                    _run_repetition(measure, repetition, seeds[repetition],
+                                    0.0, attempt, in_worker=False,
+                                    snapshot_registry=False,
+                                    hash_group=hash_group)
                 if metrics_on:
-                    METRICS.inc("parallel.payload_quarantined")
-                _salvage_results(results, metrics_on)
-                raise ExperimentError(
-                    f"repetition {repetition} (seed {seeds[repetition]}) "
-                    f"returned an untrusted result: {exc}"
-                ) from exc
-        for result in results:
-            if result.error is not None:
-                raise ExperimentError(
-                    f"repetition {result.index} (seed {result.seed}) "
-                    f"failed in a worker; reproduce with "
-                    f"measure({result.seed}).\n"
-                    f"Worker traceback:\n{result.error}"
-                )
-        if metrics_on:
-            METRICS.inc("parallel.repetitions", len(results))
-            METRICS.gauge_max("parallel.workers", workers)
-        for result in results:
-            _fold_observability(result, metrics_on)
-        return collect_repetitions(
-            (result.index, result.seed, result.values)
-            for result in results
-        )
-
-    # -- resilient path ---------------------------------------------------
-
-    def _run_resilient(self, measure: MeasureFn, workers: int
-                       ) -> RepeatedResult:
-        """Round-based execution with retry, timeout and degradation.
-
-        Retried repetitions re-derive the **same** seed, so a recovered
-        run's :class:`RepeatedResult` is byte-identical to a fault-free
-        one; metrics snapshots from *every* returned attempt (success or
-        failure) are merged so no completed work is discarded.  The
-        persistent pool survives across rounds (and across runs) — it is
-        invalidated, never discarded, when broken by a crash or an
-        abandoned hung worker.
-        """
-        seeds = [derive_rep_seed(self.base_seed, repetition)
-                 for repetition in range(self.reps)]
-        fn_blob = _encode_fn(measure) if workers > 1 else None
-        parallel_ok = fn_blob is not None
-        metrics_on = METRICS.enabled
-        thash_on = TRACE_HASH.enabled
-        hash_group = TRACE_HASH.begin_group() if thash_on else 0
-        completed: Dict[int, Dict[str, float]] = {}
-        failures: Dict[int, str] = {}
-        pending = list(range(self.reps))
-        pool = get_pool(self.jobs) if parallel_ok else None
-        context = build_task_context() if parallel_ok else None
-        run_token = next_run_token() if parallel_ok else 0
+                    METRICS.observe("parallel.worker_wall_s", wall)
+                return _resolved(WorkerResult("rep", repetition, seed,
+                                              error=error, values=values))
         try:
-            for round_no in range(self.retries + 1):
-                if not pending:
-                    break
-                if round_no > 0:
-                    time.sleep(_backoff_s(round_no))
-                    RUNLOG.retries += len(pending)
-                    if metrics_on:
-                        METRICS.inc("parallel.retries", len(pending))
-                if parallel_ok:
-                    pending = self._parallel_round(
-                        pool, fn_blob, seeds, pending, round_no, context,
-                        run_token, completed, failures, metrics_on,
-                        hash_group)
-                else:
-                    pending = self._serial_round(
-                        measure, seeds, pending, round_no,
-                        completed, failures, metrics_on, hash_group)
+            done, failures = _run_rounds(
+                self.reps, submit, pool, lambda repetition: repetition,
+                self.retries, self.task_timeout_s,
+                timers=pool is not None)
         finally:
             if thash_on:
                 TRACE_HASH.clear_context()
         if metrics_on:
-            METRICS.inc("parallel.repetitions", len(completed))
-            if parallel_ok:
+            METRICS.inc("parallel.repetitions", len(done))
+            if pool is not None:
                 METRICS.gauge_max("parallel.workers", workers)
-        return self._fold(seeds, completed, failures, metrics_on)
+        return self._fold(seeds, done, failures, metrics_on)
 
-    def _parallel_round(self, pool, fn_blob, seeds, pending, round_no,
-                        context, run_token, completed, failures,
-                        metrics_on, hash_group=0):
-        """One submission round over the persistent pool; returns the
-        still-pending repetitions.  A broken/hung pool is invalidated
-        (shut down without waiting) and rebuilt lazily on the next
-        dispatch."""
-        try:
-            futures = {
-                repetition: pool.submit(
-                    _rep_spec(fn_blob, repetition, seeds[repetition],
-                              round_no, hash_group, context, run_token))
-                for repetition in pending
-            }
-        except Exception as exc:
-            # A worker died idle between rounds: fail the whole round,
-            # which retries on a rebuilt pool.
-            pool.invalidate()
-            for repetition in pending:
-                failures[repetition] = f"worker pool broke: {exc}"
-            return list(pending)
-        still_pending: List[int] = []
-        pool_broken = False
-        for repetition in pending:
-            future = futures[repetition]
-            try:
-                wire = future.result(timeout=self.task_timeout_s)
-            except FutureTimeoutError:
-                future.cancel()
-                pool.abandon(future)
-                RUNLOG.timeouts += 1
-                if metrics_on:
-                    METRICS.inc("parallel.timeouts")
-                failures[repetition] = (
-                    f"timed out after {self.task_timeout_s}s")
-                still_pending.append(repetition)
-                pool_broken = True  # the hung worker occupies a slot
-                continue
-            except Exception as exc:
-                # A crashed worker takes its fault tally with it; the
-                # decision is deterministic, so account it parent-side.
-                if FAULTS.enabled and FAULTS.would_fire(
-                        "worker.crash", key=repetition, attempt=round_no):
-                    FAULTS.record("worker.crash")
-                failures[repetition] = f"worker pool broke: {exc}"
-                still_pending.append(repetition)
-                pool_broken = True
-                continue
-            try:
-                result = WorkerResult.from_wire(wire)
-            except WorkerResultError as exc:
-                if metrics_on:
-                    METRICS.inc("parallel.payload_quarantined")
-                failures[repetition] = f"untrusted worker result: {exc}"
-                still_pending.append(repetition)
-                continue
-            _fold_observability(result, metrics_on)
-            if result.error is None:
-                completed[repetition] = result.values
-            else:
-                failures[repetition] = result.error
-                still_pending.append(repetition)
-        if pool_broken:
-            pool.invalidate()
-        return still_pending
-
-    def _serial_round(self, measure, seeds, pending, round_no,
-                      completed, failures, metrics_on, hash_group=0):
-        """In-process round (one worker, or unpicklable ``measure``).
-
-        Runs in the parent: process-level sites (``worker.crash`` /
-        ``worker.hang``) stay quiet and the parent metrics registry is
-        never reset (the trace-hash recorder likewise accumulates
-        in-parent, under the same ``g<group>/rep<n>`` context labels the
-        worker path uses); ``task_timeout_s`` cannot interrupt
-        in-process work and is ignored here.
-        """
-        still_pending: List[int] = []
-        for repetition in pending:
-            (_rep, _seed, metrics, error, _qw, wall, _snap,
-             _thash) = _run_repetition(
-                measure, repetition, seeds[repetition], 0.0, round_no,
-                in_worker=False, snapshot_registry=False,
-                hash_group=hash_group)
-            if metrics_on:
-                METRICS.observe("parallel.worker_wall_s", wall)
-            if error is None:
-                completed[repetition] = metrics
-            else:
-                failures[repetition] = error
-                still_pending.append(repetition)
-        return still_pending
-
-    def _fold(self, seeds, completed, failures, metrics_on
-              ) -> RepeatedResult:
-        """Collect successes; degrade via ``min_reps`` or fail fast."""
-        failed = [r for r in range(self.reps) if r not in completed]
+    def _fold(self, seeds, done, failures, metrics_on) -> RepeatedResult:
+        """Collect successes; degrade via ``min_reps`` or raise."""
         dropped: List[Dict[str, Any]] = []
-        if failed:
-            if self.min_reps is None or len(completed) < self.min_reps:
-                first = failed[0]
-                raise ExperimentError(
-                    f"repetition {first} (seed {seeds[first]}) failed "
-                    f"after {self.retries + 1} attempt(s) "
-                    f"({len(completed)} of {self.reps} repetitions "
-                    f"completed); reproduce with measure({seeds[first]}).\n"
-                    f"Worker traceback:\n{failures[first]}"
-                )
-            dropped = [
-                {"repetition": r, "seed": seeds[r],
-                 "error": failures[r].strip().splitlines()[-1]
-                 if failures[r].strip() else "unknown",
-                 "traceback": failures[r]}
-                for r in failed
-            ]
+        if failures:
+            if self.min_reps is None or len(done) < self.min_reps:
+                first = min(failures)
+                raise _failure_error(
+                    f"repetition {first} (seed {seeds[first]})",
+                    "repetitions", self.reps, len(done), self.retries + 1,
+                    failures[first],
+                    f"; reproduce with measure({seeds[first]})")
+            for r in sorted(failures):
+                broke_pool, text = failures[r]
+                if broke_pool:
+                    text = f"worker pool broke: {text}"
+                dropped.append({
+                    "repetition": r, "seed": seeds[r],
+                    "error": text.strip().splitlines()[-1]
+                    if text.strip() else "unknown",
+                    "traceback": text})
             RUNLOG.dropped.extend(dropped)
             if metrics_on:
                 METRICS.inc("parallel.dropped", len(dropped))
         result = collect_repetitions(
-            (repetition, seeds[repetition], completed[repetition])
-            for repetition in sorted(completed)
+            (repetition, seeds[repetition], done[repetition].values)
+            for repetition in sorted(done)
         )
         result.dropped = dropped
         return result

@@ -41,7 +41,7 @@ Shared-memory ownership and cleanup rules
   the transport, even when verification fails;
 * a size or digest mismatch (truncated/corrupt payload) raises
   :class:`WorkerResultError` — the task is *quarantined*: treated as a
-  task failure (and therefore retried on the resilient path), never
+  task failure (and therefore retried when retries are in force), never
   silently folded in;
 * results abandoned mid-flight (timed-out round, broken pool) are
   tracked via :meth:`WorkerPool.abandon` and their transports released

@@ -171,7 +171,6 @@ class TestConfigDefaults:
         assert repeater.retries == 2
         assert repeater.task_timeout_s == 90.0
         assert repeater.min_reps == 2
-        assert repeater._resilient
 
     def test_explicit_knobs_beat_config(self):
         with api.activated(api.RunConfig(retries=5)):
@@ -193,6 +192,17 @@ class TestMapShardsResilience:
         results = map_shards(shard_fail_once, tasks, jobs=2, retries=1)
         assert results == [0, 10, 20, 30]
         assert RUNLOG.retries == 4  # every shard failed its first attempt
+        # Retries hold in-process too: at one worker and for an fn that
+        # cannot cross a process boundary.
+        unpicklable = lambda task: shard_fail_once(task)  # noqa: E731
+        for run, (fn, jobs) in enumerate([(shard_fail_once, 1),
+                                          (unpicklable, 2)]):
+            root = tmp_path / f"in-process-{run}"
+            root.mkdir()
+            RUNLOG.clear()
+            tasks = [(index, str(root)) for index in range(4)]
+            assert map_shards(fn, tasks, jobs=jobs, retries=1) == results
+            assert RUNLOG.retries == 4
 
     def test_permanent_failure_reports_attempts_and_progress(self):
         with pytest.raises(ExperimentError) as excinfo:
