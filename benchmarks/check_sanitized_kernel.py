@@ -1,0 +1,87 @@
+"""Run the fleet kernel suites against a sanitised build of ``_cloop.c``.
+
+Compiles the kernel library with AddressSanitizer and
+UndefinedBehaviorSanitizer (``-O1 -g -fsanitize=address,undefined
+-fno-sanitize-recover=undefined``) through the test-only ``flags``
+argument of :func:`repro.fleet.cloop._compile`, then runs the kernel
+suites in a subprocess that preloads the compiler's ``libasan`` and
+``libubsan`` and loads that build instead of the production one.  An
+out-of-bounds access, a use after free or undefined behaviour in either
+kernel (event loop or column sampler) aborts the run.
+
+Exit status 0 when every suite passes on the sanitised build, non-zero
+otherwise (also when no compiler or sanitiser runtime is found: this is
+a check, not a best effort).  Usage::
+
+    PYTHONPATH=src python benchmarks/check_sanitized_kernel.py
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+from repro.fleet import cloop
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SANITIZE_FLAGS = ("-O1", "-g", "-fsanitize=address,undefined",
+                  "-fno-sanitize-recover=undefined")
+
+SUITES = ("tests/test_fleet_fastloop.py",
+          "tests/property/test_prop_fleet_equiv.py",
+          "tests/property/test_prop_fleet_sampler.py")
+
+# Runs inside the sanitised subprocess: every later _compile() call made
+# without explicit flags (the one _load makes) returns the sanitised
+# build, then pytest runs the suites against it.
+BOOTSTRAP = """
+import functools
+import sys
+
+import pytest
+
+from repro.fleet import cloop
+
+cloop._compile = functools.partial(cloop._compile, flags={flags!r})
+assert cloop.available(), "the sanitised kernel failed to load"
+print("sanitised kernel:", cloop._compile(), flush=True)
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", "--capture=sys",
+                      *{suites!r}]))
+"""
+
+
+def runtime(cc: str, name: str) -> str:
+    """Absolute path of the compiler's sanitiser runtime ``name``."""
+    path = subprocess.run([cc, f"-print-file-name={name}"],
+                          capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(path) or not os.path.exists(path):
+        raise SystemExit(f"{cc} has no {name} (got {path!r})")
+    return path
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("suites", nargs="*", default=list(SUITES),
+                        help="pytest targets (default: the kernel suites)")
+    args = parser.parse_args(argv)
+    cc = shutil.which("gcc") or shutil.which("cc")
+    if cc is None:
+        raise SystemExit("no C compiler on PATH")
+    if cloop._compile(flags=SANITIZE_FLAGS) is None:
+        raise SystemExit("the sanitised kernel build failed")
+    env = dict(os.environ)
+    env["LD_PRELOAD"] = ":".join(
+        [runtime(cc, "libasan.so"), runtime(cc, "libubsan.so")])
+    # CPython keeps its interned objects to exit: leak reports are noise
+    env["ASAN_OPTIONS"] = "detect_leaks=0:abort_on_error=1"
+    env["UBSAN_OPTIONS"] = "print_stacktrace=1:halt_on_error=1"
+    code = BOOTSTRAP.format(flags=SANITIZE_FLAGS, suites=tuple(args.suites))
+    return subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          env=env).returncode
+
+
+if __name__ == "__main__":
+    sys.exit(main())

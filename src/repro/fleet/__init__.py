@@ -21,8 +21,8 @@ Layout:
   arrays (CSR session traces) for 100k+-host runs, with
   :class:`FleetHost` kept as a lazy view;
 * :mod:`~repro.fleet.fastrng` / :mod:`~repro.fleet.cloop` — the
-  vectorised PCG64 replica and the compiled event-loop kernel behind
-  the columnar fast path;
+  vectorised PCG64 replica and the compiled kernels (host-column
+  sampler and event loop) behind the columnar fast path;
 * :mod:`~repro.fleet.validation` — the quorum validator;
 * :mod:`~repro.fleet.recovery` — the failure & recovery layer
   (server outages, upload retry/loss, checkpoint rollback,

@@ -1,31 +1,52 @@
-/* The fleet event kernel for fault-free runs, compiled at import time.
+/* The compiled fleet kernels, built on first use by cloop.py.
  *
- * This is a line-for-line transliteration of the fault-free branches of
- * the pure-Python loop in repro/fleet/server.py
- * (`FleetServer._fast_loop_python`; the recovery machine of fault
- * storms is not carried here) — same
- * events, same (time, seq) heap order, same float operations in the
- * same order, so the canonical flat state it produces is byte-identical
- * to the Python fallback's.  Compile with `-ffp-contract=off` (no FMA
- * contraction) so every double op rounds exactly like CPython's; on
- * x86-64 both use SSE2 doubles.
+ * Two entry points share this file and its PCG64 primitives:
  *
- * All memory is owned by Python (numpy arrays); this kernel only reads
- * and writes through the pointers in FleetCtx.  When a buffer would
- * overflow, the kernel returns a pause status *before* consuming the
- * event; the ctypes wrapper grows the buffer, updates the context, and
- * calls fleet_run again — the loop resumes exactly where it stopped.
+ * fleet_sample -- the host-column sampler.  For each host of a build
+ * shard, in host order, it repeats the numpy build of
+ * repro/fleet/columns.py draw for draw: fork_seed (SHA-256 of
+ * "{root}/{name}", first 8 bytes little-endian), numpy's SeedSequence
+ * pool mix, PCG64 seeding and stepping, the 256-layer ziggurat normal
+ * and exponential samplers (tail and wedge paths through libm log1p and
+ * exp, as numpy's Generator does), the phase draw, the availability
+ * clamp and the on/off renewal loop.  Each host's sessions are written
+ * contiguously into a flat CSR buffer.
  *
- * The serve-stream error uniforms are drawn here, not pre-drawn: each
- * host's PCG64 lane (numpy's generator, XSL-RR output, next_double) is
+ * fleet_run -- the event loop of fault-free runs, a line-for-line
+ * transliteration of the fault-free branches of the pure-Python loop in
+ * repro/fleet/server.py (`FleetServer._fast_loop_python`; the recovery
+ * machine of fault storms is not carried here) -- same events, same
+ * (time, seq) heap order.
+ *
+ * Both keep every float operation of their Python twins in the same
+ * order, so the arrays they fill are byte-identical to the Python
+ * fallbacks'.  Compile with `-ffp-contract=off` (no FMA contraction) so
+ * every double op rounds exactly like CPython's and numpy's; on x86-64
+ * all of them use SSE2 doubles.
+ *
+ * All memory is owned by Python (numpy arrays); the kernels only read
+ * and write through the pointers in their context structs.  When a
+ * buffer would overflow, a kernel returns a pause status *before*
+ * consuming the event (or, for the sampler, before finishing the host);
+ * the ctypes wrapper grows the buffer, updates the context, and calls
+ * again -- the run resumes exactly where it stopped.
+ *
+ * The serve-stream error uniforms of fleet_run are drawn here, not
+ * pre-drawn: each host's PCG64 lane (XSL-RR output, next_double) is
  * stepped on demand through unsigned __int128 arithmetic.  A compiler
- * without that type fails the build, and the run takes the Python loop.
+ * without that type fails the build, and both kernels fall back to
+ * Python.
  *
  * Every struct field is 8 bytes wide (int64/double/pointer) so the
- * layout matches the ctypes.Structure in cloop.py with no padding.
+ * layouts match the ctypes.Structures in cloop.py with no padding;
+ * fleet_ctx_layout/sample_ctx_layout export sizeof and every offsetof
+ * so the test suite can assert that.
  */
 
+#include <math.h>
+#include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 #ifndef __SIZEOF_INT128__
 #error "the serve-stream PCG64 needs unsigned __int128"
@@ -146,21 +167,29 @@ static void heap_pop(FleetCtx *c, double *t, uint64_t *pay)
     c->h_pay[i] = lp;
 }
 
+/* PCG64's XSL-RR output of a freshly stepped 128-bit state. */
+static inline uint64_t xsl_rr(u128 st)
+{
+    uint64_t lo = (uint64_t)st;
+    uint64_t hi = (uint64_t)(st >> 64);
+    uint64_t value = hi ^ lo;
+    unsigned rot = (unsigned)(hi >> 58);
+    return (value >> rot) | (value << ((64u - rot) & 63u));
+}
+
+/* numpy's next_double: (u64 >> 11) * 2^-53 */
+#define D53 (1.0 / 9007199254740992.0)
+
 /* The next uniform of host h's serve stream: one PCG64 step, the
- * XSL-RR output, then (u64 >> 11) * 2^-53 — numpy's next_double. */
+ * XSL-RR output, then next_double. */
 static double serve_uniform(FleetCtx *c, int64_t h)
 {
     u128 st = (((u128)c->pcg_hi[h]) << 64) | c->pcg_lo[h];
     u128 inc = (((u128)c->inc_hi[h]) << 64) | c->inc_lo[h];
     st = st * PCG_MULT + inc;
-    uint64_t lo = (uint64_t)st;
-    uint64_t hi = (uint64_t)(st >> 64);
-    c->pcg_lo[h] = lo;
-    c->pcg_hi[h] = hi;
-    uint64_t value = hi ^ lo;
-    unsigned rot = (unsigned)(hi >> 58);
-    uint64_t out = (value >> rot) | (value << ((64u - rot) & 63u));
-    return (double)(out >> 11) * (1.0 / 9007199254740992.0);
+    c->pcg_lo[h] = (uint64_t)st;
+    c->pcg_hi[h] = (uint64_t)(st >> 64);
+    return (double)(xsl_rr(st) >> 11) * D53;
 }
 
 static void need_append(FleetCtx *c, int32_t wid)
@@ -386,4 +415,433 @@ int fleet_run(FleetCtx *c)
             }
         }
     }
+}
+
+/* ---- the host-column sampler --------------------------------------- */
+
+#define ST_GROW_SESS 5
+
+/* Spawn-key rows of SampleCtx.spawn: the named streams of one host. */
+enum { S_SPEED, S_AVAIL, S_DEPARTURE, S_PHASE, S_ON, S_OFF, N_STREAMS };
+
+typedef struct {
+    /* host range [start, stop); next is the resume point */
+    int64_t start, stop, next;
+    /* fork root "{seed}/host-" as bytes (any Python int seed) */
+    const uint8_t *root;
+    int64_t root_len;
+    int64_t draw_speed;         /* 0 when host_gflops_sigma == 0 */
+    double avail_mean, avail_spread, avail_floor, avail_ceil;
+    double horizon, departure_mean, session_mean;
+    const uint32_t *spawn;      /* N_STREAMS x 4 spawn-key words */
+    /* numpy's ziggurat tables (repro/fleet/_zigdata.py) */
+    const uint64_t *ki_nor, *ke_exp;
+    const double *wi_nor, *fi_nor, *we_exp, *fe_exp;
+    double nor_r, nor_inv_r, exp_r;
+    /* per-host outputs, indexed by host - start */
+    double *speed_z, *avail, *departure;
+    uint64_t *serve;
+    int64_t *count;
+    /* every host's sessions, contiguous in host order (growable) */
+    double *s_starts, *s_ends;
+    int64_t s_len, s_cap;
+} SampleCtx;
+
+/* -- SHA-256 (FIPS 180-4), just enough for fork_seed -- */
+
+typedef struct {
+    uint32_t h[8];
+    uint8_t buf[64];
+    uint64_t len;               /* bytes absorbed so far */
+} Sha256;
+
+static const uint32_t SHA_K[64] = {
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
+    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
+    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
+    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
+    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
+    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
+    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
+    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
+    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
+};
+
+#define ROTR32(x, n) (((x) >> (n)) | ((x) << (32 - (n))))
+
+static void sha_block(uint32_t h[8], const uint8_t *p)
+{
+    uint32_t w[64];
+    for (int i = 0; i < 16; i++)
+        w[i] = ((uint32_t)p[4 * i] << 24) | ((uint32_t)p[4 * i + 1] << 16)
+               | ((uint32_t)p[4 * i + 2] << 8) | (uint32_t)p[4 * i + 3];
+    for (int i = 16; i < 64; i++) {
+        uint32_t s0 = ROTR32(w[i - 15], 7) ^ ROTR32(w[i - 15], 18)
+                      ^ (w[i - 15] >> 3);
+        uint32_t s1 = ROTR32(w[i - 2], 17) ^ ROTR32(w[i - 2], 19)
+                      ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    uint32_t a = h[0], b = h[1], c = h[2], d = h[3];
+    uint32_t e = h[4], f = h[5], g = h[6], hh = h[7];
+    for (int i = 0; i < 64; i++) {
+        uint32_t t1 = hh + (ROTR32(e, 6) ^ ROTR32(e, 11) ^ ROTR32(e, 25))
+                      + ((e & f) ^ (~e & g)) + SHA_K[i] + w[i];
+        uint32_t t2 = (ROTR32(a, 2) ^ ROTR32(a, 13) ^ ROTR32(a, 22))
+                      + ((a & b) ^ (a & c) ^ (b & c));
+        hh = g;
+        g = f;
+        f = e;
+        e = d + t1;
+        d = c;
+        c = b;
+        b = a;
+        a = t1 + t2;
+    }
+    h[0] += a;
+    h[1] += b;
+    h[2] += c;
+    h[3] += d;
+    h[4] += e;
+    h[5] += f;
+    h[6] += g;
+    h[7] += hh;
+}
+
+static void sha_init(Sha256 *s)
+{
+    static const uint32_t iv[8] = {
+        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+        0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+    };
+    memcpy(s->h, iv, sizeof iv);
+    s->len = 0;
+}
+
+static void sha_update(Sha256 *s, const uint8_t *data, size_t n)
+{
+    size_t fill = (size_t)(s->len & 63);
+    s->len += n;
+    if (fill) {
+        size_t take = 64 - fill < n ? 64 - fill : n;
+        memcpy(s->buf + fill, data, take);
+        data += take;
+        n -= take;
+        if (fill + take < 64)
+            return;
+        sha_block(s->h, s->buf);
+    }
+    for (; n >= 64; data += 64, n -= 64)
+        sha_block(s->h, data);
+    memcpy(s->buf, data, n);
+}
+
+static void sha_final(Sha256 *s, uint8_t out[32])
+{
+    uint64_t bits = s->len * 8;
+    size_t fill = (size_t)(s->len & 63);
+    s->buf[fill++] = 0x80;
+    if (fill > 56) {
+        memset(s->buf + fill, 0, 64 - fill);
+        sha_block(s->h, s->buf);
+        fill = 0;
+    }
+    memset(s->buf + fill, 0, 56 - fill);
+    for (int i = 0; i < 8; i++)
+        s->buf[56 + i] = (uint8_t)(bits >> (56 - 8 * i));
+    sha_block(s->h, s->buf);
+    for (int i = 0; i < 8; i++) {
+        out[4 * i] = (uint8_t)(s->h[i] >> 24);
+        out[4 * i + 1] = (uint8_t)(s->h[i] >> 16);
+        out[4 * i + 2] = (uint8_t)(s->h[i] >> 8);
+        out[4 * i + 3] = (uint8_t)s->h[i];
+    }
+}
+
+/* SHA-256 of msg[0:len] into out[0:32]; exported for the test suite. */
+void fleet_sha256(const uint8_t *msg, int64_t len, uint8_t *out)
+{
+    Sha256 s;
+    sha_init(&s);
+    sha_update(&s, msg, (size_t)len);
+    sha_final(&s, out);
+}
+
+/* Decimal digits of v into buf (no terminator); returns the length. */
+static size_t format_u64(uint64_t v, char *buf)
+{
+    char tmp[20];
+    size_t n = 0;
+    do {
+        tmp[n++] = (char)('0' + v % 10);
+        v /= 10;
+    } while (v);
+    for (size_t i = 0; i < n; i++)
+        buf[i] = tmp[n - 1 - i];
+    return n;
+}
+
+/* fork_seed: the first 8 bytes, little-endian, of SHA-256(prefix||tail). */
+static uint64_t fork_seed(const uint8_t *prefix, size_t plen,
+                          const char *tail, size_t tlen)
+{
+    Sha256 s;
+    uint8_t digest[32];
+    sha_init(&s);
+    sha_update(&s, prefix, plen);
+    sha_update(&s, (const uint8_t *)tail, tlen);
+    sha_final(&s, digest);
+    uint64_t v = 0;
+    for (int i = 7; i >= 0; i--)
+        v = (v << 8) | digest[i];
+    return v;
+}
+
+/* fork_seed(parent, name) for a uint64 parent: "{parent}/{name}". */
+static uint64_t fork_child(uint64_t parent, const char *name)
+{
+    char buf[40];
+    size_t n = format_u64(parent, buf);
+    buf[n++] = '/';
+    size_t m = strlen(name);
+    memcpy(buf + n, name, m);
+    return fork_seed((const uint8_t *)buf, n + m, "", 0);
+}
+
+/* -- numpy's SeedSequence -> PCG64 seeding -- */
+
+#define SS_INIT_A 0x43b0d7e5u
+#define SS_MULT_A 0x931e8875u
+#define SS_INIT_B 0x8b51f9ddu
+#define SS_MULT_B 0x58f38dedu
+#define SS_MIX_L 0xca01f9ddu
+#define SS_MIX_R 0x4973f715u
+
+typedef struct {
+    u128 state, inc;
+} Pcg;
+
+static inline uint32_t ss_hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= SS_MULT_A;
+    value *= *hash_const;
+    return value ^ (value >> 16);
+}
+
+static inline uint32_t ss_mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = x * SS_MIX_L - y * SS_MIX_R;
+    return result ^ (result >> 16);
+}
+
+/* RngStreams(entropy).stream(name) with name's spawn-key words. */
+static Pcg pcg_seeded(uint64_t entropy, const uint32_t spawn[4])
+{
+    uint32_t assembled[8] = {
+        (uint32_t)entropy, (uint32_t)(entropy >> 32), 0, 0,
+        spawn[0], spawn[1], spawn[2], spawn[3],
+    };
+    uint32_t pool[4];
+    uint32_t hc = SS_INIT_A;
+    for (int i = 0; i < 4; i++)
+        pool[i] = ss_hashmix(assembled[i], &hc);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = ss_mix(pool[dst], ss_hashmix(pool[src], &hc));
+    for (int src = 4; src < 8; src++)
+        for (int dst = 0; dst < 4; dst++)
+            pool[dst] = ss_mix(pool[dst], ss_hashmix(assembled[src], &hc));
+    uint32_t out32[8];
+    uint32_t hb = SS_INIT_B;
+    for (int i = 0; i < 8; i++) {
+        uint32_t v = pool[i % 4] ^ hb;
+        hb *= SS_MULT_B;
+        v *= hb;
+        out32[i] = v ^ (v >> 16);
+    }
+    uint64_t w[4];
+    for (int i = 0; i < 4; i++)
+        w[i] = (uint64_t)out32[2 * i] | ((uint64_t)out32[2 * i + 1] << 32);
+    Pcg p;
+    p.inc = (((((u128)w[2]) << 64) | w[3]) << 1) | 1;
+    u128 seed = (((u128)w[0]) << 64) | w[1];
+    p.state = (p.inc + seed) * PCG_MULT + p.inc;
+    return p;
+}
+
+static inline uint64_t pcg_next(Pcg *p)
+{
+    p->state = p->state * PCG_MULT + p->inc;
+    return xsl_rr(p->state);
+}
+
+static inline double pcg_double(Pcg *p)
+{
+    return (double)(pcg_next(p) >> 11) * D53;
+}
+
+/* numpy's random_standard_normal: the 256-layer ziggurat. */
+static double std_normal(const SampleCtx *c, Pcg *p)
+{
+    for (;;) {
+        uint64_t r = pcg_next(p);
+        int idx = (int)(r & 0xff);
+        r >>= 8;
+        int sign = (int)(r & 0x1);
+        uint64_t rabs = (r >> 1) & 0x000fffffffffffffULL;
+        double x = (double)rabs * c->wi_nor[idx];
+        if (rabs < c->ki_nor[idx])
+            return sign ? -x : x;
+        if (idx == 0) {
+            /* the tail: its sign is bit 8 of rabs, as in numpy */
+            for (;;) {
+                double xx = -c->nor_inv_r * log1p(-pcg_double(p));
+                double yy = -log1p(-pcg_double(p));
+                if (yy + yy > xx * xx)
+                    return ((rabs >> 8) & 0x1) ? -(c->nor_r + xx)
+                                               : c->nor_r + xx;
+            }
+        }
+        if ((c->fi_nor[idx - 1] - c->fi_nor[idx]) * pcg_double(p)
+                + c->fi_nor[idx] < exp(-0.5 * x * x))
+            return sign ? -x : x;
+    }
+}
+
+/* numpy's random_standard_exponential: the 256-layer ziggurat. */
+static double std_exp(const SampleCtx *c, Pcg *p)
+{
+    for (;;) {
+        uint64_t ri = pcg_next(p) >> 3;
+        int idx = (int)(ri & 0xff);
+        ri >>= 8;
+        double x = (double)ri * c->we_exp[idx];
+        if (ri < c->ke_exp[idx])
+            return x;
+        if (idx == 0)
+            return c->exp_r - log1p(-pcg_double(p));
+        if ((c->fe_exp[idx - 1] - c->fe_exp[idx]) * pcg_double(p)
+                + c->fe_exp[idx] < exp(-x))
+            return x;
+    }
+}
+
+/* Sample hosts next..stop-1 of the shard.  Returns ST_GROW_SESS, with
+ * the unfinished host's sessions rolled back, when the session buffer
+ * is full; the host is then redrawn from its seed on resume. */
+int fleet_sample(SampleCtx *c)
+{
+    char digits[20];
+    for (; c->next < c->stop; c->next++) {
+        int64_t k = c->next - c->start;
+        int64_t mark = c->s_len;
+        size_t nd = format_u64((uint64_t)c->next, digits);
+        uint64_t child = fork_seed(c->root, (size_t)c->root_len,
+                                   digits, nd);
+        uint64_t trace = fork_child(child, "trace");
+        c->serve[k] = fork_child(child, "serve");
+
+        if (c->draw_speed) {
+            Pcg sp = pcg_seeded(child, c->spawn + 4 * S_SPEED);
+            c->speed_z[k] = std_normal(c, &sp);
+        }
+        Pcg av = pcg_seeded(child, c->spawn + 4 * S_AVAIL);
+        double a = c->avail_mean + c->avail_spread * std_normal(c, &av);
+        a = c->avail_floor > a ? c->avail_floor : a;
+        a = c->avail_ceil < a ? c->avail_ceil : a;
+        c->avail[k] = a;
+
+        Pcg dep = pcg_seeded(trace, c->spawn + 4 * S_DEPARTURE);
+        double departure = std_exp(c, &dep) * c->departure_mean;
+        c->departure[k] = departure;
+        double eow = departure < c->horizon ? departure : c->horizon;
+        Pcg ph = pcg_seeded(trace, c->spawn + 4 * S_PHASE);
+        int on = pcg_double(&ph) < a;
+        double off_mean = c->session_mean * (1.0 - a) / a;
+        Pcg on_pcg = pcg_seeded(trace, c->spawn + 4 * S_ON);
+        Pcg off_pcg = pcg_seeded(trace, c->spawn + 4 * S_OFF);
+        double t = 0.0;
+        if (!on)
+            t = std_exp(c, &off_pcg) * off_mean;
+        while (t < eow) {
+            if (c->s_len >= c->s_cap) {
+                c->s_len = mark;
+                return ST_GROW_SESS;
+            }
+            double length = std_exp(c, &on_pcg) * c->session_mean;
+            double t_next = t + length;
+            c->s_starts[c->s_len] = t;
+            c->s_ends[c->s_len] = t_next < eow ? t_next : eow;
+            c->s_len++;
+            t = t_next + std_exp(c, &off_pcg) * off_mean;
+        }
+        c->count[k] = c->s_len - mark;
+    }
+    return ST_DONE;
+}
+
+/* ---- ABI guard: sizeof, then every offsetof in declaration order ---- */
+
+#define OFF(type, field) out[k++] = (int64_t)offsetof(type, field)
+
+int64_t fleet_ctx_layout(int64_t *out)
+{
+    int64_t k = 0;
+    out[k++] = (int64_t)sizeof(FleetCtx);
+    OFF(FleetCtx, n); OFF(FleetCtx, nwu); OFF(FleetCtx, quorum);
+    OFF(FleetCtx, max_replicas); OFF(FleetCtx, horizon);
+    OFF(FleetCtx, err_rate); OFF(FleetCtx, n_delays);
+    OFF(FleetCtx, fs); OFF(FleetCtx, fe); OFF(FleetCtx, soff);
+    OFF(FleetCtx, departure); OFF(FleetCtx, an); OFF(FleetCtx, base);
+    OFF(FleetCtx, stretch); OFF(FleetCtx, delays);
+    OFF(FleetCtx, pcg_lo); OFF(FleetCtx, pcg_hi);
+    OFF(FleetCtx, inc_lo); OFF(FleetCtx, inc_hi);
+    OFF(FleetCtx, wu_state); OFF(FleetCtx, wu_validated);
+    OFF(FleetCtx, wu_issued); OFF(FleetCtx, wu_out); OFF(FleetCtx, wu_tmo);
+    OFF(FleetCtx, wu_holders); OFF(FleetCtx, wu_nhold);
+    OFF(FleetCtx, wu_hosts);
+    OFF(FleetCtx, r_wid); OFF(FleetCtx, r_host); OFF(FleetCtx, r_dead);
+    OFF(FleetCtx, r_disp); OFF(FleetCtx, r_flag); OFF(FleetCtx, rep_cap);
+    OFF(FleetCtx, ret_wid); OFF(FleetCtx, ret_host); OFF(FleetCtx, ret_cpu);
+    OFF(FleetCtx, ret_cap);
+    OFF(FleetCtx, need); OFF(FleetCtx, need_head); OFF(FleetCtx, need_count);
+    OFF(FleetCtx, need_cap); OFF(FleetCtx, stash);
+    OFF(FleetCtx, h_t); OFF(FleetCtx, h_seq); OFF(FleetCtx, h_pay);
+    OFF(FleetCtx, heap_len); OFF(FleetCtx, heap_cap);
+    OFF(FleetCtx, waste); OFF(FleetCtx, ucur); OFF(FleetCtx, poll_fail);
+    OFF(FleetCtx, cur);
+    OFF(FleetCtx, seq); OFF(FleetCtx, n_valid); OFF(FleetCtx, n_rep);
+    OFF(FleetCtx, ret_count);
+    OFF(FleetCtx, ok_n); OFF(FleetCtx, err_n); OFF(FleetCtx, stale_n);
+    OFF(FleetCtx, tmo_n); OFF(FleetCtx, red_n);
+    OFF(FleetCtx, err_cpu); OFF(FleetCtx, stale_cpu); OFF(FleetCtx, red_cpu);
+    OFF(FleetCtx, need_peak);
+    return k;
+}
+
+int64_t sample_ctx_layout(int64_t *out)
+{
+    int64_t k = 0;
+    out[k++] = (int64_t)sizeof(SampleCtx);
+    OFF(SampleCtx, start); OFF(SampleCtx, stop); OFF(SampleCtx, next);
+    OFF(SampleCtx, root); OFF(SampleCtx, root_len);
+    OFF(SampleCtx, draw_speed);
+    OFF(SampleCtx, avail_mean); OFF(SampleCtx, avail_spread);
+    OFF(SampleCtx, avail_floor); OFF(SampleCtx, avail_ceil);
+    OFF(SampleCtx, horizon); OFF(SampleCtx, departure_mean);
+    OFF(SampleCtx, session_mean);
+    OFF(SampleCtx, spawn);
+    OFF(SampleCtx, ki_nor); OFF(SampleCtx, ke_exp);
+    OFF(SampleCtx, wi_nor); OFF(SampleCtx, fi_nor);
+    OFF(SampleCtx, we_exp); OFF(SampleCtx, fe_exp);
+    OFF(SampleCtx, nor_r); OFF(SampleCtx, nor_inv_r); OFF(SampleCtx, exp_r);
+    OFF(SampleCtx, speed_z); OFF(SampleCtx, avail); OFF(SampleCtx, departure);
+    OFF(SampleCtx, serve); OFF(SampleCtx, count);
+    OFF(SampleCtx, s_starts); OFF(SampleCtx, s_ends);
+    OFF(SampleCtx, s_len); OFF(SampleCtx, s_cap);
+    return k;
 }

@@ -1,23 +1,33 @@
-"""Compile-on-first-use ctypes driver for the fleet event kernel.
+"""Compile-on-first-use ctypes driver for the compiled fleet kernels.
 
-The hot event loop of fault-free fleet runs lives in ``_cloop.c``, a
-straight transliteration of the fault-free branches of
-``FleetServer._fast_loop_python`` (storm runs always take the Python
-loop, which alone carries the recovery machine).  This
-module compiles it with the system C compiler on first use (cached in
-the temp directory, keyed by a hash of the source), loads it through
-:mod:`ctypes`, and drives the pause/resume protocol: the kernel returns
-to Python whenever a growable buffer would overflow, the driver grows
-the numpy buffer and resumes.  The serve-stream error uniforms never
-cross the boundary: each host's PCG64 lane is handed over once as
-64-bit state and increment halves, and the kernel steps it on demand.
-Everything the kernel touches is a numpy array owned here, so the
-canonical flat state comes back with zero copying.
+``_cloop.c`` holds two kernels that share one ``.so``:
+
+* the **host-column sampler** (:func:`sample_columns`), the compiled
+  twin of the numpy build in :mod:`repro.fleet.columns`: per host, in
+  host order, the same ``fork_seed`` SHA-256 forks, SeedSequence mixing,
+  PCG64 streams, ziggurat draws and on/off renewal loop, written straight
+  into a CSR session buffer;
+* the **event loop** of fault-free fleet runs (:func:`run_event_loop`),
+  a straight transliteration of the fault-free branches of
+  ``FleetServer._fast_loop_python`` (storm runs always take the Python
+  loop, which alone carries the recovery machine).
+
+This module compiles the source with the system C compiler on first use
+(cached in the temp directory, keyed by a hash of the source and the
+compiler flags), loads it through :mod:`ctypes`, and drives the
+pause/resume protocol: a kernel returns to Python whenever a growable
+buffer would overflow, the driver grows the numpy buffer and resumes.
+The serve-stream error uniforms never cross the boundary: each host's
+PCG64 lane is handed over once as 64-bit state and increment halves,
+and the event kernel steps it on demand.  Everything the kernels touch
+is a numpy array owned here, so their outputs come back with zero
+copying.
 
 No compiler, a failed compile (including a compiler without
 ``unsigned __int128``), or ``REPRO_NO_CLOOP=1`` all degrade to
-``run_event_loop`` returning ``None``; the server then runs the
-pure-Python fallback loop, which produces byte-identical state.
+``sample_columns`` and ``run_event_loop`` returning ``None``; callers
+then run the numpy build and the pure-Python loop, which produce
+byte-identical state.
 """
 
 from __future__ import annotations
@@ -29,13 +39,26 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fleet.fastrng import VecPcg
+from repro.fleet._zigdata import (
+    EXP_R,
+    FE_EXP,
+    FI_NOR,
+    KE_EXP,
+    KI_NOR,
+    NOR_INV_R,
+    NOR_R,
+    WE_EXP,
+    WI_NOR,
+)
+from repro.fleet.config import FleetConfig
+from repro.fleet.fastrng import VecPcg, spawn_key_words
+from repro.fleet.host import AVAILABILITY_CEIL, AVAILABILITY_FLOOR
 
-__all__ = ["available", "run_event_loop"]
+__all__ = ["available", "run_event_loop", "sample_columns"]
 
 _SRC = Path(__file__).with_name("_cloop.c")
 
@@ -44,6 +67,7 @@ _ST_GROW_HEAP = 1
 _ST_GROW_NEED = 2
 _ST_GROW_REP = 3
 _ST_GROW_RET = 4
+_ST_GROW_SESS = 5
 
 _K_REQUEST = 0
 
@@ -84,16 +108,60 @@ class _FleetCtx(ctypes.Structure):
     ]
 
 
+class _SampleCtx(ctypes.Structure):
+    """Mirror of the C ``SampleCtx`` (all fields 8 bytes, as above)."""
+
+    _fields_ = [
+        ("start", _I), ("stop", _I), ("next", _I),
+        ("root", _P), ("root_len", _I),
+        ("draw_speed", _I),
+        ("avail_mean", _D), ("avail_spread", _D),
+        ("avail_floor", _D), ("avail_ceil", _D),
+        ("horizon", _D), ("departure_mean", _D), ("session_mean", _D),
+        ("spawn", _P),
+        ("ki_nor", _P), ("ke_exp", _P),
+        ("wi_nor", _P), ("fi_nor", _P), ("we_exp", _P), ("fe_exp", _P),
+        ("nor_r", _D), ("nor_inv_r", _D), ("exp_r", _D),
+        ("speed_z", _P), ("avail", _P), ("departure", _P),
+        ("serve", _P), ("count", _P),
+        ("s_starts", _P), ("s_ends", _P),
+        ("s_len", _I), ("s_cap", _I),
+    ]
+
+
+#: The sampler's named streams, in the C ``S_*`` row order.
+_STREAMS = ("speed", "avail", "churn.departure", "churn.phase",
+            "churn.on", "churn.off")
+_SPAWN = np.array([spawn_key_words(name) for name in _STREAMS],
+                  dtype=np.uint32).ravel()
+#: numpy's ziggurat tables, handed to the sampler as pointers.
+_ZIG = {"ki_nor": np.array(KI_NOR, dtype=np.uint64),
+        "ke_exp": np.array(KE_EXP, dtype=np.uint64),
+        "wi_nor": np.array(WI_NOR, dtype=np.float64),
+        "fi_nor": np.array(FI_NOR, dtype=np.float64),
+        "we_exp": np.array(WE_EXP, dtype=np.float64),
+        "fe_exp": np.array(FE_EXP, dtype=np.float64)}
+
+#: Optimisation flags of the production build.
+_OPT_FLAGS = ("-O2",)
+
 _lib: Optional[ctypes.CDLL] = None
 _tried = False
 
 
-def _compile() -> Optional[str]:
+def _compile(flags: Sequence[str] = _OPT_FLAGS) -> Optional[str]:
+    """Build (or reuse) the kernel library; its path, or ``None``.
+
+    ``flags`` replaces the optimisation flags, for test builds such as a
+    sanitised one; the ``.so`` name hashes them with the source, so each
+    flag set gets its own cached library.
+    """
     cc = shutil.which("gcc") or shutil.which("cc")
     if cc is None:
         return None
     source = _SRC.read_bytes()
-    digest = hashlib.sha256(source).hexdigest()[:16]
+    digest = hashlib.sha256(
+        source + "\0".join(flags).encode()).hexdigest()[:16]
     tag = getattr(os, "getuid", lambda: 0)()
     so_path = os.path.join(
         tempfile.gettempdir(), f"repro_cloop_{digest}_{tag}.so")
@@ -105,8 +173,8 @@ def _compile() -> Optional[str]:
         # -ffp-contract=off: no FMA contraction, so every double op
         # rounds exactly as CPython's interpreter does (SSE2 doubles)
         result = subprocess.run(
-            [cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off",
-             "-o", tmp, str(_SRC)],
+            [cc, *flags, "-fPIC", "-shared", "-ffp-contract=off",
+             "-o", tmp, str(_SRC), "-lm"],
             capture_output=True, timeout=120)
         if result.returncode != 0:
             os.unlink(tmp)
@@ -134,13 +202,25 @@ def _load() -> Optional[ctypes.CDLL]:
     if so_path is None:
         return None
     try:
-        lib = ctypes.CDLL(so_path)
-        lib.fleet_run.argtypes = [ctypes.POINTER(_FleetCtx)]
-        lib.fleet_run.restype = ctypes.c_int
+        _lib = _open(so_path)
     except OSError:
         return None
-    _lib = lib
     return _lib
+
+
+def _open(so_path: str) -> ctypes.CDLL:
+    """Load a kernel library and declare its entry points."""
+    lib = ctypes.CDLL(so_path)
+    lib.fleet_run.argtypes = [ctypes.POINTER(_FleetCtx)]
+    lib.fleet_run.restype = ctypes.c_int
+    lib.fleet_sample.argtypes = [ctypes.POINTER(_SampleCtx)]
+    lib.fleet_sample.restype = ctypes.c_int
+    for name in ("fleet_ctx_layout", "sample_ctx_layout"):
+        getattr(lib, name).argtypes = [ctypes.POINTER(_I)]
+        getattr(lib, name).restype = _I
+    lib.fleet_sha256.argtypes = [ctypes.c_char_p, _I, ctypes.c_char_p]
+    lib.fleet_sha256.restype = None
+    return lib
 
 
 def available() -> bool:
@@ -357,6 +437,82 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
         "r_flag": r_flag[:n_rep],
         "waste": waste,
     }
+
+
+def sample_columns(config: FleetConfig, start: int,
+                   stop: int) -> Optional[Dict[str, Any]]:
+    """Sample hosts ``[start, stop)`` in C; ``None`` if the kernel is absent.
+
+    Returns the columns of :func:`repro.fleet.columns._sample_shard_columns`
+    before the speed factor: ``speed_z`` holds the raw normal draws of
+    the ``"speed"`` stream (``None`` at ``host_gflops_sigma == 0``, where
+    the object path draws nothing), the rest are final.
+    """
+    if not 0 <= start <= stop:
+        raise ValueError(f"bad host range [{start}, {stop})")
+    lib = _load()
+    if lib is None:
+        return None
+    n = stop - start
+    draw_speed = config.host_gflops_sigma != 0.0
+    root = np.frombuffer(f"{config.seed}/host-".encode(), dtype=np.uint8)
+    speed_z = np.empty(n if draw_speed else 0, dtype=np.float64)
+    avail = np.empty(n, dtype=np.float64)
+    departure = np.empty(n, dtype=np.float64)
+    serve = np.empty(n, dtype=np.uint64)
+    count = np.empty(n, dtype=np.int64)
+    # room for horizon / session_mean + 2 sessions per host (the mean
+    # count is lower: ~5 a day at the default churn), capped at 64; the
+    # buffer doubles whenever a host would overflow it
+    per_host = min(64, int(config.duration_s / config.session_mean_s) + 2)
+    s_cap = max(1024, n * per_host)
+    s_starts = np.empty(s_cap, dtype=np.float64)
+    s_ends = np.empty(s_cap, dtype=np.float64)
+
+    ctx = _SampleCtx()
+    ctx.start = ctx.next = start
+    ctx.stop = stop
+    ctx.root = _addr(root)
+    ctx.root_len = len(root)
+    ctx.draw_speed = int(draw_speed)
+    ctx.avail_mean = config.availability_mean
+    ctx.avail_spread = config.availability_spread
+    ctx.avail_floor = AVAILABILITY_FLOOR
+    ctx.avail_ceil = AVAILABILITY_CEIL
+    ctx.horizon = config.duration_s
+    ctx.departure_mean = config.departure_mean_s
+    ctx.session_mean = config.session_mean_s
+    ctx.spawn = _addr(_SPAWN)
+    for name, table in _ZIG.items():
+        setattr(ctx, name, _addr(table))
+    ctx.nor_r = NOR_R
+    ctx.nor_inv_r = NOR_INV_R
+    ctx.exp_r = EXP_R
+    for name, arr in (("speed_z", speed_z), ("avail", avail),
+                      ("departure", departure), ("serve", serve),
+                      ("count", count), ("s_starts", s_starts),
+                      ("s_ends", s_ends)):
+        setattr(ctx, name, _addr(arr))
+    ctx.s_len = 0
+    ctx.s_cap = s_cap
+
+    while True:
+        status = lib.fleet_sample(ctypes.byref(ctx))
+        if status == _ST_DONE:
+            break
+        if status != _ST_GROW_SESS:  # pragma: no cover - a kernel bug
+            raise RuntimeError(f"column sampler returned status {status}")
+        s_cap *= 2
+        s_starts, s_ends = _grow(s_starts, s_cap), _grow(s_ends, s_cap)
+        ctx.s_starts = _addr(s_starts)
+        ctx.s_ends = _addr(s_ends)
+        ctx.s_cap = s_cap
+
+    s_len = int(ctx.s_len)
+    return {"speed_z": speed_z if draw_speed else None,
+            "availability": avail, "departure_s": departure,
+            "serve_seed": serve, "s_starts": s_starts[:s_len],
+            "s_ends": s_ends[:s_len], "s_cnt": count}
 
 
 def _halves(limbs: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:

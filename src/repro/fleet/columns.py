@@ -9,18 +9,29 @@ array with per-host offsets, so a 100k-host fleet is a handful of
 arrays rather than 100k Python objects each owning a private trace
 list.
 
+Two samplers, one set of bytes
+------------------------------
+Each shard is drawn by the compiled column sampler in ``_cloop.c``
+(:func:`repro.fleet.cloop.sample_columns`), which walks the hosts one
+at a time through the exact SHA-256 forks, SeedSequence mixing, PCG64
+streams and ziggurat draws behind ``RngStreams``.  When the kernel is
+unavailable (no compiler, ``REPRO_NO_CLOOP=1``), the vectorised numpy
+build (:func:`_sample_shard_numpy`) runs instead: every draw comes from
+:mod:`repro.fleet.fastrng`, a numpy re-implementation of the same
+pipeline that advances all hosts of a shard in lockstep.  That build is
+also the compiled sampler's test oracle.
+
 Bit-identity contract
 ---------------------
-Every draw comes from :mod:`repro.fleet.fastrng`, a pure-python/numpy
-re-implementation of the exact PCG64 + SeedSequence pipeline behind
-``RngStreams`` (validated lane-by-lane against numpy in
-``tests/test_fleet_fastrng.py``), and every derived quantity repeats
-the object path's float operations in the same order.  The resulting
-columns are **byte-identical** to ``build_fleet_hosts`` — asserted by
+Both samplers repeat the object path's draws and float operations in
+the same order; the lognormal speed factor is exponentiated in numpy on
+either route, as the object path does.  The resulting columns are
+**byte-identical** to ``build_fleet_hosts`` — asserted by
 ``tests/test_fleet_columns.py`` across hypervisor mixes, sigma settings
-and horizons — so :class:`FleetHost` survives as a lazy *view*
-materialised on demand (tests, ``to_dict``, figures), never as the hot
-representation.
+and horizons, and C against numpy by
+``tests/property/test_prop_fleet_sampler.py`` — so :class:`FleetHost`
+survives as a lazy *view* materialised on demand (tests, ``to_dict``,
+figures), never as the hot representation.
 
 Sharding follows the object path's discipline: fixed-size index ranges
 (:data:`COLUMN_SHARD_SIZE`) through the persistent
@@ -30,6 +41,7 @@ builds merge to the same bytes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -39,7 +51,8 @@ from repro.errors import ExperimentError
 from repro.fleet.calibration import fleet_slowdown
 from repro.fleet.churn import ChurnModel
 from repro.fleet.config import FleetConfig
-from repro.fleet.fastrng import VecPcg, fork_seed
+from repro.fleet.cloop import sample_columns
+from repro.fleet.fastrng import VecPcg, exp_consistent, fork_seed
 from repro.fleet.host import (
     AVAILABILITY_CEIL,
     AVAILABILITY_FLOOR,
@@ -174,14 +187,55 @@ def column_shards(n_hosts: int) -> List[Tuple[int, int]]:
             for start in range(0, n_hosts, COLUMN_SHARD_SIZE)]
 
 
+@functools.lru_cache(maxsize=None)
+def _vector_exp_ok() -> bool:
+    """Whether vector ``np.exp`` matches scalar ``np.exp`` here (once)."""
+    return exp_consistent()
+
+
 def _sample_shard_columns(config: FleetConfig, start: int,
                           stop: int) -> Dict[str, np.ndarray]:
-    """Sample hosts ``[start, stop)`` as columns — the vectorised twin
-    of ``sample_host`` run ``stop - start`` times.
+    """Sample hosts ``[start, stop)`` as columns — ``sample_host`` run
+    ``stop - start`` times, without the objects.
 
-    Each step repeats the object path's draws and float operations
-    exactly; see the module docstring for the bit-identity contract.
+    The compiled sampler (:func:`repro.fleet.cloop.sample_columns`)
+    draws them when the kernel is available, the numpy build
+    (:func:`_sample_shard_numpy`) otherwise; both repeat the object
+    path's draws and float operations exactly.  The lognormal speed
+    factor is exponentiated here in numpy on either route, because the
+    object path uses numpy's ``exp``, not libm's.
     """
+    n = stop - start
+    sampled = sample_columns(config, start, stop)
+    if METRICS.enabled:
+        METRICS.inc("fleet.hosts_built", n)
+        if sampled is not None:
+            METRICS.inc("fleet.columns.compiled_hosts", n)
+    if sampled is None:
+        sampled = _sample_shard_numpy(config, start, stop)
+
+    # gflops: median * lognormal_factor("speed", sigma); the object path
+    # skips the draw entirely at sigma == 0 (factor 1.0).
+    z = sampled.pop("speed_z")
+    if z is None:
+        gflops = np.full(n, config.host_gflops_median)
+    else:
+        arg = 0.0 + config.host_gflops_sigma * z
+        if _vector_exp_ok():
+            factor = np.exp(arg)
+        else:
+            factor = np.array([np.exp(v) for v in arg.tolist()])
+        gflops = config.host_gflops_median * factor
+    sampled["gflops"] = gflops
+    return sampled
+
+
+def _sample_shard_numpy(config: FleetConfig, start: int,
+                        stop: int) -> Dict[str, Optional[np.ndarray]]:
+    """The vectorised numpy twin of the compiled sampler: every host of
+    the shard advances through each draw in lockstep, lanes that leave
+    the renewal loop drop out.  Same result dict as
+    :func:`repro.fleet.cloop.sample_columns`."""
     n = stop - start
     child = np.empty(n, dtype=np.uint64)
     trace = np.empty(n, dtype=np.uint64)
@@ -193,14 +247,9 @@ def _sample_shard_columns(config: FleetConfig, start: int,
         trace[k] = fork_seed(child_seed, "trace")
         serve[k] = fork_seed(child_seed, "serve")
 
-    # gflops: median * lognormal_factor("speed", sigma); the object path
-    # skips the draw entirely at sigma == 0 (factor 1.0).
-    sigma = config.host_gflops_sigma
-    if sigma == 0.0:
-        gflops = np.full(n, config.host_gflops_median)
-    else:
-        z = VecPcg.seeded(child, "speed").std_normal()
-        gflops = config.host_gflops_median * np.exp(0.0 + sigma * z)
+    speed_z = None
+    if config.host_gflops_sigma != 0.0:
+        speed_z = VecPcg.seeded(child, "speed").std_normal()
 
     # availability: normal("avail", mean, spread) clamped to the band.
     z = VecPcg.seeded(child, "avail").std_normal()
@@ -257,9 +306,7 @@ def _sample_shard_columns(config: FleetConfig, start: int,
         s_starts[pos] = st
         s_ends[pos] = en
 
-    if METRICS.enabled:
-        METRICS.inc("fleet.hosts_built", n)
-    return {"gflops": gflops, "availability": avail,
+    return {"speed_z": speed_z, "availability": avail,
             "departure_s": departure, "serve_seed": serve,
             "s_starts": s_starts, "s_ends": s_ends, "s_cnt": counts}
 

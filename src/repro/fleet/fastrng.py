@@ -19,6 +19,14 @@ reimplements the full derivation chain *vectorised across hosts*:
   draws that fall off the vector fast path (tail or wedge rejection)
   finished by an exact scalar replica continuing from that lane's state.
 
+Two consumers drive it.  The column build uses it only when the
+compiled kernel is unavailable: ``_cloop.c`` carries its own C copy of
+the same chain, and this module is that sampler's fallback and test
+oracle.  The event kernel's serve streams are always seeded here
+(:meth:`VecPcg.seeded`) and handed to C as 64-bit halves.
+:func:`exp_consistent` guards the one numpy call the column build keeps
+on both routes, the vectorised ``np.exp`` of the lognormal speed factor.
+
 Every distribution is verified against the installed numpy by
 ``tests/test_fleet_columns.py``; the fleet equivalence suite then checks
 the end-to-end reports.  Nothing here touches ``repro.simcore.rng`` —
@@ -459,13 +467,16 @@ def exp_consistent(sample: int = 4096, seed: int = 12345) -> bool:
     """True when ``np.exp`` over an array matches element-wise scalar
     ``np.exp`` bit-for-bit on this build (SIMD vs scalar code paths).
 
-    The columnar host build vectorises the lognormal speed factor only
-    when this holds; otherwise it exponentiates lane by lane, exactly as
-    the object path does.  Checked once per process over a deterministic
-    probe of the relevant argument range.
+    The columnar host build (``columns._vector_exp_ok``, checked once
+    per process) vectorises the lognormal speed factor only when this
+    holds; otherwise it exponentiates lane by lane, exactly as the
+    object path does.  The probe is deterministic and spans the
+    relevant argument range, drawn by this module's own PCG64 lanes:
+    numpy's ``Generator`` module costs ~2 MB of peak RSS to import, and
+    columnar runs never import it otherwise.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    probe = rng.uniform(-6.0, 6.0, size=sample)
+    entropy = np.arange(seed, seed + sample, dtype=np.uint64)
+    probe = -6.0 + 12.0 * VecPcg.seeded(entropy, "exp-probe").doubles()
     vec = np.exp(probe)
     scalars = np.array([np.exp(v) for v in probe])
     return bool(np.array_equal(vec.view(np.uint64),

@@ -53,6 +53,21 @@ class TestColumnsMatchObjects:
                         duration_s=43200.0,
                         checkpoint_interval_s=1800.0))
 
+    def test_lane_by_lane_exp_when_vector_exp_disagrees(self, monkeypatch):
+        # the SIMD guard: a build whose vector np.exp differs from the
+        # scalar one exponentiates each speed factor on its own
+        from repro.fleet import columns
+
+        consulted = []
+
+        def disagrees():
+            consulted.append(True)
+            return False
+
+        monkeypatch.setattr(columns, "_vector_exp_ok", disagrees)
+        assert_columns_match_hosts(MIXED)
+        assert consulted
+
     def test_sharded_build_equals_serial(self):
         # force > 1 shard so the map_shards path actually runs
         config = FleetConfig(hosts=COLUMN_SHARD_SIZE + 57, seed=5,

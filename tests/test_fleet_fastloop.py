@@ -1,6 +1,6 @@
 """Fast-loop equivalence and hot-path bugfix regressions.
 
-Pins the three contracts the columnar rewrite rides on:
+Pins the contracts the columnar rewrite rides on:
 
 * ``_percentile`` nearest-rank rounding is parity-stable (the
   half-up fix — ``round``'s banker's rounding flipped the p50 between
@@ -12,9 +12,12 @@ Pins the three contracts the columnar rewrite rides on:
 * ``--metrics`` observes without steering: a metrics run takes the same
   path as a plain one, and its ``fleet.*`` snapshot equals the oracle's;
 * the numpy primitives the report folds with are sequential left folds
-  in input order, bit for bit the Python ``+=`` loops they replace.
+  in input order, bit for bit the Python ``+=`` loops they replace;
+* the kernel library's C context structs match their ctypes mirrors
+  field for field, and ``-O0``/``-O3`` builds keep every output byte.
 """
 
+import ctypes
 import json
 from types import SimpleNamespace
 
@@ -170,6 +173,11 @@ class TestMetricsParity:
         expected, expected_metrics = fleet_metrics(
             ref.simulate_fleet, config, storm_plan() if storm else None)
         assert canonical(live) == canonical(expected)
+        # the oracle predates the compiled column sampler, so it cannot
+        # count the hosts that sampler built; every other metric matches
+        compiled = live_metrics["counters"].pop(
+            "fleet.columns.compiled_hosts", 0)
+        assert compiled == (config.hosts if cloop_available() else 0)
         assert canonical(live_metrics) == canonical(expected_metrics)
         for kind in ("counters", "gauges", "timers", "hists"):
             assert expected_metrics[kind], kind  # every instrument kind
@@ -210,6 +218,55 @@ class TestKernelSizeGuard:
         monkeypatch.setattr(cloop, "_load", lambda: object())
         with pytest.raises(AttributeError):
             run_event_loop(self.prep(2 ** 31 - 1))
+
+
+def assert_state_equal(a, b):
+    assert set(a) == set(b)
+    for key, value in a.items():
+        if hasattr(value, "tobytes"):
+            assert value.dtype == b[key].dtype, key
+            assert value.tobytes() == b[key].tobytes(), key
+        else:
+            assert value == b[key], key
+
+
+@pytest.mark.skipif(not cloop_available(),
+                    reason="no C compiler / kernel unavailable")
+class TestKernelBuild:
+    """The shared library: ABI guard and compiler-flag independence."""
+
+    @pytest.mark.parametrize("export, struct", [
+        ("fleet_ctx_layout", cloop._FleetCtx),
+        ("sample_ctx_layout", cloop._SampleCtx),
+    ])
+    def test_c_layout_matches_ctypes_structure(self, export, struct):
+        # sizeof, then every offsetof in declaration order: a field
+        # added, dropped or reordered on one side only fails here
+        out = (ctypes.c_int64 * 128)()
+        count = getattr(cloop._load(), export)(out)
+        expected = [ctypes.sizeof(struct)] + [
+            getattr(struct, name).offset for name, _ in struct._fields_]
+        assert list(out[:count]) == expected
+
+    def test_flags_get_their_own_library(self):
+        default = cloop._compile()
+        other = cloop._compile(flags=("-O1",))
+        assert other is not None and other != default
+        assert cloop._compile(flags=("-O1",)) == other  # cached
+
+    @pytest.mark.parametrize("flags", [("-O0",), ("-O3",)])
+    def test_optimisation_level_keeps_every_byte(self, flags, monkeypatch):
+        config = CONFIGS[3]
+        sampled = cloop.sample_columns(config, 0, config.hosts)
+        state = run_event_loop(FleetServer(
+            config, build_fleet_columns(config, jobs=1))._fast_prep())
+        monkeypatch.setattr(cloop, "_lib",
+                            cloop._open(cloop._compile(flags=flags)))
+        rebuilt = cloop.sample_columns(config, 0, config.hosts)
+        assert_state_equal(rebuilt, sampled)
+        assert_state_equal(run_event_loop(FleetServer(
+            config, build_fleet_columns(config, jobs=1))._fast_prep()),
+            state)
 
 
 def python_fold(start, values):

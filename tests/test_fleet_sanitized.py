@@ -1,0 +1,48 @@
+"""The sanitised kernel check runs, and catches nothing on this tree.
+
+``benchmarks/check_sanitized_kernel.py`` builds ``_cloop.c`` with
+AddressSanitizer and UndefinedBehaviorSanitizer and runs kernel tests
+against it in a subprocess with the sanitiser runtimes preloaded.  CI
+runs every kernel suite that way; this tier-1 test runs the ABI guard
+and the SHA-256 check, so a build or preload breakage shows up here
+first.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "benchmarks" / "check_sanitized_kernel.py"
+
+
+def _has_runtimes() -> bool:
+    cc = shutil.which("gcc") or shutil.which("cc")
+    if cc is None:
+        return False
+    for name in ("libasan.so", "libubsan.so"):
+        path = subprocess.run([cc, f"-print-file-name={name}"],
+                              capture_output=True, text=True).stdout.strip()
+        if not os.path.isabs(path):
+            return False
+    return True
+
+
+@pytest.mark.skipif(not _has_runtimes(),
+                    reason="no compiler with ASan/UBSan runtimes")
+def test_kernel_checks_pass_under_asan_and_ubsan():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT),
+         "tests/test_fleet_fastloop.py::TestKernelBuild::"
+         "test_c_layout_matches_ctypes_structure",
+         "tests/property/test_prop_fleet_sampler.py::"
+         "test_kernel_sha256_matches_hashlib"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    # pytest exits non-zero when a selected test is missing or fails
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "sanitised kernel:" in result.stdout
