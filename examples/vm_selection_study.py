@@ -8,7 +8,6 @@ example sweeps all four hypervisors across the four benchmark classes and
 prints a decision matrix.
 
 Run:  python examples/vm_selection_study.py        (takes a few minutes)
-      REPRO_FAST=1 python examples/vm_selection_study.py
 """
 
 from repro.core.guest_perf import (

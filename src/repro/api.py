@@ -1,25 +1,19 @@
 """repro.api — the unified run-configuration front door.
 
-Historically run policy was smeared across five environment variables
-(``REPRO_REPS``, ``REPRO_FULL``, ``REPRO_FAST``, ``REPRO_JOBS``,
-``REPRO_CACHE``) read at arbitrary depths of the stack.  This module
-replaces that sprawl with one frozen :class:`RunConfig`:
+Run policy (repetitions, workers, cache, metrics, faults, audit) lives
+in one frozen :class:`RunConfig`:
 
-* :meth:`RunConfig.from_env` is the **single place** environment policy
-  is interpreted (the CLI calls it at its boundary; nothing below the
-  CLI touches ``os.environ``);
+* a :class:`RunConfig` reaches library code only as an explicit
+  argument or through :func:`activated`; nothing in the library reads
+  ``os.environ`` for run policy;
+* :meth:`RunConfig.from_env` interprets the ``REPRO_*`` environment and
+  is called by the CLI, once per invocation, at its boundary;
 * :func:`run` is the one typed entry point the CLI, benchmarks, the
   campaign scheduler and library callers use — a :class:`RunRequest`
   (kind = ``figure`` | ``fleet`` | ``campaign-point``) dispatches to
   the matching executor, which activates the config for everything
   downstream, optionally enables the metrics registry, and emits a
-  per-run manifest (see :mod:`repro.obs`);
-* the historical entry points :func:`run_figure` / :func:`run_fleet`
-  remain as thin shims that emit a :class:`DeprecationWarning` and
-  delegate to the same executors;
-* library code that *used to* read the environment now consults the
-  activated config first and only falls back to the environment with a
-  :class:`DeprecationWarning` (see :func:`fallback_config`).
+  per-run manifest (see :mod:`repro.obs`).
 
 Typical use::
 
@@ -36,19 +30,10 @@ from __future__ import annotations
 import contextlib
 import os
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ExperimentError
-
-#: Environment variables subsumed by :class:`RunConfig`, by policy area.
-REPS_ENV_VARS = ("REPRO_REPS", "REPRO_FULL", "REPRO_FAST")
-JOBS_ENV_VARS = ("REPRO_JOBS",)
-CACHE_ENV_VARS = ("REPRO_CACHE",)
-METRICS_ENV_VARS = ("REPRO_METRICS",)
-AUDIT_ENV_VARS = ("REPRO_TRACE_HASH",)
-RUNS_DIR_ENV_VAR = "REPRO_RUNS_DIR"
 
 _FALSEY = {"0", "false", "no", "off", ""}
 
@@ -86,15 +71,15 @@ class RunConfig:
     fault_spec: Optional[str] = None  #: fault plan, e.g. "seed=7,worker.crash=0.2"
     trace_hash: bool = False          #: rolling trace-hash checkpoints (audit)
     #: Which REPRO_* variables this config was built from (set by
-    #: :meth:`from_env`; lets the library warn on implicit env fallback).
+    #: :meth:`from_env`; provenance only, never part of equality).
     env_sources: Tuple[str, ...] = field(default=(), compare=False)
 
     # -- construction ----------------------------------------------------
 
     @classmethod
     def from_env(cls, env: Optional[Mapping[str, str]] = None) -> "RunConfig":
-        """Interpret the legacy ``REPRO_*`` environment (the only place
-        that policy is read; ``env`` defaults to ``os.environ``)."""
+        """Interpret the ``REPRO_*`` environment (``env`` defaults to
+        ``os.environ``); within the package only the CLI calls this."""
         env = env if env is not None else os.environ
         sources = []
 
@@ -134,7 +119,7 @@ class RunConfig:
             trace_hash = True
             sources.append("REPRO_TRACE_HASH")
 
-        runs_dir = env.get(RUNS_DIR_ENV_VAR) or None
+        runs_dir = env.get("REPRO_RUNS_DIR") or None
         cache_dir = env.get("REPRO_CACHE_DIR") or None
 
         return cls(reps=reps, full=full, fast=fast, jobs=jobs, cache=cache,
@@ -282,13 +267,6 @@ def activated(config: RunConfig):
         _ACTIVE = previous
 
 
-_POLICY_VARS = {
-    "reps": REPS_ENV_VARS,
-    "jobs": JOBS_ENV_VARS,
-    "cache": CACHE_ENV_VARS,
-}
-
-
 def shutdown_parallel_pools() -> None:
     """Tear down the persistent worker pools (see
     :mod:`repro.core.workerpool`).
@@ -306,40 +284,13 @@ def shutdown_parallel_pools() -> None:
     shutdown_pools()
 
 
-def fallback_config(kind: str) -> RunConfig:
-    """Effective config for a library call that passed no explicit policy.
-
-    Returns the activated config when one is in force (the modern path —
-    no warning).  Otherwise interprets the environment, emitting a
-    :class:`DeprecationWarning` when the environment actually carries
-    ``kind`` policy: library callers should construct a
-    :class:`RunConfig` instead of relying on ambient ``REPRO_*``
-    variables.  The CLI never hits the warning — it activates a config
-    at its boundary.
-    """
-    config = _ACTIVE
-    if config is not None:
-        return config
-    config = RunConfig.from_env()
-    consulted = [v for v in config.env_sources if v in _POLICY_VARS[kind]]
-    if consulted:
-        warnings.warn(
-            f"implicit {'/'.join(consulted)} environment lookup is "
-            "deprecated for library callers; build a repro.api.RunConfig "
-            "(RunConfig.from_env() at your own boundary) and pass it "
-            "explicitly or activate it via repro.api.activated()",
-            DeprecationWarning, stacklevel=3,
-        )
-    return config
-
-
 # ---------------------------------------------------------------------------
-# RunResult + run_figure
+# RunResult + the figure executor
 # ---------------------------------------------------------------------------
 
 @dataclass
 class RunResult:
-    """Outcome of one :func:`run_figure` call."""
+    """Outcome of one ``figure`` :class:`RunRequest`."""
 
     fig_id: str
     figure: Any                      # FigureData (typed loosely: no cycle)
@@ -630,12 +581,12 @@ def _run_figure(fig_id: str, config: Optional[RunConfig] = None,
 
 
 # ---------------------------------------------------------------------------
-# FleetRunResult + run_fleet
+# FleetRunResult + the fleet executor
 # ---------------------------------------------------------------------------
 
 @dataclass
 class FleetRunResult:
-    """Outcome of one :func:`run_fleet` call."""
+    """Outcome of one ``fleet`` :class:`RunRequest`."""
 
     report: Any                      # repro.fleet.FleetReport
     figure: Any                      # FigureData rendering of the report
@@ -808,26 +759,3 @@ def run(request: RunRequest) -> Any:
 
         return run_point(request.target, request.config)
     raise ExperimentError(f"unknown run kind {request.kind!r}")
-
-
-def run_figure(fig_id: str, config: Optional[RunConfig] = None,
-               **kwargs: Any) -> RunResult:
-    """Deprecated shim — use :func:`run` with a ``figure`` request."""
-    warnings.warn(
-        "repro.api.run_figure() is deprecated; use repro.api.run("
-        "RunRequest(kind='figure', target=FIG_ID, config=..., "
-        "options={...}))",
-        DeprecationWarning, stacklevel=2,
-    )
-    return _run_figure(fig_id, config, **kwargs)
-
-
-def run_fleet(fleet_config: Any,
-              config: Optional[RunConfig] = None) -> FleetRunResult:
-    """Deprecated shim — use :func:`run` with a ``fleet`` request."""
-    warnings.warn(
-        "repro.api.run_fleet() is deprecated; use repro.api.run("
-        "RunRequest(kind='fleet', target=FLEET_CONFIG, config=...))",
-        DeprecationWarning, stacklevel=2,
-    )
-    return _run_fleet(fleet_config, config)

@@ -235,9 +235,8 @@ def audit_figure(fig_id: str, jobs: int = 4,
     from repro import api
     from repro.audit.tracehash import TRACE_HASH
 
-    base = (config if config is not None else api.RunConfig.from_env())
-    base = base.with_overrides(cache=False, metrics=False,
-                               trace_hash=True, fault_spec=None)
+    base = (config or api.RunConfig()).with_overrides(
+        cache=False, metrics=False, trace_hash=True, fault_spec=None)
     if window_s is not None:
         TRACE_HASH.window_s = window_s
 

@@ -24,8 +24,7 @@ were found live in this repo):
     ``os.environ`` / ``os.getenv`` reads outside ``RunConfig.from_env``
     — the single sanctioned environment interpreter.  Scattered env
     reads are exactly the implicit-policy smear ``repro.api`` exists to
-    remove (writes, e.g. the CLI's legacy ``REPRO_JOBS`` propagation,
-    are not flagged).
+    remove (writes are not flagged).
 
 ``unsorted-iter``
     ``for`` iteration over a ``set``/``frozenset`` expression in sim

@@ -130,7 +130,7 @@ class StreamHash:
 class TraceHashRecorder:
     """Process-global registry of per-engine :class:`StreamHash` streams.
 
-    Disabled by default; :func:`repro.api.run_figure` enables it when
+    Disabled by default; :func:`repro.api.run` enables it when
     the run config's ``trace_hash`` knob is set.  ``capture`` names one
     ``(stream_key, window_index)`` whose raw events should be retained —
     the bisector's second pass uses it to print an event-level diff.

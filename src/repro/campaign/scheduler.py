@@ -168,7 +168,7 @@ def point_cache_key(point: CampaignPoint, config: Any) -> Optional[str]:
     """The result-cache key this point will consult, or None (sweeps
     bypass the result cache).
 
-    Mirrors the key derivation of ``generate_figure`` / ``run_fleet``
+    Mirrors the key derivation of ``generate_figure`` / the fleet executor
     exactly — including the ``base_seed`` default and the fault-plan
     token — so ``repro campaign plan`` can predict cache outcomes with
     :meth:`repro.core.cache.ResultCache.has`.
@@ -397,7 +397,7 @@ def run_campaign(spec: CampaignSpec, config: Any = None, *,
                 METRICS.enable(reset=True)
                 stack.callback(METRICS.disable)
             # One RUNLOG window for the whole campaign: the per-point
-            # clear inside run_figure/run_fleet becomes a no-op so fault
+            # clear inside the figure/fleet executors becomes a no-op so fault
             # incidents aggregate across points.
             RUNLOG.clear()
             stack.enter_context(RUNLOG.held())

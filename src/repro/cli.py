@@ -22,13 +22,13 @@ Subcommands
 * ``repro metrics [RUN|last]`` — render a recorded run manifest
 
 All run policy flows through one :class:`repro.api.RunConfig`: the CLI
-interprets the legacy ``REPRO_*`` environment exactly once at this
-boundary (``RunConfig.from_env``), layers flags such as ``--jobs`` and
-``--metrics`` on top, and activates the result for everything
-downstream.  Figure and report runs consult the seeded result cache
-unless ``REPRO_CACHE=0``; cache hits are logged to stderr.  With
-``--metrics`` each run also records counters/timers and writes a JSON
-manifest under ``results/runs/`` (see :mod:`repro.obs`).
+interprets the ``REPRO_*`` environment exactly once per invocation, at
+this boundary (``RunConfig.from_env`` in :func:`_build_config`), layers
+flags such as ``--jobs`` and ``--metrics`` on top, and hands the result
+to everything downstream.  Figure and report runs consult the seeded
+result cache unless ``REPRO_CACHE=0``; cache hits are logged to stderr.
+With ``--metrics`` each run also records counters/timers and writes a
+JSON manifest under ``results/runs/`` (see :mod:`repro.obs`).
 
 Resilience flags (``figure`` / ``report`` / ``sweep`` / ``fleet`` /
 ``campaign``): ``--retries`` / ``--task-timeout`` / ``--min-reps``
@@ -67,8 +67,10 @@ from repro.virt.profiles import ALL_PROFILES
 def _build_config(args: argparse.Namespace) -> api.RunConfig:
     """One RunConfig per invocation: environment first, flags on top.
 
-    The CLI caches by default (``REPRO_CACHE=0`` opts out); library
-    callers must opt in — hence the explicit ``cache`` override here.
+    Every subcommand that needs run policy calls this exactly once; it
+    is the package's only environment read.  The CLI caches by default
+    (``REPRO_CACHE=0`` opts out); library callers must opt in — hence
+    the explicit ``cache`` override here.
     """
     config = api.RunConfig.from_env()
     overrides = {"cache": config.use_cache(default=True)}
@@ -76,9 +78,6 @@ def _build_config(args: argparse.Namespace) -> api.RunConfig:
     if jobs is not None:
         if jobs < 1:
             raise SystemExit(f"--jobs must be >= 1, got {jobs}")
-        # Legacy propagation kept for external tooling that still reads
-        # REPRO_JOBS; the config carries the authoritative value.
-        os.environ["REPRO_JOBS"] = str(jobs)
         overrides["jobs"] = jobs
     if getattr(args, "metrics", False):
         overrides["metrics"] = True
@@ -442,7 +441,7 @@ def _campaign_plan(spec: Any, points: List[Any],
     """``repro campaign plan``: dry-run listing with expected outcomes."""
     from repro.campaign import point_cache_key, prepare_progress
 
-    cache = ResultCache()
+    cache = ResultCache(config.cache_dir)
     use_cache = config.use_cache(default=True)
     progress, _found = prepare_progress(spec, config, command="campaign",
                                         resume=True)
@@ -474,7 +473,7 @@ def _campaign_plan(spec: Any, points: List[Any],
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.obs.manifest import load_manifest, render_manifest
 
-    runs_dir = args.runs_dir or api.RunConfig.from_env().runs_dir
+    runs_dir = args.runs_dir or _build_config(args).runs_dir
     manifest = load_manifest(args.run, runs_dir=runs_dir)
     print(render_manifest(manifest))
     return 0
@@ -505,7 +504,8 @@ def _cmd_profiles(_args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    cache = ResultCache()
+    config = _build_config(args)
+    cache = ResultCache(config.cache_dir)
     if args.action == "stats":
         stats = cache.stats()
         print(f"cache root: {stats['root']}")
@@ -513,7 +513,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"size:       {stats['bytes']} bytes")
         print(f"quarantined:{stats['corrupt_files']:>2} corrupt file(s), "
               f"{stats['tmp_files']} orphaned temp file(s)")
-        print(f"enabled:    {api.RunConfig.from_env().use_cache(default=True)}")
+        print(f"enabled:    {config.cache}")
         return 0
     if args.action == "clear":
         removed = cache.clear()
@@ -539,25 +539,22 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(f"unknown figure {fig_id!r}; try `repro list`",
               file=sys.stderr)
         return 2
-    fault_spec = _validated_fault_spec(args.faults) if args.faults else (
+    config = _build_config(args)
+    fault_spec = config.fault_spec or (
         f"seed={args.fault_seed},worker.crash=0.2,"
         f"measure.transient=0.35,cache.corrupt=0.6")
-    env_config = api.RunConfig.from_env()
-    jobs = args.jobs
-    if jobs is not None and jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1, got {jobs}")
     cache_dir = tempfile.mkdtemp(prefix="repro-chaos-cache-")
     try:
-        baseline_config = env_config.with_overrides(
-            cache=False, metrics=False, fault_spec=None, jobs=jobs)
+        baseline_config = config.with_overrides(
+            cache=False, metrics=False, fault_spec=None, retries=None,
+            task_timeout_s=None)
         print(f"chaos: fault-free baseline of {fig_id} ...",
               file=sys.stderr)
         baseline = api.run(api.RunRequest(
             kind="figure", target=fig_id, config=baseline_config))
-        storm_config = env_config.with_overrides(
+        storm_config = config.with_overrides(
             cache=True, cache_dir=cache_dir, metrics=True,
-            fault_spec=fault_spec, retries=args.retries,
-            task_timeout_s=args.task_timeout, jobs=jobs)
+            fault_spec=fault_spec)
         print(f"chaos: storm 1/2 under '{fault_spec}' ...", file=sys.stderr)
         storm1 = api.run(api.RunRequest(
             kind="figure", target=fig_id, config=storm_config))
@@ -646,7 +643,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if window is not None and window <= 0:
         raise SystemExit(f"--window must be > 0, got {window}")
     try:
-        report = audit_figure(fig_id, jobs=jobs, window_s=window)
+        report = audit_figure(fig_id, jobs=jobs, config=_build_config(args),
+                              window_s=window)
     except ExperimentError as exc:
         print(f"audit: {fig_id} failed to run: {exc}", file=sys.stderr)
         return 1

@@ -11,16 +11,17 @@ one-per-file under the cache root.
 Invalidation rules (any of these changes the key, so stale entries are
 simply never read again):
 
-* any experiment parameter, base seed, or the resolved repetition policy
-  (``REPRO_REPS`` / ``REPRO_FULL`` / ``REPRO_FAST``);
+* any experiment parameter, base seed, or the activated config's
+  repetition policy (``RunConfig.reps_policy``);
 * the package version;
 * any ``.py`` source file inside the ``repro`` package (a source
   fingerprint is folded into every key, so editing the simulator never
   serves stale results).
 
-Location: ``$REPRO_CACHE_DIR`` when set, else ``~/.cache/repro-ipps09``.
-``REPRO_CACHE=0`` disables reads and writes; ``repro cache stats|clear``
-inspect and empty the store.
+Location and toggle come from the activated :class:`repro.api.RunConfig`
+(``cache_dir``, else ``~/.cache/repro-ipps09``; ``cache``).  The CLI
+maps ``REPRO_CACHE_DIR`` / ``REPRO_CACHE`` onto it; ``repro cache
+stats|clear`` inspect and empty the store.
 """
 
 from __future__ import annotations
@@ -38,33 +39,15 @@ from repro.obs.metrics import METRICS
 
 log = logging.getLogger("repro.cache")
 
-#: Legacy environment variable overriding the on-disk location
-#: (interpreted only by :meth:`repro.api.RunConfig.from_env`).
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-#: Legacy environment variable toggling the cache ("0"/"false"/"off"
-#: disable it); same interpretation rule.
-CACHE_TOGGLE_ENV = "REPRO_CACHE"
-
 _source_fingerprint: Optional[str] = None
 
 
-def cache_enabled(default: bool = False,
-                  env: Optional[Mapping[str, str]] = None) -> bool:
-    """Resolve the cache toggle (unset -> ``default``).
-
-    With ``env=None`` the toggle comes from the activated
-    :class:`repro.api.RunConfig` when one is in force, else from the
-    legacy ``REPRO_CACHE`` variable (with a ``DeprecationWarning`` for
-    library callers).  An explicit ``env`` mapping is interpreted
-    directly — the testing hook.
-    """
+def cache_enabled(default: bool = False) -> bool:
+    """The activated :class:`repro.api.RunConfig`'s cache toggle
+    (unset -> ``default``)."""
     from repro import api
 
-    if env is not None:
-        config = api.RunConfig.from_env(env)
-    else:
-        config = api.fallback_config("cache")
-    return config.use_cache(default)
+    return (api.active_config() or api.RunConfig()).use_cache(default)
 
 
 def source_fingerprint() -> str:
@@ -84,13 +67,11 @@ def source_fingerprint() -> str:
     return _source_fingerprint
 
 
-def default_cache_dir(env: Optional[Mapping[str, str]] = None) -> pathlib.Path:
+def default_cache_dir() -> pathlib.Path:
+    """The activated config's ``cache_dir``, else the per-user default."""
     from repro import api
 
-    if env is not None:
-        config = api.RunConfig.from_env(env)
-    else:
-        config = api.active_config() or api.RunConfig.from_env()
+    config = api.active_config() or api.RunConfig()
     if config.cache_dir:
         return pathlib.Path(config.cache_dir)
     return pathlib.Path(os.path.expanduser("~")) / ".cache" / "repro-ipps09"

@@ -12,18 +12,18 @@ expensive for the heavier figures, so counts resolve through the
 * ``RunConfig(fast=True)`` — 3 (CI smoke);
 * otherwise               — the per-experiment default passed by the caller.
 
-The legacy ``REPRO_REPS`` / ``REPRO_FULL`` / ``REPRO_FAST`` environment
-variables keep working through :meth:`repro.api.RunConfig.from_env`, the
-single place environment policy is interpreted; a library call that
-falls back to them (rather than activating a config) gets a
-``DeprecationWarning``.
+The policy comes from the activated config (see
+:func:`repro.api.activated`); with none active it is a plain
+``RunConfig()``.  The CLI maps ``REPRO_REPS`` / ``REPRO_FULL`` /
+``REPRO_FAST`` onto the config at its boundary; library code never
+reads the environment.
 
 Parallelism
 -----------
 Repetitions are independent by construction (each gets its own world via
 :func:`derive_rep_seed`), so :func:`repeat` fans them out over the
 persistent worker pool when more than one job is available and there is
-enough work to amortise dispatch (``REPRO_JOBS`` / ``jobs=``; see
+enough work to amortise dispatch (``RunConfig(jobs=)`` / ``jobs=``; see
 :mod:`repro.core.parallel` and :mod:`repro.core.workerpool` — the pool
 is created once and reused across repeater runs).  Parallel runs are
 **bit-identical** to the serial path: same derived seeds, same
@@ -47,22 +47,12 @@ FAST_REPS = 3
 MeasureFn = Callable[[int], Mapping[str, float]]
 
 
-def resolve_reps(default: int, env: Optional[Mapping[str, str]] = None) -> int:
-    """Apply the repetition policy (explicit / full / fast / default).
-
-    With ``env=None`` the policy comes from the activated
-    :class:`repro.api.RunConfig` when one is in force, else from the
-    legacy environment variables (with a ``DeprecationWarning``).  An
-    explicit ``env`` mapping is interpreted directly — the testing hook.
-    A malformed ``REPRO_REPS`` raises a clean :class:`ExperimentError`.
-    """
+def resolve_reps(default: int) -> int:
+    """Apply the activated :class:`repro.api.RunConfig`'s repetition
+    policy (explicit / full / fast / ``default``)."""
     from repro import api
 
-    if env is not None:
-        config = api.RunConfig.from_env(env)
-    else:
-        config = api.fallback_config("reps")
-    return config.resolve_reps(default)
+    return (api.active_config() or api.RunConfig()).resolve_reps(default)
 
 
 @dataclass

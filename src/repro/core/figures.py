@@ -545,8 +545,8 @@ def generate_figure(fig_id: str, use_cache: Optional[bool] = None,
     on).  Cache identity covers the figure id, every keyword argument,
     the resolved repetition policy, the package version and a source
     fingerprint — see :mod:`repro.core.cache` for the invalidation
-    rules.  Prefer :func:`repro.api.run_figure`, which also times phases
-    and can emit a run manifest.
+    rules.  Prefer :func:`repro.api.run` with a ``figure`` request, which
+    also times phases and can emit a run manifest.
     """
     from repro import api
     from repro.core.cache import ResultCache, cache_enabled
@@ -565,7 +565,7 @@ def generate_figure(fig_id: str, use_cache: Optional[bool] = None,
     cache = ResultCache()
     params = {
         "kwargs": dict(sorted(kwargs.items())),
-        "reps_policy": api.fallback_config("reps").reps_policy(),
+        "reps_policy": (api.active_config() or api.RunConfig()).reps_policy(),
     }
     # An active fault plan can legitimately change results (host.dropout,
     # checkpoint.lost survive recovery); keep those entries distinct.

@@ -22,10 +22,8 @@ travel via shared memory above a size threshold.
 Worker-count policy (first match wins):
 
 * explicit ``jobs=`` argument;
-* the activated :class:`repro.api.RunConfig` (the ``--jobs`` CLI flag
-  lands here; the legacy ``REPRO_JOBS`` variable still works through
-  ``RunConfig.from_env`` with a ``DeprecationWarning`` for library
-  callers);
+* the activated :class:`repro.api.RunConfig` (the CLI's ``--jobs``
+  flag and ``REPRO_JOBS`` land here);
 * every *schedulable* core
   (:func:`repro.core.workerpool.available_cpus` — CPU affinity, not
   ``os.cpu_count()``).
@@ -80,7 +78,7 @@ import pickle
 import time
 import traceback
 from concurrent.futures import Future, TimeoutError as FutureTimeoutError
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.audit.tracehash import TRACE_HASH
 from repro.core.experiment import (
@@ -113,24 +111,12 @@ RETRY_BACKOFF_CAP_S = 2.0
 SERIAL_FALLBACK_REPS = 2
 
 
-def resolve_jobs(jobs: Optional[int] = None,
-                 env: Optional[Mapping[str, str]] = None) -> int:
-    """Worker-count policy: explicit arg, then run config, then cores.
-
-    With ``env=None`` the policy comes from the activated
-    :class:`repro.api.RunConfig` when one is in force, else from the
-    legacy ``REPRO_JOBS`` variable (with a ``DeprecationWarning``).  An
-    explicit ``env`` mapping is interpreted directly — the testing hook.
-    """
+def resolve_jobs(jobs: Optional[int] = None) -> int:
+    """Worker-count policy: explicit arg, then the activated
+    :class:`repro.api.RunConfig`, then every schedulable core."""
     from repro import api
 
-    if jobs is not None:
-        return api.RunConfig().resolve_jobs(jobs)
-    if env is not None:
-        config = api.RunConfig.from_env(env)
-    else:
-        config = api.fallback_config("jobs")
-    return config.resolve_jobs()
+    return (api.active_config() or api.RunConfig()).resolve_jobs(jobs)
 
 
 def warm_pool(jobs: Optional[int] = None) -> None:

@@ -327,7 +327,7 @@ class RunLog:
 
     The conduit between the execution layer and the run manifest:
     :class:`repro.core.parallel.ParallelRepeater` records dropped
-    repetitions, retries and timeouts here; :func:`repro.api.run_figure`
+    repetitions, retries and timeouts here; :func:`repro.api.run`
     clears it per run and folds it into the manifest's ``faults``
     section.  Only the parent process writes to it.
     """
@@ -354,7 +354,7 @@ class RunLog:
         """Keep one incident window open across nested runs.
 
         The campaign scheduler clears once, then holds: the per-run
-        ``clear()`` inside ``run_figure`` / ``run_fleet`` becomes a
+        ``clear()`` inside :func:`repro.api.run`'s executors becomes a
         no-op so incidents aggregate across every point of the
         campaign.  Worker-side logs are unaffected (each worker process
         has its own RUNLOG instance)."""
@@ -385,5 +385,5 @@ class RunLog:
             self.injected[site] = self.injected.get(site, 0) + int(count)
 
 
-#: The process-global run log (cleared by run_figure/run_fleet/chaos).
+#: The process-global run log (cleared per repro.api.run and chaos run).
 RUNLOG = RunLog()

@@ -32,8 +32,8 @@ Layout:
 * :mod:`~repro.fleet.figures` — fleet-level figures registered in
   :data:`repro.core.figures.FIGURES`.
 
-Entry points: :func:`repro.api.run_fleet` (cache + manifest + metrics)
-and the ``repro fleet`` CLI subcommand.
+Entry points: :func:`repro.api.run` with a ``fleet`` request (cache +
+manifest + metrics) and the ``repro fleet`` CLI subcommand.
 """
 
 from repro.fleet.calibration import (

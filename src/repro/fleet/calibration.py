@@ -117,10 +117,6 @@ def estimated_grid_efficiency(hypervisor: str) -> float:
     """Back-of-envelope science-per-cycle efficiency of volunteering
     through the given VMM for a CPU-bound FP workload (the paper's
     Einstein case): 1 / translation multiplier.
-
-    Moved here from ``repro.grid`` — the fleet layer owns the analytical
-    estimates now; ``repro.grid.estimated_grid_efficiency`` remains as a
-    deprecated shim.
     """
     profile = get_profile(resolve_hypervisor(hypervisor))
     return 1.0 / user_multiplier(profile, MIX_EINSTEIN)

@@ -27,30 +27,11 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.core.figures import FigureData, MeasuredPoint
+from repro.core.parallel import resolve_jobs
 from repro.faults import injected, parse_fault_spec
 from repro.fleet.config import FleetConfig
 from repro.fleet.server import FleetReport, simulate_fleet
 from repro.virt.profiles import PROFILE_ORDER
-
-
-def _figure_jobs() -> int:
-    """Worker count for figure-path fleet runs, resolved explicitly.
-
-    Figures are library code: they must never fall into the deprecated
-    implicit-environment lookup inside ``map_shards`` (host building
-    fans out through it).  Resolve from the activated
-    :class:`repro.api.RunConfig` when one is in force, else interpret
-    the environment once at this boundary — same policy, no warning.
-    Every fleet size in a sweep dispatches through the same persistent
-    worker pool (keyed by this count), so only the first size pays
-    pool start-up.
-    """
-    from repro import api
-
-    config = api.active_config()
-    if config is None:
-        config = api.RunConfig.from_env()
-    return config.resolve_jobs()
 
 
 def fleet_scale_figure(base_seed: int = 42,
@@ -66,7 +47,7 @@ def fleet_scale_figure(base_seed: int = 42,
                "hours; quorum-of-2 validation, churny hosts. Throughput "
                "should scale near-linearly with fleet size."),
     )
-    jobs = _figure_jobs()
+    jobs = resolve_jobs()
     for size in sizes:
         config = FleetConfig(hosts=size, hypervisor=hypervisor,
                              seed=base_seed, duration_s=duration_s)
@@ -87,7 +68,7 @@ def fleet_makespan_figure(base_seed: int = 43, hosts: int = 80,
                f"{duration_s / 3600:.0f} h horizon; slower guests "
                "(QEMU) stretch the whole distribution."),
     )
-    jobs = _figure_jobs()
+    jobs = resolve_jobs()
     for profile in PROFILE_ORDER:
         config = FleetConfig(hosts=hosts, hypervisor=profile,
                              seed=base_seed, duration_s=duration_s)
@@ -103,7 +84,7 @@ def fleet_waste_figure(base_seed: int = 44, hosts: int = 120,
     """Wasted-CPU fraction per hypervisor inside one mixed fleet."""
     config = FleetConfig(hosts=hosts, hypervisor="mixed",
                          seed=base_seed, duration_s=duration_s)
-    report = simulate_fleet(config, jobs=_figure_jobs())
+    report = simulate_fleet(config, jobs=resolve_jobs())
     fig = FigureData(
         fig_id="fleet_waste",
         title="Wasted CPU fraction by hypervisor (mixed fleet)",
@@ -141,7 +122,7 @@ def fleet_outage_figure(base_seed: int = 45, hosts: int = 80,
                f"(fault seed {fault_seed}), uploads buffered host-side "
                "on timeout/backoff retry."),
     )
-    jobs = _figure_jobs()
+    jobs = resolve_jobs()
     spec = (f"seed={fault_seed},server.outage=0.25,net.partition=0.1")
     for scale_s in outage_scales_s:
         config = FleetConfig(hosts=hosts, seed=base_seed,
@@ -183,7 +164,7 @@ def fleet_checkpoint_figure(base_seed: int = 46, hosts: int = 80,
                "waste balances checkpoint-write overhead against "
                "rollback loss."),
     )
-    jobs = _figure_jobs()
+    jobs = resolve_jobs()
     spec = f"seed={fault_seed},vm.crash=0.3"
     for interval_s in intervals_s:
         config = FleetConfig(hosts=hosts, seed=base_seed,

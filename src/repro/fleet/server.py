@@ -1097,8 +1097,8 @@ def simulate_fleet(config: FleetConfig,
                    jobs: Optional[int] = None) -> FleetReport:
     """Build the fleet (sharded across workers) and run the server loop.
 
-    The one-call entry point used by :func:`repro.api.run_fleet`, the
-    fleet figures and the benchmarks.  Deterministic per config; the
+    The one-call entry point used by the fleet executor behind
+    :func:`repro.api.run`, the fleet figures and the benchmarks.  Deterministic per config; the
     ``jobs`` count affects wall-clock only, never the report.  Host
     building dispatches to the persistent worker pool only above
     :data:`repro.fleet.host.MIN_PARALLEL_HOSTS` — small fleets run

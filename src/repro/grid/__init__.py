@@ -1,10 +1,8 @@
 """Desktop-grid layer: volunteer fleets with churn over a switched LAN —
 the scale-out scenario the paper's single-machine measurements inform.
+(The analytical ``estimated_grid_efficiency`` lives in :mod:`repro.fleet`.)"""
 
-``estimated_grid_efficiency`` moved to :mod:`repro.fleet`; the export
-here is a :class:`DeprecationWarning` shim kept for one release."""
-
-from repro.grid.grid import DesktopGrid, GridReport, estimated_grid_efficiency
+from repro.grid.grid import DesktopGrid, GridReport
 from repro.grid.volunteer import Volunteer, VolunteerConfig, VolunteerStats
 
 __all__ = [
@@ -13,5 +11,4 @@ __all__ = [
     "Volunteer",
     "VolunteerConfig",
     "VolunteerStats",
-    "estimated_grid_efficiency",
 ]

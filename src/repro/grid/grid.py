@@ -123,22 +123,3 @@ class DesktopGrid:
             stale_results=self.server.stale_results,
             per_volunteer={v.config.name: v.stats for v in self.volunteers},
         )
-
-
-def estimated_grid_efficiency(hypervisor: str) -> float:
-    """Deprecated shim: this moved to
-    :func:`repro.fleet.calibration.estimated_grid_efficiency` alongside
-    the rest of the figures-to-fleet reduction (same semantics; the
-    fleet version also accepts aliases such as ``"vmware"``)."""
-    import warnings
-
-    from repro.fleet.calibration import (
-        estimated_grid_efficiency as _fleet_efficiency,
-    )
-
-    warnings.warn(
-        "repro.grid.estimated_grid_efficiency moved to repro.fleet; "
-        "import it from repro.fleet (or repro.fleet.calibration) instead",
-        DeprecationWarning, stacklevel=2,
-    )
-    return _fleet_efficiency(hypervisor)

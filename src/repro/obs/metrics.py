@@ -21,7 +21,7 @@ Three instrument kinds, all addressed by dotted string name:
   labelled by their upper bound so snapshots merge by simple addition.
 
 The module-level :data:`METRICS` registry is process-global and disabled
-by default; :func:`repro.api.run_figure` enables it for metrics-enabled
+by default; :func:`repro.api.run` enables it for metrics-enabled
 runs.  Persistent pool workers (:mod:`repro.core.workerpool`) re-arm
 their process-private registry per task from the spec's shipped context
 (fork-time inheritance is not relied on — the pool outlives any one

@@ -1,6 +1,6 @@
-"""repro.api: RunConfig, activation, fallback warnings and run()."""
+"""repro.api: RunConfig, activation and run()."""
 
-import warnings
+import pathlib
 
 import pytest
 
@@ -96,13 +96,14 @@ class TestPolicy:
             {"reps": 2, "full": False, "fast": False}
 
     def test_matches_legacy_resolve_reps(self):
-        # parity with the library entry point given the same mapping
+        # parity with the library entry point under the activated config
         from repro.core.experiment import resolve_reps
 
         for env in ({}, {"REPRO_REPS": "9"}, {"REPRO_FULL": "1"},
                     {"REPRO_FAST": "1"}):
-            assert resolve_reps(12, env=env) == \
-                RunConfig.from_env(env).resolve_reps(12)
+            config = RunConfig.from_env(env)
+            with api.activated(config):
+                assert resolve_reps(12) == config.resolve_reps(12)
 
 
 class TestSerialisation:
@@ -130,39 +131,27 @@ class TestActivation:
             assert api.active_config() is config
         assert api.active_config() is None
 
-    def test_fallback_prefers_active_config_without_warning(self):
-        config = RunConfig(reps=3)
-        with api.activated(config):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert api.fallback_config("reps") is config
-
-    def test_fallback_warns_on_env_policy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPS", "4")
-        with pytest.warns(DeprecationWarning, match="REPRO_REPS"):
-            config = api.fallback_config("reps")
-        assert config.reps == 4
-
-    def test_fallback_silent_when_env_carries_no_policy(self, monkeypatch):
-        for name in ("REPRO_REPS", "REPRO_FULL", "REPRO_FAST",
-                     "REPRO_JOBS", "REPRO_CACHE"):
-            monkeypatch.delenv(name, raising=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            api.fallback_config("reps")
-            api.fallback_config("jobs")
-            api.fallback_config("cache")
-
-    def test_library_entry_points_warn(self, monkeypatch):
-        from repro.core.cache import cache_enabled
+    def test_library_ignores_repro_environment(self, monkeypatch, tmp_path):
+        # Only the CLI interprets REPRO_*; with no active config the
+        # library resolvers fall to RunConfig() defaults.
+        from repro import grid
+        from repro.core.cache import cache_enabled, default_cache_dir
         from repro.core.experiment import resolve_reps
+        from repro.core.parallel import resolve_jobs
 
         monkeypatch.setenv("REPRO_REPS", "2")
-        with pytest.warns(DeprecationWarning):
-            assert resolve_reps(10) == 2
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        with pytest.warns(DeprecationWarning):
-            assert cache_enabled(default=True) is False
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert api.active_config() is None
+        assert resolve_reps(10) == 10
+        assert resolve_jobs() == RunConfig().resolve_jobs()
+        assert cache_enabled() is False
+        assert default_cache_dir() == \
+            pathlib.Path.home() / ".cache" / "repro-ipps09"
+        for name in ("run_figure", "run_fleet", "fallback_config"):
+            assert not hasattr(api, name)
+        assert not hasattr(grid, "estimated_grid_efficiency")
 
 
 class TestRunFigure:
@@ -250,7 +239,7 @@ class TestMetricsDoNotPerturb:
 
 
 class TestRunDispatcher:
-    """The unified run(RunRequest) front door and its deprecated shims."""
+    """The unified run(RunRequest) front door."""
 
     def test_unknown_kind_rejected_at_construction(self):
         with pytest.raises(ExperimentError, match="unknown run kind"):
@@ -263,22 +252,6 @@ class TestRunDispatcher:
         result = _figure("mem")
         assert result.fig_id == "mem"
         assert result.figure.fig_id == "mem"
-
-    def test_run_figure_shim_warns_and_matches(self):
-        via_run = _figure("mem")
-        with pytest.warns(DeprecationWarning, match="run_figure.*deprecated"):
-            legacy = api.run_figure("mem")
-        assert legacy.figure.to_dict() == via_run.figure.to_dict()
-
-    def test_run_fleet_shim_warns_and_matches(self):
-        from repro.fleet import FleetConfig
-
-        small = FleetConfig(hosts=12, duration_s=3600.0, seed=5)
-        config = RunConfig()
-        via_run = run(RunRequest(kind="fleet", target=small, config=config))
-        with pytest.warns(DeprecationWarning, match="run_fleet.*deprecated"):
-            legacy = api.run_fleet(small, config)
-        assert legacy.report.to_dict() == via_run.report.to_dict()
 
     def test_campaign_point_request_round_trips(self):
         from repro.campaign import CampaignSpec, Scenario, plan_campaign

@@ -57,14 +57,6 @@ class TestFigureCommand:
         assert main(["figures", "mem"]) == 0
         assert "MEM —" in capsys.readouterr().out
 
-    def test_jobs_flag_sets_env(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        import os
-
-        assert main(["figure", "mem", "--jobs", "2"]) == 0
-        assert os.environ.get("REPRO_JOBS") == "2"
-
     def test_bad_jobs_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "0")
         with pytest.raises(SystemExit):

@@ -21,18 +21,22 @@ def cache(tmp_path):
     return ResultCache(root=tmp_path / "cache")
 
 
+def _toggle(env, default):
+    with api.activated(api.RunConfig.from_env(env)):
+        return cache_enabled(default=default)
+
+
 class TestToggle:
     def test_unset_uses_default(self):
-        assert cache_enabled(default=True, env={}) is True
-        assert cache_enabled(default=False, env={}) is False
+        assert _toggle({}, default=True) is True
+        assert _toggle({}, default=False) is False
 
     def test_falsey_values_disable(self):
         for value in ("0", "false", "off", "no", ""):
-            assert cache_enabled(default=True,
-                                 env={"REPRO_CACHE": value}) is False
+            assert _toggle({"REPRO_CACHE": value}, default=True) is False
 
     def test_truthy_values_enable(self):
-        assert cache_enabled(default=False, env={"REPRO_CACHE": "1"}) is True
+        assert _toggle({"REPRO_CACHE": "1"}, default=False) is True
 
 
 class TestStore:
@@ -193,14 +197,12 @@ class TestFigurePayloadRoundTrip:
 
 
 class TestGenerateFigureIntegration:
-    # Library callers must activate a RunConfig (the implicit REPRO_*
-    # fallback warns, and pytest promotes that warning to an error).
+    # Library callers pass policy by activating a RunConfig.
 
     def test_warm_cache_skips_recompute_and_is_byte_identical(
             self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_REPS", "1")
-        with api.activated(api.RunConfig.from_env()):
+        config = api.RunConfig(reps=1, cache_dir=str(tmp_path / "cache"))
+        with api.activated(config):
             cold = generate_figure("fig2", use_cache=True, size=64)
             # poison the factory: a true cache hit must not call it
             monkeypatch.setitem(
@@ -214,22 +216,18 @@ class TestGenerateFigureIntegration:
         assert figure_to_json(warm) == figure_to_json(cold)
         assert list(warm.series) == list(cold.series)
 
-    def test_cache_off_by_default_for_library_callers(
-            self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
-        monkeypatch.setenv("REPRO_REPS", "1")
-        with api.activated(api.RunConfig.from_env()):
+    def test_cache_off_by_default_for_library_callers(self, tmp_path):
+        config = api.RunConfig(reps=1, cache_dir=str(tmp_path / "cache"))
+        with api.activated(config):
             generate_figure("mem")
         assert not (tmp_path / "cache").exists()
 
-    def test_reps_env_is_part_of_identity(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_REPS", "1")
-        with api.activated(api.RunConfig.from_env()):
-            generate_figure("mem", use_cache=True)
-        monkeypatch.setenv("REPRO_REPS", "2")
-        with api.activated(api.RunConfig.from_env()):
-            generate_figure("mem", use_cache=True)
+    def test_reps_env_is_part_of_identity(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        for reps in ("1", "2"):
+            config = api.RunConfig.from_env(
+                {"REPRO_REPS": reps, "REPRO_CACHE_DIR": cache_dir})
+            with api.activated(config):
+                generate_figure("mem", use_cache=True)
         entries = list((tmp_path / "cache").glob("*.json"))
         assert len(entries) == 2

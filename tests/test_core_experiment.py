@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import RunConfig, activated
 from repro.core.experiment import (
     FAST_REPS,
     PAPER_REPS,
@@ -14,23 +15,28 @@ from repro.errors import ExperimentError
 from repro.simcore.rng import derive_rep_seed
 
 
+def _reps(default, **env):
+    with activated(RunConfig.from_env(env)):
+        return resolve_reps(default)
+
+
 class TestResolveReps:
     def test_default_passthrough(self):
-        assert resolve_reps(7, env={}) == 7
+        assert _reps(7) == 7
 
     def test_explicit_override_wins(self):
-        assert resolve_reps(7, env={"REPRO_REPS": "13", "REPRO_FULL": "1"}) == 13
+        assert _reps(7, REPRO_REPS="13", REPRO_FULL="1") == 13
 
     def test_full_mode(self):
-        assert resolve_reps(7, env={"REPRO_FULL": "1"}) == PAPER_REPS
+        assert _reps(7, REPRO_FULL="1") == PAPER_REPS
 
     def test_fast_mode_caps(self):
-        assert resolve_reps(10, env={"REPRO_FAST": "1"}) == FAST_REPS
-        assert resolve_reps(2, env={"REPRO_FAST": "1"}) == 2
+        assert _reps(10, REPRO_FAST="1") == FAST_REPS
+        assert _reps(2, REPRO_FAST="1") == 2
 
     def test_bad_explicit_rejected(self):
         with pytest.raises(ExperimentError):
-            resolve_reps(5, env={"REPRO_REPS": "0"})
+            _reps(5, REPRO_REPS="0")
 
 
 class TestRepeater:
@@ -111,11 +117,9 @@ class TestRepeater:
         with pytest.raises(ExperimentError):
             Repeater(reps=0)
 
-    def test_repeat_helper_uses_env(self, monkeypatch):
-        # The implicit-environment fallback still works for legacy
-        # callers, but deprecates — assert the warning rather than leak it.
-        monkeypatch.setenv("REPRO_REPS", "2")
-        with pytest.warns(DeprecationWarning, match="implicit REPRO_"):
+    def test_repeat_helper_uses_env(self):
+        # REPRO_REPS reaches repeat() only through an activated config.
+        with activated(RunConfig.from_env({"REPRO_REPS": "2"})):
             result = repeat(lambda seed: {"x": 1.0}, default_reps=9)
         assert result["x"].n == 2
 

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.api import RunConfig, activated
 from repro.core.experiment import Repeater, repeat
 from repro.core.parallel import (
     ParallelRepeater,
@@ -38,25 +39,27 @@ def empty_measure(seed):
 
 class TestResolveJobs:
     def test_explicit_wins(self):
-        assert resolve_jobs(3, env={"REPRO_JOBS": "8"}) == 3
+        with activated(RunConfig(jobs=8)):
+            assert resolve_jobs(3) == 3
 
     def test_env_fallback(self):
-        assert resolve_jobs(env={"REPRO_JOBS": "6"}) == 6
+        with activated(RunConfig.from_env({"REPRO_JOBS": "6"})):
+            assert resolve_jobs() == 6
 
     def test_schedulable_cpu_default(self):
         # Affinity-aware: the default must match what this process can
         # actually run on, not the machine-wide core count.
-        assert resolve_jobs(env={}) == available_cpus()
+        assert resolve_jobs() == available_cpus()
         if hasattr(os, "sched_getaffinity"):
             assert available_cpus() == len(os.sched_getaffinity(0))
 
     def test_bad_jobs_rejected(self):
         with pytest.raises(ExperimentError):
-            resolve_jobs(0, env={})
+            resolve_jobs(0)
 
     def test_non_integer_env_rejected_cleanly(self):
         with pytest.raises(ExperimentError, match="REPRO_JOBS"):
-            resolve_jobs(env={"REPRO_JOBS": "banana"})
+            RunConfig.from_env({"REPRO_JOBS": "banana"})
 
 
 class TestPicklability:
@@ -234,17 +237,15 @@ class TestSerialFallback:
 
 
 class TestRepeatDispatch:
-    def test_repeat_honours_jobs_argument(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPS", "4")
-        with pytest.warns(DeprecationWarning, match="implicit REPRO_"):
+    def test_repeat_honours_jobs_argument(self):
+        with activated(RunConfig(reps=4)):
             result = repeat(picklable_measure, base_seed=4,
                             default_reps=4, jobs=2)
         serial = Repeater(base_seed=4, reps=4).run(picklable_measure)
         assert result.raw == serial.raw
 
-    def test_repeat_honours_jobs_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "2")
-        monkeypatch.setenv("REPRO_REPS", "3")
-        with pytest.warns(DeprecationWarning, match="implicit REPRO_"):
+    def test_repeat_honours_jobs_env(self):
+        env = {"REPRO_JOBS": "2", "REPRO_REPS": "3"}
+        with activated(RunConfig.from_env(env)):
             result = repeat(picklable_measure, base_seed=4)
         assert result["x"].n == 3

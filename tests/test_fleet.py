@@ -305,9 +305,8 @@ class TestFigures:
         assert fig.measured_values()["validated WUs"] == report.valid
 
     def test_figures_pass_explicit_jobs(self, monkeypatch):
-        # Regression: figure factories used to call simulate_fleet with
-        # jobs=None, hitting the deprecated implicit REPRO_JOBS lookup
-        # inside map_shards on every fleet figure run.
+        # Figure factories resolve the worker count once per figure, so
+        # every fleet size in a sweep reuses the same persistent pool.
         from repro.fleet import figures
 
         seen = []
@@ -376,7 +375,6 @@ class TestCli:
         from repro.obs.manifest import load_manifest, validate_manifest
 
         monkeypatch.setenv("REPRO_CACHE", "0")
-        monkeypatch.setenv("REPRO_JOBS", "1")  # restore on teardown
         monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
         status = main(["fleet", "--hosts", "40", "--hours", "2",
                        "--hypervisor", "vmware", "--seed", "3", "--json",
@@ -396,7 +394,6 @@ class TestCli:
         from repro.cli import main
 
         monkeypatch.setenv("REPRO_CACHE", "0")
-        monkeypatch.setenv("REPRO_JOBS", "1")  # restore on teardown
         monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
         argv = ["fleet", "--hosts", "40", "--hours", "2", "--seed", "3",
                 "--json"]

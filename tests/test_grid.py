@@ -126,15 +126,3 @@ class TestEfficiencyModel:
     def test_qemu_pays_the_most(self):
         assert estimated_grid_efficiency("qemu") < \
             estimated_grid_efficiency("virtualpc")
-
-    def test_grid_shim_warns_and_delegates(self):
-        import warnings
-
-        from repro.grid import estimated_grid_efficiency as shim
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = shim("vmplayer")
-        assert value == estimated_grid_efficiency("vmplayer")
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
