@@ -9,11 +9,20 @@ stages: ``columns_s`` (host column build), ``loop_s`` (the event loop,
 compiled kernel or Python fallback) and ``report_s`` (the report fold),
 so a change names the layer that moved.
 
+``--faults SPEC`` runs every size under that fault plan (a storm: the
+Python event loop with the recovery machine), e.g. the perfbench storm::
+
+    PYTHONPATH=src python benchmarks/bench_fleet_scaling.py \
+        --sizes 5000,50000 --hypervisor mixed --checkpoint-interval 1800 \
+        --degraded 50 --faults "seed=0,server.outage=0.2,\
+net.partition=0.1,vm.crash=0.05,host.dropout=0.02"
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_fleet_scaling.py \
         [--sizes 100,250,500,1000,10000,100000] [--hours H] \
-        [--hypervisor NAME]
+        [--hypervisor NAME] [--checkpoint-interval S] [--degraded N] \
+        [--faults SPEC]
 
 Interpretation: fault-free runs drive the columnar event loop (flat
 arrays + the compiled event kernel when a C compiler is present), so
@@ -34,6 +43,7 @@ import time
 
 from _bench_util import cpu_info
 
+from repro.faults import injected, parse_fault_spec
 from repro.fleet import FleetConfig, simulate_fleet
 from repro.fleet import server as fleet_server
 from repro.fleet.cloop import available as cloop_available
@@ -82,27 +92,48 @@ def stage_timers():
             setattr(owner, name, original)
 
 
-def run_scaling(sizes, hours: float, hypervisor: str, seed: int) -> dict:
+@contextlib.contextmanager
+def fault_plan(spec):
+    """Arm the ``--faults`` plan (a fresh one per run), or nothing."""
+    if spec is None:
+        yield
+    else:
+        with injected(parse_fault_spec(spec)):
+            yield
+
+
+def run_scaling(sizes, hours: float, hypervisor: str, seed: int,
+                faults=None, checkpoint_interval_s: float = 0.0,
+                degraded_threshold: int = 0) -> dict:
+    workload = (f"repro.fleet {hypervisor}, {hours:g} h horizon, "
+                f"quorum-of-2, seed {seed}")
+    if checkpoint_interval_s:
+        workload += f", checkpoint every {checkpoint_interval_s:g} s"
+    if degraded_threshold:
+        workload += f", degraded above {degraded_threshold}"
     record = {
         "benchmark": "fleet_scaling",
-        "workload": f"repro.fleet {hypervisor}, {hours:g} h horizon, "
-                    f"quorum-of-2, seed {seed}",
+        "workload": workload,
         **cpu_info(),
         "platform": platform.platform(),
         "python": platform.python_version(),
         "c_kernel": cloop_available(),
+        **({"faults": faults} if faults is not None else {}),
         "runs": [],
     }
     for hosts in sizes:
         config = FleetConfig(hosts=hosts, hypervisor=hypervisor,
-                             seed=seed, duration_s=hours * 3600.0)
-        with stage_timers() as stages:
+                             seed=seed, duration_s=hours * 3600.0,
+                             checkpoint_interval_s=checkpoint_interval_s,
+                             degraded_threshold=degraded_threshold)
+        with stage_timers() as stages, fault_plan(faults):
             started = time.perf_counter()
             serial = simulate_fleet(config, jobs=1)
             serial_wall = time.perf_counter() - started
-        started = time.perf_counter()
-        parallel = simulate_fleet(config, jobs=4)
-        parallel_wall = time.perf_counter() - started
+        with fault_plan(faults):
+            started = time.perf_counter()
+            parallel = simulate_fleet(config, jobs=4)
+            parallel_wall = time.perf_counter() - started
         exact = canonical(serial) == canonical(parallel)
         run = {
             "hosts": hosts,
@@ -138,11 +169,22 @@ def main(argv=None) -> int:
     parser.add_argument("--hypervisor", default="vmplayer",
                         help="profile, alias or 'mixed'")
     parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--checkpoint-interval", type=float, default=0.0,
+                        help="guest checkpoint cadence in s (0 = none)")
+    parser.add_argument("--degraded", type=int, default=0,
+                        help="upload backlog that trips degraded mode "
+                             "(0 = off)")
+    parser.add_argument("--faults", default=None, metavar="SPEC",
+                        help="fault plan for every run, e.g. "
+                             "'seed=0,server.outage=0.2,vm.crash=0.05'")
     parser.add_argument("--out", default=str(RESULTS_PATH),
                         help="JSON trajectory file to write")
     args = parser.parse_args(argv)
     sizes = [int(part) for part in args.sizes.split(",") if part]
-    record = run_scaling(sizes, args.hours, args.hypervisor, args.seed)
+    record = run_scaling(sizes, args.hours, args.hypervisor, args.seed,
+                         faults=args.faults,
+                         checkpoint_interval_s=args.checkpoint_interval,
+                         degraded_threshold=args.degraded)
     out = pathlib.Path(args.out)
     history = []
     if out.exists():

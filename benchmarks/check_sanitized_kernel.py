@@ -6,8 +6,10 @@ UndefinedBehaviorSanitizer (``-O1 -g -fsanitize=address,undefined
 argument of :func:`repro.fleet.cloop._compile`, then runs the kernel
 suites in a subprocess that preloads the compiler's ``libasan`` and
 ``libubsan`` and loads that build instead of the production one.  An
-out-of-bounds access, a use after free or undefined behaviour in either
-kernel (event loop or column sampler) aborts the run.
+out-of-bounds access, a use after free or undefined behaviour in any
+entry point (event loop, column sampler or fault-draw batch, whose
+over-long payloads must be refused before they reach its fixed stack
+buffer) aborts the run.
 
 Exit status 0 when every suite passes on the sanitised build, non-zero
 otherwise (also when no compiler or sanitiser runtime is found: this is
@@ -32,7 +34,8 @@ SANITIZE_FLAGS = ("-O1", "-g", "-fsanitize=address,undefined",
 
 SUITES = ("tests/test_fleet_fastloop.py",
           "tests/property/test_prop_fleet_equiv.py",
-          "tests/property/test_prop_fleet_sampler.py")
+          "tests/property/test_prop_fleet_sampler.py",
+          "tests/property/test_prop_fault_draws.py")
 
 # Runs inside the sanitised subprocess: every later _compile() call made
 # without explicit flags (the one _load makes) returns the sanitised

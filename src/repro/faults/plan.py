@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.obs.metrics import METRICS
@@ -79,10 +79,24 @@ class InjectedFault(ReproError):
     """Raised at an armed injection site; always retriable by design."""
 
 
+def draw_affixes(seed: int, site: str, attempt: int,
+                 salt: str = "") -> Tuple[bytes, bytes]:
+    """The payload bytes before and after the key in a :func:`_draw`.
+
+    The one definition of the draw format: ``_draw`` hashes
+    ``prefix + f"{key}" + suffix``, and the kernel library's batch
+    (:func:`repro.fleet.cloop.draw_uniforms`) formats integer keys
+    between the same two byte strings.
+    """
+    return (f"{seed}|{site}|".encode("utf-8"),
+            f"|{attempt}|{salt}".encode("utf-8"))
+
+
 def _draw(seed: int, site: str, key: Any, attempt: int,
           salt: str = "") -> float:
     """Uniform [0, 1) from the (seed, site, key, attempt[, salt]) tuple."""
-    payload = f"{seed}|{site}|{key}|{attempt}|{salt}".encode("utf-8")
+    prefix, suffix = draw_affixes(seed, site, attempt, salt)
+    payload = prefix + f"{key}".encode("utf-8") + suffix
     word = int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
     return word / 2.0 ** 64
 

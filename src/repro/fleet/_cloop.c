@@ -1,6 +1,7 @@
 /* The compiled fleet kernels, built on first use by cloop.py.
  *
- * Two entry points share this file and its PCG64 primitives:
+ * Three entry points share this file and its PCG64 and SHA-256
+ * primitives:
  *
  * fleet_sample -- the host-column sampler.  For each host of a build
  * shard, in host order, it repeats the numpy build of
@@ -18,7 +19,12 @@
  * machine of fault storms is not carried here) -- same events, same
  * (time, seq) heap order.
  *
- * Both keep every float operation of their Python twins in the same
+ * fleet_draw_uniforms -- a batch of repro.faults.plan._draw uniforms for
+ * consecutive integer keys, which fault storms turn into the pre-drawn
+ * fire masks of FleetServer._fast_loop_python.  It draws decisions only;
+ * the storm event loop itself stays in Python.
+ *
+ * All of them keep every float operation of their Python twins in the same
  * order, so the arrays they fill are byte-identical to the Python
  * fallbacks'.  Compile with `-ffp-contract=off` (no FMA contraction) so
  * every double op rounds exactly like CPython's and numpy's; on x86-64
@@ -608,6 +614,35 @@ static uint64_t fork_child(uint64_t parent, const char *name)
     size_t m = strlen(name);
     memcpy(buf + n, name, m);
     return fork_seed((const uint8_t *)buf, n + m, "", 0);
+}
+
+/* -- bulk fault draws -- */
+
+/* Room for the whole payload of one draw: prefix, key digits, suffix. */
+#define DRAW_BUF 128
+
+/* repro.faults.plan._draw for the keys first..first+count-1: the first 8
+ * bytes, little-endian, of SHA-256(prefix || str(key) || suffix), over
+ * 2**64, into out[0:count].  Returns 0, or -1 (out untouched) when a
+ * payload would not fit DRAW_BUF or the key range is invalid; the caller
+ * then draws through _draw itself. */
+int fleet_draw_uniforms(const uint8_t *prefix, int64_t plen,
+                        const uint8_t *suffix, int64_t slen,
+                        int64_t first, int64_t count, double *out)
+{
+    uint8_t buf[DRAW_BUF];
+    if (plen < 0 || slen < 0 || plen + 20 + slen > DRAW_BUF
+            || first < 0 || count < 0 || first > INT64_MAX - count)
+        return -1;
+    memcpy(buf, prefix, (size_t)plen);
+    for (int64_t i = 0; i < count; i++) {
+        size_t n = (size_t)plen
+                   + format_u64((uint64_t)(first + i), (char *)buf + plen);
+        memcpy(buf + n, suffix, (size_t)slen);
+        uint64_t word = fork_seed(buf, n + (size_t)slen, "", 0);
+        out[i] = (double)word / 18446744073709551616.0;
+    }
+    return 0;
 }
 
 /* -- numpy's SeedSequence -> PCG64 seeding -- */

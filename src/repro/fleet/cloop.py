@@ -1,6 +1,6 @@
 """Compile-on-first-use ctypes driver for the compiled fleet kernels.
 
-``_cloop.c`` holds two kernels that share one ``.so``:
+``_cloop.c`` holds three entry points that share one ``.so``:
 
 * the **host-column sampler** (:func:`sample_columns`), the compiled
   twin of the numpy build in :mod:`repro.fleet.columns`: per host, in
@@ -10,7 +10,13 @@
 * the **event loop** of fault-free fleet runs (:func:`run_event_loop`),
   a straight transliteration of the fault-free branches of
   ``FleetServer._fast_loop_python`` (storm runs always take the Python
-  loop, which alone carries the recovery machine).
+  loop, which alone carries the recovery machine);
+* the **fault-draw batch** (:func:`draw_uniforms`): the uniforms of
+  :func:`repro.faults.plan._draw` for a run of consecutive integer keys,
+  through the same C SHA-256.  Storms pre-draw their ``vm.crash``,
+  ``net.partition`` and ``host.dropout`` fire masks with it.  It is not
+  the event loop: it decides nothing, tallies nothing, and the storm
+  loop that consults the masks stays in Python.
 
 This module compiles the source with the system C compiler on first use
 (cached in the temp directory, keyed by a hash of the source and the
@@ -25,9 +31,9 @@ copying.
 
 No compiler, a failed compile (including a compiler without
 ``unsigned __int128``), or ``REPRO_NO_CLOOP=1`` all degrade to
-``sample_columns`` and ``run_event_loop`` returning ``None``; callers
-then run the numpy build and the pure-Python loop, which produce
-byte-identical state.
+``sample_columns``, ``run_event_loop`` and ``draw_uniforms`` returning
+``None``; callers then run the numpy build, the pure-Python loop and
+``_draw`` key by key, which produce byte-identical state.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ from repro.fleet.config import FleetConfig
 from repro.fleet.fastrng import VecPcg, spawn_key_words
 from repro.fleet.host import AVAILABILITY_CEIL, AVAILABILITY_FLOOR
 
-__all__ = ["available", "run_event_loop", "sample_columns"]
+__all__ = ["available", "draw_uniforms", "run_event_loop", "sample_columns"]
 
 _SRC = Path(__file__).with_name("_cloop.c")
 
@@ -220,6 +226,9 @@ def _open(so_path: str) -> ctypes.CDLL:
         getattr(lib, name).restype = _I
     lib.fleet_sha256.argtypes = [ctypes.c_char_p, _I, ctypes.c_char_p]
     lib.fleet_sha256.restype = None
+    lib.fleet_draw_uniforms.argtypes = [ctypes.c_char_p, _I, ctypes.c_char_p,
+                                        _I, _I, _I, _P]
+    lib.fleet_draw_uniforms.restype = ctypes.c_int
     return lib
 
 
@@ -513,6 +522,25 @@ def sample_columns(config: FleetConfig, start: int,
             "availability": avail, "departure_s": departure,
             "serve_seed": serve, "s_starts": s_starts[:s_len],
             "s_ends": s_ends[:s_len], "s_cnt": count}
+
+
+def draw_uniforms(prefix: bytes, suffix: bytes, first: int,
+                  count: int) -> Optional[np.ndarray]:
+    """``_draw``'s uniforms for keys ``first .. first + count - 1`` in C.
+
+    ``prefix`` and ``suffix`` are the payload bytes around the key, from
+    :func:`repro.faults.plan.draw_affixes`.  ``None`` when the kernel is
+    absent, a key is negative or past int64, or a payload would overflow
+    the kernel's fixed formatting buffer; callers then draw key by key.
+    """
+    lib = _load()
+    if lib is None or first < 0 or count < 0 or first + count > 2 ** 63 - 1:
+        return None
+    out = np.empty(count, dtype=np.float64)
+    if lib.fleet_draw_uniforms(prefix, len(prefix), suffix, len(suffix),
+                               first, count, _addr(out)) != 0:
+        return None
+    return out
 
 
 def _halves(limbs: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:

@@ -59,7 +59,6 @@ byte-identical to the archived pre-columnar object server in
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 from array import array
@@ -69,13 +68,15 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.faults import FAULTS
+from repro.faults import FAULTS, SITES, TRANSIENT, FaultPlan
+from repro.faults.plan import _draw, draw_affixes
 from repro.fleet.calibration import fleet_slowdown
 from repro.fleet.columns import (
     FleetColumns,
     build_fleet_columns,
 )
 from repro.fleet.config import FleetConfig
+from repro.fleet.cloop import draw_uniforms
 from repro.fleet.cloop import run_event_loop as _c_event_loop
 from repro.fleet.fastrng import VecPcg
 from repro.fleet.recovery import outage_windows, rollback_seconds
@@ -89,6 +90,9 @@ _UPLOAD = 3
 
 #: Cap on the host poll backoff when the server has no work to give.
 _MAX_POLL_BACKOFF_S = 7200.0
+
+#: Replica ids per pre-drawn block of the storm's fire masks.
+_MASK_BLOCK = 1024
 
 
 @dataclass
@@ -382,7 +386,11 @@ class FleetServer:
 
         Storage is parallel lists instead of per-replica / per-unit
         records, with pre-drawn error uniforms and a monotone per-host
-        cursor into the CSR trace.  Three event elisions keep the heap
+        cursor into the CSR trace.  A storm's attempt-0 ``vm.crash`` and
+        ``net.partition`` decisions come from byte fire masks drawn
+        :data:`_MASK_BLOCK` rids at a time (:func:`_fire_mask`); upload
+        retries draw one call at a time, and the outage schedule sits
+        behind a monotone cursor.  Three event elisions keep the heap
         small without changing any observable:
 
         * a completion at ``t`` re-dispatches inline when no other event
@@ -457,8 +465,6 @@ class FleetServer:
         poll_fail = [0] * n
 
         # recovery state (storms only); the replica-keyed maps stay sparse
-        outage_starts = [start for start, _ in outages] if storm else []
-        outage_ends = [end for _, end in outages] if storm else []
         retries = self.policy.upload_retries
         retry_delay_s = self.policy.retry_delay_s
         threshold = self.policy.degraded_threshold
@@ -471,6 +477,21 @@ class FleetServer:
         backlog = 0
         retried = lost_n = crashes = rb_n = entered = deg_val = 0
         rb_cpu = lost_cpu = 0.0
+        # outage windows behind a cursor, closed by an endless sentinel:
+        # ``now < o_start`` means the server is up
+        windows = [*(outages or ()), (math.inf, math.inf)]
+        o_start, o_end = windows[0]
+        o_next = 1
+        # attempt-0 fire masks of the replica-keyed sites, pre-drawn a
+        # block of rids at a time; drawing tallies nothing, so each
+        # decision is still recorded where it is consulted
+        plan = FAULTS.plan
+        arms = plan.arms if storm else {}
+        crash_on = arms.get("vm.crash", 0.0) > 0.0
+        part_on = arms.get("net.partition", 0.0) > 0.0
+        crash_mask = bytearray()
+        part_mask = bytearray()
+        drawn = 0  # rids the masks cover
 
         heap: List[Tuple[float, int, int, int]] = []
         seq = 0
@@ -506,11 +527,13 @@ class FleetServer:
 
         def outage_end(now: float) -> Optional[float]:
             """End of the outage window covering ``now`` (``None``: the
-            server is up).  Windows are sorted and disjoint."""
-            i = bisect.bisect_right(outage_starts, now) - 1
-            if i >= 0 and now < outage_ends[i]:
-                return outage_ends[i]
-            return None
+            server is up).  Windows are sorted and disjoint, and popped
+            event times never decrease, so the cursor only moves on."""
+            nonlocal o_next, o_start, o_end
+            while now >= o_end:
+                o_start, o_end = windows[o_next]
+                o_next += 1
+            return o_end if now >= o_start else None
 
         def useful_of(rid: int, h: int) -> float:
             """Replica ``rid``'s compute seconds net of a crash's redo
@@ -530,8 +553,8 @@ class FleetServer:
                     need.append(wid)
 
         def dispatch(h: int, now: float) -> None:
-            nonlocal seq, need_peak, crashes
-            end = outage_end(now) if outage_starts else None
+            nonlocal seq, need_peak, crashes, drawn
+            end = None if now < o_start else outage_end(now)
             if end is not None:
                 # scheduler down: the host re-polls when the window ends
                 # (poll-failure backoff untouched — this is not a dry
@@ -585,12 +608,20 @@ class FleetServer:
                 c += 1
             cur[h] = c
             active = an[h]
-            if storm and FAULTS.would_fire("vm.crash", key=rid, attempt=0):
+            if rid == drawn:
+                if crash_on:
+                    crash_mask.extend(_fire_mask(plan, "vm.crash", rid,
+                                                 _MASK_BLOCK).tobytes())
+                if part_on:
+                    part_mask.extend(_fire_mask(plan, "net.partition", rid,
+                                                _MASK_BLOCK).tobytes())
+                drawn += _MASK_BLOCK
+            if crash_on and crash_mask[rid]:
                 # crash point as a fraction of this replica's compute;
                 # the guest restores from its last checkpoint, redoing
-                # only progress − last_checkpoint seconds.  would_fire +
-                # record so a crash the trace never reaches is not
-                # tallied.
+                # only progress − last_checkpoint seconds.  The mask is
+                # would_fire; record only once the trace reaches the
+                # crash, so a crash it never reaches is not tallied.
                 progress = FAULTS.uniform("vm.crash", rid, "at") * active
                 if finish_at(c, hi, now, progress) is not None:
                     FAULTS.record("vm.crash")
@@ -646,10 +677,16 @@ class FleetServer:
             """
             nonlocal seq, backlog, retried, lost_n, lost_cpu
             attempt = attempts.get(rid, 0)
-            earliest = outage_end(now)
+            earliest = None if now < o_start else outage_end(now)
             if earliest is None:
-                if not FAULTS.fires("net.partition", key=rid,
-                                    attempt=attempt):
+                if attempt:
+                    # retries are few: draw them one call at a time
+                    if not FAULTS.fires("net.partition", key=rid,
+                                        attempt=attempt):
+                        return True
+                elif part_on and part_mask[rid]:
+                    FAULTS.record("net.partition")
+                else:
                     return True
                 earliest = now
             attempts[rid] = attempt + 1
@@ -1107,6 +1144,32 @@ def simulate_fleet(config: FleetConfig,
     return FleetServer(config, build_fleet_columns(config, jobs=jobs)).run()
 
 
+def _fault_uniforms(seed: int, site: str, first: int, count: int,
+                    attempt: int = 0, salt: str = "") -> np.ndarray:
+    """``_draw(seed, site, key, attempt, salt)`` for ``count`` keys from
+    ``first``: one kernel-library batch, or ``_draw`` key by key."""
+    prefix, suffix = draw_affixes(seed, site, attempt, salt)
+    draws = draw_uniforms(prefix, suffix, first, count)
+    if draws is None:
+        draws = np.array([_draw(seed, site, key, attempt, salt)
+                          for key in range(first, first + count)],
+                         dtype=np.float64)
+    return draws
+
+
+def _fire_mask(plan: FaultPlan, site: str, first: int, count: int,
+               attempt: int = 0) -> np.ndarray:
+    """``plan.would_fire(site, key, attempt)`` for ``count`` keys from
+    ``first``, as booleans.  An unarmed site draws nothing, and nothing
+    is tallied: callers :meth:`~FaultPlan.record` a decision where they
+    consult it."""
+    probability = plan.arms.get(site, 0.0)
+    if probability <= 0.0 or (SITES[site] == TRANSIENT and attempt > 0):
+        return np.zeros(count, dtype=bool)
+    return _fault_uniforms(plan.seed, site, first, count,
+                           attempt) < probability
+
+
 def _apply_host_dropout(columns: FleetColumns, horizon_s: float) -> int:
     """Injection site ``host.dropout``: permanently remove hosts early.
 
@@ -1127,11 +1190,10 @@ def _apply_host_dropout(columns: FleetColumns, horizon_s: float) -> int:
     departure = columns.departure_s.tolist()
     cut = np.full(len(departure), np.inf)
     dropouts = 0
-    for index, departure_s in enumerate(departure):
-        if not FAULTS.would_fire("host.dropout", key=index, attempt=0):
-            continue
+    fired = _fire_mask(FAULTS.plan, "host.dropout", 0, len(departure))
+    for index in np.flatnonzero(fired).tolist():
         dropout_s = FAULTS.uniform("host.dropout", key=index) * horizon_s
-        if dropout_s >= departure_s:
+        if dropout_s >= departure[index]:
             continue  # already departed on its own: nothing to inject
         FAULTS.record("host.dropout")
         dropouts += 1

@@ -11,6 +11,9 @@ Pins the contracts the columnar rewrite rides on:
   :meth:`FleetReport.to_dict` byte for byte;
 * ``--metrics`` observes without steering: a metrics run takes the same
   path as a plain one, and its ``fleet.*`` snapshot equals the oracle's;
+* a storm's pre-drawn fire masks tally what per-call draws tallied: the
+  RUNLOG and ``faults.injected.*`` counts equal the oracle's, site for
+  site and in order, and an unarmed site is never drawn;
 * the numpy primitives the report folds with are sequential left folds
   in input order, bit for bit the Python ``+=`` loops they replace;
 * the kernel library's C context structs match their ctypes mirrors
@@ -25,7 +28,7 @@ import numpy as np
 import pytest
 
 import tests._reference_fleet as ref
-from repro.faults import FaultPlan, injected
+from repro.faults import RUNLOG, FaultPlan, injected
 from repro.fleet import (
     FleetConfig,
     FleetServer,
@@ -35,7 +38,12 @@ from repro.fleet import (
 from repro.fleet import cloop
 from repro.fleet.cloop import available as cloop_available
 from repro.fleet.cloop import run_event_loop
-from repro.fleet.server import _left_fold, _percentile
+from repro.fleet.server import (
+    _MASK_BLOCK,
+    _fire_mask,
+    _left_fold,
+    _percentile,
+)
 from repro.obs.metrics import METRICS
 
 CONFIGS = [
@@ -200,6 +208,85 @@ class TestMetricsParity:
         observed, _ = fleet_metrics(simulate_fleet, CONFIGS[0])
         assert calls == [CONFIGS[0].hosts, CONFIGS[0].hosts]
         assert canonical(observed) == canonical(plain)
+
+
+#: A storm whose replica ids run past two pre-drawn mask blocks.
+BLOCK_STORM_CONFIG = FleetConfig(hosts=400, hypervisor="mixed", seed=5,
+                                 duration_s=43200.0,
+                                 checkpoint_interval_s=900.0,
+                                 degraded_threshold=3,
+                                 upload_backoff_s=600.0)
+
+
+def storm_tallies(simulate, config, plan):
+    """``(report dict, RUNLOG injected, faults.injected* counters)`` of
+    one storm run with a fresh run log and metrics registry."""
+    RUNLOG.clear()
+    METRICS.enable(reset=True)
+    try:
+        with injected(plan):
+            report = simulate(config, jobs=1)
+        counters = {name: value for name, value
+                    in METRICS.snapshot()["counters"].items()
+                    if name.startswith("faults.injected")}
+        logged = RUNLOG.snapshot()["injected"]
+    finally:
+        METRICS.disable()
+        METRICS.reset()
+        RUNLOG.clear()
+    return report.to_dict(), logged, counters
+
+
+class TestStormTallyParity:
+    """Pre-drawn fire masks tally exactly what per-call draws tallied."""
+
+    def test_injection_tallies_equal_oracle(self):
+        live_plan, ref_plan = storm_plan(), storm_plan()
+        live, live_log, live_counters = storm_tallies(
+            simulate_fleet, BLOCK_STORM_CONFIG, live_plan)
+        assert live["replicas_issued"] > 2 * _MASK_BLOCK
+        expected, log, counters = storm_tallies(
+            ref.simulate_fleet, BLOCK_STORM_CONFIG, ref_plan)
+        assert canonical(live) == canonical(expected)
+        assert live_log == log
+        assert live_counters == counters
+        # the plans' own tallies keep first-injection order
+        assert list(live_plan.injected.items()) \
+            == list(ref_plan.injected.items())
+        assert set(log) == {"host.dropout", "server.outage",
+                            "net.partition", "vm.crash"}
+        assert counters["faults.injected"] == sum(log.values())
+        for site, count in log.items():
+            assert counters[f"faults.injected.{site}"] == count
+
+    def test_unarmed_site_is_never_drawn(self, monkeypatch):
+        sites = []
+
+        def spy(plan, site, first, count, attempt=0):
+            sites.append(site)
+            return _fire_mask(plan, site, first, count, attempt)
+
+        monkeypatch.setattr("repro.fleet.server._fire_mask", spy)
+        plan = storm_plan().arm("vm.crash", 0.0)
+        live, live_log, _ = storm_tallies(
+            simulate_fleet, BLOCK_STORM_CONFIG, plan)
+        assert "vm.crash" not in sites
+        assert sites.count("net.partition") >= 3  # one per block
+        assert sites.count("host.dropout") == 1
+        expected, log, _ = storm_tallies(
+            ref.simulate_fleet, BLOCK_STORM_CONFIG,
+            storm_plan().arm("vm.crash", 0.0))
+        assert canonical(live) == canonical(expected)
+        assert live_log == log and "vm.crash" not in log
+
+    def test_draw_path_without_kernel_is_byte_identical(self, monkeypatch):
+        kernel = storm_tallies(simulate_fleet, BLOCK_STORM_CONFIG,
+                               storm_plan())
+        monkeypatch.setattr("repro.fleet.server.draw_uniforms",
+                            lambda prefix, suffix, first, count: None)
+        fallback = storm_tallies(simulate_fleet, BLOCK_STORM_CONFIG,
+                                 storm_plan())
+        assert canonical(fallback) == canonical(kernel)
 
 
 class TestKernelSizeGuard:
