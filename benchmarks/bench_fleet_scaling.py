@@ -7,7 +7,10 @@ trajectory to ``benchmarks/BENCH_fleet_scaling.json`` so future PRs can
 compare.  Next to each serial total it records the serial run's three
 stages: ``columns_s`` (host column build), ``loop_s`` (the event loop,
 compiled kernel or Python fallback) and ``report_s`` (the report fold),
-so a change names the layer that moved.
+so a change names the layer that moved.  Each size's serial run takes
+a fresh spawned process, whose ``peak_rss_mb`` (``ru_maxrss`` after
+the run) is that size's peak memory; the ``jobs=4`` run stays in this
+process.
 
 ``--faults SPEC`` runs every size under that fault plan (a storm: the
 Python event loop with the recovery machine), e.g. the perfbench storm::
@@ -36,8 +39,10 @@ dispatch costs more than the sharded build saves.
 import argparse
 import contextlib
 import json
+import multiprocessing
 import pathlib
 import platform
+import resource
 import sys
 import time
 
@@ -102,6 +107,48 @@ def fault_plan(spec):
             yield
 
 
+def measure_serial(config: FleetConfig, faults=None) -> dict:
+    """One serial run: wall time, stage seconds, peak RSS and the
+    canonical report."""
+    with stage_timers() as stages, fault_plan(faults):
+        started = time.perf_counter()
+        serial = simulate_fleet(config, jobs=1)
+        serial_wall = time.perf_counter() - started
+    # ru_maxrss is in KiB on Linux
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return {"workunits": serial.workunits,
+            "replicas": serial.replicas_issued,
+            "valid": serial.valid,
+            "wall_s_serial": serial_wall,
+            "stages": stages,
+            "peak_rss_mb": peak_rss_mb,
+            "canonical": canonical(serial)}
+
+
+def _child(conn, config, faults) -> None:
+    conn.send(measure_serial(config, faults))
+    conn.close()
+
+
+def measure_in_child(config: FleetConfig, faults=None) -> dict:
+    """:func:`measure_serial` in a fresh spawned process, so its peak
+    RSS is this size's alone."""
+    ctx = multiprocessing.get_context("spawn")
+    parent_end, child_end = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_child, args=(child_end, config, faults))
+    proc.start()
+    child_end.close()
+    try:
+        serial = parent_end.recv()
+    except EOFError:
+        serial = None
+    proc.join()
+    if serial is None or proc.exitcode != 0:
+        raise SystemExit(f"hosts={config.hosts}: the measuring process "
+                         f"failed (exit code {proc.exitcode})")
+    return serial
+
+
 def run_scaling(sizes, hours: float, hypervisor: str, seed: int,
                 faults=None, checkpoint_interval_s: float = 0.0,
                 degraded_threshold: int = 0) -> dict:
@@ -126,33 +173,34 @@ def run_scaling(sizes, hours: float, hypervisor: str, seed: int,
                              seed=seed, duration_s=hours * 3600.0,
                              checkpoint_interval_s=checkpoint_interval_s,
                              degraded_threshold=degraded_threshold)
-        with stage_timers() as stages, fault_plan(faults):
-            started = time.perf_counter()
-            serial = simulate_fleet(config, jobs=1)
-            serial_wall = time.perf_counter() - started
+        serial = measure_in_child(config, faults)
         with fault_plan(faults):
             started = time.perf_counter()
             parallel = simulate_fleet(config, jobs=4)
             parallel_wall = time.perf_counter() - started
-        exact = canonical(serial) == canonical(parallel)
         run = {
             "hosts": hosts,
-            "workunits": serial.workunits,
-            "replicas": serial.replicas_issued,
-            "valid": serial.valid,
-            "wall_s_serial": round(serial_wall, 3),
-            **{stage: round(spent, 3) for stage, spent in stages.items()},
+            "workunits": serial["workunits"],
+            "replicas": serial["replicas"],
+            "valid": serial["valid"],
+            "wall_s_serial": round(serial["wall_s_serial"], 3),
+            **{stage: round(spent, 3)
+               for stage, spent in serial["stages"].items()},
+            "peak_rss_mb": round(serial["peak_rss_mb"], 1),
             "wall_s_jobs4": round(parallel_wall, 3),
-            "hosts_per_s": round(hosts / serial_wall, 1),
-            "exact_match_serial_vs_jobs4": exact,
+            "hosts_per_s": round(hosts / serial["wall_s_serial"], 1),
+            "exact_match_serial_vs_jobs4":
+                serial["canonical"] == canonical(parallel),
         }
         record["runs"].append(run)
-        print(f"hosts={hosts:5d}: serial {serial_wall:6.2f}s "
-              f"(columns {stages['columns_s']:.2f}s, "
-              f"loop {stages['loop_s']:.2f}s, "
-              f"report {stages['report_s']:.2f}s)  "
-              f"jobs=4 {parallel_wall:6.2f}s  "
-              f"valid={serial.valid:<6d} exact={exact}")
+        exact = run["exact_match_serial_vs_jobs4"]
+        print(f"hosts={hosts:5d}: serial {run['wall_s_serial']:6.2f}s "
+              f"(columns {run['columns_s']:.2f}s, "
+              f"loop {run['loop_s']:.2f}s, "
+              f"report {run['report_s']:.2f}s, "
+              f"peak RSS {run['peak_rss_mb']:.0f} MB)  "
+              f"jobs=4 {run['wall_s_jobs4']:6.2f}s  "
+              f"valid={run['valid']:<6d} exact={exact}")
         if not exact:
             raise SystemExit(
                 f"hosts={hosts}: jobs=4 produced a different report "

@@ -17,7 +17,13 @@
  * transliteration of the fault-free branches of the pure-Python loop in
  * repro/fleet/server.py (`FleetServer._fast_loop_python`; the recovery
  * machine of fault storms is not carried here) -- same events, same
- * (time, seq) heap order.
+ * (time, seq) heap order.  Its layout is built for memory latency: a
+ * 4-ary heap whose nodes carry the event's host (and replica and unit
+ * ids), so a popped event addresses everything it touches without a
+ * dependent load; one 128-byte record per host (HostRec) in place of a
+ * dozen per-host arrays, caching the session at the host's cursor; and
+ * a prefetch of the next event's record and replica slots after every
+ * pop.  fleet_init_hosts fills the records, serve lanes included.
  *
  * fleet_draw_uniforms -- a batch of repro.faults.plan._draw uniforms for
  * consecutive integer keys, which fault storms turn into the pre-drawn
@@ -39,14 +45,15 @@
  *
  * The serve-stream error uniforms of fleet_run are drawn here, not
  * pre-drawn: each host's PCG64 lane (XSL-RR output, next_double) is
- * stepped on demand through unsigned __int128 arithmetic.  A compiler
- * without that type fails the build, and both kernels fall back to
- * Python.
+ * seeded with the sampler's SeedSequence port and stepped on demand
+ * through unsigned __int128 arithmetic.  A compiler without that type
+ * fails the build, and every kernel falls back to Python.
  *
- * Every struct field is 8 bytes wide (int64/double/pointer) so the
- * layouts match the ctypes.Structures in cloop.py with no padding;
- * fleet_ctx_layout/sample_ctx_layout export sizeof and every offsetof
- * so the test suite can assert that.
+ * Every context struct field is 8 bytes wide (int64/double/pointer) so
+ * the layouts match the ctypes.Structures in cloop.py with no padding;
+ * HostRec and HeapNode mirror numpy structured dtypes there.
+ * fleet_ctx_layout/sample_ctx_layout/host_rec_layout/heap_node_layout
+ * export sizeof and every offsetof so the test suite can assert that.
  */
 
 #include <math.h>
@@ -74,18 +81,49 @@ typedef unsigned __int128 u128;
 #define K_DEADLINE 1
 #define K_COMPLETE 2
 
+/* One host's kernel state: one 128-byte record on a 128-byte boundary
+ * (an adjacent pair of cache lines, which an event on the host loads
+ * together) in place of a dozen per-host arrays.  The session at the
+ * cursor is cached here, so a dispatch whose unit fits it never touches
+ * the CSR session arrays. */
+typedef struct {
+    /* the serve-stream PCG64 lane as 64-bit halves; inc is read-only */
+    uint64_t pcg_lo, pcg_hi, inc_lo, inc_hi;
+    double an;                  /* active seconds per unit (read-only) */
+    double waste;
+    int64_t cur;                /* monotone session cursor */
+    int64_t send;               /* soff[h + 1]: end of the sessions (ro) */
+    double base, departure;     /* read-only */
+    int32_t poll_fail, ucur;
+    /* fs[cur], fe[cur] and fs[cur + 1] (+inf past the last session) */
+    double cur_start, cur_end, next_start;
+    int64_t pad[2];
+} HostRec;
+
+/* One event of the 4-ary heap: its time sits at the same index of the
+ * parallel heap_t array, everything else in this 24-byte node -- the
+ * seq tie-break, the event's host, and for replica events the replica
+ * and unit ids.  The sift-down compares times only (seq on exact ties),
+ * so its dependent chain walks the compact time array; a child's node
+ * is read only to move it. */
+typedef struct {
+    int64_t seq;
+    int32_t host;
+    int32_t kind;
+    uint32_t rid;               /* K_COMPLETE / K_DEADLINE only */
+    int32_t wid;                /* K_COMPLETE / K_DEADLINE only */
+} HeapNode;
+
 typedef struct {
     /* sizes / params */
     int64_t n, nwu, quorum, max_replicas;
     double horizon, err_rate;
     int64_t n_delays;
-    /* read-only host columns */
+    /* read-only session trace (CSR, cut by HostRec.cur/send) */
     const double *fs, *fe;
-    const int64_t *soff;
-    const double *departure, *an, *base, *stretch, *delays;
-    /* per-host serve-stream PCG64 lanes as 64-bit halves */
-    uint64_t *pcg_lo, *pcg_hi;
-    const uint64_t *inc_lo, *inc_hi;
+    const double *stretch, *delays;
+    /* per-host records */
+    HostRec *hosts;
     /* work-unit state */
     uint8_t *wu_state;          /* 0 open, 1 validated, 2 bad-locked */
     double *wu_validated;
@@ -93,7 +131,7 @@ typedef struct {
     uint8_t *wu_nhold;
     int32_t *wu_hosts;          /* stride max_replicas, count=wu_issued */
     /* replicas (growable) */
-    int32_t *r_wid, *r_host;
+    int32_t *r_host;
     double *r_dead, *r_disp;
     uint8_t *r_flag;            /* bit0 timed out, bit1 completed */
     int64_t rep_cap;
@@ -105,15 +143,10 @@ typedef struct {
     int32_t *need;
     int64_t need_head, need_count, need_cap;
     int32_t *stash;
-    /* event heap ordered by (t, seq) (growable) */
-    double *h_t;
-    int64_t *h_seq;
-    uint64_t *h_pay;            /* kind<<32 | payload */
+    /* 4-ary event heap ordered by (t, seq): times and nodes (growable) */
+    double *heap_t;
+    HeapNode *heap;
     int64_t heap_len, heap_cap;
-    /* per-host mutable state */
-    double *waste;
-    int32_t *ucur, *poll_fail;
-    int64_t *cur;               /* monotone session cursor */
     /* scalars */
     int64_t seq, n_valid, n_rep, ret_count;
     int64_t ok_n, err_n, stale_n, tmo_n, red_n;
@@ -121,56 +154,83 @@ typedef struct {
     int64_t need_peak;          /* longest need queue after a dispatch */
 } FleetCtx;
 
-static void heap_push(FleetCtx *c, double t, int64_t seq, uint64_t pay)
+static void heap_push(FleetCtx *c, double t, int64_t seq, int64_t h,
+                      int kind, int64_t rid, int64_t wid)
 {
+    double *ht = c->heap_t;
+    HeapNode *hp = c->heap;
     int64_t i = c->heap_len++;
     while (i > 0) {
-        int64_t p = (i - 1) >> 1;
-        if (c->h_t[p] < t || (c->h_t[p] == t && c->h_seq[p] < seq))
+        int64_t p = (i - 1) >> 2;
+        if (ht[p] < t || (ht[p] == t && hp[p].seq < seq))
             break;
-        c->h_t[i] = c->h_t[p];
-        c->h_seq[i] = c->h_seq[p];
-        c->h_pay[i] = c->h_pay[p];
+        ht[i] = ht[p];
+        hp[i] = hp[p];
         i = p;
     }
-    c->h_t[i] = t;
-    c->h_seq[i] = seq;
-    c->h_pay[i] = pay;
+    ht[i] = t;
+    hp[i].seq = seq;
+    hp[i].host = (int32_t)h;
+    hp[i].kind = kind;
+    hp[i].rid = (uint32_t)rid;
+    hp[i].wid = (int32_t)wid;
 }
 
-static void heap_pop(FleetCtx *c, double *t, uint64_t *pay)
+static void heap_pop(FleetCtx *c, double *t, HeapNode *top)
 {
-    *t = c->h_t[0];
-    *pay = c->h_pay[0];
+    double *ht = c->heap_t;
+    HeapNode *hp = c->heap;
+    *t = ht[0];
+    *top = hp[0];
     int64_t len = --c->heap_len;
     if (len == 0)
         return;
-    double lt = c->h_t[len];
-    int64_t ls = c->h_seq[len];
-    uint64_t lp = c->h_pay[len];
+    double lt = ht[len];
+    HeapNode last = hp[len];
     int64_t i = 0;
     for (;;) {
-        int64_t child = 2 * i + 1;
-        if (child >= len)
+        int64_t first = 4 * i + 1;
+        if (first >= len)
             break;
-        int64_t right = child + 1;
-        if (right < len && (c->h_t[right] < c->h_t[child]
-                            || (c->h_t[right] == c->h_t[child]
-                                && c->h_seq[right] < c->h_seq[child])))
-            child = right;
-        if (c->h_t[child] < lt
-            || (c->h_t[child] == lt && c->h_seq[child] < ls)) {
-            c->h_t[i] = c->h_t[child];
-            c->h_seq[i] = c->h_seq[child];
-            c->h_pay[i] = c->h_pay[child];
-            i = child;
-        } else {
-            break;
+        int64_t end = first + 4 < len ? first + 4 : len;
+        int64_t best = first;
+        double bt = ht[first];
+        for (int64_t j = first + 1; j < end; j++) {
+            double tj = ht[j];
+            if (tj < bt || (tj == bt && hp[j].seq < hp[best].seq)) {
+                best = j;
+                bt = tj;
+            }
         }
+        if (!(bt < lt || (bt == lt && hp[best].seq < last.seq)))
+            break;
+        ht[i] = bt;
+        hp[i] = hp[best];
+        i = best;
     }
-    c->h_t[i] = lt;
-    c->h_seq[i] = ls;
-    c->h_pay[i] = lp;
+    ht[i] = lt;
+    hp[i] = last;
+}
+
+/* Start loading what the next event reads while this one runs: its host
+ * record and, for a replica event, its replica slots and unit state --
+ * all addressed straight from the node, with no load in between. */
+static inline void prefetch_next(const FleetCtx *c)
+{
+    const HeapNode *top = c->heap;
+    if (top->kind != K_DEADLINE) {
+        const char *rec = (const char *)(c->hosts + top->host);
+        __builtin_prefetch(rec, 1);
+        __builtin_prefetch(rec + 64, 1);
+    }
+    if (top->kind != K_REQUEST) {
+        __builtin_prefetch(c->r_flag + top->rid, 1);
+        __builtin_prefetch(c->r_dead + top->rid, 0);
+        __builtin_prefetch(c->wu_state + top->wid, 1);
+        __builtin_prefetch(c->wu_out + top->wid, 1);
+        __builtin_prefetch(c->wu_nhold + top->wid, 1);
+        __builtin_prefetch(c->wu_holders + top->wid * c->quorum, 1);
+    }
 }
 
 /* PCG64's XSL-RR output of a freshly stepped 128-bit state. */
@@ -186,15 +246,15 @@ static inline uint64_t xsl_rr(u128 st)
 /* numpy's next_double: (u64 >> 11) * 2^-53 */
 #define D53 (1.0 / 9007199254740992.0)
 
-/* The next uniform of host h's serve stream: one PCG64 step, the
+/* The next uniform of a host's serve stream: one PCG64 step, the
  * XSL-RR output, then next_double. */
-static double serve_uniform(FleetCtx *c, int64_t h)
+static double serve_uniform(HostRec *hr)
 {
-    u128 st = (((u128)c->pcg_hi[h]) << 64) | c->pcg_lo[h];
-    u128 inc = (((u128)c->inc_hi[h]) << 64) | c->inc_lo[h];
+    u128 st = (((u128)hr->pcg_hi) << 64) | hr->pcg_lo;
+    u128 inc = (((u128)hr->inc_hi) << 64) | hr->inc_lo;
     st = st * PCG_MULT + inc;
-    c->pcg_lo[h] = (uint64_t)st;
-    c->pcg_hi[h] = (uint64_t)(st >> 64);
+    hr->pcg_lo = (uint64_t)st;
+    hr->pcg_hi = (uint64_t)(st >> 64);
     return (double)(xsl_rr(st) >> 11) * D53;
 }
 
@@ -216,6 +276,7 @@ static void maybe_reissue(FleetCtx *c, int32_t wid)
 
 static void dispatch(FleetCtx *c, int64_t h, double now)
 {
+    HostRec *hr = c->hosts + h;
     int64_t wid = -1;
     int64_t nstash = 0;
     while (c->need_count > 0) {
@@ -253,47 +314,57 @@ static void dispatch(FleetCtx *c, int64_t h, double now)
     if (wid < 0) {
         if (c->n_valid >= c->nwu)
             return;             /* everything validated; host retires */
-        int32_t f = ++c->poll_fail[h];
+        int32_t f = ++hr->poll_fail;
         int64_t di = (int64_t)f - 1;
         if (di >= c->n_delays)
             di = c->n_delays - 1;
         double next_poll = now + c->delays[di];
-        double limit = c->departure[h];
+        double limit = hr->departure;
         if (c->horizon < limit)
             limit = c->horizon;
         if (next_poll < limit)
-            heap_push(c, next_poll, c->seq++,
-                      ((uint64_t)K_REQUEST << 32) | (uint64_t)h);
+            heap_push(c, next_poll, c->seq++, h, K_REQUEST, 0, 0);
         return;
     }
-    c->poll_fail[h] = 0;
+    hr->poll_fail = 0;
     int64_t rid = c->n_rep;
     int32_t tcount = c->wu_tmo[wid];
     double deadline = now
-        + c->base[h] * c->stretch[tcount < 8 ? tcount : 8];
-    int64_t hi = c->soff[h + 1];
-    int64_t cu = c->cur[h];
-    while (cu + 1 < hi && c->fs[cu + 1] <= now)
+        + hr->base * c->stretch[tcount < 8 ? tcount : 8];
+    int64_t hi = hr->send;
+    int64_t cu = hr->cur;
+    if (hr->next_start <= now) {
+        /* the cursor moves past every session started by now, and the
+         * cached cursor session follows it */
         cu++;
-    c->cur[h] = cu;
+        while (cu + 1 < hi && c->fs[cu + 1] <= now)
+            cu++;
+        hr->cur = cu;
+        hr->cur_start = c->fs[cu];
+        hr->cur_end = c->fe[cu];
+        hr->next_start = cu + 1 < hi ? c->fs[cu + 1] : INFINITY;
+    }
     double fin = 0.0;
     int has_fin = 0;
-    double remaining = c->an[h];
-    for (int64_t j = cu; j < hi; j++) {
-        double s = c->fs[j];
-        double e = c->fe[j];
+    double remaining = hr->an;
+    double s = hr->cur_start;
+    double e = hr->cur_end;
+    for (int64_t j = cu;;) {
         double lo = s > now ? s : now;
-        if (lo >= e)
-            continue;
-        double span = e - lo;
-        if (span >= remaining) {
-            fin = lo + remaining;
-            has_fin = 1;
-            break;
+        if (lo < e) {
+            double span = e - lo;
+            if (span >= remaining) {
+                fin = lo + remaining;
+                has_fin = 1;
+                break;
+            }
+            remaining -= span;
         }
-        remaining -= span;
+        if (++j >= hi)
+            break;
+        s = c->fs[j];
+        e = c->fe[j];
     }
-    c->r_wid[rid] = (int32_t)wid;
     c->r_host[rid] = (int32_t)h;
     c->r_dead[rid] = deadline;
     c->r_disp[rid] = now;
@@ -305,14 +376,11 @@ static void dispatch(FleetCtx *c, int64_t h, double now)
     if (c->need_count > c->need_peak)
         c->need_peak = c->need_count;
     if (has_fin && fin <= c->horizon) {
-        heap_push(c, fin, c->seq++,
-                  ((uint64_t)K_COMPLETE << 32) | (uint64_t)rid);
+        heap_push(c, fin, c->seq++, h, K_COMPLETE, rid, wid);
         if (deadline < fin)
-            heap_push(c, deadline, c->seq++,
-                      ((uint64_t)K_DEADLINE << 32) | (uint64_t)rid);
+            heap_push(c, deadline, c->seq++, h, K_DEADLINE, rid, wid);
     } else if (deadline <= c->horizon) {
-        heap_push(c, deadline, c->seq++,
-                  ((uint64_t)K_DEADLINE << 32) | (uint64_t)rid);
+        heap_push(c, deadline, c->seq++, h, K_DEADLINE, rid, wid);
     }
 }
 
@@ -321,7 +389,7 @@ int fleet_run(FleetCtx *c)
     for (;;) {
         if (c->heap_len == 0)
             return ST_DONE;
-        if (c->h_t[0] > c->horizon)
+        if (c->heap_t[0] > c->horizon)
             return ST_DONE;
         /* preflight: every path through one event fits these margins */
         if (c->n_rep + 1 > c->rep_cap)
@@ -332,31 +400,31 @@ int fleet_run(FleetCtx *c)
             return ST_GROW_HEAP;
         if (c->need_count + 2 > c->need_cap)
             return ST_GROW_NEED;
+        HeapNode ev;
         double t;
-        uint64_t pay;
-        heap_pop(c, &t, &pay);
-        int kind = (int)(pay >> 32);
-        int64_t payload = (int64_t)(pay & 0xffffffffu);
-        if (kind == K_COMPLETE) {
-            int64_t rid = payload;
-            int32_t wid = c->r_wid[rid];
-            int64_t h = c->r_host[rid];
+        heap_pop(c, &t, &ev);
+        if (c->heap_len > 0)
+            prefetch_next(c);
+        if (ev.kind == K_COMPLETE) {
+            int64_t rid = ev.rid;
+            int32_t wid = ev.wid;
+            int64_t h = ev.host;
+            HostRec *hr = c->hosts + h;
             double deadline = c->r_dead[rid];
             uint8_t fl = c->r_flag[rid];
             c->r_flag[rid] = fl | 2;
             int redispatch = c->n_valid < c->nwu;
-            if (redispatch && c->heap_len > 0 && c->h_t[0] == t) {
+            if (redispatch && c->heap_len > 0 && c->heap_t[0] == t) {
                 /* a tied event must process first: fall back to the
                  * classic re-poll push */
-                heap_push(c, t, c->seq++,
-                          ((uint64_t)K_REQUEST << 32) | (uint64_t)h);
+                heap_push(c, t, c->seq++, h, K_REQUEST, 0, 0);
                 redispatch = 0;
             }
-            double useful = c->an[h];
+            double useful = hr->an;
             if (fl || t > deadline) {
                 c->stale_n++;
                 c->stale_cpu += useful;
-                c->waste[h] += useful;
+                hr->waste += useful;
                 if (!fl) {
                     c->wu_out[wid]--;
                     c->r_flag[rid] = 3;
@@ -367,14 +435,14 @@ int fleet_run(FleetCtx *c)
                 c->wu_out[wid]--;
                 c->red_n++;
                 c->red_cpu += useful;
-                c->waste[h] += useful;
+                hr->waste += useful;
             } else {
                 c->wu_out[wid]--;
-                c->ucur[h]++;
-                if (serve_uniform(c, h) < c->err_rate) {
+                hr->ucur++;
+                if (serve_uniform(hr) < c->err_rate) {
                     c->err_n++;
                     c->err_cpu += useful;
-                    c->waste[h] += useful;
+                    hr->waste += useful;
                     if (c->quorum == 1 && c->wu_state[wid] == 0)
                         c->wu_state[wid] = 2;
                     maybe_reissue(c, wid);
@@ -405,13 +473,13 @@ int fleet_run(FleetCtx *c)
             }
             if (redispatch)
                 dispatch(c, h, t);
-        } else if (kind == K_REQUEST) {
-            dispatch(c, payload, t);
+        } else if (ev.kind == K_REQUEST) {
+            dispatch(c, ev.host, t);
         } else {
-            int64_t rid = payload;
+            int64_t rid = ev.rid;
             if (!c->r_flag[rid]) {
                 c->r_flag[rid] = 1;
-                int32_t wid = c->r_wid[rid];
+                int32_t wid = ev.wid;
                 c->wu_out[wid]--;
                 if (c->wu_state[wid] != 1) {
                     c->wu_tmo[wid]++;
@@ -708,6 +776,38 @@ static Pcg pcg_seeded(uint64_t entropy, const uint32_t spawn[4])
     return p;
 }
 
+/* Fill fleet_run's n host records from the host columns.  The serve
+ * lane of host h is RngStreams(seeds[h]).stream(name) for name's
+ * spawn-key words; the cursor starts at the host's first session.  A
+ * host without sessions never gets an event, so its cursor cache is
+ * left at zero. */
+void fleet_init_hosts(HostRec *hosts, int64_t n, const int64_t *soff,
+                      const double *fs, const double *fe, const double *an,
+                      const double *base, const double *departure,
+                      const uint64_t *seeds, const uint32_t spawn[4])
+{
+    for (int64_t h = 0; h < n; h++) {
+        HostRec *hr = hosts + h;
+        memset(hr, 0, sizeof *hr);
+        Pcg p = pcg_seeded(seeds[h], spawn);
+        hr->pcg_lo = (uint64_t)p.state;
+        hr->pcg_hi = (uint64_t)(p.state >> 64);
+        hr->inc_lo = (uint64_t)p.inc;
+        hr->inc_hi = (uint64_t)(p.inc >> 64);
+        hr->an = an[h];
+        hr->base = base[h];
+        hr->departure = departure[h];
+        int64_t first = soff[h];
+        hr->cur = first;
+        hr->send = soff[h + 1];
+        if (first < hr->send) {
+            hr->cur_start = fs[first];
+            hr->cur_end = fe[first];
+        }
+        hr->next_start = first + 1 < hr->send ? fs[first + 1] : INFINITY;
+    }
+}
+
 static inline uint64_t pcg_next(Pcg *p)
 {
     p->state = p->state * PCG_MULT + p->inc;
@@ -830,31 +930,50 @@ int64_t fleet_ctx_layout(int64_t *out)
     OFF(FleetCtx, n); OFF(FleetCtx, nwu); OFF(FleetCtx, quorum);
     OFF(FleetCtx, max_replicas); OFF(FleetCtx, horizon);
     OFF(FleetCtx, err_rate); OFF(FleetCtx, n_delays);
-    OFF(FleetCtx, fs); OFF(FleetCtx, fe); OFF(FleetCtx, soff);
-    OFF(FleetCtx, departure); OFF(FleetCtx, an); OFF(FleetCtx, base);
+    OFF(FleetCtx, fs); OFF(FleetCtx, fe);
     OFF(FleetCtx, stretch); OFF(FleetCtx, delays);
-    OFF(FleetCtx, pcg_lo); OFF(FleetCtx, pcg_hi);
-    OFF(FleetCtx, inc_lo); OFF(FleetCtx, inc_hi);
+    OFF(FleetCtx, hosts);
     OFF(FleetCtx, wu_state); OFF(FleetCtx, wu_validated);
     OFF(FleetCtx, wu_issued); OFF(FleetCtx, wu_out); OFF(FleetCtx, wu_tmo);
     OFF(FleetCtx, wu_holders); OFF(FleetCtx, wu_nhold);
     OFF(FleetCtx, wu_hosts);
-    OFF(FleetCtx, r_wid); OFF(FleetCtx, r_host); OFF(FleetCtx, r_dead);
+    OFF(FleetCtx, r_host); OFF(FleetCtx, r_dead);
     OFF(FleetCtx, r_disp); OFF(FleetCtx, r_flag); OFF(FleetCtx, rep_cap);
     OFF(FleetCtx, ret_wid); OFF(FleetCtx, ret_host); OFF(FleetCtx, ret_cpu);
     OFF(FleetCtx, ret_cap);
     OFF(FleetCtx, need); OFF(FleetCtx, need_head); OFF(FleetCtx, need_count);
     OFF(FleetCtx, need_cap); OFF(FleetCtx, stash);
-    OFF(FleetCtx, h_t); OFF(FleetCtx, h_seq); OFF(FleetCtx, h_pay);
+    OFF(FleetCtx, heap_t); OFF(FleetCtx, heap);
     OFF(FleetCtx, heap_len); OFF(FleetCtx, heap_cap);
-    OFF(FleetCtx, waste); OFF(FleetCtx, ucur); OFF(FleetCtx, poll_fail);
-    OFF(FleetCtx, cur);
     OFF(FleetCtx, seq); OFF(FleetCtx, n_valid); OFF(FleetCtx, n_rep);
     OFF(FleetCtx, ret_count);
     OFF(FleetCtx, ok_n); OFF(FleetCtx, err_n); OFF(FleetCtx, stale_n);
     OFF(FleetCtx, tmo_n); OFF(FleetCtx, red_n);
     OFF(FleetCtx, err_cpu); OFF(FleetCtx, stale_cpu); OFF(FleetCtx, red_cpu);
     OFF(FleetCtx, need_peak);
+    return k;
+}
+
+int64_t host_rec_layout(int64_t *out)
+{
+    int64_t k = 0;
+    out[k++] = (int64_t)sizeof(HostRec);
+    OFF(HostRec, pcg_lo); OFF(HostRec, pcg_hi);
+    OFF(HostRec, inc_lo); OFF(HostRec, inc_hi);
+    OFF(HostRec, an); OFF(HostRec, waste); OFF(HostRec, cur);
+    OFF(HostRec, send); OFF(HostRec, base); OFF(HostRec, departure);
+    OFF(HostRec, poll_fail); OFF(HostRec, ucur);
+    OFF(HostRec, cur_start); OFF(HostRec, cur_end); OFF(HostRec, next_start);
+    OFF(HostRec, pad);
+    return k;
+}
+
+int64_t heap_node_layout(int64_t *out)
+{
+    int64_t k = 0;
+    out[k++] = (int64_t)sizeof(HeapNode);
+    OFF(HeapNode, seq); OFF(HeapNode, host);
+    OFF(HeapNode, kind); OFF(HeapNode, rid); OFF(HeapNode, wid);
     return k;
 }
 

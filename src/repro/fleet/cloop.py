@@ -10,7 +10,11 @@
 * the **event loop** of fault-free fleet runs (:func:`run_event_loop`),
   a straight transliteration of the fault-free branches of
   ``FleetServer._fast_loop_python`` (storm runs always take the Python
-  loop, which alone carries the recovery machine);
+  loop, which alone carries the recovery machine).  Its state is laid
+  out for memory latency: one 128-byte, 128-byte-aligned record per
+  host (:data:`_HOST_DTYPE`), a 4-ary heap of event times with parallel
+  24-byte nodes that carry the host (:data:`_NODE_DTYPE`), and a
+  prefetch of the next event's record after every pop;
 * the **fault-draw batch** (:func:`draw_uniforms`): the uniforms of
   :func:`repro.faults.plan._draw` for a run of consecutive integer keys,
   through the same C SHA-256.  Storms pre-draw their ``vm.crash``,
@@ -23,11 +27,11 @@ This module compiles the source with the system C compiler on first use
 compiler flags), loads it through :mod:`ctypes`, and drives the
 pause/resume protocol: a kernel returns to Python whenever a growable
 buffer would overflow, the driver grows the numpy buffer and resumes.
-The serve-stream error uniforms never cross the boundary: each host's
-PCG64 lane is handed over once as 64-bit state and increment halves,
-and the event kernel steps it on demand.  Everything the kernels touch
-is a numpy array owned here, so their outputs come back with zero
-copying.
+The serve-stream error uniforms never cross the boundary: the kernel
+seeds each host's PCG64 lane into its record (``fleet_init_hosts``)
+and steps it on demand.  Everything the kernels touch is a numpy array
+owned here, so their outputs come back without copying, bar the
+per-host waste column gathered out of the host records.
 
 No compiler, a failed compile (including a compiler without
 ``unsigned __int128``), or ``REPRO_NO_CLOOP=1`` all degrade to
@@ -45,7 +49,7 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,7 +65,7 @@ from repro.fleet._zigdata import (
     WI_NOR,
 )
 from repro.fleet.config import FleetConfig
-from repro.fleet.fastrng import VecPcg, spawn_key_words
+from repro.fleet.fastrng import spawn_key_words
 from repro.fleet.host import AVAILABILITY_CEIL, AVAILABILITY_FLOOR
 
 __all__ = ["available", "draw_uniforms", "run_event_loop", "sample_columns"]
@@ -90,28 +94,59 @@ class _FleetCtx(ctypes.Structure):
         ("n", _I), ("nwu", _I), ("quorum", _I), ("max_replicas", _I),
         ("horizon", _D), ("err_rate", _D),
         ("n_delays", _I),
-        ("fs", _P), ("fe", _P), ("soff", _P),
-        ("departure", _P), ("an", _P), ("base", _P),
+        ("fs", _P), ("fe", _P),
         ("stretch", _P), ("delays", _P),
-        ("pcg_lo", _P), ("pcg_hi", _P), ("inc_lo", _P), ("inc_hi", _P),
+        ("hosts", _P),
         ("wu_state", _P), ("wu_validated", _P),
         ("wu_issued", _P), ("wu_out", _P), ("wu_tmo", _P),
         ("wu_holders", _P), ("wu_nhold", _P), ("wu_hosts", _P),
-        ("r_wid", _P), ("r_host", _P), ("r_dead", _P), ("r_disp", _P),
+        ("r_host", _P), ("r_dead", _P), ("r_disp", _P),
         ("r_flag", _P), ("rep_cap", _I),
         ("ret_wid", _P), ("ret_host", _P), ("ret_cpu", _P),
         ("ret_cap", _I),
         ("need", _P), ("need_head", _I), ("need_count", _I),
         ("need_cap", _I), ("stash", _P),
-        ("h_t", _P), ("h_seq", _P), ("h_pay", _P),
-        ("heap_len", _I), ("heap_cap", _I),
-        ("waste", _P), ("ucur", _P), ("poll_fail", _P), ("cur", _P),
+        ("heap_t", _P), ("heap", _P), ("heap_len", _I), ("heap_cap", _I),
         ("seq", _I), ("n_valid", _I), ("n_rep", _I), ("ret_count", _I),
         ("ok_n", _I), ("err_n", _I), ("stale_n", _I), ("tmo_n", _I),
         ("red_n", _I),
         ("err_cpu", _D), ("stale_cpu", _D), ("red_cpu", _D),
         ("need_peak", _I),
     ]
+
+
+#: The C ``HostRec``: one host's kernel state, 128 bytes on a 128-byte
+#: boundary (an adjacent pair of cache lines), in C declaration order.
+_HOST_DTYPE = np.dtype([
+    ("pcg_lo", np.uint64), ("pcg_hi", np.uint64),
+    ("inc_lo", np.uint64), ("inc_hi", np.uint64),
+    ("an", np.float64), ("waste", np.float64),
+    ("cur", np.int64), ("send", np.int64),
+    ("base", np.float64), ("departure", np.float64),
+    ("poll_fail", np.int32), ("ucur", np.int32),
+    ("cur_start", np.float64), ("cur_end", np.float64),
+    ("next_start", np.float64),
+    ("pad", np.int64, (2,)),
+])
+#: The C ``HeapNode``: one event of the 4-ary heap bar its time, which
+#: sits at the same index of a parallel float64 array.
+_NODE_DTYPE = np.dtype([
+    ("seq", np.int64),
+    ("host", np.int32), ("kind", np.int32),
+    ("rid", np.uint32), ("wid", np.int32),
+])
+_LINE = 64  # cache-line bytes
+
+#: Initial capacities of the event kernel's growable buffers as (floor,
+#: entries per host): replicas, ok returns and heap nodes start at
+#: ``max(floor, per_host * n)`` (the heap at least at its initial
+#: events), the need ring at its ``nwu * quorum`` initial entries plus
+#: that.  Each one doubles through a pause when the kernel would
+#: overflow it.
+_REP_CAP = (4096, 2)
+_RET_CAP = (4096, 2)
+_HEAP_CAP = (1024, 2)
+_NEED_CAP = (1024, 1)
 
 
 class _SampleCtx(ctypes.Structure):
@@ -140,6 +175,8 @@ _STREAMS = ("speed", "avail", "churn.departure", "churn.phase",
             "churn.on", "churn.off")
 _SPAWN = np.array([spawn_key_words(name) for name in _STREAMS],
                   dtype=np.uint32).ravel()
+#: Spawn-key words of the event kernel's serve-stream lanes.
+_ERROR_SPAWN = np.array(spawn_key_words("error"), dtype=np.uint32)
 #: numpy's ziggurat tables, handed to the sampler as pointers.
 _ZIG = {"ki_nor": np.array(KI_NOR, dtype=np.uint64),
         "ke_exp": np.array(KE_EXP, dtype=np.uint64),
@@ -221,7 +258,8 @@ def _open(so_path: str) -> ctypes.CDLL:
     lib.fleet_run.restype = ctypes.c_int
     lib.fleet_sample.argtypes = [ctypes.POINTER(_SampleCtx)]
     lib.fleet_sample.restype = ctypes.c_int
-    for name in ("fleet_ctx_layout", "sample_ctx_layout"):
+    for name in ("fleet_ctx_layout", "host_rec_layout", "heap_node_layout",
+                 "sample_ctx_layout"):
         getattr(lib, name).argtypes = [ctypes.POINTER(_I)]
         getattr(lib, name).restype = _I
     lib.fleet_sha256.argtypes = [ctypes.c_char_p, _I, ctypes.c_char_p]
@@ -229,6 +267,8 @@ def _open(so_path: str) -> ctypes.CDLL:
     lib.fleet_draw_uniforms.argtypes = [ctypes.c_char_p, _I, ctypes.c_char_p,
                                         _I, _I, _I, _P]
     lib.fleet_draw_uniforms.restype = ctypes.c_int
+    lib.fleet_init_hosts.argtypes = [_P, _I] + [_P] * 8
+    lib.fleet_init_hosts.restype = None
     return lib
 
 
@@ -239,6 +279,52 @@ def available() -> bool:
 
 def _addr(arr: np.ndarray) -> int:
     return arr.ctypes.data
+
+
+def _capacity(spec: Tuple[int, int], n: int) -> int:
+    floor, per_host = spec
+    return max(floor, per_host * n)
+
+
+def _aligned(count: int, dtype: np.dtype, align: int,
+             lead: int = 0) -> np.ndarray:
+    """``count`` uninitialised records of ``dtype`` whose record ``lead``
+    starts on an ``align``-byte boundary."""
+    size = count * dtype.itemsize
+    raw = np.empty(size + align, dtype=np.uint8)
+    skip = -(raw.ctypes.data + lead * dtype.itemsize) % align
+    return raw[skip:skip + size].view(dtype)
+
+
+def _heap(cap: int, old: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+          ) -> Tuple[np.ndarray, np.ndarray]:
+    """Heap times and nodes for ``cap`` events, holding ``old``'s.  Time
+    1 starts a cache line, so the four child times of any event share
+    one line."""
+    times = _aligned(cap, np.dtype(np.float64), _LINE, lead=1)
+    nodes = np.zeros(cap, dtype=_NODE_DTYPE)
+    if old is not None:
+        times[:len(old[0])] = old[0]
+        nodes[:len(old[1])] = old[1]
+    return times, nodes
+
+
+def _host_records(lib: ctypes.CDLL, prep: Any, soff: np.ndarray,
+                  fs: np.ndarray, fe: np.ndarray) -> np.ndarray:
+    """One :data:`_HOST_DTYPE` record per host, on 128-byte boundaries,
+    filled by the kernel library from the prep's host columns."""
+    n = prep.n
+    columns = [np.ascontiguousarray(col, dtype=np.float64)
+               for col in (prep.an, prep.base, prep.departure)]
+    seeds = np.ascontiguousarray(prep.serve_seed, dtype=np.uint64)
+    if len(soff) != n + 1 or soff[-1] > min(len(fs), len(fe)) or any(
+            len(col) != n for col in (*columns, seeds)):
+        raise ValueError(f"host columns do not describe {n} hosts")
+    hosts = _aligned(n, _HOST_DTYPE, 2 * _LINE)
+    lib.fleet_init_hosts(_addr(hosts), n, _addr(soff), _addr(fs), _addr(fe),
+                         *map(_addr, columns), _addr(seeds),
+                         _addr(_ERROR_SPAWN))
+    return hosts
 
 
 def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
@@ -261,9 +347,6 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
     soff = np.ascontiguousarray(prep.soff, dtype=np.int64)
     fs = np.ascontiguousarray(prep.fs, dtype=np.float64)
     fe = np.ascontiguousarray(prep.fe, dtype=np.float64)
-    departure = np.ascontiguousarray(prep.departure, dtype=np.float64)
-    an = np.ascontiguousarray(prep.an, dtype=np.float64)
-    base = np.ascontiguousarray(prep.base, dtype=np.float64)
     stretch = np.ascontiguousarray(prep.stretch, dtype=np.float64)
     delays = np.ascontiguousarray(prep.delays, dtype=np.float64)
 
@@ -274,50 +357,41 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
     wu_tmo = np.zeros(nwu, dtype=np.int32)
     wu_holders = np.full(nwu * quorum, -1, dtype=np.int32)
     wu_nhold = np.zeros(nwu, dtype=np.uint8)
-    wu_hosts = np.full(nwu * max_replicas, -1, dtype=np.int32)
+    # the kernel reads a unit's host list only up to wu_issued
+    wu_hosts = np.empty(nwu * max_replicas, dtype=np.int32)
 
-    rep_cap = max(4096, 2 * n)
-    r_wid = np.empty(rep_cap, dtype=np.int32)
+    rep_cap = _capacity(_REP_CAP, n)
     r_host = np.empty(rep_cap, dtype=np.int32)
     r_dead = np.empty(rep_cap, dtype=np.float64)
     r_disp = np.empty(rep_cap, dtype=np.float64)
     r_flag = np.empty(rep_cap, dtype=np.uint8)
 
-    ret_cap = max(4096, 2 * n)
+    ret_cap = _capacity(_RET_CAP, n)
     ret_wid = np.empty(ret_cap, dtype=np.int32)
     ret_host = np.empty(ret_cap, dtype=np.int32)
     ret_cpu = np.empty(ret_cap, dtype=np.float64)
 
-    need_cap = nwu * quorum + n + 1024
-    need = np.empty(need_cap, dtype=np.int32)
     initial_need = np.repeat(
         np.arange(nwu, dtype=np.int32), quorum)
+    need_cap = len(initial_need) + _capacity(_NEED_CAP, n)
+    need = np.empty(need_cap, dtype=np.int32)
     need[:len(initial_need)] = initial_need
     stash = np.empty(need_cap, dtype=np.int32)
 
-    heap_cap = max(1024, 2 * n)
-    h_t = np.empty(heap_cap, dtype=np.float64)
-    h_seq = np.empty(heap_cap, dtype=np.int64)
-    h_pay = np.empty(heap_cap, dtype=np.uint64)
     # initial REQUEST events: one per host with sessions, seq assigned
-    # in host order; a (t, seq)-sorted array is a valid binary min-heap
+    # in host order; a (t, seq)-sorted array is a valid 4-ary min-heap
     has_sessions = np.flatnonzero(soff[1:] > soff[:-1])
     first_start = fs[soff[:-1][has_sessions]]
     seqs = np.arange(len(has_sessions), dtype=np.int64)
     order = np.lexsort((seqs, first_start))
     k = len(has_sessions)
-    h_t[:k] = first_start[order]
-    h_seq[:k] = seqs[order]
-    h_pay[:k] = has_sessions[order].astype(np.uint64)  # K_REQUEST == 0
+    heap_cap = max(_capacity(_HEAP_CAP, n), k)
+    heap_t, heap = _heap(heap_cap)
+    heap_t[:k] = first_start[order]
+    heap["seq"][:k] = seqs[order]
+    heap["host"][:k] = has_sessions[order]  # kind K_REQUEST == 0
 
-    waste = np.zeros(n, dtype=np.float64)
-    ucur = np.zeros(n, dtype=np.int32)
-    poll_fail = np.zeros(n, dtype=np.int32)
-    cur = soff[:n].copy()
-
-    serve = VecPcg.seeded(prep.serve_seed, "error")
-    pcg_lo, pcg_hi = _halves(serve.s)
-    inc_lo, inc_hi = _halves(serve.inc)
+    hosts = _host_records(lib, prep, soff, fs, fe)
 
     ctx = _FleetCtx()
     ctx.n = n
@@ -328,19 +402,13 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
     ctx.err_rate = prep.err_rate
     ctx.n_delays = len(delays)
     for name, arr in (
-            ("fs", fs), ("fe", fe), ("soff", soff),
-            ("departure", departure), ("an", an), ("base", base),
-            ("stretch", stretch), ("delays", delays),
+            ("fs", fs), ("fe", fe),
+            ("stretch", stretch), ("delays", delays), ("hosts", hosts),
             ("wu_state", wu_state), ("wu_validated", wu_validated),
             ("wu_issued", wu_issued), ("wu_out", wu_out),
             ("wu_tmo", wu_tmo), ("wu_holders", wu_holders),
-            ("wu_nhold", wu_nhold), ("wu_hosts", wu_hosts),
-            ("waste", waste), ("ucur", ucur),
-            ("poll_fail", poll_fail), ("cur", cur),
-            ("pcg_lo", pcg_lo), ("pcg_hi", pcg_hi),
-            ("inc_lo", inc_lo), ("inc_hi", inc_hi)):
+            ("wu_nhold", wu_nhold), ("wu_hosts", wu_hosts)):
         setattr(ctx, name, _addr(arr))
-    ctx.r_wid = _addr(r_wid)
     ctx.r_host = _addr(r_host)
     ctx.r_dead = _addr(r_dead)
     ctx.r_disp = _addr(r_disp)
@@ -355,9 +423,8 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
     ctx.need_count = len(initial_need)
     ctx.need_cap = need_cap
     ctx.stash = _addr(stash)
-    ctx.h_t = _addr(h_t)
-    ctx.h_seq = _addr(h_seq)
-    ctx.h_pay = _addr(h_pay)
+    ctx.heap_t = _addr(heap_t)
+    ctx.heap = _addr(heap)
     ctx.heap_len = k
     ctx.heap_cap = heap_cap
     ctx.seq = k
@@ -374,11 +441,9 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
             break
         if status == _ST_GROW_REP:
             rep_cap *= 2
-            r_wid, r_host, r_dead, r_disp, r_flag = (
-                _grow(r_wid, rep_cap), _grow(r_host, rep_cap),
-                _grow(r_dead, rep_cap), _grow(r_disp, rep_cap),
-                _grow(r_flag, rep_cap))
-            ctx.r_wid = _addr(r_wid)
+            r_host, r_dead, r_disp, r_flag = (
+                _grow(r_host, rep_cap), _grow(r_dead, rep_cap),
+                _grow(r_disp, rep_cap), _grow(r_flag, rep_cap))
             ctx.r_host = _addr(r_host)
             ctx.r_dead = _addr(r_dead)
             ctx.r_disp = _addr(r_disp)
@@ -395,12 +460,9 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
             ctx.ret_cap = ret_cap
         elif status == _ST_GROW_HEAP:
             heap_cap *= 2
-            h_t, h_seq, h_pay = (
-                _grow(h_t, heap_cap), _grow(h_seq, heap_cap),
-                _grow(h_pay, heap_cap))
-            ctx.h_t = _addr(h_t)
-            ctx.h_seq = _addr(h_seq)
-            ctx.h_pay = _addr(h_pay)
+            heap_t, heap = _heap(heap_cap, (heap_t, heap))
+            ctx.heap_t = _addr(heap_t)
+            ctx.heap = _addr(heap)
             ctx.heap_cap = heap_cap
         elif status == _ST_GROW_NEED:
             # linearize the ring into a doubled buffer
@@ -444,7 +506,7 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
         "r_host": r_host[:n_rep],
         "r_disp": r_disp[:n_rep],
         "r_flag": r_flag[:n_rep],
-        "waste": waste,
+        "waste": np.ascontiguousarray(hosts["waste"]),
     }
 
 
@@ -541,13 +603,6 @@ def draw_uniforms(prefix: bytes, suffix: bytes, first: int,
                                first, count, _addr(out)) != 0:
         return None
     return out
-
-
-def _halves(limbs: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """The low and high 64-bit words of 128-bit values held as four
-    32-bit limbs (:class:`VecPcg` lanes), least significant first."""
-    u32 = np.uint64(32)
-    return limbs[0] | (limbs[1] << u32), limbs[2] | (limbs[3] << u32)
 
 
 def _grow(arr: np.ndarray, new_cap: int) -> np.ndarray:

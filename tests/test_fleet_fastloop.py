@@ -17,7 +17,11 @@ Pins the contracts the columnar rewrite rides on:
 * the numpy primitives the report folds with are sequential left folds
   in input order, bit for bit the Python ``+=`` loops they replace;
 * the kernel library's C context structs match their ctypes mirrors
-  field for field, and ``-O0``/``-O3`` builds keep every output byte.
+  and its host record and heap node match their numpy dtypes field for
+  field, and ``-O0``/``-O3`` builds keep every output byte;
+* every pause of the event kernel (replica, return, heap and need-ring
+  growth) resumes to the fallback's state byte for byte, and so does a
+  run whose events tie on time by the dozen.
 """
 
 import ctypes
@@ -335,6 +339,31 @@ class TestKernelBuild:
             getattr(struct, name).offset for name, _ in struct._fields_]
         assert list(out[:count]) == expected
 
+    @pytest.mark.parametrize("export, dtype", [
+        ("host_rec_layout", cloop._HOST_DTYPE),
+        ("heap_node_layout", cloop._NODE_DTYPE),
+    ])
+    def test_c_layout_matches_numpy_dtype(self, export, dtype):
+        out = (ctypes.c_int64 * 64)()
+        count = getattr(cloop._load(), export)(out)
+        expected = [dtype.itemsize] + [
+            dtype.fields[name][1] for name in dtype.names]
+        assert list(out[:count]) == expected
+
+    def test_host_records_and_heap_times_are_aligned(self):
+        config = CONFIGS[0]
+        prep = FleetServer(
+            config, build_fleet_columns(config, jobs=1))._fast_prep()
+        hosts = cloop._host_records(cloop._load(), prep, prep.soff,
+                                    prep.fs, prep.fe)
+        assert hosts.ctypes.data % 128 == 0
+        assert hosts.strides == (128,)
+        times, nodes = cloop._heap(37)
+        grown_times, _ = cloop._heap(74, (times, nodes))
+        for heap_t in (times, grown_times):
+            # time 1 opens a line: the four children of any event share it
+            assert (heap_t.ctypes.data + 8) % 64 == 0
+
     def test_flags_get_their_own_library(self):
         default = cloop._compile()
         other = cloop._compile(flags=("-O1",))
@@ -416,3 +445,90 @@ class TestOrderExactFolds:
         got = base.copy()
         np.add.at(got, index, values)
         assert got.tobytes() == python_bins(index, values, base).tobytes()
+
+
+@pytest.mark.skipif(not cloop_available(),
+                    reason="no C compiler / kernel unavailable")
+class TestKernelPauses:
+    """Shrunk initial capacities force every pause of the event kernel.
+
+    Production sizing (``heap_cap = max(1024, 2n)`` and the like) almost
+    never pauses, so without this the grow-and-resume paths of
+    :func:`run_event_loop` would go untested.
+    """
+
+    #: short deadlines: the timeouts refill the need ring past its start
+    CONFIG = FleetConfig(hosts=60, seed=7, duration_s=43200.0,
+                         workunits=120, quorum=2, error_rate=0.3,
+                         deadline_factor=0.5)
+
+    def test_every_pause_resumes_to_the_same_bytes(self, monkeypatch):
+        lib = cloop._load()
+        pauses = []
+
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(lib, name)
+
+            def fleet_run(self, ctx_ref):
+                status = lib.fleet_run(ctx_ref)
+                ctx = ctx_ref._obj
+                wrapped = ctx.need_head + ctx.need_count > ctx.need_cap
+                pauses.append((status, wrapped))
+                return status
+
+        monkeypatch.setattr(cloop, "_load", Spy)
+        for name in ("_REP_CAP", "_RET_CAP", "_HEAP_CAP"):
+            monkeypatch.setattr(cloop, name, (1, 0))
+        # two free slots: the ring wraps before it first fills
+        monkeypatch.setattr(cloop, "_NEED_CAP", (2, 0))
+        server = FleetServer(self.CONFIG,
+                             build_fleet_columns(self.CONFIG, jobs=1))
+        prep = server._fast_prep()
+        state = run_event_loop(prep)
+        statuses = {status for status, _ in pauses}
+        assert {cloop._ST_GROW_REP, cloop._ST_GROW_RET,
+                cloop._ST_GROW_HEAP, cloop._ST_GROW_NEED} <= statuses
+        # the need ring is linearized from a wrapped state at least once
+        assert any(wrapped for status, wrapped in pauses
+                   if status == cloop._ST_GROW_NEED)
+        assert state["tmo_n"] > 0
+        assert_state_equal(state, server._fast_loop_python(prep))
+
+
+@pytest.mark.skipif(not cloop_available(),
+                    reason="no C compiler / kernel unavailable")
+class TestTieOrder:
+    """Events tied on time pop in seq order, kernel and fallback alike.
+
+    Every host gets the same sessions and the same per-unit seconds, so
+    dozens of events share each time: the initial requests all sit at
+    t = 0 (the 4-ary sift-down breaks every tie between four children
+    on seq), and the completions land together, so a completion finds
+    another event at its own time and takes the re-poll branch.
+    """
+
+    HOSTS = 40
+
+    def tied_prep(self, server):
+        prep = server._fast_prep()
+        n = self.HOSTS
+        prep.fs = np.tile([0.0, 30000.0], n)
+        prep.fe = np.tile([20000.0, 80000.0], n)
+        prep.soff = np.arange(0, 2 * n + 1, 2, dtype=np.int64)
+        prep.an = np.full(n, 1000.0)
+        prep.base = np.full(n, 5000.0)
+        prep.departure = np.full(n, np.inf)
+        return prep
+
+    def test_tied_events_keep_every_byte(self):
+        config = FleetConfig(hosts=self.HOSTS, seed=5, duration_s=86400.0,
+                             workunits=300, quorum=2, error_rate=0.2)
+        server = FleetServer(config, build_fleet_columns(config, jobs=1))
+        prep = self.tied_prep(server)
+        state = run_event_loop(prep)
+        assert_state_equal(state, server._fast_loop_python(prep))
+        # units validate in batches at shared times
+        validated = state["wu_validated"][state["wu_state"] == 1]
+        assert len(validated) > 4 * len(np.unique(validated))
+        assert state["err_n"] > 0 and state["n_valid"] > 0
