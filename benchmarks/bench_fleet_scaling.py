@@ -10,7 +10,10 @@ compiled kernel or Python fallback) and ``report_s`` (the report fold),
 so a change names the layer that moved.  Each size's serial run takes
 a fresh spawned process, whose ``peak_rss_mb`` (``ru_maxrss`` after
 the run) is that size's peak memory; the ``jobs=4`` run stays in this
-process.
+process.  The same process then repeats the run under ``tracemalloc``
+for ``columns_peak_mb``, ``loop_peak_mb`` and ``report_peak_mb``: the
+traced high-water mark while each stage runs, counting what earlier
+stages left alive (the timed run stays untraced).
 
 ``--faults SPEC`` runs every size under that fault plan (a storm: the
 Python event loop with the recovery machine), e.g. the perfbench storm::
@@ -38,6 +41,7 @@ dispatch costs more than the sharded build saves.
 
 import argparse
 import contextlib
+import functools
 import json
 import multiprocessing
 import pathlib
@@ -45,6 +49,7 @@ import platform
 import resource
 import sys
 import time
+import tracemalloc
 
 from _bench_util import cpu_info
 
@@ -61,40 +66,82 @@ def canonical(report) -> str:
     return json.dumps(report.to_dict(), sort_keys=True)
 
 
+STAGES = ("columns", "loop", "report")
+
+
 @contextlib.contextmanager
-def stage_timers():
-    """Accumulate the seconds spent in each fleet stage while active.
+def staged(measure):
+    """Run each fleet stage inside ``measure(stage)`` while active.
 
     Wraps the functions ``simulate_fleet`` calls for the column build,
     the event loop and the report; everything is restored on exit.
     """
-    stages = {"columns_s": 0.0, "loop_s": 0.0, "report_s": 0.0}
     server_cls = fleet_server.FleetServer
     targets = [
-        (fleet_server, "build_fleet_columns", "columns_s"),
-        (fleet_server, "_c_event_loop", "loop_s"),
-        (server_cls, "_fast_loop_python", "loop_s"),
-        (server_cls, "_fast_report", "report_s"),
+        (fleet_server, "build_fleet_columns", "columns"),
+        (fleet_server, "_c_event_loop", "loop"),
+        (server_cls, "_fast_loop_python", "loop"),
+        (server_cls, "_fast_report", "report"),
     ]
     originals = [(owner, name, getattr(owner, name))
                  for owner, name, _ in targets]
 
-    def timed(fn, stage):
+    def wrap(fn, stage):
+        @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            started = time.perf_counter()
-            try:
+            with measure(stage):
                 return fn(*args, **kwargs)
-            finally:
-                stages[stage] += time.perf_counter() - started
         return wrapper
 
     for owner, name, stage in targets:
-        setattr(owner, name, timed(getattr(owner, name), stage))
+        setattr(owner, name, wrap(getattr(owner, name), stage))
     try:
-        yield stages
+        yield
     finally:
         for owner, name, original in originals:
             setattr(owner, name, original)
+
+
+@contextlib.contextmanager
+def stage_timers():
+    """Accumulate the seconds spent in each fleet stage while active."""
+    seconds = {f"{stage}_s": 0.0 for stage in STAGES}
+
+    @contextlib.contextmanager
+    def timed(stage):
+        started = time.perf_counter()
+        try:
+            yield
+        finally:
+            seconds[f"{stage}_s"] += time.perf_counter() - started
+
+    with staged(timed):
+        yield seconds
+
+
+@contextlib.contextmanager
+def stage_peaks():
+    """Trace allocations while active and record each fleet stage's
+    peak in MB: the high-water mark of traced memory while the stage
+    runs, counting what earlier stages left alive."""
+    peaks = {f"{stage}_peak_mb": 0.0 for stage in STAGES}
+
+    @contextlib.contextmanager
+    def traced(stage):
+        tracemalloc.reset_peak()
+        try:
+            yield
+        finally:
+            key = f"{stage}_peak_mb"
+            peaks[key] = max(peaks[key],
+                             tracemalloc.get_traced_memory()[1] / 2 ** 20)
+
+    tracemalloc.start()
+    try:
+        with staged(traced):
+            yield peaks
+    finally:
+        tracemalloc.stop()
 
 
 @contextlib.contextmanager
@@ -109,18 +156,23 @@ def fault_plan(spec):
 
 def measure_serial(config: FleetConfig, faults=None) -> dict:
     """One serial run: wall time, stage seconds, peak RSS and the
-    canonical report."""
+    canonical report; then the same run traced, for the stage peaks."""
     with stage_timers() as stages, fault_plan(faults):
         started = time.perf_counter()
         serial = simulate_fleet(config, jobs=1)
         serial_wall = time.perf_counter() - started
     # ru_maxrss is in KiB on Linux
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    with stage_peaks() as peaks, fault_plan(faults):
+        traced = simulate_fleet(config, jobs=1)
+    if canonical(traced) != canonical(serial):
+        raise SystemExit(f"hosts={config.hosts}: the traced run produced "
+                         "a different report")
     return {"workunits": serial.workunits,
             "replicas": serial.replicas_issued,
             "valid": serial.valid,
             "wall_s_serial": serial_wall,
-            "stages": stages,
+            "stages": {**stages, **peaks},
             "peak_rss_mb": peak_rss_mb,
             "canonical": canonical(serial)}
 
@@ -184,8 +236,8 @@ def run_scaling(sizes, hours: float, hypervisor: str, seed: int,
             "replicas": serial["replicas"],
             "valid": serial["valid"],
             "wall_s_serial": round(serial["wall_s_serial"], 3),
-            **{stage: round(spent, 3)
-               for stage, spent in serial["stages"].items()},
+            **{stage: round(value, 3)
+               for stage, value in serial["stages"].items()},
             "peak_rss_mb": round(serial["peak_rss_mb"], 1),
             "wall_s_jobs4": round(parallel_wall, 3),
             "hosts_per_s": round(hosts / serial["wall_s_serial"], 1),
@@ -198,7 +250,10 @@ def run_scaling(sizes, hours: float, hypervisor: str, seed: int,
               f"(columns {run['columns_s']:.2f}s, "
               f"loop {run['loop_s']:.2f}s, "
               f"report {run['report_s']:.2f}s, "
-              f"peak RSS {run['peak_rss_mb']:.0f} MB)  "
+              f"peak RSS {run['peak_rss_mb']:.0f} MB; traced peaks "
+              + "/".join(f"{run[f'{stage}_peak_mb']:.0f}"
+                         for stage in STAGES)
+              + " MB)  "
               f"jobs=4 {run['wall_s_jobs4']:6.2f}s  "
               f"valid={run['valid']:<6d} exact={exact}")
         if not exact:

@@ -23,7 +23,11 @@
  * dependent load; one 128-byte record per host (HostRec) in place of a
  * dozen per-host arrays, caching the session at the host's cursor; and
  * a prefetch of the next event's record and replica slots after every
- * pop.  fleet_init_hosts fills the records, serve lanes included.
+ * pop.  It keeps only what it reads: no per-replica deadline, a unit's
+ * hosts found through its replica chain (wu_last, r_prev, r_host), and
+ * the untouched fresh range of the need queue as a cursor behind one
+ * FRESH entry.  fleet_init_hosts fills the records, serve lanes
+ * included.
  *
  * fleet_draw_uniforms -- a batch of repro.faults.plan._draw uniforms for
  * consecutive integer keys, which fault storms turn into the pre-drawn
@@ -77,6 +81,9 @@ typedef unsigned __int128 u128;
 #define ST_GROW_REP 3
 #define ST_GROW_RET 4
 
+/* The need-ring entry that stands for the rest of the fresh range */
+#define FRESH (-1)
+
 #define K_REQUEST 0
 #define K_DEADLINE 1
 #define K_COMPLETE 2
@@ -129,20 +136,25 @@ typedef struct {
     double *wu_validated;
     int32_t *wu_issued, *wu_out, *wu_tmo, *wu_holders;
     uint8_t *wu_nhold;
-    int32_t *wu_hosts;          /* stride max_replicas, count=wu_issued */
+    int32_t *wu_last;           /* the unit's newest replica, -1: none */
     /* replicas (growable) */
     int32_t *r_host;
-    double *r_dead, *r_disp;
+    int32_t *r_prev;            /* the unit's previous replica, -1: none */
+    double *r_disp;
     uint8_t *r_flag;            /* bit0 timed out, bit1 completed */
     int64_t rep_cap;
     /* ok returns in delivery order (growable) */
     int32_t *ret_wid, *ret_host;
     double *ret_cpu;
     int64_t ret_cap;
-    /* need ring buffer (growable) + stash scratch of equal capacity */
+    /* need queue: a ring buffer (growable) whose FRESH entry stands for
+     * the untouched fresh range -- every unit quorum times, in order --
+     * as a cursor, fresh entry k being unit k / quorum; the stash is
+     * scratch of equal capacity */
     int32_t *need;
     int64_t need_head, need_count, need_cap;
     int32_t *stash;
+    int64_t fresh_next, fresh_end;
     /* 4-ary event heap ordered by (t, seq): times and nodes (growable) */
     double *heap_t;
     HeapNode *heap;
@@ -225,7 +237,6 @@ static inline void prefetch_next(const FleetCtx *c)
     }
     if (top->kind != K_REQUEST) {
         __builtin_prefetch(c->r_flag + top->rid, 1);
-        __builtin_prefetch(c->r_dead + top->rid, 0);
         __builtin_prefetch(c->wu_state + top->wid, 1);
         __builtin_prefetch(c->wu_out + top->wid, 1);
         __builtin_prefetch(c->wu_nhold + top->wid, 1);
@@ -267,6 +278,30 @@ static void need_append(FleetCtx *c, int32_t wid)
     c->need_count++;
 }
 
+/* Pop the head of the need queue.  The FRESH entry yields the next
+ * fresh unit and stays at the head until its range is spent. */
+static int32_t need_pop(FleetCtx *c)
+{
+    int32_t w = c->need[c->need_head];
+    if (w == FRESH) {
+        w = (int32_t)(c->fresh_next++ / c->quorum);
+        if (c->fresh_next < c->fresh_end)
+            return w;
+    }
+    c->need_head++;
+    if (c->need_head >= c->need_cap)
+        c->need_head = 0;
+    c->need_count--;
+    return w;
+}
+
+/* The need queue's length as the Python loop's deque counts it. */
+static inline int64_t need_len(const FleetCtx *c)
+{
+    int64_t fresh = c->fresh_end - c->fresh_next;
+    return c->need_count + (fresh > 0 ? fresh - 1 : 0);
+}
+
 static void maybe_reissue(FleetCtx *c, int32_t wid)
 {
     if ((int64_t)c->wu_nhold[wid] + c->wu_out[wid] < c->quorum
@@ -279,19 +314,19 @@ static void dispatch(FleetCtx *c, int64_t h, double now)
     HostRec *hr = c->hosts + h;
     int64_t wid = -1;
     int64_t nstash = 0;
+    /* the stash fits in need_cap: the growth margin keeps need_count <=
+     * need_cap - quorum here, and besides the ring's entries it takes at
+     * most quorum - 1 fresh ones (a unit is held only once the cursor
+     * passed its first fresh entry, so those are the rest of one unit's,
+     * and the FRESH entry itself is never stashed) */
     while (c->need_count > 0) {
-        int32_t w = c->need[c->need_head];
-        c->need_head++;
-        if (c->need_head >= c->need_cap)
-            c->need_head = 0;
-        c->need_count--;
+        int32_t w = need_pop(c);
         if (c->wu_state[w] == 1 || c->wu_issued[w] >= c->max_replicas)
             continue;           /* entry is stale; drop it */
-        const int32_t *hl = c->wu_hosts + (int64_t)w * c->max_replicas;
-        int32_t cnt = c->wu_issued[w];
+        /* the unit's replicas, newest first, through the rid chain */
         int seen = 0;
-        for (int32_t i = 0; i < cnt; i++) {
-            if (hl[i] == (int32_t)h) {
+        for (int32_t r = c->wu_last[w]; r >= 0; r = c->r_prev[r]) {
+            if (c->r_host[r] == (int32_t)h) {
                 seen = 1;
                 break;
             }
@@ -366,15 +401,15 @@ static void dispatch(FleetCtx *c, int64_t h, double now)
         e = c->fe[j];
     }
     c->r_host[rid] = (int32_t)h;
-    c->r_dead[rid] = deadline;
+    c->r_prev[rid] = c->wu_last[wid];
+    c->wu_last[wid] = (int32_t)rid;
     c->r_disp[rid] = now;
     c->r_flag[rid] = 0;
     c->n_rep++;
-    c->wu_hosts[wid * c->max_replicas + c->wu_issued[wid]] = (int32_t)h;
     c->wu_issued[wid]++;
     c->wu_out[wid]++;
-    if (c->need_count > c->need_peak)
-        c->need_peak = c->need_count;
+    if (need_len(c) > c->need_peak)
+        c->need_peak = need_len(c);
     if (has_fin && fin <= c->horizon) {
         heap_push(c, fin, c->seq++, h, K_COMPLETE, rid, wid);
         if (deadline < fin)
@@ -398,7 +433,9 @@ int fleet_run(FleetCtx *c)
             return ST_GROW_RET;
         if (c->heap_len + 3 > c->heap_cap)
             return ST_GROW_HEAP;
-        if (c->need_count + 2 > c->need_cap)
+        /* a dispatch may put quorum - 1 fresh entries back in the
+         * ring, a reissue appends one */
+        if (c->need_count + c->quorum + 1 > c->need_cap)
             return ST_GROW_NEED;
         HeapNode ev;
         double t;
@@ -410,7 +447,6 @@ int fleet_run(FleetCtx *c)
             int32_t wid = ev.wid;
             int64_t h = ev.host;
             HostRec *hr = c->hosts + h;
-            double deadline = c->r_dead[rid];
             uint8_t fl = c->r_flag[rid];
             c->r_flag[rid] = fl | 2;
             int redispatch = c->n_valid < c->nwu;
@@ -421,7 +457,10 @@ int fleet_run(FleetCtx *c)
                 redispatch = 0;
             }
             double useful = hr->an;
-            if (fl || t > deadline) {
+            /* late (t > deadline) implies fl: dispatch pushed this
+             * replica's K_DEADLINE whenever deadline < fin <= horizon,
+             * and it popped strictly earlier and set bit 0 */
+            if (fl) {
                 c->stale_n++;
                 c->stale_cpu += useful;
                 hr->waste += useful;
@@ -936,13 +975,14 @@ int64_t fleet_ctx_layout(int64_t *out)
     OFF(FleetCtx, wu_state); OFF(FleetCtx, wu_validated);
     OFF(FleetCtx, wu_issued); OFF(FleetCtx, wu_out); OFF(FleetCtx, wu_tmo);
     OFF(FleetCtx, wu_holders); OFF(FleetCtx, wu_nhold);
-    OFF(FleetCtx, wu_hosts);
-    OFF(FleetCtx, r_host); OFF(FleetCtx, r_dead);
+    OFF(FleetCtx, wu_last);
+    OFF(FleetCtx, r_host); OFF(FleetCtx, r_prev);
     OFF(FleetCtx, r_disp); OFF(FleetCtx, r_flag); OFF(FleetCtx, rep_cap);
     OFF(FleetCtx, ret_wid); OFF(FleetCtx, ret_host); OFF(FleetCtx, ret_cpu);
     OFF(FleetCtx, ret_cap);
     OFF(FleetCtx, need); OFF(FleetCtx, need_head); OFF(FleetCtx, need_count);
     OFF(FleetCtx, need_cap); OFF(FleetCtx, stash);
+    OFF(FleetCtx, fresh_next); OFF(FleetCtx, fresh_end);
     OFF(FleetCtx, heap_t); OFF(FleetCtx, heap);
     OFF(FleetCtx, heap_len); OFF(FleetCtx, heap_cap);
     OFF(FleetCtx, seq); OFF(FleetCtx, n_valid); OFF(FleetCtx, n_rep);

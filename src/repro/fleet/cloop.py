@@ -14,7 +14,13 @@
   out for memory latency: one 128-byte, 128-byte-aligned record per
   host (:data:`_HOST_DTYPE`), a 4-ary heap of event times with parallel
   24-byte nodes that carry the host (:data:`_NODE_DTYPE`), and a
-  prefetch of the next event's record after every pop;
+  prefetch of the next event's record after every pop.  It keeps only
+  what it reads: no per-replica deadline (a late completion's own
+  deadline event always pops first and flags it), a unit's hosts found
+  by walking its replicas (``wu_last`` then ``r_prev``, reading
+  ``r_host``) instead of a ``nwu × max_replicas`` table, and the
+  initial need queue, every unit ``quorum`` times, as one ``FRESH``
+  ring entry standing for that range;
 * the **fault-draw batch** (:func:`draw_uniforms`): the uniforms of
   :func:`repro.faults.plan._draw` for a run of consecutive integer keys,
   through the same C SHA-256.  Storms pre-draw their ``vm.crash``,
@@ -27,6 +33,9 @@ This module compiles the source with the system C compiler on first use
 compiler flags), loads it through :mod:`ctypes`, and drives the
 pause/resume protocol: a kernel returns to Python whenever a growable
 buffer would overflow, the driver grows the numpy buffer and resumes.
+It grows by copying into a fresh ``np.empty`` (:func:`_grow`), never
+with ``ndarray.resize``, which zero-fills the new tail and so makes the
+whole capacity resident; an untouched tail costs address space only.
 The serve-stream error uniforms never cross the boundary: the kernel
 seeds each host's PCG64 lane into its record (``fleet_init_hosts``)
 and steps it on demand.  Everything the kernels touch is a numpy array
@@ -80,6 +89,7 @@ _ST_GROW_RET = 4
 _ST_GROW_SESS = 5
 
 _K_REQUEST = 0
+_FRESH = -1  # the need-ring entry standing for the rest of the fresh range
 
 _P = ctypes.c_void_p
 _I = ctypes.c_int64
@@ -99,13 +109,14 @@ class _FleetCtx(ctypes.Structure):
         ("hosts", _P),
         ("wu_state", _P), ("wu_validated", _P),
         ("wu_issued", _P), ("wu_out", _P), ("wu_tmo", _P),
-        ("wu_holders", _P), ("wu_nhold", _P), ("wu_hosts", _P),
-        ("r_host", _P), ("r_dead", _P), ("r_disp", _P),
+        ("wu_holders", _P), ("wu_nhold", _P), ("wu_last", _P),
+        ("r_host", _P), ("r_prev", _P), ("r_disp", _P),
         ("r_flag", _P), ("rep_cap", _I),
         ("ret_wid", _P), ("ret_host", _P), ("ret_cpu", _P),
         ("ret_cap", _I),
         ("need", _P), ("need_head", _I), ("need_count", _I),
         ("need_cap", _I), ("stash", _P),
+        ("fresh_next", _I), ("fresh_end", _I),
         ("heap_t", _P), ("heap", _P), ("heap_len", _I), ("heap_cap", _I),
         ("seq", _I), ("n_valid", _I), ("n_rep", _I), ("ret_count", _I),
         ("ok_n", _I), ("err_n", _I), ("stale_n", _I), ("tmo_n", _I),
@@ -140,9 +151,8 @@ _LINE = 64  # cache-line bytes
 #: Initial capacities of the event kernel's growable buffers as (floor,
 #: entries per host): replicas, ok returns and heap nodes start at
 #: ``max(floor, per_host * n)`` (the heap at least at its initial
-#: events), the need ring at its ``nwu * quorum`` initial entries plus
-#: that.  Each one doubles through a pause when the kernel would
-#: overflow it.
+#: events), the need ring at its one initial ``FRESH`` entry plus that.
+#: Each one doubles through a pause when the kernel would overflow it.
 _REP_CAP = (4096, 2)
 _RET_CAP = (4096, 2)
 _HEAP_CAP = (1024, 2)
@@ -341,8 +351,8 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
     nwu = prep.nwu
     quorum = prep.quorum
     max_replicas = prep.max_replicas
-    if quorum > 255 or n >= 2 ** 31 or nwu >= 2 ** 31:
-        return None  # host and unit ids are int32 inside the kernel
+    if quorum > 255 or n >= 2 ** 31 or nwu * max_replicas >= 2 ** 31:
+        return None  # host, unit and replica ids are int32 in the kernel
 
     soff = np.ascontiguousarray(prep.soff, dtype=np.int64)
     fs = np.ascontiguousarray(prep.fs, dtype=np.float64)
@@ -357,12 +367,12 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
     wu_tmo = np.zeros(nwu, dtype=np.int32)
     wu_holders = np.full(nwu * quorum, -1, dtype=np.int32)
     wu_nhold = np.zeros(nwu, dtype=np.uint8)
-    # the kernel reads a unit's host list only up to wu_issued
-    wu_hosts = np.empty(nwu * max_replicas, dtype=np.int32)
+    # a unit's hosts are its replicas' r_host, chained newest first
+    wu_last = np.full(nwu, -1, dtype=np.int32)
 
     rep_cap = _capacity(_REP_CAP, n)
     r_host = np.empty(rep_cap, dtype=np.int32)
-    r_dead = np.empty(rep_cap, dtype=np.float64)
+    r_prev = np.empty(rep_cap, dtype=np.int32)
     r_disp = np.empty(rep_cap, dtype=np.float64)
     r_flag = np.empty(rep_cap, dtype=np.uint8)
 
@@ -371,11 +381,12 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
     ret_host = np.empty(ret_cap, dtype=np.int32)
     ret_cpu = np.empty(ret_cap, dtype=np.float64)
 
-    initial_need = np.repeat(
-        np.arange(nwu, dtype=np.int32), quorum)
-    need_cap = len(initial_need) + _capacity(_NEED_CAP, n)
+    # the need queue starts as every unit quorum times: one FRESH entry
+    # standing for that range as a cursor
+    need_cap = 1 + _capacity(_NEED_CAP, n)
     need = np.empty(need_cap, dtype=np.int32)
-    need[:len(initial_need)] = initial_need
+    need_count = 1 if nwu else 0
+    need[0] = _FRESH
     stash = np.empty(need_cap, dtype=np.int32)
 
     # initial REQUEST events: one per host with sessions, seq assigned
@@ -407,10 +418,10 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
             ("wu_state", wu_state), ("wu_validated", wu_validated),
             ("wu_issued", wu_issued), ("wu_out", wu_out),
             ("wu_tmo", wu_tmo), ("wu_holders", wu_holders),
-            ("wu_nhold", wu_nhold), ("wu_hosts", wu_hosts)):
+            ("wu_nhold", wu_nhold), ("wu_last", wu_last)):
         setattr(ctx, name, _addr(arr))
     ctx.r_host = _addr(r_host)
-    ctx.r_dead = _addr(r_dead)
+    ctx.r_prev = _addr(r_prev)
     ctx.r_disp = _addr(r_disp)
     ctx.r_flag = _addr(r_flag)
     ctx.rep_cap = rep_cap
@@ -420,9 +431,11 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
     ctx.ret_cap = ret_cap
     ctx.need = _addr(need)
     ctx.need_head = 0
-    ctx.need_count = len(initial_need)
+    ctx.need_count = need_count
     ctx.need_cap = need_cap
     ctx.stash = _addr(stash)
+    ctx.fresh_next = 0
+    ctx.fresh_end = nwu * quorum
     ctx.heap_t = _addr(heap_t)
     ctx.heap = _addr(heap)
     ctx.heap_len = k
@@ -441,11 +454,11 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
             break
         if status == _ST_GROW_REP:
             rep_cap *= 2
-            r_host, r_dead, r_disp, r_flag = (
-                _grow(r_host, rep_cap), _grow(r_dead, rep_cap),
+            r_host, r_prev, r_disp, r_flag = (
+                _grow(r_host, rep_cap), _grow(r_prev, rep_cap),
                 _grow(r_disp, rep_cap), _grow(r_flag, rep_cap))
             ctx.r_host = _addr(r_host)
-            ctx.r_dead = _addr(r_dead)
+            ctx.r_prev = _addr(r_prev)
             ctx.r_disp = _addr(r_disp)
             ctx.r_flag = _addr(r_flag)
             ctx.rep_cap = rep_cap

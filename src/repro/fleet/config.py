@@ -16,6 +16,8 @@ import math
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, Mapping
 
+import numpy as np
+
 from repro.errors import ExperimentError
 from repro.fleet.calibration import (
     MIXED_FLEET,
@@ -24,6 +26,29 @@ from repro.fleet.calibration import (
     memory_slowdown_factor,
     resolve_hypervisor,
 )
+
+#: Values per block of :func:`left_fold` (and of the fleet report's
+#: blocked folds): big enough to amortise numpy's per-call cost, small
+#: enough that a block's temporaries stay a few MB at any fleet size.
+FOLD_BLOCK = 1 << 16
+
+
+def left_fold(start: Any, values: Any) -> Any:
+    """``start + values[0] + values[1] + …`` strictly left to right.
+
+    ``np.cumsum`` (``add.accumulate``) is a sequential recurrence, never
+    pairwise, so this equals the Python ``+=`` loop bit for bit on every
+    Python version (the builtin ``sum`` compensates float rounding from
+    CPython 3.12 on).  It runs :data:`FOLD_BLOCK` values at a time,
+    carrying the running total, so its temporaries stay bounded; an
+    empty ``values`` returns ``start`` itself.
+    """
+    total = start
+    for lo in range(0, len(values), FOLD_BLOCK):
+        total = float(np.cumsum(np.concatenate(
+            ([total], values[lo:lo + FOLD_BLOCK])))[-1])
+    return total
+
 
 #: Fractions of a whole that must lie inside [0, 1].
 _FRACTION_FIELDS = ("availability_mean", "error_rate")
@@ -147,7 +172,7 @@ class FleetConfig:
         """Fleet-average calibrated slowdown (see fleet.calibration)."""
         if self.mixed:
             values = list(fleet_slowdowns().values())
-            base = sum(values) / len(values)
+            base = left_fold(0.0, values) / len(values)
         else:
             base = fleet_slowdown(self.hypervisor)
         return base * self.memory_factor()

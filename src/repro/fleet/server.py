@@ -64,7 +64,7 @@ import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,7 +75,7 @@ from repro.fleet.columns import (
     FleetColumns,
     build_fleet_columns,
 )
-from repro.fleet.config import FleetConfig
+from repro.fleet.config import FOLD_BLOCK, FleetConfig, left_fold
 from repro.fleet.cloop import draw_uniforms
 from repro.fleet.cloop import run_event_loop as _c_event_loop
 from repro.fleet.fastrng import VecPcg
@@ -214,28 +214,38 @@ class FleetReport:
         return "\n".join(lines)
 
 
-def _percentile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted list (0 if empty).
+def _percentile(sorted_values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of an already-sorted list or array (0 if
+    empty).
 
     The rank rounds half *up* (``floor(q·(n−1) + 0.5)``), never
     half-to-even: ``round`` would pick the lower middle sample for two
     makespans but the upper one for four, so the reported p50 would
     jump around with the sample count's parity.
     """
-    if not sorted_values:
+    if len(sorted_values) == 0:
         return 0.0
     rank = max(0, min(len(sorted_values) - 1,
                       math.floor(q * (len(sorted_values) - 1) + 0.5)))
-    return sorted_values[rank]
+    return float(sorted_values[rank])
 
 
-def _left_fold(start: float, values: np.ndarray) -> float:
-    """``start + values[0] + values[1] + …`` strictly left to right.
+def _wid_major(ret_wid: np.ndarray) -> np.ndarray:
+    """Sort keys ``wid << 32 | index`` of the ok returns, ascending: the
+    wid-major order with delivery order kept within a wid.  The low 32
+    bits of each key are its return's index.
 
-    ``np.cumsum`` (``add.accumulate``) is a sequential recurrence, never
-    pairwise, so this equals the Python ``+=`` loop bit for bit.
+    With fewer than 2**32 returns the keys are unique, so numpy's faster
+    unstable in-place sort orders them as a stable argsort would; the
+    one int64 array is the only full-size allocation.
     """
-    return float(np.cumsum(np.concatenate(([start], values)))[-1])
+    keys = ret_wid.astype(np.int64)
+    keys <<= 32
+    for lo in range(0, keys.size, FOLD_BLOCK):
+        hi = min(lo + FOLD_BLOCK, keys.size)
+        keys[lo:hi] |= np.arange(lo, hi, dtype=np.int64)
+    keys.sort()
+    return keys
 
 
 def _online_seconds(prep: "_FastPrep", hosts: np.ndarray,
@@ -881,10 +891,18 @@ class FleetServer:
         keeps that order: the wid-major walk over ok returns, the
         rid-order walk over unfinished replicas, the host-order
         per-hypervisor buckets.  Each runs as numpy primitives that are
-        sequential left folds in input order (:func:`_left_fold`,
+        sequential left folds in input order (:func:`left_fold`,
         weighted ``np.bincount``, ``np.add.at``), so they equal the
         ``+=`` loops bit for bit; pairwise reductions (``np.sum``,
-        ``add.reduce``, ``reduceat``, ``dot``) never touch a float here.
+        ``add.reduce``, ``reduceat``, ``dot``) and the builtin ``sum``
+        (compensated from CPython 3.12 on) never touch a float here.
+
+        The ok returns and the unfinished replicas fold
+        :data:`~repro.fleet.config.FOLD_BLOCK` at a time
+        (:func:`_fold_returns`, :func:`_fold_unfinished`), carrying
+        every accumulator across blocks, so beyond one sort key per ok
+        return no temporary grows with the fleet, and none outlives its
+        block.
         """
         cfg = self.config
         cols = self.columns
@@ -905,7 +923,6 @@ class FleetServer:
         wu_state = state["wu_state"]
         rec = state.get("recovery") or _NO_RECOVERY
         degraded_by = rec["degraded_by"]
-        crash_rb = rec["crash_rb"]
 
         # Each unit's load-bearing quorum: the validator's holders on a
         # validated unit; on a degraded quorum-of-1 unit the lone
@@ -913,8 +930,9 @@ class FleetServer:
         # validator quorum is the erroneous holder, which has no ok
         # return).  Other units are still pending.
         settled = wu_state == 1
-        lone_host = np.full(nwu, -1, dtype=np.int64)
+        lone_host = None
         if degraded_by:
+            lone_host = np.full(nwu, -1, dtype=np.int64)
             dwid = np.fromiter(degraded_by, dtype=np.int64,
                                count=len(degraded_by))
             dhost = np.fromiter(degraded_by.values(), dtype=np.int64,
@@ -922,72 +940,12 @@ class FleetServer:
             settled[dwid] = True
             lone_host[dwid] = np.where(wu_state[dwid] == 0, dhost, -1)
 
-        # ok returns, wid-major with delivery order preserved within a
-        # wid; every fold below runs in that order.  With fewer than
-        # 2**32 returns the composites wid << 32 | index are unique, so
-        # numpy's faster unstable sort orders them as a stable argsort.
-        ret_host = state["ret_host"]
-        ret_wid = state["ret_wid"]
-        order = np.sort((ret_wid.astype(np.int64) << 32)
-                        | np.arange(ret_wid.size)) & 0xFFFFFFFF
-        rw = ret_wid[order]
-        rh = ret_host[order]
-        rc = state["ret_cpu"][order]
-        ok_by_host = np.bincount(ret_host, minlength=n)
-        slots = ((np.arange(quorum) < state["nhold"][rw][:, None])
-                 & (wu_state[rw] == 1)[:, None])
-        holds = state["hold_flat"].reshape(-1, quorum)[rw]
-        in_quorum = (((holds == rh[:, None]) & slots).any(axis=1)
-                     | (rh == lone_host[rw]))
-        done = settled[rw]
-        load = done & in_quorum
-        # a second matching result landed between quorum completion
-        # and now: counted but not load-bearing
-        extra = done & ~in_quorum
-        quorum_cpu = _left_fold(0.0, rc[load])
-        redundant_cpu = _left_fold(red_cpu, rc[extra])
-        pending_cpu = _left_fold(0.0, rc[~done])
-        quorum_cpu_by_host = np.bincount(rh[load], weights=rc[load],
-                                         minlength=n)
+        ok_by_host = np.bincount(state["ret_host"], minlength=n)
         waste = state["waste"].copy()
-        np.add.at(waste, rh[extra], rc[extra])
-
-        # replicas still unfinished at the horizon, in rid order
-        r_flag = state["r_flag"]
-        incomplete = np.flatnonzero((r_flag & 2) == 0)
-        ih = state["r_host"][incomplete]
-        # crash_rb holds only nonzero rollbacks, so 0.0 means no crash
-        rb = np.zeros(incomplete.size)
-        if crash_rb:
-            by_rid = np.zeros(n_rep)
-            by_rid[np.fromiter(crash_rb, dtype=np.int64,
-                               count=len(crash_rb))] = np.fromiter(
-                crash_rb.values(), dtype=np.float64, count=len(crash_rb))
-            rb = by_rid[incomplete]
-        has_rb = rb != 0.0
-        # computed, upload still buffered at the horizon: the result
-        # never lands, so its useful seconds are lost
-        buffered = (r_flag[incomplete] & 4) != 0
-        useful = prep.an[ih]
-        useful = np.where(has_rb, (useful + rb) - rb, useful)
-        # the rest ran on-line from dispatch to the horizon; a crash
-        # landed in-trace (traces end at the horizon), so its redone
-        # seconds belong to the rollback bucket
-        spent = _online_seconds(prep, ih, state["r_disp"][incomplete])
-        crashed = has_rb & ~buffered
-        spent = np.where(crashed, spent - rb, spent)
-        departed = ~buffered & (prep.departure[ih] <= horizon)
-        running = ~buffered & ~departed
-        lost_cpu = _left_fold(rec["lost_cpu"], np.where(
-            buffered, useful, spent)[buffered | departed])
-        rolled_back = _left_fold(rec["rolled_back_cpu"], rb[crashed])
-        rb_n = rec["rolled_back"] + int(np.count_nonzero(crashed))
-        in_flight_cpu = _left_fold(0.0, spent[running])
-        # per replica, its lost (or rolled-back) seconds, then its lost
-        # on-line seconds, all landing on the host's waste in rid order
-        adds = np.stack([np.where(buffered, useful, rb), spent], axis=1)
-        lands = np.stack([buffered | crashed, departed], axis=1)
-        np.add.at(waste, np.repeat(ih, 2)[lands.ravel()], adds[lands])
+        quorum_cpu, redundant_cpu, pending_cpu, quorum_cpu_by_host = \
+            _fold_returns(state, quorum, settled, lone_host, red_cpu, waste)
+        lost_cpu, rolled_back, rb_n, in_flight_cpu = _fold_unfinished(
+            prep, state, rec, waste)
 
         wasted = (err_cpu + stale_cpu + redundant_cpu + lost_cpu
                   + rolled_back)
@@ -1002,16 +960,20 @@ class FleetServer:
         failed = int(np.count_nonzero(
             started & (wu_out == 0) & (wu_issued >= cfg.max_replicas)))
         in_progress = int(np.count_nonzero(started)) - failed
-        makespans = np.sort(
-            state["wu_validated"][settled]).tolist()
+        makespans = np.sort(state["wu_validated"][settled])
         makespan = {
-            "mean": (sum(makespans) / len(makespans)) if makespans else 0.0,
+            "mean": (left_fold(0.0, makespans) / makespans.size
+                     if makespans.size else 0.0),
             "p50": _percentile(makespans, 0.50),
             "p90": _percentile(makespans, 0.90),
             "p99": _percentile(makespans, 0.99),
         }
         departures = int(np.count_nonzero(cols.departure_s <= horizon))
-        session_time = sum((cols.s_ends - cols.s_starts).tolist())
+        session_time = 0.0
+        for lo in range(0, cols.s_starts.size, FOLD_BLOCK):
+            session_time = left_fold(
+                session_time, cols.s_ends[lo:lo + FOLD_BLOCK]
+                - cols.s_starts[lo:lo + FOLD_BLOCK])
         realized_availability = session_time / (horizon * n)
 
         # per-hypervisor buckets, each a weighted bincount folding its
@@ -1065,9 +1027,10 @@ class FleetServer:
             if n_rep:
                 METRICS.gauge_max("fleet.need_queue_peak",
                                   state["need_peak"])
-            for at in makespans:
-                METRICS.observe("fleet.makespan_s", at)
-                METRICS.hist("fleet.makespan_h", at / 3600.0)
+            for lo in range(0, makespans.size, FOLD_BLOCK):
+                for at in makespans[lo:lo + FOLD_BLOCK].tolist():
+                    METRICS.observe("fleet.makespan_s", at)
+                    METRICS.hist("fleet.makespan_h", at / 3600.0)
             METRICS.inc("fleet.hosts", n)
             METRICS.inc("fleet.workunits", nwu)
             METRICS.inc("fleet.departures", departures)
@@ -1108,17 +1071,128 @@ class FleetServer:
             per_hypervisor=per_hv,
             recovery={
                 "outages": len(outages),
-                "outage_s": sum(end - start for start, end in outages),
+                # int 0 starts both folds, as it started sum(): a run
+                # without windows reports 0, not 0.0
+                "outage_s": left_fold(0, np.array(
+                    [end - start for start, end in outages])),
                 "uploads_retried": rec["uploads_retried"],
                 "uploads_lost": rec["uploads_lost"],
                 "vm_crashes": rec["vm_crashes"],
                 "rolled_back_s": rolled_back,
                 "degraded_windows": len(degraded_windows),
-                "degraded_s": sum(end - start
-                                  for start, end in degraded_windows),
+                "degraded_s": left_fold(0, np.array(
+                    [end - start for start, end in degraded_windows])),
                 "degraded_validated": rec["degraded_validated"],
             },
         )
+
+
+def _fold_returns(state: Dict[str, Any], quorum: int, settled: np.ndarray,
+                  lone_host: Optional[np.ndarray], red_cpu: float,
+                  waste: np.ndarray) -> Tuple[float, float, float,
+                                              np.ndarray]:
+    """Fold the ok returns wid-major, :data:`FOLD_BLOCK` at a time.
+
+    ``lone_host`` is each degraded quorum-of-1 unit's accepted host (-1
+    elsewhere; ``None`` when no unit validated degraded).  Returns the
+    quorum, redundant and pending CPU seconds and the per-host quorum
+    seconds, and adds each redundant return to its host's ``waste``.
+
+    Every accumulator carries across blocks: the scalar folds restart
+    from their running total, the per-host arrays take ``np.add.at`` in
+    return order, so the blocks together equal one pass over all returns
+    bit for bit (per-block ``np.bincount`` sums would not).
+    """
+    ret_wid = state["ret_wid"]
+    ret_host = state["ret_host"]
+    ret_cpu = state["ret_cpu"]
+    wu_state = state["wu_state"]
+    nhold = state["nhold"]
+    holders = state["hold_flat"].reshape(-1, quorum)
+    slot = np.arange(quorum)
+    quorum_cpu = pending_cpu = 0.0
+    redundant_cpu = red_cpu
+    quorum_cpu_by_host = np.zeros(waste.size)
+    keys = _wid_major(ret_wid)
+    for lo in range(0, keys.size, FOLD_BLOCK):
+        order = keys[lo:lo + FOLD_BLOCK] & 0xFFFFFFFF
+        rw = ret_wid[order]
+        rh = ret_host[order]
+        rc = ret_cpu[order]
+        slots = (slot < nhold[rw][:, None]) & (wu_state[rw] == 1)[:, None]
+        in_quorum = ((holders[rw] == rh[:, None]) & slots).any(axis=1)
+        if lone_host is not None:
+            in_quorum |= rh == lone_host[rw]
+        done = settled[rw]
+        load = done & in_quorum
+        # a second matching result landed between quorum completion
+        # and now: counted but not load-bearing
+        extra = done & ~in_quorum
+        quorum_cpu = left_fold(quorum_cpu, rc[load])
+        redundant_cpu = left_fold(redundant_cpu, rc[extra])
+        pending_cpu = left_fold(pending_cpu, rc[~done])
+        np.add.at(quorum_cpu_by_host, rh[load], rc[load])
+        np.add.at(waste, rh[extra], rc[extra])
+    return quorum_cpu, redundant_cpu, pending_cpu, quorum_cpu_by_host
+
+
+def _fold_unfinished(prep: _FastPrep, state: Dict[str, Any],
+                     rec: Dict[str, Any],
+                     waste: np.ndarray) -> Tuple[float, float, int, float]:
+    """Fold the replicas unfinished at the horizon in rid order,
+    :data:`FOLD_BLOCK` at a time, carrying every accumulator as
+    :func:`_fold_returns` does.
+
+    Returns the lost and rolled-back CPU seconds (folded on from the
+    loop's own), the rolled-back count and the in-flight seconds, and
+    adds each replica's lost seconds to its host's ``waste``.
+    """
+    horizon = prep.horizon
+    r_flag = state["r_flag"]
+    r_host = state["r_host"]
+    r_disp = state["r_disp"]
+    crash_rb = rec["crash_rb"]
+    lost_cpu = rec["lost_cpu"]
+    rolled_back = rec["rolled_back_cpu"]
+    rb_n = rec["rolled_back"]
+    in_flight_cpu = 0.0
+    # crash_rb holds only nonzero rollbacks, so 0.0 means no crash
+    by_rid = None
+    if crash_rb:
+        by_rid = np.zeros(r_flag.size)
+        by_rid[np.fromiter(crash_rb, dtype=np.int64,
+                           count=len(crash_rb))] = np.fromiter(
+            crash_rb.values(), dtype=np.float64, count=len(crash_rb))
+    incomplete = np.flatnonzero((r_flag & 2) == 0)
+    for lo in range(0, incomplete.size, FOLD_BLOCK):
+        rids = incomplete[lo:lo + FOLD_BLOCK]
+        ih = r_host[rids]
+        rb = np.zeros(rids.size) if by_rid is None else by_rid[rids]
+        has_rb = rb != 0.0
+        # computed, upload still buffered at the horizon: the result
+        # never lands, so its useful seconds are lost
+        buffered = (r_flag[rids] & 4) != 0
+        useful = prep.an[ih]
+        useful = np.where(has_rb, (useful + rb) - rb, useful)
+        # the rest ran on-line from dispatch to the horizon; a crash
+        # landed in-trace (traces end at the horizon), so its redone
+        # seconds belong to the rollback bucket
+        spent = _online_seconds(prep, ih, r_disp[rids])
+        crashed = has_rb & ~buffered
+        spent = np.where(crashed, spent - rb, spent)
+        departed = ~buffered & (prep.departure[ih] <= horizon)
+        running = ~buffered & ~departed
+        lost_cpu = left_fold(lost_cpu, np.where(
+            buffered, useful, spent)[buffered | departed])
+        rolled_back = left_fold(rolled_back, rb[crashed])
+        rb_n += int(np.count_nonzero(crashed))
+        in_flight_cpu = left_fold(in_flight_cpu, spent[running])
+        # per replica, its lost (or rolled-back) seconds, then its lost
+        # on-line seconds, all landing on the host's waste in rid order
+        adds = np.stack([np.where(buffered, useful, rb), spent], axis=1)
+        lands = np.stack([buffered | crashed, departed], axis=1)
+        np.add.at(waste, np.repeat(ih, 2)[lands.ravel()], adds[lands])
+    return lost_cpu, rolled_back, rb_n, in_flight_cpu
 
 
 #: The ``recovery`` state of a fault-free run: nothing happened.

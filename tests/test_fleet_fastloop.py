@@ -15,13 +15,16 @@ Pins the contracts the columnar rewrite rides on:
   RUNLOG and ``faults.injected.*`` counts equal the oracle's, site for
   site and in order, and an unarmed site is never drawn;
 * the numpy primitives the report folds with are sequential left folds
-  in input order, bit for bit the Python ``+=`` loops they replace;
+  in input order, bit for bit the Python ``+=`` loops they replace (not
+  CPython 3.12's compensated ``sum``), and the report renders the same
+  bytes whatever its fold block size;
 * the kernel library's C context structs match their ctypes mirrors
   and its host record and heap node match their numpy dtypes field for
   field, and ``-O0``/``-O3`` builds keep every output byte;
 * every pause of the event kernel (replica, return, heap and need-ring
   growth) resumes to the fallback's state byte for byte, and so does a
-  run whose events tie on time by the dozen.
+  run whose events tie on time by the dozen, and one where most
+  completions land past their deadline.
 """
 
 import ctypes
@@ -40,12 +43,16 @@ from repro.fleet import (
     simulate_fleet,
 )
 from repro.fleet import cloop
+from repro.fleet import config as fleet_config
+from repro.fleet import server as fleet_server
+from repro.fleet.calibration import fleet_slowdowns
 from repro.fleet.cloop import available as cloop_available
 from repro.fleet.cloop import run_event_loop
+from repro.fleet.config import left_fold
 from repro.fleet.server import (
     _MASK_BLOCK,
+    _NO_RECOVERY,
     _fire_mask,
-    _left_fold,
     _percentile,
 )
 from repro.obs.metrics import METRICS
@@ -429,9 +436,44 @@ class TestOrderExactFolds:
     def test_cumsum_with_start(self, data, start):
         values, _ = data
         expected = python_fold(start, values)
-        assert np.float64(_left_fold(start, values)).tobytes() == \
+        assert np.float64(left_fold(start, values)).tobytes() == \
             np.float64(expected).tobytes()
-        assert _left_fold(start, values[:0]) == start
+        assert left_fold(start, values[:0]) == start
+
+    def test_blocks_carry_the_running_total(self, data, monkeypatch):
+        values, _ = data
+        monkeypatch.setattr(fleet_config, "FOLD_BLOCK", 999)
+        assert np.float64(left_fold(12345.678, values)).tobytes() == \
+            np.float64(python_fold(12345.678, values)).tobytes()
+
+    def test_not_compensated_like_sum_on_newer_pythons(self):
+        # a += loop rounds 1e16 + 1.0 back to 1e16 and ends at 0.0;
+        # CPython >= 3.12's sum() (Neumaier) returns 1.0
+        values = [1e16, 1.0, -1e16]
+        assert python_fold(0.0, np.array(values)) == 0.0
+        assert left_fold(0.0, values) == 0.0
+        assert left_fold(0.0, np.array(values)) == 0.0
+
+    def test_report_and_config_sums_are_left_folds(self):
+        config = CONFIGS[0]
+        server = FleetServer(config, build_fleet_columns(config, jobs=1))
+        prep = server._fast_prep()
+        state = server._fast_loop_python(prep)
+        # (start, end) windows 1e16, 1.0 and -1e16 seconds long
+        spans = [(0.0, 1e16), (0.0, 1.0), (1e16, 0.0)]
+        state["recovery"] = dict(_NO_RECOVERY, outages=spans,
+                                 degraded_windows=spans)
+        recovery = server._fast_report(prep, state).recovery
+        assert recovery["outage_s"] == recovery["degraded_s"] == 0.0
+        # a run without windows still reports the int 0 that sum() gave
+        clean = simulate_fleet(config, jobs=1).recovery
+        assert type(clean["outage_s"]) is int and clean["outage_s"] == 0
+        assert type(clean["degraded_s"]) is int
+        mixed = FleetConfig(hypervisor="mixed")
+        slowdowns = np.array(list(fleet_slowdowns().values()))
+        assert mixed.mean_slowdown() == (
+            python_fold(0.0, slowdowns) / slowdowns.size
+            * mixed.memory_factor())
 
     def test_weighted_bincount(self, data):
         values, index = data
@@ -454,13 +496,17 @@ class TestKernelPauses:
 
     Production sizing (``heap_cap = max(1024, 2n)`` and the like) almost
     never pauses, so without this the grow-and-resume paths of
-    :func:`run_event_loop` would go untested.
+    :func:`run_event_loop` would go untested.  The replica pause also
+    grows ``r_prev``, the chain each dispatch walks to find a unit's
+    hosts, so a wrong copy there changes which host gets which unit.
     """
 
-    #: short deadlines: the timeouts refill the need ring past its start
+    #: few units, so the fresh range (one FRESH ring entry) runs dry
+    #: early, and short deadlines, so the timeouts then refill the need
+    #: ring past its start
     CONFIG = FleetConfig(hosts=60, seed=7, duration_s=43200.0,
-                         workunits=120, quorum=2, error_rate=0.3,
-                         deadline_factor=0.5)
+                         workunits=60, quorum=2, error_rate=0.3,
+                         deadline_factor=0.2)
 
     def test_every_pause_resumes_to_the_same_bytes(self, monkeypatch):
         lib = cloop._load()
@@ -494,6 +540,96 @@ class TestKernelPauses:
                    if status == cloop._ST_GROW_NEED)
         assert state["tmo_n"] > 0
         assert_state_equal(state, server._fast_loop_python(prep))
+
+
+class TestBlockedReport:
+    """The report folds its ok returns and unfinished replicas a block
+    at a time, carrying every accumulator, so any block size renders the
+    same report and ``fleet.*`` metrics."""
+
+    def test_returns_fold_equals_a_python_walk(self, monkeypatch):
+        # mixed magnitudes and signs (real returns repeat one value per
+        # host, which hides regrouping): blocks of 7 must still equal
+        # the wid-major += walk, per-host arrays included
+        rng = np.random.default_rng(20090526)
+        nwu, quorum, n, count = 40, 2, 6, 3000
+        wu_state = (rng.random(nwu) < 0.7).astype(np.uint8)
+        state = {
+            "ret_wid": rng.integers(0, nwu, count).astype(np.int32),
+            "ret_host": rng.integers(0, n, count).astype(np.int32),
+            "ret_cpu": (rng.standard_normal(count)
+                        * 10.0 ** rng.integers(-6, 10, count)),
+            "wu_state": wu_state,
+            "hold_flat": rng.integers(0, n, nwu * quorum).astype(np.int32),
+            "nhold": rng.integers(0, quorum + 1, nwu).astype(np.uint8),
+        }
+        settled = wu_state == 1
+        monkeypatch.setattr(fleet_server, "FOLD_BLOCK", 7)
+        waste = np.linspace(-1e3, 1e3, n)
+        got = fleet_server._fold_returns(state, quorum, settled, None,
+                                         0.25, waste)
+
+        sums = {"quorum": 0.0, "redundant": 0.25, "pending": 0.0}
+        by_host = [0.0] * n
+        expected_waste = np.linspace(-1e3, 1e3, n).tolist()
+        rows = zip(state["ret_wid"].tolist(), state["ret_host"].tolist(),
+                   state["ret_cpu"].tolist())
+        for wid, host, cpu in sorted(rows, key=lambda row: row[0]):
+            holders = state["hold_flat"][wid * quorum:
+                                         wid * quorum + state["nhold"][wid]]
+            if not settled[wid]:
+                sums["pending"] += cpu
+            elif host in holders.tolist():
+                sums["quorum"] += cpu
+                by_host[host] += cpu
+            else:
+                sums["redundant"] += cpu
+                expected_waste[host] += cpu
+        assert got[:3] == (sums["quorum"], sums["redundant"],
+                           sums["pending"])
+        assert got[3].tobytes() == np.array(by_host).tobytes()
+        assert waste.tobytes() == np.array(expected_waste).tobytes()
+
+    @pytest.mark.parametrize("storm", [False, True],
+                             ids=["fault_free", "storm"])
+    def test_tiny_blocks_keep_every_byte(self, storm, monkeypatch):
+        config = BLOCK_STORM_CONFIG if storm else CONFIGS[3]
+        plan = storm_plan if storm else (lambda: None)
+        whole = fleet_metrics(simulate_fleet, config, plan())
+        for module in (fleet_config, fleet_server):
+            monkeypatch.setattr(module, "FOLD_BLOCK", 7)
+        blocked = fleet_metrics(simulate_fleet, config, plan())
+        assert canonical(blocked) == canonical(whole)
+        if storm:
+            recovery = blocked[0]["recovery"]
+            assert recovery["vm_crashes"] > 0
+            assert recovery["degraded_validated"] > 0
+
+
+@pytest.mark.skipif(not cloop_available(),
+                    reason="no C compiler / kernel unavailable")
+class TestLateCompletions:
+    """Most completions land past their deadline.
+
+    The kernel keeps no per-replica deadline: a completion at ``t >
+    deadline`` always had its own deadline event pushed (``deadline <
+    fin <= horizon``), which popped strictly earlier and set the
+    timed-out flag, so the flag alone marks the completion stale.
+    """
+
+    CONFIG = FleetConfig(hosts=300, seed=13, duration_s=86400.0,
+                         workunits=900, quorum=2, error_rate=0.05,
+                         deadline_factor=0.3)
+
+    def test_late_completions_keep_every_byte(self):
+        server = FleetServer(self.CONFIG,
+                             build_fleet_columns(self.CONFIG, jobs=1))
+        prep = server._fast_prep()
+        state = run_event_loop(prep)
+        assert_state_equal(state, server._fast_loop_python(prep))
+        assert state["stale_n"] > 0
+        assert state["stale_n"] > (state["ok_n"] + state["err_n"]
+                                   + state["red_n"])
 
 
 @pytest.mark.skipif(not cloop_available(),
