@@ -1,13 +1,11 @@
-"""Parallel repetition scaling: per-call vs persistent pool, plus shards.
+"""Parallel repetition scaling: per-call vs persistent pool.
 
-Runs two workloads through the repetition harness at several worker
-counts and records the wall-clock trajectory to
-``benchmarks/BENCH_parallel_scaling.json`` so future PRs can compare:
-
-* **figure repetitions** — the Figure 7 host-impact measurement (one of
-  the two heavy figures) through ``ParallelRepeater``;
-* **fleet shards** — a volunteer-fleet host build (the ``map_shards``
-  fan-out path that dominates large ``repro fleet`` runs).
+Runs the Figure 7 host-impact measurement (one of the two heavy
+figures) through ``ParallelRepeater`` at several worker counts and
+records the wall-clock trajectory to
+``benchmarks/BENCH_parallel_scaling.json`` so later changes can compare.
+(Older entries also carry ``fleet_shard_*`` keys from a fleet host-build
+workload; fleets now build serially, so that workload is gone.)
 
 Each parallel level is timed twice: a **cold** run right after
 ``shutdown_pools()`` (the pool must fork first — what every run paid
@@ -19,8 +17,7 @@ mismatch aborts with a non-zero exit.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_parallel_scaling.py \
-        [--reps N] [--jobs 1,2,4] [--duration S] \
-        [--fleet-hosts N] [--fleet-days D]
+        [--reps N] [--jobs 1,2,4] [--duration S]
 
 Interpretation: warm speedup tracks the *schedulable* core count.  On an
 N-core box expect the warm run to approach min(jobs, N)x; the cold run
@@ -42,8 +39,6 @@ from repro.core.experiment import Repeater
 from repro.core.host_impact import HostImpactConfig, SevenZipImpactMeasure
 from repro.core.parallel import ParallelRepeater
 from repro.core.workerpool import get_pool, shutdown_pools
-from repro.fleet import FleetConfig
-from repro.fleet.host import build_fleet_hosts
 
 RESULTS_PATH = pathlib.Path(__file__).resolve().parent / \
     "BENCH_parallel_scaling.json"
@@ -115,56 +110,6 @@ def run_scaling(reps: int, job_counts, duration_s: float) -> list:
     return runs
 
 
-def run_fleet_shards(hosts: int, days: float, job_counts, seed: int) -> list:
-    """The ``map_shards`` workload: build a volunteer fleet's hosts."""
-    config = FleetConfig(hosts=hosts, hypervisor="vmplayer", seed=seed,
-                         duration_s=days * 86400.0)
-
-    def build(jobs):
-        return [host.to_dict()
-                for host in build_fleet_hosts(config, jobs=jobs)]
-
-    serial_hosts, serial_wall = _timed(lambda: build(1))
-    runs = [{
-        "jobs": 1,
-        "hosts": hosts,
-        "wall_s": round(serial_wall, 3),
-        "hosts_per_s": round(hosts / serial_wall, 1),
-        "speedup_vs_serial": 1.0,
-        "exact_match_vs_serial": True,
-    }]
-    print(f"fleet shards: jobs=1 (serial) {serial_wall:7.2f}s wall "
-          f"({hosts} hosts, {days:g} d traces)")
-    for jobs in job_counts:
-        if jobs == 1:
-            continue
-        cold, cold_wall, warm, warm_wall, reused = _cold_warm(
-            jobs, lambda: build(jobs))
-        exact = cold == serial_hosts and warm == serial_hosts
-        run = {
-            "jobs": jobs,
-            "hosts": hosts,
-            "wall_s": round(warm_wall, 3),
-            "wall_s_cold_pool": round(cold_wall, 3),
-            "hosts_per_s": round(hosts / warm_wall, 1),
-            "speedup_vs_serial": round(serial_wall / warm_wall, 3),
-            "speedup_cold_vs_serial": round(serial_wall / cold_wall, 3),
-            "pool_reused": reused,
-            "exact_match_vs_serial": exact,
-        }
-        runs.append(run)
-        print(f"fleet shards: jobs={jobs} cold {cold_wall:7.2f}s  "
-              f"warm {warm_wall:7.2f}s  "
-              f"speedup {run['speedup_vs_serial']:.2f}x "
-              f"(cold {run['speedup_cold_vs_serial']:.2f}x)  "
-              f"exact={exact} reused={reused}")
-        if not exact:
-            raise SystemExit(
-                f"jobs={jobs} produced a different host list than the "
-                "serial build")
-    return runs
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=8,
@@ -173,12 +118,6 @@ def main(argv=None) -> int:
                         help="comma-separated worker counts (default 1,2,4)")
     parser.add_argument("--duration", type=float, default=20.0,
                         help="simulated benchmark duration per rep")
-    parser.add_argument("--fleet-hosts", type=int, default=20000,
-                        help="fleet size for the shard workload")
-    parser.add_argument("--fleet-days", type=float, default=1.0,
-                        help="availability-trace horizon (days; matches "
-                             "the fleet bench's 24 h default)")
-    parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--out", default=str(RESULTS_PATH),
                         help="JSON trajectory file to write")
     args = parser.parse_args(argv)
@@ -194,11 +133,6 @@ def main(argv=None) -> int:
         "platform": platform.platform(),
         "python": platform.python_version(),
         "runs": run_scaling(args.reps, job_counts, args.duration),
-        "fleet_shard_workload": f"build_fleet_hosts x{args.fleet_hosts}, "
-                                f"{args.fleet_days:g} d traces, "
-                                f"seed {args.seed}",
-        "fleet_shard_runs": run_fleet_shards(
-            args.fleet_hosts, args.fleet_days, job_counts, args.seed),
     }
     shutdown_pools()
     out = pathlib.Path(args.out)

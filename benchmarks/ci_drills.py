@@ -161,14 +161,18 @@ def figure_bytes(fig_id, jobs):
 
 
 def fleet_20k_bytes(jobs):
-    """20k mixed hosts x 24 h as canonical JSON bytes; the serial run
-    must also finish inside the wall-clock budget."""
-    from repro.fleet import FleetConfig, simulate_fleet
+    """20k mixed hosts x 24 h through ``repro.api.run`` at ``jobs``, as
+    canonical JSON bytes; the serial run must also finish inside the
+    wall-clock budget."""
+    from repro.api import RunConfig, RunRequest, run as run_request
+    from repro.fleet import FleetConfig
 
     config = FleetConfig(hosts=20000, hypervisor="mixed", seed=42,
                          duration_s=86400.0)
     started = time.perf_counter()
-    report = simulate_fleet(config, jobs=jobs)
+    report = run_request(RunRequest(
+        kind="fleet", target=config,
+        config=RunConfig(jobs=jobs, cache=False))).report
     wall = time.perf_counter() - started
     print(f"20k hosts / 24 h at jobs={jobs}: {wall:.2f}s "
           f"({20000 / wall:,.0f} hosts/s), {report.valid} validated")
@@ -215,31 +219,20 @@ def parallel_speedup():
     print("cpu_count", os.cpu_count(),
           "affinity", len(os.sched_getaffinity(0)))
     scaling = WORK / "parallel_scaling.json"
-    fleet = WORK / "fleet_scaling.json"
     run(bench("bench_parallel_scaling.py", "--out", scaling))
-    run(bench("bench_fleet_scaling.py", "--sizes", "250,1000", "--out", fleet))
-    failures = [
-        (path.name, section, record)
-        for path in (scaling, fleet)
-        for entry in json.loads(path.read_text())
-        for section in ("runs", "fleet_shard_runs")
-        for record in entry.get(section, ())
-        if not all(value for key, value in record.items()
-                   if key.startswith("exact_match"))]
+    record = json.loads(scaling.read_text())[-1]
+    failures = [r for r in record["runs"] if not r["exact_match_vs_serial"]]
     assert not failures, failures
     print("all runs exactly match serial")
-    record = json.loads(scaling.read_text())[-1]
     lines = ["### Persistent pool speedup vs serial", "",
              f"cores: {record['cpu_affinity']} schedulable "
              f"of {record['cpu_count']}", "",
              "| workload | jobs | warm | cold pool | exact |",
              "| --- | --- | --- | --- | --- |"]
-    for section, label in (("runs", "figure reps"),
-                           ("fleet_shard_runs", "fleet shards")):
-        lines += [f"| {label} | {r['jobs']} | {r['speedup_vs_serial']:.2f}x "
-                  f"| {r['speedup_cold_vs_serial']:.2f}x "
-                  f"| {r['exact_match_vs_serial']} |"
-                  for r in record[section] if r["jobs"] != 1]
+    lines += [f"| figure reps | {r['jobs']} | {r['speedup_vs_serial']:.2f}x "
+              f"| {r['speedup_cold_vs_serial']:.2f}x "
+              f"| {r['exact_match_vs_serial']} |"
+              for r in record["runs"] if r["jobs"] != 1]
     summary = "\n".join(lines) + "\n"
     print(summary)
     if "GITHUB_STEP_SUMMARY" in os.environ:

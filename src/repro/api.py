@@ -273,9 +273,9 @@ def shutdown_parallel_pools() -> None:
 
     Pool lifecycle: pools are created **lazily** on the first parallel
     dispatch at a given worker count, reused across repetitions, retry
-    rounds, figures in a sweep and fleet shards, invalidated (and
-    lazily rebuilt) only when a worker crash or abandoned hung task
-    breaks them, and torn down at interpreter exit via ``atexit``.  The
+    rounds and figures in a sweep, invalidated (and lazily rebuilt)
+    only when a worker crash or abandoned hung task breaks them, and
+    torn down at interpreter exit via ``atexit``.  The
     CLI calls this in a ``finally`` around command dispatch; long-lived
     library embedders can call it to release worker processes early.
     """
@@ -614,11 +614,11 @@ def _run_fleet(fleet_config: Any,
     """Run one fleet simulation under ``config`` (the ``fleet`` executor
     behind :func:`run`).
 
-    Mirrors the figure executor: activates ``config`` so worker-count
-    policy flows to the sharded host build, consults the result cache
-    (identity = the :class:`repro.fleet.FleetConfig` alone, never the
-    worker count, so hits are bit-identical to cold runs at any
-    ``--jobs``), optionally collects metrics, and — when
+    Mirrors the figure executor: activates ``config``, consults the
+    result cache (identity = the :class:`repro.fleet.FleetConfig` alone,
+    never the worker count, so hits are bit-identical to cold runs at
+    any ``--jobs``; the fleet itself runs serially and never touches the
+    worker pool), optionally collects metrics, and — when
     ``config.metrics`` — writes a run manifest carrying the full fleet
     configuration and the report.
     """

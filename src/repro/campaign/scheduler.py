@@ -4,9 +4,10 @@
 ``cli.py`` used to duplicate: per-point resume checkpoints
 (``repro-progress/1``), cache-aware dedup of repeated points, metrics
 and the run manifest.  The drain is **sequential in plan order** — the
-parallelism lives *inside* each point (repetitions / fleet shards fan
-out across the persistent :mod:`repro.core.workerpool`), which is what
-keeps a campaign at ``--jobs N`` byte-identical to serial.
+parallelism lives *inside* each point (a figure's repetitions fan out
+across the persistent :mod:`repro.core.workerpool`; a fleet point runs
+serially), which is what keeps a campaign at ``--jobs N``
+byte-identical to serial.
 
 Every point executes through :func:`repro.api.run` with a
 ``campaign-point`` request, which routes back to :func:`run_point` here;
@@ -402,11 +403,13 @@ def run_campaign(spec: CampaignSpec, config: Any = None, *,
             RUNLOG.clear()
             stack.enter_context(RUNLOG.held())
         if config.jobs and config.jobs > 1 and any(
-                not progress.done(point.key) for point in points):
+                point.kind != "fleet" and not progress.done(point.key)
+                for point in points):
             from repro.core.parallel import warm_pool
 
             # Fork the persistent pool before the first point so every
-            # point (not just the first) sees warm workers.
+            # point (not just the first) sees warm workers.  Fleet
+            # points run serially, so a fleet-only campaign forks none.
             warm_pool(config.jobs)
         for point in points:
             queued_s = time.perf_counter() - started

@@ -11,7 +11,7 @@ bit-identical to the serial :class:`repro.core.experiment.Repeater` —
 same seeds, same raw value ordering, same ``summarize`` inputs.
 
 The pool is created once per worker count and reused across
-repetitions, retry rounds, figures in a sweep and fleet shards; workers
+repetitions, retry rounds and figures in a sweep; workers
 pre-import the tree at fork time and re-arm per task from the spec's
 explicit context (metrics/trace-hash enablement, fault plan, activated
 run config), so a dispatch costs a pickle round-trip instead of fork +
@@ -37,8 +37,8 @@ depend on the metrics registry being enabled.
 
 Resilience
 ----------
-Desktop grids assume workers die; so does this layer.  Repetitions and
-shards share one round engine (:func:`_run_rounds`): submit a round,
+Desktop grids assume workers die; so does this layer.  Repetitions run
+through one round engine (:func:`_run_rounds`): submit a round,
 wait on each future (with the task timeout, if any), classify the
 outcome, fold it, and resubmit the failed/timed-out/crashed ones after
 a capped exponential backoff, the pool invalidated and lazily rebuilt
@@ -58,17 +58,20 @@ disabled site costs one attribute read and a branch.
 
 Fallbacks: ``jobs=1`` or a function the pickle module cannot serialise
 (e.g. a test-local closure) run in-process — through the plain serial
-:class:`repro.core.experiment.Repeater` (or ``[fn(t) for t in tasks]``)
-when no retries, timeout, ``min_reps`` or fault plan is in force, else
-through the engine's in-process round.  With none of those in force,
-repetitions below the pool-dispatch threshold (``reps`` <=
-:data:`SERIAL_FALLBACK_REPS`) also run serially, recording
-``parallel.fallback_serial`` in METRICS; dispatch overhead only buys
-wall-clock when there is enough work to amortise it.  Worker failures
-are re-raised as :class:`ExperimentError` naming the lowest failing
-index (and, for repetitions, its derived seed) plus the remote
-traceback, so any failing repetition can be reproduced standalone with
-``measure(seed)``.
+:class:`repro.core.experiment.Repeater` when no retries, timeout,
+``min_reps`` or fault plan is in force, else through the engine's
+in-process round.  With none of those in force, repetitions below the
+pool-dispatch threshold (``reps`` <= :data:`SERIAL_FALLBACK_REPS`) also
+run serially, recording ``parallel.fallback_serial`` in METRICS;
+dispatch overhead only buys wall-clock when there is enough work to
+amortise it.  Worker failures are re-raised as :class:`ExperimentError`
+naming the lowest failing repetition and its derived seed plus the
+remote traceback, so any failing repetition can be reproduced
+standalone with ``measure(seed)``.
+
+A fleet never dispatches here: its column build is one serial call
+(:func:`repro.fleet.columns.build_fleet_columns`) and its event loop
+is serial.
 """
 
 from __future__ import annotations
@@ -210,35 +213,6 @@ def _run_repetition(measure: MeasureFn, repetition: int, seed: int,
     return repetition, seed, result, error, queue_wait, wall, snapshot, thash
 
 
-def _run_shard(fn, index: int, task: Any, attempt: int = 0,
-               in_worker: bool = True
-               ) -> Tuple[int, Any, Optional[str],
-                          Optional[Dict[str, Any]]]:
-    """Worker body for :func:`map_shards`: one shard, errors as text.
-
-    Returns ``(index, result, error, counter_snapshot)``; same metrics
-    snapshot/reset and fault-site protocol as :func:`_run_repetition`
-    (shard keys are ``"shard:<index>"``).  In the parent
-    (``in_worker=False``) the registry is neither reset nor snapshotted
-    and the process-level sites stay quiet.
-    """
-    metrics_on = METRICS.enabled and in_worker
-    if metrics_on:
-        METRICS.reset()
-    try:
-        if FAULTS.enabled and in_worker:
-            key = f"shard:{index}"
-            if FAULTS.would_fire("worker.crash", key=key, attempt=attempt):
-                os._exit(17)
-            if FAULTS.fires("worker.hang", key=key, attempt=attempt):
-                time.sleep(FAULTS.hang_s)
-        result, error = fn(task), None
-    except Exception:
-        result, error = None, traceback.format_exc()
-    snapshot = METRICS.snapshot() if metrics_on else None
-    return index, result, error, snapshot
-
-
 def _resilience_settings(retries: Optional[int],
                          task_timeout_s: Optional[float],
                          min_reps: Optional[int]
@@ -274,24 +248,12 @@ def _rep_spec(fn_blob: bytes, repetition: int, seed: int, attempt: int,
               run_token: int) -> Dict[str, Any]:
     """Compact TaskSpec for one repetition."""
     return {
-        "kind": "rep", "fn_blob": fn_blob, "task_blob": None,
-        "index": repetition, "seed": seed, "attempt": attempt,
+        "fn_blob": fn_blob, "index": repetition, "seed": seed,
+        "attempt": attempt,
         # Queue wait spans two processes' clocks; the wall clock is the
         # only shared reference.
         "submitted_at": time.time(),  # repro: allow-wall-clock
         "hash_group": hash_group, "context": context,
-        "run_token": run_token,
-    }
-
-
-def _shard_spec(fn_blob: bytes, index: int, task: Any, attempt: int,
-                context: Dict[str, Any], run_token: int) -> Dict[str, Any]:
-    """Compact TaskSpec for one :func:`map_shards` shard."""
-    return {
-        "kind": "shard", "fn_blob": fn_blob,
-        "task_blob": pickle.dumps(task),
-        "index": index, "seed": None, "attempt": attempt,
-        "submitted_at": 0.0, "hash_group": 0, "context": context,
         "run_token": run_token,
     }
 
@@ -304,7 +266,7 @@ def _resolved(result: WorkerResult) -> Future:
 
 
 def _fold_observability(result: WorkerResult, metrics_on: bool,
-                        timers: bool = True) -> None:
+                        timers: bool) -> None:
     """Merge one decoded result's snapshots into the parent registries."""
     if metrics_on:
         if timers:
@@ -323,21 +285,23 @@ _Failure = Tuple[bool, str]
 
 
 def _run_rounds(count: int, submit: Callable[[int, int], Future],
-                pool: Optional[WorkerPool], crash_key: Callable[[int], Any],
-                retries: int, timeout: Optional[float], timers: bool
+                pool: Optional[WorkerPool], retries: int,
+                timeout: Optional[float]
                 ) -> Tuple[Dict[int, WorkerResult], Dict[int, _Failure]]:
-    """The one dispatch engine behind repetitions and shards.
+    """The one dispatch engine behind every repetition run.
 
-    Each round submits every pending index (``submit(index, attempt)``
-    — a pool dispatch, or with ``pool=None`` an in-process run returned
-    as a finished future), waits on the futures in index order,
-    classifies each outcome (success, worker error, untrusted payload,
-    timeout, broken pool), folds the observability of every returned
-    attempt, and leaves the failures pending for the next round after a
-    capped exponential backoff.  Returns the successes and the last
-    failure of every index that never succeeded.
+    Each round submits every pending repetition (``submit(index,
+    attempt)`` — a pool dispatch, or with ``pool=None`` an in-process
+    run returned as a finished future), waits on the futures in index
+    order, classifies each outcome (success, worker error, untrusted
+    payload, timeout, broken pool), folds the observability of every
+    returned attempt (the pool-side timers only for pool dispatches),
+    and leaves the failures pending for the next round after a capped
+    exponential backoff.  Returns the successes and the last failure of
+    every index that never succeeded.
     """
     metrics_on = METRICS.enabled
+    timers = pool is not None
     done: Dict[int, WorkerResult] = {}
     failures: Dict[int, _Failure] = {}
     pending = list(range(count))
@@ -374,7 +338,7 @@ def _run_rounds(count: int, submit: Callable[[int, int], Future],
                 # A crashed worker takes its fault tally with it; the
                 # decision is deterministic, so account it parent-side.
                 if FAULTS.enabled and FAULTS.would_fire(
-                        "worker.crash", key=crash_key(index),
+                        "worker.crash", key=index,
                         attempt=attempt):
                     FAULTS.record("worker.crash")
                 failures[index] = (True, str(exc))
@@ -398,81 +362,6 @@ def _run_rounds(count: int, submit: Callable[[int, int], Future],
         if broken:
             pool.invalidate()
     return done, failures
-
-
-def _failure_error(label: str, noun: str, count: int, completed: int,
-                   attempts: int, failure: _Failure,
-                   hint: str = "") -> ExperimentError:
-    """The run's error, worded after its lowest failing index's last
-    failure: a broken pool, or a failure after every attempt."""
-    broke_pool, text = failure
-    if broke_pool:
-        return ExperimentError(
-            f"{label} broke the worker pool after {completed} of {count} "
-            f"{noun} had completed: {text}")
-    return ExperimentError(
-        f"{label} failed after {attempts} attempt(s) ({completed} of "
-        f"{count} {noun} completed){hint}.\nWorker traceback:\n{text}")
-
-
-def map_shards(fn, tasks, jobs: Optional[int] = None,
-               retries: Optional[int] = None,
-               task_timeout_s: Optional[float] = None) -> list:
-    """Map ``fn`` over ``tasks`` across workers, results in task order.
-
-    The generic fan-out primitive behind fleet host building (and any
-    future shard-shaped work): tasks must be picklable and independent,
-    and because results come back in submission order the caller's merge
-    is bit-identical to ``[fn(t) for t in tasks]`` at any worker count.
-    One worker, one task or an unpicklable ``fn`` run in-process; worker
-    failures re-raise as :class:`ExperimentError` naming the lowest
-    failing shard index with the remote traceback attached.
-
-    Dispatch goes through the persistent pool keyed by the resolved job
-    count, so consecutive ``map_shards`` calls (every fleet size in a
-    scaling sweep, every figure in a report) reuse warm workers.
-
-    With ``retries``/``task_timeout_s`` (explicit or from the activated
-    run config) failed, crashed or timed-out shards are resubmitted —
-    in-process too — and every shard must ultimately succeed (there is
-    no ``min_reps`` analogue for shards, since a missing shard would
-    skew the merge).
-    """
-    tasks = list(tasks)
-    jobs = resolve_jobs(jobs)
-    workers = min(jobs, len(tasks)) if tasks else 0
-    retries, task_timeout_s, _ = _resilience_settings(
-        retries, task_timeout_s, None)
-    fn_blob = _encode_fn(fn) if workers > 1 else None
-    pool = None
-    if fn_blob is not None:
-        pool = get_pool(jobs)
-        context = build_task_context()
-        run_token = next_run_token()
-
-        def submit(index: int, attempt: int) -> Future:
-            return pool.submit(_shard_spec(fn_blob, index, tasks[index],
-                                           attempt, context, run_token))
-    elif retries:
-        def submit(index: int, attempt: int) -> Future:
-            _index, values, error, _snap = _run_shard(
-                fn, index, tasks[index], attempt, in_worker=False)
-            return _resolved(WorkerResult("shard", index, error=error,
-                                          values=values))
-    else:
-        return [fn(task) for task in tasks]
-    done, failures = _run_rounds(
-        len(tasks), submit, pool, lambda index: f"shard:{index}",
-        retries, task_timeout_s, timers=False)
-    if METRICS.enabled:
-        METRICS.inc("parallel.shards", len(done))
-        if pool is not None:
-            METRICS.gauge_max("parallel.workers", workers)
-    if failures:
-        first = min(failures)
-        raise _failure_error(f"shard {first}", "shards", len(tasks),
-                             len(done), retries + 1, failures[first])
-    return [done[index].values for index in range(len(tasks))]
 
 
 class ParallelRepeater:
@@ -551,10 +440,8 @@ class ParallelRepeater:
                 return _resolved(WorkerResult("rep", repetition, seed,
                                               error=error, values=values))
         try:
-            done, failures = _run_rounds(
-                self.reps, submit, pool, lambda repetition: repetition,
-                self.retries, self.task_timeout_s,
-                timers=pool is not None)
+            done, failures = _run_rounds(self.reps, submit, pool,
+                                         self.retries, self.task_timeout_s)
         finally:
             if thash_on:
                 TRACE_HASH.clear_context()
@@ -570,11 +457,17 @@ class ParallelRepeater:
         if failures:
             if self.min_reps is None or len(done) < self.min_reps:
                 first = min(failures)
-                raise _failure_error(
-                    f"repetition {first} (seed {seeds[first]})",
-                    "repetitions", self.reps, len(done), self.retries + 1,
-                    failures[first],
-                    f"; reproduce with measure({seeds[first]})")
+                label = f"repetition {first} (seed {seeds[first]})"
+                broke_pool, text = failures[first]
+                if broke_pool:
+                    raise ExperimentError(
+                        f"{label} broke the worker pool after {len(done)} "
+                        f"of {self.reps} repetitions had completed: {text}")
+                raise ExperimentError(
+                    f"{label} failed after {self.retries + 1} attempt(s) "
+                    f"({len(done)} of {self.reps} repetitions completed); "
+                    f"reproduce with measure({seeds[first]}).\n"
+                    f"Worker traceback:\n{text}")
             for r in sorted(failures):
                 broke_pool, text = failures[r]
                 if broke_pool:

@@ -1,21 +1,20 @@
 """Persistent worker pools and the versioned worker-result wire format.
 
-Before this module existed every ``ParallelRepeater.run`` /
-``map_shards`` call built a fresh ``ProcessPoolExecutor`` and tore it
-down again, so ``--jobs N`` paid fork + interpreter warm-up + measure
-pickling on *every* round of *every* run — which is why the recorded
-scaling trajectory showed parallel runs at 0.63–0.97x of serial.  The
-two halves here fix that:
+Before this module existed every ``ParallelRepeater.run`` call built
+a fresh ``ProcessPoolExecutor`` and tore it down again, so ``--jobs N``
+paid fork + interpreter warm-up + measure pickling on *every* round of
+*every* run — which is why the recorded scaling trajectory showed
+parallel runs at 0.63–0.97x of serial.  The two halves here fix that:
 
 :class:`WorkerPool` (and the module-level :func:`get_pool` registry)
     One long-lived ``ProcessPoolExecutor`` per worker count, created
     lazily on first dispatch and **reused** across repetitions, retry
-    rounds, figures in a sweep and fleet shards.  Forked workers
-    pre-import the whole tree (fork inherits the parent's warm
-    interpreter), so a task dispatch costs one pickle round-trip, not a
-    process start.  A broken or hung pool is :meth:`~WorkerPool.
-    invalidate`-d — shut down without waiting — and rebuilt lazily on
-    the next dispatch, preserving the resilient round semantics.
+    rounds and figures in a sweep.  Forked workers pre-import the whole
+    tree (fork inherits the parent's warm interpreter), so a task
+    dispatch costs one pickle round-trip, not a process start.  A
+    broken or hung pool is :meth:`~WorkerPool.invalidate`-d — shut down
+    without waiting — and rebuilt lazily on the next dispatch,
+    preserving the resilient round semantics.
 
 ``TaskSpec`` / :class:`WorkerResult`
     Because workers now outlive the run that forked them, they can no
@@ -23,8 +22,8 @@ two halves here fix that:
     trace-hash recorder, fault plan, activated run config).  Every task
     therefore carries a compact spec with an explicit context
     (:func:`build_task_context`), which the worker re-arms from before
-    running the repetition/shard body (:func:`_execute_task`).  Results
-    come back as a versioned :data:`WORKER_RESULT_SCHEMA` record whose
+    running the repetition body (:func:`_execute_task`).  Results come
+    back as a versioned :data:`WORKER_RESULT_SCHEMA` record whose
     bulk payload — raw metric values, METRICS snapshot, TRACE_HASH
     snapshot, fault RUNLOG entries — travels out-of-band through
     ``multiprocessing.shared_memory`` (or a spill file above
@@ -271,10 +270,9 @@ def decode_payload(meta: Mapping[str, Any]) -> Any:
 class WorkerResult:
     """One task's outcome plus its folded-back observability payloads.
 
-    ``values`` is the measure's metric dict (repetitions) or the shard
-    function's return value; ``metrics``/``trace_hash``/``runlog`` are
-    the worker-side registry snapshots the parent merges, exactly as
-    the old positional 8-tuple carried them.
+    ``values`` is the measure's metric dict; ``metrics``/``trace_hash``/
+    ``runlog`` are the worker-side registry snapshots the parent merges,
+    exactly as the old positional 8-tuple carried them.
     """
 
     __slots__ = ("kind", "index", "seed", "error", "queue_wait_s",
@@ -430,12 +428,12 @@ def _runlog_wire() -> Optional[Dict[str, Any]]:
 
 
 def _execute_task(spec: Mapping[str, Any]) -> Dict[str, Any]:
-    """Worker entry point: re-arm from the spec, run the body, encode.
+    """Worker entry point: re-arm from the spec, run one repetition,
+    encode.
 
-    ``spec`` fields: ``kind`` ("rep" | "shard"), ``index``, ``seed``
-    (reps), ``fn_blob`` (the pickled measure/shard function — unpickled
-    fresh per task so a stateful measure never leaks state between
-    repetitions), ``task_blob`` (shards), ``attempt``, ``submitted_at``,
+    ``spec`` fields: ``index``, ``seed``, ``fn_blob`` (the pickled
+    measure — unpickled fresh per task so a stateful measure never leaks
+    state between repetitions), ``attempt``, ``submitted_at``,
     ``hash_group``, ``run_token`` and ``context``.
     """
     # Imported lazily: repro.core.parallel imports this module at top
@@ -444,24 +442,15 @@ def _execute_task(spec: Mapping[str, Any]) -> Dict[str, Any]:
 
     _apply_task_context(spec["context"], spec["run_token"])
     fn = pickle.loads(spec["fn_blob"])
-    if spec["kind"] == "rep":
-        (repetition, seed, values, error, queue_wait, wall, snapshot,
-         thash) = _parallel._run_repetition(
-            fn, spec["index"], spec["seed"], spec["submitted_at"],
-            spec["attempt"], hash_group=spec["hash_group"])
-        result = WorkerResult(
-            kind="rep", index=repetition, seed=seed, error=error,
-            queue_wait_s=queue_wait, wall_s=wall, pid=os.getpid(),
-            values=values, metrics=snapshot, trace_hash=thash,
-            runlog=_runlog_wire())
-    else:
-        task = pickle.loads(spec["task_blob"])
-        index, values, error, snapshot = _parallel._run_shard(
-            fn, spec["index"], task, spec["attempt"])
-        result = WorkerResult(
-            kind="shard", index=index, error=error, pid=os.getpid(),
-            values=values, metrics=snapshot, runlog=_runlog_wire())
-    return result.to_wire()
+    (repetition, seed, values, error, queue_wait, wall, snapshot,
+     thash) = _parallel._run_repetition(
+        fn, spec["index"], spec["seed"], spec["submitted_at"],
+        spec["attempt"], hash_group=spec["hash_group"])
+    return WorkerResult(
+        kind="rep", index=repetition, seed=seed, error=error,
+        queue_wait_s=queue_wait, wall_s=wall, pid=os.getpid(),
+        values=values, metrics=snapshot, trace_hash=thash,
+        runlog=_runlog_wire()).to_wire()
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +535,7 @@ _RUN_TOKEN = 0
 
 
 def next_run_token() -> int:
-    """A fresh token identifying one repeater/map_shards invocation."""
+    """A fresh token identifying one repeater run."""
     global _RUN_TOKEN
     _RUN_TOKEN += 1
     return _RUN_TOKEN

@@ -15,11 +15,11 @@ Layout:
   value object every run is a pure function of;
 * :mod:`~repro.fleet.churn` — per-host availability traces
   (on/off sessions, permanent departure);
-* :mod:`~repro.fleet.host` — deterministic host sampling, sharded
-  across :func:`repro.core.parallel.map_shards` workers;
+* :mod:`~repro.fleet.host` — deterministic per-host sampling, the
+  object form of one volunteer;
 * :mod:`~repro.fleet.columns` — the same hosts as flat columnar
-  arrays (CSR session traces) for 100k+-host runs, with
-  :class:`FleetHost` kept as a lazy view;
+  arrays (CSR session traces), built in one serial call; every run
+  simulates on these;
 * :mod:`~repro.fleet.fastrng` / :mod:`~repro.fleet.cloop` — the
   vectorised PCG64 replica and the compiled kernels (host-column
   sampler and event loop) behind the columnar fast path;
@@ -51,20 +51,9 @@ from repro.fleet.churn import (
     availability_trace,
     finish_time,
 )
-from repro.fleet.columns import (
-    COLUMN_SHARD_SIZE,
-    FleetColumns,
-    build_fleet_columns,
-    column_shards,
-)
+from repro.fleet.columns import FleetColumns, build_fleet_columns
 from repro.fleet.config import FleetConfig
-from repro.fleet.host import (
-    SHARD_SIZE,
-    FleetHost,
-    build_fleet_hosts,
-    host_shards,
-    sample_host,
-)
+from repro.fleet.host import FleetHost, build_fleet_hosts, sample_host
 from repro.fleet.recovery import (
     RecoveryPolicy,
     checkpoint_cost_s,
@@ -88,7 +77,6 @@ from repro.fleet.figures import (
 
 __all__ = [
     "CANONICAL_KEY",
-    "COLUMN_SHARD_SIZE",
     "ChurnModel",
     "FleetColumns",
     "FleetConfig",
@@ -99,12 +87,10 @@ __all__ = [
     "MIXED_FLEET",
     "QuorumValidator",
     "RecoveryPolicy",
-    "SHARD_SIZE",
     "active_seconds",
     "availability_trace",
     "build_fleet_columns",
     "build_fleet_hosts",
-    "column_shards",
     "checkpoint_cost_s",
     "erroneous_key",
     "estimated_grid_efficiency",
@@ -116,7 +102,6 @@ __all__ = [
     "fleet_slowdown",
     "fleet_slowdowns",
     "fleet_waste_figure",
-    "host_shards",
     "memory_slowdown_factor",
     "outage_windows",
     "report_figure",

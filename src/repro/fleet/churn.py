@@ -15,7 +15,7 @@ availability as an alternating renewal process:
 
 Traces are sampled up-front per host from that host's own named RNG
 streams, so they are a pure function of (fleet seed, host index) —
-independent of how hosts are sharded across worker processes.
+independent of which index range a build samples them in.
 """
 
 from __future__ import annotations

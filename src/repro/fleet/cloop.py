@@ -592,11 +592,15 @@ def sample_columns(config: FleetConfig, start: int,
         ctx.s_ends = _addr(s_ends)
         ctx.s_cap = s_cap
 
+    # Trim the session buffers to what was written, in place (no copy):
+    # the fleet's columns keep these arrays for the whole run.
     s_len = int(ctx.s_len)
+    s_starts.resize(s_len, refcheck=False)
+    s_ends.resize(s_len, refcheck=False)
     return {"speed_z": speed_z if draw_speed else None,
             "availability": avail, "departure_s": departure,
-            "serve_seed": serve, "s_starts": s_starts[:s_len],
-            "s_ends": s_ends[:s_len], "s_cnt": count}
+            "serve_seed": serve, "s_starts": s_starts,
+            "s_ends": s_ends, "s_cnt": count}
 
 
 def draw_uniforms(prefix: bytes, suffix: bytes, first: int,

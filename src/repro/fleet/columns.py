@@ -11,15 +11,17 @@ list.
 
 Two samplers, one set of bytes
 ------------------------------
-Each shard is drawn by the compiled column sampler in ``_cloop.c``
+The fleet is drawn by the compiled column sampler in ``_cloop.c``
 (:func:`repro.fleet.cloop.sample_columns`), which walks the hosts one
 at a time through the exact SHA-256 forks, SeedSequence mixing, PCG64
 streams and ziggurat draws behind ``RngStreams``.  When the kernel is
 unavailable (no compiler, ``REPRO_NO_CLOOP=1``), the vectorised numpy
 build (:func:`_sample_shard_numpy`) runs instead: every draw comes from
 :mod:`repro.fleet.fastrng`, a numpy re-implementation of the same
-pipeline that advances all hosts of a shard in lockstep.  That build is
-also the compiled sampler's test oracle.
+pipeline that advances all hosts of a range in lockstep.  That build
+is also the compiled sampler's test oracle.  Both take any ``[start,
+stop)`` index range, so the property suite can compare arbitrary
+ranges; a run samples ``[0, hosts)`` in one call.
 
 Bit-identity contract
 ---------------------
@@ -29,46 +31,32 @@ either route, as the object path does.  The resulting columns are
 **byte-identical** to ``build_fleet_hosts`` — asserted by
 ``tests/test_fleet_columns.py`` across hypervisor mixes, sigma settings
 and horizons, and C against numpy by
-``tests/property/test_prop_fleet_sampler.py`` — so :class:`FleetHost`
-survives as a lazy *view* materialised on demand (tests, ``to_dict``,
-figures), never as the hot representation.
+``tests/property/test_prop_fleet_sampler.py``.
 
-Sharding follows the object path's discipline: fixed-size index ranges
-(:data:`COLUMN_SHARD_SIZE`) through the persistent
-:func:`repro.core.parallel.map_shards` pool, so serial and ``--jobs N``
-builds merge to the same bytes.
+The build is one serial call whatever ``--jobs`` says: it is the cheap
+stage of a run, and the event loop after it is serial too.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ExperimentError
 from repro.fleet.calibration import fleet_slowdown
-from repro.fleet.churn import ChurnModel
 from repro.fleet.config import FleetConfig
 from repro.fleet.cloop import sample_columns
 from repro.fleet.fastrng import VecPcg, exp_consistent, fork_seed
 from repro.fleet.host import (
     AVAILABILITY_CEIL,
     AVAILABILITY_FLOOR,
-    MIN_PARALLEL_HOSTS,
-    FleetHost,
     host_hypervisor,
 )
 from repro.fleet.recovery import checkpoint_cycles
 from repro.obs.metrics import METRICS
 from repro.virt.profiles import PROFILE_ORDER
-
-#: Hosts per columnar build shard.  Bigger than the object path's 128:
-#: each shard amortises four vectorised stream seedings, so the sweet
-#: spot is thousands of lanes, and boundaries stay fixed (never derived
-#: from the worker count) so any ``--jobs`` merges identically.
-COLUMN_SHARD_SIZE = 8192
 
 
 @dataclass
@@ -92,48 +80,15 @@ class FleetColumns:
     s_starts: np.ndarray         #: float64, flat session starts
     s_ends: np.ndarray           #: float64, flat session ends
     s_off: np.ndarray            #: int64, n_hosts + 1 offsets
-    _views: List[Optional[FleetHost]] = field(default_factory=list,
-                                              repr=False)
-
-    def __post_init__(self) -> None:
-        if not self._views:
-            self._views = [None] * len(self)
 
     def __len__(self) -> int:
         return self.hv_code.shape[0]
 
     @property
     def rate_flops_per_s(self) -> np.ndarray:
-        """Per-host science rate; same float ops as the view property."""
+        """Per-host science rate; same float ops as
+        :attr:`repro.fleet.host.FleetHost.rate_flops_per_s`."""
         return self.gflops * 1e9 / self.slowdown
-
-    def sessions_list(self, index: int) -> List[Tuple[float, float]]:
-        """Host ``index``'s sessions as the object path's list form."""
-        lo, hi = int(self.s_off[index]), int(self.s_off[index + 1])
-        starts = self.s_starts[lo:hi].tolist()
-        ends = self.s_ends[lo:hi].tolist()
-        return list(zip(starts, ends))
-
-    def host_view(self, index: int) -> FleetHost:
-        """Materialise (and cache) host ``index`` as a ``FleetHost``."""
-        view = self._views[index]
-        if view is None:
-            view = FleetHost(
-                index=index, name=f"host-{index:05d}",
-                hypervisor=self.hv_names[int(self.hv_code[index])],
-                slowdown=float(self.slowdown[index]),
-                gflops=float(self.gflops[index]),
-                availability=float(self.availability[index]),
-                error_rate=self.config.error_rate,
-                sessions=self.sessions_list(index),
-                departure_s=float(self.departure_s[index]),
-                checkpoint_cost_s=float(self.checkpoint_cost_s[index]),
-            )
-            self._views[index] = view
-        return view
-
-    def views(self) -> "HostViews":
-        return HostViews(self)
 
     def depart_at(self, cut: np.ndarray) -> None:
         """Make host ``i`` depart for good at ``cut[i]``, in place.
@@ -153,38 +108,6 @@ class FleetColumns:
         s_off = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(owner[keep], minlength=n), out=s_off[1:])
         self.s_off = s_off
-        self._views = [None] * n
-
-
-class HostViews(Sequence):
-    """A lazy ``Sequence[FleetHost]`` over :class:`FleetColumns`.
-
-    Consumers of the object API (tests, figures) see ordinary
-    ``FleetHost`` records; each is materialised from the columns on
-    first touch and cached on the column store.
-    """
-
-    __slots__ = ("_cols",)
-
-    def __init__(self, cols: FleetColumns):
-        self._cols = cols
-
-    def __len__(self) -> int:
-        return len(self._cols)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._cols.host_view(i)
-                    for i in range(*index.indices(len(self._cols)))]
-        if index < 0:
-            index += len(self._cols)
-        return self._cols.host_view(index)
-
-
-def column_shards(n_hosts: int) -> List[Tuple[int, int]]:
-    """Fixed ``[start, stop)`` ranges of :data:`COLUMN_SHARD_SIZE`."""
-    return [(start, min(start + COLUMN_SHARD_SIZE, n_hosts))
-            for start in range(0, n_hosts, COLUMN_SHARD_SIZE)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -233,7 +156,7 @@ def _sample_shard_columns(config: FleetConfig, start: int,
 def _sample_shard_numpy(config: FleetConfig, start: int,
                         stop: int) -> Dict[str, Optional[np.ndarray]]:
     """The vectorised numpy twin of the compiled sampler: every host of
-    the shard advances through each draw in lockstep, lanes that leave
+    the range advances through each draw in lockstep, lanes that leave
     the renewal loop drop out.  Same result dict as
     :func:`repro.fleet.cloop.sample_columns`."""
     n = stop - start
@@ -311,51 +234,14 @@ def _sample_shard_numpy(config: FleetConfig, start: int,
             "s_starts": s_starts, "s_ends": s_ends, "s_cnt": counts}
 
 
-def _build_columns_shard(task: Tuple[Dict[str, Any], int, int]
-                         ) -> Dict[str, np.ndarray]:
-    """Worker body for :func:`map_shards` (module-level so it pickles)."""
-    payload, start, stop = task
-    return _sample_shard_columns(FleetConfig.from_dict(payload), start, stop)
-
-
-def build_fleet_columns(config: FleetConfig,
-                        jobs: Optional[int] = None) -> FleetColumns:
-    """Build the whole fleet as :class:`FleetColumns`.
-
-    Same worker-count policy and serial-fallback threshold as
-    :func:`repro.fleet.host.build_fleet_hosts`; the merged columns are
-    bit-identical to the serial build (fixed shard boundaries, hosts
-    seeded only from their own index).
-    """
-    from repro.core.parallel import map_shards
-
-    # Surface the object path's validation errors before any sampling:
-    # ChurnModel rejects non-positive means, availability_trace rejects
-    # a non-positive horizon.
-    ChurnModel(availability=0.5, session_mean_s=config.session_mean_s,
-               departure_mean_s=config.departure_mean_s)
-    if config.duration_s <= 0:
-        raise ExperimentError(
-            f"horizon_s must be positive, got {config.duration_s!r}")
-
+def build_fleet_columns(config: FleetConfig) -> FleetColumns:
+    """Build the whole fleet as :class:`FleetColumns` in one serial
+    call: hosts ``[0, hosts)`` sampled at once, then the per-hypervisor
+    columns (slowdown, checkpoint cost) gathered from the host codes."""
     n = config.hosts
-    payload = config.to_dict()
-    tasks = [(payload, lo, hi) for lo, hi in column_shards(n)]
-    if n < MIN_PARALLEL_HOSTS or len(tasks) == 1:
-        if n < MIN_PARALLEL_HOSTS and METRICS.enabled:
-            METRICS.inc("parallel.fallback_serial")
-        shards = [_build_columns_shard(task) for task in tasks]
-    else:
-        shards = map_shards(_build_columns_shard, tasks, jobs=jobs)
-
-    def cat(key: str) -> np.ndarray:
-        return np.concatenate([s[key] for s in shards]) if shards \
-            else np.empty(0)
-
-    counts = np.concatenate([s["s_cnt"] for s in shards]) if shards \
-        else np.empty(0, dtype=np.int64)
+    sampled = _sample_shard_columns(config, 0, n)
     s_off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=s_off[1:])
+    np.cumsum(sampled["s_cnt"], out=s_off[1:])
 
     if config.mixed:
         hv_names = tuple(PROFILE_ORDER)
@@ -367,14 +253,15 @@ def build_fleet_columns(config: FleetConfig,
     mem = config.memory_factor()
     slow_by = np.array([fleet_slowdown(name) * mem for name in hv_names])
     cyc_by = np.array([checkpoint_cycles(name) for name in hv_names])
-    gflops = cat("gflops")
+    gflops = sampled["gflops"]
     return FleetColumns(
         config=config, hv_names=hv_names, hv_code=hv_code,
         gflops=gflops,
-        availability=cat("availability"),
+        availability=sampled["availability"],
         slowdown=slow_by[hv_code],
-        departure_s=cat("departure_s"),
+        departure_s=sampled["departure_s"],
         checkpoint_cost_s=cyc_by[hv_code] / (gflops * 1e9),
-        serve_seed=cat("serve_seed"),
-        s_starts=cat("s_starts"), s_ends=cat("s_ends"), s_off=s_off,
+        serve_seed=sampled["serve_seed"],
+        s_starts=sampled["s_starts"], s_ends=sampled["s_ends"],
+        s_off=s_off,
     )

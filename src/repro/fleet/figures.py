@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.core.figures import FigureData, MeasuredPoint
-from repro.core.parallel import resolve_jobs
 from repro.faults import injected, parse_fault_spec
 from repro.fleet.config import FleetConfig
 from repro.fleet.server import FleetReport, simulate_fleet
@@ -47,11 +46,10 @@ def fleet_scale_figure(base_seed: int = 42,
                "hours; quorum-of-2 validation, churny hosts. Throughput "
                "should scale near-linearly with fleet size."),
     )
-    jobs = resolve_jobs()
     for size in sizes:
         config = FleetConfig(hosts=size, hypervisor=hypervisor,
                              seed=base_seed, duration_s=duration_s)
-        report = simulate_fleet(config, jobs=jobs)
+        report = simulate_fleet(config)
         fig.series[f"{size} hosts"] = MeasuredPoint(
             report.throughput_per_hour)
     return fig
@@ -68,11 +66,10 @@ def fleet_makespan_figure(base_seed: int = 43, hosts: int = 80,
                f"{duration_s / 3600:.0f} h horizon; slower guests "
                "(QEMU) stretch the whole distribution."),
     )
-    jobs = resolve_jobs()
     for profile in PROFILE_ORDER:
         config = FleetConfig(hosts=hosts, hypervisor=profile,
                              seed=base_seed, duration_s=duration_s)
-        report = simulate_fleet(config, jobs=jobs)
+        report = simulate_fleet(config)
         for quantile in ("p50", "p90"):
             fig.series[f"{profile} {quantile}"] = MeasuredPoint(
                 report.makespan_s[quantile] / 3600.0)
@@ -84,7 +81,7 @@ def fleet_waste_figure(base_seed: int = 44, hosts: int = 120,
     """Wasted-CPU fraction per hypervisor inside one mixed fleet."""
     config = FleetConfig(hosts=hosts, hypervisor="mixed",
                          seed=base_seed, duration_s=duration_s)
-    report = simulate_fleet(config, jobs=resolve_jobs())
+    report = simulate_fleet(config)
     fig = FigureData(
         fig_id="fleet_waste",
         title="Wasted CPU fraction by hypervisor (mixed fleet)",
@@ -122,7 +119,6 @@ def fleet_outage_figure(base_seed: int = 45, hosts: int = 80,
                f"(fault seed {fault_seed}), uploads buffered host-side "
                "on timeout/backoff retry."),
     )
-    jobs = resolve_jobs()
     spec = (f"seed={fault_seed},server.outage=0.25,net.partition=0.1")
     for scale_s in outage_scales_s:
         config = FleetConfig(hosts=hosts, seed=base_seed,
@@ -130,9 +126,9 @@ def fleet_outage_figure(base_seed: int = 45, hosts: int = 80,
                              outage_scale_s=scale_s or 3600.0)
         if scale_s > 0:
             with injected(parse_fault_spec(spec)):
-                report = simulate_fleet(config, jobs=jobs)
+                report = simulate_fleet(config)
         else:
-            report = simulate_fleet(config, jobs=jobs)
+            report = simulate_fleet(config)
         label = f"{scale_s / 3600:.1f}h scale"
         fig.series[f"{label} makespan p90 (h)"] = MeasuredPoint(
             report.makespan_s["p90"] / 3600.0)
@@ -164,14 +160,13 @@ def fleet_checkpoint_figure(base_seed: int = 46, hosts: int = 80,
                "waste balances checkpoint-write overhead against "
                "rollback loss."),
     )
-    jobs = resolve_jobs()
     spec = f"seed={fault_seed},vm.crash=0.3"
     for interval_s in intervals_s:
         config = FleetConfig(hosts=hosts, seed=base_seed,
                              duration_s=duration_s,
                              checkpoint_interval_s=interval_s)
         with injected(parse_fault_spec(spec)):
-            report = simulate_fleet(config, jobs=jobs)
+            report = simulate_fleet(config)
         label = ("no checkpoints" if interval_s == 0
                  else f"every {interval_s / 60:.0f} min")
         fig.series[label] = MeasuredPoint(report.waste_fraction)

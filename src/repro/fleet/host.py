@@ -1,4 +1,4 @@
-"""Volunteer hosts at fleet scale: deterministic sampling, sharded build.
+"""Volunteer hosts at fleet scale: deterministic per-host sampling.
 
 Each host is a small record — calibrated slowdown, native speed,
 availability trace — not a full simulated machine: the per-machine
@@ -7,36 +7,23 @@ physics already ran once to calibrate the hypervisor profiles (Figures
 (:func:`repro.fleet.calibration.fleet_slowdown`).
 
 Every host is a pure function of ``(fleet seed, host index)``: its
-parameters come from ``RngStreams(seed).fork(f"host-{index}")``, so the
-fleet can be built in index-sharded chunks across the
-:func:`repro.core.parallel.map_shards` worker pool and the merged result
-is bit-identical to a serial build — shard boundaries are fixed
-(:data:`SHARD_SIZE`), never derived from the worker count.
+parameters come from ``RngStreams(seed).fork(f"host-{index}")``.
+:func:`sample_host` is the object form of one host, and the definition
+the columnar build (:mod:`repro.fleet.columns`) reproduces byte for
+byte; simulations run on the columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.fleet.calibration import fleet_slowdown
 from repro.fleet.churn import ChurnModel, availability_trace
 from repro.fleet.config import FleetConfig
 from repro.fleet.recovery import checkpoint_cost_s
-from repro.obs.metrics import METRICS
 from repro.simcore.rng import RngStreams
 from repro.virt.profiles import PROFILE_ORDER
-
-#: Hosts per build shard.  Fixed (NOT a function of the worker count) so
-#: shard boundaries — and therefore every sampled trace — are identical
-#: at any ``--jobs`` setting.
-SHARD_SIZE = 128
-
-#: Fleets smaller than this build serially regardless of ``jobs``: two
-#: shards cannot amortise pool dispatch (the old path made ``--jobs 4``
-#: *slower* than serial at small sizes).  Identical output either way —
-#: shard boundaries are fixed and hosts seed only from their own index.
-MIN_PARALLEL_HOSTS = 256
 
 #: Per-host availability is clamped into this band after sampling: a
 #: volunteer that is literally never (or always) on is not a volunteer.
@@ -78,6 +65,7 @@ class FleetHost:
             "checkpoint_cost_s": self.checkpoint_cost_s,
         }
 
+
 def host_hypervisor(config: FleetConfig, index: int) -> str:
     """A mixed fleet stripes the four profiles by index; otherwise the
     configured profile (already alias-resolved)."""
@@ -111,63 +99,7 @@ def sample_host(config: FleetConfig, index: int) -> FleetHost:
     )
 
 
-def host_shards(n_hosts: int) -> List[Tuple[int, int]]:
-    """Fixed-size ``[start, stop)`` index ranges covering the fleet."""
-    return [(start, min(start + SHARD_SIZE, n_hosts))
-            for start in range(0, n_hosts, SHARD_SIZE)]
-
-
-def _build_shard(task: Tuple[Dict[str, Any], int, int]
-                 ) -> List[Dict[str, Any]]:
-    """Worker body: sample hosts ``[start, stop)`` as plain dicts.
-
-    Module-level (and dict-in/dict-out) so it pickles across the
-    process pool; the parent rebuilds :class:`FleetHost` records.
-    """
-    payload, start, stop = task
-    config = FleetConfig.from_dict(payload)
-    out = [sample_host(config, index).to_dict()
-           for index in range(start, stop)]
-    if METRICS.enabled:
-        METRICS.inc("fleet.hosts_built", stop - start)
-    return out
-
-
-def _host_from_dict(payload: Dict[str, Any]) -> FleetHost:
-    return FleetHost(
-        index=payload["index"], name=payload["name"],
-        hypervisor=payload["hypervisor"], slowdown=payload["slowdown"],
-        gflops=payload["gflops"], availability=payload["availability"],
-        error_rate=payload["error_rate"],
-        sessions=[(s, e) for s, e in payload["sessions"]],
-        departure_s=payload["departure_s"],
-        checkpoint_cost_s=payload.get("checkpoint_cost_s", 0.0),
-    )
-
-
-def build_fleet_hosts(config: FleetConfig,
-                      jobs: Optional[int] = None) -> List[FleetHost]:
-    """Sample the whole fleet, sharding big builds across workers.
-
-    Worker-count policy follows :func:`repro.core.parallel.resolve_jobs`
-    (explicit ``jobs``, else the activated RunConfig, else every
-    schedulable core); the merged host list is bit-identical to the
-    serial build because shards are fixed index ranges and every host
-    seeds only from its own index.  Fleets below
-    :data:`MIN_PARALLEL_HOSTS` skip the pool entirely (recorded as
-    ``parallel.fallback_serial`` in METRICS).
-    """
-    from repro.core.parallel import map_shards
-
-    payload = config.to_dict()
-    tasks = [(payload, start, stop)
-             for start, stop in host_shards(config.hosts)]
-    if config.hosts < MIN_PARALLEL_HOSTS:
-        if METRICS.enabled:
-            METRICS.inc("parallel.fallback_serial")
-        shard_results = [_build_shard(task) for task in tasks]
-    else:
-        shard_results = map_shards(_build_shard, tasks, jobs=jobs)
-    hosts = [_host_from_dict(item)
-             for shard in shard_results for item in shard]
-    return hosts
+def build_fleet_hosts(config: FleetConfig) -> List[FleetHost]:
+    """Sample the whole fleet as :class:`FleetHost` records, in index
+    order."""
+    return [sample_host(config, index) for index in range(config.hosts)]

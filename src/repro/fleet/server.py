@@ -1204,18 +1204,16 @@ _NO_RECOVERY: Dict[str, Any] = {
 }
 
 
-def simulate_fleet(config: FleetConfig,
-                   jobs: Optional[int] = None) -> FleetReport:
-    """Build the fleet (sharded across workers) and run the server loop.
+def simulate_fleet(config: FleetConfig) -> FleetReport:
+    """Build the fleet's columns and run the server loop.
 
     The one-call entry point used by the fleet executor behind
-    :func:`repro.api.run`, the fleet figures and the benchmarks.  Deterministic per config; the
-    ``jobs`` count affects wall-clock only, never the report.  Host
-    building dispatches to the persistent worker pool only above
-    :data:`repro.fleet.host.MIN_PARALLEL_HOSTS` — small fleets run
-    serially because pool dispatch would cost more than it saves.
+    :func:`repro.api.run`, the fleet figures and the benchmarks.
+    Deterministic per config, and serial: no stage touches the worker
+    pool, so ``--jobs`` changes neither the work a fleet does nor its
+    report.
     """
-    return FleetServer(config, build_fleet_columns(config, jobs=jobs)).run()
+    return FleetServer(config, build_fleet_columns(config)).run()
 
 
 def _fault_uniforms(seed: int, site: str, first: int, count: int,

@@ -9,6 +9,10 @@ assert the live server's ``FleetReport.to_dict()`` is byte-identical.
 Only one deliberate divergence: ``_percentile`` is imported from the
 live module, so the intentional nearest-rank rounding bugfix does not
 confound the equivalence assertions.
+
+:func:`host_from_columns` is the one bridge the other way: it reads a
+:class:`FleetHost` back out of a column build, so the column-vs-object
+oracles compare whole host records.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro.faults import FAULTS
 from repro.fleet.calibration import fleet_slowdown
 from repro.fleet.churn import active_seconds, finish_time
+from repro.fleet.columns import FleetColumns
 from repro.fleet.config import FleetConfig
 from repro.fleet.host import FleetHost, build_fleet_hosts
 from repro.fleet.recovery import outage_windows, rollback_seconds
@@ -732,21 +737,38 @@ class FleetServer:
         )
 
 
-def simulate_fleet(config: FleetConfig,
-                   jobs: Optional[int] = None) -> FleetReport:
-    """Build the fleet (sharded across workers) and run the server loop.
+def simulate_fleet(config: FleetConfig) -> FleetReport:
+    """Build the fleet as objects and run the server loop.
 
-    The one-call entry point used by :func:`repro.api.run_fleet`, the
-    fleet figures and the benchmarks.  Deterministic per config; the
-    ``jobs`` count affects wall-clock only, never the report.  Host
-    building dispatches to the persistent worker pool only above
-    :data:`repro.fleet.host.MIN_PARALLEL_HOSTS` — small fleets run
-    serially because pool dispatch would cost more than it saves.
+    The archived one-call entry point: deterministic per config, host
+    by host through :func:`repro.fleet.host.build_fleet_hosts`, counting
+    ``fleet.hosts_built`` as the archived object build did.
     """
-    hosts = build_fleet_hosts(config, jobs=jobs)
+    hosts = build_fleet_hosts(config)
+    if METRICS.enabled:
+        METRICS.inc("fleet.hosts_built", len(hosts))
     dropouts = _apply_host_dropout(hosts, config.duration_s) \
         if FAULTS.enabled else 0
     return FleetServer(config, hosts, dropouts=dropouts).run()
+
+
+def host_from_columns(columns: FleetColumns, index: int) -> FleetHost:
+    """Host ``index`` of a column build as a :class:`FleetHost`, every
+    field read back from the columns, so the column-vs-object oracles
+    can compare whole records (``to_dict()`` equality)."""
+    lo, hi = int(columns.s_off[index]), int(columns.s_off[index + 1])
+    return FleetHost(
+        index=index, name=f"host-{index:05d}",
+        hypervisor=columns.hv_names[int(columns.hv_code[index])],
+        slowdown=float(columns.slowdown[index]),
+        gflops=float(columns.gflops[index]),
+        availability=float(columns.availability[index]),
+        error_rate=columns.config.error_rate,
+        sessions=list(zip(columns.s_starts[lo:hi].tolist(),
+                          columns.s_ends[lo:hi].tolist())),
+        departure_s=float(columns.departure_s[index]),
+        checkpoint_cost_s=float(columns.checkpoint_cost_s[index]),
+    )
 
 
 def _apply_host_dropout(hosts: List[FleetHost], horizon_s: float) -> int:

@@ -42,7 +42,7 @@ def build_config(draw):
 
 
 def oracle_dict(config):
-    hosts = ref.build_fleet_hosts(config, jobs=1)
+    hosts = ref.build_fleet_hosts(config)
     return ref.FleetServer(config, hosts).run().to_dict()
 
 
@@ -50,7 +50,7 @@ def oracle_dict(config):
 @given(scenarios)
 def test_columnar_report_byte_identical_to_reference(draw):
     config = build_config(draw)
-    live = simulate_fleet(config, jobs=1).to_dict()
+    live = simulate_fleet(config).to_dict()
     assert json.dumps(live, sort_keys=True) == \
         json.dumps(oracle_dict(config), sort_keys=True)
 
@@ -81,8 +81,8 @@ def test_storm_report_byte_identical_to_reference(draw, outage, crash,
                 .arm("host.dropout", dropout))
 
     with injected(plan()):
-        live = simulate_fleet(config, jobs=1).to_dict()
+        live = simulate_fleet(config).to_dict()
     with injected(plan()):
-        expected = ref.simulate_fleet(config, jobs=1).to_dict()
+        expected = ref.simulate_fleet(config).to_dict()
     assert json.dumps(live, sort_keys=True) == \
         json.dumps(expected, sort_keys=True)

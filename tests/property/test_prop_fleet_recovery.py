@@ -42,7 +42,7 @@ def storm_server(storm):
             .arm("net.partition", storm["partition"])
             .arm("vm.crash", storm["crash"]))
     with injected(plan):
-        server = FleetServer(config, build_fleet_columns(config, jobs=1))
+        server = FleetServer(config, build_fleet_columns(config))
         report = server.run()
     return config, server, report
 

@@ -23,6 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.fleet import FleetConfig, build_fleet_columns, build_fleet_hosts
 from repro.fleet import cloop, columns
 from repro.fleet.host import AVAILABILITY_CEIL, AVAILABILITY_FLOOR
+from tests._reference_fleet import host_from_columns
 
 pytestmark = pytest.mark.skipif(not cloop.available(),
                                 reason="no C compiler / kernel unavailable")
@@ -74,9 +75,9 @@ def assert_same(c_cols, np_cols, keys):
 @example(FleetConfig(hosts=5, seed=2 ** 64, duration_s=60.0,
                      host_gflops_sigma=0.0, hypervisor="mixed"))
 def test_compiled_fleet_columns_equal_numpy_build(config):
-    compiled = build_fleet_columns(config, jobs=1)
+    compiled = build_fleet_columns(config)
     with numpy_build():
-        reference = build_fleet_columns(config, jobs=1)
+        reference = build_fleet_columns(config)
     assert_same({k: getattr(compiled, k) for k in COLUMN_KEYS},
                 {k: getattr(reference, k) for k in COLUMN_KEYS},
                 COLUMN_KEYS)
@@ -103,7 +104,7 @@ def test_compiled_shard_equals_numpy_shard(config, start, size):
 def test_wide_spread_reaches_both_clamp_edges():
     # the spread the strategies draw really does exercise both clamps
     config = FleetConfig(hosts=200, seed=11, availability_spread=3.0)
-    avail = build_fleet_columns(config, jobs=1).availability
+    avail = build_fleet_columns(config).availability
     assert np.any(avail == AVAILABILITY_FLOOR)
     assert np.any(avail == AVAILABILITY_CEIL)
 
@@ -114,9 +115,10 @@ def test_wide_spread_reaches_both_clamp_edges():
                 host_gflops_sigma=0.0, duration_s=900.0),
 ])
 def test_compiled_columns_equal_object_build(config):
-    cols = build_fleet_columns(config, jobs=1)
-    for host, view in zip(build_fleet_hosts(config, jobs=1), cols.views()):
-        assert view.to_dict() == host.to_dict()
+    cols = build_fleet_columns(config)
+    for host in build_fleet_hosts(config):
+        assert host_from_columns(cols, host.index).to_dict() == \
+            host.to_dict()
 
 
 def test_session_buffer_growth_resumes_exactly():

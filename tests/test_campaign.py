@@ -303,6 +303,19 @@ class TestScheduler:
         parallel = run_campaign(self.SPEC, self._config(tmp_path, jobs=2))
         assert _payload_bytes(serial) == _payload_bytes(parallel)
 
+    def test_fleet_only_campaign_forks_no_pool(self, tmp_path):
+        # fleets run serially, so warming a pool for them is pure cost
+        from repro.core.workerpool import pool_generations
+
+        spec = CampaignSpec(
+            name="fleets",
+            scenarios=(Scenario(kind="fleet", params=(
+                ("hosts", 12), ("duration_s", 1800.0))),))
+        before = pool_generations()
+        result = run_campaign(spec, self._config(tmp_path, jobs=3))
+        assert [p.status for p in result.points] == ["computed"]
+        assert pool_generations() == before
+
     def test_interrupted_run_resumes_byte_identically(self, tmp_path,
                                                       monkeypatch):
         from repro.core import figures as figures_module

@@ -215,26 +215,6 @@ class TestSerialFallback:
             METRICS.disable()
             METRICS.reset()
 
-    def test_small_fleet_builds_serially(self):
-        from repro.fleet.config import FleetConfig
-        from repro.fleet.host import MIN_PARALLEL_HOSTS, build_fleet_hosts
-        from repro.obs.metrics import METRICS
-
-        config = FleetConfig(hosts=MIN_PARALLEL_HOSTS - 1,
-                             hypervisor="vmplayer", seed=11,
-                             duration_s=3600.0)
-        METRICS.enable(reset=True)
-        try:
-            hosts = build_fleet_hosts(config, jobs=4)
-            assert METRICS.counter("parallel.fallback_serial") == 1
-        finally:
-            METRICS.disable()
-            METRICS.reset()
-        assert len(hosts) == MIN_PARALLEL_HOSTS - 1
-        # identical output either way: the fallback is wall-clock only
-        assert [h.to_dict() for h in hosts] == \
-            [h.to_dict() for h in build_fleet_hosts(config, jobs=1)]
-
 
 class TestRepeatDispatch:
     def test_repeat_honours_jobs_argument(self):

@@ -1,9 +1,9 @@
-"""The dispatch contract at ``jobs=2``, for repetitions and shards alike.
+"""The dispatch contract at ``jobs=2``.
 
-Repetitions (:class:`ParallelRepeater`) and shards (:func:`map_shards`)
-share one round engine.  These pins fix what a caller observes from it:
-the folded results, the ``parallel.*`` METRICS, the wording of every
-failure kind, and what a broken pool costs.
+Repetitions (:class:`ParallelRepeater`) run through one round engine.
+These pins fix what a caller observes from it: the folded results, the
+``parallel.*`` METRICS, the wording of every failure kind, and what a
+broken pool costs.
 """
 
 import os
@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro.core.experiment import Repeater
-from repro.core.parallel import ParallelRepeater, map_shards
+from repro.core.parallel import ParallelRepeater
 from repro.core.workerpool import get_pool, pool_generations
 from repro.errors import ExperimentError
 from repro.faults import RUNLOG
@@ -20,7 +20,6 @@ from repro.obs.metrics import METRICS
 from repro.simcore.rng import derive_rep_seed
 
 REPS = 6
-TASKS = [3, 1, 4, 1, 5, 9]
 
 
 def measure_ok(seed):
@@ -44,20 +43,6 @@ def measure_exits(seed):
 
 def measure_empty(seed):
     return {}
-
-
-def shard_square(task):
-    return task * task
-
-
-def shard_raises_on_four(task):
-    if task == 4:
-        raise ValueError("remote failure for task 4")
-    return task
-
-
-def shard_exits(task):
-    os._exit(3)
 
 
 @pytest.fixture
@@ -137,28 +122,3 @@ class TestRepetitions:
             measure_ok).raw
         assert RUNLOG.retries == 0
 
-
-class TestShards:
-    def test_success_matches_serial_and_records_dispatch(self, metrics):
-        assert map_shards(shard_square, TASKS, jobs=2) == \
-            [shard_square(task) for task in TASKS]
-        assert metrics.counter("parallel.shards") == len(TASKS)
-        assert metrics.gauge("parallel.workers") == 2
-
-    def test_worker_exception_names_lowest_index(self):
-        with pytest.raises(ExperimentError) as excinfo:
-            map_shards(shard_raises_on_four, TASKS, jobs=2)
-        message = str(excinfo.value)
-        assert message.startswith("shard 2 ")
-        assert "remote failure for task 4" in message
-
-    def test_hard_exit_breaks_and_rebuilds_the_pool(self):
-        map_shards(shard_square, TASKS, jobs=2)
-        generation = pool_generations()[2]
-        with pytest.raises(ExperimentError) as excinfo:
-            map_shards(shard_exits, TASKS, jobs=2)
-        message = str(excinfo.value)
-        assert "broke the worker pool after" in message
-        assert "had completed" in message
-        map_shards(shard_square, TASKS, jobs=2)
-        assert pool_generations()[2] > generation

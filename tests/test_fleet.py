@@ -9,7 +9,6 @@ from repro.errors import ExperimentError
 from repro.fleet import (
     FleetConfig,
     QuorumValidator,
-    build_fleet_hosts,
     estimated_grid_efficiency,
     fleet_slowdown,
     fleet_slowdowns,
@@ -81,6 +80,8 @@ class TestFleetConfig:
         ("error_rate", -0.1),
         ("wu_flops", 0.0),
         ("backoff_factor", 0.5),
+        ("session_mean_s", 0.0),
+        ("departure_mean_s", -1.0),
     ])
     def test_bad_values_rejected_with_offender(self, field, value):
         with pytest.raises(ExperimentError, match=str(value)):
@@ -183,19 +184,38 @@ class TestChurn:
 
 class TestDeterminism:
     def test_serial_and_parallel_reports_bit_identical(self):
-        serial = simulate_fleet(SMALL, jobs=1)
-        parallel = simulate_fleet(SMALL, jobs=4)
+        with api.activated(api.RunConfig(jobs=1)):
+            serial = simulate_fleet(SMALL)
+        with api.activated(api.RunConfig(jobs=4)):
+            parallel = simulate_fleet(SMALL)
         assert canonical(serial) == canonical(parallel)
 
-    def test_host_build_identical_across_jobs(self):
-        a = build_fleet_hosts(SMALL, jobs=1)
-        b = build_fleet_hosts(SMALL, jobs=3)
-        assert [h.to_dict() for h in a] == [h.to_dict() for h in b]
+    def test_fleet_never_touches_the_worker_pool(self, tmp_path):
+        # 9,000 hosts is more than one 8,192-host column range: the
+        # size at which the build used to fan out over the pool.
+        from repro.core.workerpool import pool_generations
+
+        config = FleetConfig(hosts=9000, hypervisor="vmplayer", seed=5,
+                             duration_s=3600.0)
+
+        def run(jobs):
+            return api.run(api.RunRequest(
+                kind="fleet", target=config,
+                config=api.RunConfig(jobs=jobs, metrics=True, cache=False,
+                                     runs_dir=str(tmp_path / str(jobs)))))
+
+        before = pool_generations()
+        parallel = run(4)
+        assert pool_generations() == before
+        touched = [name for section in parallel.metrics.values()
+                   for name in section if name.startswith("parallel.")]
+        assert touched == []
+        assert canonical(parallel.report) == canonical(run(1).report)
 
     def test_different_seeds_differ(self):
         other = SMALL.with_overrides(seed=8)
-        assert canonical(simulate_fleet(SMALL, jobs=1)) != \
-            canonical(simulate_fleet(other, jobs=1))
+        assert canonical(simulate_fleet(SMALL)) != \
+            canonical(simulate_fleet(other))
 
     def test_cache_hit_is_bit_identical_to_miss(self, tmp_path):
         config = api.RunConfig(cache=True, jobs=2,
@@ -211,14 +231,14 @@ class TestDeterminism:
 
 class TestServerBehaviour:
     def test_mixed_fleet_breaks_down_per_hypervisor(self):
-        report = simulate_fleet(SMALL, jobs=1)
+        report = simulate_fleet(SMALL)
         assert set(report.per_hypervisor) == {
             "vmplayer", "qemu", "virtualbox", "virtualpc"}
         hosts = sum(s["hosts"] for s in report.per_hypervisor.values())
         assert hosts == SMALL.hosts
 
     def test_conservation_of_work_units(self):
-        report = simulate_fleet(SMALL, jobs=1)
+        report = simulate_fleet(SMALL)
         assert (report.valid + report.failed + report.in_progress
                 + report.unsent == report.workunits)
         assert report.valid > 0
@@ -226,29 +246,27 @@ class TestServerBehaviour:
             report.valid / (report.duration_s / 3600.0))
 
     def test_quorum_needs_at_least_quorum_results(self):
-        report = simulate_fleet(SMALL, jobs=1)
+        report = simulate_fleet(SMALL)
         assert report.results_ok >= report.valid * SMALL.quorum
 
     def test_error_injection_wastes_cpu(self):
         noisy = SMALL.with_overrides(error_rate=0.3)
         clean = SMALL.with_overrides(error_rate=0.0)
-        assert simulate_fleet(noisy, jobs=1).results_erroneous > 0
-        assert simulate_fleet(clean, jobs=1).results_erroneous == 0
+        assert simulate_fleet(noisy).results_erroneous > 0
+        assert simulate_fleet(clean).results_erroneous == 0
 
     def test_report_round_trips_through_json(self):
         from repro.fleet import FleetReport
 
-        report = simulate_fleet(SMALL, jobs=1)
+        report = simulate_fleet(SMALL)
         clone = FleetReport.from_dict(
             json.loads(json.dumps(report.to_dict())))
         assert canonical(clone) == canonical(report)
 
     def test_faster_hypervisor_outproduces_slower(self):
         base = dict(hosts=100, seed=5, duration_s=14400.0)
-        fast = simulate_fleet(FleetConfig(hypervisor="vmplayer", **base),
-                              jobs=1)
-        slow = simulate_fleet(FleetConfig(hypervisor="qemu", **base),
-                              jobs=1)
+        fast = simulate_fleet(FleetConfig(hypervisor="vmplayer", **base))
+        slow = simulate_fleet(FleetConfig(hypervisor="qemu", **base))
         assert fast.valid > slow.valid
 
 
@@ -300,72 +318,9 @@ class TestFigures:
     def test_report_figure_carries_headline_numbers(self):
         from repro.fleet import report_figure
 
-        report = simulate_fleet(SMALL, jobs=1)
+        report = simulate_fleet(SMALL)
         fig = report_figure(report)
         assert fig.measured_values()["validated WUs"] == report.valid
-
-    def test_figures_pass_explicit_jobs(self, monkeypatch):
-        # Figure factories resolve the worker count once per figure, so
-        # every fleet size in a sweep reuses the same persistent pool.
-        from repro.fleet import figures
-
-        seen = []
-        real = figures.simulate_fleet
-
-        def spy(config, jobs=None):
-            seen.append(jobs)
-            return real(config, jobs=jobs)
-
-        monkeypatch.setattr(figures, "simulate_fleet", spy)
-        figures.fleet_scale_figure(sizes=(20,), duration_s=1800.0)
-        assert seen and all(
-            isinstance(jobs, int) and jobs >= 1 for jobs in seen)
-
-    def test_figures_respect_activated_config_jobs(self, monkeypatch):
-        from repro import api
-        from repro.fleet import figures
-
-        seen = []
-        real = figures.simulate_fleet
-
-        def spy(config, jobs=None):
-            seen.append(jobs)
-            return real(config, jobs=1)
-
-        monkeypatch.setattr(figures, "simulate_fleet", spy)
-        with api.activated(api.RunConfig(jobs=3)):
-            figures.fleet_waste_figure(hosts=20, duration_s=1800.0)
-        assert seen == [3]
-
-
-class TestMapShards:
-    def test_order_preserved(self):
-        from repro.core.parallel import map_shards
-
-        tasks = list(range(10))
-        assert map_shards(_square, tasks, jobs=3) == [t * t for t in tasks]
-
-    def test_worker_failure_names_shard(self):
-        from repro.core.parallel import map_shards
-
-        with pytest.raises(ExperimentError, match="shard 2"):
-            map_shards(_boom_on_two, [0, 1, 2, 3], jobs=2)
-
-    def test_unpicklable_fn_falls_back_to_serial(self):
-        from repro.core.parallel import map_shards
-
-        local = lambda x: x + 1  # noqa: E731 — deliberately unpicklable
-        assert map_shards(local, [1, 2, 3], jobs=4) == [2, 3, 4]
-
-
-def _square(x):
-    return x * x
-
-
-def _boom_on_two(x):
-    if x == 2:
-        raise ValueError("boom")
-    return x
 
 
 class TestCli:

@@ -2,7 +2,7 @@
 
 The columnar build (:mod:`repro.fleet.columns`) is only admissible if
 it is a pure re-encoding of the object build: same hosts, same traces,
-same floats, independent of sharding.  These tests pin that contract
+same floats.  These tests pin that contract
 and the CSR session-layout edge cases (empty traces, single-session
 always-on hosts, departure-clipped traces), plus the vectorised PCG64
 replica (:mod:`repro.fleet.fastrng`) against the scalar reference
@@ -12,35 +12,22 @@ streams it must reproduce bit for bit.
 import numpy as np
 import pytest
 
-from repro.fleet import (
-    COLUMN_SHARD_SIZE,
-    FleetConfig,
-    build_fleet_columns,
-    build_fleet_hosts,
-    column_shards,
-)
+from repro.fleet import FleetConfig, build_fleet_columns, build_fleet_hosts
 from repro.fleet.fastrng import VecPcg, fork_seed
 from repro.simcore.rng import RngStreams
+from tests._reference_fleet import host_from_columns
 
 MIXED = FleetConfig(hosts=220, hypervisor="mixed", seed=13,
                     duration_s=86400.0)
 
 
 def assert_columns_match_hosts(config):
-    cols = build_fleet_columns(config, jobs=1)
-    hosts = build_fleet_hosts(config, jobs=1)
+    cols = build_fleet_columns(config)
+    hosts = build_fleet_hosts(config)
     assert len(cols) == len(hosts) == config.hosts
-    for host, view in zip(hosts, cols.views()):
-        assert view.index == host.index
-        assert view.name == host.name
-        assert view.hypervisor == host.hypervisor
-        assert view.slowdown == host.slowdown
-        assert view.gflops == host.gflops
-        assert view.availability == host.availability
-        assert view.error_rate == host.error_rate
-        assert view.departure_s == host.departure_s
-        assert view.checkpoint_cost_s == host.checkpoint_cost_s
-        assert view.sessions == host.sessions
+    for host in hosts:
+        assert host_from_columns(cols, host.index).to_dict() == \
+            host.to_dict()
 
 
 class TestColumnsMatchObjects:
@@ -68,23 +55,10 @@ class TestColumnsMatchObjects:
         assert_columns_match_hosts(MIXED)
         assert consulted
 
-    def test_sharded_build_equals_serial(self):
-        # force > 1 shard so the map_shards path actually runs
-        config = FleetConfig(hosts=COLUMN_SHARD_SIZE + 57, seed=5,
-                             duration_s=14400.0)
-        assert len(column_shards(config.hosts)) > 1
-        serial = build_fleet_columns(config, jobs=1)
-        sharded = build_fleet_columns(config, jobs=4)
-        for key in ("hv_code", "gflops", "availability", "slowdown",
-                    "departure_s", "checkpoint_cost_s", "serve_seed",
-                    "s_starts", "s_ends", "s_off"):
-            a, b = getattr(serial, key), getattr(sharded, key)
-            assert a.tobytes() == b.tobytes(), key
-
 
 class TestCsrLayout:
     def test_offsets_are_a_valid_csr_index(self):
-        cols = build_fleet_columns(MIXED, jobs=1)
+        cols = build_fleet_columns(MIXED)
         off = cols.s_off
         assert off.shape == (len(cols) + 1,)
         assert off[0] == 0
@@ -105,13 +79,12 @@ class TestCsrLayout:
                              availability_mean=0.05,
                              availability_spread=0.01,
                              session_mean_s=600.0)
-        cols = build_fleet_columns(config, jobs=1)
+        cols = build_fleet_columns(config)
         off = cols.s_off
         empties = np.flatnonzero(off[1:] == off[:-1])
         assert empties.size > 0, "config produced no empty-trace host"
         for h in empties.tolist():
-            assert cols.sessions_list(h) == []
-            assert cols.views()[h].sessions == []
+            assert host_from_columns(cols, h).sessions == []
 
     def test_single_session_always_on_model(self):
         # availability >= 1.0 collapses the renewal process to a single
@@ -132,7 +105,7 @@ class TestCsrLayout:
         config = FleetConfig(hosts=64, seed=17, duration_s=14400.0,
                              availability_mean=1.0,
                              availability_spread=0.0)
-        cols = build_fleet_columns(config, jobs=1)
+        cols = build_fleet_columns(config)
         assert np.all(cols.availability < 1.0)
         counts = np.diff(cols.s_off)
         assert counts.max() > 1
@@ -142,7 +115,7 @@ class TestCsrLayout:
         # min(horizon, departure)
         config = FleetConfig(hosts=300, seed=11, duration_s=86400.0 * 14,
                              departure_mean_s=86400.0 * 4)
-        cols = build_fleet_columns(config, jobs=1)
+        cols = build_fleet_columns(config)
         horizon = config.duration_s
         assert np.any(cols.departure_s <= horizon), \
             "config produced no departing host"
@@ -155,7 +128,7 @@ class TestCsrLayout:
 
 class TestFastRng:
     def test_serve_stream_doubles_match_scalar_reference(self):
-        cols = build_fleet_columns(MIXED, jobs=1)
+        cols = build_fleet_columns(MIXED)
         vec = VecPcg.seeded(cols.serve_seed, "error")
         rounds = [vec.doubles() for _ in range(3)]
         for h in (0, 1, 57, len(cols) - 1):

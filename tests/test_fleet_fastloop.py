@@ -73,7 +73,7 @@ CONFIGS = [
 
 
 def oracle_dict(config):
-    hosts = ref.build_fleet_hosts(config, jobs=1)
+    hosts = ref.build_fleet_hosts(config)
     return ref.FleetServer(config, hosts).run().to_dict()
 
 
@@ -117,7 +117,7 @@ class TestPercentileRounding:
 class TestFastMatchesOracle:
     @pytest.mark.parametrize("config", CONFIGS)
     def test_columnar_path_byte_identical(self, config):
-        live = simulate_fleet(config, jobs=1).to_dict()
+        live = simulate_fleet(config).to_dict()
         assert canonical(live) == canonical(oracle_dict(config))
 
 
@@ -128,7 +128,7 @@ class TestKernelMatchesFallback:
     def test_state_dicts_identical(self, config):
         if not cloop_available():
             pytest.skip("no C compiler / kernel unavailable")
-        columns = build_fleet_columns(config, jobs=1)
+        columns = build_fleet_columns(config)
         server = FleetServer(config, columns)
         prep = server._fast_prep()
         c_state = run_event_loop(prep)
@@ -166,10 +166,10 @@ def fleet_metrics(simulate, config, plan=None):
     METRICS.enable(reset=True)
     try:
         if plan is None:
-            report = simulate(config, jobs=1)
+            report = simulate(config)
         else:
             with injected(plan):
-                report = simulate(config, jobs=1)
+                report = simulate(config)
         snapshot = METRICS.snapshot()
     finally:
         METRICS.disable()
@@ -215,7 +215,7 @@ class TestMetricsParity:
             return run_event_loop(prep)
 
         monkeypatch.setattr("repro.fleet.server._c_event_loop", spy)
-        plain = simulate_fleet(CONFIGS[0], jobs=1).to_dict()
+        plain = simulate_fleet(CONFIGS[0]).to_dict()
         observed, _ = fleet_metrics(simulate_fleet, CONFIGS[0])
         assert calls == [CONFIGS[0].hosts, CONFIGS[0].hosts]
         assert canonical(observed) == canonical(plain)
@@ -236,7 +236,7 @@ def storm_tallies(simulate, config, plan):
     METRICS.enable(reset=True)
     try:
         with injected(plan):
-            report = simulate(config, jobs=1)
+            report = simulate(config)
         counters = {name: value for name, value
                     in METRICS.snapshot()["counters"].items()
                     if name.startswith("faults.injected")}
@@ -360,7 +360,7 @@ class TestKernelBuild:
     def test_host_records_and_heap_times_are_aligned(self):
         config = CONFIGS[0]
         prep = FleetServer(
-            config, build_fleet_columns(config, jobs=1))._fast_prep()
+            config, build_fleet_columns(config))._fast_prep()
         hosts = cloop._host_records(cloop._load(), prep, prep.soff,
                                     prep.fs, prep.fe)
         assert hosts.ctypes.data % 128 == 0
@@ -382,13 +382,13 @@ class TestKernelBuild:
         config = CONFIGS[3]
         sampled = cloop.sample_columns(config, 0, config.hosts)
         state = run_event_loop(FleetServer(
-            config, build_fleet_columns(config, jobs=1))._fast_prep())
+            config, build_fleet_columns(config))._fast_prep())
         monkeypatch.setattr(cloop, "_lib",
                             cloop._open(cloop._compile(flags=flags)))
         rebuilt = cloop.sample_columns(config, 0, config.hosts)
         assert_state_equal(rebuilt, sampled)
         assert_state_equal(run_event_loop(FleetServer(
-            config, build_fleet_columns(config, jobs=1))._fast_prep()),
+            config, build_fleet_columns(config))._fast_prep()),
             state)
 
 
@@ -456,7 +456,7 @@ class TestOrderExactFolds:
 
     def test_report_and_config_sums_are_left_folds(self):
         config = CONFIGS[0]
-        server = FleetServer(config, build_fleet_columns(config, jobs=1))
+        server = FleetServer(config, build_fleet_columns(config))
         prep = server._fast_prep()
         state = server._fast_loop_python(prep)
         # (start, end) windows 1e16, 1.0 and -1e16 seconds long
@@ -466,7 +466,7 @@ class TestOrderExactFolds:
         recovery = server._fast_report(prep, state).recovery
         assert recovery["outage_s"] == recovery["degraded_s"] == 0.0
         # a run without windows still reports the int 0 that sum() gave
-        clean = simulate_fleet(config, jobs=1).recovery
+        clean = simulate_fleet(config).recovery
         assert type(clean["outage_s"]) is int and clean["outage_s"] == 0
         assert type(clean["degraded_s"]) is int
         mixed = FleetConfig(hypervisor="mixed")
@@ -529,7 +529,7 @@ class TestKernelPauses:
         # two free slots: the ring wraps before it first fills
         monkeypatch.setattr(cloop, "_NEED_CAP", (2, 0))
         server = FleetServer(self.CONFIG,
-                             build_fleet_columns(self.CONFIG, jobs=1))
+                             build_fleet_columns(self.CONFIG))
         prep = server._fast_prep()
         state = run_event_loop(prep)
         statuses = {status for status, _ in pauses}
@@ -623,7 +623,7 @@ class TestLateCompletions:
 
     def test_late_completions_keep_every_byte(self):
         server = FleetServer(self.CONFIG,
-                             build_fleet_columns(self.CONFIG, jobs=1))
+                             build_fleet_columns(self.CONFIG))
         prep = server._fast_prep()
         state = run_event_loop(prep)
         assert_state_equal(state, server._fast_loop_python(prep))
@@ -660,7 +660,7 @@ class TestTieOrder:
     def test_tied_events_keep_every_byte(self):
         config = FleetConfig(hosts=self.HOSTS, seed=5, duration_s=86400.0,
                              workunits=300, quorum=2, error_rate=0.2)
-        server = FleetServer(config, build_fleet_columns(config, jobs=1))
+        server = FleetServer(config, build_fleet_columns(config))
         prep = self.tied_prep(server)
         state = run_event_loop(prep)
         assert_state_equal(state, server._fast_loop_python(prep))

@@ -33,7 +33,7 @@ def traced_run():
     """``(state bytes, loop peak, report extra peak)`` of one run."""
     config = FleetConfig(hosts=20_000, hypervisor="vmplayer",
                          duration_s=86400.0)
-    server = FleetServer(config, build_fleet_columns(config, jobs=1))
+    server = FleetServer(config, build_fleet_columns(config))
     prep = server._fast_prep()
     tracemalloc.start()
     try:

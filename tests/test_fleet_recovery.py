@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro import api
 from repro.errors import ExperimentError
 from repro.faults import FAULTS, RUNLOG, injected, parse_fault_spec
 from repro.fleet import (
@@ -41,8 +42,9 @@ def _clean_runlog():
 
 def storm_run(jobs=1, **overrides):
     config = FleetConfig(**{**CONFIG.to_dict(), **overrides})
-    with injected(parse_fault_spec(STORM)):
-        return simulate_fleet(config, jobs=jobs)
+    with api.activated(api.RunConfig(jobs=jobs)), \
+            injected(parse_fault_spec(STORM)):
+        return simulate_fleet(config)
 
 
 class TestRecoveryPolicy:
@@ -134,7 +136,7 @@ class TestStormBehaviour:
         recovery = report.recovery
         assert recovery["outages"] > 0
         assert recovery["outage_s"] > 0.0
-        baseline = simulate_fleet(CONFIG, jobs=1)
+        baseline = simulate_fleet(CONFIG)
         assert baseline.recovery["outages"] == 0
         assert report.to_dict() != baseline.to_dict()  # the storm bites
 
@@ -175,7 +177,7 @@ class TestStormBehaviour:
         # Regression: the outage schedule used to be drawn at
         # construction, so a plan armed before run() ran with faults on
         # but no outages.  Every fault decision now happens in run().
-        server = FleetServer(CONFIG, build_fleet_columns(CONFIG, jobs=1))
+        server = FleetServer(CONFIG, build_fleet_columns(CONFIG))
         with injected(parse_fault_spec(STORM)):
             late = server.run()
         assert late.recovery["outages"] > 0
@@ -197,7 +199,7 @@ class TestStormBehaviour:
 
     def test_summary_surfaces_recovery_line(self):
         assert "recovery" in storm_run().summary()
-        assert "recovery" not in simulate_fleet(CONFIG, jobs=1).summary()
+        assert "recovery" not in simulate_fleet(CONFIG).summary()
 
 
 class TestDeterminism:
@@ -218,6 +220,6 @@ class TestDeterminism:
         assert clone.dropouts == report.dropouts
 
     def test_fault_free_recovery_tallies_are_zero(self):
-        report = simulate_fleet(CONFIG, jobs=1)
+        report = simulate_fleet(CONFIG)
         assert not any(report.recovery.values())
         assert report.cpu_s["rolled_back"] == 0.0

@@ -12,11 +12,12 @@ import pytest
 
 from repro import api
 from repro.core.experiment import Repeater, repeat
-from repro.core.parallel import ParallelRepeater, map_shards
+from repro.core.parallel import ParallelRepeater
 from repro.errors import CheckpointError, ExperimentError
 from repro.faults import FAULTS, RUNLOG, FaultPlan, injected
 from repro.fleet import FleetConfig, build_fleet_columns, simulate_fleet
 from repro.simcore.rng import derive_rep_seed
+from tests._reference_fleet import host_from_columns
 
 
 @pytest.fixture(autouse=True)
@@ -42,25 +43,6 @@ def exiting_even_measure(seed):
     if seed % 2 == 0:
         os._exit(3)  # hard crash: breaks the worker pool
     return {"x": 1.0}
-
-
-def shard_double(task):
-    return task * 2
-
-
-def shard_fail_once(task):
-    """Fails on first sight of each task, succeeds on the retry."""
-    index, root = task
-    flag = os.path.join(root, f"seen-{index}")
-    if not os.path.exists(flag):
-        with open(flag, "w", encoding="utf-8") as fh:
-            fh.write("1")
-        raise RuntimeError(f"first attempt for shard {index}")
-    return index * 10
-
-
-def shard_always_fail(task):
-    raise RuntimeError("permanently broken shard")
 
 
 STORM = "seed=7,worker.crash=0.2,measure.transient=0.35"
@@ -186,41 +168,6 @@ class TestConfigDefaults:
         assert recovered.raw == baseline.raw
 
 
-class TestMapShardsResilience:
-    def test_failed_shards_are_retried(self, tmp_path):
-        tasks = [(index, str(tmp_path)) for index in range(4)]
-        results = map_shards(shard_fail_once, tasks, jobs=2, retries=1)
-        assert results == [0, 10, 20, 30]
-        assert RUNLOG.retries == 4  # every shard failed its first attempt
-        # Retries hold in-process too: at one worker and for an fn that
-        # cannot cross a process boundary.
-        unpicklable = lambda task: shard_fail_once(task)  # noqa: E731
-        for run, (fn, jobs) in enumerate([(shard_fail_once, 1),
-                                          (unpicklable, 2)]):
-            root = tmp_path / f"in-process-{run}"
-            root.mkdir()
-            RUNLOG.clear()
-            tasks = [(index, str(root)) for index in range(4)]
-            assert map_shards(fn, tasks, jobs=jobs, retries=1) == results
-            assert RUNLOG.retries == 4
-
-    def test_permanent_failure_reports_attempts_and_progress(self):
-        with pytest.raises(ExperimentError) as excinfo:
-            map_shards(shard_always_fail, [1, 2, 3], jobs=2, retries=1)
-        message = str(excinfo.value)
-        assert "failed after 2 attempt(s)" in message
-        assert "of 3 shards completed" in message
-        assert "permanently broken shard" in message
-
-    def test_hang_timeout_recovery_matches_serial_map(self):
-        plan = FaultPlan(seed=1, hang_s=30.0).arm("worker.hang", 1.0)
-        with injected(plan):
-            results = map_shards(shard_double, [1, 2, 3], jobs=2,
-                                 retries=2, task_timeout_s=0.25)
-        assert results == [2, 4, 6]
-        assert RUNLOG.timeouts >= 1
-
-
 class TestCheckpointLostSite:
     def test_restore_fails_once_then_succeeds(self, run, host_kernel):
         from repro.hardware.cpu import MIX_EINSTEIN
@@ -260,39 +207,39 @@ class TestHostDropoutSite:
 
     def test_dropout_is_deterministic_across_runs(self):
         with injected(FaultPlan(seed=3).arm("host.dropout", 0.4)):
-            first = simulate_fleet(self.CONFIG, jobs=1)
+            first = simulate_fleet(self.CONFIG)
         with injected(FaultPlan(seed=3).arm("host.dropout", 0.4)):
-            second = simulate_fleet(self.CONFIG, jobs=1)
+            second = simulate_fleet(self.CONFIG)
         assert first.to_dict() == second.to_dict()
-        baseline = simulate_fleet(self.CONFIG, jobs=1)
+        baseline = simulate_fleet(self.CONFIG)
         assert first.to_dict() != baseline.to_dict()  # dropouts bite
 
     def test_dropout_truncates_departures_and_sessions(self):
         import tests._reference_fleet as ref
         from repro.fleet.server import _apply_host_dropout
 
-        baseline = build_fleet_columns(self.CONFIG, jobs=1)
-        columns = build_fleet_columns(self.CONFIG, jobs=1)
+        baseline = build_fleet_columns(self.CONFIG)
+        columns = build_fleet_columns(self.CONFIG)
         with injected(FaultPlan(seed=3).arm("host.dropout", 0.4)):
             _apply_host_dropout(columns, self.CONFIG.duration_s)
-        hosts = columns.views()
-        dropped = [h for h, b in zip(hosts, baseline.views())
-                   if h.departure_s < b.departure_s]
+        hosts = [host_from_columns(columns, i) for i in range(len(columns))]
+        dropped = [h for h in hosts
+                   if h.departure_s < baseline.departure_s[h.index]]
         assert dropped  # p=0.4 over 40 hosts: some must drop out
         for host in dropped:
             assert all(end <= host.departure_s + 1e-9
                        for _start, end in host.sessions)
         # the columns pass clips exactly as the object pass did
-        objects = ref.build_fleet_hosts(self.CONFIG, jobs=1)
+        objects = ref.build_fleet_hosts(self.CONFIG)
         with injected(FaultPlan(seed=3).arm("host.dropout", 0.4)):
             ref._apply_host_dropout(objects, self.CONFIG.duration_s)
         assert [h.to_dict() for h in hosts] == \
             [h.to_dict() for h in objects]
 
     def test_no_plan_means_no_dropout(self):
-        baseline = simulate_fleet(self.CONFIG, jobs=1)
+        baseline = simulate_fleet(self.CONFIG)
         with injected(FaultPlan(seed=3)):  # armless plan: injector stays off
-            same = simulate_fleet(self.CONFIG, jobs=1)
+            same = simulate_fleet(self.CONFIG)
         assert baseline.to_dict() == same.to_dict()
 
     def test_dropout_after_natural_departure_is_noop(self):
@@ -325,7 +272,7 @@ class TestHostDropoutSite:
             s_off=np.array([0, 1, 2], dtype=np.int64))
         with injected(plan):
             effective = _apply_host_dropout(columns, horizon)
-        hosts = columns.views()
+        hosts = [host_from_columns(columns, i) for i in (0, 1)]
         assert effective == 1
         assert plan.injected["host.dropout"] == 1  # no-op not tallied
         assert hosts[0].departure_s == draw[0] / 2.0
@@ -335,7 +282,7 @@ class TestHostDropoutSite:
 
     def test_report_counts_effective_dropouts_once(self):
         with injected(FaultPlan(seed=3).arm("host.dropout", 0.4)) as plan:
-            report = simulate_fleet(self.CONFIG, jobs=1)
+            report = simulate_fleet(self.CONFIG)
         assert report.dropouts == plan.injected.get("host.dropout", 0)
         # Every injected dropout is one departed host, counted once.
         assert report.dropouts <= report.departures
