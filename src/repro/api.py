@@ -274,7 +274,7 @@ def shutdown_parallel_pools() -> None:
     Pool lifecycle: pools are created **lazily** on the first parallel
     dispatch at a given worker count, reused across repetitions, retry
     rounds and figures in a sweep, invalidated (and lazily rebuilt)
-    only when a worker crash or abandoned hung task breaks them, and
+    only when a worker crash or a timed-out hung task breaks them, and
     torn down at interpreter exit via ``atexit``.  The
     CLI calls this in a ``finally`` around command dispatch; long-lived
     library embedders can call it to release worker processes early.
@@ -352,7 +352,7 @@ def _faults_section(plan: Optional[Any],
     Injection tallies come from the merged metrics snapshot when the
     registry was on (workers ship their counters back), else from the
     parent-side :data:`repro.faults.RUNLOG` — whose per-site tallies
-    now also travel home in ``WorkerResult`` payloads, so the counts
+    also travel home in each ``WorkerResult``, so the counts
     survive ``--no-metrics`` runs.  Retry/timeout/drop incidents always
     come from the RUNLOG.
     """

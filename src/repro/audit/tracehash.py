@@ -27,7 +27,7 @@ workers (:mod:`repro.core.workerpool`) re-arm their process-private
 recorder per task from the spec's shipped context — enablement, window
 and capture target all travel with the task, so a recorder enabled
 *after* the pool was forked still records — then reset it and ship a
-snapshot back in the ``WorkerResult`` payload; the parent folds it in.
+snapshot back in their ``WorkerResult``; the parent folds it in.
 
 Checkpoint format (``repro-trace-hash/1``)::
 

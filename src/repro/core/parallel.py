@@ -15,9 +15,9 @@ repetitions, retry rounds and figures in a sweep; workers
 pre-import the tree at fork time and re-arm per task from the spec's
 explicit context (metrics/trace-hash enablement, fault plan, activated
 run config), so a dispatch costs a pickle round-trip instead of fork +
-import + warm-up.  Results come back as versioned
-:class:`repro.core.workerpool.WorkerResult` records whose bulk payloads
-travel via shared memory above a size threshold.
+import + warm-up.  Each task returns one
+:class:`repro.core.workerpool.WorkerResult` through the executor's own
+result pipe.
 
 Worker-count policy (first match wins):
 
@@ -267,7 +267,7 @@ def _resolved(result: WorkerResult) -> Future:
 
 def _fold_observability(result: WorkerResult, metrics_on: bool,
                         timers: bool) -> None:
-    """Merge one decoded result's snapshots into the parent registries."""
+    """Merge one returned result's snapshots into the parent registries."""
     if metrics_on:
         if timers:
             METRICS.observe("parallel.queue_wait_s", result.queue_wait_s)
@@ -294,7 +294,7 @@ def _run_rounds(count: int, submit: Callable[[int, int], Future],
     attempt)`` — a pool dispatch, or with ``pool=None`` an in-process
     run returned as a finished future), waits on the futures in index
     order, classifies each outcome (success, worker error, untrusted
-    payload, timeout, broken pool), folds the observability of every
+    result, timeout, broken pool), folds the observability of every
     returned attempt (the pool-side timers only for pool dispatches),
     and leaves the failures pending for the next round after a capped
     exponential backoff.  Returns the successes and the last failure of
@@ -324,10 +324,11 @@ def _run_rounds(count: int, submit: Callable[[int, int], Future],
         broken = False
         for index, future in zip(pending, futures):
             try:
-                outcome = future.result(timeout=timeout)
+                result = future.result(timeout=timeout)
             except FutureTimeoutError:
+                # A late result is simply dropped: it holds nothing that
+                # needs releasing.
                 future.cancel()
-                pool.abandon(future)
                 RUNLOG.timeouts += 1
                 if metrics_on:
                     METRICS.inc("parallel.timeouts")
@@ -344,13 +345,12 @@ def _run_rounds(count: int, submit: Callable[[int, int], Future],
                 failures[index] = (True, str(exc))
                 broken = True
                 continue
-            try:
-                result = outcome if pool is None \
-                    else WorkerResult.from_wire(outcome)
-            except WorkerResultError as exc:
+            if not isinstance(result, WorkerResult):
+                error = WorkerResultError(
+                    f"expected a WorkerResult, got {type(result).__name__}")
                 if metrics_on:
                     METRICS.inc("parallel.payload_quarantined")
-                failures[index] = (False, f"untrusted worker result: {exc}")
+                failures[index] = (False, f"untrusted worker result: {error}")
                 continue
             _fold_observability(result, metrics_on, timers)
             if result.error is None:
@@ -437,7 +437,7 @@ class ParallelRepeater:
                                     hash_group=hash_group)
                 if metrics_on:
                     METRICS.observe("parallel.worker_wall_s", wall)
-                return _resolved(WorkerResult("rep", repetition, seed,
+                return _resolved(WorkerResult(repetition, seed,
                                               error=error, values=values))
         try:
             done, failures = _run_rounds(self.reps, submit, pool,

@@ -1,4 +1,4 @@
-"""Persistent worker pools and the versioned worker-result wire format.
+"""Persistent worker pools and the record one worker task returns.
 
 Before this module existed every ``ParallelRepeater.run`` call built
 a fresh ``ProcessPoolExecutor`` and tore it down again, so ``--jobs N``
@@ -22,30 +22,13 @@ parallel runs at 0.63–0.97x of serial.  The two halves here fix that:
     trace-hash recorder, fault plan, activated run config).  Every task
     therefore carries a compact spec with an explicit context
     (:func:`build_task_context`), which the worker re-arms from before
-    running the repetition body (:func:`_execute_task`).  Results come
-    back as a versioned :data:`WORKER_RESULT_SCHEMA` record whose
-    bulk payload — raw metric values, METRICS snapshot, TRACE_HASH
-    snapshot, fault RUNLOG entries — travels out-of-band through
-    ``multiprocessing.shared_memory`` (or a spill file above
-    :data:`SPILL_MIN_BYTES`) instead of the result pipe; only payloads
-    under :data:`INLINE_MAX_BYTES` ride inline.
-
-Shared-memory ownership and cleanup rules
------------------------------------------
-* the **worker** creates a segment, copies the pickled payload in,
-  closes its mapping and ships only the segment *name* plus a size and
-  SHA-256 digest;
-* the **parent** attaches on receipt, copies the bytes out, then closes
-  **and unlinks** the segment in a ``finally`` — decode always consumes
-  the transport, even when verification fails;
-* a size or digest mismatch (truncated/corrupt payload) raises
-  :class:`WorkerResultError` — the task is *quarantined*: treated as a
-  task failure (and therefore retried when retries are in force), never
-  silently folded in;
-* results abandoned mid-flight (timed-out round, broken pool) are
-  tracked via :meth:`WorkerPool.abandon` and their transports released
-  on the next sweep (dispatch, invalidation or interpreter exit), so
-  hung workers cannot leak ``/dev/shm`` segments indefinitely.
+    running the repetition body (:func:`_execute_task`).  The worker
+    returns one :class:`WorkerResult` — raw metric values, METRICS
+    snapshot, TRACE_HASH snapshot, fault RUNLOG entries — through the
+    executor's own pickled result pipe.  A repetition's result is a few
+    KB; even a tiny audit window keeps it well under a megabyte, so
+    nothing travels out-of-band and nothing needs releasing when a
+    timed-out round drops a late result.
 
 Nothing here touches experiment RNG streams; the spec/result plumbing
 is observability-and-transport only, which is what keeps ``--jobs N``
@@ -55,30 +38,16 @@ byte-identical to serial.
 from __future__ import annotations
 
 import atexit
-import hashlib
 import multiprocessing
 import os
 import pickle
-import tempfile
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 from repro.audit.tracehash import TRACE_HASH
 from repro.errors import ExperimentError
 from repro.faults import FAULTS, RUNLOG, FaultPlan
 from repro.obs.metrics import METRICS
-
-#: Versioned wire-format identifier for one worker task's result.
-WORKER_RESULT_SCHEMA = "repro-worker-result/1"
-
-#: Payloads at or under this many pickled bytes ride inline in the
-#: result pipe; larger ones go out-of-band (shared memory or spill).
-INLINE_MAX_BYTES = 64 * 1024
-
-#: Payloads at or over this many bytes prefer a spill file outright —
-#: ``/dev/shm`` is typically RAM-backed and half of physical memory, so
-#: very large snapshots must not camp there.
-SPILL_MIN_BYTES = 32 * 1024 * 1024
 
 
 def available_cpus() -> int:
@@ -105,187 +74,31 @@ def _pool_context():
 
 
 # ---------------------------------------------------------------------------
-# Payload transport (inline / shared memory / spill file)
+# WorkerResult: the record one task returns
 # ---------------------------------------------------------------------------
 
 class WorkerResultError(ExperimentError):
-    """A worker result that cannot be trusted: unknown schema version,
-    vanished transport, or a truncated/corrupt (quarantined) payload."""
+    """A pool outcome that is not a :class:`WorkerResult`; the task is
+    quarantined (treated as a failure, retried when retries are in
+    force), never folded in."""
 
-
-def encode_payload(obj: Any, inline_max: Optional[int] = None,
-                   transport: Optional[str] = None) -> Dict[str, Any]:
-    """Pickle ``obj`` and pick a transport for the bytes.
-
-    Returns the payload descriptor shipped inside the wire record:
-    always ``format``/``size``/``sha256`` plus transport-specific
-    fields.  ``transport`` forces a specific channel (tests exercise
-    each path explicitly); shared-memory failure falls back to a spill
-    file so a full ``/dev/shm`` degrades instead of crashing the run.
-    """
-    data = pickle.dumps(obj)
-    meta: Dict[str, Any] = {
-        "format": "pickle",
-        "size": len(data),
-        "sha256": hashlib.sha256(data).hexdigest(),
-    }
-    limit = INLINE_MAX_BYTES if inline_max is None else inline_max
-    mode = transport
-    if mode is None:
-        if len(data) <= limit:
-            mode = "inline"
-        elif len(data) >= SPILL_MIN_BYTES:
-            mode = "spill"
-        else:
-            mode = "shm"
-    if mode == "inline":
-        meta["transport"] = "inline"
-        meta["data"] = data
-        return meta
-    if mode == "shm":
-        try:
-            from multiprocessing import shared_memory
-
-            segment = shared_memory.SharedMemory(create=True,
-                                                 size=max(1, len(data)))
-            try:
-                segment.buf[:len(data)] = data
-            finally:
-                segment.close()
-            # Ownership transfers to the parent (decode/discard unlink
-            # the segment); drop it from *this* process's resource
-            # tracker or every worker would report "leaked" segments the
-            # parent already consumed when the pool shuts down.
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(
-                    getattr(segment, "_name", segment.name),
-                    "shared_memory")
-            except Exception:
-                pass
-            meta["transport"] = "shm"
-            meta["name"] = segment.name
-            return meta
-        except (ImportError, OSError, ValueError):
-            mode = "spill"  # degrade to a file rather than fail the task
-    if mode != "spill":
-        raise WorkerResultError(f"unknown payload transport {mode!r}")
-    fd, path = tempfile.mkstemp(prefix="repro-worker-", suffix=".bin")
-    with os.fdopen(fd, "wb") as handle:
-        handle.write(data)
-    meta["transport"] = "spill"
-    meta["path"] = path
-    return meta
-
-
-def discard_payload(meta: Mapping[str, Any]) -> None:
-    """Release a payload's transport without decoding it (best effort).
-
-    Used when a result is abandoned — a salvage pass after a broken
-    pool, or a timed-out round whose stragglers finish later — so
-    shared-memory segments and spill files never outlive their run.
-    """
-    transport = meta.get("transport")
-    if transport == "shm":
-        try:
-            from multiprocessing import shared_memory
-
-            segment = shared_memory.SharedMemory(name=meta["name"])
-            segment.close()
-            segment.unlink()
-        except (ImportError, OSError, FileNotFoundError):
-            pass
-    elif transport == "spill":
-        try:
-            os.unlink(meta["path"])
-        except OSError:
-            pass
-
-
-def decode_payload(meta: Mapping[str, Any]) -> Any:
-    """Read, verify and unpickle one payload; always consumes the
-    transport (shared memory unlinked, spill file deleted) even when
-    verification fails and the result is quarantined."""
-    transport = meta.get("transport")
-    if transport == "inline":
-        data = meta.get("data", b"")
-    elif transport == "shm":
-        from multiprocessing import shared_memory
-
-        try:
-            segment = shared_memory.SharedMemory(name=meta["name"])
-        except (OSError, FileNotFoundError) as exc:
-            raise WorkerResultError(
-                f"worker result payload segment {meta.get('name')!r} "
-                f"vanished before the parent could read it: {exc}"
-            ) from exc
-        try:
-            data = bytes(segment.buf[:int(meta.get("size", 0))])
-        finally:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:
-                pass
-    elif transport == "spill":
-        path = meta.get("path", "")
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read(int(meta.get("size", 0)))
-        except OSError as exc:
-            raise WorkerResultError(
-                f"worker result spill file {path!r} vanished before the "
-                f"parent could read it: {exc}"
-            ) from exc
-        finally:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-    else:
-        raise WorkerResultError(
-            f"unknown worker result payload transport {transport!r}")
-    size = int(meta.get("size", -1))
-    if len(data) != size:
-        raise WorkerResultError(
-            f"quarantined truncated worker result payload: expected "
-            f"{size} bytes via {transport}, read {len(data)}")
-    if hashlib.sha256(data).hexdigest() != meta.get("sha256"):
-        raise WorkerResultError(
-            "quarantined corrupt worker result payload: SHA-256 digest "
-            f"mismatch over {size} bytes via {transport}")
-    try:
-        return pickle.loads(data)
-    except Exception as exc:
-        raise WorkerResultError(
-            f"quarantined undecodable worker result payload: {exc}"
-        ) from exc
-
-
-# ---------------------------------------------------------------------------
-# WorkerResult: the versioned record one task returns
-# ---------------------------------------------------------------------------
 
 class WorkerResult:
-    """One task's outcome plus its folded-back observability payloads.
+    """One task's outcome plus its folded-back observability snapshots.
 
     ``values`` is the measure's metric dict; ``metrics``/``trace_hash``/
-    ``runlog`` are the worker-side registry snapshots the parent merges,
-    exactly as the old positional 8-tuple carried them.
+    ``runlog`` are the worker-side registry snapshots the parent merges.
     """
 
-    __slots__ = ("kind", "index", "seed", "error", "queue_wait_s",
-                 "wall_s", "pid", "values", "metrics", "trace_hash",
-                 "runlog")
+    __slots__ = ("index", "seed", "error", "queue_wait_s", "wall_s",
+                 "pid", "values", "metrics", "trace_hash", "runlog")
 
-    def __init__(self, kind: str, index: int, seed: Optional[int] = None,
+    def __init__(self, index: int, seed: Optional[int] = None,
                  error: Optional[str] = None, queue_wait_s: float = 0.0,
                  wall_s: float = 0.0, pid: int = 0, values: Any = None,
                  metrics: Optional[Dict[str, Any]] = None,
                  trace_hash: Optional[Dict[str, Any]] = None,
                  runlog: Optional[Dict[str, Any]] = None):
-        self.kind = kind
         self.index = index
         self.seed = seed
         self.error = error
@@ -296,61 +109,6 @@ class WorkerResult:
         self.metrics = metrics
         self.trace_hash = trace_hash
         self.runlog = runlog
-
-    def to_wire(self, inline_max: Optional[int] = None,
-                transport: Optional[str] = None) -> Dict[str, Any]:
-        """Encode for the result pipe; bulk fields go via the payload
-        transport, scalars stay inline."""
-        payload = {"values": self.values, "metrics": self.metrics,
-                   "trace_hash": self.trace_hash, "runlog": self.runlog}
-        return {
-            "schema": WORKER_RESULT_SCHEMA,
-            "kind": self.kind,
-            "index": self.index,
-            "seed": self.seed,
-            "error": self.error,
-            "queue_wait_s": self.queue_wait_s,
-            "wall_s": self.wall_s,
-            "pid": self.pid,
-            "payload": encode_payload(payload, inline_max, transport),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: Any) -> "WorkerResult":
-        """Decode and verify one wire record.
-
-        Raises :class:`WorkerResultError` on an unknown schema version
-        or a quarantined payload; the payload transport is consumed
-        either way.
-        """
-        if not isinstance(wire, Mapping):
-            raise WorkerResultError(
-                f"malformed worker result: expected a mapping, got "
-                f"{type(wire).__name__}")
-        schema = wire.get("schema")
-        if schema != WORKER_RESULT_SCHEMA:
-            discard_payload(wire.get("payload") or {})
-            raise WorkerResultError(
-                f"unsupported worker result schema {schema!r}; this "
-                f"parent speaks {WORKER_RESULT_SCHEMA!r}")
-        payload = decode_payload(wire.get("payload") or {})
-        if not isinstance(payload, Mapping):
-            raise WorkerResultError(
-                "quarantined worker result payload: decoded to "
-                f"{type(payload).__name__}, expected a mapping")
-        return cls(
-            kind=wire.get("kind", ""),
-            index=int(wire.get("index", -1)),
-            seed=wire.get("seed"),
-            error=wire.get("error"),
-            queue_wait_s=float(wire.get("queue_wait_s", 0.0)),
-            wall_s=float(wire.get("wall_s", 0.0)),
-            pid=int(wire.get("pid", 0)),
-            values=payload.get("values"),
-            metrics=payload.get("metrics"),
-            trace_hash=payload.get("trace_hash"),
-            runlog=payload.get("runlog"),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +175,9 @@ def _apply_task_context(context: Mapping[str, Any],
                    if raw_config is not None else None)
 
 
-def _runlog_wire() -> Optional[Dict[str, Any]]:
+def _runlog_snapshot() -> Optional[Dict[str, Any]]:
     """This worker's RUNLOG snapshot, or ``None`` when nothing happened
-    (the common case — keeps the payload minimal)."""
+    (the common case — keeps the result minimal)."""
     snap = RUNLOG.snapshot()
     if (snap.get("retries") or snap.get("timeouts") or snap.get("dropped")
             or snap.get("injected")):
@@ -427,9 +185,8 @@ def _runlog_wire() -> Optional[Dict[str, Any]]:
     return None
 
 
-def _execute_task(spec: Mapping[str, Any]) -> Dict[str, Any]:
-    """Worker entry point: re-arm from the spec, run one repetition,
-    encode.
+def _execute_task(spec: Mapping[str, Any]) -> WorkerResult:
+    """Worker entry point: re-arm from the spec, run one repetition.
 
     ``spec`` fields: ``index``, ``seed``, ``fn_blob`` (the pickled
     measure — unpickled fresh per task so a stateful measure never leaks
@@ -447,10 +204,10 @@ def _execute_task(spec: Mapping[str, Any]) -> Dict[str, Any]:
         fn, spec["index"], spec["seed"], spec["submitted_at"],
         spec["attempt"], hash_group=spec["hash_group"])
     return WorkerResult(
-        kind="rep", index=repetition, seed=seed, error=error,
+        index=repetition, seed=seed, error=error,
         queue_wait_s=queue_wait, wall_s=wall, pid=os.getpid(),
         values=values, metrics=snapshot, trace_hash=thash,
-        runlog=_runlog_wire()).to_wire()
+        runlog=_runlog_snapshot())
 
 
 # ---------------------------------------------------------------------------
@@ -468,15 +225,12 @@ class WorkerPool:
     (benchmarks and tests read it to prove reuse).
     """
 
-    __slots__ = ("workers", "generation", "_executor", "_abandoned")
+    __slots__ = ("workers", "generation", "_executor")
 
     def __init__(self, workers: int):
         self.workers = int(workers)
         self.generation = 0
         self._executor: Optional[ProcessPoolExecutor] = None
-        #: Futures whose results nobody will read (timed-out rounds);
-        #: swept for transport cleanup once they complete.
-        self._abandoned: List[Future] = []
 
     def executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
@@ -490,40 +244,21 @@ class WorkerPool:
         return self._executor
 
     def submit(self, spec: Mapping[str, Any]) -> Future:
-        self._sweep_abandoned()
         return self.executor().submit(_execute_task, spec)
 
-    def abandon(self, future: Future) -> None:
-        """Mark a future whose result will never be consumed, so its
-        payload transport is released when it eventually completes."""
-        self._abandoned.append(future)
-
-    def _sweep_abandoned(self) -> None:
-        remaining: List[Future] = []
-        for future in self._abandoned:
-            if future.done():
-                if not future.cancelled() and future.exception() is None:
-                    wire = future.result()
-                    if isinstance(wire, Mapping):
-                        discard_payload(wire.get("payload") or {})
-            else:
-                remaining.append(future)
-        self._abandoned = remaining
+    def shutdown(self) -> bool:
+        """Tear the executor down (non-blocking); rebuilt lazily.
+        Returns whether there was one to tear down."""
+        if self._executor is None:
+            return False
+        self._executor.shutdown(wait=False, cancel_futures=True)
+        self._executor = None
+        return True
 
     def invalidate(self) -> None:
-        """Tear the executor down (non-blocking); rebuilt lazily."""
-        self._sweep_abandoned()
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-            if METRICS.enabled:
-                METRICS.inc("parallel.pool_rebuilt")
-
-    def shutdown(self) -> None:
-        self._sweep_abandoned()
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+        """:meth:`shutdown` a broken or hung pool, counted as a rebuild."""
+        if self.shutdown() and METRICS.enabled:
+            METRICS.inc("parallel.pool_rebuilt")
 
 
 #: Long-lived pools keyed by worker count.  Distinct ``--jobs`` values

@@ -39,8 +39,8 @@ on fork-time inheritance: every task spec carries the active plan as
 ``FaultPlan.to_dict()`` and the worker re-arms via
 :meth:`FaultPlan.from_dict` before running the task, so a plan activated
 *after* the pool was forked still injects inside worker bodies.  Worker
-tallies travel home in the :class:`WorkerResult` RUNLOG payload and the
-parent folds them in with :meth:`RunLog.merge`.
+tallies travel home as the RUNLOG snapshot in each :class:`WorkerResult`
+and the parent folds them in with :meth:`RunLog.merge`.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ SITES: Dict[str, str] = {
     "vm.crash": EACH,              # repro.fleet.server replica dispatch
 }
 
-#: Default sleep for an injected ``worker.hang`` (kept short so abandoned
-#: workers drain quickly after a timeout).
+#: Default sleep for an injected ``worker.hang`` (kept short so a
+#: timed-out worker drains quickly).
 DEFAULT_HANG_S = 1.0
 
 
@@ -351,7 +351,7 @@ class RunLog:
         self.retries = 0
         self.timeouts = 0
         #: per-site injection tallies folded in from worker RUNLOG
-        #: payloads (and recorded directly by in-process injections)
+        #: snapshots (and recorded directly by in-process injections)
         self.injected: Dict[str, int] = {}
         self._held = False
 

@@ -18,7 +18,7 @@ streams and ziggurat draws behind ``RngStreams``.  When the kernel is
 unavailable (no compiler, ``REPRO_NO_CLOOP=1``), the vectorised numpy
 build (:func:`_sample_shard_numpy`) runs instead: every draw comes from
 :mod:`repro.fleet.fastrng`, a numpy re-implementation of the same
-pipeline that advances all hosts of a range in lockstep.  That build
+pipeline that advances a block of hosts in lockstep.  That build
 is also the compiled sampler's test oracle.  Both take any ``[start,
 stop)`` index range, so the property suite can compare arbitrary
 ranges; a run samples ``[0, hosts)`` in one call.
@@ -153,12 +153,31 @@ def _sample_shard_columns(config: FleetConfig, start: int,
     return sampled
 
 
+#: Hosts per lockstep block of the numpy build: its per-round
+#: gather/scatter temporaries scale with the block, not the fleet.
+_NUMPY_BLOCK = 8192
+
+
 def _sample_shard_numpy(config: FleetConfig, start: int,
                         stop: int) -> Dict[str, Optional[np.ndarray]]:
-    """The vectorised numpy twin of the compiled sampler: every host of
-    the range advances through each draw in lockstep, lanes that leave
-    the renewal loop drop out.  Same result dict as
-    :func:`repro.fleet.cloop.sample_columns`."""
+    """The vectorised numpy twin of the compiled sampler, run over the
+    range :data:`_NUMPY_BLOCK` hosts at a time (every host draws from
+    its own streams, so blocks join without changing a byte).  Same
+    result dict as :func:`repro.fleet.cloop.sample_columns`."""
+    blocks = [_sample_block_numpy(config, lo, min(lo + _NUMPY_BLOCK, stop))
+              for lo in range(start, stop, _NUMPY_BLOCK) or [start]]
+    if len(blocks) == 1:
+        return blocks[0]
+    return {key: None if blocks[0][key] is None
+            else np.concatenate([block[key] for block in blocks])
+            for key in blocks[0]}
+
+
+def _sample_block_numpy(config: FleetConfig, start: int,
+                        stop: int) -> Dict[str, Optional[np.ndarray]]:
+    """One block of the numpy build: every host of ``[start, stop)``
+    advances through each draw in lockstep, lanes that leave the
+    renewal loop drop out."""
     n = stop - start
     child = np.empty(n, dtype=np.uint64)
     trace = np.empty(n, dtype=np.uint64)

@@ -25,8 +25,8 @@ by default; :func:`repro.api.run` enables it for metrics-enabled
 runs.  Persistent pool workers (:mod:`repro.core.workerpool`) re-arm
 their process-private registry per task from the spec's shipped context
 (fork-time inheritance is not relied on — the pool outlives any one
-run's enablement), reset it, and ship a snapshot back in the
-``WorkerResult`` payload, which the parent merges — so per-subsystem
+run's enablement), reset it, and ship a snapshot back in their
+``WorkerResult``, which the parent merges — so per-subsystem
 counters survive ``--jobs N`` fan-out.
 """
 

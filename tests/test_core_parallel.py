@@ -149,16 +149,20 @@ class TestPersistentPool:
     """The pool persists: same workers across runs, rounds and callers."""
 
     def test_worker_pids_reused_across_runs(self):
+        from repro.core.workerpool import pool_generations
+
         first = ParallelRepeater(base_seed=1, reps=6,
                                  jobs=2).run(pid_measure)
+        generation = pool_generations()[2]
         second = ParallelRepeater(base_seed=2, reps=6,
                                   jobs=2).run(pid_measure)
-        first_pids = set(first.raw["pid"])
-        second_pids = set(second.raw["pid"])
         # real fan-out: work ran in child processes, not the parent
-        assert float(os.getpid()) not in first_pids
-        # persistence: the second run re-used the first run's workers
-        assert first_pids & second_pids
+        parent = float(os.getpid())
+        assert parent not in set(first.raw["pid"])
+        assert parent not in set(second.raw["pid"])
+        # persistence: the second run dispatched to the same executor
+        # (pids need not overlap: one worker may drain a whole run)
+        assert pool_generations()[2] == generation
 
     def test_pool_survives_retry_rounds(self):
         from repro.core.workerpool import pool_generations

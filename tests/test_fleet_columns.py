@@ -55,6 +55,26 @@ class TestColumnsMatchObjects:
         assert_columns_match_hosts(MIXED)
         assert consulted
 
+    @pytest.mark.parametrize("sigma", [0.35, 0.0])
+    def test_numpy_build_blocks_join_byte_identical(self, monkeypatch,
+                                                    sigma):
+        # the numpy fallback walks its range in fixed host blocks; block
+        # edges (including a short last block) must not change a byte
+        from repro.fleet import columns
+
+        config = FleetConfig(hosts=220, hypervisor="mixed", seed=13,
+                             host_gflops_sigma=sigma)
+        whole = columns._sample_shard_numpy(config, 5, 215)
+        monkeypatch.setattr(columns, "_NUMPY_BLOCK", 16)
+        blocked = columns._sample_shard_numpy(config, 5, 215)
+        assert set(blocked) == set(whole)
+        for key, value in whole.items():
+            if value is None:
+                assert blocked[key] is None
+            else:
+                assert blocked[key].dtype == value.dtype, key
+                assert blocked[key].tobytes() == value.tobytes(), key
+
 
 class TestCsrLayout:
     def test_offsets_are_a_valid_csr_index(self):

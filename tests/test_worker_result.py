@@ -1,26 +1,31 @@
-"""WorkerResult v1 wire format: transports, quarantine, merge semantics."""
+"""WorkerResult: the pickled result pipe, quarantine, merge semantics."""
 
 import os
 import pickle
 
-import pytest
-
 from repro.audit.tracehash import TraceHashRecorder
-from repro.core.workerpool import (
-    WORKER_RESULT_SCHEMA,
-    WorkerPool,
-    WorkerResult,
-    WorkerResultError,
-    decode_payload,
-    discard_payload,
-    encode_payload,
-)
-from repro.obs.metrics import MetricsRegistry
+from repro.core.experiment import Repeater
+from repro.core.parallel import ParallelRepeater, _resolved, _run_rounds
+from repro.core.workerpool import WorkerPool, WorkerResult
+from repro.faults import RUNLOG
+from repro.obs.metrics import METRICS, MetricsRegistry
+
+#: Keys in :func:`bulk_measure`'s values dict: enough that one result
+#: pickles to well over the 64 KiB the pool once shipped inline.
+BULK_KEYS = 16_000
+
+
+def bulk_measure(seed):
+    """A repetition whose values dict pickles to >= 256 KiB."""
+    if METRICS.enabled:
+        METRICS.inc("test.bulk_values", BULK_KEYS)
+    return {f"m{i:05d}": float((seed + i) % 9973) / 7.0
+            for i in range(BULK_KEYS)}
 
 
 def _sample_result():
     return WorkerResult(
-        kind="rep", index=3, seed=414243, error=None,
+        index=3, seed=414243, error=None,
         queue_wait_s=0.25, wall_s=1.5, pid=os.getpid(),
         values={"throughput": 12.5, "wall_s": 1.5},
         metrics={"counters": {"engine.runs": 2.0}, "gauges": {},
@@ -32,132 +37,67 @@ def _sample_result():
     )
 
 
-def _assert_round_trip(original, back):
-    assert back.kind == original.kind
-    assert back.index == original.index
-    assert back.seed == original.seed
-    assert back.error == original.error
-    assert back.queue_wait_s == original.queue_wait_s
-    assert back.wall_s == original.wall_s
-    assert back.pid == original.pid
-    assert back.values == original.values
-    assert back.metrics == original.metrics
-    assert back.trace_hash == original.trace_hash
-    assert back.runlog == original.runlog
-
-
 class TestRoundTrip:
     def test_inline(self):
+        # every result rides inline: the executor pickles it across its
+        # own result pipe
         original = _sample_result()
-        wire = original.to_wire()
-        assert wire["schema"] == WORKER_RESULT_SCHEMA
-        assert wire["payload"]["transport"] == "inline"
-        _assert_round_trip(original, WorkerResult.from_wire(wire))
+        back = pickle.loads(pickle.dumps(original))
+        for field in WorkerResult.__slots__:
+            assert getattr(back, field) == getattr(original, field)
 
-    def test_shared_memory(self):
-        original = _sample_result()
-        wire = original.to_wire(transport="shm")
-        assert wire["payload"]["transport"] in ("shm", "spill")
-        _assert_round_trip(original, WorkerResult.from_wire(wire))
-        if wire["payload"]["transport"] == "shm":
-            # decode consumed the segment: it must not be attachable.
-            from multiprocessing import shared_memory
-            with pytest.raises((OSError, FileNotFoundError)):
-                shared_memory.SharedMemory(name=wire["payload"]["name"])
-
-    def test_spill_file(self):
-        original = _sample_result()
-        wire = original.to_wire(transport="spill")
-        assert wire["payload"]["transport"] == "spill"
-        path = wire["payload"]["path"]
-        assert os.path.exists(path)
-        _assert_round_trip(original, WorkerResult.from_wire(wire))
-        assert not os.path.exists(path)  # decode consumed the file
-
-    def test_large_payload_leaves_the_pipe(self):
-        original = _sample_result()
-        original.values = {"bulk": list(range(50_000))}
-        wire = original.to_wire()
-        assert wire["payload"]["transport"] in ("shm", "spill")
-        back = WorkerResult.from_wire(wire)
-        assert back.values == original.values
-
-    def test_forced_inline_limit(self):
-        wire = _sample_result().to_wire(inline_max=1)
-        assert wire["payload"]["transport"] in ("shm", "spill")
-        WorkerResult.from_wire(wire)  # consume the transport
+    def test_large_values_through_real_pool_match_serial(self):
+        assert len(pickle.dumps(bulk_measure(0))) >= 256 * 1024
+        METRICS.enable(reset=True)
+        try:
+            serial = Repeater(base_seed=11, reps=4).run(bulk_measure)
+            serial_counters = METRICS.snapshot()["counters"]
+            METRICS.enable(reset=True)
+            pooled = ParallelRepeater(base_seed=11, reps=4,
+                                      jobs=2).run(bulk_measure)
+            pooled_counters = METRICS.snapshot()["counters"]
+        finally:
+            METRICS.disable()
+        # the repetitions really went through the pool
+        assert pooled_counters["parallel.repetitions"] == 4
+        assert {"parallel.pool_created", "parallel.pool_reused"} & set(
+            pooled_counters)
+        assert pooled.raw == serial.raw
+        assert list(pooled.raw) == list(serial.raw)
+        assert pooled.metrics == serial.metrics
+        worker_side = {name: value
+                       for name, value in pooled_counters.items()
+                       if not name.startswith("parallel.")}
+        assert worker_side == serial_counters
+        assert serial_counters["test.bulk_values"] == 4 * BULK_KEYS
 
 
 class TestRejection:
-    def test_unknown_schema_version(self):
-        wire = _sample_result().to_wire(transport="spill")
-        wire["schema"] = "repro-worker-result/99"
-        path = wire["payload"]["path"]
-        with pytest.raises(WorkerResultError,
-                           match="unsupported worker result schema"):
-            WorkerResult.from_wire(wire)
-        # the payload transport is discarded, not leaked
-        assert not os.path.exists(path)
+    def test_non_worker_result_outcome_quarantined(self):
+        recovered = WorkerResult(0, 7, values={"x": 1.0})
+        outcomes = {0: [{"values": {"x": 1.0}}, recovered],
+                    1: [[1, 2, 3], [1, 2, 3]]}
 
-    def test_non_mapping_wire(self):
-        with pytest.raises(WorkerResultError, match="expected a mapping"):
-            WorkerResult.from_wire([1, 2, 3])
+        def submit(index, attempt):
+            return _resolved(outcomes[index][attempt])
 
-    def test_non_mapping_payload_quarantined(self):
-        wire = _sample_result().to_wire()
-        wire["payload"] = encode_payload([1, 2, 3])
-        with pytest.raises(WorkerResultError, match="expected a mapping"):
-            WorkerResult.from_wire(wire)
-
-    def test_unknown_transport(self):
-        with pytest.raises(WorkerResultError, match="unknown"):
-            decode_payload({"transport": "carrier-pigeon", "size": 0})
-
-
-class TestQuarantine:
-    def test_truncated_payload(self):
-        wire = _sample_result().to_wire()
-        wire["payload"]["size"] = wire["payload"]["size"] + 7
-        with pytest.raises(WorkerResultError, match="truncated"):
-            WorkerResult.from_wire(wire)
-
-    def test_corrupt_digest(self):
-        wire = _sample_result().to_wire()
-        wire["payload"]["sha256"] = "0" * 64
-        with pytest.raises(WorkerResultError, match="SHA-256"):
-            WorkerResult.from_wire(wire)
-
-    def test_truncated_spill_file(self):
-        wire = _sample_result().to_wire(transport="spill")
-        path = wire["payload"]["path"]
-        with open(path, "r+b") as handle:
-            handle.truncate(wire["payload"]["size"] // 2)
-        with pytest.raises(WorkerResultError, match="truncated"):
-            WorkerResult.from_wire(wire)
-        assert not os.path.exists(path)  # consumed even on failure
-
-    def test_vanished_spill_file(self):
-        wire = _sample_result().to_wire(transport="spill")
-        os.unlink(wire["payload"]["path"])
-        with pytest.raises(WorkerResultError, match="vanished"):
-            WorkerResult.from_wire(wire)
-
-    def test_undecodable_payload(self):
-        import hashlib
-        data = b"\x80not pickle at all"
-        wire = _sample_result().to_wire()
-        wire["payload"] = {"format": "pickle", "transport": "inline",
-                           "data": data, "size": len(data),
-                           "sha256": hashlib.sha256(data).hexdigest()}
-        with pytest.raises(WorkerResultError, match="undecodable"):
-            WorkerResult.from_wire(wire)
-
-    def test_discard_is_best_effort(self):
-        wire = _sample_result().to_wire(transport="spill")
-        path = wire["payload"]["path"]
-        discard_payload(wire["payload"])
-        assert not os.path.exists(path)
-        discard_payload(wire["payload"])  # second discard is a no-op
+        METRICS.enable(reset=True)
+        try:
+            done, failures = _run_rounds(2, submit, WorkerPool(2),
+                                         retries=1, timeout=None)
+            quarantined = METRICS.counter("parallel.payload_quarantined")
+        finally:
+            METRICS.disable()
+            RUNLOG.clear()
+        # a retried repetition that returns a WorkerResult recovers
+        assert done == {0: recovered}
+        # a repetition that never does stays a failure, never folded in
+        assert list(failures) == [1]
+        broke_pool, text = failures[1]
+        assert not broke_pool
+        assert text.startswith("untrusted worker result")
+        assert "list" in text
+        assert quarantined == 3
 
 
 class TestMergeAfterRetry:
@@ -184,33 +124,3 @@ class TestMergeAfterRetry:
         registry.merge(snap)
         registry.merge(snap)
         assert registry.snapshot()["counters"]["engine.runs"] == 4.0
-
-
-class TestAbandonedSweep:
-    def test_sweep_discards_completed_payloads(self):
-        pool = WorkerPool(workers=1)
-        wire = _sample_result().to_wire(transport="spill")
-        path = wire["payload"]["path"]
-
-        from concurrent.futures import Future
-        future = Future()
-        future.set_result(wire)
-        pool.abandon(future)
-        pool._sweep_abandoned()
-        assert not os.path.exists(path)
-        assert pool._abandoned == []
-
-    def test_pending_futures_stay_tracked(self):
-        pool = WorkerPool(workers=1)
-        from concurrent.futures import Future
-        future = Future()  # never completes
-        pool.abandon(future)
-        pool._sweep_abandoned()
-        assert pool._abandoned == [future]
-
-
-class TestWireStability:
-    def test_wire_record_is_picklable(self):
-        # the record itself crosses the result pipe via pickle
-        wire = _sample_result().to_wire()
-        assert pickle.loads(pickle.dumps(wire)) == wire
