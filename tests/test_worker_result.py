@@ -5,8 +5,10 @@ import pickle
 
 from repro.audit.tracehash import TraceHashRecorder
 from repro.core.experiment import Repeater
-from repro.core.parallel import ParallelRepeater, _resolved, _run_rounds
-from repro.core.workerpool import WorkerPool, WorkerResult
+from repro.core.parallel import (ParallelRepeater, _rep_spec, _resolved,
+                                 _run_rounds)
+from repro.core.workerpool import (WorkerPool, WorkerResult, _execute_task,
+                                   build_task_context, next_run_token)
 from repro.faults import RUNLOG
 from repro.obs.metrics import METRICS, MetricsRegistry
 
@@ -21,6 +23,13 @@ def bulk_measure(seed):
         METRICS.inc("test.bulk_values", BULK_KEYS)
     return {f"m{i:05d}": float((seed + i) % 9973) / 7.0
             for i in range(BULK_KEYS)}
+
+
+def small_measure(seed):
+    """A one-metric repetition that bumps one worker-side counter."""
+    if METRICS.enabled:
+        METRICS.inc("test.small_runs")
+    return {"x": float(seed % 97)}
 
 
 def _sample_result():
@@ -72,32 +81,49 @@ class TestRoundTrip:
         assert serial_counters["test.bulk_values"] == 4 * BULK_KEYS
 
 
+def _drive(outcomes):
+    """Run ``_run_rounds`` (one retry) over scripted per-attempt
+    outcomes; returns ``(done, failures, quarantined)``."""
+    def submit(index, attempt):
+        return _resolved(outcomes[index][attempt])
+
+    METRICS.enable(reset=True)
+    try:
+        done, failures = _run_rounds(len(outcomes), submit, WorkerPool(2),
+                                     retries=1, timeout=None)
+        quarantined = METRICS.counter("parallel.payload_quarantined")
+    finally:
+        METRICS.disable()
+        RUNLOG.clear()
+    return done, failures, quarantined
+
+
 class TestRejection:
-    def test_non_worker_result_outcome_quarantined(self):
-        recovered = WorkerResult(0, 7, values={"x": 1.0})
-        outcomes = {0: [{"values": {"x": 1.0}}, recovered],
-                    1: [[1, 2, 3], [1, 2, 3]]}
-
-        def submit(index, attempt):
-            return _resolved(outcomes[index][attempt])
-
-        METRICS.enable(reset=True)
-        try:
-            done, failures = _run_rounds(2, submit, WorkerPool(2),
-                                         retries=1, timeout=None)
-            quarantined = METRICS.counter("parallel.payload_quarantined")
-        finally:
-            METRICS.disable()
-            RUNLOG.clear()
-        # a retried repetition that returns a WorkerResult recovers
-        assert done == {0: recovered}
-        # a repetition that never does stays a failure, never folded in
-        assert list(failures) == [1]
-        broke_pool, text = failures[1]
+    def test_non_mapping_wire(self):
+        # a repetition that never returns a WorkerResult stays a
+        # failure, is counted on every attempt and is never folded in
+        done, failures, quarantined = _drive({0: [[1, 2, 3], [1, 2, 3]]})
+        assert done == {}
+        assert list(failures) == [0]
+        broke_pool, text = failures[0]
         assert not broke_pool
         assert text.startswith("untrusted worker result")
         assert "list" in text
-        assert quarantined == 3
+        assert quarantined == 2
+
+    def test_non_mapping_payload_quarantined(self):
+        # neither a bare positional tuple nor a mapping of the record's
+        # fields is trusted; the retry that returns a WorkerResult
+        # recovers
+        recovered = {0: WorkerResult(0, 7, values={"x": 1.0}),
+                     1: WorkerResult(1, 8, values={"x": 2.0})}
+        done, failures, quarantined = _drive({
+            0: [(0, 7, {"x": 1.0}, None), recovered[0]],
+            1: [{"index": 1, "values": {"x": 2.0}}, recovered[1]],
+        })
+        assert done == recovered
+        assert failures == {}
+        assert quarantined == 2
 
 
 class TestMergeAfterRetry:
@@ -124,3 +150,24 @@ class TestMergeAfterRetry:
         registry.merge(snap)
         registry.merge(snap)
         assert registry.snapshot()["counters"]["engine.runs"] == 4.0
+
+
+class TestWireStability:
+    def test_wire_record_is_picklable(self):
+        # the record a worker really builds, snapshots included, crosses
+        # the executor's result pipe via pickle
+        METRICS.enable(reset=True)
+        try:
+            spec = _rep_spec(pickle.dumps(small_measure), 2, 99, 0, 0,
+                             build_task_context(), next_run_token())
+            record = _execute_task(spec)
+        finally:
+            METRICS.disable()
+            RUNLOG.clear()
+        assert record.error is None
+        assert record.values == small_measure(99)
+        assert record.metrics["counters"]["test.small_runs"] == 1.0
+        back = pickle.loads(pickle.dumps(record))
+        assert isinstance(back, WorkerResult)
+        for field in WorkerResult.__slots__:
+            assert getattr(back, field) == getattr(record, field)
