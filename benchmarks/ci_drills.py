@@ -205,6 +205,12 @@ def run_manifest():
 def chaos_smoke():
     """fault storm (byte-identical recovery)"""
     run(repro("chaos", "fig2", "--retries", 3, REPRO_FAST="1"))
+    # two workers whatever the runner's size, under a fault seed whose
+    # storm crashes a worker within REPRO_FAST's three repetitions: the
+    # broken pool must not spend the retries of the repetitions it took
+    # down with it
+    run(repro("chaos", "fig2", "--retries", 3, "--jobs", 2,
+              "--fault-seed", 92, REPRO_FAST="1"))
     # the in-process retry round must recover the storm too
     run(repro("chaos", "fig2", "--retries", 3, "--jobs", 1, REPRO_FAST="1"))
     # each chaos run writes two manifests: the storm pass, then the
@@ -241,8 +247,14 @@ def parallel_speedup():
 
 
 def lint_audit():
-    """determinism lint (repro lint)"""
+    """determinism lint (repro lint) and the CLI's import profile"""
     run(repro("lint", "src/"))
+    # -X importtime writes one line per imported module to stderr; the
+    # last is the cumulative cost of `import repro.cli` itself
+    profile = output(command(PY, "-X", "importtime", "-c",
+                             "import repro.cli")).stderr
+    (WORK / "importtime-repro-cli.txt").write_bytes(profile)
+    print("import repro.cli:", profile.decode().strip().splitlines()[-1])
 
 
 def audit_smoke():

@@ -319,7 +319,7 @@ class RunResult:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "RunResult":
-        from repro.core.figures import FigureData
+        from repro.core.figdata import FigureData
 
         raw_fig = payload.get("figure")
         figure = FigureData.from_dict(raw_fig) if raw_fig is not None else None

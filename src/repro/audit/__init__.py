@@ -15,39 +15,26 @@ contract, one static and one dynamic:
   diverging window.
 """
 
-from repro.audit.bisect import (
-    AuditComparison,
-    AuditReport,
-    StreamDivergence,
-    audit_figure,
-    compare_snapshots,
-    first_divergence,
-    format_event_diff,
-)
-from repro.audit.linter import (
-    LINT_BASELINE_SCHEMA,
-    LintReport,
-    format_report,
-    iter_python_files,
-    lint_paths,
-    list_rules,
-    load_baseline,
-    write_baseline,
-)
-from repro.audit.rules import (
-    RULES,
-    Rule,
-    Violation,
-    check_source,
-    module_rel_path,
-)
-from repro.audit.tracehash import (
-    DEFAULT_WINDOW_S,
-    TRACE_HASH,
-    TRACE_HASH_SCHEMA,
-    StreamHash,
-    TraceHashRecorder,
-)
+from repro._lazy import lazy_surface
+
+__getattr__, __dir__ = lazy_surface(__name__, {
+    "repro.audit.bisect": (
+        "AuditComparison", "AuditReport", "StreamDivergence", "audit_figure",
+        "compare_snapshots", "first_divergence", "format_event_diff",
+    ),
+    "repro.audit.linter": (
+        "LINT_BASELINE_SCHEMA", "LintReport", "format_report",
+        "iter_python_files", "lint_paths", "list_rules", "load_baseline",
+        "write_baseline",
+    ),
+    "repro.audit.rules": (
+        "RULES", "Rule", "Violation", "check_source", "module_rel_path",
+    ),
+    "repro.audit.tracehash": (
+        "DEFAULT_WINDOW_S", "TRACE_HASH", "TRACE_HASH_SCHEMA", "StreamHash",
+        "TraceHashRecorder",
+    ),
+})
 
 __all__ = [
     "AuditComparison",

@@ -145,11 +145,11 @@ def _fault_tokens(scenario: Scenario) -> List[Optional[str]]:
 
 
 def _plan_figure(scenario: Scenario) -> List[CampaignPoint]:
-    from repro.core.figures import FIGURES
+    from repro.core.figdata import FIGURE_IDS
 
     points = []
     for fig_id in scenario.figures:
-        if fig_id not in FIGURES:
+        if fig_id not in FIGURE_IDS:
             raise CampaignPointError(
                 f"campaign plan: unknown figure {fig_id!r}; "
                 f"try `repro list`")

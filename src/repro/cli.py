@@ -57,11 +57,9 @@ import time
 from typing import Any, List, Optional
 
 from repro import api
-from repro.core.cache import ResultCache
-from repro.core.figures import FIGURES
+from repro.core.figdata import FIGURE_IDS
 from repro.core.report import ascii_bar_chart, experiments_markdown
 from repro.errors import ExperimentError
-from repro.virt.profiles import ALL_PROFILES
 
 
 def _build_config(args: argparse.Namespace) -> api.RunConfig:
@@ -134,7 +132,7 @@ def _campaign_progress(spec: Any, config: api.RunConfig, command: str,
 
 def _cmd_list(_args: argparse.Namespace) -> int:
     print("Available figures (paper: Domingues et al., IPPS 2009):")
-    for fig_id in FIGURES:
+    for fig_id in FIGURE_IDS:
         print(f"  {fig_id}")
     return 0
 
@@ -150,14 +148,14 @@ def _write_figure_svg(figure: Any, fig_id: str, svg_dir: str) -> None:
 def _cmd_figure(args: argparse.Namespace) -> int:
     from repro.campaign import (CampaignSpec, Scenario, plan_campaign,
                                 run_campaign)
-    from repro.core.figures import FigureData
+    from repro.core.figdata import FigureData
 
     config = _build_config(args)
-    figure_ids = args.figures or list(FIGURES)
+    figure_ids = args.figures or list(FIGURE_IDS)
     status = 0
     valid = []
     for fig_id in figure_ids:
-        if fig_id not in FIGURES:
+        if fig_id not in FIGURE_IDS:
             print(f"unknown figure {fig_id!r}; try `repro list`",
                   file=sys.stderr)
             status = 2
@@ -208,16 +206,16 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.campaign import (CampaignSpec, Scenario, plan_campaign,
                                 run_campaign)
-    from repro.core.figures import FigureData
+    from repro.core.figdata import FigureData
 
     config = _build_config(args)
     spec = CampaignSpec(
         name="report",
-        scenarios=(Scenario(kind="figure", figures=tuple(FIGURES)),))
+        scenarios=(Scenario(kind="figure", figures=FIGURE_IDS),))
     progress = _campaign_progress(spec, config, "report",
                                   getattr(args, "resume", False),
                                   len(plan_campaign(spec)))
-    current = {"id": next(iter(FIGURES))}
+    current = {"id": FIGURE_IDS[0]}
     figures: List[Any] = []
 
     def on_start(point) -> None:
@@ -440,6 +438,7 @@ def _campaign_plan(spec: Any, points: List[Any],
                    config: api.RunConfig) -> int:
     """``repro campaign plan``: dry-run listing with expected outcomes."""
     from repro.campaign import point_cache_key, prepare_progress
+    from repro.core.cache import ResultCache
 
     cache = ResultCache(config.cache_dir)
     use_cache = config.use_cache(default=True)
@@ -480,6 +479,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_profiles(_args: argparse.Namespace) -> int:
+    from repro.virt.profiles import ALL_PROFILES
+
     for name, profile in ALL_PROFILES.items():
         print(f"{name}  ({profile.display_name})")
         print(f"  cpu multipliers: int={profile.m_int:.3f} "
@@ -504,6 +505,8 @@ def _cmd_profiles(_args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
+    from repro.core.cache import ResultCache
+
     config = _build_config(args)
     cache = ResultCache(config.cache_dir)
     if args.action == "stats":
@@ -535,7 +538,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     import tempfile
 
     fig_id = args.figure
-    if fig_id not in FIGURES:
+    if fig_id not in FIGURE_IDS:
         print(f"unknown figure {fig_id!r}; try `repro list`",
               file=sys.stderr)
         return 2
@@ -632,7 +635,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     from repro.audit import audit_figure
 
     fig_id = args.figure
-    if fig_id not in FIGURES:
+    if fig_id not in FIGURE_IDS:
         print(f"unknown figure {fig_id!r}; try `repro list`",
               file=sys.stderr)
         return 2

@@ -8,10 +8,10 @@ renderer and the shape-checking tests need.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace as dc_replace
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.calibration import targets
+from repro.core.figdata import FigureData, MeasuredPoint
 from repro.core.guest_perf import (
     GUEST_ENVIRONMENTS,
     guest_perf_experiment,
@@ -34,64 +34,6 @@ from repro.workloads.netbench import NetBench
 from repro.workloads.sevenzip import SevenZipBenchmark, SevenZipConfig
 
 HOST_ENVIRONMENTS = (ENV_NO_VM,) + PROFILE_ORDER
-
-
-@dataclass
-class MeasuredPoint:
-    value: float
-    ci95: float = 0.0
-
-
-@dataclass
-class FigureData:
-    """One reproduced figure."""
-
-    fig_id: str
-    title: str
-    unit: str
-    series: "Dict[str, MeasuredPoint]" = field(default_factory=dict)
-    paper: Dict[str, float] = field(default_factory=dict)
-    notes: str = ""
-
-    def measured_values(self) -> Dict[str, float]:
-        return {label: point.value for label, point in self.series.items()}
-
-    def rows(self) -> List[Tuple[str, float, float, Optional[float]]]:
-        """(label, measured, ci, paper-or-None) for rendering."""
-        out = []
-        for label, point in self.series.items():
-            out.append((label, point.value, point.ci95,
-                        self.paper.get(label)))
-        return out
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe, order-preserving encoding (exact float round-trip).
-
-        The stable interchange format shared by the result cache, run
-        manifests and :class:`repro.api.RunResult` — downstream tooling
-        should consume this rather than reaching into dataclass fields.
-        """
-        return {
-            "fig_id": self.fig_id,
-            "title": self.title,
-            "unit": self.unit,
-            "notes": self.notes,
-            "series": [[label, point.value, point.ci95]
-                       for label, point in self.series.items()],
-            "paper": [[label, value] for label, value in self.paper.items()],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FigureData":
-        """Inverse of :meth:`to_dict`."""
-        fig = cls(
-            fig_id=payload["fig_id"], title=payload["title"],
-            unit=payload["unit"], notes=payload["notes"],
-            paper={label: value for label, value in payload["paper"]},
-        )
-        for label, value, ci95 in payload["series"]:
-            fig.series[label] = MeasuredPoint(value, ci95)
-        return fig
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +404,8 @@ def overcommit_sweep(base_seed: int = 23, default_reps: int = 3,
 
 
 # ---------------------------------------------------------------------------
-# Fleet-scale figures (repro.fleet) — lazy wrappers, since fleet.figures
-# imports FigureData from this module.
+# Fleet-scale figures (repro.fleet) — lazy wrappers, so a paper-figure run
+# loads no fleet stack.
 # ---------------------------------------------------------------------------
 
 def fleet_figure(**kwargs) -> FigureData:

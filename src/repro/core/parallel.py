@@ -297,31 +297,39 @@ def _run_rounds(count: int, submit: Callable[[int, int], Future],
     result, timeout, broken pool), folds the observability of every
     returned attempt (the pool-side timers only for pool dispatches),
     and leaves the failures pending for the next round after a capped
-    exponential backoff.  Returns the successes and the last failure of
-    every index that never succeeded.
+    exponential backoff.  Attempts are counted per repetition, which
+    gets ``retries + 1`` of its own.
+
+    A broken pool fails every repetition still in flight.  When the
+    fault plan explains the breakage (some of them drew an injected
+    ``worker.crash`` at their attempt), only those spend an attempt;
+    the rest are collateral and run again at the same attempt, so they
+    meet the same fault decisions.  An unexplained breakage charges
+    every repetition it failed.  Returns the successes and the last
+    failure of every index that never succeeded.
     """
     metrics_on = METRICS.enabled
     timers = pool is not None
     done: Dict[int, WorkerResult] = {}
     failures: Dict[int, _Failure] = {}
+    attempts = [0] * count
     pending = list(range(count))
-    for attempt in range(retries + 1):
-        if not pending:
-            break
-        if attempt:
-            time.sleep(_backoff_s(attempt))
-            RUNLOG.retries += len(pending)
-            if metrics_on:
-                METRICS.inc("parallel.retries", len(pending))
+    round_no = 0
+    while pending:
+        if round_no:
+            time.sleep(_backoff_s(round_no))
+        round_no += 1
         try:
-            futures = [submit(index, attempt) for index in pending]
+            futures = [submit(index, attempts[index]) for index in pending]
         except Exception:
             # A worker died idle since the last dispatch: rebuild and
             # resubmit once, without spending an attempt.  (In-process
             # submits capture every exception, so ``pool`` is set here.)
             pool.invalidate()
-            futures = [submit(index, attempt) for index in pending]
+            futures = [submit(index, attempts[index]) for index in pending]
         broken = False
+        charged: List[int] = []
+        lost: Dict[int, str] = {}  # failed with the pool, by index
         for index, future in zip(pending, futures):
             try:
                 result = future.result(timeout=timeout)
@@ -333,16 +341,11 @@ def _run_rounds(count: int, submit: Callable[[int, int], Future],
                 if metrics_on:
                     METRICS.inc("parallel.timeouts")
                 failures[index] = (False, f"timed out after {timeout}s")
+                charged.append(index)
                 broken = True  # the hung worker occupies a slot
                 continue
             except Exception as exc:
-                # A crashed worker takes its fault tally with it; the
-                # decision is deterministic, so account it parent-side.
-                if FAULTS.enabled and FAULTS.would_fire(
-                        "worker.crash", key=index,
-                        attempt=attempt):
-                    FAULTS.record("worker.crash")
-                failures[index] = (True, str(exc))
+                lost[index] = str(exc)
                 broken = True
                 continue
             if not isinstance(result, WorkerResult):
@@ -351,6 +354,7 @@ def _run_rounds(count: int, submit: Callable[[int, int], Future],
                 if metrics_on:
                     METRICS.inc("parallel.payload_quarantined")
                 failures[index] = (False, f"untrusted worker result: {error}")
+                charged.append(index)
                 continue
             _fold_observability(result, metrics_on, timers)
             if result.error is None:
@@ -358,7 +362,32 @@ def _run_rounds(count: int, submit: Callable[[int, int], Future],
                 failures.pop(index, None)
             else:
                 failures[index] = (False, result.error)
-        pending = sorted(failures)
+                charged.append(index)
+        # The worker body's own crash decisions.  A crashed worker takes
+        # its fault tally with it; the decision is deterministic, so
+        # account it parent-side.
+        crashed = [index for index in lost if FAULTS.enabled
+                   and FAULTS.would_fire("worker.crash", key=index,
+                                         attempt=attempts[index])]
+        for index in crashed:
+            FAULTS.record("worker.crash")
+        collateral = []
+        for index, text in lost.items():
+            if crashed and index not in crashed:
+                collateral.append(index)
+            else:
+                failures[index] = (True, text)
+                charged.append(index)
+        retried = []
+        for index in charged:
+            attempts[index] += 1
+            if attempts[index] <= retries:
+                retried.append(index)
+        if retried:
+            RUNLOG.retries += len(retried)
+            if metrics_on:
+                METRICS.inc("parallel.retries", len(retried))
+        pending = sorted(retried + collateral)
         if broken:
             pool.invalidate()
     return done, failures

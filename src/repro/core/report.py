@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, List, Optional
 
-from repro.core.figures import FigureData
+from repro.core.figdata import FigureData
 
 _BAR_WIDTH = 42
 

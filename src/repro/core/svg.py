@@ -12,7 +12,7 @@ from __future__ import annotations
 import html
 from typing import List
 
-from repro.core.figures import FigureData
+from repro.core.figdata import FigureData
 
 _WIDTH = 760
 _BAR_HEIGHT = 22

@@ -36,44 +36,34 @@ Entry points: :func:`repro.api.run` with a ``fleet`` request (cache +
 manifest + metrics) and the ``repro fleet`` CLI subcommand.
 """
 
-from repro.fleet.calibration import (
-    HYPERVISOR_ALIASES,
-    MIXED_FLEET,
-    estimated_grid_efficiency,
-    fleet_slowdown,
-    fleet_slowdowns,
-    memory_slowdown_factor,
-    resolve_hypervisor,
-)
-from repro.fleet.churn import (
-    ChurnModel,
-    active_seconds,
-    availability_trace,
-    finish_time,
-)
-from repro.fleet.columns import FleetColumns, build_fleet_columns
-from repro.fleet.config import FleetConfig
-from repro.fleet.host import FleetHost, build_fleet_hosts, sample_host
-from repro.fleet.recovery import (
-    RecoveryPolicy,
-    checkpoint_cost_s,
-    outage_windows,
-    rollback_seconds,
-)
-from repro.fleet.server import FleetReport, FleetServer, simulate_fleet
-from repro.fleet.validation import (
-    CANONICAL_KEY,
-    QuorumValidator,
-    erroneous_key,
-)
-from repro.fleet.figures import (
-    fleet_checkpoint_figure,
-    fleet_makespan_figure,
-    fleet_outage_figure,
-    fleet_scale_figure,
-    fleet_waste_figure,
-    report_figure,
-)
+from repro._lazy import lazy_surface
+
+__getattr__, __dir__ = lazy_surface(__name__, {
+    "repro.fleet.calibration": (
+        "HYPERVISOR_ALIASES", "MIXED_FLEET", "estimated_grid_efficiency",
+        "fleet_slowdown", "fleet_slowdowns", "memory_slowdown_factor",
+        "resolve_hypervisor",
+    ),
+    "repro.fleet.churn": (
+        "ChurnModel", "active_seconds", "availability_trace", "finish_time",
+    ),
+    "repro.fleet.columns": ("FleetColumns", "build_fleet_columns"),
+    "repro.fleet.config": ("FleetConfig",),
+    "repro.fleet.host": ("FleetHost", "build_fleet_hosts", "sample_host"),
+    "repro.fleet.recovery": (
+        "RecoveryPolicy", "checkpoint_cost_s", "outage_windows",
+        "rollback_seconds",
+    ),
+    "repro.fleet.server": ("FleetReport", "FleetServer", "simulate_fleet"),
+    "repro.fleet.validation": (
+        "CANONICAL_KEY", "QuorumValidator", "erroneous_key",
+    ),
+    "repro.fleet.figures": (
+        "fleet_checkpoint_figure", "fleet_makespan_figure",
+        "fleet_outage_figure", "fleet_scale_figure", "fleet_waste_figure",
+        "report_figure",
+    ),
+})
 
 __all__ = [
     "CANONICAL_KEY",

@@ -7,7 +7,7 @@ them to one scalar per hypervisor:
 
 * **guest slowdown** (Figures 1-2): the class-weighted binary-translation
   multiplier for the Einstein@home instruction mix,
-  :func:`repro.virt.vcpu.user_multiplier` — how much longer one work unit
+  :func:`repro.virt.profiles.user_multiplier` — how much longer one work unit
   takes inside the guest than natively;
 * **host service share** (Figures 7-8): every VMM runs host-side service
   threads (timer/device emulation) at elevated priority, stealing
@@ -25,8 +25,8 @@ from typing import Dict
 
 from repro.errors import ExperimentError
 from repro.hardware.cpu import MIX_EINSTEIN
-from repro.virt.profiles import ALL_PROFILES, PROFILE_ORDER, get_profile
-from repro.virt.vcpu import user_multiplier
+from repro.virt.profiles import (ALL_PROFILES, PROFILE_ORDER, get_profile,
+                                 user_multiplier)
 
 #: Cores of the paper's testbed (Core 2 Duo E6600) — the denominator of
 #: the host-service share.

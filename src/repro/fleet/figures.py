@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.core.figures import FigureData, MeasuredPoint
+from repro.core.figdata import FigureData, MeasuredPoint
 from repro.faults import injected, parse_fault_spec
 from repro.fleet.config import FleetConfig
 from repro.fleet.server import FleetReport, simulate_fleet

@@ -1,31 +1,23 @@
 """Physical-hardware models: CPU/instruction mixes, shared L2, disk, NIC,
 memory accounting, and machine assembly."""
 
-from repro.hardware.cache import CacheStats, SharedL2Model
-from repro.hardware.cpu import (
-    MIX_EINSTEIN,
-    MIX_IDLE,
-    MIX_KERNEL,
-    MIX_MATRIX,
-    MIX_SEVENZIP,
-    MIX_VMM_SERVICE,
-    InstructionMix,
-    blend,
-)
-from repro.hardware.disk import Disk, DiskStats
-from repro.hardware.machine import Machine
-from repro.hardware.memory import MemoryAccounting
-from repro.hardware.nic import Nic, NicStats
-from repro.hardware.specs import (
-    CpuSpec,
-    DiskSpec,
-    MachineSpec,
-    MemorySpec,
-    NicSpec,
-    core2duo_e6600,
-    lan_peer,
-    uniprocessor,
-)
+from repro._lazy import lazy_surface
+
+__getattr__, __dir__ = lazy_surface(__name__, {
+    "repro.hardware.cache": ("CacheStats", "SharedL2Model"),
+    "repro.hardware.cpu": (
+        "MIX_EINSTEIN", "MIX_IDLE", "MIX_KERNEL", "MIX_MATRIX", "MIX_SEVENZIP",
+        "MIX_VMM_SERVICE", "InstructionMix", "blend",
+    ),
+    "repro.hardware.disk": ("Disk", "DiskStats"),
+    "repro.hardware.machine": ("Machine",),
+    "repro.hardware.memory": ("MemoryAccounting",),
+    "repro.hardware.nic": ("Nic", "NicStats"),
+    "repro.hardware.specs": (
+        "CpuSpec", "DiskSpec", "MachineSpec", "MemorySpec", "NicSpec",
+        "core2duo_e6600", "lan_peer", "uniprocessor",
+    ),
+})
 
 __all__ = [
     "CacheStats",

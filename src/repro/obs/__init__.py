@@ -10,17 +10,16 @@ disabled.  Enable them per run through
 ``repro.api.RunConfig(metrics=True)`` or ``repro figure ... --metrics``.
 """
 
-from repro.obs.metrics import METRICS, MetricsRegistry
-from repro.obs.manifest import (
-    DEFAULT_RUNS_DIR,
-    MANIFEST_SCHEMA,
-    list_manifests,
-    load_manifest,
-    new_run_id,
-    render_manifest,
-    validate_manifest,
-    write_manifest,
-)
+from repro._lazy import lazy_surface
+
+__getattr__, __dir__ = lazy_surface(__name__, {
+    "repro.obs.metrics": ("METRICS", "MetricsRegistry"),
+    "repro.obs.manifest": (
+        "DEFAULT_RUNS_DIR", "MANIFEST_SCHEMA", "list_manifests",
+        "load_manifest", "new_run_id", "render_manifest", "validate_manifest",
+        "write_manifest",
+    ),
+})
 
 __all__ = [
     "DEFAULT_RUNS_DIR",

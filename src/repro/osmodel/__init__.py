@@ -1,34 +1,26 @@
 """Operating-system models: scheduler, kernel, filesystem, network, clocks."""
 
-from repro.osmodel.filesystem import PAGE_BYTES, FileNode, FileSystem, FsStats
-from repro.osmodel.kernel import (
-    CostKind,
-    ExecutionContext,
-    Kernel,
-    KernelParams,
-    ubuntu_params,
-    windows_xp_params,
-)
-from repro.osmodel.netstack import (
-    LoopbackDevice,
-    NetStack,
-    NetStats,
-    TcpSocket,
-    UdpSocket,
-)
-from repro.osmodel.scheduler import BoostPolicy, CoreState, Scheduler
-from repro.osmodel.threads import (
-    PRIORITY_ABOVE_NORMAL,
-    PRIORITY_BELOW_NORMAL,
-    PRIORITY_HIGH,
-    PRIORITY_IDLE,
-    PRIORITY_NORMAL,
-    PRIORITY_REALTIME,
-    OsProcess,
-    SimThread,
-    ThreadState,
-)
-from repro.osmodel.timekeeping import StopwatchClock, SystemClock
+from repro._lazy import lazy_surface
+
+__getattr__, __dir__ = lazy_surface(__name__, {
+    "repro.osmodel.filesystem": (
+        "PAGE_BYTES", "FileNode", "FileSystem", "FsStats",
+    ),
+    "repro.osmodel.kernel": (
+        "CostKind", "ExecutionContext", "Kernel", "KernelParams",
+        "ubuntu_params", "windows_xp_params",
+    ),
+    "repro.osmodel.netstack": (
+        "LoopbackDevice", "NetStack", "NetStats", "TcpSocket", "UdpSocket",
+    ),
+    "repro.osmodel.scheduler": ("BoostPolicy", "CoreState", "Scheduler"),
+    "repro.osmodel.threads": (
+        "PRIORITY_ABOVE_NORMAL", "PRIORITY_BELOW_NORMAL", "PRIORITY_HIGH",
+        "PRIORITY_IDLE", "PRIORITY_NORMAL", "PRIORITY_REALTIME", "OsProcess",
+        "SimThread", "ThreadState",
+    ),
+    "repro.osmodel.timekeeping": ("StopwatchClock", "SystemClock"),
+})
 
 __all__ = [
     "BoostPolicy",

@@ -11,12 +11,18 @@ Public surface:
 * :class:`Tracer`, :class:`TraceRecord` — structured tracing.
 """
 
-from repro.simcore.engine import Engine
-from repro.simcore.events import AllOf, AnyOf, EventHandle, SimEvent, Timeout
-from repro.simcore.process import Interrupted, SimProcess
-from repro.simcore.resources import Mutex, Request, Resource, Store
-from repro.simcore.rng import RngStreams, derive_rep_seed
-from repro.simcore.trace import TraceRecord, Tracer
+from repro._lazy import lazy_surface
+
+__getattr__, __dir__ = lazy_surface(__name__, {
+    "repro.simcore.engine": ("Engine",),
+    "repro.simcore.events": (
+        "AllOf", "AnyOf", "EventHandle", "SimEvent", "Timeout",
+    ),
+    "repro.simcore.process": ("Interrupted", "SimProcess"),
+    "repro.simcore.resources": ("Mutex", "Request", "Resource", "Store"),
+    "repro.simcore.rng": ("RngStreams", "derive_rep_seed"),
+    "repro.simcore.trace": ("TraceRecord", "Tracer"),
+})
 
 __all__ = [
     "AllOf",

@@ -1,44 +1,34 @@
 """System-level virtualisation models: hypervisor profiles, vCPU
 translation, virtual devices, guest clocks, checkpointing, time server."""
 
-from repro.virt.checkpoint import (
-    CheckpointImage,
-    restore_checkpoint,
-    save_checkpoint,
-    transfer_checkpoint,
-)
-from repro.virt.guestclock import ClockStats, GuestClock
-from repro.virt.memory import (
-    BalloonDriver,
-    GuestMemory,
-    MemoryModelParams,
-    MemoryPressureController,
-    MultiVmHost,
-    WorkingSetModel,
-    plan_vm_memory,
-)
-from repro.virt.profiles import (
-    ALL_PROFILES,
-    PROFILE_ORDER,
-    QEMU,
-    VIRTUALBOX,
-    VIRTUALPC,
-    VMPLAYER,
-    HypervisorProfile,
-    NetMode,
-    ServiceLoadSpec,
-    get_profile,
-)
-from repro.virt.timeserver import TIME_PORT, GuestTimeClient, UdpTimeServer
-from repro.virt.vcpu import VCpu, translate_cycles, user_multiplier
-from repro.virt.vdisk import VirtualDisk
-from repro.virt.vm import (
-    GuestExecutionContext,
-    VirtualMachine,
-    VmConfig,
-    VmState,
-)
-from repro.virt.vnic import VirtualNic
+from repro._lazy import lazy_surface
+
+__getattr__, __dir__ = lazy_surface(__name__, {
+    "repro.virt.checkpoint": (
+        "CheckpointImage", "restore_checkpoint", "save_checkpoint",
+        "transfer_checkpoint",
+    ),
+    "repro.virt.guestclock": ("ClockStats", "GuestClock"),
+    "repro.virt.memory": (
+        "BalloonDriver", "GuestMemory", "MemoryModelParams",
+        "MemoryPressureController", "MultiVmHost", "WorkingSetModel",
+        "plan_vm_memory",
+    ),
+    "repro.virt.profiles": (
+        "ALL_PROFILES", "PROFILE_ORDER", "QEMU", "VIRTUALBOX", "VIRTUALPC",
+        "VMPLAYER", "HypervisorProfile", "NetMode", "ServiceLoadSpec",
+        "get_profile", "user_multiplier",
+    ),
+    "repro.virt.timeserver": (
+        "TIME_PORT", "GuestTimeClient", "UdpTimeServer",
+    ),
+    "repro.virt.vcpu": ("VCpu", "translate_cycles"),
+    "repro.virt.vdisk": ("VirtualDisk",),
+    "repro.virt.vm": (
+        "GuestExecutionContext", "VirtualMachine", "VmConfig", "VmState",
+    ),
+    "repro.virt.vnic": ("VirtualNic",),
+})
 
 __all__ = [
     "ALL_PROFILES",

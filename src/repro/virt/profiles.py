@@ -36,9 +36,12 @@ Timer / service load (Figures 7–8, ablations)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro.units import MB
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.hardware.cpu import InstructionMix
 
 
 @dataclass(frozen=True)
@@ -179,3 +182,13 @@ def get_profile(name: str) -> HypervisorProfile:
         raise KeyError(
             f"unknown hypervisor {name!r}; available: {sorted(ALL_PROFILES)}"
         ) from None
+
+
+def user_multiplier(profile: HypervisorProfile,
+                    mix: "InstructionMix") -> float:
+    """Class-weighted translation multiplier for user-mode code of ``mix``."""
+    return (
+        mix.int_frac * profile.m_int
+        + mix.fp_frac * profile.m_fp
+        + mix.mem_frac * profile.m_mem
+    )

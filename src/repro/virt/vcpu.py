@@ -14,26 +14,13 @@ instruction, however many host cycles it cost to emulate).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.errors import VirtualizationError
 from repro.hardware.cpu import InstructionMix
 from repro.obs.metrics import METRICS
 from repro.osmodel.kernel import CostKind
 from repro.osmodel.threads import SimThread
 from repro.simcore.events import SimEvent
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.virt.profiles import HypervisorProfile
-
-
-def user_multiplier(profile: "HypervisorProfile", mix: InstructionMix) -> float:
-    """Class-weighted translation multiplier for user-mode code of ``mix``."""
-    return (
-        mix.int_frac * profile.m_int
-        + mix.fp_frac * profile.m_fp
-        + mix.mem_frac * profile.m_mem
-    )
+from repro.virt.profiles import HypervisorProfile, user_multiplier
 
 
 def translate_cycles(profile: "HypervisorProfile", cycles: float,

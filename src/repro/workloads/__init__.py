@@ -2,41 +2,32 @@
 IOBench, NetBench), NBench for the host, and the BOINC/Einstein volunteer
 load.  Every workload runs unchanged on native, host, or guest contexts."""
 
-from repro.workloads import lzma_lite, nbench
-from repro.workloads.base import WorkloadResult, chunks
-from repro.workloads.boinc import BOINC_PORT, BoincClient, BoincServer, WorkunitRecord
-from repro.workloads.einstein import (
-    CHECKPOINT_BYTES,
-    EinsteinProgress,
-    EinsteinTask,
-    EinsteinWorkunit,
-    matched_filter_power,
-    synthesize_strain,
-    template_search,
-)
-from repro.workloads.iobench import (
-    IoBench,
-    IoBenchConfig,
-    IoSizeResult,
-    size_ladder,
-)
-from repro.workloads.matrix import (
-    MatrixBenchmark,
-    MatrixConfig,
-    blocked_matmul,
-    naive_matmul,
-)
-from repro.workloads.netbench import (
-    IPERF_PORT,
-    IperfServer,
-    NetBench,
-    NetBenchConfig,
-)
-from repro.workloads.sevenzip import (
-    SevenZipBenchmark,
-    SevenZipConfig,
-    SevenZipHostBenchmark,
-)
+from repro._lazy import lazy_surface
+
+__getattr__, __dir__ = lazy_surface(__name__, {
+    __name__: ("lzma_lite", "nbench"),
+    "repro.workloads.base": ("WorkloadResult", "chunks"),
+    "repro.workloads.boinc": (
+        "BOINC_PORT", "BoincClient", "BoincServer", "WorkunitRecord",
+    ),
+    "repro.workloads.einstein": (
+        "CHECKPOINT_BYTES", "EinsteinProgress", "EinsteinTask",
+        "EinsteinWorkunit", "matched_filter_power", "synthesize_strain",
+        "template_search",
+    ),
+    "repro.workloads.iobench": (
+        "IoBench", "IoBenchConfig", "IoSizeResult", "size_ladder",
+    ),
+    "repro.workloads.matrix": (
+        "MatrixBenchmark", "MatrixConfig", "blocked_matmul", "naive_matmul",
+    ),
+    "repro.workloads.netbench": (
+        "IPERF_PORT", "IperfServer", "NetBench", "NetBenchConfig",
+    ),
+    "repro.workloads.sevenzip": (
+        "SevenZipBenchmark", "SevenZipConfig", "SevenZipHostBenchmark",
+    ),
+})
 
 __all__ = [
     "BOINC_PORT",

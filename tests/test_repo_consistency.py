@@ -16,6 +16,11 @@ class TestFigureRegistry:
                        "fig7", "fig8"):
             assert fig_id in FIGURES
 
+    def test_figure_ids_match_the_registry(self):
+        from repro.core.figdata import FIGURE_IDS
+
+        assert tuple(FIGURES) == FIGURE_IDS
+
     def test_registry_ids_match_factory_outputs(self):
         # cheap figures can be generated; the id embedded in the result
         # must match the registry key
@@ -82,6 +87,39 @@ class TestPackageSurface:
             module = importlib.import_module(f"repro.{name}")
             for symbol in getattr(module, "__all__", []):
                 assert hasattr(module, symbol), f"repro.{name}.{symbol}"
+
+    LAZY = ("core", "virt", "hardware", "simcore", "osmodel", "audit",
+            "workloads", "fleet", "calibration", "obs")
+
+    @pytest.mark.parametrize("name", LAZY)
+    def test_lazy_surface_lists_and_resolves_every_export(self, name):
+        import importlib
+
+        module = importlib.import_module(f"repro.{name}")
+        listed = dir(module)
+        for symbol in module.__all__:
+            assert symbol in listed, f"repro.{name}.{symbol}"
+            assert getattr(module, symbol) is not None
+        with pytest.raises(AttributeError,
+                           match=rf"^module 'repro\.{name}' has no "
+                                 r"attribute 'no_such_name'$"):
+            module.no_such_name
+
+    def test_lazy_surface_sees_rebinding_and_restore(self, monkeypatch):
+        import repro.fleet as fleet
+        from repro.fleet import columns
+
+        original = columns.build_fleet_columns
+        assert fleet.build_fleet_columns is original
+
+        def replacement(config):
+            return None
+
+        with monkeypatch.context() as patch:
+            patch.setattr(columns, "build_fleet_columns", replacement)
+            assert fleet.build_fleet_columns is replacement
+        assert fleet.build_fleet_columns is original
+        assert "build_fleet_columns" not in vars(fleet)
 
     def test_every_module_has_docstring(self):
         for path in (ROOT / "src" / "repro").rglob("*.py"):

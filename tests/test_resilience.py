@@ -7,6 +7,7 @@ experiment RNG streams.
 """
 
 import os
+import time
 
 import pytest
 
@@ -31,6 +32,11 @@ def _clean_runlog():
 
 def picklable_measure(seed):
     return {"x": float(seed % 1000), "y": float(seed % 7)}
+
+
+def slow_measure(seed):
+    time.sleep(0.05)  # still running when another worker crashes
+    return picklable_measure(seed)
 
 
 def failing_even_measure(seed):
@@ -63,6 +69,28 @@ class TestByteIdenticalRecovery:
         assert stormy.metrics == baseline.metrics
         assert stormy.dropped == []
         assert RUNLOG.retries > 0
+
+    def test_collateral_crash_spends_no_attempt(self):
+        # Repetition 0 crashes its worker at attempt 0 only; every other
+        # repetition would crash at attempt 1.  The broken pool fails the
+        # repetitions still in flight: they must run again at attempt 0,
+        # not spend their single retry on someone else's crash.
+        plan = FaultPlan(seed=3379).arm("worker.crash", 0.5)
+        assert plan.would_fire("worker.crash", key=0, attempt=0)
+        assert not plan.would_fire("worker.crash", key=0, attempt=1)
+        for rep in range(1, 6):
+            assert not plan.would_fire("worker.crash", key=rep, attempt=0)
+            assert plan.would_fire("worker.crash", key=rep, attempt=1)
+        serial = ParallelRepeater(base_seed=42, reps=6, jobs=1,
+                                  retries=1).run(slow_measure)
+        with injected(plan):
+            stormy = ParallelRepeater(base_seed=42, reps=6, jobs=2,
+                                      retries=1).run(slow_measure)
+        assert stormy.raw == serial.raw
+        assert stormy.metrics == serial.metrics
+        assert stormy.dropped == []
+        assert RUNLOG.retries == 1
+        assert plan.injected["worker.crash"] == 1
 
     def test_transient_storm_recovers_serially(self):
         baseline = Repeater(base_seed=11, reps=4).run(picklable_measure)
