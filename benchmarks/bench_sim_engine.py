@@ -1,7 +1,7 @@
 """Simulator micro-benchmarks: event throughput of the substrate itself.
 
 Not a paper figure — these keep the simulation kernel's performance
-visible so harness slowdowns show up as regressions.  Four workloads,
+visible so harness slowdowns show up as regressions.  Five workloads,
 one per layer:
 
 * ``engine_throughput`` — a 20,000-event timer chain on a bare engine;
@@ -12,11 +12,16 @@ one per layer:
 * ``scheduler_decisions`` — two host compute threads next to an
   idle-priority vCPU and its elevated VMM service thread (the shape of
   the paper's Figs 5-8 host-impact runs): preemption, group preference
-  and boosts on every few decisions.
+  and boosts on every few decisions;
+* ``rng_first_draws`` — the first ``uniform`` of 2,048 fresh named
+  streams (the host 7z's block jitters), scalar (one ``Generator`` per
+  name) against bulk (``RngStreams.first_uniforms`` in the 7z's
+  chunks); it reports draws/s for both.
 
 Under pytest (``pytest benchmarks/bench_sim_engine.py``) each workload is
 timed by pytest-benchmark.  Run as a script it appends one record —
-best-of-N events/s per workload plus scheduler decisions/s — to
+best-of-N events/s per workload plus scheduler decisions/s and first
+draws/s — to
 ``benchmarks/BENCH_sim_engine.json``::
 
     PYTHONPATH=src python benchmarks/bench_sim_engine.py \
@@ -45,6 +50,11 @@ from repro.osmodel.scheduler import Scheduler
 from repro.osmodel.threads import PRIORITY_HIGH, PRIORITY_IDLE, PRIORITY_NORMAL
 from repro.simcore.engine import Engine
 from repro.simcore.rng import RngStreams
+from repro.workloads.sevenzip import (
+    BLOCK_JITTER,
+    JITTER_CHUNK,
+    JITTER_CHUNK_MAX,
+)
 
 RESULTS_PATH = pathlib.Path(__file__).resolve().parent / \
     "BENCH_sim_engine.json"
@@ -140,6 +150,26 @@ def _decision_world(horizon_s: float) -> Scheduler:
     return scheduler
 
 
+#: Fresh stream names per ``rng_first_draws`` run.
+FIRST_DRAWS = 2048
+
+
+def rng_first_draws(bulk: bool) -> list:
+    """First draws of ``FIRST_DRAWS`` fresh 7z block-jitter streams, one
+    ``uniform`` per name, bulk in the host 7z's chunks or name by name."""
+    streams = RngStreams(0)
+    names = [f"7zhost.jit.0.{b}" for b in range(FIRST_DRAWS)]
+    if not bulk:
+        return [streams.uniform(n, -BLOCK_JITTER, BLOCK_JITTER)
+                for n in names]
+    out, chunk = [], JITTER_CHUNK
+    while len(out) < len(names):
+        out += streams.first_uniforms(names[len(out):len(out) + chunk],
+                                      -BLOCK_JITTER, BLOCK_JITTER)
+        chunk = min(2 * chunk, JITTER_CHUNK_MAX)
+    return out
+
+
 WORKLOADS = {
     "engine_throughput": engine_throughput,
     "scheduler_context_switch": scheduler_context_switch,
@@ -184,6 +214,23 @@ def measure(reps: int) -> list:
               f"{run['events_per_s']:10.1f} events/s"
               + (f"  {run['decisions_per_s']:10.1f} decisions/s"
                  if "decisions" in run else ""))
+    # after the engine rounds, so the scalar path's 2,048 generators per
+    # run do not share a round with the layers above
+    draw_walls = {False: [], True: []}
+    for _ in range(reps):
+        for bulk in draw_walls:
+            started = time.perf_counter()
+            rng_first_draws(bulk)
+            draw_walls[bulk].append(time.perf_counter() - started)
+    scalar, bulk = min(draw_walls[False]), min(draw_walls[True])
+    runs.append({"name": "rng_first_draws", "draws": FIRST_DRAWS,
+                 "scalar_wall_s": round(scalar, 4),
+                 "bulk_wall_s": round(bulk, 4),
+                 "scalar_draws_per_s": round(FIRST_DRAWS / scalar, 1),
+                 "bulk_draws_per_s": round(FIRST_DRAWS / bulk, 1)})
+    print(f"{'rng_first_draws':26s} {FIRST_DRAWS:7d} draws   "
+          f"{FIRST_DRAWS / scalar:10.1f} scalar/s  "
+          f"{FIRST_DRAWS / bulk:10.1f} bulk/s")
     return runs
 
 
@@ -199,7 +246,7 @@ def main(argv=None) -> int:
     record = {
         "benchmark": "sim_engine",
         "label": args.label,
-        "workload": "engine/scheduler/TCP micro-benches, "
+        "workload": "engine/scheduler/TCP/RNG micro-benches, "
                     f"best of {args.reps}",
         **cpu_info(),
         "platform": platform.platform(),
@@ -228,6 +275,11 @@ def test_tcp_packet_rate(benchmark):
 @pytest.mark.benchmark(group="simulator")
 def test_scheduler_decision_rate(benchmark):
     assert benchmark(scheduler_decisions).events_processed > 0
+
+
+@pytest.mark.benchmark(group="simulator")
+def test_rng_first_draws_bulk(benchmark):
+    assert benchmark(rng_first_draws, True) == rng_first_draws(False)
 
 
 def test_decision_count_is_deterministic():

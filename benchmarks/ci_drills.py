@@ -260,8 +260,9 @@ def lint_audit():
 def audit_smoke():
     """trace-hash audit (serial vs parallel)"""
     # compute path, host-impact path (priority classes, boosts, group
-    # preference) and packet path (TCP stream through each virtual NIC)
-    for fig_id in ("fig1", "fig5", "fig4"):
+    # preference), packet path (TCP stream through each virtual NIC) and
+    # the host 7z, whose block jitters are drawn in bulk chunks
+    for fig_id in ("fig1", "fig5", "fig4", "fig8"):
         run(repro("audit", fig_id, "--jobs", 4, REPRO_FAST="1"))
     # a tiny window makes some repetitions' results far larger than the
     # rest (82 KB seen); they must cross the pool's result pipe intact

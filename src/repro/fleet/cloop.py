@@ -74,8 +74,8 @@ from repro.fleet._zigdata import (
     WI_NOR,
 )
 from repro.fleet.config import FleetConfig
-from repro.fleet.fastrng import spawn_key_words
 from repro.fleet.host import AVAILABILITY_CEIL, AVAILABILITY_FLOOR
+from repro.simcore.pcg import spawn_key_words
 
 __all__ = ["available", "draw_uniforms", "run_event_loop", "sample_columns"]
 

@@ -43,6 +43,12 @@ BLOCK_BYTES = 1 * MB
 #: dual-thread ceiling through barrier imbalance.
 BLOCK_JITTER = 0.33
 
+#: The host benchmark takes its block jitters in bulk
+#: (:meth:`RngStreams.first_uniforms`), in chunks doubling from
+#: ``JITTER_CHUNK`` to ``JITTER_CHUNK_MAX`` names per thread.
+JITTER_CHUNK = 64
+JITTER_CHUNK_MAX = 512
+
 
 @dataclass
 class SevenZipConfig:
@@ -75,9 +81,6 @@ class SevenZipBenchmark:
     def block_instructions(self, jitter: float) -> float:
         return INSTR_PER_BYTE * self.config.block_bytes * jitter
 
-    def _jitter(self, stream_name: str) -> float:
-        return 1.0 + self.rng.uniform(stream_name, -BLOCK_JITTER, BLOCK_JITTER)
-
     def run(self, ctx: ExecutionContext) -> Generator:
         """Compress ``n_blocks`` blocks; returns a :class:`WorkloadResult`."""
         if self.config.threads != 1:
@@ -87,12 +90,14 @@ class SevenZipBenchmark:
             )
         instr0 = ctx.instructions()
         clock0 = ctx.time()
+        offsets = self.rng.first_uniforms(
+            [f"{self.rng_tag}.block.{b}" for b in range(self.config.n_blocks)],
+            -BLOCK_JITTER, BLOCK_JITTER,
+        )
         t0 = yield from ctx.timestamp()
         total_instr = 0.0
-        for block in range(self.config.n_blocks):
-            instr = self.block_instructions(
-                self._jitter(f"{self.rng_tag}.block.{block}")
-            )
+        for offset in offsets:
+            instr = self.block_instructions(1.0 + offset)
             total_instr += instr
             yield from ctx.compute(instr, MIX_SEVENZIP)
         t1 = yield from ctx.timestamp()
@@ -118,6 +123,13 @@ class SevenZipHostBenchmark:
 
     Spawns ``-mmt`` OS threads on the given kernel, measures over a fixed
     wall duration, and reports the 7z metrics (usage %, MIPS).
+
+    Block ``b`` of thread ``i`` draws its jitter from the stream
+    ``{rng_tag}.jit.{i}.{b}``.  The workers take these first draws ahead
+    in chunks, so names past the deadline are drawn but never read; a
+    run therefore wants streams of its own (callers pass
+    ``rng.fork(...)``), as a second run on the same streams and tag
+    would continue those names from their second draw.
     """
 
     name = "7z-host"
@@ -153,12 +165,18 @@ class SevenZipHostBenchmark:
         closing = [False]
 
         def worker(index: int, ctx: ExecutionContext) -> Generator:
+            offsets: List[float] = []
+            chunk = JITTER_CHUNK
             block = 0
             while self.engine.now < deadline:
-                jitter = 1.0 + self.rng.uniform(
-                    f"{self.rng_tag}.jit.{index}.{block}",
-                    -BLOCK_JITTER, BLOCK_JITTER,
-                )
+                if block == len(offsets):
+                    offsets += self.rng.first_uniforms(
+                        [f"{self.rng_tag}.jit.{index}.{b}"
+                         for b in range(block, block + chunk)],
+                        -BLOCK_JITTER, BLOCK_JITTER,
+                    )
+                    chunk = min(2 * chunk, JITTER_CHUNK_MAX)
+                jitter = 1.0 + offsets[block]
                 yield from ctx.compute(
                     INSTR_PER_BYTE * BLOCK_BYTES / 4 * jitter, MIX_SEVENZIP
                 )
