@@ -12,7 +12,9 @@ one per layer:
 * ``scheduler_decisions`` — two host compute threads next to an
   idle-priority vCPU and its elevated VMM service thread (the shape of
   the paper's Figs 5-8 host-impact runs): preemption, group preference
-  and boosts on every few decisions;
+  and boosts on every few decisions.  It runs on the compiled decision
+  pass (the default when the kernel library loads) and, in the same
+  rounds, on the Python pass; it reports decisions/s for both;
 * ``rng_first_draws`` — the first ``uniform`` of 2,048 fresh named
   streams (the host 7z's block jitters), scalar (one ``Generator`` per
   name) against bulk (``RngStreams.first_uniforms`` in the 7z's
@@ -37,6 +39,7 @@ import pathlib
 import platform
 import statistics
 import time
+from unittest import mock
 
 import pytest
 
@@ -46,7 +49,8 @@ from repro.hardware.cpu import MIX_SEVENZIP, MIX_VMM_SERVICE
 from repro.hardware.machine import Machine
 from repro.hardware.specs import core2duo_e6600
 from repro.osmodel.kernel import Kernel
-from repro.osmodel.scheduler import Scheduler
+import repro.osmodel.scheduler as scheduler_module
+from repro.osmodel.scheduler import Scheduler, decision_pass
 from repro.osmodel.threads import PRIORITY_HIGH, PRIORITY_IDLE, PRIORITY_NORMAL
 from repro.simcore.engine import Engine
 from repro.simcore.rng import RngStreams
@@ -124,11 +128,18 @@ def scheduler_decisions(horizon_s: float = 5.0):
     return _decision_world(horizon_s).engine
 
 
-def _decision_world(horizon_s: float) -> Scheduler:
-    """Run the ``scheduler_decisions`` world; returns its scheduler."""
+def _decision_world(horizon_s: float, python_pass: bool = False
+                    ) -> Scheduler:
+    """Run the ``scheduler_decisions`` world; returns its scheduler.
+    ``python_pass`` runs it on the Python decision pass."""
     engine = Engine()
     machine = Machine(engine, core2duo_e6600("bench"), RngStreams(0))
-    scheduler = Scheduler(engine, machine)
+    if python_pass:
+        with mock.patch.object(scheduler_module, "_compiled_pass",
+                               lambda: None):
+            scheduler = Scheduler(engine, machine)
+    else:
+        scheduler = Scheduler(engine, machine)
 
     def compute(thread, cycles):
         while True:
@@ -178,10 +189,10 @@ WORKLOADS = {
 }
 
 
-def count_decisions() -> int:
+def count_decisions(python_pass: bool = False) -> int:
     """Decision passes (placements) of one ``scheduler_decisions`` run,
     as the scheduler counts them."""
-    return _decision_world(5.0).decisions
+    return _decision_world(5.0, python_pass).decisions
 
 
 def measure(reps: int) -> list:
@@ -193,6 +204,7 @@ def measure(reps: int) -> list:
     estimator for CPU-bound micro-benchmarks under outside noise.
     """
     walls = {name: [] for name in WORKLOADS}
+    python_walls = []
     events = {}
     for _ in range(reps):
         for name, workload in WORKLOADS.items():
@@ -200,6 +212,9 @@ def measure(reps: int) -> list:
             engine = workload()
             walls[name].append(time.perf_counter() - started)
             events[name] = engine.events_processed
+        started = time.perf_counter()
+        _decision_world(5.0, python_pass=True)
+        python_walls.append(time.perf_counter() - started)
     runs = []
     for name in WORKLOADS:
         wall = min(walls[name])
@@ -207,13 +222,20 @@ def measure(reps: int) -> list:
                "wall_s": round(wall, 4),
                "events_per_s": round(events[name] / wall, 1)}
         if name == "scheduler_decisions":
+            python_wall = min(python_walls)
+            run["decision_pass"] = decision_pass()
             run["decisions"] = count_decisions()
             run["decisions_per_s"] = round(run["decisions"] / wall, 1)
+            run["python_wall_s"] = round(python_wall, 4)
+            run["python_decisions_per_s"] = round(
+                count_decisions(python_pass=True) / python_wall, 1)
         runs.append(run)
         print(f"{name:26s} {events[name]:7d} events  {wall:7.4f} s  "
               f"{run['events_per_s']:10.1f} events/s"
-              + (f"  {run['decisions_per_s']:10.1f} decisions/s"
-                 if "decisions" in run else ""))
+              + (f"  {run['decisions_per_s']:10.1f} decisions/s "
+                 f"({run['decision_pass']}), "
+                 f"{run['python_decisions_per_s']:10.1f} on the Python "
+                 "pass" if "decisions" in run else ""))
     # after the engine rounds, so the scalar path's 2,048 generators per
     # run do not share a round with the layers above
     draw_walls = {False: [], True: []}
@@ -284,6 +306,10 @@ def test_rng_first_draws_bulk(benchmark):
 
 def test_decision_count_is_deterministic():
     assert count_decisions() == count_decisions() > 1000
+
+
+def test_both_passes_count_the_same_decisions():
+    assert count_decisions(python_pass=True) == count_decisions()
 
 
 def test_decision_count_matches_the_trajectory():

@@ -1,15 +1,15 @@
-"""Run the fleet kernel suites against a sanitised build of ``_cloop.c``.
+"""Run the kernel suites against a sanitised build of the kernel library.
 
-Compiles the kernel library with AddressSanitizer and
-UndefinedBehaviorSanitizer (``-O1 -g -fsanitize=address,undefined
--fno-sanitize-recover=undefined``) through the test-only ``flags``
-argument of :func:`repro.fleet.cloop._compile`, then runs the kernel
-suites in a subprocess that preloads the compiler's ``libasan`` and
-``libubsan`` and loads that build instead of the production one.  An
-out-of-bounds access, a use after free or undefined behaviour in any
-entry point (event loop, column sampler or fault-draw batch, whose
-over-long payloads must be refused before they reach its fixed stack
-buffer) aborts the run.
+Compiles the kernel library (``fleet/_cloop.c`` and ``osmodel/_sched.c``)
+with AddressSanitizer and UndefinedBehaviorSanitizer (``-O1 -g
+-fsanitize=address,undefined -fno-sanitize-recover=undefined``) through
+the ``flags`` argument of :func:`repro.ckernel.compile_library`, then
+runs the kernel suites in a subprocess that preloads the compiler's
+``libasan`` and ``libubsan`` and loads that build instead of the
+production one.  An out-of-bounds access, a use after free or undefined
+behaviour in any entry point (event loop, column sampler, fault-draw
+batch, whose over-long payloads must be refused before they reach its
+fixed stack buffer, or the scheduler's decision pass) aborts the run.
 
 Exit status 0 when every suite passes on the sanitised build, non-zero
 otherwise (also when no compiler or sanitiser runtime is found: this is
@@ -25,7 +25,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.fleet import cloop
+from repro import ckernel
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,22 +35,23 @@ SANITIZE_FLAGS = ("-O1", "-g", "-fsanitize=address,undefined",
 SUITES = ("tests/test_fleet_fastloop.py",
           "tests/property/test_prop_fleet_equiv.py",
           "tests/property/test_prop_fleet_sampler.py",
-          "tests/property/test_prop_fault_draws.py")
+          "tests/property/test_prop_fault_draws.py",
+          "tests/property/test_prop_scheduler_equiv.py",
+          "tests/property/test_prop_scheduler_passes.py")
 
-# Runs inside the sanitised subprocess: every later _compile() call made
-# without explicit flags (the one _load makes) returns the sanitised
-# build, then pytest runs the suites against it.
+# Runs inside the sanitised subprocess: every later compile made without
+# explicit flags (the one the shared driver's load() makes) returns the
+# sanitised build, then pytest runs the suites against it.
 BOOTSTRAP = """
-import functools
 import sys
 
 import pytest
 
-from repro.fleet import cloop
+from repro import ckernel
 
-cloop._compile = functools.partial(cloop._compile, flags={flags!r})
-assert cloop.available(), "the sanitised kernel failed to load"
-print("sanitised kernel:", cloop._compile(), flush=True)
+ckernel.OPT_FLAGS = {flags!r}
+assert ckernel.available(), "the sanitised kernel failed to load"
+print("sanitised kernel:", ckernel.compile_library(), flush=True)
 sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", "--capture=sys",
                       *{suites!r}]))
 """
@@ -73,7 +74,7 @@ def main(argv=None) -> int:
     cc = shutil.which("gcc") or shutil.which("cc")
     if cc is None:
         raise SystemExit("no C compiler on PATH")
-    if cloop._compile(flags=SANITIZE_FLAGS) is None:
+    if ckernel.compile_library(flags=SANITIZE_FLAGS) is None:
         raise SystemExit("the sanitised kernel build failed")
     env = dict(os.environ)
     env["LD_PRELOAD"] = ":".join(

@@ -441,6 +441,16 @@ def _audit_section(thash_snapshot: Dict[str, Any]) -> Dict[str, Any]:
     }}
 
 
+def _execution_section() -> Dict[str, Any]:
+    """Which paths a figure run took: the OS scheduler's decision pass
+    (``"compiled"`` in the kernel library or ``"python"``; every
+    process of one run loads the same library, so the parent's answer
+    is its workers')."""
+    from repro.osmodel.scheduler import decision_pass
+
+    return {"decision_pass": decision_pass()}
+
+
 def build_manifest(command: str, config: RunConfig,
                    phases: List[Dict[str, Any]],
                    snapshot: Dict[str, Any],
@@ -451,7 +461,8 @@ def build_manifest(command: str, config: RunConfig,
                    faults: Optional[Dict[str, Any]] = None,
                    audit: Optional[Dict[str, Any]] = None,
                    mem: Optional[Dict[str, Any]] = None,
-                   recovery: Optional[Dict[str, Any]] = None
+                   recovery: Optional[Dict[str, Any]] = None,
+                   execution: Optional[Dict[str, Any]] = None
                    ) -> Dict[str, Any]:
     """Assemble a schema-valid run manifest (shared by figures/sweeps)."""
     import platform
@@ -491,6 +502,8 @@ def build_manifest(command: str, config: RunConfig,
         manifest["mem"] = mem
     if recovery is not None:
         manifest["recovery"] = recovery
+    if execution is not None:
+        manifest["execution"] = execution
     return manifest
 
 
@@ -566,6 +579,7 @@ def _run_figure(fig_id: str, config: Optional[RunConfig] = None,
             audit=_audit_section(thash_snapshot)
             if thash_snapshot is not None else None,
             mem=_mem_section(snapshot),
+            execution=_execution_section(),
         )
         manifest_path = str(write_manifest(manifest, config.runs_dir))
         phases.append({"name": "emit-manifest",

@@ -1,4 +1,6 @@
-/* The compiled fleet kernels, built on first use by cloop.py.
+/* The compiled fleet kernels, driven by cloop.py.  repro/ckernel.py
+ * builds this file and osmodel/_sched.c (the OS scheduler's decision
+ * pass) into one library on first use.
  *
  * Three entry points share this file and its PCG64 and SHA-256
  * primitives:

@@ -1,6 +1,10 @@
-"""Compile-on-first-use ctypes driver for the compiled fleet kernels.
+"""ctypes driver for the compiled fleet kernels.
 
-``_cloop.c`` holds three entry points that share one ``.so``:
+The fleet's kernels live in ``_cloop.c``, one translation unit of the
+kernel library that :mod:`repro.ckernel` compiles and loads once per
+process; the library's other unit, ``osmodel/_sched.c``, is the OS
+scheduler's decision pass (driven by :mod:`repro.osmodel.scheduler`).
+``_cloop.c`` holds the fleet's three entry points:
 
 * the **host-column sampler** (:func:`sample_columns`), the compiled
   twin of the numpy build in :mod:`repro.fleet.columns`: per host, in
@@ -28,10 +32,10 @@
   the event loop: it decides nothing, tallies nothing, and the storm
   loop that consults the masks stays in Python.
 
-This module compiles the source with the system C compiler on first use
-(cached in the temp directory, keyed by a hash of the source and the
-compiler flags), loads it through :mod:`ctypes`, and drives the
-pause/resume protocol: a kernel returns to Python whenever a growable
+This module declares the fleet entry points on the shared library
+(:func:`repro.ckernel.load`: built with the system C compiler on first
+use, cached in the temp directory under a hash of the sources and the
+compiler flags) and drives the pause/resume protocol: a kernel returns to Python whenever a growable
 buffer would overflow, the driver grows the numpy buffer and resumes.
 It grows by copying into a fresh ``np.empty`` (:func:`_grow`), never
 with ``ndarray.resize``, which zero-fills the new tail and so makes the
@@ -52,16 +56,11 @@ No compiler, a failed compile (including a compiler without
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
-from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import ckernel
 from repro.fleet._zigdata import (
     EXP_R,
     FE_EXP,
@@ -78,8 +77,6 @@ from repro.fleet.host import AVAILABILITY_CEIL, AVAILABILITY_FLOOR
 from repro.simcore.pcg import spawn_key_words
 
 __all__ = ["available", "draw_uniforms", "run_event_loop", "sample_columns"]
-
-_SRC = Path(__file__).with_name("_cloop.c")
 
 _ST_DONE = 0
 _ST_GROW_HEAP = 1
@@ -195,75 +192,40 @@ _ZIG = {"ki_nor": np.array(KI_NOR, dtype=np.uint64),
         "we_exp": np.array(WE_EXP, dtype=np.float64),
         "fe_exp": np.array(FE_EXP, dtype=np.float64)}
 
-#: Optimisation flags of the production build.
-_OPT_FLAGS = ("-O2",)
-
 _lib: Optional[ctypes.CDLL] = None
 _tried = False
 
 
-def _compile(flags: Sequence[str] = _OPT_FLAGS) -> Optional[str]:
+def _compile(flags: Optional[Sequence[str]] = None) -> Optional[str]:
     """Build (or reuse) the kernel library; its path, or ``None``.
 
-    ``flags`` replaces the optimisation flags, for test builds such as a
-    sanitised one; the ``.so`` name hashes them with the source, so each
-    flag set gets its own cached library.
+    The shared driver's :func:`repro.ckernel.compile_library`: ``flags``
+    replaces the optimisation flags for test builds, and each flag set
+    gets its own cached library.
     """
-    cc = shutil.which("gcc") or shutil.which("cc")
-    if cc is None:
-        return None
-    source = _SRC.read_bytes()
-    digest = hashlib.sha256(
-        source + "\0".join(flags).encode()).hexdigest()[:16]
-    tag = getattr(os, "getuid", lambda: 0)()
-    so_path = os.path.join(
-        tempfile.gettempdir(), f"repro_cloop_{digest}_{tag}.so")
-    if os.path.exists(so_path):
-        return so_path
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=tempfile.gettempdir())
-    os.close(fd)
-    try:
-        # -ffp-contract=off: no FMA contraction, so every double op
-        # rounds exactly as CPython's interpreter does (SSE2 doubles)
-        result = subprocess.run(
-            [cc, *flags, "-fPIC", "-shared", "-ffp-contract=off",
-             "-o", tmp, str(_SRC), "-lm"],
-            capture_output=True, timeout=120)
-        if result.returncode != 0:
-            os.unlink(tmp)
-            return None
-        os.replace(tmp, so_path)
-    except (OSError, subprocess.SubprocessError):
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        return None
-    return so_path
+    return ckernel.compile_library(flags)
 
 
 def _load() -> Optional[ctypes.CDLL]:
+    """The process's kernel library with the fleet entry points
+    declared, or ``None`` (the shared driver loads it once)."""
     global _lib, _tried
     if _tried:
         return _lib
     _tried = True
-    # a kill switch, not run policy: the fallback loop is byte-identical,
-    # so this only ever changes speed
-    if os.environ.get("REPRO_NO_CLOOP"):  # repro: allow-env-read
-        return None
-    so_path = _compile()
-    if so_path is None:
-        return None
-    try:
-        _lib = _open(so_path)
-    except OSError:
-        return None
+    lib = ckernel.load()
+    if lib is not None:
+        _lib = _declare(lib)
     return _lib
 
 
 def _open(so_path: str) -> ctypes.CDLL:
-    """Load a kernel library and declare its entry points."""
-    lib = ctypes.CDLL(so_path)
+    """Load a kernel library build and declare its fleet entry points."""
+    return _declare(ckernel.open_library(so_path))
+
+
+def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
+    """Declare the fleet entry points of a loaded kernel library."""
     lib.fleet_run.argtypes = [ctypes.POINTER(_FleetCtx)]
     lib.fleet_run.restype = ctypes.c_int
     lib.fleet_sample.argtypes = [ctypes.POINTER(_SampleCtx)]

@@ -20,20 +20,35 @@ enough to validate with property tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import ctypes
 from typing import Dict, Iterable, Sequence
 
 from repro.hardware.cpu import InstructionMix
 from repro.obs.metrics import METRICS
 
 
-@dataclass
-class CacheStats:
-    """Aggregate contention bookkeeping for reporting and tests."""
+class CacheStats(ctypes.Structure):
+    """Aggregate contention bookkeeping for reporting and tests.
 
-    contended_seconds: float = 0.0
-    solo_seconds: float = 0.0
-    worst_factor: float = 1.0
+    A C record (``L2Stats`` in ``osmodel/_sched.c``): the compiled
+    scheduler pass updates it in place as the Python one does through
+    :meth:`observe`.
+    """
+
+    _fields_ = [("contended_seconds", ctypes.c_double),
+                ("solo_seconds", ctypes.c_double),
+                ("worst_factor", ctypes.c_double)]
+
+    def __init__(self, contended_seconds: float = 0.0,
+                 solo_seconds: float = 0.0, worst_factor: float = 1.0):
+        super().__init__(contended_seconds, solo_seconds, worst_factor)
+
+    def astuple(self) -> tuple:
+        return (self.contended_seconds, self.solo_seconds, self.worst_factor)
+
+    def __repr__(self) -> str:
+        return ("CacheStats(contended_seconds={!r}, solo_seconds={!r}, "
+                "worst_factor={!r})".format(*self.astuple()))
 
     def observe(self, factor: float, dt: float) -> None:
         if factor < 1.0:
@@ -54,7 +69,11 @@ class SharedL2Model:
 
     def factor(self, own: InstructionMix, others: Iterable[InstructionMix]) -> float:
         """Throughput factor in (0, 1] for ``own`` next to ``others``."""
-        pressure = sum(mix.l2_pressure for mix in others)
+        # a left fold from 0.0, as the compiled scheduler pass sums it
+        # (``sum`` compensates float sums on CPython >= 3.12)
+        pressure = 0.0
+        for mix in others:
+            pressure += mix.l2_pressure
         return 1.0 / (1.0 + self.coeff * own.l2_sensitivity * pressure)
 
     def factors(self, per_core: Sequence[InstructionMix | None]) -> Dict[int, float]:
@@ -75,9 +94,15 @@ class SharedL2Model:
     def observe(self, factor: float, dt: float) -> None:
         self.stats.observe(factor, dt)
         if METRICS.enabled:
-            if factor < 1.0:
-                METRICS.inc("hw.l2.contended_s", dt)
-                # stall share: fraction of the interval lost to contention
-                METRICS.inc("hw.l2.contention_stall_s", (1.0 - factor) * dt)
-            else:
-                METRICS.inc("hw.l2.solo_s", dt)
+            observe_metrics(factor, dt)
+
+
+def observe_metrics(factor: float, dt: float) -> None:
+    """The ``hw.l2.*`` metrics of one :meth:`SharedL2Model.observe`
+    (the compiled scheduler pass replays them through this)."""
+    if factor < 1.0:
+        METRICS.inc("hw.l2.contended_s", dt)
+        # stall share: fraction of the interval lost to contention
+        METRICS.inc("hw.l2.contention_stall_s", (1.0 - factor) * dt)
+    else:
+        METRICS.inc("hw.l2.solo_s", dt)

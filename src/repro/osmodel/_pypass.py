@@ -1,0 +1,336 @@
+"""The scheduler's Python decision pass: the fallback of ``_sched.c``.
+
+:class:`repro.osmodel.scheduler.Scheduler` runs these functions when
+the kernel library is unavailable (no compiler, a failed build, or
+``REPRO_NO_CLOOP=1``); they read and write the same C records as the
+compiled pass and produce the same bits, and the module is imported
+only then.  The pass is written for constant per-decision cost: states
+are compared as record codes, the machine frequency is read once, and
+``freq * l2_factor`` per placement comes from a table memoised on the
+tuple of on-core instruction mixes (the paging factor still multiplies
+in on every decision).  Every float expression keeps the operand order
+of the plain formulas — ``(freq * factor) * paging`` — and ``min`` /
+``max`` are spelled as the comparisons the builtins make.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, List
+
+from repro.errors import SchedulerError
+from repro.hardware.cpu import InstructionMix
+from repro.obs.metrics import METRICS
+from repro.osmodel.scheduler import (_BLOCKED, _CYCLE_EPSILON, _DONE,
+                                     _READY, _RUNNING, _TIME_EPSILON)
+from repro.osmodel.threads import PRIORITY_REALTIME, SimThread
+from repro.simcore.events import SimEvent
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.osmodel.scheduler import Scheduler
+
+
+def _priority_order(thread: SimThread):
+    """Scheduler ordering: higher effective priority first (a boosted
+    thread sits at the realtime ceiling), then FIFO within a level
+    (``rr_seq`` is the round-robin counter)."""
+    if thread.boost_cpu_remaining > 0.0:
+        return (-PRIORITY_REALTIME, thread.rr_seq)
+    return (-thread.base_priority, thread.rr_seq)
+
+
+def submit(sched: "Scheduler", thread: SimThread, cycles: float,
+           mix: InstructionMix) -> SimEvent:
+    """:meth:`Scheduler.submit` on the Python pass."""
+    state = thread._state
+    if state == _DONE:
+        raise SchedulerError(f"thread {thread.name!r} has exited")
+    if state != _BLOCKED:
+        raise SchedulerError(
+            f"thread {thread.name!r} already has an outstanding segment"
+        )
+    if cycles < 0:
+        raise SchedulerError(f"negative cycle demand: {cycles}")
+    charge(sched)
+    engine = sched.engine
+    completion = SimEvent(engine)
+    if cycles <= _CYCLE_EPSILON:
+        completion.succeed(None)
+        return completion
+    ctx = sched._ctx
+    thread.mix = mix
+    thread.remaining_cycles = float(cycles)
+    thread.completion = completion
+    thread._state = _READY
+    thread.ready_since = engine._now
+    ctx.rr_counter += 1
+    thread.rr_seq = ctx.rr_counter
+    thread.quantum_used = 0.0
+    decide(sched)
+    return completion
+
+
+def exit_thread(sched: "Scheduler", thread: SimThread) -> None:
+    """:meth:`Scheduler.exit_thread` on the Python pass (the thread is
+    not DONE)."""
+    charge(sched)
+    if thread._state == _RUNNING:
+        _evict(sched, thread)
+    thread._state = _DONE
+    thread.remaining_cycles = 0.0
+    decide(sched)
+
+
+def charge(sched: "Scheduler") -> None:
+    """Account CPU progress since the last decision point."""
+    ctx = sched._ctx
+    now = sched.engine._now
+    dt = now - ctx.last_update
+    ctx.last_update = now
+    if dt <= 0:
+        return
+    frequency = sched._frequency
+    l2 = sched.machine.l2
+    threads = sched.threads
+    for core in sched.cores:
+        slot = core._thread
+        if slot < 0:
+            continue
+        thread = threads[slot]
+        speed = core.speed
+        cycles = speed * dt
+        remaining = thread.remaining_cycles
+        if remaining < cycles:
+            cycles = remaining
+        thread.remaining_cycles = remaining - cycles
+        thread.cycles_retired += cycles
+        thread.instructions_retired += cycles / thread.mix.cpi
+        thread.cpu_seconds += dt
+        thread.quantum_used += dt
+        thread.last_ran_at = now
+        core.busy_seconds += dt
+        boost_left = thread.boost_cpu_remaining
+        if boost_left > 0.0:
+            boost_left = boost_left - dt
+            thread.boost_cpu_remaining = (
+                boost_left if boost_left > 0.0 else 0.0)
+        l2.observe(speed / frequency if speed else 1.0, dt)
+
+
+def decide(sched: "Scheduler") -> None:
+    """One pass in one frame (only evictions and group-preference swaps
+    call out): *finish* (retire segments that are done, in spawn order),
+    *place* (the ``n_cores`` most urgent runnable threads), *price* (each
+    core's speed) and *tick* (arm the next decision).  A completion may
+    resume a process that submits again; that re-entry only marks the
+    context dirty and the pass restarts from *finish* with fresh state.
+    """
+    ctx = sched._ctx
+    if ctx.in_decide:
+        ctx.dirty = 1
+        return
+    ctx.in_decide = 1
+    engine = sched.engine
+    threads = sched.threads
+    cores = sched.cores
+    n_cores = len(cores)
+    try:
+        while True:
+            ctx.dirty = 0
+            # -- finish, collecting the runnable threads in the same
+            # spawn-order scan.  The list may grow while a completion
+            # resumes a process that spawns (new threads are BLOCKED).
+            runnable = []
+            for thread in threads:
+                state = thread._state
+                if state != _READY and state != _RUNNING:
+                    continue
+                if not thread.remaining_cycles <= _CYCLE_EPSILON:
+                    runnable.append(thread)
+                    continue
+                if state == _RUNNING:
+                    _evict(sched, thread)
+                thread._state = _BLOCKED
+                thread.remaining_cycles = 0.0
+                thread.segments_completed += 1
+                trace = engine.trace
+                if trace.enabled:
+                    trace.record(
+                        "sched.segment_done", time=engine._now,
+                        thread=thread.name,
+                        segments=thread.segments_completed,
+                    )
+                completion, thread.completion = thread.completion, None
+                if completion is not None and not completion._triggered:
+                    # may synchronously resume a process that submits
+                    # again; re-entrancy is absorbed by the dirty flag.
+                    completion.succeed(None)
+            if ctx.dirty:
+                # Only submit/exit_thread change a thread's state, and
+                # both mark the pass dirty: a clean pass's runnable list
+                # is current.
+                continue
+            ctx.decisions += 1
+            # -- place.  Running threads that burnt their quantum rotate
+            # behind same-priority peers (round robin); after every
+            # completion, so re-entrant submits number first.
+            quantum_spent = sched.quantum - _TIME_EPSILON
+            for thread in runnable:
+                if (thread._state == _RUNNING
+                        and thread.quantum_used >= quantum_spent):
+                    ctx.rr_counter += 1
+                    thread.rr_seq = ctx.rr_counter
+                    thread.quantum_used = 0.0
+            n_runnable = len(runnable)
+            if n_runnable > 1:
+                runnable.sort(key=_priority_order)
+            now = engine._now
+            if n_runnable > n_cores:
+                chosen = runnable[:n_cores]
+                _apply_group_preference(chosen, runnable[n_cores:])
+                runnable = chosen
+                # Demote running threads that lost their slot (``in`` is
+                # an identity test: threads define no equality).  With
+                # no more runnable threads than cores every one keeps its
+                # core, so the scan is skipped.
+                for core in cores:
+                    slot = core._thread
+                    if slot < 0:
+                        continue
+                    thread = threads[slot]
+                    if thread not in chosen:
+                        thread._state = _READY
+                        thread.ready_since = now
+                        core._thread = -1
+                        core.speed = 0.0
+                        if METRICS.enabled:
+                            METRICS.inc("sched.preemptions")
+            # Keep already-placed winners on their cores; fill the rest
+            # in priority order.  A thread is RUNNING exactly while it
+            # holds a core.
+            pending = []
+            for thread in runnable:
+                if thread._state != _RUNNING:
+                    pending.append(thread)
+            if pending:
+                trace = engine.trace
+                for core in cores:
+                    if core._thread < 0 and pending:
+                        thread = pending.pop(0)
+                        core._thread = thread._slot
+                        thread._state = _RUNNING
+                        if METRICS.enabled:
+                            # Simulated-time runqueue wait.
+                            METRICS.inc("sched.context_switches")
+                            METRICS.observe("sched.runqueue_wait_s",
+                                            now - thread.ready_since)
+                        if trace.enabled:
+                            trace.record(
+                                "sched.place", time=now,
+                                core=core.index, thread=thread.name,
+                                priority=thread.effective_priority,
+                            )
+            # -- price: freq * L2 factor per placement from the table,
+            # times the paging factor, as (freq * factor) * paging.
+            placed = []
+            mixes = []
+            for core in cores:
+                slot = core._thread
+                thread = None if slot < 0 else threads[slot]
+                placed.append(thread)
+                mixes.append(None if thread is None else thread.mix)
+            mixes = tuple(mixes)
+            base = sched._speed_table.get(mixes)
+            if base is None:
+                factors = sched.machine.l2.factors(mixes)
+                frequency = sched._frequency
+                base = tuple([frequency * factors[index]
+                              if mix is not None else 0.0
+                              for index, mix in enumerate(mixes)])
+                sched._speed_table[mixes] = base
+            memory = sched._memory
+            paging = memory._paging
+            if paging is None:
+                paging = memory.paging_penalty_factor()
+            # -- tick: min over busy cores of (completion, quantum left
+            # >= eps, boost left >= eps), spelled as the comparisons
+            # min()/max() perform.
+            quantum = sched.quantum
+            next_dt = None
+            for core, thread, speed in zip(cores, placed, base):
+                if thread is None:
+                    core.speed = 0.0
+                    continue
+                speed = speed * paging
+                core.speed = speed
+                if speed <= 0:
+                    continue
+                dt = thread.remaining_cycles / speed
+                quantum_dt = quantum - thread.quantum_used
+                if _TIME_EPSILON > quantum_dt:
+                    quantum_dt = _TIME_EPSILON
+                if quantum_dt < dt:
+                    dt = quantum_dt
+                boost_dt = thread.boost_cpu_remaining
+                if boost_dt > 0.0:
+                    if _TIME_EPSILON > boost_dt:
+                        boost_dt = _TIME_EPSILON
+                    if boost_dt < dt:
+                        dt = boost_dt
+                if next_dt is None or dt < next_dt:
+                    next_dt = dt
+            handle = sched._tick_handle
+            if handle is not None:
+                handle.cancel()
+                sched._tick_handle = None
+            if next_dt is not None:
+                if _TIME_EPSILON > next_dt:
+                    next_dt = _TIME_EPSILON
+                sched._tick_handle = engine.schedule(next_dt,
+                                                     sched._on_tick)
+            if not ctx.dirty:
+                break
+    finally:
+        ctx.in_decide = 0
+
+
+def _evict(sched: "Scheduler", thread: SimThread) -> None:
+    slot = thread._slot
+    for core in sched.cores:
+        if core._thread == slot:
+            core._thread = -1
+            core.speed = 0.0
+            return
+    raise SchedulerError(f"thread {thread.name!r} not on any core")
+
+
+def _apply_group_preference(chosen: List[SimThread],
+                            rejected: List[SimThread]) -> None:
+    """Prefer displacing a thread that shares an affinity group with a
+    higher-priority chosen thread (VMM service work interrupts its own
+    VM's vCPU, not foreign processes).
+
+    Swaps equal-priority candidates only, so strict priority order is
+    never violated.
+    """
+    if not rejected:
+        return
+    for index, loser_candidate in enumerate(chosen):
+        group = loser_candidate.group
+        if group is None:
+            continue
+        # does a *different* chosen thread with higher priority share
+        # this group?  (i.e. this VM already holds a core for service)
+        priority = loser_candidate.effective_priority
+        for other in chosen:
+            if (other is not loser_candidate and other.group == group
+                    and other.effective_priority > priority):
+                break
+        else:
+            continue
+        for substitute in rejected:
+            if (substitute.effective_priority
+                    == loser_candidate.effective_priority
+                    and substitute.group != group):
+                chosen[index] = substitute
+                rejected.remove(substitute)
+                break

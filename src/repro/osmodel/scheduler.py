@@ -19,39 +19,67 @@ with an instruction mix; returns a completion event) and blocked phases
 (I/O, sync).  Between scheduling decisions every running thread retires
 cycles at a constant rate, so charging elapsed time at each decision point
 is exact, not approximate.
+
+The decision pass has two encodings over one state.  Threads, cores, the
+scheduler's counters and the L2 statistics are C records (ctypes
+structures; see ``osmodel/_sched.c``).  The kernel library of
+:mod:`repro.ckernel` carries a compiled pass over them, entered once per
+``submit``, tick, ``exit_thread``, charge or balance-set pass; without
+the library (no compiler, or ``REPRO_NO_CLOOP=1``) the Python pass below
+runs over the same records and produces the same bits.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro import ckernel
 from repro.errors import SchedulerError
+from repro.hardware.cache import SharedL2Model, observe_metrics
 from repro.hardware.cpu import InstructionMix
 from repro.hardware.machine import Machine
 from repro.obs.metrics import METRICS
-from repro.osmodel.threads import (PRIORITY_REALTIME, OsProcess, SimThread,
-                                   ThreadState)
+from repro.osmodel.threads import STATE_CODES, OsProcess, SimThread, ThreadState
 from repro.simcore.engine import Engine
 from repro.simcore.events import EventHandle, SimEvent
 
+# Shared with the Python pass (_pypass) and, as literals, _sched.c.
 _CYCLE_EPSILON = 0.5       # segments within half a cycle count as finished
 _TIME_EPSILON = 1e-9
 
-# Thread states tested by identity on the hot path (no property calls).
-BLOCKED = ThreadState.BLOCKED
-READY = ThreadState.READY
-RUNNING = ThreadState.RUNNING
-DONE = ThreadState.DONE
+# Record state codes, compared on the hot path (no property calls).
+_BLOCKED = STATE_CODES[ThreadState.BLOCKED]
+_READY = STATE_CODES[ThreadState.READY]
+_RUNNING = STATE_CODES[ThreadState.RUNNING]
+_DONE = STATE_CODES[ThreadState.DONE]
 
+# Statuses of the compiled pass (the SCH_* values of _sched.c); a
+# status >= 0 is the slot of a thread whose segment just finished.
+_SCH_TICK = -1
+_SCH_IDLE = -2
+_SCH_QUIET = -3
+_SCH_INSTANT = -4
+_SCH_EXITED = -5
+_SCH_BUSY = -6
+_SCH_NEGATIVE = -7
+_SCH_NO_CORE = -8
 
-def _priority_order(thread: SimThread):
-    """Scheduler ordering: higher effective priority first (a boosted
-    thread sits at the realtime ceiling), then FIFO within a level
-    (``rr_seq`` is the round-robin counter)."""
-    if thread.boost_cpu_remaining > 0.0:
-        return (-PRIORITY_REALTIME, thread.rr_seq)
-    return (-thread.base_priority, thread.rr_seq)
+# Kinds of the compiled pass's observation log (LOG_* in _sched.c).
+_LOG_L2 = 0
+_LOG_SEGMENT = 1
+_LOG_PREEMPT = 2
+
+# Slots of the context's leading fields as doubles / int64s.
+_NOW, _PAGING, _OBSERVE, _CYCLES, _MIX, _NEXT_DT = range(6)
+
+#: Mix table columns: the fields the pass reads of an InstructionMix.
+_MIX_FIELDS = ("cpi", "l2_pressure", "l2_sensitivity")
+
+_D = ctypes.c_double
+_I = ctypes.c_int64
+_P = ctypes.c_void_p
 
 
 @dataclass(frozen=True)
@@ -64,14 +92,73 @@ class BoostPolicy:
     boost_cpu: float = 0.04            # seconds of CPU granted at prio 15
 
 
-@dataclass
-class CoreState:
-    """Per-core occupancy bookkeeping."""
+class CoreState(ctypes.Structure):
+    """Per-core occupancy bookkeeping: one C record (``SchedCore``).
 
-    index: int
-    thread: Optional[SimThread] = None
-    speed: float = 0.0        # cycles/second for the current occupant
-    busy_seconds: float = 0.0
+    The occupant is kept as its thread-table slot (``-1`` when idle);
+    :attr:`thread` reads it as the thread.
+    """
+
+    _fields_ = [("_thread", _I), ("speed", _D), ("busy_seconds", _D)]
+
+    @property
+    def thread(self) -> Optional[SimThread]:
+        slot = self._thread
+        return None if slot < 0 else self._threads[slot]
+
+
+class _SchedCtx(ctypes.Structure):
+    """Mirror of the C ``SchedCtx`` (every field 8 bytes, no padding)."""
+
+    _fields_ = [
+        ("now", _D), ("paging", _D), ("observe", _I),
+        ("cycles", _D), ("mix", _I), ("next_dt", _D),
+        ("frequency", _D), ("coeff", _D), ("quantum", _D),
+        ("n_cores", _I), ("cores", _P), ("l2", _P),
+        ("n_threads", _I), ("threads", _P), ("runnable", _P),
+        ("mixes", _P), ("log", _P), ("log_len", _I),
+        ("last_update", _D), ("rr_counter", _I), ("decisions", _I),
+        ("in_decide", _I), ("dirty", _I), ("cursor", _I),
+        ("n_runnable", _I), ("fault", _I),
+    ]
+
+
+class _SchedLog(ctypes.Structure):
+    """Mirror of the C ``SchedLog``: one instrument call of the pass."""
+
+    _fields_ = [("kind", _I), ("a", _I), ("b", _I), ("c", _I),
+                ("x", _D), ("y", _D)]
+
+
+_ENTRIES = ("sched_submit", "sched_exit", "sched_tick", "sched_decide",
+            "sched_resume", "sched_charge")
+_LAYOUTS = ("sched_ctx_layout", "sched_thread_layout", "sched_core_layout",
+            "sched_l2_layout", "sched_log_layout")
+_declared = None
+
+
+def _compiled_pass() -> Optional[ctypes.CDLL]:
+    """The kernel library with the decision-pass entry points declared,
+    or ``None`` when it is unavailable (the Python pass runs)."""
+    global _declared
+    lib = ckernel.load()
+    if lib is not None and _declared is not lib:
+        for name in _ENTRIES:
+            entry = getattr(lib, name)
+            entry.argtypes = ([_P, _I] if name in ("sched_submit",
+                                                   "sched_exit") else [_P])
+            entry.restype = _I
+        for name in _LAYOUTS:
+            getattr(lib, name).argtypes = [ctypes.POINTER(_I)]
+            getattr(lib, name).restype = _I
+        _declared = lib
+    return lib
+
+
+def decision_pass() -> str:
+    """Which decision pass this process's schedulers take: ``"compiled"``
+    or ``"python"``."""
+    return "compiled" if _compiled_pass() is not None else "python"
 
 
 class Scheduler:
@@ -81,13 +168,8 @@ class Scheduler:
     segments that finished, pick the ``n_cores`` most urgent runnable
     threads, price each core's speed, and arm the next tick.  The pass
     runs hundreds of thousands of times per paper figure while seeing two
-    or three threads, so it is written for constant per-decision cost:
-    states are compared to module constants, the machine frequency is
-    read once, and ``freq * l2_factor`` per placement comes from a table
-    memoised on the tuple of on-core instruction mixes (the paging factor
-    still multiplies in on every decision).  Every float expression keeps
-    the operand order of the plain formulas — ``(freq * factor) * paging``
-    — so results are bit-identical to them.
+    or three threads, so it is compiled (see the module docstring); the
+    Python pass of :mod:`repro.osmodel._pypass` is the fallback.
     """
 
     def __init__(self, engine: Engine, machine: Machine,
@@ -99,22 +181,65 @@ class Scheduler:
         self.machine = machine
         self.quantum = quantum
         self.boost = boost if boost is not None else BoostPolicy()
-        self.cores = [CoreState(i) for i in range(machine.n_cores)]
         self.threads: List[SimThread] = []
-        self._rr_counter = 0
-        self._last_update = engine.now
+        n_cores = machine.n_cores
+        self._core_block = (CoreState * n_cores)()
+        self.cores: List[CoreState] = list(self._core_block)
+        for index, core in enumerate(self.cores):
+            core.index = index
+            core._threads = self.threads
+            core._thread = -1
         self._tick_handle: Optional[EventHandle] = None
-        self._in_decide = False
-        self._dirty = False
         self._frequency = machine.frequency_hz
         self._memory = machine.memory
-        #: Decision passes made (one per placement).
-        self.decisions = 0
-        # (mix on core 0, mix on core 1, ...) -> per-core freq * factor
-        self._speed_table: Dict[tuple, tuple] = {}
+        ctx = self._ctx = _SchedCtx()
+        ctx.quantum = quantum
+        ctx.last_update = engine.now
+        ctx.n_cores = n_cores
+        ctx.cores = ctypes.addressof(self._core_block)
+        self._ctx_addr = ctypes.addressof(ctx)
+        raw = memoryview(ctx).cast("B")
+        self._io = raw.cast("d")
+        self._iv = raw.cast("q")
+        self._lib = None
+        if type(machine.l2) is SharedL2Model:
+            self._lib = _compiled_pass()
+        if self._lib is not None:
+            lib = self._lib
+            (self._c_submit, self._c_exit, self._c_tick, self._c_decide,
+             self._c_resume, self._c_charge) = [getattr(lib, name)
+                                                for name in _ENTRIES]
+            ctx.frequency = machine.frequency_hz
+            ctx.coeff = machine.l2.coeff
+            # held here too: the pass writes through this address
+            self._l2_stats = machine.l2.stats
+            ctx.l2 = ctypes.addressof(self._l2_stats)
+            # at most three entries per core and one per crossing
+            self._log = (_SchedLog * (3 * n_cores + 2))()
+            ctx.log = ctypes.addressof(self._log)
+            self._mix_rows: Dict[InstructionMix, int] = {}
+            self._mix_table = (_D * 0)()
+            self._groups: Dict[str, int] = {}
+        else:
+            from repro.osmodel import _pypass
+
+            self._py = _pypass
+            # (mix on core 0, mix on core 1, ...) -> per-core freq * factor
+            self._speed_table: Dict[tuple, tuple] = {}
+        self._thread_table = (_P * 0)()
+        self._runnable = (_I * 0)()
         if self.boost.enabled:
             self.engine.schedule(self.boost.scan_interval, self._boost_scan,
                                  daemon=True)
+
+    @property
+    def decisions(self) -> int:
+        """Decision passes made (one per placement)."""
+        return self._ctx.decisions
+
+    @property
+    def _in_decide(self) -> bool:
+        return bool(self._ctx.in_decide)
 
     # ------------------------------------------------------------------
     # public API
@@ -126,7 +251,15 @@ class Scheduler:
         """Create a thread in the BLOCKED state (no demand yet)."""
         thread = SimThread(name, base_priority, process, group)
         thread.last_ran_at = self.engine.now
+        slot = len(self.threads)
+        thread._slot = slot
+        if self._lib is not None and group is not None:
+            thread._group = self._groups.setdefault(group, len(self._groups))
+        if slot == len(self._thread_table):
+            self._grow_tables(2 * slot + 4)
+        self._thread_table[slot] = ctypes.addressof(thread)
         self.threads.append(thread)
+        self._ctx.n_threads = slot + 1
         if process is not None:
             process.add_thread(thread)
         return thread
@@ -138,42 +271,46 @@ class Scheduler:
         The thread must be BLOCKED (one outstanding segment at a time —
         callers sequence their demand through the completion event).
         """
-        state = thread.state
-        if state is DONE:
-            raise SchedulerError(f"thread {thread.name!r} has exited")
-        if state is not BLOCKED:
-            raise SchedulerError(
-                f"thread {thread.name!r} already has an outstanding segment"
-            )
-        if cycles < 0:
+        slot = self._slot_of(thread)
+        if self._lib is None:
+            return self._py.submit(self, thread, cycles, mix)
+        row = self._mix_rows.get(mix)
+        if row is None:
+            row = self._add_mix(mix)
+        io = self._io
+        io[_CYCLES] = cycles
+        self._iv[_MIX] = row
+        observe = self._sync()
+        status = self._c_submit(self._ctx_addr, slot)
+        completion = SimEvent(self.engine)
+        if _SCH_NO_CORE < status < _SCH_QUIET:
+            if status == _SCH_INSTANT:
+                if observe:
+                    self._replay()
+                completion.succeed(None)
+                return completion
+            if status == _SCH_EXITED:
+                raise SchedulerError(f"thread {thread.name!r} has exited")
+            if status == _SCH_BUSY:
+                raise SchedulerError(
+                    f"thread {thread.name!r} already has an outstanding "
+                    "segment")
             raise SchedulerError(f"negative cycle demand: {cycles}")
-        self._charge_elapsed()
-        engine = self.engine
-        completion = SimEvent(engine)
-        if cycles <= _CYCLE_EPSILON:
-            completion.succeed(None)
-            return completion
         thread.mix = mix
-        thread.remaining_cycles = float(cycles)
         thread.completion = completion
-        thread.state = READY
-        thread.ready_since = engine._now
-        self._rr_counter += 1
-        thread.rr_seq = self._rr_counter
-        thread.quantum_used = 0.0
-        self._decide()
+        self._finish(status, observe)
         return completion
 
     def exit_thread(self, thread: SimThread) -> None:
         """Terminate a thread permanently."""
-        if thread.state is DONE:
+        if thread._state == _DONE:
             return
-        self._charge_elapsed()
-        if thread.state is RUNNING:
-            self._evict(thread)
-        thread.state = DONE
-        thread.remaining_cycles = 0.0
-        self._decide()
+        slot = self._slot_of(thread)
+        if self._lib is None:
+            self._py.exit_thread(self, thread)
+            return
+        observe = self._sync()
+        self._finish(self._c_exit(self._ctx_addr, slot), observe)
 
     # -- metrics -----------------------------------------------------------
 
@@ -196,275 +333,50 @@ class Scheduler:
         return [c.thread for c in self.cores]
 
     # ------------------------------------------------------------------
-    # internals
+    # internals: both passes
     # ------------------------------------------------------------------
 
     def _charge_elapsed(self) -> None:
         """Account CPU progress since the last decision point."""
-        now = self.engine._now
-        dt = now - self._last_update
-        self._last_update = now
-        if dt <= 0:
+        if self._lib is None:
+            self._py.charge(self)
             return
-        frequency = self._frequency
-        l2 = self.machine.l2
-        for core in self.cores:
-            thread = core.thread
-            if thread is None:
-                continue
-            speed = core.speed
-            # min()/max() spelled as the comparisons they perform, so
-            # ties and signed zeros resolve exactly as the builtins do.
-            cycles = speed * dt
-            remaining = thread.remaining_cycles
-            if remaining < cycles:
-                cycles = remaining
-            thread.remaining_cycles = remaining - cycles
-            thread.cycles_retired += cycles
-            thread.instructions_retired += cycles / thread.mix.cpi
-            thread.cpu_seconds += dt
-            thread.quantum_used += dt
-            thread.last_ran_at = now
-            core.busy_seconds += dt
-            boost_left = thread.boost_cpu_remaining
-            if boost_left > 0.0:
-                boost_left = boost_left - dt
-                thread.boost_cpu_remaining = (
-                    boost_left if boost_left > 0.0 else 0.0)
-            l2.observe(speed / frequency if speed else 1.0, dt)
-
-    def _evict(self, thread: SimThread) -> None:
-        for core in self.cores:
-            if core.thread is thread:
-                core.thread = None
-                core.speed = 0.0
-                return
-        raise SchedulerError(f"thread {thread.name!r} not on any core")
+        observe = self._sync()
+        self._c_charge(self._ctx_addr)
+        if observe:
+            self._replay()
 
     def _decide(self) -> None:
-        """(Re)compute placement and speeds; schedule the next tick.
-
-        One pass in one frame (only evictions and group-preference swaps
-        call out): *finish* (retire segments that are done, in spawn
-        order), *place* (the ``n_cores`` most urgent runnable threads),
-        *price* (each core's speed) and *tick* (arm the next decision).
-        A completion may resume a process that submits again; that
-        re-entry only sets ``_dirty`` and the pass restarts from *finish*
-        with fresh state.
-        """
-        if self._in_decide:
-            self._dirty = True
+        """(Re)compute placement and speeds; schedule the next tick."""
+        if self._lib is None:
+            self._py.decide(self)
             return
-        self._in_decide = True
-        engine = self.engine
-        threads = self.threads
-        cores = self.cores
-        n_cores = len(cores)
-        try:
-            while True:
-                self._dirty = False
-                # -- finish, collecting the runnable threads in the same
-                # spawn-order scan.  The list may grow while a completion
-                # resumes a process that spawns (new threads are BLOCKED).
-                runnable = []
-                for thread in threads:
-                    state = thread.state
-                    if state is not READY and state is not RUNNING:
-                        continue
-                    if not thread.remaining_cycles <= _CYCLE_EPSILON:
-                        runnable.append(thread)
-                        continue
-                    if state is RUNNING:
-                        self._evict(thread)
-                    thread.state = BLOCKED
-                    thread.remaining_cycles = 0.0
-                    thread.segments_completed += 1
-                    trace = engine.trace
-                    if trace.enabled:
-                        trace.record(
-                            "sched.segment_done", time=engine._now,
-                            thread=thread.name,
-                            segments=thread.segments_completed,
-                        )
-                    completion, thread.completion = thread.completion, None
-                    if completion is not None and not completion._triggered:
-                        # may synchronously resume a process that submits
-                        # again; re-entrancy is absorbed by _dirty.
-                        completion.succeed(None)
-                if self._dirty:
-                    # Only submit/exit_thread change a thread's state, and
-                    # both mark the pass dirty: a clean pass's runnable
-                    # list is current.
-                    continue
-                self.decisions += 1
-                # -- place.  Running threads that burnt their quantum
-                # rotate behind same-priority peers (round robin); after
-                # every completion, so re-entrant submits number first.
-                quantum_spent = self.quantum - _TIME_EPSILON
-                for thread in runnable:
-                    if (thread.state is RUNNING
-                            and thread.quantum_used >= quantum_spent):
-                        self._rr_counter += 1
-                        thread.rr_seq = self._rr_counter
-                        thread.quantum_used = 0.0
-                n_runnable = len(runnable)
-                if n_runnable > 1:
-                    runnable.sort(key=_priority_order)
-                now = engine._now
-                if n_runnable > n_cores:
-                    chosen = runnable[:n_cores]
-                    self._apply_group_preference(chosen, runnable[n_cores:])
-                    runnable = chosen
-                    # Demote running threads that lost their slot (``in``
-                    # is an identity test: threads define no equality).
-                    # With no more runnable threads than cores every one
-                    # keeps its core, so the scan is skipped.
-                    for core in cores:
-                        thread = core.thread
-                        if thread is not None and thread not in chosen:
-                            thread.state = READY
-                            thread.ready_since = now
-                            core.thread = None
-                            core.speed = 0.0
-                            if METRICS.enabled:
-                                METRICS.inc("sched.preemptions")
-                # Keep already-placed winners on their cores; fill the
-                # rest in priority order.  A thread is RUNNING exactly
-                # while it holds a core.
-                pending = []
-                for thread in runnable:
-                    if thread.state is not RUNNING:
-                        pending.append(thread)
-                if pending:
-                    trace = engine.trace
-                    for core in cores:
-                        if core.thread is None and pending:
-                            thread = pending.pop(0)
-                            core.thread = thread
-                            thread.state = RUNNING
-                            if METRICS.enabled:
-                                # Simulated-time runqueue wait.
-                                METRICS.inc("sched.context_switches")
-                                METRICS.observe("sched.runqueue_wait_s",
-                                                now - thread.ready_since)
-                            if trace.enabled:
-                                trace.record(
-                                    "sched.place", time=now,
-                                    core=core.index, thread=thread.name,
-                                    priority=thread.effective_priority,
-                                )
-                # -- price: freq * L2 factor per placement from the table,
-                # times the paging factor, as (freq * factor) * paging.
-                mixes = []
-                for core in cores:
-                    thread = core.thread
-                    mixes.append(None if thread is None else thread.mix)
-                mixes = tuple(mixes)
-                base = self._speed_table.get(mixes)
-                if base is None:
-                    factors = self.machine.l2.factors(mixes)
-                    frequency = self._frequency
-                    base = tuple([frequency * factors[index]
-                                  if mix is not None else 0.0
-                                  for index, mix in enumerate(mixes)])
-                    self._speed_table[mixes] = base
-                memory = self._memory
-                paging = memory._paging
-                if paging is None:
-                    paging = memory.paging_penalty_factor()
-                # -- tick: min over busy cores of (completion, quantum
-                # left >= eps, boost left >= eps), spelled as the
-                # comparisons min()/max() perform.
-                quantum = self.quantum
-                next_dt = None
-                for core, speed in zip(cores, base):
-                    thread = core.thread
-                    if thread is None:
-                        core.speed = 0.0
-                        continue
-                    speed = speed * paging
-                    core.speed = speed
-                    if speed <= 0:
-                        continue
-                    dt = thread.remaining_cycles / speed
-                    quantum_dt = quantum - thread.quantum_used
-                    if _TIME_EPSILON > quantum_dt:
-                        quantum_dt = _TIME_EPSILON
-                    if quantum_dt < dt:
-                        dt = quantum_dt
-                    boost_dt = thread.boost_cpu_remaining
-                    if boost_dt > 0.0:
-                        if _TIME_EPSILON > boost_dt:
-                            boost_dt = _TIME_EPSILON
-                        if boost_dt < dt:
-                            dt = boost_dt
-                    if next_dt is None or dt < next_dt:
-                        next_dt = dt
-                handle = self._tick_handle
-                if handle is not None:
-                    handle.cancel()
-                    self._tick_handle = None
-                if next_dt is not None:
-                    if _TIME_EPSILON > next_dt:
-                        next_dt = _TIME_EPSILON
-                    self._tick_handle = engine.schedule(next_dt,
-                                                        self._on_tick)
-                if not self._dirty:
-                    break
-        finally:
-            self._in_decide = False
-
-    @staticmethod
-    def _apply_group_preference(chosen: List[SimThread],
-                                rejected: List[SimThread]) -> None:
-        """Prefer displacing a thread that shares an affinity group with a
-        higher-priority chosen thread (VMM service work interrupts its own
-        VM's vCPU, not foreign processes).
-
-        Swaps equal-priority candidates only, so strict priority order is
-        never violated.
-        """
-        if not rejected:
-            return
-        for index, loser_candidate in enumerate(chosen):
-            group = loser_candidate.group
-            if group is None:
-                continue
-            # does a *different* chosen thread with higher priority share
-            # this group?  (i.e. this VM already holds a core for service)
-            priority = loser_candidate.effective_priority
-            for other in chosen:
-                if (other is not loser_candidate and other.group == group
-                        and other.effective_priority > priority):
-                    break
-            else:
-                continue
-            for substitute in rejected:
-                if (substitute.effective_priority
-                        == loser_candidate.effective_priority
-                        and substitute.group != group):
-                    chosen[index] = substitute
-                    rejected.remove(substitute)
-                    break
+        observe = self._sync()
+        self._finish(self._c_decide(self._ctx_addr), observe)
 
     def _on_tick(self) -> None:
         self._tick_handle = None
-        self._charge_elapsed()
-        self._decide()
+        if self._lib is None:
+            self._py.charge(self)
+            self._py.decide(self)
+            return
+        observe = self._sync()
+        self._finish(self._c_tick(self._ctx_addr), observe)
 
     def _boost_scan(self) -> None:
         """Balance-set manager: boost long-starved ready threads."""
         self._charge_elapsed()
         now = self.engine._now
+        ctx = self._ctx
         boosted = False
         for thread in self.threads:
-            if thread.state is not READY:
+            if thread._state != _READY:
                 continue
             starved_for = now - max(thread.last_ran_at, thread.ready_since)
             if starved_for >= self.boost.starvation_threshold and thread.boost_cpu_remaining <= 0.0:
                 thread.boost_cpu_remaining = self.boost.boost_cpu
-                self._rr_counter += 1
-                thread.rr_seq = self._rr_counter
+                ctx.rr_counter += 1
+                thread.rr_seq = ctx.rr_counter
                 boosted = True
                 if METRICS.enabled:
                     METRICS.inc("sched.starvation_boosts")
@@ -477,6 +389,127 @@ class Scheduler:
             self._decide()
         self.engine.schedule(self.boost.scan_interval, self._boost_scan,
                              daemon=True)
+
+    def _grow_tables(self, cap: int) -> None:
+        """Reallocate the thread table and the pass's runnable scratch
+        (a pass suspended at a completion keeps what it collected)."""
+        table = (_P * cap)()
+        runnable = (_I * cap)()
+        ctypes.memmove(table, self._thread_table,
+                       ctypes.sizeof(self._thread_table))
+        ctypes.memmove(runnable, self._runnable, ctypes.sizeof(self._runnable))
+        self._thread_table, self._runnable = table, runnable
+        self._ctx.threads = ctypes.addressof(table)
+        self._ctx.runnable = ctypes.addressof(runnable)
+
+    # ------------------------------------------------------------------
+    # internals: the compiled pass's crossings
+    # ------------------------------------------------------------------
+
+    def _slot_of(self, thread: SimThread) -> int:
+        """``thread``'s slot; the compiled pass indexes C memory with it,
+        so a thread of another scheduler is refused (on both passes)."""
+        slot = thread._slot
+        if slot < 0 or slot >= len(self.threads) \
+                or self.threads[slot] is not thread:
+            raise SchedulerError(
+                f"thread {thread.name!r} belongs to another scheduler")
+        return slot
+
+    def _add_mix(self, mix: InstructionMix) -> int:
+        """Row of ``mix`` in the mix table (value-equal mixes share one)."""
+        row = len(self._mix_rows)
+        width = len(_MIX_FIELDS)
+        if (row + 1) * width > len(self._mix_table):
+            table = (_D * (2 * row * width + 4 * width))()
+            ctypes.memmove(table, self._mix_table,
+                           ctypes.sizeof(self._mix_table))
+            self._mix_table = table
+            self._ctx.mixes = ctypes.addressof(table)
+        for column, name in enumerate(_MIX_FIELDS):
+            self._mix_table[row * width + column] = getattr(mix, name)
+        self._mix_rows[mix] = row
+        return row
+
+    def _sync(self) -> bool:
+        """Write the crossing's inputs into the context; whether the pass
+        must log its instrument calls."""
+        engine = self.engine
+        io = self._io
+        io[_NOW] = engine._now
+        memory = self._memory
+        paging = memory._paging
+        if paging is None:
+            paging = memory.paging_penalty_factor()
+        io[_PAGING] = paging
+        observe = METRICS.enabled or engine.trace.enabled
+        self._iv[_OBSERVE] = observe
+        return observe
+
+    def _finish(self, status: int, observe: bool) -> None:
+        """Drive a crossing's status to the end of its pass: fire each
+        finished segment's completion and resume, then re-arm the tick."""
+        if observe:
+            self._replay()
+        if status >= 0:
+            threads = self.threads
+            try:
+                while status >= 0:
+                    thread = threads[status]
+                    completion, thread.completion = thread.completion, None
+                    if completion is not None and not completion._triggered:
+                        # may synchronously resume a process that submits
+                        # again; the context marks the pass dirty
+                        completion.succeed(None)
+                    observe = self._sync()
+                    status = self._c_resume(self._ctx_addr)
+                    if observe:
+                        self._replay()
+            except BaseException:
+                self._ctx.in_decide = 0
+                raise
+        if status >= _SCH_IDLE:
+            handle = self._tick_handle
+            if handle is not None:
+                handle.cancel()
+                self._tick_handle = None
+            if status == _SCH_TICK:
+                self._tick_handle = self.engine.schedule(
+                    self._io[_NEXT_DT], self._on_tick)
+        elif status == _SCH_NO_CORE:
+            raise SchedulerError(
+                f"thread {self.threads[self._ctx.fault].name!r} "
+                "not on any core")
+
+    def _replay(self) -> None:
+        """Make the instrument calls the compiled pass logged, in order."""
+        count = self._ctx.log_len
+        if not count:
+            return
+        trace = self.engine.trace
+        threads = self.threads
+        for entry in self._log[:count]:
+            kind = entry.kind
+            if kind == _LOG_L2:
+                if METRICS.enabled:
+                    observe_metrics(entry.x, entry.y)
+            elif kind == _LOG_SEGMENT:
+                if trace.enabled:
+                    trace.record("sched.segment_done", time=entry.x,
+                                 thread=threads[entry.a].name,
+                                 segments=entry.b)
+            elif kind == _LOG_PREEMPT:
+                if METRICS.enabled:
+                    METRICS.inc("sched.preemptions")
+            else:
+                now = entry.x
+                if METRICS.enabled:
+                    METRICS.inc("sched.context_switches")
+                    METRICS.observe("sched.runqueue_wait_s", now - entry.y)
+                if trace.enabled:
+                    trace.record("sched.place", time=now, core=entry.a,
+                                 thread=threads[entry.b].name,
+                                 priority=entry.c)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         running = [c.thread.name if c.thread else "-" for c in self.cores]

@@ -18,6 +18,7 @@ IDLE                    4
 
 from __future__ import annotations
 
+import ctypes
 import enum
 from typing import Optional, TYPE_CHECKING
 
@@ -41,43 +42,64 @@ class ThreadState(enum.Enum):
     DONE = "done"        # exited
 
 
-class SimThread:
-    """A schedulable thread.  All mutation goes through the scheduler."""
+#: ``ThreadState`` by the record's state code (the C ``TS_*`` values).
+STATES = (ThreadState.BLOCKED, ThreadState.READY, ThreadState.RUNNING,
+          ThreadState.DONE)
+#: The record's state code of each ``ThreadState``.
+STATE_CODES = {state: code for code, state in enumerate(STATES)}
 
-    __slots__ = (
-        "name", "base_priority", "state",
-        "mix", "remaining_cycles", "completion",
-        "quantum_used", "rr_seq", "last_ran_at", "ready_since",
-        "boost_cpu_remaining", "group",
-        "cpu_seconds", "cycles_retired", "instructions_retired",
-        "segments_completed", "process",
-    )
+_D = ctypes.c_double
+_I = ctypes.c_int64
+
+
+class SimThread(ctypes.Structure):
+    """A schedulable thread.  All mutation goes through the scheduler.
+
+    The thread *is* its scheduler record: the numeric state is a C
+    struct (``SchedThread`` in ``osmodel/_sched.c``) that the compiled
+    decision pass reads and writes in place, and these attribute names
+    are its fields, so the Python pass, the tests and the compiled pass
+    all see one copy.  ``state`` is the record's ``_state`` code as a
+    :class:`ThreadState`; ``_group`` and ``_mix`` are the owning
+    scheduler's ids of :attr:`group` and :attr:`mix`, and ``_slot`` the
+    thread's index in its thread table.  Name, process, mix, group and
+    the pending completion stay Python attributes.
+    """
+
+    _fields_ = [
+        ("remaining_cycles", _D), ("cycles_retired", _D),
+        ("instructions_retired", _D), ("cpu_seconds", _D),
+        ("quantum_used", _D), ("boost_cpu_remaining", _D),
+        ("last_ran_at", _D), ("ready_since", _D),
+        ("rr_seq", _I), ("segments_completed", _I),
+        ("base_priority", _I), ("_state", _I),
+        ("_group", _I), ("_mix", _I), ("_slot", _I),
+    ]
 
     def __init__(self, name: str, base_priority: int = PRIORITY_NORMAL,
                  process: Optional["OsProcess"] = None,
                  group: Optional[str] = None):
         if not 1 <= base_priority <= 15:
             raise ValueError(f"priority must be in [1, 15], got {base_priority}")
+        # every other field starts at zero: BLOCKED, no cycles, rr_seq 0
+        super().__init__(base_priority=base_priority, _group=-1, _mix=-1,
+                         _slot=-1)
         self.name = name
-        self.base_priority = base_priority
         # Affinity group: threads of one VM share a group so elevated
         # VMM service work displaces its *own* vCPU before foreign
         # threads (device/timer emulation interrupts guest execution).
         self.group = group
-        self.state = ThreadState.BLOCKED
         self.mix: InstructionMix = MIX_IDLE
-        self.remaining_cycles = 0.0
         self.completion: Optional["SimEvent"] = None
-        self.quantum_used = 0.0
-        self.rr_seq = 0
-        self.last_ran_at = 0.0
-        self.ready_since = 0.0
-        self.boost_cpu_remaining = 0.0
-        self.cpu_seconds = 0.0
-        self.cycles_retired = 0.0
-        self.instructions_retired = 0.0
-        self.segments_completed = 0
         self.process = process
+
+    @property
+    def state(self) -> ThreadState:
+        return STATES[self._state]
+
+    @state.setter
+    def state(self, state: ThreadState) -> None:
+        self._state = STATE_CODES[state]
 
     @property
     def effective_priority(self) -> int:

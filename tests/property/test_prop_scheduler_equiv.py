@@ -7,9 +7,12 @@ random length and instruction mix, sleeps, mid-run ``cpu_time()`` reads,
 applies — and runs it twice: once on the archived scheduler
 (:mod:`tests._reference_scheduler`, drained one ``step()`` per event as
 the old ``run_until_event`` did) and once on the live scheduler and
-engine.  Every accounting float, every core's busy time, the shared-L2
-statistics, the tracer records, the scheduler metrics and the
-trace-hash snapshot must be identical (``==``, not approximately).
+engine, on its default pass (the compiled one when the kernel library
+loads; :mod:`tests.property.test_prop_scheduler_passes` holds it to the
+Python pass).  Every accounting float, every core's busy time, the
+shared-L2 statistics, the tracer records, the scheduler metrics and the
+trace-hash snapshot must be identical (``==``, not approximately).  A
+world may name its core count (``cores``; two by default).
 """
 
 import dataclasses
@@ -30,6 +33,7 @@ from repro.hardware.cpu import (
 from repro.hardware.machine import Machine
 from repro.hardware.specs import core2duo_e6600
 from repro.obs.metrics import METRICS
+import repro.osmodel.scheduler as scheduler_module
 from repro.osmodel.scheduler import BoostPolicy, Scheduler
 from repro.osmodel.threads import ThreadState
 from repro.simcore.engine import Engine
@@ -141,7 +145,12 @@ def _run_world(world, scheduler_cls, drain):
         METRICS.enable()
     try:
         engine = Engine(trace=Tracer(enabled=True))
-        machine = Machine(engine, core2duo_e6600("equiv"), RngStreams(0))
+        spec = core2duo_e6600("equiv")
+        cores = world.get("cores", spec.cpu.n_cores)
+        if cores != spec.cpu.n_cores:
+            spec = dataclasses.replace(
+                spec, cpu=dataclasses.replace(spec.cpu, n_cores=cores))
+        machine = Machine(engine, spec, RngStreams(0))
         boost = BoostPolicy(enabled=world["boost"],
                             scan_interval=world["scan_interval"],
                             starvation_threshold=world["starvation_threshold"],
@@ -164,12 +173,13 @@ def _run_world(world, scheduler_cls, drain):
             "cpu": cpu,
             "threads": [(t.cycles_retired, t.instructions_retired,
                          t.segments_completed, t.remaining_cycles,
-                         t.state, t.rr_seq, t.boost_cpu_remaining)
+                         t.state, t.rr_seq, t.boost_cpu_remaining,
+                         t.quantum_used, t.last_ran_at, t.ready_since)
                         for t in spawned],
             "cores": [(core.busy_seconds, core.speed,
                        core.thread.name if core.thread else None)
                       for core in scheduler.cores],
-            "l2": dataclasses.astuple(machine.l2.stats),
+            "l2": machine.l2.stats.astuple(),
             "records": [(r.time, r.category, r.fields)
                         for r in engine.trace.records],
             "metrics": _simulated_metrics() if world["metrics"] else None,
@@ -343,22 +353,31 @@ def test_completion_coinciding_with_a_quantum_expiry():
     assert actual == expected
 
 
-def test_instruction_mix_hash_is_the_field_tuple_hash():
+def test_instruction_mix_hash_is_the_field_tuple_hash(monkeypatch):
     """The cached hash is the dataclass-generated one, so value-equal
-    copies share one speed-table entry."""
+    copies share one speed-table entry (Python pass) and one mix-table
+    row (compiled pass)."""
     for mix in MIXES:
         assert hash(mix) == hash(dataclasses.astuple(mix))
     assert _SEVENZIP_COPY is not MIX_SEVENZIP
     assert hash(_SEVENZIP_COPY) == hash(MIX_SEVENZIP)
-    engine = Engine()
-    machine = Machine(engine, core2duo_e6600("hash"), RngStreams(0))
-    scheduler = Scheduler(engine, machine,
-                          boost=BoostPolicy(enabled=False))
-    first = scheduler.spawn("a", 8)
-    engine.run_until_event(scheduler.submit(first, 1e6, MIX_SEVENZIP))
-    engine.run_until_event(scheduler.submit(first, 1e6, _SEVENZIP_COPY))
-    assert list(scheduler._speed_table) == [(MIX_SEVENZIP, None),
-                                            (None, None)]
+
+    def two_segments():
+        engine = Engine()
+        machine = Machine(engine, core2duo_e6600("hash"), RngStreams(0))
+        scheduler = Scheduler(engine, machine,
+                              boost=BoostPolicy(enabled=False))
+        first = scheduler.spawn("a", 8)
+        engine.run_until_event(scheduler.submit(first, 1e6, MIX_SEVENZIP))
+        engine.run_until_event(scheduler.submit(first, 1e6,
+                                                _SEVENZIP_COPY))
+        return scheduler
+
+    if scheduler_module._compiled_pass() is not None:
+        assert two_segments()._mix_rows == {MIX_SEVENZIP: 0}
+    monkeypatch.setattr(scheduler_module, "_compiled_pass", lambda: None)
+    assert list(two_segments()._speed_table) == [(MIX_SEVENZIP, None),
+                                                 (None, None)]
 
 
 def test_decision_counter_counts_the_archived_placement_passes():

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from repro import api
+from repro import api, ckernel
 from repro.api import RunConfig, RunRequest, RunResult, run
 from repro.errors import ExperimentError
 from repro.obs.manifest import validate_manifest
@@ -183,6 +183,31 @@ class TestRunFigure:
         assert manifest["config"]["fast"] is True
         assert manifest["cache"]["outcome"] == "disabled"
         assert not METRICS.enabled  # switched back off afterwards
+
+    def test_manifest_records_the_decision_pass(self, tmp_path,
+                                                monkeypatch):
+        """The execution section names the scheduler pass that ran, and
+        the figure bytes are the same on both passes, metrics or not."""
+        import json
+
+        import repro.osmodel.scheduler as scheduler_module
+
+        config = RunConfig(metrics=True, reps=1,
+                           runs_dir=str(tmp_path / "runs"))
+        plain = _figure("fig7", RunConfig(reps=1))
+        taken = {}
+        for label in ("default", "python"):
+            if label == "python":
+                monkeypatch.setattr(scheduler_module, "_compiled_pass",
+                                    lambda: None)
+            result = _figure("fig7", config)
+            manifest = json.loads(open(result.manifest_path).read())
+            assert validate_manifest(manifest) == []
+            taken[label] = manifest["execution"]["decision_pass"]
+            assert result.figure.to_dict() == plain.figure.to_dict()
+        assert taken["python"] == "python"
+        assert taken["default"] == ("compiled" if ckernel.available()
+                                    else "python")
 
     def test_cache_outcome_miss_then_hit(self, tmp_path):
         config = RunConfig(metrics=True, cache=True,
