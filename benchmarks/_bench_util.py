@@ -6,7 +6,7 @@ import os
 import pathlib
 
 from repro.api import RunConfig, RunRequest, run
-from repro.core.workerpool import available_cpus
+from repro.core.parallel import available_cpus
 
 
 def cpu_info():

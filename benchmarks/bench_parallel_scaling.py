@@ -1,9 +1,10 @@
 """Parallel repetition scaling: per-call vs persistent pool.
 
 Runs the Figure 7 host-impact measurement (one of the two heavy
-figures) through ``ParallelRepeater`` at several worker counts and
-records the wall-clock trajectory to
-``benchmarks/BENCH_parallel_scaling.json`` so later changes can compare.
+figures) through ``Repeater`` at several worker counts (``jobs=1``, the
+engine's in-process round, is the serial baseline) and records the
+wall-clock trajectory to ``benchmarks/BENCH_parallel_scaling.json`` so
+later changes can compare.
 (Older entries also carry ``fleet_shard_*`` keys from a fleet host-build
 workload; fleets now build serially, so that workload is gone.)
 
@@ -37,7 +38,6 @@ from _bench_util import cpu_info
 
 from repro.core.experiment import Repeater
 from repro.core.host_impact import HostImpactConfig, SevenZipImpactMeasure
-from repro.core.parallel import ParallelRepeater
 from repro.core.workerpool import get_pool, shutdown_pools
 
 RESULTS_PATH = pathlib.Path(__file__).resolve().parent / \
@@ -71,7 +71,7 @@ def _cold_warm(jobs: int, fn):
 def run_scaling(reps: int, job_counts, duration_s: float) -> list:
     measure = build_measure(duration_s)
     serial_result, serial_wall = _timed(
-        lambda: Repeater(base_seed=7, reps=reps).run(measure))
+        lambda: Repeater(base_seed=7, reps=reps, jobs=1).run(measure))
     runs = [{
         "jobs": 1,
         "wall_s": round(serial_wall, 3),
@@ -83,7 +83,7 @@ def run_scaling(reps: int, job_counts, duration_s: float) -> list:
     for jobs in job_counts:
         if jobs == 1:
             continue
-        repeater = ParallelRepeater(base_seed=7, reps=reps, jobs=jobs)
+        repeater = Repeater(base_seed=7, reps=reps, jobs=jobs)
         cold, cold_wall, warm, warm_wall, reused = _cold_warm(
             jobs, lambda: repeater.run(measure))
         exact = (cold.raw == serial_result.raw

@@ -1,19 +1,24 @@
 """Serial-vs-parallel equivalence smoke check.
 
-For one measure from every figure family, runs the repetition harness
-serially and with a 4-worker process pool and asserts the raw per-rep
-metric lists are **exactly** equal (same floats, same ordering) — the
-bit-identical guarantee the parallel harness makes.
+For one measure from every figure family, runs ``Repeater(jobs=1)`` (the
+engine's in-process round) and ``Repeater(jobs=N)`` (the worker pool)
+with the audit trace-hash recorder on, and asserts the raw per-rep
+metric lists are **exactly** equal (same floats, same ordering) and the
+trace-hash snapshots are equal key for key — the bit-identical
+guarantee the repetition harness makes, down to the ``g<group>/rep<n>``
+stream labels both paths assign.
 
 Exit status 0 on success, 1 on any mismatch.  Usage::
 
-    PYTHONPATH=src python benchmarks/check_parallel_equivalence.py [--reps N]
+    PYTHONPATH=src python benchmarks/check_parallel_equivalence.py \
+        [--reps N] [--jobs N]
 """
 
 import argparse
 import functools
 import sys
 
+from repro.audit.tracehash import TRACE_HASH
 from repro.core.experiment import Repeater
 from repro.core.figures import (
     _iobench_guest_factory,
@@ -28,7 +33,6 @@ from repro.core.host_impact import (
     SevenZipImpactMeasure,
 )
 from repro.core.multivm import MultiVmConfig, MultiVmImpactMeasure
-from repro.core.parallel import ParallelRepeater
 from repro.workloads.nbench import IndexGroup
 
 
@@ -51,6 +55,18 @@ def measures():
         MultiVmConfig(n_vms=2, overcommit_ratio=1.25, duration_s=4.0)))
 
 
+def hashed_run(measure, reps: int, jobs: int):
+    """``(result, trace-hash snapshot)`` of one run from a fresh
+    recorder."""
+    TRACE_HASH.enable(reset=True)
+    try:
+        result = Repeater(base_seed=42, reps=reps, jobs=jobs).run(measure)
+        return result, TRACE_HASH.snapshot()
+    finally:
+        TRACE_HASH.disable()
+        TRACE_HASH.reset()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--reps", type=int, default=3)
@@ -58,12 +74,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     failures = 0
     for label, measure in measures():
-        serial = Repeater(base_seed=42, reps=args.reps).run(measure)
-        parallel = ParallelRepeater(base_seed=42, reps=args.reps,
-                                    jobs=args.jobs).run(measure)
-        ok = serial.raw == parallel.raw and serial.metrics == parallel.metrics
+        serial, serial_hash = hashed_run(measure, args.reps, 1)
+        parallel, parallel_hash = hashed_run(measure, args.reps, args.jobs)
+        streams = serial_hash["streams"]
+        same_hash = bool(streams) and serial_hash == parallel_hash
+        ok = (serial.raw == parallel.raw
+              and serial.metrics == parallel.metrics and same_hash)
         print(f"{'OK  ' if ok else 'FAIL'} {label}: "
-              f"{sum(len(v) for v in serial.raw.values())} raw values")
+              f"{sum(len(v) for v in serial.raw.values())} raw values, "
+              f"{len(streams)} trace-hash streams")
         if not ok:
             failures += 1
             for key in serial.raw:
@@ -71,10 +90,16 @@ def main(argv=None) -> int:
                     print(f"      {key}: serial={serial.raw[key]} "
                           f"parallel={parallel.raw.get(key)}",
                           file=sys.stderr)
+            other = parallel_hash["streams"]
+            for key in sorted(set(streams) | set(other)):
+                if streams.get(key) != other.get(key):
+                    print(f"      trace-hash stream {key} differs",
+                          file=sys.stderr)
     if failures:
         print(f"{failures} measure(s) diverged", file=sys.stderr)
         return 1
-    print(f"all measures identical at jobs={args.jobs} vs serial")
+    print(f"all measures identical at jobs={args.jobs} vs serial, "
+          f"trace hashes included")
     return 0
 
 

@@ -190,7 +190,7 @@ def tier1():
 
 
 def parallel_equivalence():
-    """serial vs parallel equivalence"""
+    """serial vs parallel equivalence (results and trace hashes)"""
     run(bench("check_parallel_equivalence.py", "--jobs", 4))
 
 

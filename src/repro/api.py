@@ -156,7 +156,7 @@ class RunConfig:
         if jobs is None:
             jobs = self.jobs
         if jobs is None:
-            from repro.core.workerpool import available_cpus
+            from repro.core.parallel import available_cpus
             jobs = available_cpus()
         jobs = int(jobs)
         if jobs < 1:

@@ -179,9 +179,9 @@ class TraceHashRecorder:
     def begin_group(self) -> int:
         """Allocate the next repeater-run group id (monotone per run).
 
-        Both the serial and the parallel repetition paths allocate
-        exactly one group per repeater run, in the same deterministic
-        order, so stream keys line up across worker counts.
+        Every repeater run allocates exactly one group, in the same
+        deterministic order at any worker count, so stream keys line up
+        across worker counts.
         """
         group = self._groups
         self._groups += 1

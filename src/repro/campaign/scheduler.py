@@ -405,7 +405,7 @@ def run_campaign(spec: CampaignSpec, config: Any = None, *,
         if config.jobs and config.jobs > 1 and any(
                 point.kind != "fleet" and not progress.done(point.key)
                 for point in points):
-            from repro.core.parallel import warm_pool
+            from repro.core.workerpool import warm_pool
 
             # Fork the persistent pool before the first point so every
             # point (not just the first) sees warm workers.  Fleet

@@ -46,7 +46,6 @@ def compile_library(flags: Optional[Sequence[str]] = None) -> Optional[str]:
     """
     import hashlib
     import shutil
-    import subprocess
     import tempfile
 
     flags = tuple(OPT_FLAGS if flags is None else flags)
@@ -63,6 +62,8 @@ def compile_library(flags: Optional[Sequence[str]] = None) -> Optional[str]:
         tempfile.gettempdir(), f"repro_cloop_{digest}_{tag}.so")
     if os.path.exists(so_path):
         return so_path
+    import subprocess  # only a cache miss runs the compiler
+
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=tempfile.gettempdir())
     os.close(fd)
     try:

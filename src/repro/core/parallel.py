@@ -1,31 +1,33 @@
-"""Parallel repetition execution: fan independent seeded runs over cores.
+"""The repetition round engine: seeded runs in-process or over cores.
 
 The paper's methodology repeats every test >= 50 times; repetitions are
 independent by construction (each builds a fresh simulated world from its
 own :func:`derive_rep_seed` seed), which makes them the natural unit of
-scale-out.  :class:`ParallelRepeater` submits one compact task spec per
-repetition to the **persistent** worker pool
-(:mod:`repro.core.workerpool`) and folds the results back **in
-repetition order**, so the resulting :class:`RepeatedResult` is
-bit-identical to the serial :class:`repro.core.experiment.Repeater` —
-same seeds, same raw value ordering, same ``summarize`` inputs.
+scale-out.  :class:`repro.core.experiment.Repeater` drives every run
+through the one round engine here (:func:`_run_rounds`): with more than
+one job it submits one compact task spec per repetition to the
+**persistent** worker pool (:mod:`repro.core.workerpool`), otherwise it
+runs each repetition in the parent as a finished future.  Either way
+the results fold back **in repetition order**, so a ``--jobs N`` run
+is bit-identical to ``--jobs 1`` — same seeds, same raw value ordering,
+same ``summarize`` inputs, same trace-hash stream labels.
 
 The pool is created once per worker count and reused across
 repetitions, retry rounds and figures in a sweep; workers
 pre-import the tree at fork time and re-arm per task from the spec's
 explicit context (metrics/trace-hash enablement, fault plan, activated
 run config), so a dispatch costs a pickle round-trip instead of fork +
-import + warm-up.  Each task returns one
-:class:`repro.core.workerpool.WorkerResult` through the executor's own
-result pipe.
+import + warm-up.  Each task returns one :class:`WorkerResult` through
+the executor's own result pipe.  This module never imports the pool
+(and with it ``multiprocessing``) at import time: a serial run loads
+none of it.
 
 Worker-count policy (first match wins):
 
 * explicit ``jobs=`` argument;
 * the activated :class:`repro.api.RunConfig` (the CLI's ``--jobs``
   flag and ``REPRO_JOBS`` land here);
-* every *schedulable* core
-  (:func:`repro.core.workerpool.available_cpus` — CPU affinity, not
+* every *schedulable* core (:func:`available_cpus` — CPU affinity, not
   ``os.cpu_count()``).
 
 When the metrics registry is enabled each worker ships a snapshot of its
@@ -37,12 +39,12 @@ depend on the metrics registry being enabled.
 
 Resilience
 ----------
-Desktop grids assume workers die; so does this layer.  Repetitions run
-through one round engine (:func:`_run_rounds`): submit a round,
-wait on each future (with the task timeout, if any), classify the
-outcome, fold it, and resubmit the failed/timed-out/crashed ones after
-a capped exponential backoff, the pool invalidated and lazily rebuilt
-if broken.  Every retried repetition re-derives the **same** seed — so a
+Desktop grids assume workers die; so does this layer.  Each round of
+:func:`_run_rounds` submits the pending repetitions, waits on each
+future (with the task timeout, if any), classifies the outcome, folds
+it, and resubmits the failed/timed-out/crashed ones after a capped
+exponential backoff, the pool invalidated and lazily rebuilt if broken.
+Every retried repetition re-derives the **same** seed — so a
 fault-injected run that recovers is byte-identical to a fault-free one.
 Fail-fast is simply that engine with ``retries=0`` and no timeout.
 With ``min_reps`` the run degrades gracefully: it completes with at
@@ -56,17 +58,15 @@ to trip task timeouts) and ``measure.transient`` (raise-once
 :class:`repro.faults.InjectedFault` around the measurement).  Each
 disabled site costs one attribute read and a branch.
 
-Fallbacks: ``jobs=1`` or a function the pickle module cannot serialise
-(e.g. a test-local closure) run in-process — through the plain serial
-:class:`repro.core.experiment.Repeater` when no retries, timeout,
-``min_reps`` or fault plan is in force, else through the engine's
-in-process round.  With none of those in force, repetitions below the
-pool-dispatch threshold (``reps`` <= :data:`SERIAL_FALLBACK_REPS`) also
-run serially, recording ``parallel.fallback_serial`` in METRICS;
-dispatch overhead only buys wall-clock when there is enough work to
-amortise it.  Worker failures are re-raised as :class:`ExperimentError`
-naming the lowest failing repetition and its derived seed plus the
-remote traceback, so any failing repetition can be reproduced
+In-process runs: one job, a function the pickle module cannot
+serialise (e.g. a test-local closure), or — with no retries, timeout,
+``min_reps`` or fault plan in force — at most
+:data:`SERIAL_FALLBACK_REPS` repetitions (recorded as
+``parallel.fallback_serial`` in METRICS: dispatch overhead only buys
+wall-clock when there is enough work to amortise it).  Failures are
+raised as :class:`ExperimentError` naming the lowest failing repetition
+and its derived seed plus its traceback, after every other repetition
+has run, at any job count; any failing repetition can be reproduced
 standalone with ``measure(seed)``.
 
 A fleet never dispatches here: its column build is one serial call
@@ -81,27 +81,16 @@ import pickle
 import time
 import traceback
 from concurrent.futures import Future, TimeoutError as FutureTimeoutError
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.audit.tracehash import TRACE_HASH
-from repro.core.experiment import (
-    MeasureFn,
-    Repeater,
-    RepeatedResult,
-    collect_repetitions,
-)
-from repro.core.workerpool import (
-    WorkerPool,
-    WorkerResult,
-    WorkerResultError,
-    build_task_context,
-    get_pool,
-    next_run_token,
-)
+from repro.core.experiment import MeasureFn
 from repro.errors import ExperimentError
 from repro.faults import FAULTS, RUNLOG
 from repro.obs.metrics import METRICS
-from repro.simcore.rng import derive_rep_seed
+
+if TYPE_CHECKING:
+    from repro.core.workerpool import WorkerPool
 
 #: Backoff before retry round ``n`` is ``RETRY_BACKOFF_S * 2**(n-1)``,
 #: capped at :data:`RETRY_BACKOFF_CAP_S`.
@@ -109,9 +98,24 @@ RETRY_BACKOFF_S = 0.05
 RETRY_BACKOFF_CAP_S = 2.0
 
 #: Fail-fast runs with this many repetitions or fewer skip the pool and
-#: run serially in the parent (``parallel.fallback_serial`` in METRICS):
-#: two tasks cannot amortise even a warm dispatch.
+#: run in the parent (``parallel.fallback_serial`` in METRICS): two
+#: tasks cannot amortise even a warm dispatch.
 SERIAL_FALLBACK_REPS = 2
+
+
+def available_cpus() -> int:
+    """CPUs this process may actually run on.
+
+    ``os.cpu_count()`` reports the machine; in affinity-limited
+    containers (CI runners, cgroup-pinned jobs) the schedulable set is
+    smaller, and sizing a pool past it only adds contention — this is
+    the worker-count policy's default, with ``cpu_count`` as the
+    fallback on platforms without ``sched_getaffinity``.
+    """
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -122,18 +126,42 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return (api.active_config() or api.RunConfig()).resolve_jobs(jobs)
 
 
-def warm_pool(jobs: Optional[int] = None) -> None:
-    """Pre-fork the persistent pool a run at ``jobs`` would use.
+# ---------------------------------------------------------------------------
+# WorkerResult: the record one repetition returns
+# ---------------------------------------------------------------------------
 
-    A no-op for ``jobs`` ≤ 1 (serial runs never touch the pool).  Batch
-    drivers call this once up front so the fork cost is paid before the
-    first point rather than inside it.
+class WorkerResultError(ExperimentError):
+    """A pool outcome that is not a :class:`WorkerResult`; the task is
+    quarantined (treated as a failure, retried when retries are in
+    force), never folded in."""
+
+
+class WorkerResult:
+    """One task's outcome plus its folded-back observability snapshots.
+
+    ``values`` is the measure's metric dict; ``metrics``/``trace_hash``/
+    ``runlog`` are the worker-side registry snapshots the parent merges.
     """
-    jobs = resolve_jobs(jobs)
-    if jobs > 1:
-        from repro.core.workerpool import warm_pool as _warm
 
-        _warm(jobs)
+    __slots__ = ("index", "seed", "error", "queue_wait_s", "wall_s",
+                 "pid", "values", "metrics", "trace_hash", "runlog")
+
+    def __init__(self, index: int, seed: Optional[int] = None,
+                 error: Optional[str] = None, queue_wait_s: float = 0.0,
+                 wall_s: float = 0.0, pid: int = 0, values: Any = None,
+                 metrics: Optional[Dict[str, Any]] = None,
+                 trace_hash: Optional[Dict[str, Any]] = None,
+                 runlog: Optional[Dict[str, Any]] = None):
+        self.index = index
+        self.seed = seed
+        self.error = error
+        self.queue_wait_s = queue_wait_s
+        self.wall_s = wall_s
+        self.pid = pid
+        self.values = values
+        self.metrics = metrics
+        self.trace_hash = trace_hash
+        self.runlog = runlog
 
 
 def _encode_fn(fn) -> Optional[bytes]:
@@ -143,11 +171,6 @@ def _encode_fn(fn) -> Optional[bytes]:
         return pickle.dumps(fn)
     except Exception:
         return None
-
-
-def measure_is_picklable(measure: MeasureFn) -> bool:
-    """Whether ``measure`` can cross a process boundary."""
-    return _encode_fn(measure) is not None
 
 
 def _backoff_s(round_no: int) -> float:
@@ -211,32 +234,6 @@ def _run_repetition(measure: MeasureFn, repetition: int, seed: int,
     snapshot = METRICS.snapshot() if metrics_on else None
     thash = TRACE_HASH.snapshot() if thash_on and snapshot_registry else None
     return repetition, seed, result, error, queue_wait, wall, snapshot, thash
-
-
-def _resilience_settings(retries: Optional[int],
-                         task_timeout_s: Optional[float],
-                         min_reps: Optional[int]
-                         ) -> Tuple[int, Optional[float], Optional[int]]:
-    """Fill unset resilience knobs from the activated run config."""
-    from repro import api
-
-    config = api.active_config()
-    if config is not None:
-        if retries is None:
-            retries = config.resolve_retries()
-        if task_timeout_s is None:
-            task_timeout_s = config.resolve_task_timeout_s()
-        if min_reps is None:
-            min_reps = config.resolve_min_reps()
-    retries = 0 if retries is None else int(retries)
-    if retries < 0:
-        raise ExperimentError(f"retries must be >= 0, got {retries}")
-    if task_timeout_s is not None and task_timeout_s <= 0:
-        raise ExperimentError(
-            f"task_timeout_s must be > 0, got {task_timeout_s}")
-    if min_reps is not None and min_reps < 1:
-        raise ExperimentError(f"min_reps must be >= 1, got {min_reps}")
-    return retries, task_timeout_s, min_reps
 
 
 # ---------------------------------------------------------------------------
@@ -393,125 +390,40 @@ def _run_rounds(count: int, submit: Callable[[int, int], Future],
     return done, failures
 
 
-class ParallelRepeater:
-    """Drop-in :class:`Repeater` that spreads repetitions over processes.
+def _submitter(measure: MeasureFn, seeds: List[int],
+               fn_blob: Optional[bytes], jobs: int, hash_group: int
+               ) -> Tuple[Callable[[int, int], Future],
+                          Optional["WorkerPool"]]:
+    """``(submit, pool)`` for :func:`_run_rounds`.
 
-    ``retries`` / ``task_timeout_s`` / ``min_reps`` default from the
-    activated :class:`repro.api.RunConfig`.  Every pooled or in-process
-    run goes through the one round engine (:func:`_run_rounds`);
-    fail-fast is that engine with ``retries=0`` and no timeout.
+    With ``fn_blob`` set, ``submit`` dispatches to the persistent pool
+    for ``jobs`` (imported here, so a run that never builds a pool never
+    loads it).  Otherwise it is the engine's in-process round: the
+    repetition runs in the parent, whose registries accumulate directly
+    (``task_timeout_s`` cannot interrupt it), labelled
+    ``g<hash_group>/rep<n>`` exactly as a worker labels it.
     """
+    if fn_blob is not None:
+        from repro.core.workerpool import (build_task_context, get_pool,
+                                           next_run_token)
 
-    def __init__(self, base_seed: int = 0, reps: int = 5,
-                 jobs: Optional[int] = None,
-                 retries: Optional[int] = None,
-                 task_timeout_s: Optional[float] = None,
-                 min_reps: Optional[int] = None):
-        if reps < 1:
-            raise ExperimentError(f"reps must be >= 1, got {reps}")
-        self.base_seed = base_seed
-        self.reps = reps
-        self.jobs = resolve_jobs(jobs)
-        self.retries, self.task_timeout_s, self.min_reps = \
-            _resilience_settings(retries, task_timeout_s, min_reps)
-        if self.min_reps is not None and self.min_reps > reps:
-            raise ExperimentError(
-                f"min_reps ({self.min_reps}) cannot exceed reps ({reps})")
+        pool = get_pool(jobs)
+        context = build_task_context()
+        run_token = next_run_token()
 
-    def run(self, measure: MeasureFn) -> RepeatedResult:
-        """Run every repetition; retried ones re-derive the **same**
-        seed, so a recovered result is byte-identical to a fault-free
-        one.
+        def submit(repetition: int, attempt: int) -> Future:
+            return pool.submit(_rep_spec(
+                fn_blob, repetition, seeds[repetition], attempt,
+                hash_group, context, run_token))
+        return submit, pool
 
-        With no retries, timeout, ``min_reps`` or fault plan in force,
-        one worker, an unpicklable ``measure`` and runs of at most
-        :data:`SERIAL_FALLBACK_REPS` repetitions take the plain serial
-        :class:`Repeater`; otherwise one worker or an unpicklable
-        ``measure`` take the engine's in-process round, where the parent
-        registries accumulate directly and ``task_timeout_s`` cannot
-        interrupt the work.
-        """
-        workers = min(self.jobs, self.reps)
-        plain = not (self.retries or self.task_timeout_s is not None
-                     or self.min_reps is not None or FAULTS.enabled)
-        if plain and workers > 1 and self.reps <= SERIAL_FALLBACK_REPS:
-            # Adaptive fallback: too little work to amortise dispatch.
-            if METRICS.enabled:
-                METRICS.inc("parallel.fallback_serial")
-            return Repeater(self.base_seed, self.reps).run(measure)
-        fn_blob = _encode_fn(measure) if workers > 1 else None
-        if plain and fn_blob is None:
-            return Repeater(self.base_seed, self.reps).run(measure)
-        seeds = [derive_rep_seed(self.base_seed, repetition)
-                 for repetition in range(self.reps)]
-        metrics_on = METRICS.enabled
-        thash_on = TRACE_HASH.enabled
-        hash_group = TRACE_HASH.begin_group() if thash_on else 0
-        pool = None
-        if fn_blob is not None:
-            pool = get_pool(self.jobs)
-            context = build_task_context()
-            run_token = next_run_token()
-
-            def submit(repetition: int, attempt: int) -> Future:
-                return pool.submit(_rep_spec(
-                    fn_blob, repetition, seeds[repetition], attempt,
-                    hash_group, context, run_token))
-        else:
-            def submit(repetition: int, attempt: int) -> Future:
-                _rep, seed, values, error, _qw, wall, _snap, _thash = \
-                    _run_repetition(measure, repetition, seeds[repetition],
-                                    0.0, attempt, in_worker=False,
-                                    snapshot_registry=False,
-                                    hash_group=hash_group)
-                if metrics_on:
-                    METRICS.observe("parallel.worker_wall_s", wall)
-                return _resolved(WorkerResult(repetition, seed,
-                                              error=error, values=values))
-        try:
-            done, failures = _run_rounds(self.reps, submit, pool,
-                                         self.retries, self.task_timeout_s)
-        finally:
-            if thash_on:
-                TRACE_HASH.clear_context()
-        if metrics_on:
-            METRICS.inc("parallel.repetitions", len(done))
-            if pool is not None:
-                METRICS.gauge_max("parallel.workers", workers)
-        return self._fold(seeds, done, failures, metrics_on)
-
-    def _fold(self, seeds, done, failures, metrics_on) -> RepeatedResult:
-        """Collect successes; degrade via ``min_reps`` or raise."""
-        dropped: List[Dict[str, Any]] = []
-        if failures:
-            if self.min_reps is None or len(done) < self.min_reps:
-                first = min(failures)
-                label = f"repetition {first} (seed {seeds[first]})"
-                broke_pool, text = failures[first]
-                if broke_pool:
-                    raise ExperimentError(
-                        f"{label} broke the worker pool after {len(done)} "
-                        f"of {self.reps} repetitions had completed: {text}")
-                raise ExperimentError(
-                    f"{label} failed after {self.retries + 1} attempt(s) "
-                    f"({len(done)} of {self.reps} repetitions completed); "
-                    f"reproduce with measure({seeds[first]}).\n"
-                    f"Worker traceback:\n{text}")
-            for r in sorted(failures):
-                broke_pool, text = failures[r]
-                if broke_pool:
-                    text = f"worker pool broke: {text}"
-                dropped.append({
-                    "repetition": r, "seed": seeds[r],
-                    "error": text.strip().splitlines()[-1]
-                    if text.strip() else "unknown",
-                    "traceback": text})
-            RUNLOG.dropped.extend(dropped)
-            if metrics_on:
-                METRICS.inc("parallel.dropped", len(dropped))
-        result = collect_repetitions(
-            (repetition, seeds[repetition], done[repetition].values)
-            for repetition in sorted(done)
-        )
-        result.dropped = dropped
-        return result
+    def submit(repetition: int, attempt: int) -> Future:
+        _rep, seed, values, error, _qw, wall, _snap, _thash = \
+            _run_repetition(measure, repetition, seeds[repetition], 0.0,
+                            attempt, in_worker=False,
+                            snapshot_registry=False, hash_group=hash_group)
+        if METRICS.enabled:
+            METRICS.observe("parallel.worker_wall_s", wall)
+        return _resolved(WorkerResult(repetition, seed, error=error,
+                                      values=values))
+    return submit, None

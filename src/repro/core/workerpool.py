@@ -1,8 +1,8 @@
-"""Persistent worker pools and the record one worker task returns.
+"""Persistent worker pools and the task a worker runs.
 
-Before this module existed every ``ParallelRepeater.run`` call built
-a fresh ``ProcessPoolExecutor`` and tore it down again, so ``--jobs N``
-paid fork + interpreter warm-up + measure pickling on *every* round of
+Before this module existed every repeater run built a fresh
+``ProcessPoolExecutor`` and tore it down again, so ``--jobs N`` paid
+fork + interpreter warm-up + measure pickling on *every* round of
 *every* run — which is why the recorded scaling trajectory showed
 parallel runs at 0.63–0.97x of serial.  The two halves here fix that:
 
@@ -16,14 +16,14 @@ parallel runs at 0.63–0.97x of serial.  The two halves here fix that:
     without waiting — and rebuilt lazily on the next dispatch,
     preserving the resilient round semantics.
 
-``TaskSpec`` / :class:`WorkerResult`
+``TaskSpec`` / :class:`repro.core.parallel.WorkerResult`
     Because workers now outlive the run that forked them, they can no
     longer rely on *inherited* process-global state (metrics registry,
     trace-hash recorder, fault plan, activated run config).  Every task
     therefore carries a compact spec with an explicit context
     (:func:`build_task_context`), which the worker re-arms from before
     running the repetition body (:func:`_execute_task`).  The worker
-    returns one :class:`WorkerResult` — raw metric values, METRICS
+    returns one ``WorkerResult`` — raw metric values, METRICS
     snapshot, TRACE_HASH snapshot, fault RUNLOG entries — through the
     executor's own pickled result pipe.  A repetition's result is a few
     KB; even a tiny audit window keeps it well under a megabyte, so
@@ -32,7 +32,8 @@ parallel runs at 0.63–0.97x of serial.  The two halves here fix that:
 
 Nothing here touches experiment RNG streams; the spec/result plumbing
 is observability-and-transport only, which is what keeps ``--jobs N``
-byte-identical to serial.
+byte-identical to serial.  Only a run that builds or warms a pool
+imports this module (and with it ``multiprocessing``).
 """
 
 from __future__ import annotations
@@ -45,24 +46,9 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any, Dict, Mapping, Optional
 
 from repro.audit.tracehash import TRACE_HASH
-from repro.errors import ExperimentError
+from repro.core.parallel import WorkerResult, _run_repetition
 from repro.faults import FAULTS, RUNLOG, FaultPlan
 from repro.obs.metrics import METRICS
-
-
-def available_cpus() -> int:
-    """CPUs this process may actually run on.
-
-    ``os.cpu_count()`` reports the machine; in affinity-limited
-    containers (CI runners, cgroup-pinned jobs) the schedulable set is
-    smaller, and sizing a pool past it only adds contention — this is
-    the worker-count policy's default, with ``cpu_count`` as the
-    fallback on platforms without ``sched_getaffinity``.
-    """
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
 
 
 def _pool_context():
@@ -71,44 +57,6 @@ def _pool_context():
     if "fork" in methods:
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
-
-
-# ---------------------------------------------------------------------------
-# WorkerResult: the record one task returns
-# ---------------------------------------------------------------------------
-
-class WorkerResultError(ExperimentError):
-    """A pool outcome that is not a :class:`WorkerResult`; the task is
-    quarantined (treated as a failure, retried when retries are in
-    force), never folded in."""
-
-
-class WorkerResult:
-    """One task's outcome plus its folded-back observability snapshots.
-
-    ``values`` is the measure's metric dict; ``metrics``/``trace_hash``/
-    ``runlog`` are the worker-side registry snapshots the parent merges.
-    """
-
-    __slots__ = ("index", "seed", "error", "queue_wait_s", "wall_s",
-                 "pid", "values", "metrics", "trace_hash", "runlog")
-
-    def __init__(self, index: int, seed: Optional[int] = None,
-                 error: Optional[str] = None, queue_wait_s: float = 0.0,
-                 wall_s: float = 0.0, pid: int = 0, values: Any = None,
-                 metrics: Optional[Dict[str, Any]] = None,
-                 trace_hash: Optional[Dict[str, Any]] = None,
-                 runlog: Optional[Dict[str, Any]] = None):
-        self.index = index
-        self.seed = seed
-        self.error = error
-        self.queue_wait_s = queue_wait_s
-        self.wall_s = wall_s
-        self.pid = pid
-        self.values = values
-        self.metrics = metrics
-        self.trace_hash = trace_hash
-        self.runlog = runlog
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +141,10 @@ def _execute_task(spec: Mapping[str, Any]) -> WorkerResult:
     state between repetitions), ``attempt``, ``submitted_at``,
     ``hash_group``, ``run_token`` and ``context``.
     """
-    # Imported lazily: repro.core.parallel imports this module at top
-    # level, so the reverse edge must stay out of import time.
-    from repro.core import parallel as _parallel
-
     _apply_task_context(spec["context"], spec["run_token"])
     fn = pickle.loads(spec["fn_blob"])
     (repetition, seed, values, error, queue_wait, wall, snapshot,
-     thash) = _parallel._run_repetition(
+     thash) = _run_repetition(
         fn, spec["index"], spec["seed"], spec["submitted_at"],
         spec["attempt"], hash_group=spec["hash_group"])
     return WorkerResult(

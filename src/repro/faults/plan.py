@@ -340,7 +340,7 @@ class RunLog:
     """Parent-side resilience incidents for the current run.
 
     The conduit between the execution layer and the run manifest:
-    :class:`repro.core.parallel.ParallelRepeater` records dropped
+    :class:`repro.core.experiment.Repeater` records dropped
     repetitions, retries and timeouts here; :func:`repro.api.run`
     clears it per run and folds it into the manifest's ``faults``
     section.  Only the parent process writes to it.

@@ -3,8 +3,8 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core.experiment import Repeater
-from repro.core.parallel import ParallelRepeater
 from repro.faults import SITES, FaultPlan, injected, parse_fault_spec
+from tests._reference_repeat import reference_repeat
 
 SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
 PROBS = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -58,11 +58,11 @@ def test_transient_storm_with_retry_converges_to_fault_free(
     """measure.transient at any rate < 1 plus one retry round is always
     recovered: transients fire only at attempt 0 and retried repetitions
     re-derive the same seeds, so the result is byte-identical."""
-    baseline = Repeater(base_seed=base_seed, reps=3).run(measure)
+    baseline = reference_repeat(measure, base_seed, 3)
     plan = FaultPlan(seed=fault_seed).arm("measure.transient", rate)
     with injected(plan):
-        recovered = ParallelRepeater(base_seed=base_seed, reps=3, jobs=1,
-                                     retries=1).run(measure)
+        recovered = Repeater(base_seed=base_seed, reps=3, jobs=1,
+                             retries=1).run(measure)
     assert recovered.raw == baseline.raw
     assert recovered.metrics == baseline.metrics
     assert recovered.dropped == []

@@ -259,8 +259,11 @@ class TestMetricsDoNotPerturb:
         config = RunConfig(metrics=True, reps=2, jobs=2, cache=False)
         result = _figure("fig2", config, size=64)
         counters = result.metrics["counters"]
-        assert counters.get("parallel.fallback_serial", 0) >= 1
-        assert counters.get("parallel.repetitions", 0) == 0
+        runs = counters.get("parallel.fallback_serial", 0)
+        assert runs >= 1
+        # each run's two repetitions ran in-process and are counted
+        assert counters.get("parallel.repetitions", 0) == 2 * runs
+        assert "parallel.workers" not in result.metrics["gauges"]
 
 
 class TestRunDispatcher:

@@ -5,6 +5,7 @@ graph a ``repro`` process pays for before (and while) doing its work.
 The fleet entry points must not load the paper-figure stack (figure
 generators, workloads, VM and OS models) or the audit linter; a fleet
 run must not load them either, so the saving is not moved into the run.
+A serial figure run must not load the process-pool stack.
 """
 
 import json
@@ -25,11 +26,18 @@ HEAVY = ("repro.core.figures", "repro.workloads", "repro.virt.vm",
          "repro.osmodel", "repro.audit.linter")
 
 
-def _loaded_after(code: str, tmp_path) -> list:
-    """The ``repro`` modules loaded once ``code`` has run."""
+#: What only a worker pool needs: ``multiprocessing`` and the executor
+#: (``socket``, ``subprocess`` come with them).
+POOL_STACK = ("multiprocessing", "concurrent.futures.process", "socket",
+              "subprocess", "repro.core.workerpool")
+
+
+def _loaded_after(code: str, tmp_path, prefix: str = "repro") -> list:
+    """The modules under ``prefix`` (all with ``""``) loaded once
+    ``code`` has run."""
     script = (code + "\nimport json, sys\n"
               "print(json.dumps(sorted(name for name in sys.modules\n"
-              "                        if name.startswith('repro'))))\n")
+              f"                        if name.startswith({prefix!r}))))\n")
     env = {key: value for key, value in os.environ.items()
            if not key.startswith("REPRO_")}
     env["PYTHONPATH"] = SRC
@@ -66,3 +74,26 @@ def test_fleet_run_imports_no_heavy_stack(tmp_path):
     loaded = _loaded_after(code, tmp_path)
     assert "repro.fleet.server" in loaded
     assert _heavy(loaded) == []
+
+
+def test_serial_figure_run_loads_no_process_pool(tmp_path):
+    from repro import ckernel
+
+    # The kernel library is compiled once per machine (through
+    # ``subprocess``); every later process finds it cached, as here.
+    ckernel.compile_library()
+    code = (
+        "from repro.core.experiment import repeat\n"
+        "from repro.core.host_impact import (HostImpactConfig,\n"
+        "                                    NBenchImpactMeasure)\n"
+        "from repro.workloads.nbench import IndexGroup\n"
+        "measure = NBenchImpactMeasure(HostImpactConfig(environment='qemu'),\n"
+        "                              IndexGroup.MEM)\n"
+        "result = repeat(measure, reps=1, jobs=1)\n"
+        "assert result.raw\n"
+    )
+    loaded = _loaded_after(code, tmp_path, prefix="")
+    assert "repro.core.parallel" in loaded
+    assert [name for name in loaded
+            if any(name == pool or name.startswith(pool + ".")
+                   for pool in POOL_STACK)] == []

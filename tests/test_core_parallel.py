@@ -6,14 +6,10 @@ import pytest
 
 from repro.api import RunConfig, activated
 from repro.core.experiment import Repeater, repeat
-from repro.core.parallel import (
-    ParallelRepeater,
-    measure_is_picklable,
-    resolve_jobs,
-)
-from repro.core.workerpool import available_cpus
+from repro.core.parallel import available_cpus, resolve_jobs
 from repro.errors import ExperimentError
 from repro.simcore.rng import derive_rep_seed
+from tests._reference_repeat import reference_repeat
 
 
 def picklable_measure(seed):
@@ -63,45 +59,48 @@ class TestResolveJobs:
 
 
 class TestPicklability:
+    """Whether ``measure`` pickles decides pool vs in-process."""
+
     def test_module_level_function(self):
-        assert measure_is_picklable(picklable_measure)
+        result = Repeater(base_seed=1, reps=3, jobs=2).run(pid_measure)
+        assert float(os.getpid()) not in set(result.raw["pid"])
 
     def test_local_closure_is_not(self):
-        captured = []
+        parent = float(os.getpid())
 
         def measure(seed):
-            captured.append(seed)
-            return {"x": 1.0}
+            return {"pid": float(os.getpid())}
 
-        assert not measure_is_picklable(measure)
-        assert not measure_is_picklable(lambda seed: {"x": 1.0})
+        for fn in (measure, lambda seed: {"pid": float(os.getpid())}):
+            result = Repeater(base_seed=1, reps=3, jobs=2).run(fn)
+            assert set(result.raw["pid"]) == {parent}
 
 
 class TestEquivalence:
     def test_bit_identical_to_serial(self):
-        serial = Repeater(base_seed=9, reps=6).run(picklable_measure)
-        parallel = ParallelRepeater(base_seed=9, reps=6,
-                                    jobs=4).run(picklable_measure)
+        serial = reference_repeat(picklable_measure, 9, 6)
+        parallel = Repeater(base_seed=9, reps=6,
+                            jobs=4).run(picklable_measure)
         assert parallel.raw == serial.raw
         assert parallel.metrics == serial.metrics
 
     def test_repetition_order_preserved(self):
-        result = ParallelRepeater(base_seed=3, reps=5,
-                                  jobs=3).run(picklable_measure)
+        result = Repeater(base_seed=3, reps=5,
+                          jobs=3).run(picklable_measure)
         expected = [float(derive_rep_seed(3, rep) % 1000) for rep in range(5)]
         assert result.raw["x"] == expected
 
     def test_key_order_matches_serial(self):
-        serial = Repeater(base_seed=1, reps=2).run(picklable_measure)
-        parallel = ParallelRepeater(base_seed=1, reps=2,
-                                    jobs=2).run(picklable_measure)
+        serial = reference_repeat(picklable_measure, 1, 2)
+        parallel = Repeater(base_seed=1, reps=2,
+                            jobs=2).run(picklable_measure)
         assert list(parallel.raw) == list(serial.raw)
 
 
 class TestFallbacks:
     def test_jobs_one_runs_serially(self):
-        result = ParallelRepeater(base_seed=1, reps=3,
-                                  jobs=1).run(picklable_measure)
+        result = Repeater(base_seed=1, reps=3,
+                          jobs=1).run(picklable_measure)
         assert result["x"].n == 3
 
     def test_unpicklable_measure_falls_back(self):
@@ -111,19 +110,19 @@ class TestFallbacks:
             seen.append(seed)
             return {"x": float(len(seen))}
 
-        result = ParallelRepeater(base_seed=2, reps=4, jobs=4).run(measure)
+        result = Repeater(base_seed=2, reps=4, jobs=4).run(measure)
         # the closure ran in-process: side effects are visible here
         assert len(seen) == 4
         assert result["x"].n == 4
 
     def test_single_rep_runs_serially(self):
-        result = ParallelRepeater(base_seed=2, reps=1,
-                                  jobs=8).run(picklable_measure)
+        result = Repeater(base_seed=2, reps=1,
+                          jobs=8).run(picklable_measure)
         assert result["x"].n == 1
 
     def test_bad_reps_rejected(self):
         with pytest.raises(ExperimentError):
-            ParallelRepeater(reps=0, jobs=2)
+            Repeater(reps=0, jobs=2)
 
 
 class TestFailureReporting:
@@ -134,7 +133,7 @@ class TestFailureReporting:
         )
         seed = derive_rep_seed(5, failing_rep)
         with pytest.raises(ExperimentError) as excinfo:
-            ParallelRepeater(base_seed=5, reps=8, jobs=4).run(failing_measure)
+            Repeater(base_seed=5, reps=8, jobs=4).run(failing_measure)
         message = str(excinfo.value)
         assert f"repetition {failing_rep}" in message
         assert f"seed {seed}" in message
@@ -142,7 +141,7 @@ class TestFailureReporting:
 
     def test_empty_metrics_rejected_with_seed(self):
         with pytest.raises(ExperimentError, match=r"seed \d+"):
-            ParallelRepeater(base_seed=0, reps=2, jobs=2).run(empty_measure)
+            Repeater(base_seed=0, reps=2, jobs=2).run(empty_measure)
 
 
 class TestPersistentPool:
@@ -151,11 +150,11 @@ class TestPersistentPool:
     def test_worker_pids_reused_across_runs(self):
         from repro.core.workerpool import pool_generations
 
-        first = ParallelRepeater(base_seed=1, reps=6,
-                                 jobs=2).run(pid_measure)
+        first = Repeater(base_seed=1, reps=6,
+                         jobs=2).run(pid_measure)
         generation = pool_generations()[2]
-        second = ParallelRepeater(base_seed=2, reps=6,
-                                  jobs=2).run(pid_measure)
+        second = Repeater(base_seed=2, reps=6,
+                          jobs=2).run(pid_measure)
         # real fan-out: work ran in child processes, not the parent
         parent = float(os.getpid())
         assert parent not in set(first.raw["pid"])
@@ -168,13 +167,13 @@ class TestPersistentPool:
         from repro.core.workerpool import pool_generations
         from repro.faults import RUNLOG, FaultPlan, injected
 
-        ParallelRepeater(base_seed=3, reps=6, jobs=2).run(pid_measure)
+        Repeater(base_seed=3, reps=6, jobs=2).run(pid_measure)
         generation_before = pool_generations()[2]
         RUNLOG.clear()
         plan = FaultPlan(seed=3).arm("measure.transient", 0.9)
         with injected(plan):
-            result = ParallelRepeater(base_seed=3, reps=6, jobs=2,
-                                      retries=4).run(pid_measure)
+            result = Repeater(base_seed=3, reps=6, jobs=2,
+                              retries=4).run(pid_measure)
         assert result["pid"].n == 6
         assert RUNLOG.retries > 0          # the storm really retried
         assert RUNLOG.injected.get("measure.transient", 0) > 0
@@ -186,13 +185,13 @@ class TestPersistentPool:
     def test_pool_rebuilt_after_worker_crash(self):
         from repro.core.workerpool import pool_generations
 
-        ParallelRepeater(base_seed=4, reps=6, jobs=2).run(pid_measure)
+        Repeater(base_seed=4, reps=6, jobs=2).run(pid_measure)
         generation_before = pool_generations()[2]
         with pytest.raises(ExperimentError, match="broke the worker pool"):
-            ParallelRepeater(base_seed=5, reps=6,
-                             jobs=2).run(exiting_measure)
-        result = ParallelRepeater(base_seed=6, reps=6,
-                                  jobs=2).run(pid_measure)
+            Repeater(base_seed=5, reps=6,
+                     jobs=2).run(exiting_measure)
+        result = Repeater(base_seed=6, reps=6,
+                          jobs=2).run(pid_measure)
         assert result["pid"].n == 6
         assert pool_generations()[2] > generation_before
 
@@ -203,8 +202,8 @@ def exiting_measure(seed):
 
 class TestSerialFallback:
     def test_two_reps_run_in_parent(self):
-        result = ParallelRepeater(base_seed=7, reps=2,
-                                  jobs=4).run(pid_measure)
+        result = Repeater(base_seed=7, reps=2,
+                          jobs=4).run(pid_measure)
         assert set(result.raw["pid"]) == {float(os.getpid())}
 
     def test_two_reps_record_fallback_metric(self):
@@ -212,8 +211,8 @@ class TestSerialFallback:
 
         METRICS.enable(reset=True)
         try:
-            ParallelRepeater(base_seed=7, reps=2,
-                             jobs=4).run(picklable_measure)
+            Repeater(base_seed=7, reps=2,
+                     jobs=4).run(picklable_measure)
             assert METRICS.counter("parallel.fallback_serial") == 1
         finally:
             METRICS.disable()
@@ -225,7 +224,7 @@ class TestRepeatDispatch:
         with activated(RunConfig(reps=4)):
             result = repeat(picklable_measure, base_seed=4,
                             default_reps=4, jobs=2)
-        serial = Repeater(base_seed=4, reps=4).run(picklable_measure)
+        serial = reference_repeat(picklable_measure, 4, 4)
         assert result.raw == serial.raw
 
     def test_repeat_honours_jobs_env(self):

@@ -13,12 +13,12 @@ import pytest
 
 from repro import api
 from repro.core.experiment import Repeater, repeat
-from repro.core.parallel import ParallelRepeater
 from repro.errors import CheckpointError, ExperimentError
 from repro.faults import FAULTS, RUNLOG, FaultPlan, injected
 from repro.fleet import FleetConfig, build_fleet_columns, simulate_fleet
 from repro.simcore.rng import derive_rep_seed
 from tests._reference_fleet import host_from_columns
+from tests._reference_repeat import reference_repeat
 
 
 @pytest.fixture(autouse=True)
@@ -61,10 +61,10 @@ class TestByteIdenticalRecovery:
         # precondition: this fault seed really does crash a worker
         assert any(plan.would_fire("worker.crash", key=r, attempt=0)
                    for r in range(6))
-        baseline = Repeater(base_seed=42, reps=6).run(picklable_measure)
+        baseline = reference_repeat(picklable_measure, 42, 6)
         with injected(plan):
-            stormy = ParallelRepeater(base_seed=42, reps=6, jobs=2,
-                                      retries=3).run(picklable_measure)
+            stormy = Repeater(base_seed=42, reps=6, jobs=2,
+                              retries=3).run(picklable_measure)
         assert stormy.raw == baseline.raw
         assert stormy.metrics == baseline.metrics
         assert stormy.dropped == []
@@ -81,11 +81,11 @@ class TestByteIdenticalRecovery:
         for rep in range(1, 6):
             assert not plan.would_fire("worker.crash", key=rep, attempt=0)
             assert plan.would_fire("worker.crash", key=rep, attempt=1)
-        serial = ParallelRepeater(base_seed=42, reps=6, jobs=1,
-                                  retries=1).run(slow_measure)
+        serial = Repeater(base_seed=42, reps=6, jobs=1,
+                          retries=1).run(slow_measure)
         with injected(plan):
-            stormy = ParallelRepeater(base_seed=42, reps=6, jobs=2,
-                                      retries=1).run(slow_measure)
+            stormy = Repeater(base_seed=42, reps=6, jobs=2,
+                              retries=1).run(slow_measure)
         assert stormy.raw == serial.raw
         assert stormy.metrics == serial.metrics
         assert stormy.dropped == []
@@ -93,33 +93,33 @@ class TestByteIdenticalRecovery:
         assert plan.injected["worker.crash"] == 1
 
     def test_transient_storm_recovers_serially(self):
-        baseline = Repeater(base_seed=11, reps=4).run(picklable_measure)
+        baseline = reference_repeat(picklable_measure, 11, 4)
         plan = FaultPlan(seed=1).arm("measure.transient", 1.0)
         with injected(plan):
-            recovered = ParallelRepeater(base_seed=11, reps=4, jobs=1,
-                                         retries=1).run(picklable_measure)
+            recovered = Repeater(base_seed=11, reps=4, jobs=1,
+                                 retries=1).run(picklable_measure)
         assert recovered.raw == baseline.raw
         # every repetition failed once (transient, p=1) and was retried
         assert RUNLOG.retries == 4
         assert plan.injected["measure.transient"] == 4
 
     def test_hang_trips_timeout_then_recovers(self):
-        baseline = Repeater(base_seed=13, reps=2).run(picklable_measure)
+        baseline = reference_repeat(picklable_measure, 13, 2)
         plan = FaultPlan(seed=1, hang_s=30.0).arm("worker.hang", 1.0)
         with injected(plan):
-            recovered = ParallelRepeater(
+            recovered = Repeater(
                 base_seed=13, reps=2, jobs=2, retries=2,
                 task_timeout_s=0.25).run(picklable_measure)
         assert recovered.raw == baseline.raw
         assert RUNLOG.timeouts >= 1
 
     def test_fault_free_resilient_path_matches_legacy(self):
-        legacy = ParallelRepeater(base_seed=21, reps=4,
-                                  jobs=2).run(picklable_measure)
-        resilient = ParallelRepeater(base_seed=21, reps=4, jobs=2,
-                                     retries=2,
-                                     task_timeout_s=60.0
-                                     ).run(picklable_measure)
+        legacy = Repeater(base_seed=21, reps=4,
+                          jobs=2).run(picklable_measure)
+        resilient = Repeater(base_seed=21, reps=4, jobs=2,
+                             retries=2,
+                             task_timeout_s=60.0
+                             ).run(picklable_measure)
         assert resilient.raw == legacy.raw
         assert resilient.metrics == legacy.metrics
         assert RUNLOG.retries == 0 and RUNLOG.timeouts == 0
@@ -131,7 +131,7 @@ class TestGracefulDegradation:
         seeds = [derive_rep_seed(5, r) for r in range(reps)]
         doomed = [r for r in range(reps) if seeds[r] % 2 == 0]
         assert doomed  # the scenario must actually drop something
-        result = ParallelRepeater(
+        result = Repeater(
             base_seed=5, reps=reps, jobs=2, retries=1,
             min_reps=reps - len(doomed)).run(failing_even_measure)
         assert [d["repetition"] for d in result.dropped] == doomed
@@ -143,8 +143,8 @@ class TestGracefulDegradation:
 
     def test_below_min_reps_fails_fast_with_attempts(self):
         with pytest.raises(ExperimentError) as excinfo:
-            ParallelRepeater(base_seed=5, reps=4, jobs=2, retries=1,
-                             min_reps=4).run(failing_even_measure)
+            Repeater(base_seed=5, reps=4, jobs=2, retries=1,
+                     min_reps=4).run(failing_even_measure)
         message = str(excinfo.value)
         assert "failed after 2 attempt(s)" in message
         assert "repetitions completed" in message
@@ -152,22 +152,22 @@ class TestGracefulDegradation:
 
     def test_min_reps_cannot_exceed_reps(self):
         with pytest.raises(ExperimentError, match="min_reps"):
-            ParallelRepeater(base_seed=1, reps=3, jobs=2, min_reps=4)
+            Repeater(base_seed=1, reps=3, jobs=2, min_reps=4)
 
     def test_bad_knobs_rejected(self):
         with pytest.raises(ExperimentError, match="retries"):
-            ParallelRepeater(base_seed=1, reps=2, jobs=2, retries=-1)
+            Repeater(base_seed=1, reps=2, jobs=2, retries=-1)
         with pytest.raises(ExperimentError, match="task_timeout_s"):
-            ParallelRepeater(base_seed=1, reps=2, jobs=2, task_timeout_s=0)
+            Repeater(base_seed=1, reps=2, jobs=2, task_timeout_s=0)
         with pytest.raises(ExperimentError, match="min_reps"):
-            ParallelRepeater(base_seed=1, reps=2, jobs=2, min_reps=0)
+            Repeater(base_seed=1, reps=2, jobs=2, min_reps=0)
 
 
 class TestLegacyPoolBreak:
     def test_salvage_reports_completed_count(self):
         with pytest.raises(ExperimentError) as excinfo:
-            ParallelRepeater(base_seed=5, reps=4,
-                             jobs=2).run(exiting_even_measure)
+            Repeater(base_seed=5, reps=4,
+                     jobs=2).run(exiting_even_measure)
         message = str(excinfo.value)
         assert "broke the worker pool after" in message
         assert "of 4 repetitions had completed" in message
@@ -177,19 +177,19 @@ class TestConfigDefaults:
     def test_resilience_knobs_flow_from_run_config(self):
         config = api.RunConfig(retries=2, task_timeout_s=90.0, min_reps=2)
         with api.activated(config):
-            repeater = ParallelRepeater(base_seed=1, reps=3, jobs=2)
+            repeater = Repeater(base_seed=1, reps=3, jobs=2)
         assert repeater.retries == 2
         assert repeater.task_timeout_s == 90.0
         assert repeater.min_reps == 2
 
     def test_explicit_knobs_beat_config(self):
         with api.activated(api.RunConfig(retries=5)):
-            repeater = ParallelRepeater(base_seed=1, reps=3, jobs=2,
-                                        retries=0)
+            repeater = Repeater(base_seed=1, reps=3, jobs=2,
+                                retries=0)
         assert repeater.retries == 0
 
     def test_repeat_routes_through_resilient_path_at_one_job(self):
-        baseline = Repeater(base_seed=17, reps=3).run(picklable_measure)
+        baseline = reference_repeat(picklable_measure, 17, 3)
         with injected(FaultPlan(seed=2).arm("measure.transient", 1.0)):
             recovered = repeat(picklable_measure, base_seed=17, reps=3,
                                jobs=1, retries=1)

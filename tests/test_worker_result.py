@@ -5,12 +5,13 @@ import pickle
 
 from repro.audit.tracehash import TraceHashRecorder
 from repro.core.experiment import Repeater
-from repro.core.parallel import (ParallelRepeater, _rep_spec, _resolved,
+from repro.core.parallel import (WorkerResult, _rep_spec, _resolved,
                                  _run_rounds)
-from repro.core.workerpool import (WorkerPool, WorkerResult, _execute_task,
+from repro.core.workerpool import (WorkerPool, _execute_task,
                                    build_task_context, next_run_token)
 from repro.faults import RUNLOG
 from repro.obs.metrics import METRICS, MetricsRegistry
+from tests._reference_repeat import reference_repeat
 
 #: Keys in :func:`bulk_measure`'s values dict: enough that one result
 #: pickles to well over the 64 KiB the pool once shipped inline.
@@ -59,11 +60,11 @@ class TestRoundTrip:
         assert len(pickle.dumps(bulk_measure(0))) >= 256 * 1024
         METRICS.enable(reset=True)
         try:
-            serial = Repeater(base_seed=11, reps=4).run(bulk_measure)
+            serial = reference_repeat(bulk_measure, 11, 4)
             serial_counters = METRICS.snapshot()["counters"]
             METRICS.enable(reset=True)
-            pooled = ParallelRepeater(base_seed=11, reps=4,
-                                      jobs=2).run(bulk_measure)
+            pooled = Repeater(base_seed=11, reps=4,
+                              jobs=2).run(bulk_measure)
             pooled_counters = METRICS.snapshot()["counters"]
         finally:
             METRICS.disable()
