@@ -20,6 +20,15 @@ one per layer:
   name) against bulk (``RngStreams.first_uniforms`` in the 7z's
   chunks); it reports draws/s for both.
 
+``engine_throughput``, ``tcp_packet_rate`` and ``scheduler_decisions``
+also run, in the same rounds, on the engine's Python event core
+(``repro.simcore._pycore``; the compiled core is the default when it
+builds): the core is chosen when ``repro.simcore`` is imported, so
+those rows run in a helper interpreter that loads the Python core and
+keeps the compiled decision pass, one round at a time between the
+parent's rounds.  They report ``python_core_events_per_s`` (and
+``python_core_decisions_per_s``) next to the default core's numbers.
+
 Under pytest (``pytest benchmarks/bench_sim_engine.py``) each workload is
 timed by pytest-benchmark.  Run as a script it appends one record —
 best-of-N events/s per workload plus scheduler decisions/s and first
@@ -35,9 +44,11 @@ untimed run (the simulation is deterministic, so the count is exact).
 
 import argparse
 import json
+import os
 import pathlib
 import platform
-import statistics
+import subprocess
+import sys
 import time
 from unittest import mock
 
@@ -53,6 +64,7 @@ import repro.osmodel.scheduler as scheduler_module
 from repro.osmodel.scheduler import Scheduler, decision_pass
 from repro.osmodel.threads import PRIORITY_HIGH, PRIORITY_IDLE, PRIORITY_NORMAL
 from repro.simcore.engine import Engine
+from repro.simcore.events import EVENT_CORE
 from repro.simcore.rng import RngStreams
 from repro.workloads.sevenzip import (
     BLOCK_JITTER,
@@ -189,6 +201,70 @@ WORKLOADS = {
 }
 
 
+#: The rows also timed on the Python event core.
+CORE_WORKLOADS = ("engine_throughput", "tcp_packet_rate",
+                  "scheduler_decisions")
+
+#: The helper interpreter's body: load the Python event core (the
+#: kernel library, and with it the compiled decision pass, stays), then
+#: time one round of CORE_WORKLOADS per input line.
+_PYTHON_CORE_CHILD = """
+import json, sys
+from unittest import mock
+from repro import ckernel
+with mock.patch.object(ckernel, "event_core", lambda: None):
+    import repro.simcore.events
+import bench_sim_engine as bench
+assert bench.EVENT_CORE == "python"
+print(json.dumps(bench.python_core_round()), flush=True)
+for _ in sys.stdin:
+    print(json.dumps(bench.python_core_round()), flush=True)
+"""
+
+
+def python_core_round() -> dict:
+    """One timed round of CORE_WORKLOADS in this process:
+    ``{name: [wall_s, events]}``."""
+    out = {}
+    for name in CORE_WORKLOADS:
+        started = time.perf_counter()
+        engine = WORKLOADS[name]()
+        out[name] = [time.perf_counter() - started, engine.events_processed]
+    return out
+
+
+class PythonCoreRounds:
+    """The helper interpreter that times CORE_WORKLOADS on the Python
+    event core, one round per :meth:`round` call.  Its first (untimed)
+    round runs at start-up, so imports and first-use caches stay out of
+    the timed ones."""
+
+    def __init__(self):
+        env = dict(os.environ)
+        here = str(pathlib.Path(__file__).resolve().parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [here] + [path for path in sys.path if path])
+        self._child = subprocess.Popen(
+            [sys.executable, "-c", _PYTHON_CORE_CHILD], env=env,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        self._read()
+
+    def _read(self) -> dict:
+        line = self._child.stdout.readline()
+        if not line:
+            raise RuntimeError("the Python event core helper exited")
+        return json.loads(line)
+
+    def round(self) -> dict:
+        self._child.stdin.write("\n")
+        self._child.stdin.flush()
+        return self._read()
+
+    def close(self) -> None:
+        self._child.stdin.close()
+        self._child.wait(timeout=60)
+
+
 def count_decisions(python_pass: bool = False) -> int:
     """Decision passes (placements) of one ``scheduler_decisions`` run,
     as the scheduler counts them."""
@@ -205,22 +281,41 @@ def measure(reps: int) -> list:
     """
     walls = {name: [] for name in WORKLOADS}
     python_walls = []
+    core_walls = {name: [] for name in CORE_WORKLOADS}
     events = {}
-    for _ in range(reps):
-        for name, workload in WORKLOADS.items():
+    helper = PythonCoreRounds() if EVENT_CORE != "python" else None
+    try:
+        for _ in range(reps):
+            for name, workload in WORKLOADS.items():
+                started = time.perf_counter()
+                engine = workload()
+                walls[name].append(time.perf_counter() - started)
+                events[name] = engine.events_processed
             started = time.perf_counter()
-            engine = workload()
-            walls[name].append(time.perf_counter() - started)
-            events[name] = engine.events_processed
-        started = time.perf_counter()
-        _decision_world(5.0, python_pass=True)
-        python_walls.append(time.perf_counter() - started)
+            _decision_world(5.0, python_pass=True)
+            python_walls.append(time.perf_counter() - started)
+            twin = helper.round() if helper else python_core_round()
+            for name, (wall, count) in twin.items():
+                if count != events[name]:
+                    raise RuntimeError(
+                        f"{name}: the Python event core dispatched {count} "
+                        f"events, the {EVENT_CORE} core {events[name]}")
+                core_walls[name].append(wall)
+    finally:
+        if helper:
+            helper.close()
     runs = []
     for name in WORKLOADS:
         wall = min(walls[name])
         run = {"name": name, "events": events[name],
                "wall_s": round(wall, 4),
                "events_per_s": round(events[name] / wall, 1)}
+        if name in core_walls:
+            core_wall = min(core_walls[name])
+            run["event_core"] = EVENT_CORE
+            run["python_core_wall_s"] = round(core_wall, 4)
+            run["python_core_events_per_s"] = round(
+                events[name] / core_wall, 1)
         if name == "scheduler_decisions":
             python_wall = min(python_walls)
             run["decision_pass"] = decision_pass()
@@ -229,13 +324,17 @@ def measure(reps: int) -> list:
             run["python_wall_s"] = round(python_wall, 4)
             run["python_decisions_per_s"] = round(
                 count_decisions(python_pass=True) / python_wall, 1)
+            run["python_core_decisions_per_s"] = round(
+                run["decisions"] / min(core_walls[name]), 1)
         runs.append(run)
         print(f"{name:26s} {events[name]:7d} events  {wall:7.4f} s  "
               f"{run['events_per_s']:10.1f} events/s"
               + (f"  {run['decisions_per_s']:10.1f} decisions/s "
                  f"({run['decision_pass']}), "
                  f"{run['python_decisions_per_s']:10.1f} on the Python "
-                 "pass" if "decisions" in run else ""))
+                 "pass" if "decisions" in run else "")
+              + (f"  [{run['python_core_events_per_s']:10.1f} events/s on "
+                 "the Python event core]" if name in core_walls else ""))
     # after the engine rounds, so the scalar path's 2,048 generators per
     # run do not share a round with the layers above
     draw_walls = {False: [], True: []}
@@ -302,6 +401,18 @@ def test_scheduler_decision_rate(benchmark):
 @pytest.mark.benchmark(group="simulator")
 def test_rng_first_draws_bulk(benchmark):
     assert benchmark(rng_first_draws, True) == rng_first_draws(False)
+
+
+def test_python_core_round_dispatches_the_same_events():
+    """The Python event core's helper counts what this process counts."""
+    helper = PythonCoreRounds() if EVENT_CORE != "python" else None
+    try:
+        twin = helper.round() if helper else python_core_round()
+    finally:
+        if helper:
+            helper.close()
+    for name, (_, count) in twin.items():
+        assert count == WORKLOADS[name]().events_processed
 
 
 def test_decision_count_is_deterministic():

@@ -1,15 +1,18 @@
-"""Run the kernel suites against a sanitised build of the kernel library.
+"""Run the kernel suites against sanitised builds of the compiled code.
 
 Compiles the kernel library (``fleet/_cloop.c`` and ``osmodel/_sched.c``)
-with AddressSanitizer and UndefinedBehaviorSanitizer (``-O1 -g
+and the event core extension (``simcore/_ccore.c``) with
+AddressSanitizer and UndefinedBehaviorSanitizer (``-O1 -g
 -fsanitize=address,undefined -fno-sanitize-recover=undefined``) through
-the ``flags`` argument of :func:`repro.ckernel.compile_library`, then
-runs the kernel suites in a subprocess that preloads the compiler's
-``libasan`` and ``libubsan`` and loads that build instead of the
-production one.  An out-of-bounds access, a use after free or undefined
-behaviour in any entry point (event loop, column sampler, fault-draw
-batch, whose over-long payloads must be refused before they reach its
-fixed stack buffer, or the scheduler's decision pass) aborts the run.
+the ``flags`` argument of :func:`repro.ckernel.compile_library` and
+:func:`repro.ckernel.compile_extension`, then runs the kernel and event
+core suites in a subprocess that preloads the compiler's ``libasan`` and
+``libubsan`` and loads those builds instead of the production ones.  An
+out-of-bounds access, a use after free or undefined behaviour in any
+entry point (event loop, column sampler, fault-draw batch, whose
+over-long payloads must be refused before they reach its fixed stack
+buffer, the scheduler's decision pass, or the event core's handles,
+events, process resume and engine drain) aborts the run.
 
 Exit status 0 when every suite passes on the sanitised build, non-zero
 otherwise (also when no compiler or sanitiser runtime is found: this is
@@ -19,6 +22,7 @@ a check, not a best effort).  Usage::
 """
 
 import argparse
+import glob
 import os
 import shutil
 import subprocess
@@ -37,7 +41,11 @@ SUITES = ("tests/test_fleet_fastloop.py",
           "tests/property/test_prop_fleet_sampler.py",
           "tests/property/test_prop_fault_draws.py",
           "tests/property/test_prop_scheduler_equiv.py",
-          "tests/property/test_prop_scheduler_passes.py")
+          "tests/property/test_prop_scheduler_passes.py",
+          *sorted(os.path.relpath(path, ROOT) for path in glob.glob(
+              str(ROOT / "tests" / "test_simcore_*.py"))),
+          "tests/property/test_prop_process_equiv.py",
+          "tests/property/test_prop_engine.py")
 
 # Runs inside the sanitised subprocess: every later compile made without
 # explicit flags (the one the shared driver's load() makes) returns the
@@ -51,7 +59,9 @@ from repro import ckernel
 
 ckernel.OPT_FLAGS = {flags!r}
 assert ckernel.available(), "the sanitised kernel failed to load"
+assert ckernel.event_core() is not None, "the sanitised event core failed to load"
 print("sanitised kernel:", ckernel.compile_library(), flush=True)
+print("sanitised event core:", ckernel.compile_extension(), flush=True)
 sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", "--capture=sys",
                       *{suites!r}]))
 """
@@ -76,6 +86,8 @@ def main(argv=None) -> int:
         raise SystemExit("no C compiler on PATH")
     if ckernel.compile_library(flags=SANITIZE_FLAGS) is None:
         raise SystemExit("the sanitised kernel build failed")
+    if ckernel.compile_extension(flags=SANITIZE_FLAGS) is None:
+        raise SystemExit("the sanitised event core build failed")
     env = dict(os.environ)
     env["LD_PRELOAD"] = ":".join(
         [runtime(cc, "libasan.so"), runtime(cc, "libubsan.so")])

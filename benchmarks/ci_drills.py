@@ -268,15 +268,16 @@ def audit_smoke():
     # rest (82 KB seen); they must cross the pool's result pipe intact
     run(repro("audit", "fig1", "--jobs", 4, "--window", 0.0001,
               REPRO_FAST="1"))
-    # the compiled scheduler decision pass against the Python one
-    # (REPRO_NO_CLOOP=1): the same audit result, and a manifest that
-    # names the pass that ran
+    # the compiled scheduler decision pass and event core against the
+    # Python ones (REPRO_NO_CLOOP=1): the same audit result, and a
+    # manifest that names the pass and the core that ran
     same_bytes(repro("audit", "fig7", "--jobs", 4, REPRO_FAST="1"),
                repro("audit", "fig7", "--jobs", 4, REPRO_FAST="1",
                      REPRO_NO_CLOOP="1"))
     run(repro("figure", "fig7", "--jobs", 1, "--metrics", REPRO_FAST="1",
               REPRO_CACHE="0", REPRO_NO_CLOOP="1"))
-    check_manifest(execution={"decision_pass": "python"})
+    check_manifest(execution={"decision_pass": "python",
+                              "event_core": "python"})
 
 
 def campaign_smoke():

@@ -60,6 +60,12 @@ DEFAULT_WINDOW_S = 1.0
 DEFAULT_CONTEXT = "main"
 
 
+#: Module of the compiled event core's types (``simcore/_ccore.c``).
+_CCORE_MODULE = "repro.simcore._ccore"
+
+_BUILTIN_METHOD = type(len)
+
+
 def _event_name(fn: Any) -> str:
     """Deterministic label for a dispatched callback.
 
@@ -67,9 +73,24 @@ def _event_name(fn: Any) -> str:
     callables without one (e.g. ``functools.partial``).  Never uses
     ``repr`` — default reprs embed addresses, which differ across
     processes.
+
+    A method of the compiled event core is named after the core class
+    that defines it, as the pure-Python twin's function would be: a C
+    method's bound ``__qualname__`` takes the instance's type
+    (``Timeout(...).succeed`` reads ``Timeout.succeed``), where the twin
+    reads ``SimEvent.succeed``.
     """
     name = getattr(fn, "__qualname__", None)
-    return name if name is not None else type(fn).__name__
+    if name is None:
+        return type(fn).__name__
+    if type(fn) is _BUILTIN_METHOD:
+        method = fn.__name__
+        for cls in type(fn.__self__).__mro__:
+            if method in cls.__dict__:
+                if cls.__module__ == _CCORE_MODULE:
+                    return f"{cls.__name__}.{method}"
+                break
+    return name
 
 
 class StreamHash:

@@ -1,65 +1,83 @@
-"""Compile-on-first-use driver of the kernel library.
+"""Compile-on-first-use driver of the kernel library and the event core.
 
-One shared library holds every compiled kernel of the package: the fleet
+One shared library holds every ctypes kernel of the package: the fleet
 kernels of ``fleet/_cloop.c`` (column sampler, fault-free event loop,
 fault-draw batch; driven by :mod:`repro.fleet.cloop`) and the OS
 scheduler's decision pass of ``osmodel/_sched.c`` (driven by
-:mod:`repro.osmodel.scheduler`).  This module builds it with the system
-C compiler on first use, caches the ``.so`` in the temp directory (keyed
-by a hash of the sources and the compiler flags) and loads it once per
-process, so a figure run that also touches the fleet pays one compile
-and one load.  It imports nothing of ``repro``: the fleet and the OS
-model both import it, and neither imports the other.
+:mod:`repro.osmodel.scheduler`).  Next to it sits the event core,
+``simcore/_ccore.c``: a CPython extension (``repro.simcore._ccore``)
+holding the discrete-event engine's hot path (see
+:mod:`repro.simcore._pycore`, its pure-Python twin).  This module builds
+both with the system C compiler on first use, caches each ``.so`` in the
+temp directory (keyed by a hash of the sources and the compiler flags;
+the extension's key also takes the interpreter's extension suffix and
+include directory) and loads each once per process, so a figure run that
+also touches the fleet pays one compile and one load of each.  The first
+:func:`load` fills a cold cache for both.  It imports nothing of
+``repro``: the fleet, the OS model and the event core all import it,
+and none imports another through it.
 
 No compiler, a failed compile, a failed load, or ``REPRO_NO_CLOOP=1``
-make :func:`load` return ``None``; every caller then takes its
-pure-Python twin, which produces the same bytes.
+make :func:`load` and :func:`event_core` return ``None``; every caller
+then takes its pure-Python twin, which produces the same bytes.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+import sys
 from pathlib import Path
+from types import ModuleType
 from typing import Optional, Sequence
 
-__all__ = ["available", "compile_library", "load", "open_library"]
+__all__ = ["available", "compile_extension", "compile_library",
+           "event_core", "load", "open_library"]
 
 _ROOT = Path(__file__).parent
 #: The library's translation units, compiled together into one ``.so``.
 SOURCES = (_ROOT / "fleet" / "_cloop.c", _ROOT / "osmodel" / "_sched.c")
+
+#: The event core extension's source and module name.
+EXT_SOURCE = _ROOT / "simcore" / "_ccore.c"
+EXT_NAME = "repro.simcore._ccore"
 
 #: Optimisation flags of the production build.
 OPT_FLAGS: Sequence[str] = ("-O2",)
 
 _lib: Optional[ctypes.CDLL] = None
 _tried = False
+_ext: Optional[ModuleType] = None
+_ext_tried = False
 
 
-def compile_library(flags: Optional[Sequence[str]] = None) -> Optional[str]:
-    """Build (or reuse) the kernel library; its path, or ``None``.
+def _disabled() -> bool:
+    # a kill switch, not run policy: every fallback is byte-identical,
+    # so this only ever changes speed
+    return bool(os.environ.get("REPRO_NO_CLOOP"))  # repro: allow-env-read
 
-    ``flags`` replaces the optimisation flags (default
-    :data:`OPT_FLAGS`), for test builds such as a sanitised one; the
-    ``.so`` name hashes them with the sources, so each flag set gets its
-    own cached library.
+
+def _build(prefix: str, sources: Sequence[Path], flags: Sequence[str],
+           extra: Sequence[str], key: Sequence[str]) -> Optional[str]:
+    """Compile ``sources`` into a cached ``.so``; its path, or ``None``.
+
+    The cache name hashes the sources, the flags and ``key``.
     """
     import hashlib
     import shutil
     import tempfile
 
-    flags = tuple(OPT_FLAGS if flags is None else flags)
     cc = shutil.which("gcc") or shutil.which("cc")
     if cc is None:
         return None
     hasher = hashlib.sha256()
-    for source in SOURCES:
+    for source in sources:
         hasher.update(source.read_bytes())
-    hasher.update("\0".join(flags).encode())
+    hasher.update("\0".join((*flags, *key)).encode())
     digest = hasher.hexdigest()[:16]
     tag = getattr(os, "getuid", lambda: 0)()
     so_path = os.path.join(
-        tempfile.gettempdir(), f"repro_cloop_{digest}_{tag}.so")
+        tempfile.gettempdir(), f"{prefix}_{digest}_{tag}.so")
     if os.path.exists(so_path):
         return so_path
     import subprocess  # only a cache miss runs the compiler
@@ -70,8 +88,8 @@ def compile_library(flags: Optional[Sequence[str]] = None) -> Optional[str]:
         # -ffp-contract=off: no FMA contraction, so every double op
         # rounds exactly as CPython's interpreter does (SSE2 doubles)
         result = subprocess.run(
-            [cc, *flags, "-fPIC", "-shared", "-ffp-contract=off",
-             "-o", tmp, *map(str, SOURCES), "-lm"],
+            [cc, *flags, "-fPIC", "-shared", "-ffp-contract=off", *extra,
+             "-o", tmp, *map(str, sources), "-lm"],
             capture_output=True, timeout=120)
         if result.returncode != 0:
             os.unlink(tmp)
@@ -86,6 +104,52 @@ def compile_library(flags: Optional[Sequence[str]] = None) -> Optional[str]:
     return so_path
 
 
+def compile_library(flags: Optional[Sequence[str]] = None) -> Optional[str]:
+    """Build (or reuse) the kernel library; its path, or ``None``.
+
+    ``flags`` replaces the optimisation flags (default
+    :data:`OPT_FLAGS`), for test builds such as a sanitised one; the
+    ``.so`` name hashes them with the sources, so each flag set gets its
+    own cached library.
+    """
+    flags = tuple(OPT_FLAGS if flags is None else flags)
+    return _build("repro_cloop", SOURCES, flags, (), ())
+
+
+def _include_dir() -> Optional[str]:
+    """The directory holding this interpreter's ``Python.h``."""
+    guess = os.path.join(
+        sys.base_prefix, "include",
+        f"python{sys.version_info[0]}.{sys.version_info[1]}"
+        f"{getattr(sys, 'abiflags', '')}")
+    if os.path.exists(os.path.join(guess, "Python.h")):
+        return guess
+    import sysconfig  # only an unusual layout pays for the config
+
+    found = sysconfig.get_paths().get("include")
+    if found and os.path.exists(os.path.join(found, "Python.h")):
+        return found
+    return None
+
+
+def compile_extension(flags: Optional[Sequence[str]] = None) -> Optional[str]:
+    """Build (or reuse) the event core extension; its path, or ``None``.
+
+    ``flags`` as for :func:`compile_library`.  The cache key also takes
+    the interpreter's extension suffix and include directory, so two
+    interpreters never share a build.
+    """
+    from importlib.machinery import EXTENSION_SUFFIXES
+
+    include = _include_dir()
+    if include is None:
+        return None
+    flags = tuple(OPT_FLAGS if flags is None else flags)
+    suffix = EXTENSION_SUFFIXES[0] if EXTENSION_SUFFIXES else ""
+    return _build("repro_ccore", (EXT_SOURCE,), flags, ("-I" + include,),
+                  (suffix, include))
+
+
 def open_library(so_path: str) -> ctypes.CDLL:
     """Load a kernel library build (``OSError`` if it cannot be)."""
     return ctypes.CDLL(so_path)
@@ -93,18 +157,20 @@ def open_library(so_path: str) -> ctypes.CDLL:
 
 def load() -> Optional[ctypes.CDLL]:
     """The process's kernel library, compiled and loaded on first call;
-    ``None`` when it is unavailable (see the module docstring)."""
+    ``None`` when it is unavailable (see the module docstring).  A cold
+    call also builds the event core extension, so no later import of
+    :mod:`repro.simcore` pays for the compiler."""
     global _lib, _tried
     if _tried:
         return _lib
     _tried = True
-    # a kill switch, not run policy: every fallback is byte-identical,
-    # so this only ever changes speed
-    if os.environ.get("REPRO_NO_CLOOP"):  # repro: allow-env-read
+    if _disabled():
         return None
     so_path = compile_library()
     if so_path is None:
         return None
+    if not _ext_tried:
+        compile_extension()
     try:
         _lib = open_library(so_path)
     except OSError:
@@ -115,3 +181,31 @@ def load() -> Optional[ctypes.CDLL]:
 def available() -> bool:
     """Whether the kernel library can be used in this process."""
     return load() is not None
+
+
+def event_core() -> Optional[ModuleType]:
+    """The compiled event core module (``repro.simcore._ccore``),
+    built and imported on first call; ``None`` when it is unavailable
+    (see the module docstring)."""
+    global _ext, _ext_tried
+    if _ext_tried:
+        return _ext
+    _ext_tried = True
+    if _disabled():
+        return None
+    so_path = compile_extension()
+    if so_path is None:
+        return None
+    from importlib.machinery import ExtensionFileLoader
+    from importlib.util import module_from_spec, spec_from_loader
+
+    loader = ExtensionFileLoader(EXT_NAME, so_path)
+    spec = spec_from_loader(EXT_NAME, loader)
+    try:
+        module = module_from_spec(spec)
+        loader.exec_module(module)
+    except ImportError:
+        return None
+    sys.modules[EXT_NAME] = module
+    _ext = module
+    return _ext

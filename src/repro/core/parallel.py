@@ -7,7 +7,7 @@ scale-out.  :class:`repro.core.experiment.Repeater` drives every run
 through the one round engine here (:func:`_run_rounds`): with more than
 one job it submits one compact task spec per repetition to the
 **persistent** worker pool (:mod:`repro.core.workerpool`), otherwise it
-runs each repetition in the parent as a finished future.  Either way
+runs each repetition in the parent as a finished result.  Either way
 the results fold back **in repetition order**, so a ``--jobs N`` run
 is bit-identical to ``--jobs 1`` — same seeds, same raw value ordering,
 same ``summarize`` inputs, same trace-hash stream labels.
@@ -80,7 +80,6 @@ import os
 import pickle
 import time
 import traceback
-from concurrent.futures import Future, TimeoutError as FutureTimeoutError
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.audit.tracehash import TRACE_HASH
@@ -90,6 +89,8 @@ from repro.faults import FAULTS, RUNLOG
 from repro.obs.metrics import METRICS
 
 if TYPE_CHECKING:
+    from concurrent.futures import Future
+
     from repro.core.workerpool import WorkerPool
 
 #: Backoff before retry round ``n`` is ``RETRY_BACKOFF_S * 2**(n-1)``,
@@ -255,11 +256,18 @@ def _rep_spec(fn_blob: bytes, repetition: int, seed: int, attempt: int,
     }
 
 
-def _resolved(result: WorkerResult) -> Future:
-    """An in-process result dressed as an already-finished future."""
-    future: Future = Future()
-    future.set_result(result)
-    return future
+class _Finished:
+    """An in-process result with the ``result`` method :func:`_run_rounds`
+    calls on a pool future, so a serial run never loads
+    ``concurrent.futures``."""
+
+    __slots__ = ("_result",)
+
+    def __init__(self, result: WorkerResult):
+        self._result = result
+
+    def result(self, timeout: Optional[float] = None) -> WorkerResult:
+        return self._result
 
 
 def _fold_observability(result: WorkerResult, metrics_on: bool,
@@ -281,7 +289,8 @@ def _fold_observability(result: WorkerResult, metrics_on: bool,
 _Failure = Tuple[bool, str]
 
 
-def _run_rounds(count: int, submit: Callable[[int, int], Future],
+def _run_rounds(count: int,
+                submit: Callable[[int, int], "Future | _Finished"],
                 pool: Optional[WorkerPool], retries: int,
                 timeout: Optional[float]
                 ) -> Tuple[Dict[int, WorkerResult], Dict[int, _Failure]]:
@@ -289,7 +298,7 @@ def _run_rounds(count: int, submit: Callable[[int, int], Future],
 
     Each round submits every pending repetition (``submit(index,
     attempt)`` — a pool dispatch, or with ``pool=None`` an in-process
-    run returned as a finished future), waits on the futures in index
+    run returned as a finished result), waits on the results in index
     order, classifies each outcome (success, worker error, untrusted
     result, timeout, broken pool), folds the observability of every
     returned attempt (the pool-side timers only for pool dispatches),
@@ -307,6 +316,11 @@ def _run_rounds(count: int, submit: Callable[[int, int], Future],
     """
     metrics_on = METRICS.enabled
     timers = pool is not None
+    if pool is not None:
+        # not the builtin TimeoutError before Python 3.11
+        from concurrent.futures import TimeoutError as timeout_error
+    else:
+        timeout_error = ()  # in-process results never time out
     done: Dict[int, WorkerResult] = {}
     failures: Dict[int, _Failure] = {}
     attempts = [0] * count
@@ -330,7 +344,7 @@ def _run_rounds(count: int, submit: Callable[[int, int], Future],
         for index, future in zip(pending, futures):
             try:
                 result = future.result(timeout=timeout)
-            except FutureTimeoutError:
+            except timeout_error:
                 # A late result is simply dropped: it holds nothing that
                 # needs releasing.
                 future.cancel()
@@ -392,7 +406,7 @@ def _run_rounds(count: int, submit: Callable[[int, int], Future],
 
 def _submitter(measure: MeasureFn, seeds: List[int],
                fn_blob: Optional[bytes], jobs: int, hash_group: int
-               ) -> Tuple[Callable[[int, int], Future],
+               ) -> Tuple[Callable[[int, int], "Future | _Finished"],
                           Optional["WorkerPool"]]:
     """``(submit, pool)`` for :func:`_run_rounds`.
 
@@ -417,13 +431,13 @@ def _submitter(measure: MeasureFn, seeds: List[int],
                 hash_group, context, run_token))
         return submit, pool
 
-    def submit(repetition: int, attempt: int) -> Future:
+    def submit(repetition: int, attempt: int) -> _Finished:
         _rep, seed, values, error, _qw, wall, _snap, _thash = \
             _run_repetition(measure, repetition, seeds[repetition], 0.0,
                             attempt, in_worker=False,
                             snapshot_registry=False, hash_group=hash_group)
         if METRICS.enabled:
             METRICS.observe("parallel.worker_wall_s", wall)
-        return _resolved(WorkerResult(repetition, seed, error=error,
+        return _Finished(WorkerResult(repetition, seed, error=error,
                                       values=values))
     return submit, None

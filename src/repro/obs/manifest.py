@@ -48,8 +48,9 @@ Schema ``repro-run-manifest/1`` (see :data:`MANIFEST_SCHEMA` and
                    "degraded_windows": 1,
                    "degraded_s": 11093.0,
                    "degraded_validated": 27},
-      "execution": {"decision_pass": "compiled"}   # optional (figure
-    }                                              #  runs; or "python")
+      "execution": {"decision_pass": "compiled",   # optional (figure
+                    "event_core": "compiled"}      #  runs; each may
+    }                                              #  read "python")
 """
 
 from __future__ import annotations
@@ -178,9 +179,11 @@ def validate_manifest(manifest: Mapping[str, Any]) -> List[str]:
     if execution is not None:
         if not isinstance(execution, dict):
             problems.append("execution is not a mapping")
-        elif execution.get("decision_pass") not in ("compiled", "python"):
-            problems.append("execution.decision_pass is not "
-                            "'compiled' or 'python'")
+        else:
+            for name in ("decision_pass", "event_core"):
+                if execution.get(name) not in ("compiled", "python"):
+                    problems.append(f"execution.{name} is not "
+                                    "'compiled' or 'python'")
     campaign = manifest.get("campaign")
     if campaign is not None:
         if not isinstance(campaign, dict):
@@ -414,7 +417,8 @@ def render_manifest(manifest: Mapping[str, Any]) -> str:
     execution = manifest.get("execution")
     if execution:
         lines.append(f"exec     decision-pass="
-                     f"{execution.get('decision_pass', '?')}")
+                     f"{execution.get('decision_pass', '?')}"
+                     f" event-core={execution.get('event_core', '?')}")
     audit = manifest.get("audit")
     trace_hash = (audit or {}).get("trace_hash") or {}
     streams = trace_hash.get("streams") or {}

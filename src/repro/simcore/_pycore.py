@@ -1,0 +1,338 @@
+"""The event core in pure Python: the twin of ``simcore/_ccore.c``.
+
+The engine substrate's hot path — :class:`EventHandle`, the one-shot
+:class:`SimEvent`, the generator-process resume core
+(:class:`SimProcess`) and the engine's clock, ``schedule``/
+``schedule_at`` and ``run_until_event`` drain (:class:`EngineCore`) —
+exists twice: compiled, in the C extension :mod:`repro.ckernel` builds
+(``repro.simcore._ccore``), and here.  :mod:`repro.simcore.events`
+takes the compiled core when it loads and this one otherwise (no
+compiler, a failed build, ``REPRO_NO_CLOOP=1``).  Both dispatch the
+same ``(when, seq, callback)`` sequence, raise the same errors and give
+dispatched callbacks the same trace-hash names; the classes keep the
+names the trace hash sees (``SimEvent.succeed``,
+``SimProcess._first_resume``).
+
+The public classes build on whichever core is in use:
+``events.Timeout``/``AllOf``/``AnyOf`` and ``resources.Request``
+subclass its ``SimEvent``, ``process.SimProcess`` its ``SimProcess``
+and ``engine.Engine`` its ``EngineCore``.
+"""
+
+from __future__ import annotations
+
+from heapq import heappop, heappush
+from typing import Any, Callable, List, Optional, Tuple
+
+from repro.errors import SimulationError
+
+
+class EventHandle:
+    """A cancellable callback scheduled on the engine heap.
+
+    Instances are created by :meth:`EngineCore.schedule` /
+    ``schedule_at`` and should be treated as opaque apart from
+    :meth:`cancel` and :attr:`active`.  Heap ordering lives in the
+    engine's ``(time, seq)`` tuple keys, not here — handles are payload,
+    never compared.
+    """
+
+    __slots__ = ("time", "seq", "fn", "args", "_cancelled", "daemon",
+                 "_on_cancel")
+
+    def __init__(self, time: float, seq: int, fn: Callable[..., None],
+                 args: tuple, daemon: bool = False,
+                 on_cancel: Optional[Callable[[], None]] = None):
+        self.time = time
+        self.seq = seq
+        self.fn = fn
+        self.args = args
+        self._cancelled = False
+        # Daemon events (periodic housekeeping like the scheduler's
+        # balance-set scan) do not keep Engine.run() alive on their own.
+        self.daemon = daemon
+        self._on_cancel = on_cancel
+
+    def cancel(self) -> None:
+        """Prevent the callback from firing.  Idempotent; safe after fire."""
+        if self._cancelled:
+            return
+        self._cancelled = True
+        if self._on_cancel is not None:
+            self._on_cancel()
+            self._on_cancel = None
+        # Drop references so cancelled-but-still-heaped handles don't pin
+        # large object graphs alive until their timestamp is reached.
+        self.fn = _noop
+        self.args = ()
+
+    @property
+    def cancelled(self) -> bool:
+        return self._cancelled
+
+    @property
+    def active(self) -> bool:
+        return not self._cancelled
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        state = "cancelled" if self._cancelled else "active"
+        return f"<EventHandle t={self.time:.6f} seq={self.seq} {state}>"
+
+
+def _noop(*_args: Any) -> None:
+    return None
+
+
+#: Callback list of a fired event that had waiters (never appended to).
+_FIRED: tuple = ()
+
+
+class SimEvent:
+    """A one-shot condition: untriggered until ``succeed()`` or ``fail()``.
+
+    Waiters register callbacks with :meth:`add_callback`; process objects
+    use this under the hood when a generator yields the event.  Triggering
+    is immediate (same simulation instant): callbacks run synchronously in
+    registration order, which keeps causality obvious in traces.
+    """
+
+    __slots__ = ("engine", "_triggered", "_ok", "_value", "_callbacks")
+
+    def __init__(self, engine):
+        self.engine = engine
+        self._triggered = False
+        self._ok: Optional[bool] = None
+        self._value: Any = None
+        self._callbacks: List[Callable[["SimEvent"], None]] = []
+
+    # -- state ---------------------------------------------------------
+
+    @property
+    def triggered(self) -> bool:
+        return self._triggered
+
+    @property
+    def ok(self) -> bool:
+        """True when triggered via ``succeed``.  Raises if untriggered."""
+        if not self._triggered:
+            raise SimulationError("event not yet triggered")
+        return bool(self._ok)
+
+    @property
+    def value(self) -> Any:
+        """Payload passed to ``succeed``, or the exception given to ``fail``."""
+        if not self._triggered:
+            raise SimulationError("event not yet triggered")
+        return self._value
+
+    # -- triggering ------------------------------------------------------
+
+    def succeed(self, value: Any = None) -> "SimEvent":
+        """Trigger successfully with an optional payload."""
+        self._trigger(True, value)
+        return self
+
+    def fail(self, exc: BaseException) -> "SimEvent":
+        """Trigger as failed; waiters receive ``exc`` (processes re-raise it)."""
+        if not isinstance(exc, BaseException):
+            raise TypeError(f"fail() needs an exception, got {exc!r}")
+        self._trigger(False, exc)
+        return self
+
+    def _trigger(self, ok: bool, value: Any) -> None:
+        if self._triggered:
+            raise SimulationError("event already triggered")
+        self._triggered = True
+        self._ok = ok
+        self._value = value
+        callbacks = self._callbacks
+        if callbacks:
+            # Detach the waiters (no fresh list: a fired event never
+            # appends again, add_callback calls straight through).
+            self._callbacks = _FIRED
+            for fn in callbacks:
+                fn(self)
+
+    # -- waiting ---------------------------------------------------------
+
+    def add_callback(self, fn: Callable[["SimEvent"], None]) -> None:
+        """Register ``fn(event)``; fires immediately if already triggered."""
+        if self._triggered:
+            fn(self)
+        else:
+            self._callbacks.append(fn)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        state = "triggered" if self._triggered else "pending"
+        return f"<{type(self).__name__} {state}>"
+
+
+class SimProcess(SimEvent):
+    """The resume core of a generator process.
+
+    A yield on a pending event appends the resume callback to the
+    event's waiters directly, and a yield on an event that has already
+    fired resumes the generator at once in the same frame — the
+    synchronous resume ``add_callback`` would make, without a nested call
+    per step.  The bound callback is built per wait, not cached on the
+    process: a cached one would put every process in a reference cycle
+    that only the cyclic collector frees.
+    """
+
+    __slots__ = ("gen", "name", "_waiting_on", "_started", "_resume_scheduled")
+
+    def _first_resume(self) -> None:
+        self._resume_scheduled = None
+        self._started = True
+        self._advance(None, None)
+
+    def _on_wait_complete(self, event: SimEvent) -> None:
+        if self._triggered:
+            return
+        self._waiting_on = None
+        if event._ok:
+            self._advance(event._value, None)
+        else:
+            self._advance(None, event._value)
+
+    def _advance(self, value: Any, exc: Optional[BaseException]) -> None:
+        """Resume the generator with a value or throw, then re-suspend."""
+        gen = self.gen
+        while True:
+            try:
+                if exc is not None:
+                    target = gen.throw(exc)
+                else:
+                    target = gen.send(value)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                return
+            except Exception as error:
+                # Interrupted included: an uncaught interrupt terminates
+                # the process as failed, so waiters notice.
+                self.fail(error)
+                return
+
+            if not isinstance(target, SimEvent):
+                gen.close()
+                self.fail(
+                    SimulationError(
+                        f"process {self.name!r} yielded {target!r}; expected a SimEvent"
+                    )
+                )
+                return
+            if not target._triggered:
+                self._waiting_on = target
+                target._callbacks.append(self._on_wait_complete)
+                return
+            # Already fired: resume at once, as add_callback would.
+            if self._triggered:
+                return
+            self._waiting_on = None
+            if target._ok:
+                value, exc = target._value, None
+            else:
+                value, exc = None, target._value
+
+
+class EngineCore:
+    """The engine's clock, pending-event heap and dispatch core."""
+
+    def __init__(self, start_time: float = 0.0):
+        self._now = float(start_time)
+        self._heap: List[Tuple[float, int, EventHandle]] = []
+        self._seq = 0
+        self._processed = 0
+        self._non_daemon_pending = 0
+        # Bound once: building a bound method per schedule() is measurable
+        # on the hot path.
+        self._decrement_non_daemon = self._make_decrement()
+
+    @property
+    def now(self) -> float:
+        """Current simulation time in seconds."""
+        return self._now
+
+    def schedule_at(self, time: float, fn: Callable[..., None], *args: Any,
+                    daemon: bool = False) -> EventHandle:
+        """Schedule ``fn(*args)`` at absolute simulation time ``time``.
+
+        ``daemon=True`` marks housekeeping events that should not keep
+        ``run`` alive once all real work has drained (e.g. the
+        scheduler's periodic balance-set scan).
+        """
+        if time < self._now - 1e-12:
+            raise SimulationError(
+                f"cannot schedule event in the past: t={time} < now={self._now}"
+            )
+        on_cancel = None
+        if not daemon:
+            self._non_daemon_pending += 1
+            on_cancel = self._decrement_non_daemon
+        when = time if time > self._now else self._now
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(when, seq, fn, args, daemon, on_cancel)
+        heappush(self._heap, (when, seq, handle))
+        return handle
+
+    def _make_decrement(self) -> Callable[[], None]:
+        def decrement() -> None:
+            self._non_daemon_pending -= 1
+
+        return decrement
+
+    def schedule(self, delay: float, fn: Callable[..., None], *args: Any,
+                 daemon: bool = False) -> EventHandle:
+        """Schedule ``fn(*args)`` after ``delay`` seconds."""
+        # Inlined schedule_at: relative delays cannot land in the past, so
+        # the past-check and the when/now clamp are statically satisfied.
+        # This is the simulator's single most-called function.
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay}")
+        on_cancel = None
+        if not daemon:
+            self._non_daemon_pending += 1
+            on_cancel = self._decrement_non_daemon
+        when = self._now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(when, seq, fn, args, daemon, on_cancel)
+        heappush(self._heap, (when, seq, handle))
+        return handle
+
+    def _drain_until(self, event: SimEvent, limit: Optional[float]) -> None:
+        """Dispatch events until ``event`` triggers; raise
+        :class:`SimulationError` on ``limit`` or a drained queue.
+
+        One frame for the whole drain; the limit and the non-daemon
+        count are checked before every dispatch, as one ``step()`` per
+        iteration would.
+        """
+        heap = self._heap
+        thash = self._thash
+        while not event._triggered:
+            if limit is not None and self._now >= limit:
+                raise SimulationError(f"time limit {limit}s reached before event")
+            if self._non_daemon_pending <= 0:
+                raise SimulationError(
+                    "event queue drained (only daemon housekeeping left) "
+                    "before event triggered"
+                )
+            while heap:
+                when, seq, handle = heappop(heap)
+                if handle._cancelled:
+                    continue
+                if when < self._now - 1e-12:
+                    raise SimulationError("heap yielded an event from the past")
+                if not handle.daemon:
+                    self._non_daemon_pending -= 1
+                    handle._on_cancel = None  # fired: a late cancel() is a no-op
+                self._now = when
+                self._processed += 1
+                if thash is not None:
+                    thash.update(when, seq, handle.fn)
+                handle.fn(*handle.args)
+                break
+            else:
+                raise SimulationError("event queue drained before event triggered")

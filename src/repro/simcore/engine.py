@@ -11,10 +11,17 @@ Design notes
   the single hottest operation in the simulator.
 * Cancellation is O(1): handles are flagged and skipped when popped
   (lazy deletion), the standard technique for binary-heap timer wheels.
-* :meth:`run` and :meth:`run_until_event` inline the pop/dispatch loop
-  (rather than calling :meth:`step` per event); :meth:`run` also drains
-  same-instant batches without re-touching the clock.  :meth:`step`
-  remains the one-event-at-a-time API for tests and debuggers.
+* :meth:`run` inlines the pop/dispatch loop (rather than calling
+  :meth:`step` per event) and drains same-instant batches without
+  re-touching the clock; :meth:`run_until_event` drains through the
+  event core's ``_drain_until`` (one C call with the compiled core).
+  :meth:`step` remains the one-event-at-a-time API for tests and
+  debuggers.
+* The clock, ``schedule``/``schedule_at`` and that drain live in the
+  event core's ``EngineCore`` base: the compiled extension
+  ``repro.simcore._ccore`` when it loads, else its pure-Python twin
+  :mod:`repro.simcore._pycore`.  Both push onto the same heap list with
+  the same keys, so this class's Python loops pop what either pushes.
 * The engine knows nothing about processes, CPUs or OSes; those layers
   build on :meth:`schedule`/:meth:`schedule_at` plus ``SimEvent``.
 """
@@ -22,42 +29,35 @@ Design notes
 from __future__ import annotations
 
 import heapq
-from heapq import heappop, heappush
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Generator, Optional
 
 from repro.audit.tracehash import TRACE_HASH
 from repro.errors import SimulationError
 from repro.obs.metrics import METRICS
-from repro.simcore.events import AllOf, AnyOf, EventHandle, SimEvent, Timeout
+from repro.simcore.events import CORE, AllOf, AnyOf, SimEvent, Timeout
 from repro.simcore.process import SimProcess
 from repro.simcore.trace import Tracer
 
 
-class Engine:
-    """Owns simulated time and the pending-event heap."""
+class Engine(CORE.EngineCore):
+    """Owns simulated time and the pending-event heap.
+
+    The clock (``now``), ``schedule``/``schedule_at`` and the
+    ``run_until_event`` drain are the event core's ``EngineCore``
+    (compiled, or its twin in :mod:`repro.simcore._pycore`); ``run``,
+    ``run_until_event`` and ``step`` stay here.
+    """
 
     def __init__(self, *, trace: Optional[Tracer] = None, start_time: float = 0.0):
-        self._now = float(start_time)
-        self._heap: List[Tuple[float, int, EventHandle]] = []
-        self._seq = 0
+        super().__init__(start_time)
         self._running = False
-        self._processed = 0
-        self._non_daemon_pending = 0
-        # Bound once: building a bound method per schedule() is measurable
-        # on the hot path.
-        self._decrement_non_daemon = self._make_decrement()
         self.trace = trace if trace is not None else Tracer(enabled=False)
         # Audit trace-hash stream: None unless the process-global
         # recorder is enabled, so the disabled cost is this one lookup
         # plus an `is None` branch per dispatched event.
         self._thash = TRACE_HASH.open_stream()
 
-    # -- clock -----------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
+    # -- counters ----------------------------------------------------------
 
     @property
     def events_processed(self) -> int:
@@ -68,56 +68,6 @@ class Engine:
     def pending_count(self) -> int:
         """Heap size including lazily-deleted (cancelled) entries."""
         return len(self._heap)
-
-    # -- scheduling --------------------------------------------------------
-
-    def schedule_at(self, time: float, fn: Callable[..., None], *args: Any,
-                    daemon: bool = False) -> EventHandle:
-        """Schedule ``fn(*args)`` at absolute simulation time ``time``.
-
-        ``daemon=True`` marks housekeeping events that should not keep
-        :meth:`run` alive once all real work has drained (e.g. the
-        scheduler's periodic balance-set scan).
-        """
-        if time < self._now - 1e-12:
-            raise SimulationError(
-                f"cannot schedule event in the past: t={time} < now={self._now}"
-            )
-        on_cancel = None
-        if not daemon:
-            self._non_daemon_pending += 1
-            on_cancel = self._decrement_non_daemon
-        when = time if time > self._now else self._now
-        seq = self._seq
-        self._seq = seq + 1
-        handle = EventHandle(when, seq, fn, args, daemon, on_cancel)
-        heappush(self._heap, (when, seq, handle))
-        return handle
-
-    def _make_decrement(self) -> Callable[[], None]:
-        def decrement() -> None:
-            self._non_daemon_pending -= 1
-
-        return decrement
-
-    def schedule(self, delay: float, fn: Callable[..., None], *args: Any,
-                 daemon: bool = False) -> EventHandle:
-        """Schedule ``fn(*args)`` after ``delay`` seconds."""
-        # Inlined schedule_at: relative delays cannot land in the past, so
-        # the past-check and the when/now clamp are statically satisfied.
-        # This is the simulator's single most-called function.
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
-        on_cancel = None
-        if not daemon:
-            self._non_daemon_pending += 1
-            on_cancel = self._decrement_non_daemon
-        when = self._now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        handle = EventHandle(when, seq, fn, args, daemon, on_cancel)
-        heappush(self._heap, (when, seq, handle))
-        return handle
 
     # -- event constructors ------------------------------------------------
 
@@ -314,36 +264,7 @@ class Engine:
             wall_started = perf_counter()  # repro: allow-wall-clock (metrics)
             start_processed = self._processed
             METRICS.gauge_max("engine.heap_size", len(self._heap))
-        # step() inlined: one Python frame for the whole drain.  The limit
-        # and the non-daemon count are checked before every dispatch, as
-        # one step() per iteration would.
-        heap = self._heap
-        thash = self._thash
-        while not event._triggered:
-            if limit is not None and self._now >= limit:
-                raise SimulationError(f"time limit {limit}s reached before event")
-            if self._non_daemon_pending <= 0:
-                raise SimulationError(
-                    "event queue drained (only daemon housekeeping left) "
-                    "before event triggered"
-                )
-            while heap:
-                when, seq, handle = heappop(heap)
-                if handle._cancelled:
-                    continue
-                if when < self._now - 1e-12:
-                    raise SimulationError("heap yielded an event from the past")
-                if not handle.daemon:
-                    self._non_daemon_pending -= 1
-                    handle._on_cancel = None  # fired: a late cancel() is a no-op
-                self._now = when
-                self._processed += 1
-                if thash is not None:
-                    thash.update(when, seq, handle.fn)
-                handle.fn(*handle.args)
-                break
-            else:
-                raise SimulationError("event queue drained before event triggered")
+        self._drain_until(event, limit)
         if metrics_on:
             dispatched = self._processed - start_processed
             wall = perf_counter() - wall_started  # repro: allow-wall-clock

@@ -16,10 +16,10 @@ support cooperative interruption via :meth:`interrupt`, which throws
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 from repro.errors import SimulationError
-from repro.simcore.events import SimEvent
+from repro.simcore.events import CORE
 
 
 class Interrupted(Exception):
@@ -30,22 +30,17 @@ class Interrupted(Exception):
         self.cause = cause
 
 
-class SimProcess(SimEvent):
+class SimProcess(CORE.SimProcess):
     """Drives a generator, suspending on yielded waitables.
 
     The first resume is scheduled at the current instant (not run inline),
-    so creating a process never re-enters user code synchronously.
-
-    Hot path: a yield on a pending event appends the resume callback to
-    the event's waiters directly, and a yield on an event that has already
-    fired resumes the generator at once in the same frame — the
-    synchronous resume ``add_callback`` would make, without a nested call
-    per step.  The bound callback is built per wait, not cached on the
-    process: a cached one would put every process in a reference cycle
-    that only the cyclic collector frees.
+    so creating a process never re-enters user code synchronously.  The
+    resume itself (``_first_resume``, ``_on_wait_complete``, ``_advance``)
+    is the event core's (:mod:`repro.simcore._pycore` or its compiled
+    twin); this class adds the lifecycle and interruption API.
     """
 
-    __slots__ = ("gen", "name", "_waiting_on", "_started", "_resume_scheduled")
+    __slots__ = ()
 
     def __init__(self, engine, gen: Generator, name: str = ""):
         if not hasattr(gen, "send"):
@@ -53,7 +48,7 @@ class SimProcess(SimEvent):
         super().__init__(engine)
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
-        self._waiting_on: Optional[SimEvent] = None
+        self._waiting_on = None
         self._started = False
         self._resume_scheduled = engine.schedule(0.0, self._first_resume)
 
@@ -62,62 +57,6 @@ class SimProcess(SimEvent):
     @property
     def alive(self) -> bool:
         return not self._triggered
-
-    def _first_resume(self) -> None:
-        self._resume_scheduled = None
-        self._started = True
-        self._advance(None, None)
-
-    def _on_wait_complete(self, event: SimEvent) -> None:
-        if self._triggered:
-            return
-        self._waiting_on = None
-        if event._ok:
-            self._advance(event._value, None)
-        else:
-            self._advance(None, event._value)
-
-    def _advance(self, value: Any, exc: Optional[BaseException]) -> None:
-        """Resume the generator with a value or throw, then re-suspend."""
-        gen = self.gen
-        while True:
-            try:
-                if exc is not None:
-                    target = gen.throw(exc)
-                else:
-                    target = gen.send(value)
-            except StopIteration as stop:
-                self.succeed(stop.value)
-                return
-            except Interrupted as interrupt:
-                # An uncaught interrupt terminates the process "successfully
-                # cancelled": treat as failure so waiters notice.
-                self.fail(interrupt)
-                return
-            except Exception as error:
-                self.fail(error)
-                return
-
-            if not isinstance(target, SimEvent):
-                gen.close()
-                self.fail(
-                    SimulationError(
-                        f"process {self.name!r} yielded {target!r}; expected a SimEvent"
-                    )
-                )
-                return
-            if not target._triggered:
-                self._waiting_on = target
-                target._callbacks.append(self._on_wait_complete)
-                return
-            # Already fired: resume at once, as add_callback would.
-            if self._triggered:
-                return
-            self._waiting_on = None
-            if target._ok:
-                value, exc = target._value, None
-            else:
-                value, exc = None, target._value
 
     # -- interruption --------------------------------------------------------
 

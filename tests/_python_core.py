@@ -1,0 +1,40 @@
+"""Run code or a test suite on the pure-Python event core.
+
+The engine's event core is chosen once, when ``repro.simcore.events``
+is imported: the compiled extension when it builds and loads, else the
+Python twin (``repro.simcore._pycore``).  A test process therefore runs
+the default core only; these helpers run the twin in a fresh
+interpreter under ``REPRO_NO_CLOOP=1`` (which also selects the OS
+scheduler's Python decision pass), so a suite can hold both cores to
+the same checks.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
+
+def run_on_python_core(code: str, timeout: float = 900
+                       ) -> subprocess.CompletedProcess:
+    """Run ``python -c code`` from the repo root on the Python core."""
+    env = dict(os.environ, REPRO_NO_CLOOP="1", PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def pytest_on_python_core(*targets: str) -> None:
+    """Run the pytest ``targets`` on the Python core; fail on a failure."""
+    code = ("import sys\n"
+            "import pytest\n"
+            "from repro.simcore.events import EVENT_CORE\n"
+            "assert EVENT_CORE == 'python', EVENT_CORE\n"
+            "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', "
+            f"*{targets!r}]))\n")
+    done = run_on_python_core(code)
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]

@@ -13,6 +13,9 @@ live engines: once through the archived core
 (time, process, step, yielded value or exception), every process's and
 event's final state, the engine clock and event count, any error the
 drain raised and the trace-hash snapshot must be identical (``==``).
+
+The live core is the compiled event core when it builds; the last test
+re-runs the suite in a fresh interpreter on its Python twin.
 """
 
 from types import SimpleNamespace
@@ -25,6 +28,8 @@ from repro.audit import TRACE_HASH
 from repro.simcore import events as live_events
 from repro.simcore import process as live_process
 from repro.simcore.engine import Engine
+from repro.simcore.events import EVENT_CORE
+from tests._python_core import pytest_on_python_core
 
 REFERENCE = SimpleNamespace(
     SimEvent=ref.SimEvent, Timeout=ref.Timeout, AllOf=ref.AllOf,
@@ -216,3 +221,10 @@ def test_interrupt_mid_wait_and_caught():
     actual = _run_graph(graph, LIVE)
     assert any(entry[3] == "interrupted" for entry in actual["log"])
     assert actual == expected
+
+
+@pytest.mark.skipif(EVENT_CORE == "python",
+                    reason="this process already runs the Python core")
+def test_suite_passes_on_the_python_core():
+    """Every test above, on the Python twin of the compiled core."""
+    pytest_on_python_core(__file__)

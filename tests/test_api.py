@@ -209,6 +209,42 @@ class TestRunFigure:
         assert taken["default"] == ("compiled" if ckernel.available()
                                     else "python")
 
+    def test_manifest_records_the_event_core(self, tmp_path):
+        """The execution section names the engine's event core: the
+        compiled extension by default when it builds, the Python twin
+        under REPRO_NO_CLOOP=1 (the core is chosen at import, so that
+        run takes a fresh interpreter)."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        config = RunConfig(metrics=True, reps=1,
+                           runs_dir=str(tmp_path / "runs"))
+        result = _figure("fig5", config)
+        manifest = json.loads(open(result.manifest_path).read())
+        assert validate_manifest(manifest) == []
+        assert manifest["execution"]["event_core"] == (
+            "compiled" if ckernel.event_core() is not None else "python")
+
+        code = (
+            "import json, sys\n"
+            "from repro.api import RunConfig, RunRequest, run\n"
+            "result = run(RunRequest(kind='figure', target='fig5', "
+            "config=RunConfig(metrics=True, reps=1, runs_dir=sys.argv[1])))\n"
+            "print(json.dumps([json.load(open(result.manifest_path)), "
+            "result.figure.to_dict()]))\n")
+        src = str(pathlib.Path(api.__file__).resolve().parents[1])
+        env = dict(os.environ, REPRO_NO_CLOOP="1", PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "runs-py")],
+            env=env, capture_output=True, text=True, check=True)
+        twin, figure = json.loads(out.stdout.strip().splitlines()[-1])
+        assert validate_manifest(twin) == []
+        assert twin["execution"] == {"decision_pass": "python",
+                                     "event_core": "python"}
+        assert figure == result.figure.to_dict()
+
     def test_cache_outcome_miss_then_hit(self, tmp_path):
         config = RunConfig(metrics=True, cache=True,
                            cache_dir=str(tmp_path / "cache"),

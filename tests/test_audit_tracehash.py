@@ -13,6 +13,7 @@ from repro.audit import (
     first_divergence,
     format_event_diff,
 )
+from repro.audit.tracehash import _event_name
 from repro.simcore.engine import Engine
 
 
@@ -159,6 +160,37 @@ class TestEngineIntegration:
         checkpoints = snap["streams"]["main/engine0"]
         assert sum(count for _, _, count in checkpoints) == \
             engine.events_processed
+
+
+class TestEventName:
+    """Dispatched callbacks are named as the Python event core names
+    them, whichever core runs: the pins hash these names."""
+
+    def test_timeout_succeed_is_the_simevent_method(self):
+        engine = Engine()
+        timeout = engine.timeout(1.0)
+        (_, _, handle), = engine._heap
+        assert handle.fn == timeout.succeed
+        assert _event_name(handle.fn) == "SimEvent.succeed"
+
+    def test_plain_event_succeed(self):
+        assert _event_name(Engine().event().succeed) == "SimEvent.succeed"
+
+    def test_process_first_resume(self):
+        engine = Engine()
+
+        def body():
+            yield engine.timeout(1.0)
+
+        process = engine.process(body())
+        (_, _, handle), = engine._heap
+        assert handle.fn == process._first_resume
+        assert _event_name(handle.fn) == "SimProcess._first_resume"
+
+    def test_other_callables_keep_their_qualname(self):
+        assert _event_name(TestEventName.test_plain_event_succeed) == \
+            "TestEventName.test_plain_event_succeed"
+        assert _event_name([].append) == "list.append"
 
 
 class TestCompare:

@@ -27,8 +27,8 @@ HEAVY = ("repro.core.figures", "repro.workloads", "repro.virt.vm",
 
 
 #: What only a worker pool needs: ``multiprocessing`` and the executor
-#: (``socket``, ``subprocess`` come with them).
-POOL_STACK = ("multiprocessing", "concurrent.futures.process", "socket",
+#: with its futures (``socket``, ``subprocess`` come with them).
+POOL_STACK = ("multiprocessing", "concurrent.futures", "socket",
               "subprocess", "repro.core.workerpool")
 
 
@@ -79,9 +79,11 @@ def test_fleet_run_imports_no_heavy_stack(tmp_path):
 def test_serial_figure_run_loads_no_process_pool(tmp_path):
     from repro import ckernel
 
-    # The kernel library is compiled once per machine (through
-    # ``subprocess``); every later process finds it cached, as here.
+    # The kernel library and the event core are compiled once per
+    # machine (through ``subprocess``); every later process finds them
+    # cached, as here.
     ckernel.compile_library()
+    ckernel.compile_extension()
     code = (
         "from repro.core.experiment import repeat\n"
         "from repro.core.host_impact import (HostImpactConfig,\n"
@@ -97,3 +99,7 @@ def test_serial_figure_run_loads_no_process_pool(tmp_path):
     assert [name for name in loaded
             if any(name == pool or name.startswith(pool + ".")
                    for pool in POOL_STACK)] == []
+    # the Python twin of the event core loads only when it runs
+    if ckernel.event_core() is not None:
+        assert "repro.simcore._ccore" in loaded
+        assert "repro.simcore._pycore" not in loaded

@@ -5,7 +5,7 @@ import pickle
 
 from repro.audit.tracehash import TraceHashRecorder
 from repro.core.experiment import Repeater
-from repro.core.parallel import (WorkerResult, _rep_spec, _resolved,
+from repro.core.parallel import (WorkerResult, _Finished, _rep_spec,
                                  _run_rounds)
 from repro.core.workerpool import (WorkerPool, _execute_task,
                                    build_task_context, next_run_token)
@@ -86,7 +86,7 @@ def _drive(outcomes):
     """Run ``_run_rounds`` (one retry) over scripted per-attempt
     outcomes; returns ``(done, failures, quarantined)``."""
     def submit(index, attempt):
-        return _resolved(outcomes[index][attempt])
+        return _Finished(outcomes[index][attempt])
 
     METRICS.enable(reset=True)
     try:
