@@ -12,9 +12,9 @@ one per layer:
 * ``scheduler_decisions`` — two host compute threads next to an
   idle-priority vCPU and its elevated VMM service thread (the shape of
   the paper's Figs 5-8 host-impact runs): preemption, group preference
-  and boosts on every few decisions.  It runs on the compiled decision
-  pass (the default when the kernel library loads) and, in the same
-  rounds, on the Python pass; it reports decisions/s for both;
+  and boosts on every few decisions.  It runs on the compiled crossings
+  and decision pass (the default with the compiled event core) and, in
+  the same rounds, on the Python pass; it reports decisions/s for both;
 * ``rng_first_draws`` — the first ``uniform`` of 2,048 fresh named
   streams (the host 7z's block jitters), scalar (one ``Generator`` per
   name) against bulk (``RngStreams.first_uniforms`` in the 7z's
@@ -24,9 +24,10 @@ one per layer:
 also run, in the same rounds, on the engine's Python event core
 (``repro.simcore._pycore``; the compiled core is the default when it
 builds): the core is chosen when ``repro.simcore`` is imported, so
-those rows run in a helper interpreter that loads the Python core and
-keeps the compiled decision pass, one round at a time between the
-parent's rounds.  They report ``python_core_events_per_s`` (and
+those rows run in a helper interpreter that loads the Python core (and
+with it the scheduler's Python crossings and pass, as every run without
+the compiled core), one round at a time between the parent's rounds.
+They report ``python_core_events_per_s`` (and
 ``python_core_decisions_per_s``) next to the default core's numbers.
 
 Under pytest (``pytest benchmarks/bench_sim_engine.py``) each workload is
@@ -205,9 +206,9 @@ WORKLOADS = {
 CORE_WORKLOADS = ("engine_throughput", "tcp_packet_rate",
                   "scheduler_decisions")
 
-#: The helper interpreter's body: load the Python event core (the
-#: kernel library, and with it the compiled decision pass, stays), then
-#: time one round of CORE_WORKLOADS per input line.
+#: The helper interpreter's body: load the Python event core (and with
+#: it the scheduler's Python pass), then time one round of
+#: CORE_WORKLOADS per input line.
 _PYTHON_CORE_CHILD = """
 import json, sys
 from unittest import mock

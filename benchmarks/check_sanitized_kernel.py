@@ -1,18 +1,21 @@
 """Run the kernel suites against sanitised builds of the compiled code.
 
-Compiles the kernel library (``fleet/_cloop.c`` and ``osmodel/_sched.c``)
-and the event core extension (``simcore/_ccore.c``) with
+Compiles the kernel library (``fleet/_cloop.c``) and the event core
+extension (``simcore/_ccore.c``, which includes the OS scheduler's
+decision pass and crossings, ``osmodel/_sched.c``) with
 AddressSanitizer and UndefinedBehaviorSanitizer (``-O1 -g
 -fsanitize=address,undefined -fno-sanitize-recover=undefined``) through
 the ``flags`` argument of :func:`repro.ckernel.compile_library` and
-:func:`repro.ckernel.compile_extension`, then runs the kernel and event
-core suites in a subprocess that preloads the compiler's ``libasan`` and
-``libubsan`` and loads those builds instead of the production ones.  An
-out-of-bounds access, a use after free or undefined behaviour in any
-entry point (event loop, column sampler, fault-draw batch, whose
-over-long payloads must be refused before they reach its fixed stack
-buffer, the scheduler's decision pass, or the event core's handles,
-events, process resume and engine drain) aborts the run.
+:func:`repro.ckernel.compile_extension`, then runs the kernel, event
+core and scheduler suites in a subprocess that preloads the compiler's
+``libasan`` and ``libubsan`` and loads those builds instead of the
+production ones (the bootstrap asserts that the loaded extension is the
+sanitised build and that schedulers take its pass).  An out-of-bounds
+access, a use after free or undefined behaviour in any entry point
+(event loop, column sampler, fault-draw batch, whose over-long payloads
+must be refused before they reach its fixed stack buffer, the
+scheduler's crossings and decision pass, or the event core's handles,
+events, process resume and engine drains) aborts the run.
 
 Exit status 0 when every suite passes on the sanitised build, non-zero
 otherwise (also when no compiler or sanitiser runtime is found: this is
@@ -59,9 +62,14 @@ from repro import ckernel
 
 ckernel.OPT_FLAGS = {flags!r}
 assert ckernel.available(), "the sanitised kernel failed to load"
-assert ckernel.event_core() is not None, "the sanitised event core failed to load"
+core = ckernel.event_core()
+assert core is not None, "the sanitised event core failed to load"
+assert core.__file__ == ckernel.compile_extension(), core.__file__
+from repro.osmodel.scheduler import Scheduler, decision_pass
+assert decision_pass() == "compiled" and core.Scheduler in Scheduler.__mro__
 print("sanitised kernel:", ckernel.compile_library(), flush=True)
-print("sanitised event core:", ckernel.compile_extension(), flush=True)
+print("sanitised event core:", core.__file__, flush=True)
+print("sanitised scheduler pass:", core.Scheduler.__name__, flush=True)
 sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", "--capture=sys",
                       *{suites!r}]))
 """

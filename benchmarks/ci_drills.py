@@ -268,8 +268,8 @@ def audit_smoke():
     # rest (82 KB seen); they must cross the pool's result pipe intact
     run(repro("audit", "fig1", "--jobs", 4, "--window", 0.0001,
               REPRO_FAST="1"))
-    # the compiled scheduler decision pass and event core against the
-    # Python ones (REPRO_NO_CLOOP=1): the same audit result, and a
+    # the compiled event core (with the scheduler's crossings and
+    # decision pass) against the Python ones (REPRO_NO_CLOOP=1): the same audit result, and a
     # manifest that names the pass and the core that ran
     same_bytes(repro("audit", "fig7", "--jobs", 4, REPRO_FAST="1"),
                repro("audit", "fig7", "--jobs", 4, REPRO_FAST="1",

@@ -443,9 +443,9 @@ def _audit_section(thash_snapshot: Dict[str, Any]) -> Dict[str, Any]:
 
 def _execution_section() -> Dict[str, Any]:
     """Which paths a figure run took: the OS scheduler's decision pass
-    (``"compiled"`` in the kernel library or ``"python"``) and the
-    engine's event core (``"compiled"`` extension or the ``"python"``
-    twin).  Every process of one run loads the same builds, so the
+    (``"compiled"``, which needs the compiled event core, or
+    ``"python"``) and the engine's event core (``"compiled"`` extension
+    or the ``"python"`` twin).  Every process of one run loads the same builds, so the
     parent's answer is its workers'."""
     from repro.osmodel.scheduler import decision_pass
     from repro.simcore.events import EVENT_CORE

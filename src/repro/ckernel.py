@@ -1,18 +1,19 @@
 """Compile-on-first-use driver of the kernel library and the event core.
 
-One shared library holds every ctypes kernel of the package: the fleet
-kernels of ``fleet/_cloop.c`` (column sampler, fault-free event loop,
-fault-draw batch; driven by :mod:`repro.fleet.cloop`) and the OS
-scheduler's decision pass of ``osmodel/_sched.c`` (driven by
-:mod:`repro.osmodel.scheduler`).  Next to it sits the event core,
+One shared library holds the fleet's ctypes kernels, ``fleet/_cloop.c``
+(column sampler, fault-free event loop, fault-draw batch; driven by
+:mod:`repro.fleet.cloop`).  Next to it sits the event core,
 ``simcore/_ccore.c``: a CPython extension (``repro.simcore._ccore``)
 holding the discrete-event engine's hot path (see
-:mod:`repro.simcore._pycore`, its pure-Python twin).  This module builds
-both with the system C compiler on first use, caches each ``.so`` in the
-temp directory (keyed by a hash of the sources and the compiler flags;
-the extension's key also takes the interpreter's extension suffix and
-include directory) and loads each once per process, so a figure run that
-also touches the fleet pays one compile and one load of each.  The first
+:mod:`repro.simcore._pycore`, its pure-Python twin) and, through
+``osmodel/_sched.c`` which it includes, the OS scheduler's decision pass
+and crossings (see :mod:`repro.osmodel._pypass`, their twin).  This
+module builds both with the system C compiler on first use, caches each
+``.so`` in the temp directory (keyed by a hash of the sources and the
+compiler flags; the extension's key also takes the interpreter's
+extension suffix and include directory) and loads each once per
+process, so a figure run that also touches the fleet pays one compile
+and one load of each.  The first
 :func:`load` fills a cold cache for both.  It imports nothing of
 ``repro``: the fleet, the OS model and the event core all import it,
 and none imports another through it.
@@ -36,10 +37,12 @@ __all__ = ["available", "compile_extension", "compile_library",
 
 _ROOT = Path(__file__).parent
 #: The library's translation units, compiled together into one ``.so``.
-SOURCES = (_ROOT / "fleet" / "_cloop.c", _ROOT / "osmodel" / "_sched.c")
+SOURCES = (_ROOT / "fleet" / "_cloop.c",)
 
-#: The event core extension's source and module name.
+#: The event core extension's source, the file it includes (hashed into
+#: the cache key with it) and its module name.
 EXT_SOURCE = _ROOT / "simcore" / "_ccore.c"
+EXT_INCLUDES = (_ROOT / "osmodel" / "_sched.c",)
 EXT_NAME = "repro.simcore._ccore"
 
 #: Optimisation flags of the production build.
@@ -58,10 +61,12 @@ def _disabled() -> bool:
 
 
 def _build(prefix: str, sources: Sequence[Path], flags: Sequence[str],
-           extra: Sequence[str], key: Sequence[str]) -> Optional[str]:
+           extra: Sequence[str], key: Sequence[str],
+           includes: Sequence[Path] = ()) -> Optional[str]:
     """Compile ``sources`` into a cached ``.so``; its path, or ``None``.
 
-    The cache name hashes the sources, the flags and ``key``.
+    The cache name hashes the sources, the files they ``#include``
+    (``includes``), the flags and ``key``.
     """
     import hashlib
     import shutil
@@ -71,7 +76,7 @@ def _build(prefix: str, sources: Sequence[Path], flags: Sequence[str],
     if cc is None:
         return None
     hasher = hashlib.sha256()
-    for source in sources:
+    for source in (*sources, *includes):
         hasher.update(source.read_bytes())
     hasher.update("\0".join((*flags, *key)).encode())
     digest = hasher.hexdigest()[:16]
@@ -147,7 +152,7 @@ def compile_extension(flags: Optional[Sequence[str]] = None) -> Optional[str]:
     flags = tuple(OPT_FLAGS if flags is None else flags)
     suffix = EXTENSION_SUFFIXES[0] if EXTENSION_SUFFIXES else ""
     return _build("repro_ccore", (EXT_SOURCE,), flags, ("-I" + include,),
-                  (suffix, include))
+                  (suffix, include), EXT_INCLUDES)
 
 
 def open_library(so_path: str) -> ctypes.CDLL:

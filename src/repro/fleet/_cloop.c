@@ -1,6 +1,5 @@
 /* The compiled fleet kernels, driven by cloop.py.  repro/ckernel.py
- * builds this file and osmodel/_sched.c (the OS scheduler's decision
- * pass) into one library on first use.
+ * builds this file into the kernel library on first use.
  *
  * Three entry points share this file and its PCG64 and SHA-256
  * primitives:

@@ -1,10 +1,8 @@
 """ctypes driver for the compiled fleet kernels.
 
-The fleet's kernels live in ``_cloop.c``, one translation unit of the
-kernel library that :mod:`repro.ckernel` compiles and loads once per
-process; the library's other unit, ``osmodel/_sched.c``, is the OS
-scheduler's decision pass (driven by :mod:`repro.osmodel.scheduler`).
-``_cloop.c`` holds the fleet's three entry points:
+The fleet's kernels live in ``_cloop.c``, the kernel library that
+:mod:`repro.ckernel` compiles and loads once per process.  It holds the
+fleet's three entry points:
 
 * the **host-column sampler** (:func:`sample_columns`), the compiled
   twin of the numpy build in :mod:`repro.fleet.columns`: per host, in

@@ -1,16 +1,20 @@
-"""The scheduler's Python decision pass: the fallback of ``_sched.c``.
+"""The scheduler's Python crossings and decision pass: the twin of
+``osmodel/_sched.c``.
 
-:class:`repro.osmodel.scheduler.Scheduler` runs these functions when
-the kernel library is unavailable (no compiler, a failed build, or
-``REPRO_NO_CLOOP=1``); they read and write the same C records as the
-compiled pass and produce the same bits, and the module is imported
-only then.  The pass is written for constant per-decision cost: states
-are compared as record codes, the machine frequency is read once, and
-``freq * l2_factor`` per placement comes from a table memoised on the
-tuple of on-core instruction mixes (the paging factor still multiplies
-in on every decision).  Every float expression keeps the operand order
-of the plain formulas — ``(freq * factor) * paging`` — and ``min`` /
-``max`` are spelled as the comparisons the builtins make.
+:class:`Scheduler` here is the Python twin of the compiled base type
+``Scheduler`` of the event core extension: the base of
+:class:`repro.osmodel.scheduler.Scheduler` when the event core is the
+Python twin (no compiler, no ``Python.h``, ``REPRO_NO_CLOOP=1``), and
+the pass the compiled type hands its crossings to for an L2 model the
+compiled pass does not encode.  Its functions read and write the same C
+records as the compiled pass and produce the same bits, and the module
+is imported only then.  The pass is written for constant per-decision
+cost: states are compared as record codes, the machine frequency is read
+once, and ``freq * l2_factor`` per placement comes from a table memoised
+on the tuple of on-core instruction mixes (the paging factor still
+multiplies in on every decision).  Every float expression keeps the
+operand order of the plain formulas — ``(freq * factor) * paging`` — and
+``min`` / ``max`` are spelled as the comparisons the builtins make.
 """
 
 from __future__ import annotations
@@ -20,13 +24,22 @@ from typing import TYPE_CHECKING, List
 from repro.errors import SchedulerError
 from repro.hardware.cpu import InstructionMix
 from repro.obs.metrics import METRICS
-from repro.osmodel.scheduler import (_BLOCKED, _CYCLE_EPSILON, _DONE,
-                                     _READY, _RUNNING, _TIME_EPSILON)
-from repro.osmodel.threads import PRIORITY_REALTIME, SimThread
+from repro.osmodel.threads import (PRIORITY_REALTIME, STATE_CODES, SimThread,
+                                   ThreadState)
 from repro.simcore.events import SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.osmodel.scheduler import Scheduler
+    from repro.osmodel import scheduler
+
+# Shared, as literals, with _sched.c.
+_CYCLE_EPSILON = 0.5       # segments within half a cycle count as finished
+_TIME_EPSILON = 1e-9
+
+# Record state codes, compared on the hot path (no property calls).
+_BLOCKED = STATE_CODES[ThreadState.BLOCKED]
+_READY = STATE_CODES[ThreadState.READY]
+_RUNNING = STATE_CODES[ThreadState.RUNNING]
+_DONE = STATE_CODES[ThreadState.DONE]
 
 
 def _priority_order(thread: SimThread):
@@ -38,49 +51,90 @@ def _priority_order(thread: SimThread):
     return (-thread.base_priority, thread.rr_seq)
 
 
-def submit(sched: "Scheduler", thread: SimThread, cycles: float,
-           mix: InstructionMix) -> SimEvent:
-    """:meth:`Scheduler.submit` on the Python pass."""
-    state = thread._state
-    if state == _DONE:
-        raise SchedulerError(f"thread {thread.name!r} has exited")
-    if state != _BLOCKED:
-        raise SchedulerError(
-            f"thread {thread.name!r} already has an outstanding segment"
-        )
-    if cycles < 0:
-        raise SchedulerError(f"negative cycle demand: {cycles}")
-    charge(sched)
-    engine = sched.engine
-    completion = SimEvent(engine)
-    if cycles <= _CYCLE_EPSILON:
-        completion.succeed(None)
+class Scheduler:
+    """The crossings on the Python pass (``submit``, ``exit_thread``,
+    the tick, the charge and the balance-set pass), bound by the same
+    ``__init__`` arguments as the compiled type; the pass reads the
+    scheduler's own attributes, so it keeps only the tick handle."""
+
+    def __init__(self, engine, threads, memory, metrics, ctx, ctx_address,
+                 pypass) -> None:
+        self._tick_handle = None
+
+    def submit(self: "scheduler.Scheduler", thread: SimThread,
+               cycles: float, mix: InstructionMix) -> SimEvent:
+        """Give ``thread`` a compute segment; returns its completion event.
+
+        The thread must be BLOCKED (one outstanding segment at a time:
+        callers sequence their demand through the completion event).
+        """
+        _check_slot(self, thread)
+        ctx = self._ctx
+        ctx.submits += 1
+        state = thread._state
+        if state == _DONE:
+            raise SchedulerError(f"thread {thread.name!r} has exited")
+        if state != _BLOCKED:
+            raise SchedulerError(
+                f"thread {thread.name!r} already has an outstanding segment"
+            )
+        if cycles < 0:
+            raise SchedulerError(f"negative cycle demand: {cycles}")
+        charge(self)
+        engine = self.engine
+        completion = SimEvent(engine)
+        if cycles <= _CYCLE_EPSILON:
+            completion.succeed(None)
+            return completion
+        thread.mix = mix
+        thread.remaining_cycles = float(cycles)
+        thread.completion = completion
+        thread._state = _READY
+        thread.ready_since = engine._now
+        ctx.rr_counter += 1
+        thread.rr_seq = ctx.rr_counter
+        thread.quantum_used = 0.0
+        decide(self)
         return completion
-    ctx = sched._ctx
-    thread.mix = mix
-    thread.remaining_cycles = float(cycles)
-    thread.completion = completion
-    thread._state = _READY
-    thread.ready_since = engine._now
-    ctx.rr_counter += 1
-    thread.rr_seq = ctx.rr_counter
-    thread.quantum_used = 0.0
-    decide(sched)
-    return completion
+
+    def exit_thread(self: "scheduler.Scheduler", thread: SimThread) -> None:
+        """Terminate a thread permanently."""
+        if thread._state == _DONE:
+            return
+        _check_slot(self, thread)
+        charge(self)
+        if thread._state == _RUNNING:
+            _evict(self, thread)
+        thread._state = _DONE
+        thread.remaining_cycles = 0.0
+        decide(self)
+
+    def _charge_elapsed(self: "scheduler.Scheduler") -> None:
+        """Account CPU progress since the last decision point."""
+        charge(self)
+
+    def _decide(self: "scheduler.Scheduler") -> None:
+        """(Re)compute placement and speeds; schedule the next tick."""
+        decide(self)
+
+    def _on_tick(self: "scheduler.Scheduler") -> None:
+        """The timer tick: charge, then a decision pass."""
+        self._tick_handle = None
+        charge(self)
+        decide(self)
 
 
-def exit_thread(sched: "Scheduler", thread: SimThread) -> None:
-    """:meth:`Scheduler.exit_thread` on the Python pass (the thread is
-    not DONE)."""
-    charge(sched)
-    if thread._state == _RUNNING:
-        _evict(sched, thread)
-    thread._state = _DONE
-    thread.remaining_cycles = 0.0
-    decide(sched)
+def _check_slot(sched: "scheduler.Scheduler", thread: SimThread) -> None:
+    """Refuse a thread of another scheduler, as the compiled crossings
+    must (they index C memory with its slot)."""
+    slot = thread._slot
+    if slot < 0 or slot >= len(sched.threads) \
+            or sched.threads[slot] is not thread:
+        raise SchedulerError(
+            f"thread {thread.name!r} belongs to another scheduler")
 
 
-def charge(sched: "Scheduler") -> None:
+def charge(sched: "scheduler.Scheduler") -> None:
     """Account CPU progress since the last decision point."""
     ctx = sched._ctx
     now = sched.engine._now
@@ -116,7 +170,7 @@ def charge(sched: "Scheduler") -> None:
         l2.observe(speed / frequency if speed else 1.0, dt)
 
 
-def decide(sched: "Scheduler") -> None:
+def decide(sched: "scheduler.Scheduler") -> None:
     """One pass in one frame (only evictions and group-preference swaps
     call out): *finish* (retire segments that are done, in spawn order),
     *place* (the ``n_cores`` most urgent runnable threads), *price* (each
@@ -293,7 +347,7 @@ def decide(sched: "Scheduler") -> None:
         ctx.in_decide = 0
 
 
-def _evict(sched: "Scheduler", thread: SimThread) -> None:
+def _evict(sched: "scheduler.Scheduler", thread: SimThread) -> None:
     slot = thread._slot
     for core in sched.cores:
         if core._thread == slot:

@@ -1,12 +1,18 @@
-/* The OS scheduler's decision pass, compiled into the kernel library.
+/* The OS scheduler's hot path: its decision pass and its crossings.
  *
- * A line-for-line re-encoding of the hot path of
- * repro/osmodel/scheduler.py: the decision pass (finish, place with
- * round-robin rotation and group preference, price with the shared-L2
- * factor times paging, tick), the CPU charge with its L2 statistics,
- * and submit's state checks.  Every double is read and written in the
- * Python pass's order, and the library is built with -ffp-contract=off,
- * so both passes produce the same bits.
+ * Not a translation unit of its own: simcore/_ccore.c includes this file
+ * after the event core's types, so the compiled base type of
+ * repro.osmodel.scheduler.Scheduler defined at the end drives the event
+ * core (SimEvent triggers, EngineCore's schedule and EventHandle cancel)
+ * without calling back into Python.  Built with the extension by
+ * repro.ckernel; the pure-Python twin is repro/osmodel/_pypass.py.
+ *
+ * The pass is a line-for-line re-encoding of the Python pass: finish,
+ * place with round-robin rotation and group preference, price with the
+ * shared-L2 factor times paging, tick; the CPU charge with its L2
+ * statistics; and submit's state checks.  Every double is read and
+ * written in the Python pass's order, and the extension is built with
+ * -ffp-contract=off, so both passes produce the same bits.
  *
  * State lives in records Python owns (ctypes structures): one
  * SchedThread per thread (repro.osmodel.threads.SimThread *is* that
@@ -14,11 +20,11 @@
  * SharedL2Model's CacheStats record.  The Python pass reads and writes
  * the same records, so there is no second copy of any state.
  *
- * Crossing protocol.  Python writes now/paging/observe into the context,
+ * Pass protocol.  A crossing writes now/paging/observe into the context,
  * then calls one entry point; each returns a status:
  *
  *   >= 0         the pass retired that thread slot's segment and stopped
- *                before the next one: Python fires the thread's
+ *                before the next one: the crossing fires the thread's
  *                completion (which may re-enter submit/exit_thread; a
  *                re-entrant call only marks the context dirty) and calls
  *                sched_resume;
@@ -31,12 +37,13 @@
  *                submit's and evict's errors (nothing was changed).
  *
  * With observation on (metrics or tracing), every instrument call of the
- * Python pass is appended to the context's log, in the pass's order;
- * Python replays the log after each crossing, before it fires anything.
- * The log holds at most 3 entries per core plus one per crossing.
+ * Python pass is appended to the context's log, in the pass's order; the
+ * crossing has Python replay it (Scheduler._replay) after each entry
+ * point, before it fires anything.  The log holds at most 3 entries per
+ * core plus one per crossing.
  *
- * sched_ctx_layout/sched_thread_layout/sched_core_layout/sched_log_layout
- * export sizeof and every offsetof for the test suite.
+ * sched_ctx_layout/sched_thread_layout/sched_core_layout/sched_l2_layout/
+ * sched_log_layout export sizeof and every offsetof for the test suite.
  */
 
 #include <stddef.h>
@@ -144,6 +151,7 @@ typedef struct {
     int64_t cursor;      /* next slot the finish scan looks at */
     int64_t n_runnable;  /* runnable slots the scan has collected */
     int64_t fault;       /* slot of the thread an error names */
+    int64_t submits;     /* submit calls that reached the pass */
 } SchedCtx;
 
 static void put(SchedCtx *c, int64_t kind, int64_t a, int64_t b, int64_t k,
@@ -448,10 +456,11 @@ static int64_t decide(SchedCtx *c)
 }
 
 /* Scheduler.submit for thread ``slot``, c->cycles of mix row c->mix. */
-int64_t sched_submit(SchedCtx *c, int64_t slot)
+static int64_t sched_submit(SchedCtx *c, int64_t slot)
 {
     SchedThread *t = c->threads[slot];
     c->log_len = 0;
+    c->submits++;
     if (t->state == TS_DONE)
         return SCH_EXITED;
     if (t->state != TS_BLOCKED)
@@ -472,7 +481,7 @@ int64_t sched_submit(SchedCtx *c, int64_t slot)
 }
 
 /* Scheduler.exit_thread for a thread that is not DONE. */
-int64_t sched_exit(SchedCtx *c, int64_t slot)
+static int64_t sched_exit(SchedCtx *c, int64_t slot)
 {
     SchedThread *t = c->threads[slot];
     c->log_len = 0;
@@ -485,7 +494,7 @@ int64_t sched_exit(SchedCtx *c, int64_t slot)
 }
 
 /* Scheduler._on_tick: charge, then a pass. */
-int64_t sched_tick(SchedCtx *c)
+static int64_t sched_tick(SchedCtx *c)
 {
     c->log_len = 0;
     charge(c);
@@ -493,21 +502,21 @@ int64_t sched_tick(SchedCtx *c)
 }
 
 /* A pass without a charge (the balance-set scan charged already). */
-int64_t sched_decide(SchedCtx *c)
+static int64_t sched_decide(SchedCtx *c)
 {
     c->log_len = 0;
     return decide(c);
 }
 
-/* Continue a pass after Python fired a completion. */
-int64_t sched_resume(SchedCtx *c)
+/* Continue a pass after the crossing fired a completion. */
+static int64_t sched_resume(SchedCtx *c)
 {
     c->log_len = 0;
     return run_pass(c);
 }
 
 /* Scheduler._charge_elapsed alone. */
-int64_t sched_charge(SchedCtx *c)
+static int64_t sched_charge(SchedCtx *c)
 {
     c->log_len = 0;
     charge(c);
@@ -532,6 +541,7 @@ int64_t sched_ctx_layout(int64_t *out)
     FIELD(SchedCtx, decisions); FIELD(SchedCtx, in_decide);
     FIELD(SchedCtx, dirty); FIELD(SchedCtx, cursor);
     FIELD(SchedCtx, n_runnable); FIELD(SchedCtx, fault);
+    FIELD(SchedCtx, submits);
     return n;
 }
 
@@ -579,3 +589,667 @@ int64_t sched_log_layout(int64_t *out)
 }
 
 #undef FIELD
+
+/* ------------------------------------------------------------------ */
+/* The crossings: the compiled base of scheduler.Scheduler             */
+
+/* A crossing is one public call (submit, exit_thread), one timer tick
+ * (_on_tick), one charge (_charge_elapsed) or one balance-set pass
+ * (_decide).  It writes the context's inputs, calls one entry point of
+ * the pass and drives the status to the end: a finished segment's
+ * completion fires through the event core's trigger, the pass resumes,
+ * and the tick is cancelled and re-armed through EngineCore's own
+ * schedule.  The completions and the tick handle live here.
+ *
+ * A scheduler bound with a Python pass (``pypass``: the crossings class
+ * of repro/osmodel/_pypass.py; an L2 model the pass does not encode, or
+ * a test forcing the Python pass) hands every crossing to it, and the
+ * pass's tick handle is this type's _tick_handle. */
+
+static PyObject *SchedulerError;   /* repro.errors.SchedulerError */
+static PyObject *str_paging, *str_paging_factor, *str_enabled, *str_trace,
+    *str_replay, *str_on_tick, *str_add_mix, *str_thread_name, *str_state,
+    *str_mix, *str_cancel, *str_submit, *str_exit_thread,
+    *str_charge_elapsed, *str_decide;
+
+/* Mixes a scheduler remembers by identity: a hit skips the Python
+ * __hash__ of the row lookup (the figures use a handful of mixes). */
+#define MIX_SEEN 16
+
+typedef struct {
+    PyObject_HEAD
+    SchedCtx *ctx;           /* the record of ctx_ref */
+    PyObject *ctx_ref;       /* the scheduler's _SchedCtx (ctypes) */
+    EngineObject *engine;
+    PyObject *threads;       /* the scheduler's thread list, slot order */
+    PyObject *memory;        /* the paging factor's source */
+    PyObject *metrics;       /* the metrics registry (observe flag) */
+    PyObject *pypass;        /* the Python pass's crossings, or NULL */
+    PyObject *mix_rows;      /* {InstructionMix: row of the mix table} */
+    PyObject *tick;          /* the armed tick's handle, or NULL */
+    PyObject *on_tick;       /* the tick's callback: bound _on_tick */
+    PyObject **completions;  /* pending completion per slot, or NULL */
+    Py_ssize_t n_completions;
+    PyObject *mix_seen[MIX_SEEN];
+    int64_t mix_seen_row[MIX_SEEN];
+    int n_mix_seen;
+} SchedulerObject;
+
+static PyObject *
+scheduler_tp_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    /* Arguments belong to __init__ (the subclass takes its own). */
+    return type->tp_alloc(type, 0);
+}
+
+static int
+scheduler_tp_init(SchedulerObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"engine", "threads", "memory", "metrics", "ctx",
+                             "ctx_address", "pypass", NULL};
+    PyObject *engine, *threads, *memory, *metrics, *ctx, *address, *pypass;
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwds, "O!O!OOOOO:Scheduler", kwlist, &EngineType, &engine,
+            &PyList_Type, &threads, &memory, &metrics, &ctx, &address,
+            &pypass))
+        return -1;
+    void *record = PyLong_AsVoidPtr(address);
+    if (record == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, "null context address");
+        return -1;
+    }
+    PyObject *rows = PyDict_New();
+    if (rows == NULL)
+        return -1;
+    self->ctx = (SchedCtx *)record;
+    Py_INCREF(ctx);
+    Py_XSETREF(self->ctx_ref, ctx);
+    Py_INCREF(engine);
+    Py_XSETREF(self->engine, (EngineObject *)engine);
+    Py_INCREF(threads);
+    Py_XSETREF(self->threads, threads);
+    Py_INCREF(memory);
+    Py_XSETREF(self->memory, memory);
+    Py_INCREF(metrics);
+    Py_XSETREF(self->metrics, metrics);
+    Py_XSETREF(self->pypass, pypass == Py_None ? NULL : Py_NewRef(pypass));
+    Py_XSETREF(self->mix_rows, rows);
+    return 0;
+}
+
+static int
+scheduler_traverse(SchedulerObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->ctx_ref);
+    Py_VISIT(self->engine);
+    Py_VISIT(self->threads);
+    Py_VISIT(self->memory);
+    Py_VISIT(self->metrics);
+    Py_VISIT(self->pypass);
+    Py_VISIT(self->mix_rows);
+    Py_VISIT(self->tick);
+    Py_VISIT(self->on_tick);
+    for (Py_ssize_t i = 0; i < self->n_completions; i++)
+        Py_VISIT(self->completions[i]);
+    for (int i = 0; i < self->n_mix_seen; i++)
+        Py_VISIT(self->mix_seen[i]);
+    return 0;
+}
+
+static int
+scheduler_clear(SchedulerObject *self)
+{
+    Py_CLEAR(self->tick);
+    Py_CLEAR(self->on_tick);
+    for (Py_ssize_t i = 0; i < self->n_completions; i++)
+        Py_CLEAR(self->completions[i]);
+    for (int i = 0; i < self->n_mix_seen; i++)
+        Py_CLEAR(self->mix_seen[i]);
+    self->n_mix_seen = 0;
+    Py_CLEAR(self->mix_rows);
+    Py_CLEAR(self->pypass);
+    Py_CLEAR(self->metrics);
+    Py_CLEAR(self->memory);
+    Py_CLEAR(self->threads);
+    Py_CLEAR(self->engine);
+    self->ctx = NULL;
+    Py_CLEAR(self->ctx_ref);
+    return 0;
+}
+
+static void
+scheduler_dealloc(SchedulerObject *self)
+{
+    PyTypeObject *tp = Py_TYPE(self);
+    PyObject_GC_UnTrack(self);
+    Py_TRASHCAN_BEGIN(self, scheduler_dealloc)
+    scheduler_clear(self);
+    PyMem_Free(self->completions);
+    self->completions = NULL;
+    self->n_completions = 0;
+    tp->tp_free((PyObject *)self);
+    Py_TRASHCAN_END
+}
+
+static int
+scheduler_ready(SchedulerObject *self)
+{
+    if (self->ctx == NULL) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "Scheduler crossings were not bound (__init__)");
+        return -1;
+    }
+    return 0;
+}
+
+/* SchedulerError(f"thread {name!r} <what>"); always -1. */
+static int
+thread_error(PyObject *thread, const char *what)
+{
+    PyObject *name = PyObject_GetAttr(thread, str_thread_name);
+    if (name == NULL)
+        return -1;
+    PyObject *msg = PyUnicode_FromFormat("thread %R %s", name, what);
+    Py_DECREF(name);
+    if (msg != NULL) {
+        PyErr_SetObject(SchedulerError, msg);
+        Py_DECREF(msg);
+    }
+    return -1;
+}
+
+/* ``thread``'s slot in this scheduler, or -1 (no error set).  The pass
+ * indexes C memory with it, so a thread of another scheduler is never
+ * given one. */
+static Py_ssize_t
+slot_of(SchedulerObject *self, PyObject *thread)
+{
+    Py_ssize_t n = PyList_GET_SIZE(self->threads);
+    if (n > self->ctx->n_threads)
+        n = self->ctx->n_threads;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (PyList_GET_ITEM(self->threads, i) == thread)
+            return i;
+    }
+    return -1;
+}
+
+/* Hand a crossing to the Python pass: pypass.<name>(self, *args). */
+static PyObject *
+to_python_pass(SchedulerObject *self, PyObject *name, PyObject *const *args,
+               Py_ssize_t nargs)
+{
+    PyObject *fn = PyObject_GetAttr(self->pypass, name);
+    if (fn == NULL)
+        return NULL;
+    PyObject *call[4] = {(PyObject *)self};
+    for (Py_ssize_t i = 0; i < nargs && i < 3; i++)
+        call[i + 1] = args[i];
+    PyObject *r = PyObject_Vectorcall(fn, call, nargs + 1, NULL);
+    Py_DECREF(fn);
+    return r;
+}
+
+static int
+truth_of(PyObject *owner, PyObject *name)
+{
+    PyObject *value = PyObject_GetAttr(owner, name);
+    if (value == NULL)
+        return -1;
+    int r = PyObject_IsTrue(value);
+    Py_DECREF(value);
+    return r;
+}
+
+/* Write the crossing's inputs into the context: now, the paging factor
+ * and whether the pass must log its instrument calls. */
+static int
+scheduler_sync(SchedulerObject *self, int *observe)
+{
+    SchedCtx *c = self->ctx;
+    PyObject *now = self->engine->now;
+    double t = PyFloat_CheckExact(now) ? PyFloat_AS_DOUBLE(now)
+                                       : PyFloat_AsDouble(now);
+    if (t == -1.0 && PyErr_Occurred())
+        return -1;
+    c->now = t;
+    PyObject *paging = PyObject_GetAttr(self->memory, str_paging);
+    if (paging == NULL)
+        return -1;
+    if (paging == Py_None) {
+        Py_DECREF(paging);
+        paging = PyObject_CallMethodNoArgs(self->memory, str_paging_factor);
+        if (paging == NULL)
+            return -1;
+    }
+    double p = PyFloat_AsDouble(paging);
+    Py_DECREF(paging);
+    if (p == -1.0 && PyErr_Occurred())
+        return -1;
+    c->paging = p;
+    /* METRICS.enabled or engine.trace.enabled */
+    int on = truth_of(self->metrics, str_enabled);
+    if (on == 0) {
+        PyObject *trace = PyObject_GetAttr((PyObject *)self->engine,
+                                           str_trace);
+        if (trace == NULL)
+            return -1;
+        on = truth_of(trace, str_enabled);
+        Py_DECREF(trace);
+    }
+    if (on < 0)
+        return -1;
+    c->observe = on;
+    *observe = on;
+    return 0;
+}
+
+static int
+scheduler_replay(SchedulerObject *self)
+{
+    PyObject *r = PyObject_CallMethodNoArgs((PyObject *)self, str_replay);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* Cancel the armed tick and, for SCH_TICK, arm the next one after
+ * next_dt seconds (EngineCore.schedule's arithmetic and seq). */
+static int
+scheduler_rearm(SchedulerObject *self, int64_t status)
+{
+    PyObject *tick = self->tick;
+    if (tick != NULL) {
+        PyObject *r;
+        if (Py_TYPE(tick) == &HandleType)
+            r = handle_cancel((HandleObject *)tick, NULL);
+        else
+            r = PyObject_CallMethodNoArgs(tick, str_cancel);
+        if (r == NULL)
+            return -1;
+        Py_DECREF(r);
+        Py_CLEAR(self->tick);
+    }
+    if (status != SCH_TICK)
+        return 0;
+    if (self->on_tick == NULL) {
+        self->on_tick = PyObject_GetAttr((PyObject *)self, str_on_tick);
+        if (self->on_tick == NULL)
+            return -1;
+    }
+    EngineObject *engine = self->engine;
+    double dt = self->ctx->next_dt;
+    PyObject *when;
+    if (PyFloat_CheckExact(engine->now)) {
+        when = PyFloat_FromDouble(PyFloat_AS_DOUBLE(engine->now) + dt);
+    }
+    else {
+        PyObject *delay = PyFloat_FromDouble(dt);
+        if (delay == NULL)
+            return -1;
+        when = PyNumber_Add(engine->now, delay);
+        Py_DECREF(delay);
+    }
+    if (when == NULL)
+        return -1;
+    engine->pending += 1;
+    self->tick = engine_push(engine, when, self->on_tick, empty_args, 0);
+    Py_DECREF(when);
+    return self->tick == NULL ? -1 : 0;
+}
+
+/* Drive an entry point's status to the end of its pass: fire each
+ * finished segment's completion and resume, then re-arm the tick.  A
+ * completion callback that raises leaves the pass (in_decide cleared). */
+static int
+scheduler_finish(SchedulerObject *self, int64_t status, int observe)
+{
+    SchedCtx *c = self->ctx;
+    if (observe && scheduler_replay(self) < 0)
+        return -1;
+    while (status >= 0) {
+        PyObject *completion = NULL;
+        if (status < self->n_completions) {
+            completion = self->completions[status];
+            self->completions[status] = NULL;
+        }
+        if (completion != NULL) {
+            int r = 0;
+            /* may synchronously resume a process that submits again;
+             * the context marks the pass dirty */
+            if (!((EventObject *)completion)->triggered)
+                r = event_trigger((EventObject *)completion, 1, Py_None);
+            Py_DECREF(completion);
+            if (r < 0)
+                goto fail;
+        }
+        if (scheduler_sync(self, &observe) < 0)
+            goto fail;
+        status = sched_resume(c);
+        if (observe && scheduler_replay(self) < 0)
+            goto fail;
+    }
+    if (status >= SCH_IDLE)
+        return scheduler_rearm(self, status);
+    if (status == SCH_NO_CORE) {
+        PyObject *thread = PyList_GetItem(self->threads, c->fault);
+        return thread == NULL ? -1 : thread_error(thread, "not on any core");
+    }
+    return 0;
+fail:
+    c->in_decide = 0;
+    return -1;
+}
+
+/* Row of ``mix`` in the mix table: identity first, then by value (the
+ * dict; value-equal mixes share one row), then a new row. */
+static int64_t
+scheduler_mix_row(SchedulerObject *self, PyObject *mix)
+{
+    for (int i = 0; i < self->n_mix_seen; i++) {
+        if (self->mix_seen[i] == mix)
+            return self->mix_seen_row[i];
+    }
+    PyObject *row = PyDict_GetItemWithError(self->mix_rows, mix);
+    if (row != NULL) {
+        Py_INCREF(row);
+    }
+    else {
+        if (PyErr_Occurred())
+            return -1;
+        row = PyObject_CallMethodOneArg((PyObject *)self, str_add_mix, mix);
+        if (row == NULL)
+            return -1;
+    }
+    int64_t value = PyLong_AsLongLong(row);
+    Py_DECREF(row);
+    if (value == -1 && PyErr_Occurred())
+        return -1;
+    if (self->n_mix_seen < MIX_SEEN) {
+        Py_INCREF(mix);
+        self->mix_seen[self->n_mix_seen] = mix;
+        self->mix_seen_row[self->n_mix_seen++] = value;
+    }
+    return value;
+}
+
+/* A fresh SimEvent of the scheduler's engine, as SimEvent(engine). */
+static EventObject *
+new_completion(SchedulerObject *self)
+{
+    EventObject *event = (EventObject *)EventType.tp_alloc(&EventType, 0);
+    if (event != NULL)
+        event->engine = Py_NewRef((PyObject *)self->engine);
+    return event;
+}
+
+/* Hold ``completion`` as slot's pending completion (steals it). */
+static int
+scheduler_hold(SchedulerObject *self, Py_ssize_t slot, PyObject *completion)
+{
+    if (slot >= self->n_completions) {
+        Py_ssize_t cap = 2 * slot + 4;
+        PyObject **grown = PyMem_Realloc(self->completions,
+                                         cap * sizeof(PyObject *));
+        if (grown == NULL) {
+            Py_DECREF(completion);
+            PyErr_NoMemory();
+            return -1;
+        }
+        for (Py_ssize_t i = self->n_completions; i < cap; i++)
+            grown[i] = NULL;
+        self->completions = grown;
+        self->n_completions = cap;
+    }
+    Py_XSETREF(self->completions[slot], completion);
+    return 0;
+}
+
+static PyObject *
+scheduler_submit(SchedulerObject *self, PyObject *const *args,
+                 Py_ssize_t nargs)
+{
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError,
+                     "submit() takes exactly 3 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    if (scheduler_ready(self) < 0)
+        return NULL;
+    if (self->pypass != NULL)
+        return to_python_pass(self, str_submit, args, 3);
+    PyObject *thread = args[0], *cycles = args[1], *mix = args[2];
+    Py_ssize_t slot = slot_of(self, thread);
+    if (slot < 0) {
+        thread_error(thread, "belongs to another scheduler");
+        return NULL;
+    }
+    int64_t row = scheduler_mix_row(self, mix);
+    if (row < 0)
+        return NULL;
+    SchedCtx *c = self->ctx;
+    double demand = PyFloat_AsDouble(cycles);
+    if (demand == -1.0 && PyErr_Occurred())
+        return NULL;
+    c->cycles = demand;
+    c->mix = row;
+    int observe;
+    if (scheduler_sync(self, &observe) < 0)
+        return NULL;
+    int64_t status = sched_submit(c, slot);
+    if (SCH_NO_CORE < status && status < SCH_QUIET) {
+        if (status == SCH_INSTANT) {
+            if (observe && scheduler_replay(self) < 0)
+                return NULL;
+            EventObject *done = new_completion(self);
+            if (done != NULL && event_trigger(done, 1, Py_None) < 0)
+                Py_CLEAR(done);
+            return (PyObject *)done;
+        }
+        if (status == SCH_EXITED) {
+            thread_error(thread, "has exited");
+        }
+        else if (status == SCH_BUSY) {
+            thread_error(thread, "already has an outstanding segment");
+        }
+        else {
+            PyObject *msg = PyUnicode_FromFormat("negative cycle demand: %S",
+                                                 cycles);
+            if (msg != NULL) {
+                PyErr_SetObject(SchedulerError, msg);
+                Py_DECREF(msg);
+            }
+        }
+        return NULL;
+    }
+    if (PyObject_SetAttr(thread, str_mix, mix) < 0)
+        return NULL;
+    EventObject *completion = new_completion(self);
+    if (completion == NULL)
+        return NULL;
+    Py_INCREF(completion);
+    if (scheduler_hold(self, slot, (PyObject *)completion) < 0
+            || scheduler_finish(self, status, observe) < 0) {
+        Py_DECREF(completion);
+        return NULL;
+    }
+    return (PyObject *)completion;
+}
+
+static PyObject *
+scheduler_exit_thread(SchedulerObject *self, PyObject *thread)
+{
+    if (scheduler_ready(self) < 0)
+        return NULL;
+    if (self->pypass != NULL)
+        return to_python_pass(self, str_exit_thread, &thread, 1);
+    Py_ssize_t slot = slot_of(self, thread);
+    if (slot >= 0) {
+        if (self->ctx->threads[slot]->state == TS_DONE)
+            Py_RETURN_NONE;
+    }
+    else {
+        /* an exited thread is left alone, whoever spawned it */
+        PyObject *state = PyObject_GetAttr(thread, str_state);
+        if (state == NULL)
+            return NULL;
+        long code = PyLong_AsLong(state);
+        Py_DECREF(state);
+        if (code == -1 && PyErr_Occurred())
+            return NULL;
+        if (code == TS_DONE)
+            Py_RETURN_NONE;
+        thread_error(thread, "belongs to another scheduler");
+        return NULL;
+    }
+    int observe;
+    if (scheduler_sync(self, &observe) < 0)
+        return NULL;
+    if (scheduler_finish(self, sched_exit(self->ctx, slot), observe) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+scheduler_charge_elapsed(SchedulerObject *self, PyObject *Py_UNUSED(ignored))
+{
+    if (scheduler_ready(self) < 0)
+        return NULL;
+    if (self->pypass != NULL)
+        return to_python_pass(self, str_charge_elapsed, NULL, 0);
+    int observe;
+    if (scheduler_sync(self, &observe) < 0)
+        return NULL;
+    sched_charge(self->ctx);
+    if (observe && scheduler_replay(self) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+scheduler_decide(SchedulerObject *self, PyObject *Py_UNUSED(ignored))
+{
+    if (scheduler_ready(self) < 0)
+        return NULL;
+    if (self->pypass != NULL)
+        return to_python_pass(self, str_decide, NULL, 0);
+    int observe;
+    if (scheduler_sync(self, &observe) < 0)
+        return NULL;
+    if (scheduler_finish(self, sched_decide(self->ctx), observe) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+scheduler_on_tick(SchedulerObject *self, PyObject *Py_UNUSED(ignored))
+{
+    if (scheduler_ready(self) < 0)
+        return NULL;
+    if (self->pypass != NULL)
+        return to_python_pass(self, str_on_tick, NULL, 0);
+    Py_CLEAR(self->tick);
+    int observe;
+    if (scheduler_sync(self, &observe) < 0)
+        return NULL;
+    if (scheduler_finish(self, sched_tick(self->ctx), observe) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+scheduler_get_tick(SchedulerObject *self, void *closure)
+{
+    return Py_NewRef(self->tick ? self->tick : Py_None);
+}
+
+static int
+scheduler_set_tick(SchedulerObject *self, PyObject *value, void *closure)
+{
+    Py_XSETREF(self->tick,
+               value == NULL || value == Py_None ? NULL : Py_NewRef(value));
+    return 0;
+}
+
+static PyMethodDef scheduler_methods[] = {
+    {"submit", (PyCFunction)(void (*)(void))scheduler_submit, METH_FASTCALL,
+     "submit($self, thread, cycles, mix, /)\n--\n\n"
+     "Give ``thread`` a compute segment; returns its completion event.\n\n"
+     "The thread must be BLOCKED (one outstanding segment at a time:\n"
+     "callers sequence their demand through the completion event)."},
+    {"exit_thread", (PyCFunction)scheduler_exit_thread, METH_O,
+     "Terminate a thread permanently."},
+    {"_charge_elapsed", (PyCFunction)scheduler_charge_elapsed, METH_NOARGS,
+     "Account CPU progress since the last decision point."},
+    {"_decide", (PyCFunction)scheduler_decide, METH_NOARGS,
+     "(Re)compute placement and speeds; schedule the next tick."},
+    {"_on_tick", (PyCFunction)scheduler_on_tick, METH_NOARGS,
+     "The timer tick: charge, then a decision pass."},
+    {NULL}
+};
+
+static PyMemberDef scheduler_members[] = {
+    {"_mix_rows", T_OBJECT, offsetof(SchedulerObject, mix_rows), READONLY},
+    {NULL}
+};
+
+static PyGetSetDef scheduler_getset[] = {
+    {"_tick_handle", (getter)scheduler_get_tick, (setter)scheduler_set_tick,
+     "The armed tick's handle, or None.", NULL},
+    {NULL}
+};
+
+static PyTypeObject SchedulerType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.simcore._ccore.Scheduler",
+    .tp_basicsize = sizeof(SchedulerObject),
+    .tp_dealloc = (destructor)scheduler_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "The scheduler's crossings over the compiled decision pass.",
+    .tp_traverse = (traverseproc)scheduler_traverse,
+    .tp_clear = (inquiry)scheduler_clear,
+    .tp_methods = scheduler_methods,
+    .tp_members = scheduler_members,
+    .tp_getset = scheduler_getset,
+    .tp_init = (initproc)scheduler_tp_init,
+    .tp_new = scheduler_tp_new,
+};
+
+/* Called from the module init: the type and its interned names. */
+static int
+sched_module_init(PyObject *module)
+{
+    PyObject *errors = PyImport_ImportModule("repro.errors");
+    if (errors == NULL)
+        return -1;
+    SchedulerError = PyObject_GetAttrString(errors, "SchedulerError");
+    Py_DECREF(errors);
+    if (SchedulerError == NULL)
+        return -1;
+    str_paging = PyUnicode_InternFromString("_paging");
+    str_paging_factor = PyUnicode_InternFromString("paging_penalty_factor");
+    str_enabled = PyUnicode_InternFromString("enabled");
+    str_trace = PyUnicode_InternFromString("trace");
+    str_replay = PyUnicode_InternFromString("_replay");
+    str_on_tick = PyUnicode_InternFromString("_on_tick");
+    str_add_mix = PyUnicode_InternFromString("_add_mix");
+    str_thread_name = PyUnicode_InternFromString("name");
+    str_state = PyUnicode_InternFromString("_state");
+    str_mix = PyUnicode_InternFromString("mix");
+    str_cancel = PyUnicode_InternFromString("cancel");
+    str_submit = PyUnicode_InternFromString("submit");
+    str_exit_thread = PyUnicode_InternFromString("exit_thread");
+    str_charge_elapsed = PyUnicode_InternFromString("_charge_elapsed");
+    str_decide = PyUnicode_InternFromString("_decide");
+    if (!str_paging || !str_paging_factor || !str_enabled || !str_trace
+        || !str_replay || !str_on_tick || !str_add_mix || !str_thread_name
+        || !str_state || !str_mix || !str_cancel || !str_submit
+        || !str_exit_thread || !str_charge_elapsed || !str_decide)
+        return -1;
+    if (PyType_Ready(&SchedulerType) < 0)
+        return -1;
+    return PyModule_AddObjectRef(module, "Scheduler",
+                                 (PyObject *)&SchedulerType);
+}

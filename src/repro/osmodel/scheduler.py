@@ -20,13 +20,21 @@ with an instruction mix; returns a completion event) and blocked phases
 cycles at a constant rate, so charging elapsed time at each decision point
 is exact, not approximate.
 
-The decision pass has two encodings over one state.  Threads, cores, the
+The hot path has two encodings over one state.  Threads, cores, the
 scheduler's counters and the L2 statistics are C records (ctypes
-structures; see ``osmodel/_sched.c``).  The kernel library of
-:mod:`repro.ckernel` carries a compiled pass over them, entered once per
-``submit``, tick, ``exit_thread``, charge or balance-set pass; without
-the library (no compiler, or ``REPRO_NO_CLOOP=1``) the Python pass below
-runs over the same records and produces the same bits.
+structures; see ``osmodel/_sched.c``).  With the compiled event core
+(``repro.simcore._ccore``, built by :mod:`repro.ckernel`), the base
+class of :class:`Scheduler` is that extension's ``Scheduler`` type: the
+*crossings* (``submit``, ``exit_thread``, the tick, the charge and the
+balance-set pass) and the decision pass they enter are C, and a finished
+segment's completion fires, the pass resumes and the tick is re-armed
+without leaving C.  Python keeps ``spawn``, the balance-set scan, the
+metric readers and :meth:`Scheduler._replay`, which the crossings call
+only while metrics or tracing are on.  With the Python event core (no
+compiler, no ``Python.h``, ``REPRO_NO_CLOOP=1``), or an L2 model other
+than :class:`~repro.hardware.cache.SharedL2Model`, the crossings and
+pass of :mod:`repro.osmodel._pypass` run over the same records and
+produce the same bits.
 """
 
 from __future__ import annotations
@@ -35,7 +43,6 @@ import ctypes
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro import ckernel
 from repro.errors import SchedulerError
 from repro.hardware.cache import SharedL2Model, observe_metrics
 from repro.hardware.cpu import InstructionMix
@@ -43,36 +50,14 @@ from repro.hardware.machine import Machine
 from repro.obs.metrics import METRICS
 from repro.osmodel.threads import STATE_CODES, OsProcess, SimThread, ThreadState
 from repro.simcore.engine import Engine
-from repro.simcore.events import EventHandle, SimEvent
+from repro.simcore.events import CORE, EVENT_CORE
 
-# Shared with the Python pass (_pypass) and, as literals, _sched.c.
-_CYCLE_EPSILON = 0.5       # segments within half a cycle count as finished
-_TIME_EPSILON = 1e-9
-
-# Record state codes, compared on the hot path (no property calls).
-_BLOCKED = STATE_CODES[ThreadState.BLOCKED]
 _READY = STATE_CODES[ThreadState.READY]
-_RUNNING = STATE_CODES[ThreadState.RUNNING]
-_DONE = STATE_CODES[ThreadState.DONE]
-
-# Statuses of the compiled pass (the SCH_* values of _sched.c); a
-# status >= 0 is the slot of a thread whose segment just finished.
-_SCH_TICK = -1
-_SCH_IDLE = -2
-_SCH_QUIET = -3
-_SCH_INSTANT = -4
-_SCH_EXITED = -5
-_SCH_BUSY = -6
-_SCH_NEGATIVE = -7
-_SCH_NO_CORE = -8
 
 # Kinds of the compiled pass's observation log (LOG_* in _sched.c).
 _LOG_L2 = 0
 _LOG_SEGMENT = 1
 _LOG_PREEMPT = 2
-
-# Slots of the context's leading fields as doubles / int64s.
-_NOW, _PAGING, _OBSERVE, _CYCLES, _MIX, _NEXT_DT = range(6)
 
 #: Mix table columns: the fields the pass reads of an InstructionMix.
 _MIX_FIELDS = ("cpi", "l2_pressure", "l2_sensitivity")
@@ -119,7 +104,7 @@ class _SchedCtx(ctypes.Structure):
         ("mixes", _P), ("log", _P), ("log_len", _I),
         ("last_update", _D), ("rr_counter", _I), ("decisions", _I),
         ("in_decide", _I), ("dirty", _I), ("cursor", _I),
-        ("n_runnable", _I), ("fault", _I),
+        ("n_runnable", _I), ("fault", _I), ("submits", _I),
     ]
 
 
@@ -130,29 +115,17 @@ class _SchedLog(ctypes.Structure):
                 ("x", _D), ("y", _D)]
 
 
-_ENTRIES = ("sched_submit", "sched_exit", "sched_tick", "sched_decide",
-            "sched_resume", "sched_charge")
-_LAYOUTS = ("sched_ctx_layout", "sched_thread_layout", "sched_core_layout",
-            "sched_l2_layout", "sched_log_layout")
-_declared = None
+if EVENT_CORE == "compiled":
+    _Crossings = CORE.Scheduler
+else:
+    from repro.osmodel._pypass import Scheduler as _Crossings
 
 
-def _compiled_pass() -> Optional[ctypes.CDLL]:
-    """The kernel library with the decision-pass entry points declared,
-    or ``None`` when it is unavailable (the Python pass runs)."""
-    global _declared
-    lib = ckernel.load()
-    if lib is not None and _declared is not lib:
-        for name in _ENTRIES:
-            entry = getattr(lib, name)
-            entry.argtypes = ([_P, _I] if name in ("sched_submit",
-                                                   "sched_exit") else [_P])
-            entry.restype = _I
-        for name in _LAYOUTS:
-            getattr(lib, name).argtypes = [ctypes.POINTER(_I)]
-            getattr(lib, name).restype = _I
-        _declared = lib
-    return lib
+def _compiled_pass():
+    """The extension carrying the compiled pass and crossings (the
+    compiled event core), or ``None`` when the event core is the Python
+    twin (the Python pass runs)."""
+    return CORE if EVENT_CORE == "compiled" else None
 
 
 def decision_pass() -> str:
@@ -161,16 +134,21 @@ def decision_pass() -> str:
     return "compiled" if _compiled_pass() is not None else "python"
 
 
-class Scheduler:
+class Scheduler(_Crossings):
     """The scheduler instance owning a machine's cores.
 
     Every public call and timer tick ends in one *decision pass*: retire
     segments that finished, pick the ``n_cores`` most urgent runnable
     threads, price each core's speed, and arm the next tick.  The pass
     runs hundreds of thousands of times per paper figure while seeing two
-    or three threads, so it is compiled (see the module docstring); the
-    Python pass of :mod:`repro.osmodel._pypass` is the fallback.
+    or three threads, so it and its crossings are compiled (see the
+    module docstring); :mod:`repro.osmodel._pypass` is the fallback.
     """
+
+    # The crossings of the base class, bound here too: callers (and a
+    # tracer wrapping ``submit``) reach them through this class.
+    submit = _Crossings.submit
+    exit_thread = _Crossings.exit_thread
 
     def __init__(self, engine: Engine, machine: Machine,
                  quantum: float = 0.020,
@@ -189,7 +167,6 @@ class Scheduler:
             core.index = index
             core._threads = self.threads
             core._thread = -1
-        self._tick_handle: Optional[EventHandle] = None
         self._frequency = machine.frequency_hz
         self._memory = machine.memory
         ctx = self._ctx = _SchedCtx()
@@ -197,18 +174,9 @@ class Scheduler:
         ctx.last_update = engine.now
         ctx.n_cores = n_cores
         ctx.cores = ctypes.addressof(self._core_block)
-        self._ctx_addr = ctypes.addressof(ctx)
-        raw = memoryview(ctx).cast("B")
-        self._io = raw.cast("d")
-        self._iv = raw.cast("q")
-        self._lib = None
-        if type(machine.l2) is SharedL2Model:
-            self._lib = _compiled_pass()
-        if self._lib is not None:
-            lib = self._lib
-            (self._c_submit, self._c_exit, self._c_tick, self._c_decide,
-             self._c_resume, self._c_charge) = [getattr(lib, name)
-                                                for name in _ENTRIES]
+        self._groups: Dict[str, int] = {}
+        python_pass = None
+        if type(machine.l2) is SharedL2Model and _compiled_pass() is not None:
             ctx.frequency = machine.frequency_hz
             ctx.coeff = machine.l2.coeff
             # held here too: the pass writes through this address
@@ -217,17 +185,18 @@ class Scheduler:
             # at most three entries per core and one per crossing
             self._log = (_SchedLog * (3 * n_cores + 2))()
             ctx.log = ctypes.addressof(self._log)
-            self._mix_rows: Dict[InstructionMix, int] = {}
             self._mix_table = (_D * 0)()
-            self._groups: Dict[str, int] = {}
         else:
             from repro.osmodel import _pypass
 
-            self._py = _pypass
+            python_pass = _pypass.Scheduler
             # (mix on core 0, mix on core 1, ...) -> per-core freq * factor
             self._speed_table: Dict[tuple, tuple] = {}
+        self._compiled = python_pass is None
         self._thread_table = (_P * 0)()
         self._runnable = (_I * 0)()
+        super().__init__(engine, self.threads, self._memory, METRICS, ctx,
+                         ctypes.addressof(ctx), python_pass)
         if self.boost.enabled:
             self.engine.schedule(self.boost.scan_interval, self._boost_scan,
                                  daemon=True)
@@ -238,11 +207,17 @@ class Scheduler:
         return self._ctx.decisions
 
     @property
+    def submits(self) -> int:
+        """``submit`` calls that reached the pass (a thread of another
+        scheduler is refused before)."""
+        return self._ctx.submits
+
+    @property
     def _in_decide(self) -> bool:
         return bool(self._ctx.in_decide)
 
     # ------------------------------------------------------------------
-    # public API
+    # public API (submit and exit_thread are the crossings')
     # ------------------------------------------------------------------
 
     def spawn(self, name: str, base_priority: int,
@@ -253,7 +228,7 @@ class Scheduler:
         thread.last_ran_at = self.engine.now
         slot = len(self.threads)
         thread._slot = slot
-        if self._lib is not None and group is not None:
+        if group is not None:
             thread._group = self._groups.setdefault(group, len(self._groups))
         if slot == len(self._thread_table):
             self._grow_tables(2 * slot + 4)
@@ -263,54 +238,6 @@ class Scheduler:
         if process is not None:
             process.add_thread(thread)
         return thread
-
-    def submit(self, thread: SimThread, cycles: float,
-               mix: InstructionMix) -> SimEvent:
-        """Give ``thread`` a compute segment; returns its completion event.
-
-        The thread must be BLOCKED (one outstanding segment at a time —
-        callers sequence their demand through the completion event).
-        """
-        slot = self._slot_of(thread)
-        if self._lib is None:
-            return self._py.submit(self, thread, cycles, mix)
-        row = self._mix_rows.get(mix)
-        if row is None:
-            row = self._add_mix(mix)
-        io = self._io
-        io[_CYCLES] = cycles
-        self._iv[_MIX] = row
-        observe = self._sync()
-        status = self._c_submit(self._ctx_addr, slot)
-        completion = SimEvent(self.engine)
-        if _SCH_NO_CORE < status < _SCH_QUIET:
-            if status == _SCH_INSTANT:
-                if observe:
-                    self._replay()
-                completion.succeed(None)
-                return completion
-            if status == _SCH_EXITED:
-                raise SchedulerError(f"thread {thread.name!r} has exited")
-            if status == _SCH_BUSY:
-                raise SchedulerError(
-                    f"thread {thread.name!r} already has an outstanding "
-                    "segment")
-            raise SchedulerError(f"negative cycle demand: {cycles}")
-        thread.mix = mix
-        thread.completion = completion
-        self._finish(status, observe)
-        return completion
-
-    def exit_thread(self, thread: SimThread) -> None:
-        """Terminate a thread permanently."""
-        if thread._state == _DONE:
-            return
-        slot = self._slot_of(thread)
-        if self._lib is None:
-            self._py.exit_thread(self, thread)
-            return
-        observe = self._sync()
-        self._finish(self._c_exit(self._ctx_addr, slot), observe)
 
     # -- metrics -----------------------------------------------------------
 
@@ -335,33 +262,6 @@ class Scheduler:
     # ------------------------------------------------------------------
     # internals: both passes
     # ------------------------------------------------------------------
-
-    def _charge_elapsed(self) -> None:
-        """Account CPU progress since the last decision point."""
-        if self._lib is None:
-            self._py.charge(self)
-            return
-        observe = self._sync()
-        self._c_charge(self._ctx_addr)
-        if observe:
-            self._replay()
-
-    def _decide(self) -> None:
-        """(Re)compute placement and speeds; schedule the next tick."""
-        if self._lib is None:
-            self._py.decide(self)
-            return
-        observe = self._sync()
-        self._finish(self._c_decide(self._ctx_addr), observe)
-
-    def _on_tick(self) -> None:
-        self._tick_handle = None
-        if self._lib is None:
-            self._py.charge(self)
-            self._py.decide(self)
-            return
-        observe = self._sync()
-        self._finish(self._c_tick(self._ctx_addr), observe)
 
     def _boost_scan(self) -> None:
         """Balance-set manager: boost long-starved ready threads."""
@@ -403,21 +303,12 @@ class Scheduler:
         self._ctx.runnable = ctypes.addressof(runnable)
 
     # ------------------------------------------------------------------
-    # internals: the compiled pass's crossings
+    # internals: called by the compiled crossings
     # ------------------------------------------------------------------
 
-    def _slot_of(self, thread: SimThread) -> int:
-        """``thread``'s slot; the compiled pass indexes C memory with it,
-        so a thread of another scheduler is refused (on both passes)."""
-        slot = thread._slot
-        if slot < 0 or slot >= len(self.threads) \
-                or self.threads[slot] is not thread:
-            raise SchedulerError(
-                f"thread {thread.name!r} belongs to another scheduler")
-        return slot
-
     def _add_mix(self, mix: InstructionMix) -> int:
-        """Row of ``mix`` in the mix table (value-equal mixes share one)."""
+        """Row of ``mix`` in the mix table (value-equal mixes share one):
+        the crossings call this for a mix they have not met."""
         row = len(self._mix_rows)
         width = len(_MIX_FIELDS)
         if (row + 1) * width > len(self._mix_table):
@@ -430,56 +321,6 @@ class Scheduler:
             self._mix_table[row * width + column] = getattr(mix, name)
         self._mix_rows[mix] = row
         return row
-
-    def _sync(self) -> bool:
-        """Write the crossing's inputs into the context; whether the pass
-        must log its instrument calls."""
-        engine = self.engine
-        io = self._io
-        io[_NOW] = engine._now
-        memory = self._memory
-        paging = memory._paging
-        if paging is None:
-            paging = memory.paging_penalty_factor()
-        io[_PAGING] = paging
-        observe = METRICS.enabled or engine.trace.enabled
-        self._iv[_OBSERVE] = observe
-        return observe
-
-    def _finish(self, status: int, observe: bool) -> None:
-        """Drive a crossing's status to the end of its pass: fire each
-        finished segment's completion and resume, then re-arm the tick."""
-        if observe:
-            self._replay()
-        if status >= 0:
-            threads = self.threads
-            try:
-                while status >= 0:
-                    thread = threads[status]
-                    completion, thread.completion = thread.completion, None
-                    if completion is not None and not completion._triggered:
-                        # may synchronously resume a process that submits
-                        # again; the context marks the pass dirty
-                        completion.succeed(None)
-                    observe = self._sync()
-                    status = self._c_resume(self._ctx_addr)
-                    if observe:
-                        self._replay()
-            except BaseException:
-                self._ctx.in_decide = 0
-                raise
-        if status >= _SCH_IDLE:
-            handle = self._tick_handle
-            if handle is not None:
-                handle.cancel()
-                self._tick_handle = None
-            if status == _SCH_TICK:
-                self._tick_handle = self.engine.schedule(
-                    self._io[_NEXT_DT], self._on_tick)
-        elif status == _SCH_NO_CORE:
-            raise SchedulerError(
-                f"thread {self.threads[self._ctx.fault].name!r} "
-                "not on any core")
 
     def _replay(self) -> None:
         """Make the instrument calls the compiled pass logged, in order."""

@@ -62,8 +62,10 @@ class SimThread(ctypes.Structure):
     all see one copy.  ``state`` is the record's ``_state`` code as a
     :class:`ThreadState`; ``_group`` and ``_mix`` are the owning
     scheduler's ids of :attr:`group` and :attr:`mix`, and ``_slot`` the
-    thread's index in its thread table.  Name, process, mix, group and
-    the pending completion stay Python attributes.
+    thread's index in its thread table.  Name, process, mix and group
+    stay Python attributes.  The pending completion is held by the
+    scheduler's crossings: the compiled ones keep it per slot in C,
+    the Python pass in :attr:`completion`.
     """
 
     _fields_ = [

@@ -36,6 +36,7 @@ static PyObject *str_update, *str_throw, *str_close, *str_send,
     *str_triggered, *str_name;
 static PyObject *float_eps;       /* 1e-12: the past check's slack */
 static PyObject *int_zero;
+static PyObject *empty_args;      /* () */
 
 static PyTypeObject HandleType, EventType, ProcessType, EngineType;
 
@@ -1094,68 +1095,239 @@ sim_error(const char *message)
     return -1;
 }
 
+/* The heap item ``item`` (a 3-tuple whose handle is live) fires: the
+ * non-daemon count, the clock (unless ``same_instant``: a batch member
+ * keeps the clock its first event set), the dispatch counter, the trace
+ * hash, then the callback.  Steals ``item``; -1 on error. */
+static int
+engine_dispatch(EngineObject *self, PyObject *item, int same_instant)
+{
+    PyObject *when = PyTuple_GET_ITEM(item, 0);
+    HandleObject *handle = (HandleObject *)PyTuple_GET_ITEM(item, 2);
+    if (!handle->daemon) {
+        self->pending -= 1;
+        Py_CLEAR(handle->engine);   /* fired: a late cancel is a no-op */
+    }
+    if (!same_instant) {
+        Py_INCREF(when);
+        Py_SETREF(self->now, when);
+    }
+    self->processed += 1;
+    PyObject *fn = handle->fn;
+    PyObject *fargs = handle->args;
+    Py_INCREF(fn);
+    Py_INCREF(fargs);
+    if (self->thash != NULL && self->thash != Py_None) {
+        PyObject *r = PyObject_CallMethodObjArgs(
+            self->thash, str_update, when, PyTuple_GET_ITEM(item, 1), fn,
+            NULL);
+        if (r == NULL) {
+            Py_DECREF(fn);
+            Py_DECREF(fargs);
+            Py_DECREF(item);
+            return -1;
+        }
+        Py_DECREF(r);
+    }
+    PyObject *r = PyObject_Vectorcall(
+        fn, &PyTuple_GET_ITEM(fargs, 0), PyTuple_GET_SIZE(fargs), NULL);
+    Py_DECREF(fn);
+    Py_DECREF(fargs);
+    Py_DECREF(item);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* A heap item as the engine pushes it; 0 with TypeError otherwise. */
+static int
+heap_item_ok(PyObject *item)
+{
+    if (PyTuple_CheckExact(item) && PyTuple_GET_SIZE(item) == 3
+        && Py_TYPE(PyTuple_GET_ITEM(item, 2)) == &HandleType)
+        return 1;
+    PyErr_SetString(PyExc_TypeError, "engine heap holds a foreign item");
+    return 0;
+}
+
+#define ITEM_CANCELLED(item) \
+    (((HandleObject *)PyTuple_GET_ITEM(item, 2))->cancelled)
+
+/* Pop the smallest live item (new reference); NULL with no error set
+ * when the heap runs out. */
+static PyObject *
+heap_pop_live(PyObject *heap)
+{
+    for (;;) {
+        PyObject *item = heap_pop(heap);
+        if (item == NULL)
+            return NULL;
+        if (!heap_item_ok(item)) {
+            Py_DECREF(item);
+            return NULL;
+        }
+        if (!ITEM_CANCELLED(item))
+            return item;
+        Py_DECREF(item);
+    }
+}
+
 /* Pop and fire one due handle (the step the drain repeats).  Returns 1
  * when one fired, 0 when the heap is empty, -1 on error. */
 static int
 engine_fire_next(EngineObject *self)
 {
-    for (;;) {
-        PyObject *item = heap_pop(self->heap);
-        if (item == NULL)
-            return PyErr_Occurred() ? -1 : 0;
-        if (!PyTuple_CheckExact(item) || PyTuple_GET_SIZE(item) != 3
-            || Py_TYPE(PyTuple_GET_ITEM(item, 2)) != &HandleType) {
-            Py_DECREF(item);
-            PyErr_SetString(PyExc_TypeError,
-                            "engine heap holds a foreign item");
-            return -1;
+    PyObject *item = heap_pop_live(self->heap);
+    if (item == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    int past = in_past(PyTuple_GET_ITEM(item, 0), self->now);
+    if (past != 0) {
+        Py_DECREF(item);
+        return past < 0 ? -1 : sim_error(
+            "heap yielded an event from the past");
+    }
+    return engine_dispatch(self, item, 0) < 0 ? -1 : 1;
+}
+
+/* a == b as Python evaluates it; -1 on error */
+static int
+num_eq(PyObject *a, PyObject *b)
+{
+    if (PyFloat_CheckExact(a) && PyFloat_CheckExact(b))
+        return PyFloat_AS_DOUBLE(a) == PyFloat_AS_DOUBLE(b);
+    PyObject *r = PyObject_RichCompare(a, b, Py_EQ);
+    if (r == NULL)
+        return -1;
+    int truth = PyObject_IsTrue(r);
+    Py_DECREF(r);
+    return truth;
+}
+
+/* Engine.run's drain without a horizon: while a non-daemon event is
+ * pending, fire the next instant's first event, then everything else
+ * already due at that instant (a same-instant batch, without touching
+ * the clock again).  Counts the batches into out[3]. */
+static int
+engine_drain_all(EngineObject *self, long long *out)
+{
+    PyObject *heap = self->heap;
+    while (self->pending > 0 && PyList_GET_SIZE(heap) > 0) {
+        PyObject *item = heap_pop_live(heap);
+        if (item == NULL) {
+            if (PyErr_Occurred())
+                return -1;
+            break;
         }
-        PyObject *when = PyTuple_GET_ITEM(item, 0);
-        PyObject *hobj = PyTuple_GET_ITEM(item, 2);
-        HandleObject *handle = (HandleObject *)hobj;
-        if (handle->cancelled) {
-            Py_DECREF(item);
-            continue;
-        }
+        PyObject *when = Py_NewRef(PyTuple_GET_ITEM(item, 0));
         int past = in_past(when, self->now);
         if (past != 0) {
             Py_DECREF(item);
+            Py_DECREF(when);
             return past < 0 ? -1 : sim_error(
                 "heap yielded an event from the past");
         }
-        if (!handle->daemon) {
-            self->pending -= 1;
-            Py_CLEAR(handle->engine);   /* fired: a late cancel is a no-op */
+        if (engine_dispatch(self, item, 0) < 0) {
+            Py_DECREF(when);
+            return -1;
         }
-        Py_INCREF(when);
-        Py_SETREF(self->now, when);
-        self->processed += 1;
-        PyObject *fn = handle->fn;
-        PyObject *fargs = handle->args;
-        Py_INCREF(fn);
-        Py_INCREF(fargs);
-        if (self->thash != NULL && self->thash != Py_None) {
-            PyObject *r = PyObject_CallMethodObjArgs(
-                self->thash, str_update, when, PyTuple_GET_ITEM(item, 1), fn,
-                NULL);
-            if (r == NULL) {
-                Py_DECREF(fn);
-                Py_DECREF(fargs);
-                Py_DECREF(item);
+        long long in_batch = 1;
+        while (PyList_GET_SIZE(heap) > 0 && self->pending > 0) {
+            PyObject *top = PyList_GET_ITEM(heap, 0);
+            if (!heap_item_ok(top)) {
+                Py_DECREF(when);
                 return -1;
             }
-            Py_DECREF(r);
+            int same = num_eq(PyTuple_GET_ITEM(top, 0), when);
+            if (same <= 0) {
+                if (same < 0) {
+                    Py_DECREF(when);
+                    return -1;
+                }
+                break;
+            }
+            item = heap_pop(heap);
+            if (item == NULL) {
+                Py_DECREF(when);
+                return -1;
+            }
+            if (ITEM_CANCELLED(item)) {
+                Py_DECREF(item);
+                continue;
+            }
+            if (engine_dispatch(self, item, 1) < 0) {
+                Py_DECREF(when);
+                return -1;
+            }
+            in_batch += 1;
         }
-        PyObject *r = PyObject_Vectorcall(
-            fn, &PyTuple_GET_ITEM(fargs, 0), PyTuple_GET_SIZE(fargs), NULL);
-        Py_DECREF(fn);
-        Py_DECREF(fargs);
-        Py_DECREF(item);
-        if (r == NULL)
-            return -1;
-        Py_DECREF(r);
-        return 1;
+        Py_DECREF(when);
+        out[0] += 1;
+        out[1] += in_batch;
+        if (in_batch > out[2])
+            out[2] = in_batch;
     }
+    return 0;
+}
+
+/* Engine.run's drain up to ``until``: fire every event at or before it
+ * (daemon housekeeping included), then advance the clock to it. */
+static int
+engine_drain_to(EngineObject *self, PyObject *until)
+{
+    PyObject *heap = self->heap;
+    while (PyList_GET_SIZE(heap) > 0) {
+        PyObject *top = PyList_GET_ITEM(heap, 0);
+        if (!heap_item_ok(top))
+            return -1;
+        PyObject *item;
+        if (ITEM_CANCELLED(top)) {
+            item = heap_pop(heap);
+            if (item == NULL)
+                return -1;
+            Py_DECREF(item);
+            continue;
+        }
+        PyObject *when = PyTuple_GET_ITEM(top, 0);
+        int later = PyFloat_CheckExact(when) && PyFloat_CheckExact(until)
+            ? PyFloat_AS_DOUBLE(when) > PyFloat_AS_DOUBLE(until)
+            : PyObject_RichCompareBool(when, until, Py_GT);
+        if (later < 0)
+            return -1;
+        if (later)
+            break;
+        item = heap_pop(heap);
+        if (item == NULL)
+            return -1;
+        if (engine_dispatch(self, item, 0) < 0)
+            return -1;
+    }
+    /* max(now, until) */
+    int ahead = PyFloat_CheckExact(until) && PyFloat_CheckExact(self->now)
+        ? PyFloat_AS_DOUBLE(until) > PyFloat_AS_DOUBLE(self->now)
+        : PyObject_RichCompareBool(until, self->now, Py_GT);
+    if (ahead < 0)
+        return -1;
+    if (ahead) {
+        Py_INCREF(until);
+        Py_SETREF(self->now, until);
+    }
+    return 0;
+}
+
+/* _drain(until): Engine.run's loop; returns the same-instant batch
+ * tally (batches, events, largest), zeros with a horizon. */
+static PyObject *
+engine_drain(EngineObject *self, PyObject *until)
+{
+    if (engine_ready(self) < 0)
+        return NULL;
+    long long tally[3] = {0, 0, 0};
+    int r = until == Py_None ? engine_drain_all(self, tally)
+                             : engine_drain_to(self, until);
+    if (r < 0)
+        return NULL;
+    return Py_BuildValue("(LLL)", tally[0], tally[1], tally[2]);
 }
 
 static int
@@ -1260,6 +1432,8 @@ static PyMethodDef engine_methods[] = {
      "Schedule ``fn(*args)`` at absolute simulation time ``time``."},
     {"_drain_until", (PyCFunction)(void (*)(void))engine_drain_until,
      METH_FASTCALL, "Dispatch events until ``event`` triggers."},
+    {"_drain", (PyCFunction)engine_drain, METH_O,
+     "Engine.run's drain; returns the same-instant batch tally."},
     {NULL}
 };
 
@@ -1294,6 +1468,11 @@ static PyTypeObject EngineType = {
     .tp_init = (initproc)engine_tp_init,
     .tp_new = PyType_GenericNew,
 };
+
+/* ------------------------------------------------------------------ */
+/* the OS scheduler's pass and crossings (they drive the types above)  */
+
+#include "../osmodel/_sched.c"
 
 /* ------------------------------------------------------------------ */
 /* module                                                              */
@@ -1345,8 +1524,10 @@ PyInit__ccore(void)
     str_name = PyUnicode_InternFromString("__name__");
     float_eps = PyFloat_FromDouble(1e-12);
     int_zero = PyLong_FromLong(0);
+    empty_args = PyTuple_New(0);
     if (!str_update || !str_throw || !str_close || !str_send
-        || !str_triggered || !str_name || !float_eps || !int_zero)
+        || !str_triggered || !str_name || !float_eps || !int_zero
+        || !empty_args)
         return NULL;
     PyObject *m = PyModule_Create(&ccore_module);
     if (m == NULL)
@@ -1359,7 +1540,8 @@ PyInit__ccore(void)
         || PyModule_AddObjectRef(m, "SimProcess",
                                  (PyObject *)&ProcessType) < 0
         || PyModule_AddObjectRef(m, "EngineCore",
-                                 (PyObject *)&EngineType) < 0)
+                                 (PyObject *)&EngineType) < 0
+        || sched_module_init(m) < 0)
         goto fail;
     return m;
 fail:

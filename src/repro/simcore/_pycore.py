@@ -3,7 +3,8 @@
 The engine substrate's hot path — :class:`EventHandle`, the one-shot
 :class:`SimEvent`, the generator-process resume core
 (:class:`SimProcess`) and the engine's clock, ``schedule``/
-``schedule_at`` and ``run_until_event`` drain (:class:`EngineCore`) —
+``schedule_at`` and the drains of ``run`` and ``run_until_event``
+(:class:`EngineCore`) —
 exists twice: compiled, in the C extension :mod:`repro.ckernel` builds
 (``repro.simcore._ccore``), and here.  :mod:`repro.simcore.events`
 takes the compiled core when it loads and this one otherwise (no
@@ -336,3 +337,70 @@ class EngineCore:
                 break
             else:
                 raise SimulationError("event queue drained before event triggered")
+
+    def _drain(self, until: Optional[float]) -> Tuple[int, int, int]:
+        """``Engine.run``'s loop; returns the same-instant batch tally
+        ``(batches, events, largest)`` (zeros with a horizon).
+
+        Without ``until``: while a non-daemon event is pending (daemon
+        housekeeping must not keep the world spinning), fire the next
+        instant's first event, then everything else already due at that
+        instant without touching the clock again.  With ``until``: fire
+        every event at or before it, daemons included, then advance the
+        clock to it.
+        """
+        heap = self._heap
+        thash = self._thash
+        if until is not None:
+            while heap:
+                when, seq, handle = heap[0]
+                if handle._cancelled:
+                    heappop(heap)
+                    continue
+                if when > until:
+                    break
+                heappop(heap)
+                if not handle.daemon:
+                    self._non_daemon_pending -= 1
+                    handle._on_cancel = None
+                self._now = when
+                self._processed += 1
+                if thash is not None:
+                    thash.update(when, seq, handle.fn)
+                handle.fn(*handle.args)
+            self._now = max(self._now, until)
+            return 0, 0, 0
+        batches = batch_events = batch_max = 0
+        while self._non_daemon_pending > 0 and heap:
+            when, seq, handle = heappop(heap)
+            if handle._cancelled:
+                continue
+            if when < self._now - 1e-12:
+                raise SimulationError("heap yielded an event from the past")
+            if not handle.daemon:
+                self._non_daemon_pending -= 1
+                handle._on_cancel = None
+            self._now = when
+            self._processed += 1
+            if thash is not None:
+                thash.update(when, seq, handle.fn)
+            handle.fn(*handle.args)
+            in_batch = 1
+            while (heap and heap[0][0] == when
+                   and self._non_daemon_pending > 0):
+                same, seq, handle = heappop(heap)
+                if handle._cancelled:
+                    continue
+                if not handle.daemon:
+                    self._non_daemon_pending -= 1
+                    handle._on_cancel = None
+                self._processed += 1
+                if thash is not None:
+                    thash.update(same, seq, handle.fn)
+                handle.fn(*handle.args)
+                in_batch += 1
+            batches += 1
+            batch_events += in_batch
+            if in_batch > batch_max:
+                batch_max = in_batch
+        return batches, batch_events, batch_max

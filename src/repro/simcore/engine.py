@@ -11,13 +11,12 @@ Design notes
   the single hottest operation in the simulator.
 * Cancellation is O(1): handles are flagged and skipped when popped
   (lazy deletion), the standard technique for binary-heap timer wheels.
-* :meth:`run` inlines the pop/dispatch loop (rather than calling
-  :meth:`step` per event) and drains same-instant batches without
-  re-touching the clock; :meth:`run_until_event` drains through the
-  event core's ``_drain_until`` (one C call with the compiled core).
-  :meth:`step` remains the one-event-at-a-time API for tests and
-  debuggers.
-* The clock, ``schedule``/``schedule_at`` and that drain live in the
+* :meth:`run` drains through the event core's ``_drain`` (one C call
+  with the compiled core), which delivers same-instant batches without
+  re-touching the clock; :meth:`run_until_event` drains through its
+  ``_drain_until``.  :meth:`step` remains the one-event-at-a-time API
+  for tests and debuggers.
+* The clock, ``schedule``/``schedule_at`` and both drains live in the
   event core's ``EngineCore`` base: the compiled extension
   ``repro.simcore._ccore`` when it loads, else its pure-Python twin
   :mod:`repro.simcore._pycore`.  Both push onto the same heap list with
@@ -42,8 +41,8 @@ from repro.simcore.trace import Tracer
 class Engine(CORE.EngineCore):
     """Owns simulated time and the pending-event heap.
 
-    The clock (``now``), ``schedule``/``schedule_at`` and the
-    ``run_until_event`` drain are the event core's ``EngineCore``
+    The clock (``now``), ``schedule``/``schedule_at`` and the drains of
+    ``run`` and ``run_until_event`` are the event core's ``EngineCore``
     (compiled, or its twin in :mod:`repro.simcore._pycore`); ``run``,
     ``run_until_event`` and ``step`` stay here.
     """
@@ -121,114 +120,21 @@ class Engine(CORE.EngineCore):
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")
         self._running = True
-        heap = self._heap
-        pop = heapq.heappop
-        # Metrics follow the Tracer guard contract: the flag is hoisted
-        # into a local and all accounting accumulates into plain locals,
-        # so a disabled registry costs one branch per dispatched batch.
+        # Metrics follow the Tracer guard contract: one flag read here,
+        # and the drain's same-instant tally folded in once at the end.
         metrics_on = METRICS.enabled
-        thash = self._thash
         if metrics_on:
             from time import perf_counter
 
             wall_started = perf_counter()  # repro: allow-wall-clock (metrics)
             start_processed = self._processed
-            METRICS.gauge_max("engine.heap_size", len(heap))
-        batches = 0
-        batch_events = 0
-        batch_max = 0
+            METRICS.gauge_max("engine.heap_size", len(self._heap))
         try:
-            if until is None and not metrics_on and thash is None:
-                # Inlined hot loop (one Python frame for the whole drain).
-                # Daemon housekeeping must not keep the world spinning, so
-                # the non-daemon count is re-checked before every dispatch.
-                while self._non_daemon_pending > 0 and heap:
-                    when, _seq, handle = pop(heap)
-                    if handle._cancelled:
-                        continue
-                    if when < self._now - 1e-12:
-                        raise SimulationError(
-                            "heap yielded an event from the past")
-                    if not handle.daemon:
-                        self._non_daemon_pending -= 1
-                        handle._on_cancel = None
-                    self._now = when
-                    self._processed += 1
-                    handle.fn(*handle.args)
-                    # Same-instant batch: deliver everything already due at
-                    # `when` (timeout fan-outs, zero-delay resumes) without
-                    # touching the clock again.
-                    while (heap and heap[0][0] == when
-                           and self._non_daemon_pending > 0):
-                        _w, _s, handle = pop(heap)
-                        if handle._cancelled:
-                            continue
-                        if not handle.daemon:
-                            self._non_daemon_pending -= 1
-                            handle._on_cancel = None
-                        self._processed += 1
-                        handle.fn(*handle.args)
-            elif until is None:
-                # Instrumented copy of the drain loop (metrics and/or
-                # trace-hashing on) — kept separate so the plain path
-                # above stays byte-for-byte the original (the batch
-                # bookkeeping would otherwise cost a few per-event ops
-                # even when disabled).
-                while self._non_daemon_pending > 0 and heap:
-                    when, _seq, handle = pop(heap)
-                    if handle._cancelled:
-                        continue
-                    if when < self._now - 1e-12:
-                        raise SimulationError(
-                            "heap yielded an event from the past")
-                    if not handle.daemon:
-                        self._non_daemon_pending -= 1
-                        handle._on_cancel = None
-                    self._now = when
-                    self._processed += 1
-                    if thash is not None:
-                        thash.update(when, _seq, handle.fn)
-                    handle.fn(*handle.args)
-                    in_batch = 1
-                    while (heap and heap[0][0] == when
-                           and self._non_daemon_pending > 0):
-                        _w, _s, handle = pop(heap)
-                        if handle._cancelled:
-                            continue
-                        if not handle.daemon:
-                            self._non_daemon_pending -= 1
-                            handle._on_cancel = None
-                        self._processed += 1
-                        if thash is not None:
-                            thash.update(_w, _s, handle.fn)
-                        handle.fn(*handle.args)
-                        in_batch += 1
-                    batches += 1
-                    batch_events += in_batch
-                    if in_batch > batch_max:
-                        batch_max = in_batch
-            else:
-                if until < self._now:
-                    raise SimulationError(
-                        f"run(until={until}) is before now={self._now}"
-                    )
-                while heap:
-                    when, _seq, handle = heap[0]
-                    if handle._cancelled:
-                        pop(heap)
-                        continue
-                    if when > until:
-                        break
-                    pop(heap)
-                    if not handle.daemon:
-                        self._non_daemon_pending -= 1
-                        handle._on_cancel = None
-                    self._now = when
-                    self._processed += 1
-                    if thash is not None:
-                        thash.update(when, _seq, handle.fn)
-                    handle.fn(*handle.args)
-                self._now = max(self._now, until)
+            if until is not None and until < self._now:
+                raise SimulationError(
+                    f"run(until={until}) is before now={self._now}"
+                )
+            batches, batch_events, batch_max = self._drain(until)
         finally:
             self._running = False
         if metrics_on:
@@ -237,7 +143,7 @@ class Engine(CORE.EngineCore):
             METRICS.inc("engine.runs")
             METRICS.inc("engine.events_dispatched", dispatched)
             METRICS.observe("engine.run_wall_s", wall)
-            METRICS.gauge_max("engine.heap_size", len(heap))
+            METRICS.gauge_max("engine.heap_size", len(self._heap))
             if wall > 0.0:
                 METRICS.gauge_max("engine.events_per_sec", dispatched / wall)
             if batches:

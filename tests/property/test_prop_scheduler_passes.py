@@ -1,8 +1,10 @@
-"""Differential test: the compiled decision pass against the Python pass.
+"""Differential test: the compiled crossings and pass against the Python
+ones.
 
-The scheduler carries two encodings of one decision pass over the same
-C records: the compiled one in the kernel library (``osmodel/_sched.c``)
-and the Python one that runs without it.  Each example draws a random
+The scheduler carries two encodings of its hot path over the same C
+records: the compiled crossings and decision pass of the event core
+extension (``osmodel/_sched.c``) and the Python ones of
+``osmodel/_pypass.py`` that run without it.  Each example draws a random
 world (the strategy of :mod:`tests.property.test_prop_scheduler_equiv`:
 mixed priority classes and affinity groups, boosts, sleeps, mid-run
 ``cpu_time()`` reads, ``exit_thread`` calls, re-entrant submits and
@@ -10,10 +12,16 @@ paging) on one, two or four cores, and runs it on both passes.  Every
 accounting float, every core's busy time, the shared-L2 statistics, the
 tracer records, the scheduler metrics and the trace-hash snapshot must
 be identical (``==``).  The fig1 and fig5 trace-hash pins must hold on
-the Python pass too.
+the Python pass too.  Fixed scenarios hold the crossings themselves to
+the Python pass: a completion callback that raises, re-entrant
+``submit``/``exit_thread`` calls from a completion callback, every
+``SchedulerError`` message, and the engine heap's ``(when, seq)`` keys
+after many crossings (the tick's cancel and re-arm consume the same seq
+numbers).
 """
 
 import ctypes
+import dataclasses
 import json
 from unittest import mock
 
@@ -22,9 +30,10 @@ from hypothesis import given, settings, strategies as st
 
 import repro.osmodel.scheduler as scheduler_module
 from repro.audit import TRACE_HASH, compare_snapshots
+from repro.audit.tracehash import _event_name
 from repro.errors import SchedulerError
 from repro.hardware.cache import CacheStats
-from repro.hardware.cpu import MIX_SEVENZIP
+from repro.hardware.cpu import MIX_KERNEL, MIX_SEVENZIP
 from repro.hardware.machine import Machine
 from repro.hardware.specs import core2duo_e6600
 from repro.osmodel.scheduler import BoostPolicy, CoreState, Scheduler
@@ -42,12 +51,12 @@ from tests.test_trace_hash_pins import DATA, _pin
 
 pytestmark = pytest.mark.skipif(
     scheduler_module._compiled_pass() is None,
-    reason="no C compiler / kernel library unavailable")
+    reason="no C compiler / compiled event core unavailable")
 
 
 def _compiled(*args, **kwargs):
     scheduler = Scheduler(*args, **kwargs)
-    assert scheduler._lib is not None
+    assert scheduler._compiled
     return scheduler
 
 
@@ -55,7 +64,7 @@ def _python(*args, **kwargs):
     with mock.patch.object(scheduler_module, "_compiled_pass",
                            lambda: None):
         scheduler = Scheduler(*args, **kwargs)
-    assert scheduler._lib is None
+    assert not scheduler._compiled
     return scheduler
 
 
@@ -89,7 +98,11 @@ def test_c_layout_matches_ctypes_structure(export, struct):
     # sizeof, then every offsetof in declaration order: a field added,
     # dropped or reordered on one side only fails here
     out = (ctypes.c_int64 * 64)()
-    count = getattr(scheduler_module._compiled_pass(), export)(out)
+    extension = ctypes.CDLL(scheduler_module._compiled_pass().__file__)
+    layout = getattr(extension, export)
+    layout.argtypes = [ctypes.POINTER(ctypes.c_int64)]
+    layout.restype = ctypes.c_int64
+    count = layout(out)
     expected = [ctypes.sizeof(struct)] + [
         getattr(struct, name).offset for name, _ in struct._fields_]
     assert list(out[:count]) == expected
@@ -163,3 +176,188 @@ def test_fast_pins_hold_on_the_python_pass(fig_id, monkeypatch):
     assert compare_snapshots(pinned["trace_hash"],
                              current["trace_hash"]) == []
     assert current == pinned
+
+
+# -- the crossings -----------------------------------------------------
+
+
+def _machine(engine, cores=2):
+    spec = core2duo_e6600("crossings")
+    if cores != spec.cpu.n_cores:
+        spec = dataclasses.replace(
+            spec, cpu=dataclasses.replace(spec.cpu, n_cores=cores))
+    return Machine(engine, spec, RngStreams(0))
+
+
+def _state(engine, scheduler):
+    """Everything a crossing may change, for ``==`` across passes."""
+    ctx = scheduler._ctx
+    return {
+        "now": engine.now,
+        "events": engine.events_processed,
+        "seq": engine._seq,
+        "pending": engine._non_daemon_pending,
+        "heap": sorted((when, seq, handle.cancelled, _event_name(handle.fn))
+                       for when, seq, handle in engine._heap),
+        "ctx": (ctx.last_update, ctx.rr_counter, ctx.decisions,
+                ctx.in_decide, ctx.dirty, ctx.submits),
+        "threads": [(t.name, t.state, t.remaining_cycles, t.cycles_retired,
+                     t.instructions_retired, t.cpu_seconds, t.rr_seq,
+                     t.segments_completed, t.quantum_used)
+                    for t in scheduler.threads],
+        "cores": [(core._thread, core.speed, core.busy_seconds)
+                  for core in scheduler.cores],
+        "l2": scheduler.machine.l2.stats.astuple(),
+    }
+
+
+class _Boom(Exception):
+    pass
+
+
+def _raising_completion(factory):
+    engine = Engine()
+    scheduler = factory(engine, _machine(engine),
+                        boost=BoostPolicy(enabled=False))
+    first = scheduler.spawn("first", 8)
+    second = scheduler.spawn("second", 8)
+
+    def boom(event):
+        raise _Boom("callback failed")
+
+    scheduler.submit(first, 2e6, MIX_SEVENZIP).add_callback(boom)
+    scheduler.submit(second, 4e6, MIX_KERNEL)
+    with pytest.raises(_Boom, match="callback failed"):
+        engine.run()
+    raised = _state(engine, scheduler)
+    # the pass was left: the next submit places and completes normally
+    done = scheduler.submit(first, 1e6, MIX_SEVENZIP)
+    engine.run_until_event(done)
+    engine.run()
+    return raised, _state(engine, scheduler)
+
+
+def test_a_raising_completion_callback_leaves_the_pass():
+    expected = _raising_completion(_python)
+    actual = _raising_completion(_compiled)
+    assert actual[0]["ctx"][3] == 0     # in_decide cleared
+    assert actual[1]["threads"][0][7] == 2
+    assert actual == expected
+
+
+def _reentrant_crossings(factory):
+    engine = Engine()
+    scheduler = factory(engine, _machine(engine),
+                        boost=BoostPolicy(enabled=False))
+    worker = scheduler.spawn("worker", 8)
+    victim = scheduler.spawn("victim", 8)
+    other = scheduler.spawn("other", 6)
+    seen = []
+
+    def chain(event):
+        # inside the pass: a re-entrant submit and an exit
+        seen.append(scheduler._in_decide)
+        if worker.segments_completed < 4:
+            scheduler.submit(worker, 1.5e6, MIX_KERNEL).add_callback(chain)
+        if victim.state is not ThreadState.DONE:
+            scheduler.exit_thread(victim)
+
+    scheduler.submit(worker, 1e6, MIX_SEVENZIP).add_callback(chain)
+    scheduler.submit(victim, 5e7, MIX_SEVENZIP)
+    scheduler.submit(other, 3e6, MIX_KERNEL)
+    engine.run()
+    return seen, _state(engine, scheduler)
+
+
+def test_reentrant_submit_and_exit_from_a_completion_callback():
+    expected = _reentrant_crossings(_python)
+    actual = _reentrant_crossings(_compiled)
+    seen, state = actual
+    assert seen and all(seen)
+    assert state["threads"][0][7] == 4
+    assert state["threads"][1][1] is ThreadState.DONE
+    assert actual == expected
+
+
+def _error_messages(factory):
+    engine = Engine()
+    scheduler = factory(engine, _machine(engine),
+                        boost=BoostPolicy(enabled=False))
+    stranger = factory(engine, _machine(engine),
+                       boost=BoostPolicy(enabled=False)).spawn("stranger", 8)
+    busy = scheduler.spawn("busy", 8)
+    gone = scheduler.spawn("gone", 8)
+    lost = scheduler.spawn("lost", 8)
+    idle = scheduler.spawn("idle", 8)
+    scheduler.submit(busy, 1e7, MIX_SEVENZIP)
+    scheduler.exit_thread(gone)
+    lost._state = 2   # RUNNING, yet on no core
+    calls = [lambda: scheduler.submit(gone, 1e6, MIX_SEVENZIP),
+             lambda: scheduler.submit(busy, 1e6, MIX_SEVENZIP),
+             lambda: scheduler.submit(idle, -5, MIX_SEVENZIP),
+             lambda: scheduler.exit_thread(lost),
+             lambda: scheduler.submit(stranger, 1e6, MIX_SEVENZIP),
+             lambda: scheduler.exit_thread(stranger)]
+    messages = []
+    for call in calls:
+        with pytest.raises(SchedulerError) as error:
+            call()
+        messages.append(str(error.value))
+    lost._state = 0
+    engine.run()
+    return messages, _state(engine, scheduler)
+
+
+def test_every_scheduler_error_says_the_same():
+    expected = _error_messages(_python)
+    actual = _error_messages(_compiled)
+    assert actual[0] == [
+        "thread 'gone' has exited",
+        "thread 'busy' already has an outstanding segment",
+        "negative cycle demand: -5",
+        "thread 'lost' not on any core",
+        "thread 'stranger' belongs to another scheduler",
+        "thread 'stranger' belongs to another scheduler",
+    ]
+    assert actual == expected
+
+
+def _heap_after_crossings(factory, crossings):
+    engine = Engine()
+    scheduler = factory(engine, _machine(engine, cores=4), quantum=0.003,
+                        boost=BoostPolicy(scan_interval=0.005,
+                                          starvation_threshold=0.005,
+                                          boost_cpu=0.001))
+    threads = [scheduler.spawn(f"t{index}", priority, group=group)
+               for index, (priority, group) in enumerate(
+                   [(8, "vm-a"), (8, None), (13, "vm-a"), (8, "vm-b"),
+                    (8, None), (4, None)])]
+
+    def body(thread, cycles, mix, sleep):
+        for _ in range(crossings):
+            # a submit after a sleep crosses between ticks: it cancels
+            # the armed tick and arms another
+            yield engine.timeout(sleep)
+            yield scheduler.submit(thread, cycles, mix)
+
+    for index, thread in enumerate(threads):
+        engine.process(body(thread, 2e6 + 7e5 * index,
+                            (MIX_SEVENZIP, MIX_KERNEL)[index % 2],
+                            1e-4 * (index + 1)))
+    states = []
+    step = 0
+    while engine._non_daemon_pending and step < 1000:
+        step += 1
+        engine.run(until=0.0005 * step)
+        states.append(_state(engine, scheduler))
+    return states
+
+
+@pytest.mark.parametrize("crossings", [1, 5, 40])
+def test_heap_keys_match_after_many_crossings(crossings):
+    expected = _heap_after_crossings(_python, crossings)
+    actual = _heap_after_crossings(_compiled, crossings)
+    assert any(cancelled for state in actual
+               for _, _, cancelled, _ in state["heap"])
+    assert actual[-1]["ctx"][5] == 6 * crossings   # submits
+    assert actual == expected

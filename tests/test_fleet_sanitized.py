@@ -3,10 +3,12 @@
 ``benchmarks/check_sanitized_kernel.py`` builds ``_cloop.c`` with
 AddressSanitizer and UndefinedBehaviorSanitizer and runs kernel tests
 against it in a subprocess with the sanitiser runtimes preloaded (the
-event core extension ``simcore/_ccore.c`` too).  CI runs every kernel
-suite that way; this tier-1 test runs the ABI guard, the SHA-256 check
-and the engine suite on the event core, so a build or preload breakage
-shows up here first.
+event core extension ``simcore/_ccore.c``, with the scheduler's pass and
+crossings, too).  CI runs every kernel suite that way; this tier-1 test
+runs the ABI guard, the SHA-256 check, the engine suite and the
+scheduler's fixed 4-core world (compiled crossings against the Python
+pass) on the event core, so a build or preload breakage shows up here
+first.
 """
 
 import os
@@ -43,9 +45,12 @@ def test_kernel_checks_pass_under_asan_and_ubsan():
          "test_c_layout_matches_ctypes_structure",
          "tests/property/test_prop_fleet_sampler.py::"
          "test_kernel_sha256_matches_hashlib",
-         "tests/test_simcore_engine.py"],
+         "tests/test_simcore_engine.py",
+         "tests/property/test_prop_scheduler_passes.py::"
+         "test_four_cores_contend_and_preempt"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
     # pytest exits non-zero when a selected test is missing or fails
     assert result.returncode == 0, result.stdout + result.stderr
     assert "sanitised kernel:" in result.stdout
     assert "sanitised event core:" in result.stdout
+    assert "sanitised scheduler pass: Scheduler" in result.stdout

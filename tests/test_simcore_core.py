@@ -118,6 +118,72 @@ class TestErrors:
         assert engine.now == 1.0
 
 
+class TestRunDrain:
+    """``Engine.run`` drains through the core's ``_drain``."""
+
+    def test_horizon_advances_the_clock_and_keeps_later_events(self):
+        engine = Engine()
+        fired = []
+        engine.schedule(1.0, fired.append, 1)
+        engine.schedule(5.0, fired.append, 5)
+        engine.schedule(2.0, fired.append, "daemon", daemon=True)
+        assert engine.run(until=3.0) == 3.0
+        assert fired == [1, "daemon"] and engine.now == 3.0
+        assert engine.run(until=3.0) == 3.0   # nothing due: the clock stays
+        assert engine.run() == 5.0 and fired[-1] == 5
+
+    def test_int_horizon_reaches_the_clock_as_int(self):
+        engine = Engine()
+        engine.schedule(1.0, lambda: None)
+        engine.run(until=4)
+        assert engine.now == 4 and type(engine.now) is int
+
+    def test_horizon_before_now_is_refused(self):
+        engine = Engine(start_time=2.0)
+        with pytest.raises(SimulationError,
+                           match=r"run\(until=1\.0\) is before now=2\.0"):
+            engine.run(until=1.0)
+        assert engine.run() == 2.0   # not left running
+
+    def test_same_instant_batches_are_tallied(self):
+        engine = Engine()
+        order = []
+        for index in range(3):
+            engine.schedule(1.0, order.append, index)
+        engine.schedule(1.0, order.append, "cancelled").cancel()
+        engine.schedule(2.0, order.append, "late")
+        engine.schedule(1.0, order.append, "daemon", daemon=True)
+        assert engine._drain(None) == (2, 5, 4)
+        assert order == [0, 1, 2, "daemon", "late"]
+        assert engine._drain(5.0) == (0, 0, 0) and engine.now == 5.0
+
+    def test_only_daemons_left_stops_the_drain(self):
+        engine = Engine()
+        ticks = []
+
+        def tick():
+            ticks.append(engine.now)
+            engine.schedule(1.0, tick, daemon=True)
+
+        engine.schedule(1.0, tick, daemon=True)
+        engine.schedule(2.5, lambda: None)
+        assert engine.run() == 2.5 and ticks == [1.0, 2.0]
+
+    def test_reentrant_run_is_refused(self):
+        engine = Engine()
+        caught = []
+
+        def nested():
+            try:
+                engine.run()
+            except SimulationError as error:
+                caught.append(str(error))
+
+        engine.schedule(1.0, nested)
+        engine.run()
+        assert caught == ["engine is already running (re-entrant run())"]
+
+
 class TestArguments:
     def test_succeed_by_keyword_returns_the_event(self):
         event = Engine().event()

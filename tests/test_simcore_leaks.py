@@ -5,7 +5,10 @@ A reference the compiled core (``simcore/_ccore.c``) forgets to drop
 missing ``tp_traverse`` slot) leaves objects behind every repetition:
 Fig 4's NetBench dispatches ~44k events and starts thousands of
 processes per repetition, so even one lost object per event or process
-shows as thousands of blocks.  The Python twin is held to the same bar.
+shows as thousands of blocks.  A Fig 7 repetition (host 7z beside a VM)
+makes ~2.6k submits and ~5.6k decision passes, whose completions and
+tick handles the compiled scheduler (``osmodel/_sched.c``) holds.  The
+Python twin is held to the same bar.
 """
 
 import gc
@@ -13,6 +16,7 @@ import sys
 
 from repro.core.figures import _netbench_factory
 from repro.core.guest_perf import EnvironmentMeasure
+from repro.core.host_impact import HostImpactConfig, SevenZipImpactMeasure
 
 #: Blocks a repetition may leave behind: interpreter caches settle to a
 #: few blocks; a leak per event or per process is thousands.
@@ -22,6 +26,19 @@ TOLERANCE_BLOCKS = 64
 def test_fig4_repetitions_leave_allocated_blocks_flat():
     measure = EnvironmentMeasure("qemu", _netbench_factory, "mbps")
     measure(1)  # warm-up: imports, interned names, first-use caches
+    gc.collect()
+    before = sys.getallocatedblocks()
+    for seed in range(2, 6):
+        measure(seed)
+    gc.collect()
+    grown = sys.getallocatedblocks() - before
+    assert grown < TOLERANCE_BLOCKS, f"{grown} blocks left by 4 repetitions"
+
+
+def test_fig7_repetitions_leave_allocated_blocks_flat():
+    measure = SevenZipImpactMeasure(HostImpactConfig(environment="vmplayer"),
+                                    threads=2)
+    measure(1)  # warm-up
     gc.collect()
     before = sys.getallocatedblocks()
     for seed in range(2, 6):
