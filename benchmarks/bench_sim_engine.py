@@ -1,7 +1,7 @@
 """Simulator micro-benchmarks: event throughput of the substrate itself.
 
 Not a paper figure — these keep the simulation kernel's performance
-visible so harness slowdowns show up as regressions.  Five workloads,
+visible so harness slowdowns show up as regressions.  Six workloads,
 one per layer:
 
 * ``engine_throughput`` — a 20,000-event timer chain on a bare engine;
@@ -9,6 +9,10 @@ one per layer:
   cores, forcing quantum rotation;
 * ``tcp_packet_rate`` — a 5 MB TCP transfer between two kernels (NIC,
   netstack, scheduler);
+* ``vnic_packet_rate`` — a 5 MB TCP transfer from a guest through a
+  bridged virtual NIC onto the wire to a LAN peer (the guest stack,
+  one vNIC service process per frame, the host NIC; Fig 4's path),
+  VM boot included;
 * ``scheduler_decisions`` — two host compute threads next to an
   idle-priority vCPU and its elevated VMM service thread (the shape of
   the paper's Figs 5-8 host-impact runs): preemption, group preference
@@ -20,8 +24,8 @@ one per layer:
   name) against bulk (``RngStreams.first_uniforms`` in the 7z's
   chunks); it reports draws/s for both.
 
-``engine_throughput``, ``tcp_packet_rate`` and ``scheduler_decisions``
-also run, in the same rounds, on the engine's Python event core
+``engine_throughput``, ``tcp_packet_rate``, ``vnic_packet_rate`` and
+``scheduler_decisions`` also run, in the same rounds, on the engine's Python event core
 (``repro.simcore._pycore``; the compiled core is the default when it
 builds): the core is chosen when ``repro.simcore`` is imported, so
 those rows run in a helper interpreter that loads the Python core (and
@@ -136,6 +140,35 @@ def tcp_packet_rate():
     return engine
 
 
+def vnic_packet_rate():
+    """A 5 MB TCP transfer from a guest over its bridged vNIC to a LAN
+    peer; returns the engine."""
+    from repro.core.testbed import boot_vm, build_host_testbed
+    from repro.units import MB
+    from repro.virt.vm import VmConfig
+
+    testbed = build_host_testbed(1, with_timeserver=False)
+    engine, peer = testbed.engine, testbed.peer_kernel
+    receiver = peer.spawn_thread("rx", PRIORITY_NORMAL)
+    queue = peer.net.listen(5001)
+
+    def server():
+        sock = yield queue.get()
+        yield from sock.recv(receiver, 5 * MB)
+
+    def client():
+        vm = yield from boot_vm(testbed, "vmplayer", VmConfig(
+            priority=PRIORITY_NORMAL, net_mode="bridged"))
+        sock = yield from vm.guest_net.connect(vm.vcpu.thread, peer.net,
+                                               5001)
+        yield from sock.send(vm.vcpu.thread, 5 * MB)
+
+    engine.process(server(), "rx")
+    proc = engine.process(client(), "tx")
+    engine.run_until_event(proc)
+    return engine
+
+
 def scheduler_decisions(horizon_s: float = 5.0):
     """Host compute threads beside a VM's vCPU and service thread."""
     return _decision_world(horizon_s).engine
@@ -198,13 +231,14 @@ WORKLOADS = {
     "engine_throughput": engine_throughput,
     "scheduler_context_switch": scheduler_context_switch,
     "tcp_packet_rate": tcp_packet_rate,
+    "vnic_packet_rate": vnic_packet_rate,
     "scheduler_decisions": scheduler_decisions,
 }
 
 
 #: The rows also timed on the Python event core.
 CORE_WORKLOADS = ("engine_throughput", "tcp_packet_rate",
-                  "scheduler_decisions")
+                  "vnic_packet_rate", "scheduler_decisions")
 
 #: The helper interpreter's body: load the Python event core (and with
 #: it the scheduler's Python pass), then time one round of
@@ -392,6 +426,11 @@ def test_scheduler_context_switch_rate(benchmark):
 @pytest.mark.benchmark(group="simulator")
 def test_tcp_packet_rate(benchmark):
     assert benchmark(tcp_packet_rate).events_processed > 0
+
+
+@pytest.mark.benchmark(group="simulator")
+def test_vnic_packet_rate(benchmark):
+    assert benchmark(vnic_packet_rate).events_processed > 0
 
 
 @pytest.mark.benchmark(group="simulator")

@@ -2,7 +2,8 @@
 
 Compiles the kernel library (``fleet/_cloop.c``) and the event core
 extension (``simcore/_ccore.c``, which includes the OS scheduler's
-decision pass and crossings, ``osmodel/_sched.c``) with
+decision pass and crossings, ``osmodel/_sched.c``, and the network frame
+path, ``osmodel/_frames.c``) with
 AddressSanitizer and UndefinedBehaviorSanitizer (``-O1 -g
 -fsanitize=address,undefined -fno-sanitize-recover=undefined``) through
 the ``flags`` argument of :func:`repro.ckernel.compile_library` and
@@ -14,7 +15,8 @@ sanitised build and that schedulers take its pass).  An out-of-bounds
 access, a use after free or undefined behaviour in any entry point
 (event loop, column sampler, fault-draw batch, whose over-long payloads
 must be refused before they reach its fixed stack buffer, the
-scheduler's crossings and decision pass, or the event core's handles,
+scheduler's crossings and decision pass, the frame path's TCP loops,
+deliveries, vNIC service and NIC transmit, or the event core's handles,
 events, process resume and engine drains) aborts the run.
 
 Exit status 0 when every suite passes on the sanitised build, non-zero
@@ -48,7 +50,11 @@ SUITES = ("tests/test_fleet_fastloop.py",
           *sorted(os.path.relpath(path, ROOT) for path in glob.glob(
               str(ROOT / "tests" / "test_simcore_*.py"))),
           "tests/property/test_prop_process_equiv.py",
-          "tests/property/test_prop_engine.py")
+          "tests/property/test_prop_engine.py",
+          "tests/property/test_prop_frame_path.py",
+          "tests/test_os_netstack.py",
+          "tests/test_virt_devices.py",
+          "tests/test_hardware_nic.py")
 
 # Runs inside the sanitised subprocess: every later compile made without
 # explicit flags (the one the shared driver's load() makes) returns the

@@ -5,9 +5,13 @@ One shared library holds the fleet's ctypes kernels, ``fleet/_cloop.c``
 :mod:`repro.fleet.cloop`).  Next to it sits the event core,
 ``simcore/_ccore.c``: a CPython extension (``repro.simcore._ccore``)
 holding the discrete-event engine's hot path (see
-:mod:`repro.simcore._pycore`, its pure-Python twin) and, through
-``osmodel/_sched.c`` which it includes, the OS scheduler's decision pass
-and crossings (see :mod:`repro.osmodel._pypass`, their twin).  This
+:mod:`repro.simcore._pycore`, its pure-Python twin) and, through the
+files it includes, the OS scheduler's decision pass and crossings
+(``osmodel/_sched.c``; see :mod:`repro.osmodel._pypass`, their twin)
+and the network frame path (``osmodel/_frames.c``: the TCP frame loops,
+the vNIC's per-frame service and the NIC transmit, whose twins are the
+Python bodies in :mod:`repro.osmodel.netstack`,
+:mod:`repro.virt.vnic` and :mod:`repro.hardware.nic`).  This
 module builds both with the system C compiler on first use, caches each
 ``.so`` in the temp directory (keyed by a hash of the sources and the
 compiler flags; the extension's key also takes the interpreter's
@@ -39,10 +43,11 @@ _ROOT = Path(__file__).parent
 #: The library's translation units, compiled together into one ``.so``.
 SOURCES = (_ROOT / "fleet" / "_cloop.c",)
 
-#: The event core extension's source, the file it includes (hashed into
+#: The event core extension's source, the files it includes (hashed into
 #: the cache key with it) and its module name.
 EXT_SOURCE = _ROOT / "simcore" / "_ccore.c"
-EXT_INCLUDES = (_ROOT / "osmodel" / "_sched.c",)
+EXT_INCLUDES = (_ROOT / "osmodel" / "_sched.c",
+                _ROOT / "osmodel" / "_frames.c")
 EXT_NAME = "repro.simcore._ccore"
 
 #: Optimisation flags of the production build.

@@ -8,7 +8,7 @@ renderer and the shape-checking tests need.
 from __future__ import annotations
 
 import functools
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.calibration import targets
 from repro.core.figdata import FigureData, MeasuredPoint
@@ -467,16 +467,6 @@ FIGURES = {
     "fleet_outage": fleet_outage,
     "fleet_checkpoint": fleet_checkpoint,
 }
-
-def figure_to_payload(fig: FigureData) -> Dict[str, Any]:
-    """Back-compat alias for :meth:`FigureData.to_dict`."""
-    return fig.to_dict()
-
-
-def figure_from_payload(payload: Mapping[str, Any]) -> FigureData:
-    """Back-compat alias for :meth:`FigureData.from_dict`."""
-    return FigureData.from_dict(payload)
-
 
 def generate_figure(fig_id: str, use_cache: Optional[bool] = None,
                     **kwargs) -> FigureData:

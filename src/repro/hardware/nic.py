@@ -8,6 +8,9 @@ achieved payload throughput — which is what iperf/NetBench report.
 Receive-side processing costs live in the OS network stack, not here; the
 wire itself is full duplex so two NICs connected by a :class:`Link` do not
 contend with each other's traffic.
+
+With the compiled event core :meth:`Nic.transmit` is the extension's
+(``osmodel/_frames.c``), with the same events, stats and metrics.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from repro.errors import NetworkError
 from repro.hardware.specs import NicSpec
 from repro.obs.metrics import METRICS
 from repro.simcore.engine import Engine
-from repro.simcore.events import SimEvent
+from repro.simcore.events import CORE, EVENT_CORE, SimEvent
 
 
 @dataclass
@@ -101,6 +104,11 @@ class Nic:
             self.engine.schedule_at(finish + self.spec.link_latency_s,
                                     on_delivered)
         return done
+
+    if EVENT_CORE == "compiled":
+        # the frame arithmetic, stats, metrics and both schedules above,
+        # compiled (osmodel/_frames.c)
+        transmit = CORE.nic_transmit  # noqa: F811
 
     def achieved_mbps(self, elapsed: float) -> float:
         """Payload throughput in Mbps over ``elapsed`` seconds."""

@@ -13,6 +13,14 @@ Fidelity choices (documented, deliberate):
   of the paper's Figure 4.
 * No loss, congestion or retransmission: the testbed is an idle switched
   100 Mbps LAN where none of those occur at measurable rates.
+
+With the compiled event core the per-frame loops of :meth:`TcpSocket.send`
+and :meth:`TcpSocket.recv` run in the extension (``osmodel/_frames.c``):
+both methods stay here, check their arguments, read the stream's
+constants and return the compiled loop, which ``yield from`` drives as
+it drives the generator bodies below (the Python event core's path).
+Both paths make the same charges, transmits and schedules in the same
+order, so every trace hash and output digest is the same.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from repro.hardware.cpu import MIX_KERNEL
 from repro.osmodel.kernel import ChargeFn, CostKind, KernelParams
 from repro.osmodel.threads import SimThread
 from repro.simcore.engine import Engine
-from repro.simcore.events import SimEvent
+from repro.simcore.events import CORE, EVENT_CORE, SimEvent
 from repro.simcore.resources import Store
 
 
@@ -132,6 +140,37 @@ class TcpSocket:
         self.closed = True
         if self.peer is not None:
             self.peer.closed = True
+
+    if EVENT_CORE == "compiled":
+        # The frame loops of the compiled event core (osmodel/_frames.c):
+        # same checks and constants as the generator bodies above, whose
+        # loops, delivery lambda and _deliver they re-encode.
+
+        def send(self, thread: SimThread, nbytes: int):  # noqa: F811
+            """Send ``nbytes``; returns when the last byte has left the wire."""
+            if self.closed or self.peer is None:
+                raise NetworkError(f"send on closed socket {self.name!r}")
+            if nbytes <= 0:
+                raise NetworkError(f"send size must be positive, got {nbytes}")
+            stack = self.stack
+            device = self.device
+            return CORE.SendFrames(
+                thread, nbytes, stack.charge,
+                stack.params.net_send_per_packet_cycles, MIX_KERNEL,
+                CostKind.KERNEL_CONTROL, device.transmit,
+                device.mtu_payload_bytes,
+                getattr(device, "serialize_tx", False), self.peer,
+                stack.stats)
+
+        def recv(self, thread: SimThread, nbytes: int):  # noqa: F811
+            """Receive until ``nbytes`` have arrived; returns the byte count."""
+            if nbytes <= 0:
+                raise NetworkError(f"recv size must be positive, got {nbytes}")
+            stack = self.stack
+            return CORE.RecvFrames(
+                thread, nbytes, self.rx, stack.charge,
+                stack.params.net_recv_per_packet_cycles, MIX_KERNEL,
+                CostKind.KERNEL_CONTROL)
 
 
 class UdpSocket:

@@ -2,7 +2,10 @@
  *
  * A CPython extension holding the substrate's hot path, a re-encoding of
  * the pure-Python twin in ``simcore/_pycore.py`` (which runs when this
- * module cannot be built or loaded, or under ``REPRO_NO_CLOOP=1``):
+ * module cannot be built or loaded, or under ``REPRO_NO_CLOOP=1``), and,
+ * through the files it includes at the end, the OS scheduler's pass and
+ * crossings (``osmodel/_sched.c``) and the network frame path
+ * (``osmodel/_frames.c``):
  *
  *   EventHandle  a cancellable callback on the engine heap;
  *   SimEvent     a one-shot condition: succeed/fail/add_callback, the
@@ -699,7 +702,9 @@ process_advance_impl(ProcessObject *self, PyObject *value, PyObject *exc)
                 break;
             }
         }
-        else if (PyGen_CheckExact(gen) || PyCoro_CheckExact(gen)) {
+        else if (Py_TYPE(gen)->tp_as_async != NULL
+                 && Py_TYPE(gen)->tp_as_async->am_send != NULL) {
+            /* generators, coroutines and the frame path's iterators */
             PySendResult sent = PyIter_Send(gen, value, &target);
             if (sent == PYGEN_RETURN) {
                 int r = event_trigger(ev, 1, target);
@@ -997,6 +1002,59 @@ engine_push(EngineObject *self, PyObject *when, PyObject *fn,
     return (PyObject *)handle;
 }
 
+/* Push fn(*fargs) ``delay`` seconds from now (new reference to the
+ * handle): EngineCore.schedule once its arguments are checked. */
+static PyObject *
+engine_push_after(EngineObject *self, PyObject *delay, PyObject *fn,
+                  PyObject *fargs, int daemon)
+{
+    if (!daemon)
+        self->pending += 1;
+    PyObject *when;
+    if (PyFloat_CheckExact(self->now) && PyFloat_CheckExact(delay))
+        when = PyFloat_FromDouble(PyFloat_AS_DOUBLE(self->now)
+                                  + PyFloat_AS_DOUBLE(delay));
+    else
+        when = PyNumber_Add(self->now, delay);
+    if (when == NULL)
+        return NULL;
+    PyObject *handle = engine_push(self, when, fn, fargs, daemon);
+    Py_DECREF(when);
+    return handle;
+}
+
+/* SimulationError unless ``time`` is at or after now (less 1e-12): the
+ * check schedule_at makes before anything else.  0 or -1. */
+static int
+engine_check_at(EngineObject *self, PyObject *time)
+{
+    int past = in_past(time, self->now);
+    if (past <= 0)
+        return past;
+    PyObject *msg = PyUnicode_FromFormat(
+        "cannot schedule event in the past: t=%S < now=%S", time,
+        self->now);
+    if (msg != NULL) {
+        PyErr_SetObject(SimulationError, msg);
+        Py_DECREF(msg);
+    }
+    return -1;
+}
+
+/* Push fn(*fargs) at ``time`` clamped to now (new reference to the
+ * handle): EngineCore.schedule_at once engine_check_at passed. */
+static PyObject *
+engine_push_at(EngineObject *self, PyObject *time, PyObject *fn,
+               PyObject *fargs, int daemon)
+{
+    if (!daemon)
+        self->pending += 1;
+    int later = num_lt(self->now, time);   /* time > now */
+    if (later < 0)
+        return NULL;
+    return engine_push(self, later ? time : self->now, fn, fargs, daemon);
+}
+
 static PyObject *
 engine_schedule(EngineObject *self, PyObject *const *args, Py_ssize_t nargs,
                 PyObject *kwnames)
@@ -1027,20 +1085,7 @@ engine_schedule(EngineObject *self, PyObject *const *args, Py_ssize_t nargs,
     if (parse_schedule("schedule", args, nargs, kwnames, &fn, &fargs,
                        &daemon) < 0)
         return NULL;
-    if (!daemon)
-        self->pending += 1;
-    PyObject *when;
-    if (PyFloat_CheckExact(self->now) && PyFloat_CheckExact(delay))
-        when = PyFloat_FromDouble(PyFloat_AS_DOUBLE(self->now)
-                                  + PyFloat_AS_DOUBLE(delay));
-    else
-        when = PyNumber_Add(self->now, delay);
-    if (when == NULL) {
-        Py_DECREF(fargs);
-        return NULL;
-    }
-    PyObject *handle = engine_push(self, when, fn, fargs, daemon);
-    Py_DECREF(when);
+    PyObject *handle = engine_push_after(self, delay, fn, fargs, daemon);
     Py_DECREF(fargs);
     return handle;
 }
@@ -1058,32 +1103,12 @@ engine_schedule_at(EngineObject *self, PyObject *const *args,
                         "schedule_at() missing required positional arguments");
         return NULL;
     }
-    PyObject *time = args[0];
-    int past = in_past(time, self->now);
-    if (past < 0)
+    if (engine_check_at(self, args[0]) < 0)
         return NULL;
-    if (past) {
-        PyObject *msg = PyUnicode_FromFormat(
-            "cannot schedule event in the past: t=%S < now=%S", time,
-            self->now);
-        if (msg != NULL) {
-            PyErr_SetObject(SimulationError, msg);
-            Py_DECREF(msg);
-        }
-        return NULL;
-    }
     if (parse_schedule("schedule_at", args, nargs, kwnames, &fn, &fargs,
                        &daemon) < 0)
         return NULL;
-    if (!daemon)
-        self->pending += 1;
-    int later = num_lt(self->now, time);   /* time > now */
-    if (later < 0) {
-        Py_DECREF(fargs);
-        return NULL;
-    }
-    PyObject *handle = engine_push(self, later ? time : self->now, fn, fargs,
-                                   daemon);
+    PyObject *handle = engine_push_at(self, args[0], fn, fargs, daemon);
     Py_DECREF(fargs);
     return handle;
 }
@@ -1475,6 +1500,11 @@ static PyTypeObject EngineType = {
 #include "../osmodel/_sched.c"
 
 /* ------------------------------------------------------------------ */
+/* the network frame path (it drives the types above)                  */
+
+#include "../osmodel/_frames.c"
+
+/* ------------------------------------------------------------------ */
 /* module                                                              */
 
 static PyObject *
@@ -1541,7 +1571,7 @@ PyInit__ccore(void)
                                  (PyObject *)&ProcessType) < 0
         || PyModule_AddObjectRef(m, "EngineCore",
                                  (PyObject *)&EngineType) < 0
-        || sched_module_init(m) < 0)
+        || sched_module_init(m) < 0 || frames_module_init(m) < 0)
         goto fail;
     return m;
 fail:

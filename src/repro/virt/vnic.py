@@ -9,6 +9,10 @@ translation proxy).  Consequences modelled here:
   paper's Figure 4 shows per-VMM throughputs far below wire rate;
 * per-packet emulation cycles (mode-dependent) are charged on the vCPU
   host thread before the frame reaches the host NIC.
+
+With the compiled event core, :meth:`VirtualNic.transmit` and the
+per-frame service are the extension's (``osmodel/_frames.c``): the same
+one process per frame, named as here, with the same events.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import NetworkError
 from repro.hardware.cpu import MIX_VMM_SERVICE
-from repro.simcore.events import SimEvent
+from repro.simcore.events import CORE, EVENT_CORE, SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.virt.profiles import NetMode
@@ -94,3 +98,7 @@ class VirtualNic:
             done.fail(error)
             return
         done.succeed(None)
+
+    if EVENT_CORE == "compiled":
+        # transmit and a compiled twin of _service (osmodel/_frames.c)
+        transmit = CORE.vnic_transmit  # noqa: F811

@@ -9,8 +9,6 @@ from repro.core.cache import ResultCache, cache_enabled, source_fingerprint
 from repro.core.figures import (
     FigureData,
     MeasuredPoint,
-    figure_from_payload,
-    figure_to_payload,
     generate_figure,
 )
 from repro.core.report import figure_to_json
@@ -183,7 +181,7 @@ class TestFigurePayloadRoundTrip:
 
     def test_round_trip_preserves_everything(self):
         fig = self._figure()
-        back = figure_from_payload(figure_to_payload(fig))
+        back = FigureData.from_dict(fig.to_dict())
         assert back.fig_id == fig.fig_id
         assert back.series == fig.series
         assert back.paper == fig.paper
@@ -191,8 +189,8 @@ class TestFigurePayloadRoundTrip:
 
     def test_round_trip_through_json_is_byte_identical(self):
         fig = self._figure()
-        payload = json.loads(json.dumps(figure_to_payload(fig)))
-        back = figure_from_payload(payload)
+        payload = json.loads(json.dumps(fig.to_dict()))
+        back = FigureData.from_dict(payload)
         assert figure_to_json(back) == figure_to_json(fig)
 
 

@@ -4,11 +4,12 @@
 AddressSanitizer and UndefinedBehaviorSanitizer and runs kernel tests
 against it in a subprocess with the sanitiser runtimes preloaded (the
 event core extension ``simcore/_ccore.c``, with the scheduler's pass and
-crossings, too).  CI runs every kernel suite that way; this tier-1 test
-runs the ABI guard, the SHA-256 check, the engine suite and the
-scheduler's fixed 4-core world (compiled crossings against the Python
-pass) on the event core, so a build or preload breakage shows up here
-first.
+crossings and the network frame path, too).  CI runs every kernel suite
+that way; this tier-1 test runs the ABI guard, the SHA-256 check, the
+engine suite, the scheduler's fixed 4-core world (compiled crossings
+against the Python pass) and one fixed stream per network device
+(compiled frame path against the Python bodies) on the event core, so
+a build or preload breakage shows up here first.
 """
 
 import os
@@ -47,7 +48,9 @@ def test_kernel_checks_pass_under_asan_and_ubsan():
          "test_kernel_sha256_matches_hashlib",
          "tests/test_simcore_engine.py",
          "tests/property/test_prop_scheduler_passes.py::"
-         "test_four_cores_contend_and_preempt"],
+         "test_four_cores_contend_and_preempt",
+         "tests/property/test_prop_frame_path.py::"
+         "test_every_device_streams_through_the_compiled_path"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
     # pytest exits non-zero when a selected test is missing or fails
     assert result.returncode == 0, result.stdout + result.stderr

@@ -5,47 +5,72 @@ A reference the compiled core (``simcore/_ccore.c``) forgets to drop
 missing ``tp_traverse`` slot) leaves objects behind every repetition:
 Fig 4's NetBench dispatches ~44k events and starts thousands of
 processes per repetition, so even one lost object per event or process
-shows as thousands of blocks.  A Fig 7 repetition (host 7z beside a VM)
-makes ~2.6k submits and ~5.6k decision passes, whose completions and
-tick handles the compiled scheduler (``osmodel/_sched.c``) holds.  The
-Python twin is held to the same bar.
+shows as thousands of blocks.  Each Fig 4 environment takes its own
+packet path through the compiled frame path (``osmodel/_frames.c``):
+native sends over the physical NIC, the guests through the bridged or
+NAT vNIC, whose per-frame service runs in a process of its own; every
+frame makes a sender step, a delivery and a receiver step.  A Fig 7
+repetition (host 7z beside a VM) makes ~2.6k submits and ~5.6k decision
+passes, whose completions and tick handles the compiled scheduler
+(``osmodel/_sched.c``) holds.  The figure cases re-run on the Python
+twin in a fresh interpreter, held to the same bar.
 """
 
 import gc
 import sys
 
+import pytest
+
 from repro.core.figures import _netbench_factory
 from repro.core.guest_perf import EnvironmentMeasure
 from repro.core.host_impact import HostImpactConfig, SevenZipImpactMeasure
+from repro.simcore.events import EVENT_CORE
+from tests._python_core import pytest_on_python_core
 
 #: Blocks a repetition may leave behind: interpreter caches settle to a
 #: few blocks; a leak per event or per process is thousands.
 TOLERANCE_BLOCKS = 64
 
 
-def test_fig4_repetitions_leave_allocated_blocks_flat():
-    measure = EnvironmentMeasure("qemu", _netbench_factory, "mbps")
+def _grown_blocks(measure) -> int:
+    """Blocks left behind by four repetitions after a warm-up one."""
     measure(1)  # warm-up: imports, interned names, first-use caches
     gc.collect()
     before = sys.getallocatedblocks()
     for seed in range(2, 6):
         measure(seed)
     gc.collect()
-    grown = sys.getallocatedblocks() - before
+    return sys.getallocatedblocks() - before
+
+
+def test_fig4_repetitions_leave_allocated_blocks_flat():
+    grown = _grown_blocks(EnvironmentMeasure("qemu", _netbench_factory,
+                                             "mbps"))
+    assert grown < TOLERANCE_BLOCKS, f"{grown} blocks left by 4 repetitions"
+
+
+@pytest.mark.parametrize("env", ["native", "vmplayer:bridged",
+                                 "vmplayer:nat"])
+def test_fig4_packet_paths_leave_allocated_blocks_flat(env):
+    """The physical NIC, and the bridged and NAT vNIC services."""
+    grown = _grown_blocks(EnvironmentMeasure(env, _netbench_factory, "mbps"))
     assert grown < TOLERANCE_BLOCKS, f"{grown} blocks left by 4 repetitions"
 
 
 def test_fig7_repetitions_leave_allocated_blocks_flat():
-    measure = SevenZipImpactMeasure(HostImpactConfig(environment="vmplayer"),
-                                    threads=2)
-    measure(1)  # warm-up
-    gc.collect()
-    before = sys.getallocatedblocks()
-    for seed in range(2, 6):
-        measure(seed)
-    gc.collect()
-    grown = sys.getallocatedblocks() - before
+    grown = _grown_blocks(SevenZipImpactMeasure(
+        HostImpactConfig(environment="vmplayer"), threads=2))
     assert grown < TOLERANCE_BLOCKS, f"{grown} blocks left by 4 repetitions"
+
+
+@pytest.mark.skipif(EVENT_CORE == "python",
+                    reason="this process already runs the Python core")
+def test_figure_cases_stay_flat_on_the_python_core():
+    """The figure repetitions above, on the Python twin."""
+    pytest_on_python_core(
+        f"{__file__}::test_fig4_repetitions_leave_allocated_blocks_flat",
+        f"{__file__}::test_fig4_packet_paths_leave_allocated_blocks_flat",
+        f"{__file__}::test_fig7_repetitions_leave_allocated_blocks_flat")
 
 
 def test_cancelled_and_fired_handles_release_their_callbacks():
