@@ -4,8 +4,8 @@ Runs the ``repro.fleet`` simulator at several fleet sizes, records wall
 time and simulated-throughput per size, and appends the trajectory to
 ``benchmarks/BENCH_fleet_scaling.json`` so later changes can compare.
 Next to each total it records the run's three stages: ``columns_s``
-(host column build), ``loop_s`` (the event loop, compiled kernel or
-Python fallback) and ``report_s`` (the report fold), so a change names
+(host column build), ``loop_s`` (the event loop: the compiled kernel,
+or the Python loop under a fault plan) and ``report_s`` (the report fold), so a change names
 the layer that moved.  Each size's run takes a fresh
 spawned process, whose ``peak_rss_mb`` (``ru_maxrss`` after the run) is
 that size's peak memory.  The same process then repeats the run under
@@ -15,7 +15,8 @@ counting what earlier stages left alive (the timed run stays untraced),
 and checks that the traced run produced the same report bytes.  (Older
 entries also carry ``wall_s_jobs4``/``exact_match_serial_vs_jobs4``
 from an in-parent ``jobs=4`` re-run; a fleet now runs serially at any
-``--jobs``, so that re-run is gone.)
+``--jobs``, so that re-run is gone.  Their ``c_kernel`` flag went when
+the compiled kernel became required.)
 
 ``--faults SPEC`` runs every size under that fault plan (a storm: the
 Python event loop with the recovery machine), e.g. the perfbench storm::
@@ -33,7 +34,7 @@ Usage::
         [--faults SPEC]
 
 Interpretation: fault-free runs drive the columnar event loop (flat
-arrays + the compiled event kernel when a C compiler is present), so
+arrays + the compiled event kernel), so
 wall time grows roughly linearly with fleet size at a much higher
 hosts/s than the archived object loop; the acceptance bars are 1000
 hosts / 24 h well under 30 s and 100k hosts / 24 h under 5 s.
@@ -56,7 +57,6 @@ from _bench_util import cpu_info
 from repro.faults import injected, parse_fault_spec
 from repro.fleet import FleetConfig, simulate_fleet
 from repro.fleet import server as fleet_server
-from repro.fleet.cloop import available as cloop_available
 
 RESULTS_PATH = pathlib.Path(__file__).resolve().parent / \
     "BENCH_fleet_scaling.json"
@@ -215,7 +215,6 @@ def run_scaling(sizes, hours: float, hypervisor: str, seed: int,
         **cpu_info(),
         "platform": platform.platform(),
         "python": platform.python_version(),
-        "c_kernel": cloop_available(),
         **({"faults": faults} if faults is not None else {}),
         "runs": [],
     }

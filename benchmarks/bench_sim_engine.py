@@ -16,23 +16,12 @@ one per layer:
 * ``scheduler_decisions`` — two host compute threads next to an
   idle-priority vCPU and its elevated VMM service thread (the shape of
   the paper's Figs 5-8 host-impact runs): preemption, group preference
-  and boosts on every few decisions.  It runs on the compiled crossings
-  and decision pass (the default with the compiled event core) and, in
-  the same rounds, on the Python pass; it reports decisions/s for both;
+  and boosts on every few decisions; it reports decisions/s of the
+  compiled crossings and decision pass;
 * ``rng_first_draws`` — the first ``uniform`` of 2,048 fresh named
   streams (the host 7z's block jitters), scalar (one ``Generator`` per
   name) against bulk (``RngStreams.first_uniforms`` in the 7z's
   chunks); it reports draws/s for both.
-
-``engine_throughput``, ``tcp_packet_rate``, ``vnic_packet_rate`` and
-``scheduler_decisions`` also run, in the same rounds, on the engine's Python event core
-(``repro.simcore._pycore``; the compiled core is the default when it
-builds): the core is chosen when ``repro.simcore`` is imported, so
-those rows run in a helper interpreter that loads the Python core (and
-with it the scheduler's Python crossings and pass, as every run without
-the compiled core), one round at a time between the parent's rounds.
-They report ``python_core_events_per_s`` (and
-``python_core_decisions_per_s``) next to the default core's numbers.
 
 Under pytest (``pytest benchmarks/bench_sim_engine.py``) each workload is
 timed by pytest-benchmark.  Run as a script it appends one record —
@@ -49,13 +38,9 @@ untimed run (the simulation is deterministic, so the count is exact).
 
 import argparse
 import json
-import os
 import pathlib
 import platform
-import subprocess
-import sys
 import time
-from unittest import mock
 
 import pytest
 
@@ -65,11 +50,9 @@ from repro.hardware.cpu import MIX_SEVENZIP, MIX_VMM_SERVICE
 from repro.hardware.machine import Machine
 from repro.hardware.specs import core2duo_e6600
 from repro.osmodel.kernel import Kernel
-import repro.osmodel.scheduler as scheduler_module
-from repro.osmodel.scheduler import Scheduler, decision_pass
+from repro.osmodel.scheduler import Scheduler
 from repro.osmodel.threads import PRIORITY_HIGH, PRIORITY_IDLE, PRIORITY_NORMAL
 from repro.simcore.engine import Engine
-from repro.simcore.events import EVENT_CORE
 from repro.simcore.rng import RngStreams
 from repro.workloads.sevenzip import (
     BLOCK_JITTER,
@@ -174,18 +157,11 @@ def scheduler_decisions(horizon_s: float = 5.0):
     return _decision_world(horizon_s).engine
 
 
-def _decision_world(horizon_s: float, python_pass: bool = False
-                    ) -> Scheduler:
-    """Run the ``scheduler_decisions`` world; returns its scheduler.
-    ``python_pass`` runs it on the Python decision pass."""
+def _decision_world(horizon_s: float) -> Scheduler:
+    """Run the ``scheduler_decisions`` world; returns its scheduler."""
     engine = Engine()
     machine = Machine(engine, core2duo_e6600("bench"), RngStreams(0))
-    if python_pass:
-        with mock.patch.object(scheduler_module, "_compiled_pass",
-                               lambda: None):
-            scheduler = Scheduler(engine, machine)
-    else:
-        scheduler = Scheduler(engine, machine)
+    scheduler = Scheduler(engine, machine)
 
     def compute(thread, cycles):
         while True:
@@ -236,74 +212,10 @@ WORKLOADS = {
 }
 
 
-#: The rows also timed on the Python event core.
-CORE_WORKLOADS = ("engine_throughput", "tcp_packet_rate",
-                  "vnic_packet_rate", "scheduler_decisions")
-
-#: The helper interpreter's body: load the Python event core (and with
-#: it the scheduler's Python pass), then time one round of
-#: CORE_WORKLOADS per input line.
-_PYTHON_CORE_CHILD = """
-import json, sys
-from unittest import mock
-from repro import ckernel
-with mock.patch.object(ckernel, "event_core", lambda: None):
-    import repro.simcore.events
-import bench_sim_engine as bench
-assert bench.EVENT_CORE == "python"
-print(json.dumps(bench.python_core_round()), flush=True)
-for _ in sys.stdin:
-    print(json.dumps(bench.python_core_round()), flush=True)
-"""
-
-
-def python_core_round() -> dict:
-    """One timed round of CORE_WORKLOADS in this process:
-    ``{name: [wall_s, events]}``."""
-    out = {}
-    for name in CORE_WORKLOADS:
-        started = time.perf_counter()
-        engine = WORKLOADS[name]()
-        out[name] = [time.perf_counter() - started, engine.events_processed]
-    return out
-
-
-class PythonCoreRounds:
-    """The helper interpreter that times CORE_WORKLOADS on the Python
-    event core, one round per :meth:`round` call.  Its first (untimed)
-    round runs at start-up, so imports and first-use caches stay out of
-    the timed ones."""
-
-    def __init__(self):
-        env = dict(os.environ)
-        here = str(pathlib.Path(__file__).resolve().parent)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [here] + [path for path in sys.path if path])
-        self._child = subprocess.Popen(
-            [sys.executable, "-c", _PYTHON_CORE_CHILD], env=env,
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-        self._read()
-
-    def _read(self) -> dict:
-        line = self._child.stdout.readline()
-        if not line:
-            raise RuntimeError("the Python event core helper exited")
-        return json.loads(line)
-
-    def round(self) -> dict:
-        self._child.stdin.write("\n")
-        self._child.stdin.flush()
-        return self._read()
-
-    def close(self) -> None:
-        self._child.stdin.close()
-        self._child.wait(timeout=60)
-
-
-def count_decisions(python_pass: bool = False) -> int:
+def count_decisions() -> int:
     """Decision passes (placements) of one ``scheduler_decisions`` run,
     as the scheduler counts them."""
-    return _decision_world(5.0, python_pass).decisions
+    return _decision_world(5.0).decisions
 
 
 def measure(reps: int) -> list:
@@ -315,61 +227,27 @@ def measure(reps: int) -> list:
     estimator for CPU-bound micro-benchmarks under outside noise.
     """
     walls = {name: [] for name in WORKLOADS}
-    python_walls = []
-    core_walls = {name: [] for name in CORE_WORKLOADS}
     events = {}
-    helper = PythonCoreRounds() if EVENT_CORE != "python" else None
-    try:
-        for _ in range(reps):
-            for name, workload in WORKLOADS.items():
-                started = time.perf_counter()
-                engine = workload()
-                walls[name].append(time.perf_counter() - started)
-                events[name] = engine.events_processed
+    for _ in range(reps):
+        for name, workload in WORKLOADS.items():
             started = time.perf_counter()
-            _decision_world(5.0, python_pass=True)
-            python_walls.append(time.perf_counter() - started)
-            twin = helper.round() if helper else python_core_round()
-            for name, (wall, count) in twin.items():
-                if count != events[name]:
-                    raise RuntimeError(
-                        f"{name}: the Python event core dispatched {count} "
-                        f"events, the {EVENT_CORE} core {events[name]}")
-                core_walls[name].append(wall)
-    finally:
-        if helper:
-            helper.close()
+            engine = workload()
+            walls[name].append(time.perf_counter() - started)
+            events[name] = engine.events_processed
     runs = []
     for name in WORKLOADS:
         wall = min(walls[name])
         run = {"name": name, "events": events[name],
                "wall_s": round(wall, 4),
                "events_per_s": round(events[name] / wall, 1)}
-        if name in core_walls:
-            core_wall = min(core_walls[name])
-            run["event_core"] = EVENT_CORE
-            run["python_core_wall_s"] = round(core_wall, 4)
-            run["python_core_events_per_s"] = round(
-                events[name] / core_wall, 1)
         if name == "scheduler_decisions":
-            python_wall = min(python_walls)
-            run["decision_pass"] = decision_pass()
             run["decisions"] = count_decisions()
             run["decisions_per_s"] = round(run["decisions"] / wall, 1)
-            run["python_wall_s"] = round(python_wall, 4)
-            run["python_decisions_per_s"] = round(
-                count_decisions(python_pass=True) / python_wall, 1)
-            run["python_core_decisions_per_s"] = round(
-                run["decisions"] / min(core_walls[name]), 1)
         runs.append(run)
         print(f"{name:26s} {events[name]:7d} events  {wall:7.4f} s  "
               f"{run['events_per_s']:10.1f} events/s"
-              + (f"  {run['decisions_per_s']:10.1f} decisions/s "
-                 f"({run['decision_pass']}), "
-                 f"{run['python_decisions_per_s']:10.1f} on the Python "
-                 "pass" if "decisions" in run else "")
-              + (f"  [{run['python_core_events_per_s']:10.1f} events/s on "
-                 "the Python event core]" if name in core_walls else ""))
+              + (f"  {run['decisions_per_s']:10.1f} decisions/s"
+                 if "decisions" in run else ""))
     # after the engine rounds, so the scalar path's 2,048 generators per
     # run do not share a round with the layers above
     draw_walls = {False: [], True: []}
@@ -443,24 +321,8 @@ def test_rng_first_draws_bulk(benchmark):
     assert benchmark(rng_first_draws, True) == rng_first_draws(False)
 
 
-def test_python_core_round_dispatches_the_same_events():
-    """The Python event core's helper counts what this process counts."""
-    helper = PythonCoreRounds() if EVENT_CORE != "python" else None
-    try:
-        twin = helper.round() if helper else python_core_round()
-    finally:
-        if helper:
-            helper.close()
-    for name, (_, count) in twin.items():
-        assert count == WORKLOADS[name]().events_processed
-
-
 def test_decision_count_is_deterministic():
     assert count_decisions() == count_decisions() > 1000
-
-
-def test_both_passes_count_the_same_decisions():
-    assert count_decisions(python_pass=True) == count_decisions()
 
 
 def test_decision_count_matches_the_trajectory():

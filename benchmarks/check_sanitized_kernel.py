@@ -11,7 +11,7 @@ the ``flags`` argument of :func:`repro.ckernel.compile_library` and
 core and scheduler suites in a subprocess that preloads the compiler's
 ``libasan`` and ``libubsan`` and loads those builds instead of the
 production ones (the bootstrap asserts that the loaded extension is the
-sanitised build and that schedulers take its pass).  An out-of-bounds
+sanitised build and that schedulers build on its crossings).  An out-of-bounds
 access, a use after free or undefined behaviour in any entry point
 (event loop, column sampler, fault-draw batch, whose over-long payloads
 must be refused before they reach its fixed stack buffer, the
@@ -35,6 +35,7 @@ import sys
 from pathlib import Path
 
 from repro import ckernel
+from repro.errors import NativeBuildError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -69,10 +70,9 @@ from repro import ckernel
 ckernel.OPT_FLAGS = {flags!r}
 assert ckernel.available(), "the sanitised kernel failed to load"
 core = ckernel.event_core()
-assert core is not None, "the sanitised event core failed to load"
 assert core.__file__ == ckernel.compile_extension(), core.__file__
-from repro.osmodel.scheduler import Scheduler, decision_pass
-assert decision_pass() == "compiled" and core.Scheduler in Scheduler.__mro__
+from repro.osmodel.scheduler import Scheduler
+assert core.Scheduler in Scheduler.__mro__
 print("sanitised kernel:", ckernel.compile_library(), flush=True)
 print("sanitised event core:", core.__file__, flush=True)
 print("sanitised scheduler pass:", core.Scheduler.__name__, flush=True)
@@ -98,10 +98,11 @@ def main(argv=None) -> int:
     cc = shutil.which("gcc") or shutil.which("cc")
     if cc is None:
         raise SystemExit("no C compiler on PATH")
-    if ckernel.compile_library(flags=SANITIZE_FLAGS) is None:
-        raise SystemExit("the sanitised kernel build failed")
-    if ckernel.compile_extension(flags=SANITIZE_FLAGS) is None:
-        raise SystemExit("the sanitised event core build failed")
+    try:
+        ckernel.compile_library(flags=SANITIZE_FLAGS)
+        ckernel.compile_extension(flags=SANITIZE_FLAGS)
+    except NativeBuildError as error:
+        raise SystemExit(f"the sanitised build failed: {error}")
     env = dict(os.environ)
     env["LD_PRELOAD"] = ":".join(
         [runtime(cc, "libasan.so"), runtime(cc, "libubsan.so")])

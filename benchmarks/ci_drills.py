@@ -6,8 +6,8 @@ reports, bench trajectories, charts — under ``ci-out/<drill>/``.  The
 shared checks:
 
 * :func:`same_bytes` — two runs must print byte-identical output
-  (serial vs ``--jobs``, warm cache, resumed, kernel vs fallback, with
-  vs without metrics);
+  (serial vs ``--jobs``, warm cache, resumed, kernel vs the Python
+  fleet, with vs without metrics);
 * :func:`check_manifest` — the drill's newest run manifest must be
   schema-valid and pass per-section assertions;
 * :func:`interrupt_then_resume` — a campaign killed after one point
@@ -268,16 +268,6 @@ def audit_smoke():
     # rest (82 KB seen); they must cross the pool's result pipe intact
     run(repro("audit", "fig1", "--jobs", 4, "--window", 0.0001,
               REPRO_FAST="1"))
-    # the compiled event core (with the scheduler's crossings and
-    # decision pass) against the Python ones (REPRO_NO_CLOOP=1): the same audit result, and a
-    # manifest that names the pass and the core that ran
-    same_bytes(repro("audit", "fig7", "--jobs", 4, REPRO_FAST="1"),
-               repro("audit", "fig7", "--jobs", 4, REPRO_FAST="1",
-                     REPRO_NO_CLOOP="1"))
-    run(repro("figure", "fig7", "--jobs", 1, "--metrics", REPRO_FAST="1",
-              REPRO_CACHE="0", REPRO_NO_CLOOP="1"))
-    check_manifest(execution={"decision_pass": "python",
-                              "event_core": "python"})
 
 
 def campaign_smoke():
@@ -316,18 +306,45 @@ def fleet_smoke():
               "--out", WORK / "fleet_scaling.json"))
 
 
+def python_fleet(*args, **env):
+    """``repro ARGS`` with every fleet on the numpy column sampler and the
+    Python event loop (``tests/_oracle_columns.py``), not the kernel."""
+    argv, env = repro(*args, **env)
+    code = ("import sys\n"
+            "from tests._oracle_columns import use_python_fleet\n"
+            "use_python_fleet()\n"
+            "from repro.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    return (PY, "-c", code, *argv[3:]), env
+
+
+def refuses_without_a_compiler():
+    """``repro figure`` with no compiler on ``PATH`` and a cold build
+    cache must exit non-zero and say what is missing."""
+    bare = WORK / "no-compiler"
+    for name in ("bin", "tmp"):
+        (bare / name).mkdir(parents=True)
+    argv, env = repro("figure", "fig1", REPRO_FAST="1", REPRO_CACHE="0",
+                      PATH=str(bare / "bin"), TMPDIR=str(bare / "tmp"))
+    print("$", " ".join(f"{k}={v}" for k, v in env), " ".join(argv),
+          flush=True)
+    proc = subprocess.run(
+        argv, cwd=ROOT, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), **dict(env)})
+    print(proc.stderr.strip(), flush=True)
+    if proc.returncode == 0 or \
+            "repro needs a C compiler and Python.h: no gcc or cc on PATH" \
+            not in proc.stderr:
+        raise SystemExit("a run without a compiler did not refuse cleanly")
+
+
 def fleet_scale_smoke():
     """columnar fast path (20k hosts under budget)"""
-    from repro.fleet.cloop import available
-
-    print("C kernel available:", available())
     report = ("fleet", "--hosts", 2000, "--hypervisor", "mixed", "--seed", 42,
               "--hours", 6, "--json", "--jobs", 1, "--no-metrics")
     same_bytes(repro(*report, REPRO_CACHE="0"),
-               repro(*report, REPRO_CACHE="0", REPRO_NO_CLOOP="1"))
-    run(command(PY, "-c", "from repro.fleet.cloop import available; "
-                "assert not available(), 'REPRO_NO_CLOOP kill switch ignored'",
-                REPRO_NO_CLOOP="1"))
+               python_fleet(*report, REPRO_CACHE="0"))
+    refuses_without_a_compiler()
     run(bench("check_sanitized_kernel.py"))
     same_bytes(functools.partial(fleet_20k_bytes, 1),
                functools.partial(fleet_20k_bytes, 4))

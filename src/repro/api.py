@@ -441,18 +441,6 @@ def _audit_section(thash_snapshot: Dict[str, Any]) -> Dict[str, Any]:
     }}
 
 
-def _execution_section() -> Dict[str, Any]:
-    """Which paths a figure run took: the OS scheduler's decision pass
-    (``"compiled"``, which needs the compiled event core, or
-    ``"python"``) and the engine's event core (``"compiled"`` extension
-    or the ``"python"`` twin).  Every process of one run loads the same builds, so the
-    parent's answer is its workers'."""
-    from repro.osmodel.scheduler import decision_pass
-    from repro.simcore.events import EVENT_CORE
-
-    return {"decision_pass": decision_pass(), "event_core": EVENT_CORE}
-
-
 def build_manifest(command: str, config: RunConfig,
                    phases: List[Dict[str, Any]],
                    snapshot: Dict[str, Any],
@@ -463,8 +451,7 @@ def build_manifest(command: str, config: RunConfig,
                    faults: Optional[Dict[str, Any]] = None,
                    audit: Optional[Dict[str, Any]] = None,
                    mem: Optional[Dict[str, Any]] = None,
-                   recovery: Optional[Dict[str, Any]] = None,
-                   execution: Optional[Dict[str, Any]] = None
+                   recovery: Optional[Dict[str, Any]] = None
                    ) -> Dict[str, Any]:
     """Assemble a schema-valid run manifest (shared by figures/sweeps)."""
     import platform
@@ -504,8 +491,6 @@ def build_manifest(command: str, config: RunConfig,
         manifest["mem"] = mem
     if recovery is not None:
         manifest["recovery"] = recovery
-    if execution is not None:
-        manifest["execution"] = execution
     return manifest
 
 
@@ -581,7 +566,6 @@ def _run_figure(fig_id: str, config: Optional[RunConfig] = None,
             audit=_audit_section(thash_snapshot)
             if thash_snapshot is not None else None,
             mem=_mem_section(snapshot),
-            execution=_execution_section(),
         )
         manifest_path = str(write_manifest(manifest, config.runs_dir))
         phases.append({"name": "emit-manifest",

@@ -4,27 +4,28 @@ One shared library holds the fleet's ctypes kernels, ``fleet/_cloop.c``
 (column sampler, fault-free event loop, fault-draw batch; driven by
 :mod:`repro.fleet.cloop`).  Next to it sits the event core,
 ``simcore/_ccore.c``: a CPython extension (``repro.simcore._ccore``)
-holding the discrete-event engine's hot path (see
-:mod:`repro.simcore._pycore`, its pure-Python twin) and, through the
-files it includes, the OS scheduler's decision pass and crossings
-(``osmodel/_sched.c``; see :mod:`repro.osmodel._pypass`, their twin)
-and the network frame path (``osmodel/_frames.c``: the TCP frame loops,
-the vNIC's per-frame service and the NIC transmit, whose twins are the
-Python bodies in :mod:`repro.osmodel.netstack`,
-:mod:`repro.virt.vnic` and :mod:`repro.hardware.nic`).  This
-module builds both with the system C compiler on first use, caches each
-``.so`` in the temp directory (keyed by a hash of the sources and the
-compiler flags; the extension's key also takes the interpreter's
-extension suffix and include directory) and loads each once per
-process, so a figure run that also touches the fleet pays one compile
-and one load of each.  The first
+holding the discrete-event engine's hot path and, through the files it
+includes, the OS scheduler's decision pass and crossings
+(``osmodel/_sched.c``) and the network frame path
+(``osmodel/_frames.c``: the TCP frame loops, the vNIC's per-frame
+service and the NIC transmit).  This module builds both with the system
+C compiler on first use, caches each ``.so`` in the temp directory
+(keyed by a hash of the sources and the compiler flags; the extension's
+key also takes the interpreter's extension suffix and include
+directory) and loads each once per process, so a figure run that also
+touches the fleet pays one compile and one load of each.  The first
 :func:`load` fills a cold cache for both.  It imports nothing of
-``repro``: the fleet, the OS model and the event core all import it,
-and none imports another through it.
+``repro`` but its exception: the fleet, the OS model and the event core
+all import it, and none imports another through it.
 
-No compiler, a failed compile, a failed load, or ``REPRO_NO_CLOOP=1``
-make :func:`load` and :func:`event_core` return ``None``; every caller
-then takes its pure-Python twin, which produces the same bytes.
+``repro`` requires a C compiler (``gcc`` or ``cc`` on ``PATH``) and the
+interpreter's ``Python.h``; a cached build needs neither.  Without them,
+or when a build or a load fails, :func:`load` and :func:`event_core`
+raise :class:`~repro.errors.NativeBuildError`, which names what is
+missing and carries the tail of the compiler's error output.  The check
+is lazy: nothing is built or loaded until the fleet kernels or the
+event core are first used.  The pure-Python counterparts of the
+compiled code are test oracles in ``tests/``, not fallbacks.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ import sys
 from pathlib import Path
 from types import ModuleType
 from typing import Optional, Sequence
+
+from repro.errors import NativeBuildError
 
 __all__ = ["available", "compile_extension", "compile_library",
            "event_core", "load", "open_library"]
@@ -53,33 +56,30 @@ EXT_NAME = "repro.simcore._ccore"
 #: Optimisation flags of the production build.
 OPT_FLAGS: Sequence[str] = ("-O2",)
 
+#: What every :class:`~repro.errors.NativeBuildError` message starts with.
+REQUIREMENT = "repro needs a C compiler and Python.h"
+
+#: Characters of the compiler's error output a failed build reports.
+STDERR_TAIL = 2000
+
 _lib: Optional[ctypes.CDLL] = None
-_tried = False
 _ext: Optional[ModuleType] = None
-_ext_tried = False
-
-
-def _disabled() -> bool:
-    # a kill switch, not run policy: every fallback is byte-identical,
-    # so this only ever changes speed
-    return bool(os.environ.get("REPRO_NO_CLOOP"))  # repro: allow-env-read
 
 
 def _build(prefix: str, sources: Sequence[Path], flags: Sequence[str],
            extra: Sequence[str], key: Sequence[str],
-           includes: Sequence[Path] = ()) -> Optional[str]:
-    """Compile ``sources`` into a cached ``.so``; its path, or ``None``.
+           includes: Sequence[Path] = ()) -> str:
+    """Compile ``sources`` into a cached ``.so`` and return its path.
 
     The cache name hashes the sources, the files they ``#include``
-    (``includes``), the flags and ``key``.
+    (``includes``), the flags and ``key``.  A cached build is reused
+    without a compiler; a cold one raises
+    :class:`~repro.errors.NativeBuildError` when no compiler is found or
+    the build fails.
     """
     import hashlib
-    import shutil
     import tempfile
 
-    cc = shutil.which("gcc") or shutil.which("cc")
-    if cc is None:
-        return None
     hasher = hashlib.sha256()
     for source in (*sources, *includes):
         hasher.update(source.read_bytes())
@@ -90,8 +90,14 @@ def _build(prefix: str, sources: Sequence[Path], flags: Sequence[str],
         tempfile.gettempdir(), f"{prefix}_{digest}_{tag}.so")
     if os.path.exists(so_path):
         return so_path
+    import shutil
     import subprocess  # only a cache miss runs the compiler
 
+    cc = shutil.which("gcc") or shutil.which("cc")
+    if cc is None:
+        raise NativeBuildError(
+            f"{REQUIREMENT}: no gcc or cc on PATH to build "
+            f"{os.path.basename(so_path)}")
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=tempfile.gettempdir())
     os.close(fd)
     try:
@@ -101,21 +107,23 @@ def _build(prefix: str, sources: Sequence[Path], flags: Sequence[str],
             [cc, *flags, "-fPIC", "-shared", "-ffp-contract=off", *extra,
              "-o", tmp, *map(str, sources), "-lm"],
             capture_output=True, timeout=120)
-        if result.returncode != 0:
-            os.unlink(tmp)
-            return None
-        os.replace(tmp, so_path)
-    except (OSError, subprocess.SubprocessError):
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        return None
+    except (OSError, subprocess.SubprocessError) as error:
+        os.unlink(tmp)
+        raise NativeBuildError(
+            f"{REQUIREMENT}: running {cc} failed: {error}") from None
+    if result.returncode != 0:
+        os.unlink(tmp)
+        tail = result.stderr.decode(errors="replace")[-STDERR_TAIL:]
+        raise NativeBuildError(
+            f"{REQUIREMENT}: {cc} failed to build "
+            f"{', '.join(source.name for source in sources)} "
+            f"(exit {result.returncode}):\n{tail}")
+    os.replace(tmp, so_path)
     return so_path
 
 
-def compile_library(flags: Optional[Sequence[str]] = None) -> Optional[str]:
-    """Build (or reuse) the kernel library; its path, or ``None``.
+def compile_library(flags: Optional[Sequence[str]] = None) -> str:
+    """Build (or reuse) the kernel library; its path.
 
     ``flags`` replaces the optimisation flags (default
     :data:`OPT_FLAGS`), for test builds such as a sanitised one; the
@@ -142,8 +150,8 @@ def _include_dir() -> Optional[str]:
     return None
 
 
-def compile_extension(flags: Optional[Sequence[str]] = None) -> Optional[str]:
-    """Build (or reuse) the event core extension; its path, or ``None``.
+def compile_extension(flags: Optional[Sequence[str]] = None) -> str:
+    """Build (or reuse) the event core extension; its path.
 
     ``flags`` as for :func:`compile_library`.  The cache key also takes
     the interpreter's extension suffix and include directory, so two
@@ -153,7 +161,10 @@ def compile_extension(flags: Optional[Sequence[str]] = None) -> Optional[str]:
 
     include = _include_dir()
     if include is None:
-        return None
+        raise NativeBuildError(
+            f"{REQUIREMENT}: no Python.h for Python "
+            f"{sys.version_info[0]}.{sys.version_info[1]} under "
+            f"{sys.base_prefix} (install its development headers)")
     flags = tuple(OPT_FLAGS if flags is None else flags)
     suffix = EXTENSION_SUFFIXES[0] if EXTENSION_SUFFIXES else ""
     return _build("repro_ccore", (EXT_SOURCE,), flags, ("-I" + include,),
@@ -165,57 +176,48 @@ def open_library(so_path: str) -> ctypes.CDLL:
     return ctypes.CDLL(so_path)
 
 
-def load() -> Optional[ctypes.CDLL]:
-    """The process's kernel library, compiled and loaded on first call;
-    ``None`` when it is unavailable (see the module docstring).  A cold
-    call also builds the event core extension, so no later import of
+def load() -> ctypes.CDLL:
+    """The process's kernel library, compiled and loaded on first call
+    (see the module docstring for the error it raises).  A cold call
+    also builds the event core extension, so no later import of
     :mod:`repro.simcore` pays for the compiler."""
-    global _lib, _tried
-    if _tried:
-        return _lib
-    _tried = True
-    if _disabled():
-        return None
-    so_path = compile_library()
-    if so_path is None:
-        return None
-    if not _ext_tried:
-        compile_extension()
-    try:
-        _lib = open_library(so_path)
-    except OSError:
-        return None
+    global _lib
+    if _lib is None:
+        so_path = compile_library()
+        if _ext is None:
+            compile_extension()
+        try:
+            _lib = open_library(so_path)
+        except OSError as error:
+            raise NativeBuildError(
+                f"{REQUIREMENT}: cannot load {so_path}: {error}") from None
     return _lib
 
 
 def available() -> bool:
-    """Whether the kernel library can be used in this process."""
+    """``True`` once the kernel library is loaded in this process; raises
+    :class:`~repro.errors.NativeBuildError` when it cannot be."""
     return load() is not None
 
 
-def event_core() -> Optional[ModuleType]:
-    """The compiled event core module (``repro.simcore._ccore``),
-    built and imported on first call; ``None`` when it is unavailable
-    (see the module docstring)."""
-    global _ext, _ext_tried
-    if _ext_tried:
-        return _ext
-    _ext_tried = True
-    if _disabled():
-        return None
-    so_path = compile_extension()
-    if so_path is None:
-        return None
-    from importlib.machinery import ExtensionFileLoader
-    from importlib.util import module_from_spec, spec_from_loader
+def event_core() -> ModuleType:
+    """The event core module (``repro.simcore._ccore``), built and
+    imported on first call (see the module docstring for the error it
+    raises)."""
+    global _ext
+    if _ext is None:
+        so_path = compile_extension()
+        from importlib.machinery import ExtensionFileLoader
+        from importlib.util import module_from_spec, spec_from_loader
 
-    loader = ExtensionFileLoader(EXT_NAME, so_path)
-    spec = spec_from_loader(EXT_NAME, loader)
-    try:
-        module = module_from_spec(spec)
-        loader.exec_module(module)
-    except ImportError:
-        return None
-    sys.modules[EXT_NAME] = module
-    _ext = module
+        loader = ExtensionFileLoader(EXT_NAME, so_path)
+        spec = spec_from_loader(EXT_NAME, loader)
+        try:
+            module = module_from_spec(spec)
+            loader.exec_module(module)
+        except ImportError as error:
+            raise NativeBuildError(
+                f"{REQUIREMENT}: cannot load {so_path}: {error}") from None
+        sys.modules[EXT_NAME] = module
+        _ext = module
     return _ext

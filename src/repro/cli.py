@@ -59,7 +59,7 @@ from typing import Any, List, Optional
 from repro import api
 from repro.core.figdata import FIGURE_IDS
 from repro.core.report import ascii_bar_chart, experiments_markdown
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, NativeBuildError
 
 
 def _build_config(args: argparse.Namespace) -> api.RunConfig:
@@ -924,6 +924,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except NativeBuildError as exc:
+        # no compiler or Python.h: one clear line, not a traceback
+        raise SystemExit(str(exc)) from None
     finally:
         # Release persistent pool workers (no-op when none were built).
         from repro.api import shutdown_parallel_pools

@@ -46,3 +46,8 @@ class ExperimentError(ReproError):
 
 class CalibrationError(ReproError):
     """Calibration targets/parameters are inconsistent."""
+
+
+class NativeBuildError(ReproError):
+    """The compiled kernels cannot be built or loaded: no C compiler, no
+    ``Python.h``, or a failed build or load (see :mod:`repro.ckernel`)."""

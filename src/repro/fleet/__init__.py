@@ -21,7 +21,7 @@ Layout:
   arrays (CSR session traces), built in one serial call; every run
   simulates on these;
 * :mod:`~repro.fleet.fastrng` / :mod:`~repro.fleet.cloop` — the
-  vectorised PCG64 replica and the compiled kernels (host-column
+  vectorised PCG64 uniforms and the compiled kernels (host-column
   sampler and event loop) behind the columnar fast path;
 * :mod:`~repro.fleet.validation` — the quorum validator;
 * :mod:`~repro.fleet.recovery` — the failure & recovery layer

@@ -4,15 +4,17 @@ The fleet's kernels live in ``_cloop.c``, the kernel library that
 :mod:`repro.ckernel` compiles and loads once per process.  It holds the
 fleet's three entry points:
 
-* the **host-column sampler** (:func:`sample_columns`), the compiled
-  twin of the numpy build in :mod:`repro.fleet.columns`: per host, in
-  host order, the same ``fork_seed`` SHA-256 forks, SeedSequence mixing,
-  PCG64 streams, ziggurat draws and on/off renewal loop, written straight
-  into a CSR session buffer;
+* the **host-column sampler** (:func:`sample_columns`), which
+  :mod:`repro.fleet.columns` calls: per host, in host order, the
+  ``RngStreams`` forks (SHA-256), SeedSequence mixing, PCG64 streams,
+  ziggurat draws and on/off renewal loop of the object build, written
+  straight into a CSR session buffer (its oracle, a vectorised numpy
+  build, is ``tests/_oracle_columns.py``);
 * the **event loop** of fault-free fleet runs (:func:`run_event_loop`),
   a straight transliteration of the fault-free branches of
   ``FleetServer._fast_loop_python`` (storm runs always take the Python
-  loop, which alone carries the recovery machine).  Its state is laid
+  loop, which alone carries the recovery machine, and so does a run the
+  kernel's int32 ids cannot index or with ``quorum > 255``).  Its state is laid
   out for memory latency: one 128-byte, 128-byte-aligned record per
   host (:data:`_HOST_DTYPE`), a 4-ary heap of event times with parallel
   24-byte nodes that carry the host (:data:`_NODE_DTYPE`), and a
@@ -44,11 +46,13 @@ and steps it on demand.  Everything the kernels touch is a numpy array
 owned here, so their outputs come back without copying, bar the
 per-host waste column gathered out of the host records.
 
-No compiler, a failed compile (including a compiler without
-``unsigned __int128``), or ``REPRO_NO_CLOOP=1`` all degrade to
-``sample_columns``, ``run_event_loop`` and ``draw_uniforms`` returning
-``None``; callers then run the numpy build, the pure-Python loop and
-``_draw`` key by key, which produce byte-identical state.
+The library is required: with no compiler, or a failed compile
+(including a compiler without ``unsigned __int128``), the first call
+raises :class:`~repro.errors.NativeBuildError` (see
+:mod:`repro.ckernel`).  ``run_event_loop`` returns ``None`` for a run
+its int32 ids cannot index (the caller runs the Python loop) and
+``draw_uniforms`` for keys or payloads it cannot format (the caller
+draws key by key), both byte-identical.
 """
 
 from __future__ import annotations
@@ -191,11 +195,10 @@ _ZIG = {"ki_nor": np.array(KI_NOR, dtype=np.uint64),
         "fe_exp": np.array(FE_EXP, dtype=np.float64)}
 
 _lib: Optional[ctypes.CDLL] = None
-_tried = False
 
 
-def _compile(flags: Optional[Sequence[str]] = None) -> Optional[str]:
-    """Build (or reuse) the kernel library; its path, or ``None``.
+def _compile(flags: Optional[Sequence[str]] = None) -> str:
+    """Build (or reuse) the kernel library; its path.
 
     The shared driver's :func:`repro.ckernel.compile_library`: ``flags``
     replaces the optimisation flags for test builds, and each flag set
@@ -204,16 +207,12 @@ def _compile(flags: Optional[Sequence[str]] = None) -> Optional[str]:
     return ckernel.compile_library(flags)
 
 
-def _load() -> Optional[ctypes.CDLL]:
+def _load() -> ctypes.CDLL:
     """The process's kernel library with the fleet entry points
-    declared, or ``None`` (the shared driver loads it once)."""
-    global _lib, _tried
-    if _tried:
-        return _lib
-    _tried = True
-    lib = ckernel.load()
-    if lib is not None:
-        _lib = _declare(lib)
+    declared (the shared driver loads it once)."""
+    global _lib
+    if _lib is None:
+        _lib = _declare(ckernel.load())
     return _lib
 
 
@@ -243,7 +242,8 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
 
 
 def available() -> bool:
-    """Whether the compiled kernel can be used on this machine."""
+    """``True`` once the compiled kernel is loaded; raises
+    :class:`~repro.errors.NativeBuildError` when it cannot be built."""
     return _load() is not None
 
 
@@ -298,15 +298,14 @@ def _host_records(lib: ctypes.CDLL, prep: Any, soff: np.ndarray,
 
 
 def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
-    """Run the fleet event loop in C; ``None`` if the kernel is absent.
+    """Run the fleet event loop in C; ``None`` if its int32 ids or its
+    quorum field cannot hold the run.
 
     ``prep`` is the server's ``_FastPrep``.  Returns the canonical flat
     state dict consumed by ``FleetServer._fast_report`` — identical,
     value for value, to what ``_fast_loop_python`` produces.
     """
     lib = _load()
-    if lib is None:
-        return None
     n = prep.n
     nwu = prep.nwu
     quorum = prep.quorum
@@ -484,8 +483,8 @@ def run_event_loop(prep: Any) -> Optional[Dict[str, Any]]:
 
 
 def sample_columns(config: FleetConfig, start: int,
-                   stop: int) -> Optional[Dict[str, Any]]:
-    """Sample hosts ``[start, stop)`` in C; ``None`` if the kernel is absent.
+                   stop: int) -> Dict[str, Any]:
+    """Sample hosts ``[start, stop)`` in C.
 
     Returns the columns of :func:`repro.fleet.columns._sample_shard_columns`
     before the speed factor: ``speed_z`` holds the raw normal draws of
@@ -495,8 +494,6 @@ def sample_columns(config: FleetConfig, start: int,
     if not 0 <= start <= stop:
         raise ValueError(f"bad host range [{start}, {stop})")
     lib = _load()
-    if lib is None:
-        return None
     n = stop - start
     draw_speed = config.host_gflops_sigma != 0.0
     root = np.frombuffer(f"{config.seed}/host-".encode(), dtype=np.uint8)
@@ -568,12 +565,12 @@ def draw_uniforms(prefix: bytes, suffix: bytes, first: int,
     """``_draw``'s uniforms for keys ``first .. first + count - 1`` in C.
 
     ``prefix`` and ``suffix`` are the payload bytes around the key, from
-    :func:`repro.faults.plan.draw_affixes`.  ``None`` when the kernel is
-    absent, a key is negative or past int64, or a payload would overflow
-    the kernel's fixed formatting buffer; callers then draw key by key.
+    :func:`repro.faults.plan.draw_affixes`.  ``None`` when a key is
+    negative or past int64, or a payload would overflow the kernel's
+    fixed formatting buffer; callers then draw key by key.
     """
     lib = _load()
-    if lib is None or first < 0 or count < 0 or first + count > 2 ** 63 - 1:
+    if first < 0 or count < 0 or first + count > 2 ** 63 - 1:
         return None
     out = np.empty(count, dtype=np.float64)
     if lib.fleet_draw_uniforms(prefix, len(prefix), suffix, len(suffix),

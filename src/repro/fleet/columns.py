@@ -9,29 +9,26 @@ array with per-host offsets, so a 100k-host fleet is a handful of
 arrays rather than 100k Python objects each owning a private trace
 list.
 
-Two samplers, one set of bytes
-------------------------------
+The sampler
+-----------
 The fleet is drawn by the compiled column sampler in ``_cloop.c``
 (:func:`repro.fleet.cloop.sample_columns`), which walks the hosts one
 at a time through the exact SHA-256 forks, SeedSequence mixing, PCG64
-streams and ziggurat draws behind ``RngStreams``.  When the kernel is
-unavailable (no compiler, ``REPRO_NO_CLOOP=1``), the vectorised numpy
-build (:func:`_sample_shard_numpy`) runs instead: every draw comes from
-:mod:`repro.fleet.fastrng`, a numpy re-implementation of the same
-pipeline that advances a block of hosts in lockstep.  That build
-is also the compiled sampler's test oracle.  Both take any ``[start,
-stop)`` index range, so the property suite can compare arbitrary
-ranges; a run samples ``[0, hosts)`` in one call.
+streams and ziggurat draws behind ``RngStreams``.  It takes any
+``[start, stop)`` index range, so the property suite can compare
+arbitrary ranges; a run samples ``[0, hosts)`` in one call.  Its test
+oracle is a vectorised numpy build of the same pipeline
+(``tests/_oracle_columns.py``), which advances a block of hosts in
+lockstep.
 
 Bit-identity contract
 ---------------------
-Both samplers repeat the object path's draws and float operations in
-the same order; the lognormal speed factor is exponentiated in numpy on
-either route, as the object path does.  The resulting columns are
-**byte-identical** to ``build_fleet_hosts`` — asserted by
-``tests/test_fleet_columns.py`` across hypervisor mixes, sigma settings
-and horizons, and C against numpy by
-``tests/property/test_prop_fleet_sampler.py``.
+The sampler repeats the object path's draws and float operations in the
+same order; the lognormal speed factor is exponentiated in numpy, as the
+object path does.  The resulting columns are **byte-identical** to
+``build_fleet_hosts`` — asserted by ``tests/test_fleet_columns.py``
+across hypervisor mixes, sigma settings and horizons, and C against the
+numpy oracle by ``tests/property/test_prop_fleet_sampler.py``.
 
 The build is one serial call whatever ``--jobs`` says: it is the cheap
 stage of a run, and the event loop after it is serial too.
@@ -41,19 +38,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.fleet.calibration import fleet_slowdown
 from repro.fleet.config import FleetConfig
 from repro.fleet.cloop import sample_columns
-from repro.fleet.fastrng import VecPcg, exp_consistent, fork_seed
-from repro.fleet.host import (
-    AVAILABILITY_CEIL,
-    AVAILABILITY_FLOOR,
-    host_hypervisor,
-)
+from repro.fleet.fastrng import exp_consistent
+from repro.fleet.host import host_hypervisor
 from repro.fleet.recovery import checkpoint_cycles
 from repro.obs.metrics import METRICS
 from repro.virt.profiles import PROFILE_ORDER
@@ -122,20 +115,15 @@ def _sample_shard_columns(config: FleetConfig, start: int,
     ``stop - start`` times, without the objects.
 
     The compiled sampler (:func:`repro.fleet.cloop.sample_columns`)
-    draws them when the kernel is available, the numpy build
-    (:func:`_sample_shard_numpy`) otherwise; both repeat the object
-    path's draws and float operations exactly.  The lognormal speed
-    factor is exponentiated here in numpy on either route, because the
-    object path uses numpy's ``exp``, not libm's.
+    draws them, repeating the object path's draws and float operations
+    exactly.  The lognormal speed factor is exponentiated here in numpy,
+    because the object path uses numpy's ``exp``, not libm's.
     """
     n = stop - start
     sampled = sample_columns(config, start, stop)
     if METRICS.enabled:
         METRICS.inc("fleet.hosts_built", n)
-        if sampled is not None:
-            METRICS.inc("fleet.columns.compiled_hosts", n)
-    if sampled is None:
-        sampled = _sample_shard_numpy(config, start, stop)
+        METRICS.inc("fleet.columns.compiled_hosts", n)
 
     # gflops: median * lognormal_factor("speed", sigma); the object path
     # skips the draw entirely at sigma == 0 (factor 1.0).
@@ -151,106 +139,6 @@ def _sample_shard_columns(config: FleetConfig, start: int,
         gflops = config.host_gflops_median * factor
     sampled["gflops"] = gflops
     return sampled
-
-
-#: Hosts per lockstep block of the numpy build: its per-round
-#: gather/scatter temporaries scale with the block, not the fleet.
-_NUMPY_BLOCK = 8192
-
-
-def _sample_shard_numpy(config: FleetConfig, start: int,
-                        stop: int) -> Dict[str, Optional[np.ndarray]]:
-    """The vectorised numpy twin of the compiled sampler, run over the
-    range :data:`_NUMPY_BLOCK` hosts at a time (every host draws from
-    its own streams, so blocks join without changing a byte).  Same
-    result dict as :func:`repro.fleet.cloop.sample_columns`."""
-    blocks = [_sample_block_numpy(config, lo, min(lo + _NUMPY_BLOCK, stop))
-              for lo in range(start, stop, _NUMPY_BLOCK) or [start]]
-    if len(blocks) == 1:
-        return blocks[0]
-    return {key: None if blocks[0][key] is None
-            else np.concatenate([block[key] for block in blocks])
-            for key in blocks[0]}
-
-
-def _sample_block_numpy(config: FleetConfig, start: int,
-                        stop: int) -> Dict[str, Optional[np.ndarray]]:
-    """One block of the numpy build: every host of ``[start, stop)``
-    advances through each draw in lockstep, lanes that leave the
-    renewal loop drop out."""
-    n = stop - start
-    child = np.empty(n, dtype=np.uint64)
-    trace = np.empty(n, dtype=np.uint64)
-    serve = np.empty(n, dtype=np.uint64)
-    seed = config.seed
-    for k, index in enumerate(range(start, stop)):
-        child_seed = fork_seed(seed, f"host-{index}")
-        child[k] = child_seed
-        trace[k] = fork_seed(child_seed, "trace")
-        serve[k] = fork_seed(child_seed, "serve")
-
-    speed_z = None
-    if config.host_gflops_sigma != 0.0:
-        speed_z = VecPcg.seeded(child, "speed").std_normal()
-
-    # availability: normal("avail", mean, spread) clamped to the band.
-    z = VecPcg.seeded(child, "avail").std_normal()
-    avail = config.availability_mean + config.availability_spread * z
-    avail = np.minimum(AVAILABILITY_CEIL,
-                       np.maximum(AVAILABILITY_FLOOR, avail))
-
-    # churn trace: departure clock, phase draw, alternating on/off renewal
-    # (availability is clamped <= AVAILABILITY_CEIL < 1, so the object
-    # path's always-on branch is unreachable and every off-gap draws).
-    horizon = config.duration_s
-    departure = VecPcg.seeded(trace, "churn.departure").std_exp() \
-        * config.departure_mean_s
-    eow = np.minimum(horizon, departure)
-    phase = VecPcg.seeded(trace, "churn.phase").doubles()
-    on = phase < avail
-    off_mean = config.session_mean_s * (1.0 - avail) / avail
-    on_pcg = VecPcg.seeded(trace, "churn.on")
-    off_pcg = VecPcg.seeded(trace, "churn.off")
-
-    t = np.zeros(n)
-    start_off = np.flatnonzero(~on)
-    if start_off.size:
-        sub = off_pcg.gather(start_off)
-        t[start_off] = sub.std_exp() * off_mean[start_off]
-        off_pcg.scatter(start_off, sub)
-
-    counts = np.zeros(n, dtype=np.int64)
-    rounds: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    alive = np.flatnonzero(t < eow)
-    while alive.size:
-        sub = on_pcg.gather(alive)
-        length = sub.std_exp() * config.session_mean_s
-        on_pcg.scatter(alive, sub)
-        s_start = t[alive]
-        t_next = s_start + length
-        s_end = np.minimum(t_next, eow[alive])
-        rounds.append((alive, s_start, s_end))
-        counts[alive] += 1
-        sub = off_pcg.gather(alive)
-        gap = sub.std_exp() * off_mean[alive]
-        off_pcg.scatter(alive, sub)
-        t[alive] = t_next + gap
-        alive = alive[t[alive] < eow[alive]]
-
-    # CSR scatter: the alive set only shrinks, so a lane alive in round
-    # r has exactly r earlier sessions — its slot is offset + r.
-    off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=off[1:])
-    s_starts = np.empty(off[-1])
-    s_ends = np.empty(off[-1])
-    for r, (idxs, st, en) in enumerate(rounds):
-        pos = off[idxs] + r
-        s_starts[pos] = st
-        s_ends[pos] = en
-
-    return {"speed_z": speed_z, "availability": avail,
-            "departure_s": departure, "serve_seed": serve,
-            "s_starts": s_starts, "s_ends": s_ends, "s_cnt": counts}
 
 
 def build_fleet_columns(config: FleetConfig) -> FleetColumns:

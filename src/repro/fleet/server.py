@@ -48,9 +48,9 @@ the sites; see :mod:`repro.fleet.recovery` for the model):
 There is one event loop, over :class:`repro.fleet.columns.FleetColumns`
 flat arrays and parallel lists (:meth:`FleetServer._fast_loop_python`).
 With no fault plan armed, the compiled kernel (:mod:`repro.fleet.cloop`,
-a transliteration of the loop's fault-free branches) runs it whenever a
-C compiler is present; fault storms run the Python loop, which alone
-carries the recovery machine.  Which one runs depends on the input
+a transliteration of the loop's fault-free branches) runs it; fault
+storms, and runs whose ids or quorum the kernel's int32 fields cannot
+hold, run the Python loop, which alone carries the recovery machine.  Which one runs depends on the input
 alone: the ``fleet.*`` metrics are derived from the final flat state
 after the loop, so ``--metrics`` never moves a run.  Every report is
 byte-identical to the archived pre-columnar object server in
@@ -315,8 +315,8 @@ class FleetServer:
         ``host.dropout`` clips the columns, the ``server.outage``
         schedule is drawn, and the Python loop runs the recovery
         machine.  Otherwise the compiled kernel runs the loop, or the
-        Python loop when no kernel is available; both produce the
-        identical canonical flat state.
+        Python loop when the kernel's int32 fields cannot hold the run;
+        both produce the identical canonical flat state.
         """
         cfg = self.config
         if FAULTS.enabled:

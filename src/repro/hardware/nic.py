@@ -9,8 +9,7 @@ Receive-side processing costs live in the OS network stack, not here; the
 wire itself is full duplex so two NICs connected by a :class:`Link` do not
 contend with each other's traffic.
 
-With the compiled event core :meth:`Nic.transmit` is the extension's
-(``osmodel/_frames.c``), with the same events, stats and metrics.
+:meth:`Nic.transmit` is the event core extension's (``osmodel/_frames.c``).
 """
 
 from __future__ import annotations
@@ -20,9 +19,8 @@ from typing import Optional
 
 from repro.errors import NetworkError
 from repro.hardware.specs import NicSpec
-from repro.obs.metrics import METRICS
 from repro.simcore.engine import Engine
-from repro.simcore.events import CORE, EVENT_CORE, SimEvent
+from repro.simcore.events import CORE
 
 
 @dataclass
@@ -71,44 +69,16 @@ class Nic:
             )
         return (payload_bytes + self.spec.frame_overhead_bytes) / self.spec.line_rate_bps
 
-    def transmit(self, payload_bytes: int, remote=None,
-                 on_delivered=None) -> SimEvent:
-        """Queue one frame.
-
-        The returned event succeeds when the frame has fully *left the
-        wire* (transmit-complete — what gates the sender's next frame);
-        ``on_delivered`` fires one link latency later, when the frame
-        reaches the peer.  ``remote`` is a routing hint used by virtual
-        NICs; a physical NIC ignores it.
-        """
-        del remote
-        if self.peer is None:
-            raise NetworkError(f"NIC {self.name!r} has no link")
-        wire = self.frame_time(payload_bytes)
-        start = max(self.engine.now, self._tx_busy_until)
-        finish = start + wire
-        self._tx_busy_until = finish
-        self.stats.frames_sent += 1
-        self.stats.payload_bytes_sent += payload_bytes
-        self.stats.busy_seconds += wire
-        peer = self.peer
-        peer.stats.frames_received += 1
-        peer.stats.payload_bytes_received += payload_bytes
-        if METRICS.enabled:
-            METRICS.inc("hw.nic.frames")
-            METRICS.inc("hw.nic.payload_bytes", payload_bytes)
-            METRICS.observe("hw.nic.frame_wire_s", wire)
-        done = self.engine.event()
-        self.engine.schedule_at(finish, done.succeed, wire)
-        if on_delivered is not None:
-            self.engine.schedule_at(finish + self.spec.link_latency_s,
-                                    on_delivered)
-        return done
-
-    if EVENT_CORE == "compiled":
-        # the frame arithmetic, stats, metrics and both schedules above,
-        # compiled (osmodel/_frames.c)
-        transmit = CORE.nic_transmit  # noqa: F811
+    #: ``transmit(payload_bytes, remote=None, on_delivered=None)``:
+    #: queue one frame.  The returned event succeeds when the frame has
+    #: fully *left the wire* (transmit-complete — what gates the sender's
+    #: next frame); ``on_delivered`` fires one link latency later, when
+    #: the frame reaches the peer.  ``remote`` is a routing hint used by
+    #: virtual NICs; a physical NIC ignores it.  Compiled in the event
+    #: core (``osmodel/_frames.c``): the frame arithmetic of
+    #: :meth:`frame_time`, the stats, the ``hw.nic.*`` metrics and both
+    #: schedules.
+    transmit = CORE.nic_transmit
 
     def achieved_mbps(self, elapsed: float) -> float:
         """Payload throughput in Mbps over ``elapsed`` seconds."""

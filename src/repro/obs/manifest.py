@@ -47,10 +47,8 @@ Schema ``repro-run-manifest/1`` (see :data:`MANIFEST_SCHEMA` and
                    "rolled_back_s": 9188.9,
                    "degraded_windows": 1,
                    "degraded_s": 11093.0,
-                   "degraded_validated": 27},
-      "execution": {"decision_pass": "compiled",   # optional (figure
-                    "event_core": "compiled"}      #  runs; each may
-    }                                              #  read "python")
+                   "degraded_validated": 27}
+    }
 """
 
 from __future__ import annotations
@@ -175,15 +173,6 @@ def validate_manifest(manifest: Mapping[str, Any]) -> List[str]:
                 if not isinstance(recovery.get(name), (int, float)):
                     problems.append(
                         f"recovery.{name} missing or not a number")
-    execution = manifest.get("execution")
-    if execution is not None:
-        if not isinstance(execution, dict):
-            problems.append("execution is not a mapping")
-        else:
-            for name in ("decision_pass", "event_core"):
-                if execution.get(name) not in ("compiled", "python"):
-                    problems.append(f"execution.{name} is not "
-                                    "'compiled' or 'python'")
     campaign = manifest.get("campaign")
     if campaign is not None:
         if not isinstance(campaign, dict):
@@ -414,11 +403,6 @@ def render_manifest(manifest: Mapping[str, Any]) -> str:
             f" reclaim-pages={counters.get('mem.reclaim.pages', 0)}"
             f" fault-pages={counters.get('mem.fault.pages', 0)}"
             f"{peak_text}")
-    execution = manifest.get("execution")
-    if execution:
-        lines.append(f"exec     decision-pass="
-                     f"{execution.get('decision_pass', '?')}"
-                     f" event-core={execution.get('event_core', '?')}")
     audit = manifest.get("audit")
     trace_hash = (audit or {}).get("trace_hash") or {}
     streams = trace_hash.get("streams") or {}

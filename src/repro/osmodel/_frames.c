@@ -4,19 +4,19 @@
  * Not a translation unit of its own: simcore/_ccore.c includes this file
  * after the event core's types and the scheduler's crossings, so the
  * frame path builds events, handles and processes without calling back
- * into Python.  Each piece re-encodes a Python body that stays the path
- * of the Python event core:
+ * into Python.  Each piece re-encodes a Python body of the test oracle
+ * (tests/_oracle_core.py), which the test suite runs in its place:
  *
  *   SendFrames   TcpSocket.send's frame loop (osmodel/netstack.py);
  *   RecvFrames   TcpSocket.recv's frame loop;
  *   Delivery     send's per-frame ``lambda p=payload, pr=peer:
- *                pr._deliver(p)``; its __qualname__ is the lambda's, so
- *                the trace hash names its dispatch as before;
- *   VnicService  VirtualNic._service (virt/vnic.py), one per frame, run
- *                inside a SimProcess named as before;
+ *                pr._deliver(p)``; its __qualname__ is the lambda's
+ *                (``TcpSocket.send.<locals>.<lambda>``), so the trace
+ *                hash names its dispatch as the oracle's;
+ *   VnicService  VirtualNic's per-frame service (virt/vnic.py), one per
+ *                frame, run inside a SimProcess named ``<vm>.vnic``;
  *   vnic_transmit, nic_transmit
- *                VirtualNic.transmit and Nic.transmit (hardware/nic.py),
- *                installed as those methods when this core is in use.
+ *                VirtualNic.transmit and Nic.transmit (hardware/nic.py).
  *
  * The three iterators implement am_send (so ``yield from`` and the
  * process core drive them without a method call) and send/throw/close,

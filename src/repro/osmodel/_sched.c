@@ -5,7 +5,7 @@
  * repro.osmodel.scheduler.Scheduler defined at the end drives the event
  * core (SimEvent triggers, EngineCore's schedule and EventHandle cancel)
  * without calling back into Python.  Built with the extension by
- * repro.ckernel; the pure-Python twin is repro/osmodel/_pypass.py.
+ * repro.ckernel; its Python oracle is tests/_oracle_pass.py.
  *
  * The pass is a line-for-line re-encoding of the Python pass: finish,
  * place with round-robin rotation and group preference, price with the
@@ -17,7 +17,7 @@
  * State lives in records Python owns (ctypes structures): one
  * SchedThread per thread (repro.osmodel.threads.SimThread *is* that
  * record), one SchedCore per core, one SchedCtx per scheduler, and the
- * SharedL2Model's CacheStats record.  The Python pass reads and writes
+ * SharedL2Model's CacheStats record.  The Python oracle reads and writes
  * the same records, so there is no second copy of any state.
  *
  * Pass protocol.  A crossing writes now/paging/observe into the context,
@@ -599,18 +599,12 @@ int64_t sched_log_layout(int64_t *out)
  * the pass and drives the status to the end: a finished segment's
  * completion fires through the event core's trigger, the pass resumes,
  * and the tick is cancelled and re-armed through EngineCore's own
- * schedule.  The completions and the tick handle live here.
- *
- * A scheduler bound with a Python pass (``pypass``: the crossings class
- * of repro/osmodel/_pypass.py; an L2 model the pass does not encode, or
- * a test forcing the Python pass) hands every crossing to it, and the
- * pass's tick handle is this type's _tick_handle. */
+ * schedule.  The completions and the tick handle live here. */
 
 static PyObject *SchedulerError;   /* repro.errors.SchedulerError */
 static PyObject *str_paging, *str_paging_factor, *str_enabled, *str_trace,
     *str_replay, *str_on_tick, *str_add_mix, *str_thread_name, *str_state,
-    *str_mix, *str_cancel, *str_submit, *str_exit_thread,
-    *str_charge_elapsed, *str_decide;
+    *str_mix, *str_cancel;
 
 /* Mixes a scheduler remembers by identity: a hit skips the Python
  * __hash__ of the row lookup (the figures use a handful of mixes). */
@@ -624,7 +618,6 @@ typedef struct {
     PyObject *threads;       /* the scheduler's thread list, slot order */
     PyObject *memory;        /* the paging factor's source */
     PyObject *metrics;       /* the metrics registry (observe flag) */
-    PyObject *pypass;        /* the Python pass's crossings, or NULL */
     PyObject *mix_rows;      /* {InstructionMix: row of the mix table} */
     PyObject *tick;          /* the armed tick's handle, or NULL */
     PyObject *on_tick;       /* the tick's callback: bound _on_tick */
@@ -646,12 +639,11 @@ static int
 scheduler_tp_init(SchedulerObject *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"engine", "threads", "memory", "metrics", "ctx",
-                             "ctx_address", "pypass", NULL};
-    PyObject *engine, *threads, *memory, *metrics, *ctx, *address, *pypass;
+                             "ctx_address", NULL};
+    PyObject *engine, *threads, *memory, *metrics, *ctx, *address;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "O!O!OOOOO:Scheduler", kwlist, &EngineType, &engine,
-            &PyList_Type, &threads, &memory, &metrics, &ctx, &address,
-            &pypass))
+            args, kwds, "O!O!OOOO:Scheduler", kwlist, &EngineType, &engine,
+            &PyList_Type, &threads, &memory, &metrics, &ctx, &address))
         return -1;
     void *record = PyLong_AsVoidPtr(address);
     if (record == NULL) {
@@ -673,7 +665,6 @@ scheduler_tp_init(SchedulerObject *self, PyObject *args, PyObject *kwds)
     Py_XSETREF(self->memory, memory);
     Py_INCREF(metrics);
     Py_XSETREF(self->metrics, metrics);
-    Py_XSETREF(self->pypass, pypass == Py_None ? NULL : Py_NewRef(pypass));
     Py_XSETREF(self->mix_rows, rows);
     return 0;
 }
@@ -686,7 +677,6 @@ scheduler_traverse(SchedulerObject *self, visitproc visit, void *arg)
     Py_VISIT(self->threads);
     Py_VISIT(self->memory);
     Py_VISIT(self->metrics);
-    Py_VISIT(self->pypass);
     Py_VISIT(self->mix_rows);
     Py_VISIT(self->tick);
     Py_VISIT(self->on_tick);
@@ -708,7 +698,6 @@ scheduler_clear(SchedulerObject *self)
         Py_CLEAR(self->mix_seen[i]);
     self->n_mix_seen = 0;
     Py_CLEAR(self->mix_rows);
-    Py_CLEAR(self->pypass);
     Py_CLEAR(self->metrics);
     Py_CLEAR(self->memory);
     Py_CLEAR(self->threads);
@@ -773,22 +762,6 @@ slot_of(SchedulerObject *self, PyObject *thread)
             return i;
     }
     return -1;
-}
-
-/* Hand a crossing to the Python pass: pypass.<name>(self, *args). */
-static PyObject *
-to_python_pass(SchedulerObject *self, PyObject *name, PyObject *const *args,
-               Py_ssize_t nargs)
-{
-    PyObject *fn = PyObject_GetAttr(self->pypass, name);
-    if (fn == NULL)
-        return NULL;
-    PyObject *call[4] = {(PyObject *)self};
-    for (Py_ssize_t i = 0; i < nargs && i < 3; i++)
-        call[i + 1] = args[i];
-    PyObject *r = PyObject_Vectorcall(fn, call, nargs + 1, NULL);
-    Py_DECREF(fn);
-    return r;
 }
 
 static int
@@ -1018,8 +991,6 @@ scheduler_submit(SchedulerObject *self, PyObject *const *args,
     }
     if (scheduler_ready(self) < 0)
         return NULL;
-    if (self->pypass != NULL)
-        return to_python_pass(self, str_submit, args, 3);
     PyObject *thread = args[0], *cycles = args[1], *mix = args[2];
     Py_ssize_t slot = slot_of(self, thread);
     if (slot < 0) {
@@ -1083,8 +1054,6 @@ scheduler_exit_thread(SchedulerObject *self, PyObject *thread)
 {
     if (scheduler_ready(self) < 0)
         return NULL;
-    if (self->pypass != NULL)
-        return to_python_pass(self, str_exit_thread, &thread, 1);
     Py_ssize_t slot = slot_of(self, thread);
     if (slot >= 0) {
         if (self->ctx->threads[slot]->state == TS_DONE)
@@ -1117,8 +1086,6 @@ scheduler_charge_elapsed(SchedulerObject *self, PyObject *Py_UNUSED(ignored))
 {
     if (scheduler_ready(self) < 0)
         return NULL;
-    if (self->pypass != NULL)
-        return to_python_pass(self, str_charge_elapsed, NULL, 0);
     int observe;
     if (scheduler_sync(self, &observe) < 0)
         return NULL;
@@ -1133,8 +1100,6 @@ scheduler_decide(SchedulerObject *self, PyObject *Py_UNUSED(ignored))
 {
     if (scheduler_ready(self) < 0)
         return NULL;
-    if (self->pypass != NULL)
-        return to_python_pass(self, str_decide, NULL, 0);
     int observe;
     if (scheduler_sync(self, &observe) < 0)
         return NULL;
@@ -1148,8 +1113,6 @@ scheduler_on_tick(SchedulerObject *self, PyObject *Py_UNUSED(ignored))
 {
     if (scheduler_ready(self) < 0)
         return NULL;
-    if (self->pypass != NULL)
-        return to_python_pass(self, str_on_tick, NULL, 0);
     Py_CLEAR(self->tick);
     int observe;
     if (scheduler_sync(self, &observe) < 0)
@@ -1163,14 +1126,6 @@ static PyObject *
 scheduler_get_tick(SchedulerObject *self, void *closure)
 {
     return Py_NewRef(self->tick ? self->tick : Py_None);
-}
-
-static int
-scheduler_set_tick(SchedulerObject *self, PyObject *value, void *closure)
-{
-    Py_XSETREF(self->tick,
-               value == NULL || value == Py_None ? NULL : Py_NewRef(value));
-    return 0;
 }
 
 static PyMethodDef scheduler_methods[] = {
@@ -1196,7 +1151,7 @@ static PyMemberDef scheduler_members[] = {
 };
 
 static PyGetSetDef scheduler_getset[] = {
-    {"_tick_handle", (getter)scheduler_get_tick, (setter)scheduler_set_tick,
+    {"_tick_handle", (getter)scheduler_get_tick, NULL,
      "The armed tick's handle, or None.", NULL},
     {NULL}
 };
@@ -1239,14 +1194,9 @@ sched_module_init(PyObject *module)
     str_state = PyUnicode_InternFromString("_state");
     str_mix = PyUnicode_InternFromString("mix");
     str_cancel = PyUnicode_InternFromString("cancel");
-    str_submit = PyUnicode_InternFromString("submit");
-    str_exit_thread = PyUnicode_InternFromString("exit_thread");
-    str_charge_elapsed = PyUnicode_InternFromString("_charge_elapsed");
-    str_decide = PyUnicode_InternFromString("_decide");
     if (!str_paging || !str_paging_factor || !str_enabled || !str_trace
         || !str_replay || !str_on_tick || !str_add_mix || !str_thread_name
-        || !str_state || !str_mix || !str_cancel || !str_submit
-        || !str_exit_thread || !str_charge_elapsed || !str_decide)
+        || !str_state || !str_mix || !str_cancel)
         return -1;
     if (PyType_Ready(&SchedulerType) < 0)
         return -1;

@@ -14,26 +14,26 @@ Fidelity choices (documented, deliberate):
 * No loss, congestion or retransmission: the testbed is an idle switched
   100 Mbps LAN where none of those occur at measurable rates.
 
-With the compiled event core the per-frame loops of :meth:`TcpSocket.send`
-and :meth:`TcpSocket.recv` run in the extension (``osmodel/_frames.c``):
-both methods stay here, check their arguments, read the stream's
-constants and return the compiled loop, which ``yield from`` drives as
-it drives the generator bodies below (the Python event core's path).
-Both paths make the same charges, transmits and schedules in the same
-order, so every trace hash and output digest is the same.
+The per-frame loops of :meth:`TcpSocket.send` and :meth:`TcpSocket.recv`
+run in the event core extension (``osmodel/_frames.c``): both methods
+check their arguments, read the stream's constants and return the
+compiled loop, which ``yield from`` drives as it drives a generator.
+Each frame charges the stack's ``charge`` callable, hands the frame to
+``device.transmit`` and, one delivery later, calls the peer's
+:meth:`TcpSocket._deliver` (or does its work in place).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Optional, Tuple
+from typing import Any, Dict, Generator, Optional
 
 from repro.errors import NetworkError
 from repro.hardware.cpu import MIX_KERNEL
 from repro.osmodel.kernel import ChargeFn, CostKind, KernelParams
 from repro.osmodel.threads import SimThread
 from repro.simcore.engine import Engine
-from repro.simcore.events import CORE, EVENT_CORE, SimEvent
+from repro.simcore.events import CORE, SimEvent
 from repro.simcore.resources import Store
 
 
@@ -79,7 +79,7 @@ class TcpSocket:
 
     # -- data path -----------------------------------------------------------
 
-    def send(self, thread: SimThread, nbytes: int) -> Generator:
+    def send(self, thread: SimThread, nbytes: int):
         """Send ``nbytes``; returns when the last byte has left the wire."""
         if self.closed or self.peer is None:
             raise NetworkError(f"send on closed socket {self.name!r}")
@@ -88,89 +88,34 @@ class TcpSocket:
         # The device, its flags and the destination are fixed for the
         # stream: read them once, not once per frame.
         stack = self.stack
-        stats = stack.stats
-        charge = stack.charge
-        send_cycles = stack.params.net_send_per_packet_cycles
         device = self.device
-        transmit = device.transmit
-        mtu = device.mtu_payload_bytes
-        serialize = getattr(device, "serialize_tx", False)
-        peer = self.peer
-        remote = peer.stack
-        remaining = nbytes
-        last_ev: Optional[SimEvent] = None
-        while remaining > 0:
-            payload = min(mtu, remaining)
-            remaining -= payload
-            yield charge(thread, send_cycles, MIX_KERNEL,
-                         CostKind.KERNEL_CONTROL)
-            ev = transmit(
-                payload, remote=remote,
-                on_delivered=lambda p=payload, pr=peer: pr._deliver(p),
-            )
-            stats.packets_sent += 1
-            stats.bytes_sent += payload
-            if serialize:
-                yield ev
-            last_ev = ev
-        if last_ev is not None and not last_ev._triggered:
-            yield last_ev
+        return CORE.SendFrames(
+            thread, nbytes, stack.charge,
+            stack.params.net_send_per_packet_cycles, MIX_KERNEL,
+            CostKind.KERNEL_CONTROL, device.transmit,
+            device.mtu_payload_bytes,
+            getattr(device, "serialize_tx", False), self.peer,
+            stack.stats)
 
     def _deliver(self, payload: int) -> None:
         self.rx.put(payload)
         self.stack.stats.packets_received += 1
         self.stack.stats.bytes_received += payload
 
-    def recv(self, thread: SimThread, nbytes: int) -> Generator:
+    def recv(self, thread: SimThread, nbytes: int):
         """Receive until ``nbytes`` have arrived; returns the byte count."""
         if nbytes <= 0:
             raise NetworkError(f"recv size must be positive, got {nbytes}")
-        get = self.rx.get
-        charge = self.stack.charge
-        recv_cycles = self.stack.params.net_recv_per_packet_cycles
-        received = 0
-        while received < nbytes:
-            payload = yield get()
-            yield charge(thread, recv_cycles, MIX_KERNEL,
-                         CostKind.KERNEL_CONTROL)
-            received += payload
-        return received
+        stack = self.stack
+        return CORE.RecvFrames(
+            thread, nbytes, self.rx, stack.charge,
+            stack.params.net_recv_per_packet_cycles, MIX_KERNEL,
+            CostKind.KERNEL_CONTROL)
 
     def close(self) -> None:
         self.closed = True
         if self.peer is not None:
             self.peer.closed = True
-
-    if EVENT_CORE == "compiled":
-        # The frame loops of the compiled event core (osmodel/_frames.c):
-        # same checks and constants as the generator bodies above, whose
-        # loops, delivery lambda and _deliver they re-encode.
-
-        def send(self, thread: SimThread, nbytes: int):  # noqa: F811
-            """Send ``nbytes``; returns when the last byte has left the wire."""
-            if self.closed or self.peer is None:
-                raise NetworkError(f"send on closed socket {self.name!r}")
-            if nbytes <= 0:
-                raise NetworkError(f"send size must be positive, got {nbytes}")
-            stack = self.stack
-            device = self.device
-            return CORE.SendFrames(
-                thread, nbytes, stack.charge,
-                stack.params.net_send_per_packet_cycles, MIX_KERNEL,
-                CostKind.KERNEL_CONTROL, device.transmit,
-                device.mtu_payload_bytes,
-                getattr(device, "serialize_tx", False), self.peer,
-                stack.stats)
-
-        def recv(self, thread: SimThread, nbytes: int):  # noqa: F811
-            """Receive until ``nbytes`` have arrived; returns the byte count."""
-            if nbytes <= 0:
-                raise NetworkError(f"recv size must be positive, got {nbytes}")
-            stack = self.stack
-            return CORE.RecvFrames(
-                thread, nbytes, self.rx, stack.charge,
-                stack.params.net_recv_per_packet_cycles, MIX_KERNEL,
-                CostKind.KERNEL_CONTROL)
 
 
 class UdpSocket:

@@ -20,21 +20,18 @@ with an instruction mix; returns a completion event) and blocked phases
 cycles at a constant rate, so charging elapsed time at each decision point
 is exact, not approximate.
 
-The hot path has two encodings over one state.  Threads, cores, the
-scheduler's counters and the L2 statistics are C records (ctypes
-structures; see ``osmodel/_sched.c``).  With the compiled event core
-(``repro.simcore._ccore``, built by :mod:`repro.ckernel`), the base
-class of :class:`Scheduler` is that extension's ``Scheduler`` type: the
+Threads, cores, the scheduler's counters and the L2 statistics are C
+records (ctypes structures; see ``osmodel/_sched.c``).  The base class
+of :class:`Scheduler` is the ``Scheduler`` type of the event core
+extension (``repro.simcore._ccore``, built by :mod:`repro.ckernel`): the
 *crossings* (``submit``, ``exit_thread``, the tick, the charge and the
 balance-set pass) and the decision pass they enter are C, and a finished
 segment's completion fires, the pass resumes and the tick is re-armed
 without leaving C.  Python keeps ``spawn``, the balance-set scan, the
 metric readers and :meth:`Scheduler._replay`, which the crossings call
-only while metrics or tracing are on.  With the Python event core (no
-compiler, no ``Python.h``, ``REPRO_NO_CLOOP=1``), or an L2 model other
-than :class:`~repro.hardware.cache.SharedL2Model`, the crossings and
-pass of :mod:`repro.osmodel._pypass` run over the same records and
-produce the same bits.
+only while metrics or tracing are on.  The pass prices a placement with
+the :class:`~repro.hardware.cache.SharedL2Model` formula (a machine's
+L2 model).
 """
 
 from __future__ import annotations
@@ -44,13 +41,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import SchedulerError
-from repro.hardware.cache import SharedL2Model, observe_metrics
+from repro.hardware.cache import observe_metrics
 from repro.hardware.cpu import InstructionMix
 from repro.hardware.machine import Machine
 from repro.obs.metrics import METRICS
 from repro.osmodel.threads import STATE_CODES, OsProcess, SimThread, ThreadState
 from repro.simcore.engine import Engine
-from repro.simcore.events import CORE, EVENT_CORE
+from repro.simcore.events import CORE
 
 _READY = STATE_CODES[ThreadState.READY]
 
@@ -115,23 +112,7 @@ class _SchedLog(ctypes.Structure):
                 ("x", _D), ("y", _D)]
 
 
-if EVENT_CORE == "compiled":
-    _Crossings = CORE.Scheduler
-else:
-    from repro.osmodel._pypass import Scheduler as _Crossings
-
-
-def _compiled_pass():
-    """The extension carrying the compiled pass and crossings (the
-    compiled event core), or ``None`` when the event core is the Python
-    twin (the Python pass runs)."""
-    return CORE if EVENT_CORE == "compiled" else None
-
-
-def decision_pass() -> str:
-    """Which decision pass this process's schedulers take: ``"compiled"``
-    or ``"python"``."""
-    return "compiled" if _compiled_pass() is not None else "python"
+_Crossings = CORE.Scheduler
 
 
 class Scheduler(_Crossings):
@@ -142,7 +123,7 @@ class Scheduler(_Crossings):
     threads, price each core's speed, and arm the next tick.  The pass
     runs hundreds of thousands of times per paper figure while seeing two
     or three threads, so it and its crossings are compiled (see the
-    module docstring); :mod:`repro.osmodel._pypass` is the fallback.
+    module docstring).
     """
 
     # The crossings of the base class, bound here too: callers (and a
@@ -175,28 +156,19 @@ class Scheduler(_Crossings):
         ctx.n_cores = n_cores
         ctx.cores = ctypes.addressof(self._core_block)
         self._groups: Dict[str, int] = {}
-        python_pass = None
-        if type(machine.l2) is SharedL2Model and _compiled_pass() is not None:
-            ctx.frequency = machine.frequency_hz
-            ctx.coeff = machine.l2.coeff
-            # held here too: the pass writes through this address
-            self._l2_stats = machine.l2.stats
-            ctx.l2 = ctypes.addressof(self._l2_stats)
-            # at most three entries per core and one per crossing
-            self._log = (_SchedLog * (3 * n_cores + 2))()
-            ctx.log = ctypes.addressof(self._log)
-            self._mix_table = (_D * 0)()
-        else:
-            from repro.osmodel import _pypass
-
-            python_pass = _pypass.Scheduler
-            # (mix on core 0, mix on core 1, ...) -> per-core freq * factor
-            self._speed_table: Dict[tuple, tuple] = {}
-        self._compiled = python_pass is None
+        ctx.frequency = machine.frequency_hz
+        ctx.coeff = machine.l2.coeff
+        # held here too: the pass writes through this address
+        self._l2_stats = machine.l2.stats
+        ctx.l2 = ctypes.addressof(self._l2_stats)
+        # at most three entries per core and one per crossing
+        self._log = (_SchedLog * (3 * n_cores + 2))()
+        ctx.log = ctypes.addressof(self._log)
+        self._mix_table = (_D * 0)()
         self._thread_table = (_P * 0)()
         self._runnable = (_I * 0)()
         super().__init__(engine, self.threads, self._memory, METRICS, ctx,
-                         ctypes.addressof(ctx), python_pass)
+                         ctypes.addressof(ctx))
         if self.boost.enabled:
             self.engine.schedule(self.boost.scan_interval, self._boost_scan,
                                  daemon=True)
@@ -260,7 +232,7 @@ class Scheduler(_Crossings):
         return [c.thread for c in self.cores]
 
     # ------------------------------------------------------------------
-    # internals: both passes
+    # internals
     # ------------------------------------------------------------------
 
     def _boost_scan(self) -> None:

@@ -1,8 +1,8 @@
 /* Compiled event core of the discrete-event engine.
  *
  * A CPython extension holding the substrate's hot path, a re-encoding of
- * the pure-Python twin in ``simcore/_pycore.py`` (which runs when this
- * module cannot be built or loaded, or under ``REPRO_NO_CLOOP=1``), and,
+ * the pure-Python oracle in ``tests/_oracle_core.py`` (which the test
+ * suite runs in place of this module to hold it to the same events), and,
  * through the files it includes at the end, the OS scheduler's pass and
  * crossings (``osmodel/_sched.c``) and the network frame path
  * (``osmodel/_frames.c``):
@@ -1521,7 +1521,7 @@ static PyMethodDef module_methods[] = {
 
 static struct PyModuleDef ccore_module = {
     PyModuleDef_HEAD_INIT, "_ccore",
-    "Compiled event core of repro.simcore (twin: repro.simcore._pycore).",
+    "Compiled event core of repro.simcore (oracle: tests/_oracle_core.py).",
     -1, module_methods,
 };
 

@@ -11,16 +11,16 @@ Design notes
   the single hottest operation in the simulator.
 * Cancellation is O(1): handles are flagged and skipped when popped
   (lazy deletion), the standard technique for binary-heap timer wheels.
-* :meth:`run` drains through the event core's ``_drain`` (one C call
-  with the compiled core), which delivers same-instant batches without
+* :meth:`run` drains through the event core's ``_drain`` (one C call),
+  which delivers same-instant batches without
   re-touching the clock; :meth:`run_until_event` drains through its
   ``_drain_until``.  :meth:`step` remains the one-event-at-a-time API
   for tests and debuggers.
 * The clock, ``schedule``/``schedule_at`` and both drains live in the
-  event core's ``EngineCore`` base: the compiled extension
-  ``repro.simcore._ccore`` when it loads, else its pure-Python twin
-  :mod:`repro.simcore._pycore`.  Both push onto the same heap list with
-  the same keys, so this class's Python loops pop what either pushes.
+  event core's ``EngineCore`` base, in the compiled extension
+  ``repro.simcore._ccore``.  It pushes onto a heap list of
+  ``(when, seq, handle)`` tuples, so this class's Python loops pop what
+  it pushes.
 * The engine knows nothing about processes, CPUs or OSes; those layers
   build on :meth:`schedule`/:meth:`schedule_at` plus ``SimEvent``.
 """
@@ -43,7 +43,7 @@ class Engine(CORE.EngineCore):
 
     The clock (``now``), ``schedule``/``schedule_at`` and the drains of
     ``run`` and ``run_until_event`` are the event core's ``EngineCore``
-    (compiled, or its twin in :mod:`repro.simcore._pycore`); ``run``,
+    (compiled, see :mod:`repro.ckernel`); ``run``,
     ``run_until_event`` and ``step`` stay here.
     """
 

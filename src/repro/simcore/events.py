@@ -12,9 +12,9 @@ Two kinds of "event" exist and the distinction matters:
   barrier/race conditions from several ``SimEvent`` instances.
 
 Both come from the event core (:data:`CORE`): the compiled extension
-``repro.simcore._ccore`` when :func:`repro.ckernel.event_core` loads it,
-else the pure-Python twin :mod:`repro.simcore._pycore`.  The classes
-defined here are Python subclasses of the core's ``SimEvent``.
+``repro.simcore._ccore`` that :func:`repro.ckernel.event_core` builds and
+loads (it raises when it cannot).  The classes defined here are Python
+subclasses of the core's ``SimEvent``.
 """
 
 from __future__ import annotations
@@ -27,16 +27,8 @@ from repro.errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simcore.engine import Engine
 
-#: The event core in use: the compiled extension when it loads, else
-#: the pure-Python twin (see :mod:`repro.simcore._pycore`), imported
-#: only then.
+#: The event core: the compiled extension (see :mod:`repro.ckernel`).
 CORE = ckernel.event_core()
-
-#: ``"compiled"`` or ``"python"``: which event core this process runs.
-EVENT_CORE = "compiled" if CORE is not None else "python"
-
-if CORE is None:
-    from repro.simcore import _pycore as CORE
 
 EventHandle = CORE.EventHandle
 SimEvent = CORE.SimEvent

@@ -36,8 +36,8 @@ class SimProcess(CORE.SimProcess):
     The first resume is scheduled at the current instant (not run inline),
     so creating a process never re-enters user code synchronously.  The
     resume itself (``_first_resume``, ``_on_wait_complete``, ``_advance``)
-    is the event core's (:mod:`repro.simcore._pycore` or its compiled
-    twin); this class adds the lifecycle and interruption API.
+    is the compiled event core's; this class adds the lifecycle and
+    interruption API.
     """
 
     __slots__ = ()

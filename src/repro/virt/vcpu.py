@@ -10,15 +10,24 @@ cycles on the VM's vCPU host thread.
 It also keeps guest-side retirement accounting (guest instructions and
 cycles), which is what guest benchmarks report (a guest MIPS is a guest
 instruction, however many host cycles it cost to emulate).
+
+The guest's own charges and the VMM's (device emulation, e.g. one vNIC
+frame) share the vCPU thread, which holds one segment at a time.  A
+charge made while the thread still runs an earlier one queues behind it,
+first in first out, and its event fires when its own segment completes.
+A charge on a free thread submits at once and adds no event.
 """
 
 from __future__ import annotations
 
-from repro.errors import VirtualizationError
+from collections import deque
+from functools import partial
+
+from repro.errors import ReproError, VirtualizationError
 from repro.hardware.cpu import InstructionMix
 from repro.obs.metrics import METRICS
 from repro.osmodel.kernel import CostKind
-from repro.osmodel.threads import SimThread
+from repro.osmodel.threads import STATE_CODES, SimThread, ThreadState
 from repro.simcore.events import SimEvent
 from repro.virt.profiles import HypervisorProfile, user_multiplier
 
@@ -39,6 +48,17 @@ def translate_cycles(profile: "HypervisorProfile", cycles: float,
     raise VirtualizationError(f"unknown cost kind: {kind!r}")
 
 
+_DONE = STATE_CODES[ThreadState.DONE]
+
+
+def _relay(event: SimEvent, done: SimEvent) -> None:
+    """Trigger a queued charge's ``event`` as its segment ``done`` ended."""
+    if done._ok:
+        event.succeed(done._value)
+    else:
+        event.fail(done._value)
+
+
 class VCpu:
     """One virtual CPU bound to a host thread.
 
@@ -53,6 +73,10 @@ class VCpu:
         self.guest_cycles = 0.0
         self.guest_instructions = 0.0
         self.host_cycles_charged = 0.0
+        #: completion of the last segment this vCPU submitted
+        self._busy = None
+        #: charges waiting for the thread: (cycles, mix, event), FIFO
+        self._queue = deque()
 
     def charge(self, thread: SimThread, cycles: float, mix: InstructionMix,
                kind: CostKind) -> SimEvent:
@@ -73,7 +97,7 @@ class VCpu:
             # Translation overhead = host cycles beyond the guest demand —
             # the "stolen" capacity a guest benchmark never sees.
             METRICS.inc("virt.vcpu.steal_cycles", host_cycles - cycles)
-        return self.vm.host_kernel.scheduler.submit(self.thread, host_cycles, mix)
+        return self._submit(host_cycles, mix)
 
     def charge_host_native(self, cycles: float, mix: InstructionMix) -> SimEvent:
         """VMM's own (host-native) work on the vCPU thread — device
@@ -81,4 +105,39 @@ class VCpu:
         self.host_cycles_charged += cycles
         if METRICS.enabled:
             METRICS.inc("virt.vcpu.host_native_cycles", cycles)
-        return self.vm.host_kernel.scheduler.submit(self.thread, cycles, mix)
+        return self._submit(cycles, mix)
+
+    def _submit(self, cycles: float, mix: InstructionMix) -> SimEvent:
+        """Submit ``cycles`` on the vCPU thread, or queue them behind the
+        segment it is running (see the module docstring)."""
+        busy = self._busy
+        if (busy is None or busy._triggered and not self._queue
+                or self.thread._state == _DONE):
+            done = self.vm.host_kernel.scheduler.submit(self.thread, cycles,
+                                                        mix)
+            self._busy = done
+            return done
+        event = SimEvent(self.vm.engine)
+        self._queue.append((cycles, mix, event))
+        if len(self._queue) == 1:
+            busy.add_callback(self._dequeue)
+        return event
+
+    def _dequeue(self, _finished: SimEvent) -> None:
+        """The thread's segment ended: submit the queued charges in order
+        until one is running."""
+        queue = self._queue
+        scheduler = self.vm.host_kernel.scheduler
+        while queue:
+            cycles, mix, event = queue.popleft()
+            try:
+                done = scheduler.submit(self.thread, cycles, mix)
+            except ReproError as error:
+                event.fail(error)
+                continue
+            self._busy = done
+            done.add_callback(partial(_relay, event))
+            if not done._triggered:
+                if queue:
+                    done.add_callback(self._dequeue)
+                return

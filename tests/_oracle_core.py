@@ -1,23 +1,32 @@
-"""The event core in pure Python: the twin of ``simcore/_ccore.c``.
+"""The event core in pure Python: the test oracle of the compiled one.
 
-The engine substrate's hot path — :class:`EventHandle`, the one-shot
-:class:`SimEvent`, the generator-process resume core
-(:class:`SimProcess`) and the engine's clock, ``schedule``/
-``schedule_at`` and the drains of ``run`` and ``run_until_event``
-(:class:`EngineCore`) —
-exists twice: compiled, in the C extension :mod:`repro.ckernel` builds
-(``repro.simcore._ccore``), and here.  :mod:`repro.simcore.events`
-takes the compiled core when it loads and this one otherwise (no
-compiler, a failed build, ``REPRO_NO_CLOOP=1``).  Both dispatch the
-same ``(when, seq, callback)`` sequence, raise the same errors and give
-dispatched callbacks the same trace-hash names; the classes keep the
-names the trace hash sees (``SimEvent.succeed``,
-``SimProcess._first_resume``).
+The compiled event core (``simcore/_ccore.c``, with the scheduler's
+crossings and pass of ``osmodel/_sched.c`` and the network frame path of
+``osmodel/_frames.c``, built by :mod:`repro.ckernel` as
+``repro.simcore._ccore``) has one Python counterpart, this module and
+:mod:`tests._oracle_pass`.  It exports the same entry points:
 
-The public classes build on whichever core is in use:
-``events.Timeout``/``AllOf``/``AnyOf`` and ``resources.Request``
-subclass its ``SimEvent``, ``process.SimProcess`` its ``SimProcess``
-and ``engine.Engine`` its ``EngineCore``.
+* :class:`EventHandle`, the one-shot :class:`SimEvent`, the
+  generator-process resume core (:class:`SimProcess`) and the engine's
+  clock, ``schedule``/``schedule_at`` and the drains of ``run`` and
+  ``run_until_event`` (:class:`EngineCore`);
+* ``Scheduler``: the scheduler's crossings and decision pass
+  (:mod:`tests._oracle_pass`);
+* ``SendFrames``/``RecvFrames``: the frame loops behind
+  ``TcpSocket.send``/``recv``; ``nic_transmit``/``vnic_transmit``: the
+  bodies of ``Nic.transmit`` and ``VirtualNic.transmit`` with the
+  vNIC's per-frame service.
+
+:func:`tests._python_core.install_oracle_core` makes it the event core
+of a fresh interpreter before :mod:`repro.simcore.events` is imported,
+so the public classes build on it: ``events.Timeout``/``AllOf``/
+``AnyOf`` and ``resources.Request`` subclass its ``SimEvent``,
+``process.SimProcess`` its ``SimProcess``, ``engine.Engine`` its
+``EngineCore`` and ``scheduler.Scheduler`` its ``Scheduler``.  Both
+cores must dispatch the same ``(when, seq, callback)`` sequence, raise
+the same errors and give dispatched callbacks the same trace-hash names;
+the classes keep the names the trace hash sees (``SimEvent.succeed``,
+``SimProcess._first_resume``, ``TcpSocket.send.<locals>.<lambda>``).
 """
 
 from __future__ import annotations
@@ -25,7 +34,10 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.errors import SimulationError
+from repro.errors import NetworkError, SimulationError
+from repro.hardware.cpu import MIX_VMM_SERVICE
+from repro.obs.metrics import METRICS
+from tests._oracle_pass import Scheduler  # noqa: F401  (an entry point)
 
 
 class EventHandle:
@@ -404,3 +416,123 @@ class EngineCore:
             if in_batch > batch_max:
                 batch_max = in_batch
         return batches, batch_events, batch_max
+
+
+# -- the network frame path (osmodel/_frames.c) ---------------------------
+
+
+class TcpSocket:
+    """The frame loops of ``TcpSocket.send``/``recv``, as a namespace whose
+    name gives the per-frame delivery lambda the qualname the trace hash
+    sees (``TcpSocket.send.<locals>.<lambda>``).  The methods in
+    :mod:`repro.osmodel.netstack` check their arguments and read the
+    stream's constants, then return one of these loops."""
+
+    @staticmethod
+    def send(thread, nbytes, charge, send_cycles, mix, kind, transmit, mtu,
+             serialize, peer, stats):
+        """Send ``nbytes``; returns when the last byte has left the wire."""
+        remote = peer.stack
+        remaining = nbytes
+        last_ev = None
+        while remaining > 0:
+            payload = min(mtu, remaining)
+            remaining -= payload
+            yield charge(thread, send_cycles, mix, kind)
+            ev = transmit(
+                payload, remote=remote,
+                on_delivered=lambda p=payload, pr=peer: pr._deliver(p),
+            )
+            stats.packets_sent += 1
+            stats.bytes_sent += payload
+            if serialize:
+                yield ev
+            last_ev = ev
+        if last_ev is not None and not last_ev._triggered:
+            yield last_ev
+
+    @staticmethod
+    def recv(thread, nbytes, rx, charge, recv_cycles, mix, kind):
+        """Receive until ``nbytes`` have arrived; returns the byte count."""
+        get = rx.get
+        received = 0
+        while received < nbytes:
+            payload = yield get()
+            yield charge(thread, recv_cycles, mix, kind)
+            received += payload
+        return received
+
+
+SendFrames = TcpSocket.send
+RecvFrames = TcpSocket.recv
+
+
+def nic_transmit(self, payload_bytes, remote=None, on_delivered=None):
+    """``Nic.transmit``: queue one frame; the event succeeds when it has
+    left the wire, ``on_delivered`` fires one link latency later."""
+    del remote
+    if self.peer is None:
+        raise NetworkError(f"NIC {self.name!r} has no link")
+    wire = self.frame_time(payload_bytes)
+    start = max(self.engine.now, self._tx_busy_until)
+    finish = start + wire
+    self._tx_busy_until = finish
+    self.stats.frames_sent += 1
+    self.stats.payload_bytes_sent += payload_bytes
+    self.stats.busy_seconds += wire
+    peer = self.peer
+    peer.stats.frames_received += 1
+    peer.stats.payload_bytes_received += payload_bytes
+    if METRICS.enabled:
+        METRICS.inc("hw.nic.frames")
+        METRICS.inc("hw.nic.payload_bytes", payload_bytes)
+        METRICS.observe("hw.nic.frame_wire_s", wire)
+    done = self.engine.event()
+    self.engine.schedule_at(finish, done.succeed, wire)
+    if on_delivered is not None:
+        self.engine.schedule_at(finish + self.spec.link_latency_s,
+                                on_delivered)
+    return done
+
+
+def vnic_transmit(self, payload_bytes, remote=None, on_delivered=None):
+    """``VirtualNic.transmit``: emulate and forward one frame in its own
+    process; the event succeeds at transmit-complete."""
+    if payload_bytes <= 0:
+        raise NetworkError(f"vnic frame of {payload_bytes} bytes")
+    vm = self.vm
+    engine = vm.engine
+    done = SimEvent(engine)
+    internal = remote is vm.host_kernel.net or (
+        remote is not None and remote is vm.guest_net)
+    engine.process(
+        _vnic_service(self, payload_bytes, internal, on_delivered, done),
+        self._process_name,
+    )
+    return done
+
+
+def _vnic_service(vnic, payload_bytes, internal, on_delivered, done):
+    """One frame through the VMM; failures go to the guest-side waiter."""
+    vm = vnic.vm
+    stats = vnic.stats
+    cycles = vnic.mode.per_packet_cycles
+    try:
+        stats.frames += 1
+        stats.payload_bytes += payload_bytes
+        stats.emulation_cycles += cycles
+        # device emulation / NAT proxy on the vCPU host thread
+        yield vm.vcpu.charge_host_native(cycles, MIX_VMM_SERVICE)
+        if internal:
+            # the VMM injects the frame into the host/guest stack directly
+            yield vm.engine.timeout(20e-6)
+            if on_delivered is not None:
+                on_delivered()
+        else:
+            yield vm.host_machine.nic.transmit(
+                payload_bytes, on_delivered=on_delivered
+            )
+    except Exception as error:  # propagate to the guest-side waiter
+        done.fail(error)
+        return
+    done.succeed(None)

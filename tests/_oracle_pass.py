@@ -1,15 +1,13 @@
-"""The scheduler's Python crossings and decision pass: the twin of
-``osmodel/_sched.c``.
+"""The scheduler's crossings and decision pass in Python: the test
+oracle of ``osmodel/_sched.c``.
 
-:class:`Scheduler` here is the Python twin of the compiled base type
-``Scheduler`` of the event core extension: the base of
-:class:`repro.osmodel.scheduler.Scheduler` when the event core is the
-Python twin (no compiler, no ``Python.h``, ``REPRO_NO_CLOOP=1``), and
-the pass the compiled type hands its crossings to for an L2 model the
-compiled pass does not encode.  Its functions read and write the same C
-records as the compiled pass and produce the same bits, and the module
-is imported only then.  The pass is written for constant per-decision
-cost: states are compared as record codes, the machine frequency is read
+:class:`Scheduler` here stands for the compiled base type ``Scheduler``
+of the event core extension: the oracle core (:mod:`tests._oracle_core`)
+exports it, so it is the base of :class:`repro.osmodel.scheduler.Scheduler`
+in an interpreter running on that core (see
+:mod:`tests._python_core`).  Its functions read and write the same C
+records as the compiled pass and must produce the same bits.  The pass
+is written for constant per-decision cost: states are compared as record codes, the machine frequency is read
 once, and ``freq * l2_factor`` per placement comes from a table memoised
 on the tuple of on-core instruction mixes (the paging factor still
 multiplies in on every decision).  Every float expression keeps the
@@ -26,10 +24,10 @@ from repro.hardware.cpu import InstructionMix
 from repro.obs.metrics import METRICS
 from repro.osmodel.threads import (PRIORITY_REALTIME, STATE_CODES, SimThread,
                                    ThreadState)
-from repro.simcore.events import SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.osmodel import scheduler
+    from repro.simcore.events import SimEvent
 
 # Shared, as literals, with _sched.c.
 _CYCLE_EPSILON = 0.5       # segments within half a cycle count as finished
@@ -55,11 +53,14 @@ class Scheduler:
     """The crossings on the Python pass (``submit``, ``exit_thread``,
     the tick, the charge and the balance-set pass), bound by the same
     ``__init__`` arguments as the compiled type; the pass reads the
-    scheduler's own attributes, so it keeps only the tick handle."""
+    scheduler's own attributes, so it keeps only the tick handle and its
+    speed table: (mix on core 0, mix on core 1, ...) -> per-core
+    ``freq * factor``."""
 
-    def __init__(self, engine, threads, memory, metrics, ctx, ctx_address,
-                 pypass) -> None:
+    def __init__(self, engine, threads, memory, metrics, ctx,
+                 ctx_address) -> None:
         self._tick_handle = None
+        self._speed_table = {}
 
     def submit(self: "scheduler.Scheduler", thread: SimThread,
                cycles: float, mix: InstructionMix) -> SimEvent:
@@ -82,7 +83,7 @@ class Scheduler:
             raise SchedulerError(f"negative cycle demand: {cycles}")
         charge(self)
         engine = self.engine
-        completion = SimEvent(engine)
+        completion = engine.event()
         if cycles <= _CYCLE_EPSILON:
             completion.succeed(None)
             return completion

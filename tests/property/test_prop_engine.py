@@ -1,11 +1,9 @@
 """Property tests: engine ordering and clock monotonicity, on the
-compiled event core (when it builds) and on its Python twin."""
+compiled event core and on its Python oracle."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simcore.engine import Engine
-from repro.simcore.events import EVENT_CORE
 from tests._python_core import pytest_on_python_core
 
 
@@ -76,8 +74,6 @@ def test_run_until_splits_cleanly(delays, split):
     assert sorted(fired) == sorted(delays)
 
 
-@pytest.mark.skipif(EVENT_CORE == "python",
-                    reason="this process already runs the Python core")
 def test_suite_passes_on_the_python_core():
-    """Every test above, on the Python twin of the compiled core."""
+    """Every test above, on the Python oracle of the compiled core."""
     pytest_on_python_core(__file__)

@@ -2,8 +2,8 @@
 for byte.
 
 ``repro.fleet.cloop.sample_columns`` (C) and
-``repro.fleet.columns._sample_shard_numpy`` (numpy, the fallback and the
-oracle) must fill the same host columns and CSR sessions for arbitrary
+``tests._oracle_columns.sample_shard_numpy`` (numpy, its oracle) must
+fill the same host columns and CSR sessions for arbitrary
 seeds (zero, negative, beyond 64 bits), speed spreads, hypervisor mixes,
 horizons shorter than one session, availability spreads that clamp
 hosts onto both band edges, and shard ranges of any length.  A fixed
@@ -23,10 +23,8 @@ from hypothesis import example, given, settings, strategies as st
 from repro.fleet import FleetConfig, build_fleet_columns, build_fleet_hosts
 from repro.fleet import cloop, columns
 from repro.fleet.host import AVAILABILITY_CEIL, AVAILABILITY_FLOOR
+from tests._oracle_columns import sample_shard_numpy
 from tests._reference_fleet import host_from_columns
-
-pytestmark = pytest.mark.skipif(not cloop.available(),
-                                reason="no C compiler / kernel unavailable")
 
 COLUMN_KEYS = ("hv_code", "gflops", "availability", "slowdown",
                "departure_s", "checkpoint_cost_s", "serve_seed",
@@ -57,8 +55,7 @@ configs = st.builds(
 @contextmanager
 def numpy_build():
     """Route ``_sample_shard_columns`` through the numpy build."""
-    with mock.patch.object(columns, "sample_columns",
-                           lambda config, start, stop: None):
+    with mock.patch.object(columns, "sample_columns", sample_shard_numpy):
         yield
 
 
@@ -90,7 +87,7 @@ def test_compiled_shard_equals_numpy_shard(config, start, size):
     # shard ranges that start anywhere and are rarely multiples of 8
     stop = start + size
     compiled = cloop.sample_columns(config, start, stop)
-    reference = columns._sample_shard_numpy(config, start, stop)
+    reference = sample_shard_numpy(config, start, stop)
     assert set(compiled) == set(reference)
     if config.host_gflops_sigma == 0.0:
         assert compiled["speed_z"] is None and reference["speed_z"] is None
@@ -127,7 +124,7 @@ def test_session_buffer_growth_resumes_exactly():
     config = FleetConfig(hosts=300, seed=5, session_mean_s=600.0,
                          duration_s=86400.0 * 2)
     compiled = cloop.sample_columns(config, 0, config.hosts)
-    reference = columns._sample_shard_numpy(config, 0, config.hosts)
+    reference = sample_shard_numpy(config, 0, config.hosts)
     assert compiled["s_cnt"].sum() > 2 * 64 * config.hosts
     assert_same(compiled, reference, ("s_starts", "s_ends", "s_cnt"))
 

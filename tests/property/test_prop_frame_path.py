@@ -1,4 +1,4 @@
-"""Property test: the compiled frame path is a pure re-encoding of the Python one.
+"""Property test: the compiled frame path is a pure re-encoding of its Python oracle.
 
 Each example draws one stream world: a device (loopback, the physical
 NIC, a bridged or a NAT vNIC, or a vNIC's internal path from the guest
@@ -8,8 +8,8 @@ of the MTU), optional UDP time queries through the vNIC, an optional
 failing charge inside the vNIC's per-frame service (raised by the
 charge, or as a failed completion thrown into the service), and
 metrics on or off.  The world runs on the compiled event core in this
-process and on the Python core in a worker interpreter
-(:class:`tests._python_core.PythonCoreWorker`).  The dispatch list
+process and on the oracle core (``tests/_oracle_core.py``) in a worker
+interpreter (:class:`tests._python_core.PythonCoreWorker`).  The dispatch list
 (time, seq and trace-hash name of every fired callback), the outcome,
 the clock, every ``NicStats``/``VNicStats``/``NetStats`` field and the
 deterministic metrics must be identical (``==``).
@@ -31,7 +31,7 @@ from repro.core.testbed import (
 from repro.errors import VirtualizationError
 from repro.obs.metrics import METRICS
 from repro.osmodel.threads import PRIORITY_NORMAL
-from repro.simcore.events import EVENT_CORE, SimEvent
+from repro.simcore.events import SimEvent
 from repro.virt.vm import VmConfig
 from tests._python_core import PythonCoreWorker
 
@@ -177,7 +177,7 @@ def run_world(scenario):
                        if not k.startswith("engine.")},
         }
     METRICS.reset()
-    # through JSON, as the worker's answer comes
+    # through JSON: plain lists and dicts, whichever core ran
     return json.loads(json.dumps({
         "outcome": outcome, "now": engine.now,
         "processed": engine.events_processed,
@@ -193,11 +193,6 @@ def python_core():
     worker.close()
 
 
-pytestmark = pytest.mark.skipif(
-    EVENT_CORE == "python",
-    reason="this process runs the Python core: nothing to compare against")
-
-
 @settings(max_examples=30, deadline=None)
 @given(scenarios)
 def test_compiled_frame_path_matches_the_python_core(python_core, scenario):
@@ -210,11 +205,10 @@ def test_compiled_frame_path_matches_the_python_core(python_core, scenario):
 def test_every_device_streams_through_the_compiled_path(python_core,
                                                          device):
     """One fixed stream per device (MTU remainder, UDP, metrics on), so
-    each path is covered whatever the draws.  Into the guest it is one
-    frame: a longer stream puts the guest's receive charges beside the
-    vNIC's emulation charges on the one vCPU thread, which the
-    scheduler refuses (the draws above cover that too)."""
-    sizes = [1000] if device == "vnic_guest" else [4000, 1460]
+    each path is covered whatever the draws.  Into the guest, the
+    guest's receive charges and the vNIC's emulation charges share the
+    one vCPU thread and take turns on it."""
+    sizes = [4000, 1460]
     scenario = {"device": device, "seed": 7, "sizes": sizes,
                 "nat": ["vmplayer", "nat"], "profile": "qemu",
                 "udp": device in VNIC_DEVICES, "fail": None,

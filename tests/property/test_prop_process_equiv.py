@@ -14,8 +14,9 @@ live engines: once through the archived core
 event's final state, the engine clock and event count, any error the
 drain raised and the trace-hash snapshot must be identical (``==``).
 
-The live core is the compiled event core when it builds; the last test
-re-runs the suite in a fresh interpreter on its Python twin.
+The live core is the compiled event core; the last test re-runs the
+suite in a fresh interpreter on its Python oracle
+(``tests/_oracle_core.py``).
 """
 
 from types import SimpleNamespace
@@ -28,7 +29,6 @@ from repro.audit import TRACE_HASH
 from repro.simcore import events as live_events
 from repro.simcore import process as live_process
 from repro.simcore.engine import Engine
-from repro.simcore.events import EVENT_CORE
 from tests._python_core import pytest_on_python_core
 
 REFERENCE = SimpleNamespace(
@@ -223,8 +223,6 @@ def test_interrupt_mid_wait_and_caught():
     assert actual == expected
 
 
-@pytest.mark.skipif(EVENT_CORE == "python",
-                    reason="this process already runs the Python core")
 def test_suite_passes_on_the_python_core():
-    """Every test above, on the Python twin of the compiled core."""
+    """Every test above, on the Python oracle of the compiled core."""
     pytest_on_python_core(__file__)

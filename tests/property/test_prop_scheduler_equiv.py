@@ -7,9 +7,8 @@ random length and instruction mix, sleeps, mid-run ``cpu_time()`` reads,
 applies — and runs it twice: once on the archived scheduler
 (:mod:`tests._reference_scheduler`, drained one ``step()`` per event as
 the old ``run_until_event`` did) and once on the live scheduler and
-engine, on its default pass (the compiled one when the kernel library
-loads; :mod:`tests.property.test_prop_scheduler_passes` holds it to the
-Python pass).  Every accounting float, every core's busy time, the
+engine, on the compiled pass (:mod:`tests.property.test_prop_scheduler_passes`
+holds it to the Python oracle of ``tests/_oracle_pass.py``).  Every accounting float, every core's busy time, the
 shared-L2 statistics, the tracer records, the scheduler metrics and the
 trace-hash snapshot must be identical (``==``, not approximately).  A
 world may name its core count (``cores``; two by default).
@@ -33,7 +32,6 @@ from repro.hardware.cpu import (
 from repro.hardware.machine import Machine
 from repro.hardware.specs import core2duo_e6600
 from repro.obs.metrics import METRICS
-import repro.osmodel.scheduler as scheduler_module
 from repro.osmodel.scheduler import BoostPolicy, Scheduler
 from repro.osmodel.threads import ThreadState
 from repro.simcore.engine import Engine
@@ -353,10 +351,9 @@ def test_completion_coinciding_with_a_quantum_expiry():
     assert actual == expected
 
 
-def test_instruction_mix_hash_is_the_field_tuple_hash(monkeypatch):
+def test_instruction_mix_hash_is_the_field_tuple_hash():
     """The cached hash is the dataclass-generated one, so value-equal
-    copies share one speed-table entry (Python pass) and one mix-table
-    row (compiled pass)."""
+    copies share one mix-table row of the compiled pass."""
     for mix in MIXES:
         assert hash(mix) == hash(dataclasses.astuple(mix))
     assert _SEVENZIP_COPY is not MIX_SEVENZIP
@@ -373,11 +370,7 @@ def test_instruction_mix_hash_is_the_field_tuple_hash(monkeypatch):
                                                 _SEVENZIP_COPY))
         return scheduler
 
-    if scheduler_module._compiled_pass() is not None:
-        assert two_segments()._mix_rows == {MIX_SEVENZIP: 0}
-    monkeypatch.setattr(scheduler_module, "_compiled_pass", lambda: None)
-    assert list(two_segments()._speed_table) == [(MIX_SEVENZIP, None),
-                                                 (None, None)]
+    assert two_segments()._mix_rows == {MIX_SEVENZIP: 0}
 
 
 def test_decision_counter_counts_the_archived_placement_passes():

@@ -1,19 +1,21 @@
-"""Differential test: the compiled crossings and pass against the Python
-ones.
+"""Differential test: the compiled crossings and pass against their
+Python oracle.
 
-The scheduler carries two encodings of its hot path over the same C
-records: the compiled crossings and decision pass of the event core
-extension (``osmodel/_sched.c``) and the Python ones of
-``osmodel/_pypass.py`` that run without it.  Each example draws a random
-world (the strategy of :mod:`tests.property.test_prop_scheduler_equiv`:
-mixed priority classes and affinity groups, boosts, sleeps, mid-run
-``cpu_time()`` reads, ``exit_thread`` calls, re-entrant submits and
-paging) on one, two or four cores, and runs it on both passes.  Every
+The scheduler's hot path, the crossings and decision pass of the event
+core extension (``osmodel/_sched.c``), has a Python oracle over the same
+C records (``tests/_oracle_pass.py``), which runs in a worker
+interpreter on the oracle core
+(:class:`tests._python_core.PythonCoreWorker`).  Each example draws a
+random world (the strategy of
+:mod:`tests.property.test_prop_scheduler_equiv`: mixed priority
+classes and affinity groups, boosts, sleeps, mid-run ``cpu_time()``
+reads, ``exit_thread`` calls, re-entrant submits and paging) on one,
+two or four cores, and runs it on both passes.  Every
 accounting float, every core's busy time, the shared-L2 statistics, the
 tracer records, the scheduler metrics and the trace-hash snapshot must
 be identical (``==``).  The fig1 and fig5 trace-hash pins must hold on
-the Python pass too.  Fixed scenarios hold the crossings themselves to
-the Python pass: a completion callback that raises, re-entrant
+the oracle too.  Fixed scenarios hold the crossings themselves to the
+oracle: a completion callback that raises, re-entrant
 ``submit``/``exit_thread`` calls from a completion callback, every
 ``SchedulerError`` message, and the engine heap's ``(when, seq)`` keys
 after many crossings (the tick's cancel and re-arm consume the same seq
@@ -23,12 +25,12 @@ numbers).
 import ctypes
 import dataclasses
 import json
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.osmodel.scheduler as scheduler_module
+from repro import ckernel
 from repro.audit import TRACE_HASH, compare_snapshots
 from repro.audit.tracehash import _event_name
 from repro.errors import SchedulerError
@@ -40,6 +42,7 @@ from repro.osmodel.scheduler import BoostPolicy, CoreState, Scheduler
 from repro.osmodel.threads import SimThread, ThreadState
 from repro.simcore.engine import Engine
 from repro.simcore.rng import RngStreams
+from tests._python_core import PythonCoreWorker
 from tests.property.test_prop_scheduler_equiv import (
     _live_drain,
     _run_world,
@@ -49,42 +52,48 @@ from tests.property.test_prop_scheduler_equiv import (
 )
 from tests.test_trace_hash_pins import DATA, _pin
 
-pytestmark = pytest.mark.skipif(
-    scheduler_module._compiled_pass() is None,
-    reason="no C compiler / compiled event core unavailable")
 
-
-def _compiled(*args, **kwargs):
-    scheduler = Scheduler(*args, **kwargs)
-    assert scheduler._compiled
-    return scheduler
-
-
-def _python(*args, **kwargs):
-    with mock.patch.object(scheduler_module, "_compiled_pass",
-                           lambda: None):
-        scheduler = Scheduler(*args, **kwargs)
-    assert not scheduler._compiled
-    return scheduler
-
-
-def _both(world):
-    expected = _run_world(world, _python, _live_drain)
-    actual = _run_world(world, _compiled, _live_drain)
-    return expected, actual
-
-
-@pytest.fixture(autouse=True)
-def _quiet_global_state():
+def _quiet():
     from repro.obs.metrics import METRICS
 
     for recorder in (TRACE_HASH, METRICS):
         recorder.disable()
         recorder.reset()
+
+
+def on_this_core(case, *args):
+    """``case(*args)`` between quiet recorders: the oracle worker's entry
+    point, so each scenario below runs the same way on either core."""
+    _quiet()
+    try:
+        return globals()[case](*args)
+    finally:
+        _quiet()
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    worker = PythonCoreWorker("tests.property.test_prop_scheduler_passes",
+                              "on_this_core")
+    yield worker
+    worker.close()
+
+
+def _both(oracle, case, *args):
+    """``case(*args)`` on the oracle, then on the compiled core here."""
+    expected = oracle.call(case, *args)
+    return expected, on_this_core(case, *args)
+
+
+def _live_world(world):
+    return _run_world(world, Scheduler, _live_drain)
+
+
+@pytest.fixture(autouse=True)
+def _quiet_global_state():
+    _quiet()
     yield
-    for recorder in (TRACE_HASH, METRICS):
-        recorder.disable()
-        recorder.reset()
+    _quiet()
 
 
 @pytest.mark.parametrize("export, struct", [
@@ -98,7 +107,7 @@ def test_c_layout_matches_ctypes_structure(export, struct):
     # sizeof, then every offsetof in declaration order: a field added,
     # dropped or reordered on one side only fails here
     out = (ctypes.c_int64 * 64)()
-    extension = ctypes.CDLL(scheduler_module._compiled_pass().__file__)
+    extension = ctypes.CDLL(ckernel.event_core().__file__)
     layout = getattr(extension, export)
     layout.argtypes = [ctypes.POINTER(ctypes.c_int64)]
     layout.restype = ctypes.c_int64
@@ -110,13 +119,13 @@ def test_c_layout_matches_ctypes_structure(export, struct):
 
 @settings(max_examples=120, deadline=None)
 @given(worlds, st.sampled_from([1, 2, 2, 4]))
-def test_compiled_pass_matches_python_pass(world, cores):
-    expected, actual = _both(dict(world, cores=cores))
+def test_compiled_pass_matches_python_pass(oracle, world, cores):
+    expected, actual = _both(oracle, "_live_world", dict(world, cores=cores))
     assert expected["trace_hash"]["streams"]
     assert actual == expected
 
 
-def test_four_cores_contend_and_preempt():
+def test_four_cores_contend_and_preempt(oracle):
     """Six threads over four cores: the L2 factor sums three siblings'
     pressure, and the pass preempts, boosts and prefers groups."""
     plan = [_thread(p, g, 3e7, mix=m, count=4)
@@ -126,7 +135,7 @@ def test_four_cores_contend_and_preempt():
                    scan_interval=0.005, starvation_threshold=0.005,
                    boost_cpu=0.001, horizon=0.2,
                    overcommit=(0.02, 512, 0.05))
-    expected, actual = _both(world)
+    expected, actual = _both(oracle, "_live_world", world)
     counters = actual["metrics"]["counters"]
     assert counters["sched.preemptions"] > 0
     assert counters["sched.starvation_boosts"] > 0
@@ -136,43 +145,47 @@ def test_four_cores_contend_and_preempt():
     assert actual == expected
 
 
-def test_exits_and_resubmits_inside_the_pass():
+def test_exits_and_resubmits_inside_the_pass(oracle):
     """Back-to-back segments re-enter submit from inside the pass while
     the controller exits a running thread."""
     world = _world([_thread(8, None, 1e6, count=6),
                     _thread(8, "vm-a", 2e6, mix=3, count=4),
                     _thread(13, "vm-a", 5e5, mix=5, count=5, sleep=1e-4)],
                    exits=[(0.002, 1)], reads=[(0.001, 0), (0.003, 2)])
-    expected, actual = _both(world)
+    expected, actual = _both(oracle, "_live_world", world)
     assert actual["threads"][1][4].value == "done"
     assert actual == expected
 
 
-@pytest.mark.parametrize("factory", [_compiled, _python])
-def test_a_thread_of_another_scheduler_is_refused(factory):
-    """The compiled pass indexes C memory with a thread's slot, so both
-    passes refuse a thread they did not spawn (before touching state)."""
+def _refuses_a_foreign_thread():
     engine = Engine()
     machine = Machine(engine, core2duo_e6600("slots"), RngStreams(0))
-    mine = factory(engine, machine, boost=BoostPolicy(enabled=False))
-    other = factory(engine, machine, boost=BoostPolicy(enabled=False))
+    mine = Scheduler(engine, machine, boost=BoostPolicy(enabled=False))
+    other = Scheduler(engine, machine, boost=BoostPolicy(enabled=False))
     mine.spawn("a", 8)
     foreign = other.spawn("b", 8)
     for call in (lambda: mine.submit(foreign, 1e6, MIX_SEVENZIP),
                  lambda: mine.exit_thread(foreign)):
         with pytest.raises(SchedulerError, match="another scheduler"):
             call()
-    assert foreign.state is ThreadState.BLOCKED
+    return foreign.state
+
+
+@pytest.mark.parametrize("where", ["_compiled", "_python"])
+def test_a_thread_of_another_scheduler_is_refused(oracle, where):
+    """The compiled pass indexes C memory with a thread's slot, so both
+    passes refuse a thread they did not spawn (before touching state)."""
+    run = oracle.call if where == "_python" else on_this_core
+    assert run("_refuses_a_foreign_thread") is ThreadState.BLOCKED
 
 
 @pytest.mark.parametrize("fig_id", ["fig1", "fig5"])
-def test_fast_pins_hold_on_the_python_pass(fig_id, monkeypatch):
+def test_fast_pins_hold_on_the_python_pass(oracle, fig_id):
+    """The fast-fidelity pins on the oracle core, whose schedulers run
+    the oracle's pass (``tests/test_trace_hash_pins.py`` holds the
+    compiled core to them, and the oracle to the fig4/fig7 pins)."""
     pinned = json.loads((DATA / f"trace_hash_{fig_id}_fast.json").read_text())
-    schedulers = []
-    monkeypatch.setattr(scheduler_module, "_compiled_pass",
-                        lambda: schedulers.append(None))
-    current = _pin(fig_id, "fast")
-    assert schedulers  # every one of them took the Python pass
+    current = oracle.call("_pin", fig_id, "fast")
     assert compare_snapshots(pinned["trace_hash"],
                              current["trace_hash"]) == []
     assert current == pinned
@@ -215,10 +228,10 @@ class _Boom(Exception):
     pass
 
 
-def _raising_completion(factory):
+def _raising_completion():
     engine = Engine()
-    scheduler = factory(engine, _machine(engine),
-                        boost=BoostPolicy(enabled=False))
+    scheduler = Scheduler(engine, _machine(engine),
+                          boost=BoostPolicy(enabled=False))
     first = scheduler.spawn("first", 8)
     second = scheduler.spawn("second", 8)
 
@@ -237,18 +250,17 @@ def _raising_completion(factory):
     return raised, _state(engine, scheduler)
 
 
-def test_a_raising_completion_callback_leaves_the_pass():
-    expected = _raising_completion(_python)
-    actual = _raising_completion(_compiled)
+def test_a_raising_completion_callback_leaves_the_pass(oracle):
+    expected, actual = _both(oracle, "_raising_completion")
     assert actual[0]["ctx"][3] == 0     # in_decide cleared
     assert actual[1]["threads"][0][7] == 2
     assert actual == expected
 
 
-def _reentrant_crossings(factory):
+def _reentrant_crossings():
     engine = Engine()
-    scheduler = factory(engine, _machine(engine),
-                        boost=BoostPolicy(enabled=False))
+    scheduler = Scheduler(engine, _machine(engine),
+                          boost=BoostPolicy(enabled=False))
     worker = scheduler.spawn("worker", 8)
     victim = scheduler.spawn("victim", 8)
     other = scheduler.spawn("other", 6)
@@ -269,9 +281,8 @@ def _reentrant_crossings(factory):
     return seen, _state(engine, scheduler)
 
 
-def test_reentrant_submit_and_exit_from_a_completion_callback():
-    expected = _reentrant_crossings(_python)
-    actual = _reentrant_crossings(_compiled)
+def test_reentrant_submit_and_exit_from_a_completion_callback(oracle):
+    expected, actual = _both(oracle, "_reentrant_crossings")
     seen, state = actual
     assert seen and all(seen)
     assert state["threads"][0][7] == 4
@@ -279,12 +290,12 @@ def test_reentrant_submit_and_exit_from_a_completion_callback():
     assert actual == expected
 
 
-def _error_messages(factory):
+def _error_messages():
     engine = Engine()
-    scheduler = factory(engine, _machine(engine),
-                        boost=BoostPolicy(enabled=False))
-    stranger = factory(engine, _machine(engine),
-                       boost=BoostPolicy(enabled=False)).spawn("stranger", 8)
+    scheduler = Scheduler(engine, _machine(engine),
+                          boost=BoostPolicy(enabled=False))
+    stranger = Scheduler(engine, _machine(engine),
+                         boost=BoostPolicy(enabled=False)).spawn("stranger", 8)
     busy = scheduler.spawn("busy", 8)
     gone = scheduler.spawn("gone", 8)
     lost = scheduler.spawn("lost", 8)
@@ -308,9 +319,8 @@ def _error_messages(factory):
     return messages, _state(engine, scheduler)
 
 
-def test_every_scheduler_error_says_the_same():
-    expected = _error_messages(_python)
-    actual = _error_messages(_compiled)
+def test_every_scheduler_error_says_the_same(oracle):
+    expected, actual = _both(oracle, "_error_messages")
     assert actual[0] == [
         "thread 'gone' has exited",
         "thread 'busy' already has an outstanding segment",
@@ -322,12 +332,12 @@ def test_every_scheduler_error_says_the_same():
     assert actual == expected
 
 
-def _heap_after_crossings(factory, crossings):
+def _heap_after_crossings(crossings):
     engine = Engine()
-    scheduler = factory(engine, _machine(engine, cores=4), quantum=0.003,
-                        boost=BoostPolicy(scan_interval=0.005,
-                                          starvation_threshold=0.005,
-                                          boost_cpu=0.001))
+    scheduler = Scheduler(engine, _machine(engine, cores=4), quantum=0.003,
+                          boost=BoostPolicy(scan_interval=0.005,
+                                            starvation_threshold=0.005,
+                                            boost_cpu=0.001))
     threads = [scheduler.spawn(f"t{index}", priority, group=group)
                for index, (priority, group) in enumerate(
                    [(8, "vm-a"), (8, None), (13, "vm-a"), (8, "vm-b"),
@@ -354,9 +364,8 @@ def _heap_after_crossings(factory, crossings):
 
 
 @pytest.mark.parametrize("crossings", [1, 5, 40])
-def test_heap_keys_match_after_many_crossings(crossings):
-    expected = _heap_after_crossings(_python, crossings)
-    actual = _heap_after_crossings(_compiled, crossings)
+def test_heap_keys_match_after_many_crossings(oracle, crossings):
+    expected, actual = _both(oracle, "_heap_after_crossings", crossings)
     assert any(cancelled for state in actual
                for _, _, cancelled, _ in state["heap"])
     assert actual[-1]["ctx"][5] == 6 * crossings   # submits

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from repro import api, ckernel
+from repro import api
 from repro.api import RunConfig, RunRequest, RunResult, run
 from repro.errors import ExperimentError
 from repro.obs.manifest import validate_manifest
@@ -183,67 +183,6 @@ class TestRunFigure:
         assert manifest["config"]["fast"] is True
         assert manifest["cache"]["outcome"] == "disabled"
         assert not METRICS.enabled  # switched back off afterwards
-
-    def test_manifest_records_the_decision_pass(self, tmp_path,
-                                                monkeypatch):
-        """The execution section names the scheduler pass that ran, and
-        the figure bytes are the same on both passes, metrics or not."""
-        import json
-
-        import repro.osmodel.scheduler as scheduler_module
-
-        config = RunConfig(metrics=True, reps=1,
-                           runs_dir=str(tmp_path / "runs"))
-        plain = _figure("fig7", RunConfig(reps=1))
-        taken = {}
-        for label in ("default", "python"):
-            if label == "python":
-                monkeypatch.setattr(scheduler_module, "_compiled_pass",
-                                    lambda: None)
-            result = _figure("fig7", config)
-            manifest = json.loads(open(result.manifest_path).read())
-            assert validate_manifest(manifest) == []
-            taken[label] = manifest["execution"]["decision_pass"]
-            assert result.figure.to_dict() == plain.figure.to_dict()
-        assert taken["python"] == "python"
-        assert taken["default"] == ("compiled" if ckernel.available()
-                                    else "python")
-
-    def test_manifest_records_the_event_core(self, tmp_path):
-        """The execution section names the engine's event core: the
-        compiled extension by default when it builds, the Python twin
-        under REPRO_NO_CLOOP=1 (the core is chosen at import, so that
-        run takes a fresh interpreter)."""
-        import json
-        import os
-        import subprocess
-        import sys
-
-        config = RunConfig(metrics=True, reps=1,
-                           runs_dir=str(tmp_path / "runs"))
-        result = _figure("fig5", config)
-        manifest = json.loads(open(result.manifest_path).read())
-        assert validate_manifest(manifest) == []
-        assert manifest["execution"]["event_core"] == (
-            "compiled" if ckernel.event_core() is not None else "python")
-
-        code = (
-            "import json, sys\n"
-            "from repro.api import RunConfig, RunRequest, run\n"
-            "result = run(RunRequest(kind='figure', target='fig5', "
-            "config=RunConfig(metrics=True, reps=1, runs_dir=sys.argv[1])))\n"
-            "print(json.dumps([json.load(open(result.manifest_path)), "
-            "result.figure.to_dict()]))\n")
-        src = str(pathlib.Path(api.__file__).resolve().parents[1])
-        env = dict(os.environ, REPRO_NO_CLOOP="1", PYTHONPATH=src)
-        out = subprocess.run(
-            [sys.executable, "-c", code, str(tmp_path / "runs-py")],
-            env=env, capture_output=True, text=True, check=True)
-        twin, figure = json.loads(out.stdout.strip().splitlines()[-1])
-        assert validate_manifest(twin) == []
-        assert twin["execution"] == {"decision_pass": "python",
-                                     "event_core": "python"}
-        assert figure == result.figure.to_dict()
 
     def test_cache_outcome_miss_then_hit(self, tmp_path):
         config = RunConfig(metrics=True, cache=True,

@@ -99,7 +99,4 @@ def test_serial_figure_run_loads_no_process_pool(tmp_path):
     assert [name for name in loaded
             if any(name == pool or name.startswith(pool + ".")
                    for pool in POOL_STACK)] == []
-    # the Python twin of the event core loads only when it runs
-    if ckernel.event_core() is not None:
-        assert "repro.simcore._ccore" in loaded
-        assert "repro.simcore._pycore" not in loaded
+    assert "repro.simcore._ccore" in loaded

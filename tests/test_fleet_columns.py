@@ -5,16 +5,19 @@ it is a pure re-encoding of the object build: same hosts, same traces,
 same floats.  These tests pin that contract
 and the CSR session-layout edge cases (empty traces, single-session
 always-on hosts, departure-clipped traces), plus the vectorised PCG64
-replica (:mod:`repro.fleet.fastrng`) against the scalar reference
-streams it must reproduce bit for bit.
+uniforms (:mod:`repro.fleet.fastrng`) and the numpy sampler's ziggurat
+draws (``tests/_oracle_columns.py``) against the scalar reference
+streams they must reproduce bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from repro.fleet import FleetConfig, build_fleet_columns, build_fleet_hosts
-from repro.fleet.fastrng import VecPcg, fork_seed
+from repro.fleet.fastrng import VecPcg
 from repro.simcore.rng import RngStreams
+from tests import _oracle_columns
+from tests._oracle_columns import ZigguratPcg, fork_seed
 from tests._reference_fleet import host_from_columns
 
 MIXED = FleetConfig(hosts=220, hypervisor="mixed", seed=13,
@@ -58,15 +61,13 @@ class TestColumnsMatchObjects:
     @pytest.mark.parametrize("sigma", [0.35, 0.0])
     def test_numpy_build_blocks_join_byte_identical(self, monkeypatch,
                                                     sigma):
-        # the numpy fallback walks its range in fixed host blocks; block
+        # the numpy oracle walks its range in fixed host blocks; block
         # edges (including a short last block) must not change a byte
-        from repro.fleet import columns
-
         config = FleetConfig(hosts=220, hypervisor="mixed", seed=13,
                              host_gflops_sigma=sigma)
-        whole = columns._sample_shard_numpy(config, 5, 215)
-        monkeypatch.setattr(columns, "_NUMPY_BLOCK", 16)
-        blocked = columns._sample_shard_numpy(config, 5, 215)
+        whole = _oracle_columns.sample_shard_numpy(config, 5, 215)
+        monkeypatch.setattr(_oracle_columns, "NUMPY_BLOCK", 16)
+        blocked = _oracle_columns.sample_shard_numpy(config, 5, 215)
         assert set(blocked) == set(whole)
         for key, value in whole.items():
             if value is None:
@@ -164,8 +165,8 @@ class TestFastRng:
     def test_vec_normal_and_exp_match_numpy(self):
         seeds = np.array([fork_seed(99, f"lane.{i}") for i in range(256)],
                          dtype=np.uint64)
-        vec_n = VecPcg.seeded(seeds, "draw").std_normal()
-        vec_e = VecPcg.seeded(seeds, "draw").std_exp()
+        vec_n = ZigguratPcg.seeded(seeds, "draw").std_normal()
+        vec_e = ZigguratPcg.seeded(seeds, "draw").std_exp()
         for i in (0, 1, 100, 255):
             gen = RngStreams(int(seeds[i]))
             assert vec_n[i] == gen.normal("draw")

@@ -46,7 +46,6 @@ from repro.fleet import cloop
 from repro.fleet import config as fleet_config
 from repro.fleet import server as fleet_server
 from repro.fleet.calibration import fleet_slowdowns
-from repro.fleet.cloop import available as cloop_available
 from repro.fleet.cloop import run_event_loop
 from repro.fleet.config import left_fold
 from repro.fleet.server import (
@@ -126,8 +125,6 @@ class TestKernelMatchesFallback:
 
     @pytest.mark.parametrize("config", CONFIGS)
     def test_state_dicts_identical(self, config):
-        if not cloop_available():
-            pytest.skip("no C compiler / kernel unavailable")
         columns = build_fleet_columns(config)
         server = FleetServer(config, columns)
         prep = server._fast_prep()
@@ -196,7 +193,7 @@ class TestMetricsParity:
         # count the hosts that sampler built; every other metric matches
         compiled = live_metrics["counters"].pop(
             "fleet.columns.compiled_hosts", 0)
-        assert compiled == (config.hosts if cloop_available() else 0)
+        assert compiled == config.hosts
         assert canonical(live_metrics) == canonical(expected_metrics)
         for kind in ("counters", "gauges", "timers", "hists"):
             assert expected_metrics[kind], kind  # every instrument kind
@@ -206,8 +203,6 @@ class TestMetricsParity:
             assert counters["fleet.rolled_back"] > 0
 
     def test_metrics_run_takes_the_kernel(self, monkeypatch):
-        if not cloop_available():
-            pytest.skip("no C compiler / kernel unavailable")
         calls = []
 
         def spy(prep):
@@ -328,8 +323,6 @@ def assert_state_equal(a, b):
             assert value == b[key], key
 
 
-@pytest.mark.skipif(not cloop_available(),
-                    reason="no C compiler / kernel unavailable")
 class TestKernelBuild:
     """The shared library: ABI guard and compiler-flag independence."""
 
@@ -489,8 +482,6 @@ class TestOrderExactFolds:
         assert got.tobytes() == python_bins(index, values, base).tobytes()
 
 
-@pytest.mark.skipif(not cloop_available(),
-                    reason="no C compiler / kernel unavailable")
 class TestKernelPauses:
     """Shrunk initial capacities force every pause of the event kernel.
 
@@ -606,8 +597,6 @@ class TestBlockedReport:
             assert recovery["degraded_validated"] > 0
 
 
-@pytest.mark.skipif(not cloop_available(),
-                    reason="no C compiler / kernel unavailable")
 class TestLateCompletions:
     """Most completions land past their deadline.
 
@@ -632,8 +621,6 @@ class TestLateCompletions:
                                    + state["red_n"])
 
 
-@pytest.mark.skipif(not cloop_available(),
-                    reason="no C compiler / kernel unavailable")
 class TestTieOrder:
     """Events tied on time pop in seq order, kernel and fallback alike.
 

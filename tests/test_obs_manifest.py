@@ -103,17 +103,6 @@ class TestValidate:
         problems = validate_manifest(make_manifest(recovery=bad))
         assert any("recovery.outage_s" in p for p in problems)
 
-    def test_execution_section_names_both_compiled_paths(self):
-        both = {"decision_pass": "compiled", "event_core": "python"}
-        assert validate_manifest(make_manifest(execution=both)) == []
-        for name in both:
-            for bad in (None, "fast"):
-                execution = dict(both, **{name: bad})
-                problems = validate_manifest(
-                    make_manifest(execution=execution))
-                assert problems == [f"execution.{name} is not "
-                                    "'compiled' or 'python'"]
-
 
 class TestWriteLoad:
     def test_round_trip(self, tmp_path):
@@ -199,11 +188,6 @@ class TestRunIdAndRender:
         assert "quarantined=3" in text
         assert "vm.crash" in text          # fired sites are broken out
         assert "net.partition" not in text  # zero-count sites stay quiet
-
-    def test_render_execution_line(self):
-        text = render_manifest(make_manifest(
-            execution={"decision_pass": "compiled", "event_core": "python"}))
-        assert "exec     decision-pass=compiled event-core=python" in text
 
     def test_render_recovery_line(self):
         text = render_manifest(make_manifest(recovery=RECOVERY))

@@ -1,11 +1,12 @@
 """Edge semantics of the event core, held on both cores.
 
-The engine's hot path exists twice (``simcore/_ccore.c`` and its twin
-``simcore/_pycore.py``).  These tests pin the behaviour the compiled
-core must copy beyond the event order: numbers keep their Python type
-(an int or numpy time reaches the trace hash as the twin's does), the
-error types and messages, field defaults and argument forms.  The last
-test re-runs the file on the Python twin.
+The engine's hot path is compiled (``simcore/_ccore.c``) and has a
+Python oracle (``tests/_oracle_core.py``).  These tests pin the
+behaviour the compiled core must share with it beyond the event order:
+numbers keep their Python type (an int or numpy time reaches the trace
+hash as the oracle's does), the error types and messages, field
+defaults and argument forms.  The last test re-runs the file on the
+oracle.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.simcore.engine import Engine
-from repro.simcore.events import EVENT_CORE, EventHandle, SimEvent
+from repro.simcore.events import EventHandle, SimEvent
 from tests._python_core import pytest_on_python_core
 
 
@@ -244,8 +245,6 @@ class TestArguments:
             engine.run_until_event(engine.process(bad()))
 
 
-@pytest.mark.skipif(EVENT_CORE == "python",
-                    reason="this process already runs the Python core")
 def test_suite_passes_on_the_python_core():
-    """Every test above, on the Python twin of the compiled core."""
+    """Every test above, on the Python oracle of the compiled core."""
     pytest_on_python_core(__file__)

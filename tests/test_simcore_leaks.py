@@ -12,8 +12,7 @@ NAT vNIC, whose per-frame service runs in a process of its own; every
 frame makes a sender step, a delivery and a receiver step.  A Fig 7
 repetition (host 7z beside a VM) makes ~2.6k submits and ~5.6k decision
 passes, whose completions and tick handles the compiled scheduler
-(``osmodel/_sched.c``) holds.  The figure cases re-run on the Python
-twin in a fresh interpreter, held to the same bar.
+(``osmodel/_sched.c``) holds.
 """
 
 import gc
@@ -24,8 +23,6 @@ import pytest
 from repro.core.figures import _netbench_factory
 from repro.core.guest_perf import EnvironmentMeasure
 from repro.core.host_impact import HostImpactConfig, SevenZipImpactMeasure
-from repro.simcore.events import EVENT_CORE
-from tests._python_core import pytest_on_python_core
 
 #: Blocks a repetition may leave behind: interpreter caches settle to a
 #: few blocks; a leak per event or per process is thousands.
@@ -61,16 +58,6 @@ def test_fig7_repetitions_leave_allocated_blocks_flat():
     grown = _grown_blocks(SevenZipImpactMeasure(
         HostImpactConfig(environment="vmplayer"), threads=2))
     assert grown < TOLERANCE_BLOCKS, f"{grown} blocks left by 4 repetitions"
-
-
-@pytest.mark.skipif(EVENT_CORE == "python",
-                    reason="this process already runs the Python core")
-def test_figure_cases_stay_flat_on_the_python_core():
-    """The figure repetitions above, on the Python twin."""
-    pytest_on_python_core(
-        f"{__file__}::test_fig4_repetitions_leave_allocated_blocks_flat",
-        f"{__file__}::test_fig4_packet_paths_leave_allocated_blocks_flat",
-        f"{__file__}::test_fig7_repetitions_leave_allocated_blocks_flat")
 
 
 def test_cancelled_and_fired_handles_release_their_callbacks():

@@ -15,9 +15,11 @@ snapshot and the figure digest of one figure, run serially:
 The snapshot folds every dispatched event's ``(time, seq, callback)``,
 so it catches a change in event order or timing that leaves the figure
 bytes alone.  The pins hold on the compiled event core and on its Python
-twin: ``fig4`` and ``fig7`` are also re-run in a fresh interpreter under
-``REPRO_NO_CLOOP=1``.  A deliberate model change re-pins the files (see ``_pin``
-below); a performance change must leave them alone.
+oracle (``tests/_oracle_core.py``): ``fig4`` and ``fig7`` are also re-run
+here in a fresh interpreter on the oracle, ``fig1`` and ``fig5`` in
+``tests/property/test_prop_scheduler_passes.py``.  A deliberate model
+change re-pins the files (see ``_pin`` below); a performance change must
+leave them alone.
 """
 
 import hashlib
@@ -29,7 +31,6 @@ import pytest
 from repro.api import RunConfig, RunRequest, run
 from repro.audit import TRACE_HASH, compare_snapshots
 from repro.audit.bisect import _figure_bytes
-from repro.simcore.events import EVENT_CORE
 from tests._python_core import run_on_python_core
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -76,17 +77,15 @@ def test_event_schedule_matches_pin(fig_id):
     assert current == pinned
 
 
-@pytest.mark.skipif(EVENT_CORE == "python",
-                    reason="this process already runs the Python core")
 def test_python_core_matches_the_pins():
-    """The packet- and quantum-heavy pins, on the Python twin: the same
+    """The packet- and quantum-heavy pins, on the Python oracle: the same
     figure bytes and trace-hash snapshots as the compiled core."""
     figures = ("fig4", "fig7")
     done = run_on_python_core(
         "import json\n"
-        "from repro.simcore.events import EVENT_CORE\n"
+        "from tests._python_core import on_oracle_core\n"
         "from tests.test_trace_hash_pins import _pin\n"
-        "assert EVENT_CORE == 'python', EVENT_CORE\n"
+        "assert on_oracle_core()\n"
         f"print(json.dumps({{fig: _pin(fig, 'reps1') for fig in {figures!r}}}))\n")
     assert done.returncode == 0, done.stderr[-4000:]
     twin = json.loads(done.stdout.strip().splitlines()[-1])

@@ -79,3 +79,46 @@ class TestVcpuAccounting:
         assert vcpu.guest_instructions == pytest.approx(1e6)
         assert vcpu.guest_cycles == pytest.approx(MIX_SEVENZIP.cycles_for(1e6))
         assert vcpu.host_cycles_charged > vcpu.guest_cycles
+
+
+class TestVcpuSharing:
+    """The guest's charges and the VMM's share the one vCPU thread."""
+
+    @pytest.fixture
+    def vm(self, engine, host_kernel, run):
+        from repro.osmodel.threads import PRIORITY_NORMAL
+        from repro.virt.vm import VirtualMachine, VmConfig
+
+        vm = VirtualMachine(host_kernel, get_profile("qemu"),
+                            VmConfig(priority=PRIORITY_NORMAL))
+        run(vm.boot())
+        yield vm
+        vm.shutdown()
+
+    def test_overlapping_charges_take_turns_in_order(self, engine, vm, run):
+        vcpu = vm.vcpu
+        done = []
+
+        def charger(label, charge):
+            yield charge()
+            done.append((label, engine.now))
+
+        guest = engine.process(charger("guest", lambda: vcpu.charge(
+            None, 2e6, MIX_SEVENZIP, CostKind.USER)))
+        vmm = engine.process(charger("vmm", lambda: vcpu.charge_host_native(
+            1e6, MIX_KERNEL)))
+        late = engine.process(charger("late", lambda: vcpu.charge(
+            None, 1e6, MIX_KERNEL, CostKind.KERNEL_CONTROL)))
+        for proc in (guest, vmm, late):
+            engine.run_until_event(proc)
+        # before the queue, the second charge raised "already has an
+        # outstanding segment"
+        assert [label for label, _ in done] == ["guest", "vmm", "late"]
+        times = [when for _, when in done]
+        assert times[0] < times[1] < times[2]
+
+    def test_a_charge_on_a_free_thread_is_the_submit_itself(self, vm):
+        # no relay event: the figures' event streams stay as they were
+        event = vm.vcpu.charge_host_native(1e6, MIX_KERNEL)
+        assert event is vm.vcpu._busy
+        assert not vm.vcpu._queue
