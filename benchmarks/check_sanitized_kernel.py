@@ -1,23 +1,24 @@
 """Run the kernel suites against sanitised builds of the compiled code.
 
-Compiles the kernel library (``fleet/_cloop.c``) and the event core
-extension (``simcore/_ccore.c``, which includes the OS scheduler's
-decision pass and crossings, ``osmodel/_sched.c``, and the network frame
-path, ``osmodel/_frames.c``) with
-AddressSanitizer and UndefinedBehaviorSanitizer (``-O1 -g
--fsanitize=address,undefined -fno-sanitize-recover=undefined``) through
-the ``flags`` argument of :func:`repro.ckernel.compile_library` and
-:func:`repro.ckernel.compile_extension`, then runs the kernel, event
-core and scheduler suites in a subprocess that preloads the compiler's
-``libasan`` and ``libubsan`` and loads those builds instead of the
-production ones (the bootstrap asserts that the loaded extension is the
-sanitised build and that schedulers build on its crossings).  An out-of-bounds
+Compiles repro's one compiled module (``simcore/_ccore.c``, which
+includes the OS scheduler's records, decision pass and crossings,
+``osmodel/_sched.c``, the network frame path, ``osmodel/_frames.c``, and
+the fleet kernels, ``fleet/_cloop.c``) with AddressSanitizer and
+UndefinedBehaviorSanitizer (``-O1 -g -fsanitize=address,undefined
+-fno-sanitize-recover=undefined``) through the ``flags`` argument of
+:func:`repro.ckernel.compile_extension`, then runs the fleet kernel,
+event core and scheduler suites in a subprocess that preloads the
+compiler's ``libasan`` and ``libubsan`` and loads that build instead of
+the production one (the bootstrap asserts that the loaded module is the
+sanitised build, that the fleet entry points and the event core come
+from it, and that schedulers build on its crossings).  An out-of-bounds
 access, a use after free or undefined behaviour in any entry point
 (event loop, column sampler, fault-draw batch, whose over-long payloads
-must be refused before they reach its fixed stack buffer, the
-scheduler's crossings and decision pass, the frame path's TCP loops,
-deliveries, vNIC service and NIC transmit, or the event core's handles,
-events, process resume and engine drains) aborts the run.
+must be refused before they reach its fixed stack buffer, the buffer
+checks of each, the scheduler's records, crossings and decision pass,
+the frame path's TCP loops, deliveries, vNIC service and NIC transmit,
+or the event core's handles, events, process resume and engine drains)
+aborts the run.
 
 Exit status 0 when every suite passes on the sanitised build, non-zero
 otherwise (also when no compiler or sanitiser runtime is found: this is
@@ -58,8 +59,8 @@ SUITES = ("tests/test_fleet_fastloop.py",
           "tests/test_hardware_nic.py")
 
 # Runs inside the sanitised subprocess: every later compile made without
-# explicit flags (the one the shared driver's load() makes) returns the
-# sanitised build, then pytest runs the suites against it.
+# explicit flags (the one load() makes) returns the sanitised build, then
+# pytest runs the suites against it.
 BOOTSTRAP = """
 import sys
 
@@ -68,14 +69,21 @@ import pytest
 from repro import ckernel
 
 ckernel.OPT_FLAGS = {flags!r}
-assert ckernel.available(), "the sanitised kernel failed to load"
-core = ckernel.event_core()
-assert core.__file__ == ckernel.compile_extension(), core.__file__
+assert ckernel.available(), "the sanitised module failed to load"
+module = ckernel.load()
+assert module.__file__ == ckernel.compile_extension(), module.__file__
+assert ckernel.event_core() is module
+from repro.fleet import cloop
+fleet = cloop.ckernel.load()   # where cloop takes its entry points
+for name in ("fleet_init_hosts", "fleet_draw_uniforms", "fleet_sha256"):
+    assert getattr(fleet, name).__self__ is module, name
+assert fleet.FleetRun is module.FleetRun
+assert fleet.FleetSample is module.FleetSample
 from repro.osmodel.scheduler import Scheduler
-assert core.Scheduler in Scheduler.__mro__
-print("sanitised kernel:", ckernel.compile_library(), flush=True)
-print("sanitised event core:", core.__file__, flush=True)
-print("sanitised scheduler pass:", core.Scheduler.__name__, flush=True)
+assert module.Scheduler in Scheduler.__mro__
+print("sanitised kernel:", module.__file__, flush=True)
+print("sanitised event core:", ckernel.event_core().__file__, flush=True)
+print("sanitised scheduler pass:", module.Scheduler.__name__, flush=True)
 sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", "--capture=sys",
                       *{suites!r}]))
 """
@@ -99,7 +107,6 @@ def main(argv=None) -> int:
     if cc is None:
         raise SystemExit("no C compiler on PATH")
     try:
-        ckernel.compile_library(flags=SANITIZE_FLAGS)
         ckernel.compile_extension(flags=SANITIZE_FLAGS)
     except NativeBuildError as error:
         raise SystemExit(f"the sanitised build failed: {error}")

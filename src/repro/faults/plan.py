@@ -84,7 +84,7 @@ def draw_affixes(seed: int, site: str, attempt: int,
     """The payload bytes before and after the key in a :func:`_draw`.
 
     The one definition of the draw format: ``_draw`` hashes
-    ``prefix + f"{key}" + suffix``, and the kernel library's batch
+    ``prefix + f"{key}" + suffix``, and the compiled batch
     (:func:`repro.fleet.cloop.draw_uniforms`) formats integer keys
     between the same two byte strings.
     """

@@ -1,8 +1,11 @@
-/* The compiled fleet kernels, driven by cloop.py.  repro/ckernel.py
- * builds this file into the kernel library on first use.
+/* The compiled fleet kernels, driven by cloop.py.
  *
- * Three entry points share this file and its PCG64 and SHA-256
- * primitives:
+ * Not a translation unit of its own: simcore/_ccore.c includes this file
+ * after the scheduler's pass and the frame path, so repro/ckernel.py
+ * builds it into the one extension module (repro.simcore._ccore) whose
+ * entry points cloop.py calls.
+ *
+ * Three kernels share this file and its PCG64 and SHA-256 primitives:
  *
  * fleet_sample -- the host-column sampler.  For each host of a build
  * shard, in host order, it repeats the numpy build of
@@ -37,28 +40,30 @@
  *
  * All of them keep every float operation of their Python twins in the same
  * order, so the arrays they fill are byte-identical to the Python
- * fallbacks'.  Compile with `-ffp-contract=off` (no FMA contraction) so
+ * oracles'.  Compile with `-ffp-contract=off` (no FMA contraction) so
  * every double op rounds exactly like CPython's and numpy's; on x86-64
  * all of them use SSE2 doubles.
  *
- * All memory is owned by Python (numpy arrays); the kernels only read
- * and write through the pointers in their context structs.  When a
- * buffer would overflow, a kernel returns a pause status *before*
- * consuming the event (or, for the sampler, before finishing the host);
- * the ctypes wrapper grows the buffer, updates the context, and calls
- * again -- the run resumes exactly where it stopped.
+ * All memory is owned by Python (numpy arrays).  The event loop and the
+ * sampler are context types (FleetRun, FleetSample at the end of this
+ * file) that hold a buffer-protocol view of every array they point
+ * into; each view's item size, item kind and contiguity are checked
+ * when it is bound, and its length against the run's sizes before every
+ * run, so a kernel never writes past a buffer.  When a buffer would
+ * overflow, a kernel returns a pause status *before* consuming the event
+ * (or, for the sampler, before finishing the host); cloop.py grows the
+ * array, rebinds it (grow), and calls run() again -- the run resumes
+ * exactly where it stopped.
  *
  * The serve-stream error uniforms of fleet_run are drawn here, not
  * pre-drawn: each host's PCG64 lane (XSL-RR output, next_double) is
  * seeded with the sampler's SeedSequence port and stepped on demand
  * through unsigned __int128 arithmetic.  A compiler without that type
- * fails the build, and every kernel falls back to Python.
+ * fails the build.
  *
- * Every context struct field is 8 bytes wide (int64/double/pointer) so
- * the layouts match the ctypes.Structures in cloop.py with no padding;
- * HostRec and HeapNode mirror numpy structured dtypes there.
- * fleet_ctx_layout/sample_ctx_layout/host_rec_layout/heap_node_layout
- * export sizeof and every offsetof so the test suite can assert that.
+ * HostRec and HeapNode mirror numpy structured dtypes in cloop.py;
+ * host_rec_layout/heap_node_layout export sizeof and every offsetof so
+ * the test suite can assert that.
  */
 
 #include <math.h>
@@ -167,8 +172,8 @@ typedef struct {
     int64_t need_peak;          /* longest need queue after a dispatch */
 } FleetCtx;
 
-static void heap_push(FleetCtx *c, double t, int64_t seq, int64_t h,
-                      int kind, int64_t rid, int64_t wid)
+static void fleet_heap_push(FleetCtx *c, double t, int64_t seq, int64_t h,
+                            int kind, int64_t rid, int64_t wid)
 {
     double *ht = c->heap_t;
     HeapNode *hp = c->heap;
@@ -189,7 +194,7 @@ static void heap_push(FleetCtx *c, double t, int64_t seq, int64_t h,
     hp[i].wid = (int32_t)wid;
 }
 
-static void heap_pop(FleetCtx *c, double *t, HeapNode *top)
+static void fleet_heap_pop(FleetCtx *c, double *t, HeapNode *top)
 {
     double *ht = c->heap_t;
     HeapNode *hp = c->heap;
@@ -310,7 +315,7 @@ static void maybe_reissue(FleetCtx *c, int32_t wid)
         need_append(c, wid);
 }
 
-static void dispatch(FleetCtx *c, int64_t h, double now)
+static void fleet_dispatch(FleetCtx *c, int64_t h, double now)
 {
     HostRec *hr = c->hosts + h;
     int64_t wid = -1;
@@ -359,7 +364,7 @@ static void dispatch(FleetCtx *c, int64_t h, double now)
         if (c->horizon < limit)
             limit = c->horizon;
         if (next_poll < limit)
-            heap_push(c, next_poll, c->seq++, h, K_REQUEST, 0, 0);
+            fleet_heap_push(c, next_poll, c->seq++, h, K_REQUEST, 0, 0);
         return;
     }
     hr->poll_fail = 0;
@@ -412,15 +417,15 @@ static void dispatch(FleetCtx *c, int64_t h, double now)
     if (need_len(c) > c->need_peak)
         c->need_peak = need_len(c);
     if (has_fin && fin <= c->horizon) {
-        heap_push(c, fin, c->seq++, h, K_COMPLETE, rid, wid);
+        fleet_heap_push(c, fin, c->seq++, h, K_COMPLETE, rid, wid);
         if (deadline < fin)
-            heap_push(c, deadline, c->seq++, h, K_DEADLINE, rid, wid);
+            fleet_heap_push(c, deadline, c->seq++, h, K_DEADLINE, rid, wid);
     } else if (deadline <= c->horizon) {
-        heap_push(c, deadline, c->seq++, h, K_DEADLINE, rid, wid);
+        fleet_heap_push(c, deadline, c->seq++, h, K_DEADLINE, rid, wid);
     }
 }
 
-int fleet_run(FleetCtx *c)
+static int fleet_run(FleetCtx *c)
 {
     for (;;) {
         if (c->heap_len == 0)
@@ -440,7 +445,7 @@ int fleet_run(FleetCtx *c)
             return ST_GROW_NEED;
         HeapNode ev;
         double t;
-        heap_pop(c, &t, &ev);
+        fleet_heap_pop(c, &t, &ev);
         if (c->heap_len > 0)
             prefetch_next(c);
         if (ev.kind == K_COMPLETE) {
@@ -454,7 +459,7 @@ int fleet_run(FleetCtx *c)
             if (redispatch && c->heap_len > 0 && c->heap_t[0] == t) {
                 /* a tied event must process first: fall back to the
                  * classic re-poll push */
-                heap_push(c, t, c->seq++, h, K_REQUEST, 0, 0);
+                fleet_heap_push(c, t, c->seq++, h, K_REQUEST, 0, 0);
                 redispatch = 0;
             }
             double useful = hr->an;
@@ -512,9 +517,9 @@ int fleet_run(FleetCtx *c)
                 }
             }
             if (redispatch)
-                dispatch(c, h, t);
+                fleet_dispatch(c, h, t);
         } else if (ev.kind == K_REQUEST) {
-            dispatch(c, ev.host, t);
+            fleet_dispatch(c, ev.host, t);
         } else {
             int64_t rid = ev.rid;
             if (!c->r_flag[rid]) {
@@ -674,15 +679,6 @@ static void sha_final(Sha256 *s, uint8_t out[32])
     }
 }
 
-/* SHA-256 of msg[0:len] into out[0:32]; exported for the test suite. */
-void fleet_sha256(const uint8_t *msg, int64_t len, uint8_t *out)
-{
-    Sha256 s;
-    sha_init(&s);
-    sha_update(&s, msg, (size_t)len);
-    sha_final(&s, out);
-}
-
 /* Decimal digits of v into buf (no terminator); returns the length. */
 static size_t format_u64(uint64_t v, char *buf)
 {
@@ -734,9 +730,9 @@ static uint64_t fork_child(uint64_t parent, const char *name)
  * 2**64, into out[0:count].  Returns 0, or -1 (out untouched) when a
  * payload would not fit DRAW_BUF or the key range is invalid; the caller
  * then draws through _draw itself. */
-int fleet_draw_uniforms(const uint8_t *prefix, int64_t plen,
-                        const uint8_t *suffix, int64_t slen,
-                        int64_t first, int64_t count, double *out)
+static int draw_uniforms(const uint8_t *prefix, int64_t plen,
+                         const uint8_t *suffix, int64_t slen,
+                         int64_t first, int64_t count, double *out)
 {
     uint8_t buf[DRAW_BUF];
     if (plen < 0 || slen < 0 || plen + 20 + slen > DRAW_BUF
@@ -821,10 +817,10 @@ static Pcg pcg_seeded(uint64_t entropy, const uint32_t spawn[4])
  * spawn-key words; the cursor starts at the host's first session.  A
  * host without sessions never gets an event, so its cursor cache is
  * left at zero. */
-void fleet_init_hosts(HostRec *hosts, int64_t n, const int64_t *soff,
-                      const double *fs, const double *fe, const double *an,
-                      const double *base, const double *departure,
-                      const uint64_t *seeds, const uint32_t spawn[4])
+static void init_hosts(HostRec *hosts, int64_t n, const int64_t *soff,
+                       const double *fs, const double *fe, const double *an,
+                       const double *base, const double *departure,
+                       const uint64_t *seeds, const uint32_t spawn[4])
 {
     for (int64_t h = 0; h < n; h++) {
         HostRec *hr = hosts + h;
@@ -908,7 +904,7 @@ static double std_exp(const SampleCtx *c, Pcg *p)
 /* Sample hosts next..stop-1 of the shard.  Returns ST_GROW_SESS, with
  * the unfinished host's sessions rolled back, when the session buffer
  * is full; the host is then redrawn from its seed on resume. */
-int fleet_sample(SampleCtx *c)
+static int fleet_sample(SampleCtx *c)
 {
     char digits[20];
     for (; c->next < c->stop; c->next++) {
@@ -959,84 +955,651 @@ int fleet_sample(SampleCtx *c)
     return ST_DONE;
 }
 
-/* ---- ABI guard: sizeof, then every offsetof in declaration order ---- */
+/* ---- the Python entry points ---------------------------------------- */
 
-#define OFF(type, field) out[k++] = (int64_t)offsetof(type, field)
+/* One array an entry point reads or writes.  code is the struct code of
+ * an item ('d' double, 'q' int64, 'i' int32, 'B' uint8, 'Q' uint64, 'I'
+ * uint32), or 'T' for a record of itemsize bytes (a numpy structured
+ * dtype, whose format string is not read). */
+typedef struct {
+    const char *name;
+    Py_ssize_t field;           /* offsetof its pointer in the context */
+    char code;
+    Py_ssize_t itemsize;
+    int writable;
+} BufSpec;
 
-int64_t fleet_ctx_layout(int64_t *out)
+/* Whether a buffer's format names items of code's kind: float, signed
+ * or unsigned integer (the item size is checked apart, so 'l' stands
+ * for whichever width its size says). */
+static int
+buf_format_ok(const char *format, char code)
 {
-    int64_t k = 0;
-    out[k++] = (int64_t)sizeof(FleetCtx);
-    OFF(FleetCtx, n); OFF(FleetCtx, nwu); OFF(FleetCtx, quorum);
-    OFF(FleetCtx, max_replicas); OFF(FleetCtx, horizon);
-    OFF(FleetCtx, err_rate); OFF(FleetCtx, n_delays);
-    OFF(FleetCtx, fs); OFF(FleetCtx, fe);
-    OFF(FleetCtx, stretch); OFF(FleetCtx, delays);
-    OFF(FleetCtx, hosts);
-    OFF(FleetCtx, wu_state); OFF(FleetCtx, wu_validated);
-    OFF(FleetCtx, wu_issued); OFF(FleetCtx, wu_out); OFF(FleetCtx, wu_tmo);
-    OFF(FleetCtx, wu_holders); OFF(FleetCtx, wu_nhold);
-    OFF(FleetCtx, wu_last);
-    OFF(FleetCtx, r_host); OFF(FleetCtx, r_prev);
-    OFF(FleetCtx, r_disp); OFF(FleetCtx, r_flag); OFF(FleetCtx, rep_cap);
-    OFF(FleetCtx, ret_wid); OFF(FleetCtx, ret_host); OFF(FleetCtx, ret_cpu);
-    OFF(FleetCtx, ret_cap);
-    OFF(FleetCtx, need); OFF(FleetCtx, need_head); OFF(FleetCtx, need_count);
-    OFF(FleetCtx, need_cap); OFF(FleetCtx, stash);
-    OFF(FleetCtx, fresh_next); OFF(FleetCtx, fresh_end);
-    OFF(FleetCtx, heap_t); OFF(FleetCtx, heap);
-    OFF(FleetCtx, heap_len); OFF(FleetCtx, heap_cap);
-    OFF(FleetCtx, seq); OFF(FleetCtx, n_valid); OFF(FleetCtx, n_rep);
-    OFF(FleetCtx, ret_count);
-    OFF(FleetCtx, ok_n); OFF(FleetCtx, err_n); OFF(FleetCtx, stale_n);
-    OFF(FleetCtx, tmo_n); OFF(FleetCtx, red_n);
-    OFF(FleetCtx, err_cpu); OFF(FleetCtx, stale_cpu); OFF(FleetCtx, red_cpu);
-    OFF(FleetCtx, need_peak);
-    return k;
+    if (code == 'T')
+        return 1;
+    if (format == NULL)
+        format = "B";
+    if (*format == '@' || *format == '=' || *format == '<')
+        format++;
+    if (format[0] == '\0' || format[1] != '\0')
+        return 0;
+    char f = format[0];
+    switch (code) {
+    case 'q':
+    case 'i':
+        return f == 'q' || f == 'l' || f == 'i';
+    case 'Q':
+    case 'I':
+        return f == 'Q' || f == 'L' || f == 'I';
+    default:
+        return f == code;
+    }
 }
 
-int64_t host_rec_layout(int64_t *out)
+/* A view of obj as spec's items into *view, or -1 with an error set (the
+ * view left unbound): C contiguous (the exporter refuses otherwise),
+ * writable when the kernel writes it, of spec's item size and kind. */
+static int
+buf_get(PyObject *obj, const BufSpec *spec, Py_buffer *view)
 {
-    int64_t k = 0;
-    out[k++] = (int64_t)sizeof(HostRec);
-    OFF(HostRec, pcg_lo); OFF(HostRec, pcg_hi);
-    OFF(HostRec, inc_lo); OFF(HostRec, inc_hi);
-    OFF(HostRec, an); OFF(HostRec, waste); OFF(HostRec, cur);
-    OFF(HostRec, send); OFF(HostRec, base); OFF(HostRec, departure);
-    OFF(HostRec, poll_fail); OFF(HostRec, ucur);
-    OFF(HostRec, cur_start); OFF(HostRec, cur_end); OFF(HostRec, next_start);
-    OFF(HostRec, pad);
-    return k;
+    int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT;
+    if (spec->writable)
+        flags |= PyBUF_WRITABLE;
+    if (PyObject_GetBuffer(obj, view, flags) < 0)
+        return -1;
+    if (view->itemsize != spec->itemsize
+            || !buf_format_ok(view->format, spec->code)) {
+        PyErr_Format(PyExc_ValueError,
+                     "%s: items of %zd bytes (format %s), the kernel reads "
+                     "%zd-byte '%c' items", spec->name, view->itemsize,
+                     view->format ? view->format : "B", spec->itemsize,
+                     spec->code);
+        PyBuffer_Release(view);
+        return -1;
+    }
+    return 0;
 }
 
-int64_t heap_node_layout(int64_t *out)
+/* Items in a view (0 for an unbound one). */
+static Py_ssize_t
+buf_items(const Py_buffer *view)
 {
-    int64_t k = 0;
-    out[k++] = (int64_t)sizeof(HeapNode);
-    OFF(HeapNode, seq); OFF(HeapNode, host);
-    OFF(HeapNode, kind); OFF(HeapNode, rid); OFF(HeapNode, wid);
-    return k;
+    return view->obj != NULL ? view->len / view->itemsize : 0;
 }
 
-int64_t sample_ctx_layout(int64_t *out)
+/* Raise unless views[i] is bound and holds at least need items. */
+static int
+buf_need(const BufSpec *specs, const Py_buffer *views, int i, int64_t need)
 {
-    int64_t k = 0;
-    out[k++] = (int64_t)sizeof(SampleCtx);
-    OFF(SampleCtx, start); OFF(SampleCtx, stop); OFF(SampleCtx, next);
-    OFF(SampleCtx, root); OFF(SampleCtx, root_len);
-    OFF(SampleCtx, draw_speed);
-    OFF(SampleCtx, avail_mean); OFF(SampleCtx, avail_spread);
-    OFF(SampleCtx, avail_floor); OFF(SampleCtx, avail_ceil);
-    OFF(SampleCtx, horizon); OFF(SampleCtx, departure_mean);
-    OFF(SampleCtx, session_mean);
-    OFF(SampleCtx, spawn);
-    OFF(SampleCtx, ki_nor); OFF(SampleCtx, ke_exp);
-    OFF(SampleCtx, wi_nor); OFF(SampleCtx, fi_nor);
-    OFF(SampleCtx, we_exp); OFF(SampleCtx, fe_exp);
-    OFF(SampleCtx, nor_r); OFF(SampleCtx, nor_inv_r); OFF(SampleCtx, exp_r);
-    OFF(SampleCtx, speed_z); OFF(SampleCtx, avail); OFF(SampleCtx, departure);
-    OFF(SampleCtx, serve); OFF(SampleCtx, count);
-    OFF(SampleCtx, s_starts); OFF(SampleCtx, s_ends);
-    OFF(SampleCtx, s_len); OFF(SampleCtx, s_cap);
-    return k;
+    if (views[i].obj == NULL) {
+        PyErr_Format(PyExc_ValueError, "%s is not bound", specs[i].name);
+        return -1;
+    }
+    if (buf_items(&views[i]) < need) {
+        PyErr_Format(PyExc_ValueError, "%s: %zd items, the run needs %lld",
+                     specs[i].name, buf_items(&views[i]), (long long)need);
+        return -1;
+    }
+    return 0;
+}
+
+/* The shortest length of views[first..last]: a growable group's
+ * capacity. */
+static int64_t
+buf_cap(const Py_buffer *views, int first, int last)
+{
+    Py_ssize_t cap = buf_items(&views[first]);
+    for (int i = first + 1; i <= last; i++)
+        if (buf_items(&views[i]) < cap)
+            cap = buf_items(&views[i]);
+    return cap;
+}
+
+/* Bind each keyword of kwargs that names a buffer of specs: its view
+ * replaces the old one and its pointer is written into the context at
+ * ctx.  Other keywords are set as attributes (the scalar members) when
+ * scalars, refused otherwise. */
+static int
+ctx_bind(PyObject *self, const BufSpec *specs, Py_buffer *views, char *ctx,
+         PyObject *args, PyObject *kwargs, int scalars)
+{
+    if (PyTuple_GET_SIZE(args) != 0) {
+        PyErr_Format(PyExc_TypeError, "%s takes keyword arguments only",
+                     Py_TYPE(self)->tp_name);
+        return -1;
+    }
+    PyObject *key, *value;
+    Py_ssize_t pos = 0;
+    while (kwargs != NULL && PyDict_Next(kwargs, &pos, &key, &value)) {
+        const char *name = PyUnicode_AsUTF8(key);
+        if (name == NULL)
+            return -1;
+        int i = 0;
+        while (specs[i].name != NULL && strcmp(specs[i].name, name) != 0)
+            i++;
+        if (specs[i].name != NULL) {
+            void **slot = (void **)(ctx + specs[i].field);
+            PyBuffer_Release(&views[i]);
+            *slot = NULL;
+            if (buf_get(value, &specs[i], &views[i]) < 0)
+                return -1;
+            *slot = views[i].buf;
+        }
+        else if (!scalars) {
+            PyErr_Format(PyExc_TypeError, "%R is not a buffer of %s", key,
+                         Py_TYPE(self)->tp_name);
+            return -1;
+        }
+        else if (PyObject_GenericSetAttr(self, key, value) < 0) {
+            return -1;
+        }
+    }
+    return 0;
+}
+
+static int
+range_error(const char *what)
+{
+    PyErr_SetString(PyExc_ValueError, what);
+    return -1;
+}
+
+/* -- FleetRun: the event loop's context ------------------------------ */
+
+enum {
+    R_FS, R_FE, R_STRETCH, R_DELAYS, R_HOSTS,
+    R_WU_STATE, R_WU_VALIDATED, R_WU_ISSUED, R_WU_OUT, R_WU_TMO,
+    R_WU_NHOLD, R_WU_LAST, R_WU_HOLDERS,
+    R_R_HOST, R_R_PREV, R_R_DISP, R_R_FLAG,
+    R_RET_WID, R_RET_HOST, R_RET_CPU,
+    R_NEED, R_STASH, R_HEAP_T, R_HEAP,
+    N_RUN_BUFS
+};
+
+#define RUN_BUF(index, field, code, size, w) \
+    [index] = {#field, offsetof(FleetCtx, field), code, size, w}
+
+static const BufSpec run_bufs[N_RUN_BUFS + 1] = {
+    RUN_BUF(R_FS, fs, 'd', 8, 0),
+    RUN_BUF(R_FE, fe, 'd', 8, 0),
+    RUN_BUF(R_STRETCH, stretch, 'd', 8, 0),
+    RUN_BUF(R_DELAYS, delays, 'd', 8, 0),
+    RUN_BUF(R_HOSTS, hosts, 'T', sizeof(HostRec), 1),
+    RUN_BUF(R_WU_STATE, wu_state, 'B', 1, 1),
+    RUN_BUF(R_WU_VALIDATED, wu_validated, 'd', 8, 1),
+    RUN_BUF(R_WU_ISSUED, wu_issued, 'i', 4, 1),
+    RUN_BUF(R_WU_OUT, wu_out, 'i', 4, 1),
+    RUN_BUF(R_WU_TMO, wu_tmo, 'i', 4, 1),
+    RUN_BUF(R_WU_NHOLD, wu_nhold, 'B', 1, 1),
+    RUN_BUF(R_WU_LAST, wu_last, 'i', 4, 1),
+    RUN_BUF(R_WU_HOLDERS, wu_holders, 'i', 4, 1),
+    RUN_BUF(R_R_HOST, r_host, 'i', 4, 1),
+    RUN_BUF(R_R_PREV, r_prev, 'i', 4, 1),
+    RUN_BUF(R_R_DISP, r_disp, 'd', 8, 1),
+    RUN_BUF(R_R_FLAG, r_flag, 'B', 1, 1),
+    RUN_BUF(R_RET_WID, ret_wid, 'i', 4, 1),
+    RUN_BUF(R_RET_HOST, ret_host, 'i', 4, 1),
+    RUN_BUF(R_RET_CPU, ret_cpu, 'd', 8, 1),
+    RUN_BUF(R_NEED, need, 'i', 4, 1),
+    RUN_BUF(R_STASH, stash, 'i', 4, 1),
+    RUN_BUF(R_HEAP_T, heap_t, 'd', 8, 1),
+    RUN_BUF(R_HEAP, heap, 'T', sizeof(HeapNode), 1),
+};
+
+#undef RUN_BUF
+
+typedef struct {
+    PyObject_HEAD
+    FleetCtx c;
+    Py_buffer views[N_RUN_BUFS];
+} FleetRunObject;
+
+static int
+fleetrun_init(FleetRunObject *self, PyObject *args, PyObject *kwargs)
+{
+    return ctx_bind((PyObject *)self, run_bufs, self->views,
+                    (char *)&self->c, args, kwargs, 1);
+}
+
+static void
+fleetrun_dealloc(FleetRunObject *self)
+{
+    for (int i = 0; i < N_RUN_BUFS; i++)
+        PyBuffer_Release(&self->views[i]);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* Check every buffer against the run's sizes, derive the capacities from
+ * the growable groups' lengths, and check the scalars, the host cursors
+ * and the heap's ids against them: then no path of fleet_run indexes
+ * past a buffer. */
+static int
+fleetrun_ready(FleetRunObject *self)
+{
+    FleetCtx *c = &self->c;
+    const Py_buffer *v = self->views;
+    if (c->quorum < 1 || c->quorum > 255 || c->nwu < 0
+            || c->nwu > INT32_MAX)
+        return range_error("FleetRun: quorum must be in [1, 255] and nwu "
+                           "in [0, 2**31)");
+    int64_t slots = c->nwu * c->quorum;
+    for (int i = 0; i < N_RUN_BUFS; i++)
+        if (buf_need(run_bufs, v, i, 0) < 0)
+            return -1;
+    for (int i = R_WU_STATE; i <= R_WU_LAST; i++)
+        if (buf_need(run_bufs, v, i, c->nwu) < 0)
+            return -1;
+    if (buf_need(run_bufs, v, R_WU_HOLDERS, slots) < 0
+            || buf_need(run_bufs, v, R_STRETCH, 9) < 0
+            || buf_need(run_bufs, v, R_DELAYS, 1) < 0)
+        return -1;
+    c->n = buf_items(&v[R_HOSTS]);
+    c->n_delays = buf_items(&v[R_DELAYS]);
+    c->rep_cap = buf_cap(v, R_R_HOST, R_R_FLAG);
+    c->ret_cap = buf_cap(v, R_RET_WID, R_RET_CPU);
+    c->need_cap = buf_cap(v, R_NEED, R_STASH);
+    c->heap_cap = buf_cap(v, R_HEAP_T, R_HEAP);
+    if (c->heap_len < 0 || c->heap_len > c->heap_cap
+            || c->need_count < 0 || c->need_count > c->need_cap
+            || c->need_head < 0 || c->need_head >= c->need_cap
+            || c->fresh_next < 0 || c->fresh_next > c->fresh_end
+            || c->fresh_end > slots
+            || c->n_rep < 0 || c->n_rep > c->rep_cap
+            || c->ret_count < 0 || c->ret_count > c->ret_cap)
+        return range_error("FleetRun: heap_len, need_head, need_count or "
+                           "fresh_end out of its buffer's range");
+    int64_t sessions = buf_cap(v, R_FS, R_FE);
+    for (int64_t h = 0; h < c->n; h++) {
+        const HostRec *hr = c->hosts + h;
+        if (hr->cur < 0 || hr->cur > hr->send || hr->send > sessions)
+            return range_error("FleetRun: a host's session cursor is past "
+                               "fs/fe (fill hosts with fleet_init_hosts)");
+    }
+    for (int64_t i = 0; i < c->heap_len; i++) {
+        const HeapNode *e = c->heap + i;
+        if (e->host < 0 || e->host >= c->n || e->kind < K_REQUEST
+                || e->kind > K_COMPLETE
+                || (e->kind != K_REQUEST && ((int64_t)e->rid >= c->n_rep
+                                             || e->wid < 0
+                                             || e->wid >= c->nwu)))
+            return range_error("FleetRun: a heap node names no host, "
+                               "replica or unit of the run");
+    }
+    return 0;
+}
+
+static PyObject *
+fleetrun_run(FleetRunObject *self, PyObject *Py_UNUSED(ignored))
+{
+    if (fleetrun_ready(self) < 0)
+        return NULL;
+    return PyLong_FromLong(fleet_run(&self->c));
+}
+
+static PyObject *
+fleetrun_grow(FleetRunObject *self, PyObject *args, PyObject *kwargs)
+{
+    if (ctx_bind((PyObject *)self, run_bufs, self->views,
+                 (char *)&self->c, args, kwargs, 0) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef fleetrun_methods[] = {
+    {"run", (PyCFunction)fleetrun_run, METH_NOARGS,
+     "Run the event loop until it ends (0) or pauses for a buffer to\n"
+     "grow (a GROW_* status); the buffers are checked first."},
+    {"grow", (PyCFunction)(void (*)(void))fleetrun_grow,
+     METH_VARARGS | METH_KEYWORDS,
+     "Rebind buffers by name (a grown copy of a full one)."},
+    {NULL}
+};
+
+#define RUN_I64(name, flags) \
+    {#name, T_LONGLONG, offsetof(FleetRunObject, c.name), flags, NULL}
+#define RUN_F64(name, flags) \
+    {#name, T_DOUBLE, offsetof(FleetRunObject, c.name), flags, NULL}
+
+static PyMemberDef fleetrun_members[] = {
+    RUN_I64(nwu, 0), RUN_I64(quorum, 0), RUN_I64(max_replicas, 0),
+    RUN_F64(horizon, 0), RUN_F64(err_rate, 0),
+    RUN_I64(heap_len, 0), RUN_I64(seq, 0),
+    RUN_I64(need_head, 0), RUN_I64(need_count, 0), RUN_I64(fresh_end, 0),
+    RUN_I64(n, READONLY), RUN_I64(rep_cap, READONLY),
+    RUN_I64(ret_cap, READONLY), RUN_I64(need_cap, READONLY),
+    RUN_I64(heap_cap, READONLY), RUN_I64(fresh_next, READONLY),
+    RUN_I64(n_valid, READONLY), RUN_I64(n_rep, READONLY),
+    RUN_I64(ret_count, READONLY), RUN_I64(ok_n, READONLY),
+    RUN_I64(err_n, READONLY), RUN_I64(stale_n, READONLY),
+    RUN_I64(tmo_n, READONLY), RUN_I64(red_n, READONLY),
+    RUN_F64(err_cpu, READONLY), RUN_F64(stale_cpu, READONLY),
+    RUN_F64(red_cpu, READONLY), RUN_I64(need_peak, READONLY),
+    {NULL}
+};
+
+#undef RUN_I64
+#undef RUN_F64
+
+static PyTypeObject FleetRunType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.simcore._ccore.FleetRun",
+    .tp_basicsize = sizeof(FleetRunObject),
+    .tp_dealloc = (destructor)fleetrun_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "The fault-free fleet event loop over arrays it holds views "
+              "of;\nFleetRun(**scalars_and_buffers).",
+    .tp_methods = fleetrun_methods,
+    .tp_members = fleetrun_members,
+    .tp_init = (initproc)fleetrun_init,
+    .tp_new = PyType_GenericNew,
+};
+
+/* -- FleetSample: the column sampler's context ----------------------- */
+
+enum {
+    SB_ROOT, SB_SPAWN, SB_KI_NOR, SB_KE_EXP, SB_WI_NOR, SB_FI_NOR, SB_WE_EXP,
+    SB_FE_EXP, SB_SPEED_Z, SB_AVAIL, SB_DEPARTURE, SB_SERVE, SB_COUNT,
+    SB_S_STARTS, SB_S_ENDS,
+    N_SAMPLE_BUFS
+};
+
+#define SAMPLE_BUF(index, field, code, size, w) \
+    [index] = {#field, offsetof(SampleCtx, field), code, size, w}
+
+static const BufSpec sample_bufs[N_SAMPLE_BUFS + 1] = {
+    SAMPLE_BUF(SB_ROOT, root, 'B', 1, 0),
+    SAMPLE_BUF(SB_SPAWN, spawn, 'I', 4, 0),
+    SAMPLE_BUF(SB_KI_NOR, ki_nor, 'Q', 8, 0),
+    SAMPLE_BUF(SB_KE_EXP, ke_exp, 'Q', 8, 0),
+    SAMPLE_BUF(SB_WI_NOR, wi_nor, 'd', 8, 0),
+    SAMPLE_BUF(SB_FI_NOR, fi_nor, 'd', 8, 0),
+    SAMPLE_BUF(SB_WE_EXP, we_exp, 'd', 8, 0),
+    SAMPLE_BUF(SB_FE_EXP, fe_exp, 'd', 8, 0),
+    SAMPLE_BUF(SB_SPEED_Z, speed_z, 'd', 8, 1),
+    SAMPLE_BUF(SB_AVAIL, avail, 'd', 8, 1),
+    SAMPLE_BUF(SB_DEPARTURE, departure, 'd', 8, 1),
+    SAMPLE_BUF(SB_SERVE, serve, 'Q', 8, 1),
+    SAMPLE_BUF(SB_COUNT, count, 'q', 8, 1),
+    SAMPLE_BUF(SB_S_STARTS, s_starts, 'd', 8, 1),
+    SAMPLE_BUF(SB_S_ENDS, s_ends, 'd', 8, 1),
+};
+
+#undef SAMPLE_BUF
+
+/* numpy's ziggurat tables have one entry per layer */
+#define ZIG_LAYERS 256
+
+typedef struct {
+    PyObject_HEAD
+    SampleCtx c;
+    Py_buffer views[N_SAMPLE_BUFS];
+} FleetSampleObject;
+
+static int
+fleetsample_init(FleetSampleObject *self, PyObject *args, PyObject *kwargs)
+{
+    return ctx_bind((PyObject *)self, sample_bufs, self->views,
+                    (char *)&self->c, args, kwargs, 1);
+}
+
+static void
+fleetsample_dealloc(FleetSampleObject *self)
+{
+    for (int i = 0; i < N_SAMPLE_BUFS; i++)
+        PyBuffer_Release(&self->views[i]);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static int
+fleetsample_ready(FleetSampleObject *self)
+{
+    SampleCtx *c = &self->c;
+    const Py_buffer *v = self->views;
+    if (c->start < 0 || c->next < c->start || c->stop < c->next)
+        return range_error("FleetSample: needs 0 <= start <= next <= stop");
+    int64_t n = c->stop - c->start;
+    for (int i = 0; i < N_SAMPLE_BUFS; i++)
+        if (buf_need(sample_bufs, v, i, 0) < 0)
+            return -1;
+    for (int i = SB_KI_NOR; i <= SB_FE_EXP; i++)
+        if (buf_need(sample_bufs, v, i, ZIG_LAYERS) < 0)
+            return -1;
+    for (int i = SB_AVAIL; i <= SB_COUNT; i++)
+        if (buf_need(sample_bufs, v, i, n) < 0)
+            return -1;
+    if (buf_need(sample_bufs, v, SB_SPAWN, 4 * N_STREAMS) < 0
+            || buf_need(sample_bufs, v, SB_SPEED_Z,
+                        c->draw_speed ? n : 0) < 0)
+        return -1;
+    c->root_len = buf_items(&v[SB_ROOT]);
+    c->s_cap = buf_cap(v, SB_S_STARTS, SB_S_ENDS);
+    if (c->s_len < 0 || c->s_len > c->s_cap)
+        return range_error("FleetSample: s_len past the session buffers");
+    return 0;
+}
+
+static PyObject *
+fleetsample_run(FleetSampleObject *self, PyObject *Py_UNUSED(ignored))
+{
+    if (fleetsample_ready(self) < 0)
+        return NULL;
+    return PyLong_FromLong(fleet_sample(&self->c));
+}
+
+static PyObject *
+fleetsample_grow(FleetSampleObject *self, PyObject *args, PyObject *kwargs)
+{
+    if (ctx_bind((PyObject *)self, sample_bufs, self->views,
+                 (char *)&self->c, args, kwargs, 0) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef fleetsample_methods[] = {
+    {"run", (PyCFunction)fleetsample_run, METH_NOARGS,
+     "Sample hosts next..stop-1; 0 when done, GROW_SESS when the session\n"
+     "buffers are full (the unfinished host is redrawn on resume)."},
+    {"grow", (PyCFunction)(void (*)(void))fleetsample_grow,
+     METH_VARARGS | METH_KEYWORDS,
+     "Rebind buffers by name (a grown copy of a full one)."},
+    {NULL}
+};
+
+#define SAMPLE_I64(name, flags) \
+    {#name, T_LONGLONG, offsetof(FleetSampleObject, c.name), flags, NULL}
+#define SAMPLE_F64(name) \
+    {#name, T_DOUBLE, offsetof(FleetSampleObject, c.name), 0, NULL}
+
+static PyMemberDef fleetsample_members[] = {
+    SAMPLE_I64(start, 0), SAMPLE_I64(stop, 0), SAMPLE_I64(next, 0),
+    SAMPLE_I64(draw_speed, 0),
+    SAMPLE_F64(avail_mean), SAMPLE_F64(avail_spread),
+    SAMPLE_F64(avail_floor), SAMPLE_F64(avail_ceil),
+    SAMPLE_F64(horizon), SAMPLE_F64(departure_mean),
+    SAMPLE_F64(session_mean),
+    SAMPLE_F64(nor_r), SAMPLE_F64(nor_inv_r), SAMPLE_F64(exp_r),
+    SAMPLE_I64(s_len, READONLY), SAMPLE_I64(s_cap, READONLY),
+    {NULL}
+};
+
+#undef SAMPLE_I64
+#undef SAMPLE_F64
+
+static PyTypeObject FleetSampleType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.simcore._ccore.FleetSample",
+    .tp_basicsize = sizeof(FleetSampleObject),
+    .tp_dealloc = (destructor)fleetsample_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "The host-column sampler over arrays it holds views of;\n"
+              "FleetSample(**scalars_and_buffers).",
+    .tp_methods = fleetsample_methods,
+    .tp_members = fleetsample_members,
+    .tp_init = (initproc)fleetsample_init,
+    .tp_new = PyType_GenericNew,
+};
+
+/* -- module functions ------------------------------------------------- */
+
+/* Views of objs[0..n) as specs[0..n), all or none (-1, error set). */
+static int
+bufs_get(PyObject *const *objs, const BufSpec *specs, Py_buffer *views,
+         int n)
+{
+    for (int i = 0; i < n; i++) {
+        if (buf_get(objs[i], &specs[i], &views[i]) < 0) {
+            while (i-- > 0)
+                PyBuffer_Release(&views[i]);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+static void
+bufs_release(Py_buffer *views, int n)
+{
+    for (int i = 0; i < n; i++)
+        PyBuffer_Release(&views[i]);
+}
+
+enum { I_HOSTS, I_SOFF, I_FS, I_FE, I_AN, I_BASE, I_DEPARTURE, I_SEEDS,
+       I_SPAWN, N_INIT_BUFS };
+
+static PyObject *
+py_init_hosts(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    static const BufSpec specs[N_INIT_BUFS] = {
+        {"hosts", 0, 'T', sizeof(HostRec), 1}, {"soff", 0, 'q', 8, 0},
+        {"fs", 0, 'd', 8, 0}, {"fe", 0, 'd', 8, 0}, {"an", 0, 'd', 8, 0},
+        {"base", 0, 'd', 8, 0}, {"departure", 0, 'd', 8, 0},
+        {"seeds", 0, 'Q', 8, 0}, {"spawn", 0, 'I', 4, 0}};
+    Py_buffer v[N_INIT_BUFS];
+    if (nargs != N_INIT_BUFS) {
+        PyErr_Format(PyExc_TypeError,
+                     "fleet_init_hosts() takes %d arguments (%zd given)",
+                     N_INIT_BUFS, nargs);
+        return NULL;
+    }
+    if (bufs_get(args, specs, v, N_INIT_BUFS) < 0)
+        return NULL;
+    int64_t n = buf_items(&v[I_HOSTS]);
+    const int64_t *soff = v[I_SOFF].buf;
+    int ok = buf_need(specs, v, I_SOFF, n + 1) == 0
+             && buf_need(specs, v, I_AN, n) == 0
+             && buf_need(specs, v, I_BASE, n) == 0
+             && buf_need(specs, v, I_DEPARTURE, n) == 0
+             && buf_need(specs, v, I_SEEDS, n) == 0
+             && buf_need(specs, v, I_SPAWN, 4) == 0;
+    int64_t sessions = buf_cap(v, I_FS, I_FE);
+    for (int64_t h = 0; ok && h < n; h++) {
+        if (soff[h] < 0 || soff[h] > soff[h + 1] || soff[h + 1] > sessions)
+            ok = range_error("soff: offsets must rise within fs/fe") == 0;
+    }
+    if (ok)
+        init_hosts(v[I_HOSTS].buf, n, soff, v[I_FS].buf, v[I_FE].buf,
+                   v[I_AN].buf, v[I_BASE].buf, v[I_DEPARTURE].buf,
+                   v[I_SEEDS].buf, v[I_SPAWN].buf);
+    bufs_release(v, N_INIT_BUFS);
+    if (!ok)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+py_draw_uniforms(PyObject *module, PyObject *args)
+{
+    static const BufSpec specs[3] = {
+        {"prefix", 0, 'B', 1, 0}, {"suffix", 0, 'B', 1, 0},
+        {"out", 0, 'd', 8, 1}};
+    PyObject *objs[3];
+    long long first, count;
+    Py_buffer v[3];
+    if (!PyArg_ParseTuple(args, "OOLLO:fleet_draw_uniforms", &objs[0],
+                          &objs[1], &first, &count, &objs[2])
+            || bufs_get(objs, specs, v, 3) < 0)
+        return NULL;
+    int status;
+    if (count > buf_items(&v[2]))
+        status = buf_need(specs, v, 2, count);  /* refused: raises */
+    else
+        status = draw_uniforms(v[0].buf, buf_items(&v[0]), v[1].buf,
+                               buf_items(&v[1]), first, count, v[2].buf);
+    bufs_release(v, 3);
+    if (PyErr_Occurred())
+        return NULL;
+    return PyLong_FromLong(status);
+}
+
+static PyObject *
+py_sha256(PyObject *module, PyObject *arg)
+{
+    Py_buffer msg;
+    if (PyObject_GetBuffer(arg, &msg, PyBUF_SIMPLE) < 0)
+        return NULL;
+    Sha256 s;
+    uint8_t digest[32];
+    sha_init(&s);
+    sha_update(&s, msg.buf, (size_t)msg.len);
+    sha_final(&s, digest);
+    PyBuffer_Release(&msg);
+    return PyBytes_FromStringAndSize((const char *)digest, 32);
+}
+
+/* sizeof, then every offsetof in declaration order: what the numpy
+ * dtypes in cloop.py must match. */
+static PyObject *
+py_host_rec_layout(PyObject *module, PyObject *Py_UNUSED(ignored))
+{
+    return Py_BuildValue(
+        "(nnnnnnnnnnnnnnnnn)", sizeof(HostRec),
+        offsetof(HostRec, pcg_lo), offsetof(HostRec, pcg_hi),
+        offsetof(HostRec, inc_lo), offsetof(HostRec, inc_hi),
+        offsetof(HostRec, an), offsetof(HostRec, waste),
+        offsetof(HostRec, cur), offsetof(HostRec, send),
+        offsetof(HostRec, base), offsetof(HostRec, departure),
+        offsetof(HostRec, poll_fail), offsetof(HostRec, ucur),
+        offsetof(HostRec, cur_start), offsetof(HostRec, cur_end),
+        offsetof(HostRec, next_start), offsetof(HostRec, pad));
+}
+
+static PyObject *
+py_heap_node_layout(PyObject *module, PyObject *Py_UNUSED(ignored))
+{
+    return Py_BuildValue(
+        "(nnnnnn)", sizeof(HeapNode), offsetof(HeapNode, seq),
+        offsetof(HeapNode, host), offsetof(HeapNode, kind),
+        offsetof(HeapNode, rid), offsetof(HeapNode, wid));
+}
+
+static PyMethodDef cloop_functions[] = {
+    {"fleet_init_hosts", (PyCFunction)(void (*)(void))py_init_hosts,
+     METH_FASTCALL,
+     "fleet_init_hosts(hosts, soff, fs, fe, an, base, departure, seeds,\n"
+     "                 spawn, /)\n--\n\n"
+     "Fill one HostRec per host from the host columns."},
+    {"fleet_draw_uniforms", (PyCFunction)py_draw_uniforms, METH_VARARGS,
+     "fleet_draw_uniforms(prefix, suffix, first, count, out, /)\n--\n\n"
+     "_draw's uniforms for keys first..first+count-1 into out; 0, or -1\n"
+     "(out untouched) for a payload too long or an invalid key range."},
+    {"fleet_sha256", (PyCFunction)py_sha256, METH_O,
+     "SHA-256 of a bytes-like object (the kernels' own)."},
+    {"host_rec_layout", (PyCFunction)py_host_rec_layout, METH_NOARGS,
+     "sizeof(HostRec), then every offsetof in declaration order."},
+    {"heap_node_layout", (PyCFunction)py_heap_node_layout, METH_NOARGS,
+     "sizeof(HeapNode), then every offsetof in declaration order."},
+    {NULL}
+};
+
+/* Called from the module init: the context types and the functions. */
+static int
+cloop_module_init(PyObject *module)
+{
+    if (PyType_Ready(&FleetRunType) < 0 || PyType_Ready(&FleetSampleType) < 0
+            || PyModule_AddObjectRef(module, "FleetRun",
+                                     (PyObject *)&FleetRunType) < 0
+            || PyModule_AddObjectRef(module, "FleetSample",
+                                     (PyObject *)&FleetSampleType) < 0)
+        return -1;
+    return PyModule_AddFunctions(module, cloop_functions);
 }

@@ -20,28 +20,27 @@ enough to validate with property tests.
 
 from __future__ import annotations
 
-import ctypes
 from typing import Dict, Iterable, Sequence
 
 from repro.hardware.cpu import InstructionMix
 from repro.obs.metrics import METRICS
+from repro.simcore.events import CORE
 
 
-class CacheStats(ctypes.Structure):
+class CacheStats(CORE.L2Record):
     """Aggregate contention bookkeeping for reporting and tests.
 
-    A C record (``L2Stats`` in ``osmodel/_sched.c``): the compiled
-    scheduler pass updates it in place as the Python one does through
+    Its base type is the event core's ``L2Record``, whose C body
+    (``L2Stats`` in ``osmodel/_sched.c``) the compiled scheduler pass
+    updates in place, as the Python oracle pass does through
     :meth:`observe`.
     """
 
-    _fields_ = [("contended_seconds", ctypes.c_double),
-                ("solo_seconds", ctypes.c_double),
-                ("worst_factor", ctypes.c_double)]
-
     def __init__(self, contended_seconds: float = 0.0,
                  solo_seconds: float = 0.0, worst_factor: float = 1.0):
-        super().__init__(contended_seconds, solo_seconds, worst_factor)
+        self.contended_seconds = contended_seconds
+        self.solo_seconds = solo_seconds
+        self.worst_factor = worst_factor
 
     def astuple(self) -> tuple:
         return (self.contended_seconds, self.solo_seconds, self.worst_factor)

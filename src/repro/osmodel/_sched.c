@@ -14,11 +14,14 @@
  * written in the Python pass's order, and the extension is built with
  * -ffp-contract=off, so both passes produce the same bits.
  *
- * State lives in records Python owns (ctypes structures): one
- * SchedThread per thread (repro.osmodel.threads.SimThread *is* that
- * record), one SchedCore per core, one SchedCtx per scheduler, and the
- * SharedL2Model's CacheStats record.  The Python oracle reads and writes
- * the same records, so there is no second copy of any state.
+ * State lives in C records: one SchedThread per thread, one SchedCore per
+ * core and the SharedL2Model's L2Stats are the bodies of Python objects
+ * (the ThreadRecord, CoreRecord and L2Record types below, which
+ * repro.osmodel.threads.SimThread, scheduler.CoreState and
+ * repro.hardware.cache.CacheStats subclass; their members are built
+ * from offsetof, so there is no second copy of any field to keep in
+ * step).  The SchedCtx with the counters, the thread table, the mix
+ * table and the observation log is state the Scheduler type owns.
  *
  * Pass protocol.  A crossing writes now/paging/observe into the context,
  * then calls one entry point; each returns a status:
@@ -38,12 +41,9 @@
  *
  * With observation on (metrics or tracing), every instrument call of the
  * Python pass is appended to the context's log, in the pass's order; the
- * crossing has Python replay it (Scheduler._replay) after each entry
- * point, before it fires anything.  The log holds at most 3 entries per
- * core plus one per crossing.
- *
- * sched_ctx_layout/sched_thread_layout/sched_core_layout/sched_l2_layout/
- * sched_log_layout export sizeof and every offsetof for the test suite.
+ * crossing has Python replay it (Scheduler._replay, handed the entries as
+ * tuples) after each entry point, before it fires anything.  The log
+ * holds at most 3 entries per core plus one per crossing.
  */
 
 #include <stddef.h>
@@ -133,13 +133,13 @@ typedef struct {
     double coeff;
     double quantum;
     int64_t n_cores;
-    SchedCore *cores;
+    SchedCore **cores;
     L2Stats *l2;
-    /* grown by Python */
+    /* grown by the Scheduler object */
     int64_t n_threads;
     SchedThread **threads;
     int64_t *runnable;  /* capacity >= n_threads */
-    const double *mixes;
+    double *mixes;
     SchedLog *log;
     int64_t log_len;
     /* the scheduler's own state */
@@ -181,7 +181,7 @@ static void charge(SchedCtx *c)
     if (dt <= 0)
         return;
     for (int64_t k = 0; k < c->n_cores; k++) {
-        SchedCore *core = &c->cores[k];
+        SchedCore *core = c->cores[k];
         if (core->thread < 0)
             continue;
         SchedThread *t = c->threads[core->thread];
@@ -220,9 +220,9 @@ static void charge(SchedCtx *c)
 static int evict(SchedCtx *c, int64_t slot)
 {
     for (int64_t k = 0; k < c->n_cores; k++) {
-        if (c->cores[k].thread == slot) {
-            c->cores[k].thread = -1;
-            c->cores[k].speed = 0.0;
+        if (c->cores[k]->thread == slot) {
+            c->cores[k]->thread = -1;
+            c->cores[k]->speed = 0.0;
             return 1;
         }
     }
@@ -284,7 +284,7 @@ static int64_t place(SchedCtx *c)
     int64_t n_cores = c->n_cores;
     int64_t *runnable = c->runnable;
     int64_t n_runnable = c->n_runnable;
-    SchedCore *cores = c->cores;
+    SchedCore **cores = c->cores;
     double now = c->now;
 
     c->decisions++;
@@ -313,7 +313,7 @@ static int64_t place(SchedCtx *c)
                          &n_rejected);
         n_runnable = n_cores;
         for (int64_t k = 0; k < n_cores; k++) {
-            int64_t slot = cores[k].thread;
+            int64_t slot = cores[k]->thread;
             if (slot < 0)
                 continue;
             int kept = 0;
@@ -328,8 +328,8 @@ static int64_t place(SchedCtx *c)
             SchedThread *t = c->threads[slot];
             t->state = TS_READY;
             t->ready_since = now;
-            cores[k].thread = -1;
-            cores[k].speed = 0.0;
+            cores[k]->thread = -1;
+            cores[k]->speed = 0.0;
             if (c->observe)
                 put(c, LOG_PREEMPT, 0, 0, 0, 0.0, 0.0);
         }
@@ -337,7 +337,7 @@ static int64_t place(SchedCtx *c)
     /* keep placed winners on their cores; fill the rest in order */
     int64_t next = 0;
     for (int64_t k = 0; k < n_cores; k++) {
-        if (cores[k].thread >= 0)
+        if (cores[k]->thread >= 0)
             continue;
         while (next < n_runnable
                 && c->threads[runnable[next]]->state == TS_RUNNING)
@@ -346,7 +346,7 @@ static int64_t place(SchedCtx *c)
             break;
         int64_t slot = runnable[next++];
         SchedThread *t = c->threads[slot];
-        cores[k].thread = slot;
+        cores[k]->thread = slot;
         t->state = TS_RUNNING;
         if (c->observe)
             put(c, LOG_PLACE, k, slot, effective_priority(t), now,
@@ -360,16 +360,16 @@ static int64_t place(SchedCtx *c)
     double next_dt = 0.0;
     int armed = 0;
     for (int64_t k = 0; k < n_cores; k++) {
-        int64_t slot = cores[k].thread;
+        int64_t slot = cores[k]->thread;
         if (slot < 0) {
-            cores[k].speed = 0.0;
+            cores[k]->speed = 0.0;
             continue;
         }
         SchedThread *t = c->threads[slot];
         double pressure = 0.0;
         for (int64_t j = 0; j < n_cores; j++) {
-            if (j != k && cores[j].thread >= 0) {
-                SchedThread *u = c->threads[cores[j].thread];
+            if (j != k && cores[j]->thread >= 0) {
+                SchedThread *u = c->threads[cores[j]->thread];
                 pressure += mixes[u->mix * MIX_WIDTH + MIX_PRESSURE];
             }
         }
@@ -378,7 +378,7 @@ static int64_t place(SchedCtx *c)
                                * pressure);
         double speed = c->frequency * factor;
         speed = speed * paging;
-        cores[k].speed = speed;
+        cores[k]->speed = speed;
         if (speed <= 0)
             continue;
         double dt = t->remaining_cycles / speed;
@@ -523,73 +523,6 @@ static int64_t sched_charge(SchedCtx *c)
     return SCH_QUIET;
 }
 
-#define FIELD(type, name) out[n++] = (int64_t)offsetof(type, name)
-
-int64_t sched_ctx_layout(int64_t *out)
-{
-    int64_t n = 0;
-    out[n++] = (int64_t)sizeof(SchedCtx);
-    FIELD(SchedCtx, now); FIELD(SchedCtx, paging); FIELD(SchedCtx, observe);
-    FIELD(SchedCtx, cycles); FIELD(SchedCtx, mix); FIELD(SchedCtx, next_dt);
-    FIELD(SchedCtx, frequency); FIELD(SchedCtx, coeff);
-    FIELD(SchedCtx, quantum); FIELD(SchedCtx, n_cores);
-    FIELD(SchedCtx, cores); FIELD(SchedCtx, l2);
-    FIELD(SchedCtx, n_threads); FIELD(SchedCtx, threads);
-    FIELD(SchedCtx, runnable); FIELD(SchedCtx, mixes);
-    FIELD(SchedCtx, log); FIELD(SchedCtx, log_len);
-    FIELD(SchedCtx, last_update); FIELD(SchedCtx, rr_counter);
-    FIELD(SchedCtx, decisions); FIELD(SchedCtx, in_decide);
-    FIELD(SchedCtx, dirty); FIELD(SchedCtx, cursor);
-    FIELD(SchedCtx, n_runnable); FIELD(SchedCtx, fault);
-    FIELD(SchedCtx, submits);
-    return n;
-}
-
-int64_t sched_thread_layout(int64_t *out)
-{
-    int64_t n = 0;
-    out[n++] = (int64_t)sizeof(SchedThread);
-    FIELD(SchedThread, remaining_cycles); FIELD(SchedThread, cycles_retired);
-    FIELD(SchedThread, instructions_retired);
-    FIELD(SchedThread, cpu_seconds); FIELD(SchedThread, quantum_used);
-    FIELD(SchedThread, boost_cpu_remaining); FIELD(SchedThread, last_ran_at);
-    FIELD(SchedThread, ready_since); FIELD(SchedThread, rr_seq);
-    FIELD(SchedThread, segments_completed);
-    FIELD(SchedThread, base_priority); FIELD(SchedThread, state);
-    FIELD(SchedThread, group); FIELD(SchedThread, mix);
-    FIELD(SchedThread, slot);
-    return n;
-}
-
-int64_t sched_core_layout(int64_t *out)
-{
-    int64_t n = 0;
-    out[n++] = (int64_t)sizeof(SchedCore);
-    FIELD(SchedCore, thread); FIELD(SchedCore, speed);
-    FIELD(SchedCore, busy_seconds);
-    return n;
-}
-
-int64_t sched_l2_layout(int64_t *out)
-{
-    int64_t n = 0;
-    out[n++] = (int64_t)sizeof(L2Stats);
-    FIELD(L2Stats, contended_seconds); FIELD(L2Stats, solo_seconds);
-    FIELD(L2Stats, worst_factor);
-    return n;
-}
-
-int64_t sched_log_layout(int64_t *out)
-{
-    int64_t n = 0;
-    out[n++] = (int64_t)sizeof(SchedLog);
-    FIELD(SchedLog, kind); FIELD(SchedLog, a); FIELD(SchedLog, b);
-    FIELD(SchedLog, c); FIELD(SchedLog, x); FIELD(SchedLog, y);
-    return n;
-}
-
-#undef FIELD
-
 /* ------------------------------------------------------------------ */
 /* The crossings: the compiled base of scheduler.Scheduler             */
 
@@ -603,8 +536,126 @@ int64_t sched_log_layout(int64_t *out)
 
 static PyObject *SchedulerError;   /* repro.errors.SchedulerError */
 static PyObject *str_paging, *str_paging_factor, *str_enabled, *str_trace,
-    *str_replay, *str_on_tick, *str_add_mix, *str_thread_name, *str_state,
-    *str_mix, *str_cancel;
+    *str_replay, *str_on_tick, *str_thread_name, *str_state, *str_mix,
+    *str_cancel, *str_cpi, *str_l2_pressure, *str_l2_sensitivity;
+
+/* The records: a thread, a core and the L2 statistics are Python objects
+ * whose C body is the record the pass reads and writes in place.
+ * SimThread, CoreState and CacheStats subclass these types; each member
+ * is a record field at its offsetof. */
+typedef struct {
+    PyObject_HEAD
+    SchedThread rec;
+} ThreadRecordObject;
+
+typedef struct {
+    PyObject_HEAD
+    SchedCore rec;
+} CoreRecordObject;
+
+typedef struct {
+    PyObject_HEAD
+    L2Stats rec;
+} L2RecordObject;
+
+/* The thread object whose record is *r. */
+#define THREAD_OBJECT(r) \
+    ((PyObject *)((char *)(r) - offsetof(ThreadRecordObject, rec)))
+
+#define REC_D(type, name, field) \
+    {name, T_DOUBLE, offsetof(type, rec.field), 0, NULL}
+#define REC_I(type, name, field) \
+    {name, T_LONGLONG, offsetof(type, rec.field), 0, NULL}
+/* an index the pass reads memory through: written by C only */
+#define REC_INDEX(type, name, field) \
+    {name, T_LONGLONG, offsetof(type, rec.field), READONLY, NULL}
+
+static PyMemberDef thread_record_members[] = {
+    REC_D(ThreadRecordObject, "remaining_cycles", remaining_cycles),
+    REC_D(ThreadRecordObject, "cycles_retired", cycles_retired),
+    REC_D(ThreadRecordObject, "instructions_retired", instructions_retired),
+    REC_D(ThreadRecordObject, "cpu_seconds", cpu_seconds),
+    REC_D(ThreadRecordObject, "quantum_used", quantum_used),
+    REC_D(ThreadRecordObject, "boost_cpu_remaining", boost_cpu_remaining),
+    REC_D(ThreadRecordObject, "last_ran_at", last_ran_at),
+    REC_D(ThreadRecordObject, "ready_since", ready_since),
+    REC_I(ThreadRecordObject, "rr_seq", rr_seq),
+    REC_I(ThreadRecordObject, "segments_completed", segments_completed),
+    REC_I(ThreadRecordObject, "base_priority", base_priority),
+    REC_I(ThreadRecordObject, "_state", state),
+    REC_I(ThreadRecordObject, "_group", group),
+    REC_INDEX(ThreadRecordObject, "_mix", mix),
+    REC_INDEX(ThreadRecordObject, "_slot", slot),
+    {NULL}
+};
+
+static PyMemberDef core_record_members[] = {
+    REC_INDEX(CoreRecordObject, "_thread", thread),
+    REC_D(CoreRecordObject, "speed", speed),
+    REC_D(CoreRecordObject, "busy_seconds", busy_seconds),
+    {NULL}
+};
+
+static PyMemberDef l2_record_members[] = {
+    REC_D(L2RecordObject, "contended_seconds", contended_seconds),
+    REC_D(L2RecordObject, "solo_seconds", solo_seconds),
+    REC_D(L2RecordObject, "worst_factor", worst_factor),
+    {NULL}
+};
+
+#undef REC_D
+#undef REC_I
+#undef REC_INDEX
+
+/* A zeroed record (BLOCKED, no cycles); a thread starts with no group,
+ * no mix row and no slot (-1), a core idle (-1). */
+static PyObject *
+thread_record_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    ThreadRecordObject *self = (ThreadRecordObject *)type->tp_alloc(type, 0);
+    if (self != NULL)
+        self->rec.group = self->rec.mix = self->rec.slot = -1;
+    return (PyObject *)self;
+}
+
+static PyObject *
+core_record_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    CoreRecordObject *self = (CoreRecordObject *)type->tp_alloc(type, 0);
+    if (self != NULL)
+        self->rec.thread = -1;
+    return (PyObject *)self;
+}
+
+static PyTypeObject ThreadRecordType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.simcore._ccore.ThreadRecord",
+    .tp_basicsize = sizeof(ThreadRecordObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "A thread's scheduler record (the C body of SimThread).",
+    .tp_members = thread_record_members,
+    .tp_new = thread_record_new,
+};
+
+static PyTypeObject CoreRecordType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.simcore._ccore.CoreRecord",
+    .tp_basicsize = sizeof(CoreRecordObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "A core's occupancy record (the C body of CoreState).",
+    .tp_members = core_record_members,
+    .tp_new = core_record_new,
+};
+
+static PyTypeObject L2RecordType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.simcore._ccore.L2Record",
+    .tp_basicsize = sizeof(L2RecordObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "The shared-L2 statistics record (the C body of CacheStats).",
+    .tp_members = l2_record_members,
+    .tp_new = PyType_GenericNew,
+};
 
 /* Mixes a scheduler remembers by identity: a hit skips the Python
  * __hash__ of the row lookup (the figures use a handful of mixes). */
@@ -612,10 +663,13 @@ static PyObject *str_paging, *str_paging_factor, *str_enabled, *str_trace,
 
 typedef struct {
     PyObject_HEAD
-    SchedCtx *ctx;           /* the record of ctx_ref */
-    PyObject *ctx_ref;       /* the scheduler's _SchedCtx (ctypes) */
+    SchedCtx ctx;            /* the pass's state; its arrays are owned here */
+    Py_ssize_t threads_cap;  /* capacity of ctx.threads and ctx.runnable */
+    Py_ssize_t n_mixes, mixes_cap;  /* rows of ctx.mixes */
     EngineObject *engine;
     PyObject *threads;       /* the scheduler's thread list, slot order */
+    PyObject *cores;         /* tuple of the CoreRecords of ctx.cores */
+    PyObject *l2;            /* the L2Record of ctx.l2 */
     PyObject *memory;        /* the paging factor's source */
     PyObject *metrics;       /* the metrics registry (observe flag) */
     PyObject *mix_rows;      /* {InstructionMix: row of the mix table} */
@@ -638,43 +692,78 @@ scheduler_tp_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 static int
 scheduler_tp_init(SchedulerObject *self, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"engine", "threads", "memory", "metrics", "ctx",
-                             "ctx_address", NULL};
-    PyObject *engine, *threads, *memory, *metrics, *ctx, *address;
+    static char *kwlist[] = {"engine", "threads", "cores", "l2", "memory",
+                             "metrics", "frequency", "coeff", "quantum",
+                             NULL};
+    PyObject *engine, *threads, *cores, *l2, *memory, *metrics;
+    double frequency, coeff, quantum;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "O!O!OOOO:Scheduler", kwlist, &EngineType, &engine,
-            &PyList_Type, &threads, &memory, &metrics, &ctx, &address))
+            args, kwds, "O!O!OO!OOddd:Scheduler", kwlist, &EngineType,
+            &engine, &PyList_Type, &threads, &cores, &L2RecordType, &l2,
+            &memory, &metrics, &frequency, &coeff, &quantum))
         return -1;
-    void *record = PyLong_AsVoidPtr(address);
-    if (record == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_ValueError, "null context address");
+    if (self->engine != NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "Scheduler is already bound");
         return -1;
     }
-    PyObject *rows = PyDict_New();
-    if (rows == NULL)
+    double now = PyFloat_AsDouble(((EngineObject *)engine)->now);
+    if (now == -1.0 && PyErr_Occurred())
         return -1;
-    self->ctx = (SchedCtx *)record;
-    Py_INCREF(ctx);
-    Py_XSETREF(self->ctx_ref, ctx);
-    Py_INCREF(engine);
-    Py_XSETREF(self->engine, (EngineObject *)engine);
-    Py_INCREF(threads);
-    Py_XSETREF(self->threads, threads);
-    Py_INCREF(memory);
-    Py_XSETREF(self->memory, memory);
-    Py_INCREF(metrics);
-    Py_XSETREF(self->metrics, metrics);
-    Py_XSETREF(self->mix_rows, rows);
+    PyObject *records = PySequence_Tuple(cores);
+    if (records == NULL)
+        return -1;
+    Py_ssize_t n_cores = PyTuple_GET_SIZE(records);
+    SchedCore **recs = PyMem_Calloc(n_cores + 1, sizeof *recs);
+    SchedLog *log = PyMem_Calloc(3 * n_cores + 2, sizeof *log);
+    PyObject *rows = PyDict_New();
+    if (recs == NULL || log == NULL || rows == NULL) {
+        if (rows != NULL)
+            PyErr_NoMemory();
+        goto fail;
+    }
+    for (Py_ssize_t k = 0; k < n_cores; k++) {
+        PyObject *core = PyTuple_GET_ITEM(records, k);
+        if (!PyObject_TypeCheck(core, &CoreRecordType)) {
+            PyErr_Format(PyExc_TypeError, "core %zd is a %s, not a CoreRecord",
+                         k, Py_TYPE(core)->tp_name);
+            goto fail;
+        }
+        recs[k] = &((CoreRecordObject *)core)->rec;
+    }
+    SchedCtx *c = &self->ctx;
+    c->frequency = frequency;
+    c->coeff = coeff;
+    c->quantum = quantum;
+    c->last_update = now;
+    c->n_cores = n_cores;
+    c->cores = recs;
+    c->l2 = &((L2RecordObject *)l2)->rec;
+    c->log = log;
+    self->cores = records;
+    self->l2 = Py_NewRef(l2);
+    self->engine = (EngineObject *)Py_NewRef(engine);
+    self->threads = Py_NewRef(threads);
+    self->memory = Py_NewRef(memory);
+    self->metrics = Py_NewRef(metrics);
+    self->mix_rows = rows;
     return 0;
+fail:
+    PyMem_Free(recs);
+    PyMem_Free(log);
+    Py_XDECREF(rows);
+    Py_DECREF(records);
+    return -1;
 }
 
 static int
 scheduler_traverse(SchedulerObject *self, visitproc visit, void *arg)
 {
-    Py_VISIT(self->ctx_ref);
+    for (int64_t i = 0; i < self->ctx.n_threads; i++)
+        Py_VISIT(THREAD_OBJECT(self->ctx.threads[i]));
     Py_VISIT(self->engine);
     Py_VISIT(self->threads);
+    Py_VISIT(self->cores);
+    Py_VISIT(self->l2);
     Py_VISIT(self->memory);
     Py_VISIT(self->metrics);
     Py_VISIT(self->mix_rows);
@@ -687,9 +776,12 @@ scheduler_traverse(SchedulerObject *self, visitproc visit, void *arg)
     return 0;
 }
 
+/* Drop every reference and free the context's arrays: a cleared
+ * scheduler refuses every crossing (scheduler_ready). */
 static int
 scheduler_clear(SchedulerObject *self)
 {
+    SchedCtx *c = &self->ctx;
     Py_CLEAR(self->tick);
     Py_CLEAR(self->on_tick);
     for (Py_ssize_t i = 0; i < self->n_completions; i++)
@@ -697,13 +789,31 @@ scheduler_clear(SchedulerObject *self)
     for (int i = 0; i < self->n_mix_seen; i++)
         Py_CLEAR(self->mix_seen[i]);
     self->n_mix_seen = 0;
+    int64_t n_threads = c->n_threads;
+    SchedThread **threads = c->threads;
+    c->n_threads = 0;
+    c->threads = NULL;
+    for (int64_t i = 0; i < n_threads; i++)
+        Py_DECREF(THREAD_OBJECT(threads[i]));
+    PyMem_Free(threads);
+    PyMem_Free(c->runnable);
+    PyMem_Free(c->mixes);
+    PyMem_Free(c->log);
+    PyMem_Free(c->cores);
+    c->runnable = NULL;
+    c->mixes = NULL;
+    c->log = NULL;
+    c->cores = NULL;
+    c->n_cores = 0;
+    c->l2 = NULL;
+    self->threads_cap = self->n_mixes = self->mixes_cap = 0;
     Py_CLEAR(self->mix_rows);
     Py_CLEAR(self->metrics);
     Py_CLEAR(self->memory);
     Py_CLEAR(self->threads);
+    Py_CLEAR(self->l2);
+    Py_CLEAR(self->cores);
     Py_CLEAR(self->engine);
-    self->ctx = NULL;
-    Py_CLEAR(self->ctx_ref);
     return 0;
 }
 
@@ -724,7 +834,7 @@ scheduler_dealloc(SchedulerObject *self)
 static int
 scheduler_ready(SchedulerObject *self)
 {
-    if (self->ctx == NULL) {
+    if (self->engine == NULL) {
         PyErr_SetString(PyExc_RuntimeError,
                         "Scheduler crossings were not bound (__init__)");
         return -1;
@@ -750,18 +860,18 @@ thread_error(PyObject *thread, const char *what)
 
 /* ``thread``'s slot in this scheduler, or -1 (no error set).  The pass
  * indexes C memory with it, so a thread of another scheduler is never
- * given one. */
+ * given one: the record's slot must hold that very record. */
 static Py_ssize_t
 slot_of(SchedulerObject *self, PyObject *thread)
 {
-    Py_ssize_t n = PyList_GET_SIZE(self->threads);
-    if (n > self->ctx->n_threads)
-        n = self->ctx->n_threads;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        if (PyList_GET_ITEM(self->threads, i) == thread)
-            return i;
-    }
-    return -1;
+    if (!PyObject_TypeCheck(thread, &ThreadRecordType))
+        return -1;
+    SchedThread *rec = &((ThreadRecordObject *)thread)->rec;
+    int64_t slot = rec->slot;
+    if (slot < 0 || slot >= self->ctx.n_threads
+            || self->ctx.threads[slot] != rec)
+        return -1;
+    return slot;
 }
 
 static int
@@ -780,7 +890,7 @@ truth_of(PyObject *owner, PyObject *name)
 static int
 scheduler_sync(SchedulerObject *self, int *observe)
 {
-    SchedCtx *c = self->ctx;
+    SchedCtx *c = &self->ctx;
     PyObject *now = self->engine->now;
     double t = PyFloat_CheckExact(now) ? PyFloat_AS_DOUBLE(now)
                                        : PyFloat_AsDouble(now);
@@ -818,10 +928,31 @@ scheduler_sync(SchedulerObject *self, int *observe)
     return 0;
 }
 
+/* Have Python make the instrument calls the pass logged, in order: the
+ * entries go to Scheduler._replay as (kind, a, b, c, x, y) tuples. */
 static int
 scheduler_replay(SchedulerObject *self)
 {
-    PyObject *r = PyObject_CallMethodNoArgs((PyObject *)self, str_replay);
+    SchedCtx *c = &self->ctx;
+    if (c->log_len == 0)
+        return 0;
+    PyObject *log = PyTuple_New(c->log_len);
+    if (log == NULL)
+        return -1;
+    for (int64_t i = 0; i < c->log_len; i++) {
+        const SchedLog *e = &c->log[i];
+        PyObject *entry = Py_BuildValue(
+            "(LLLLdd)", (long long)e->kind, (long long)e->a,
+            (long long)e->b, (long long)e->c, e->x, e->y);
+        if (entry == NULL) {
+            Py_DECREF(log);
+            return -1;
+        }
+        PyTuple_SET_ITEM(log, i, entry);
+    }
+    PyObject *r = PyObject_CallMethodOneArg((PyObject *)self, str_replay,
+                                            log);
+    Py_DECREF(log);
     if (r == NULL)
         return -1;
     Py_DECREF(r);
@@ -853,7 +984,7 @@ scheduler_rearm(SchedulerObject *self, int64_t status)
             return -1;
     }
     EngineObject *engine = self->engine;
-    double dt = self->ctx->next_dt;
+    double dt = self->ctx.next_dt;
     PyObject *when;
     if (PyFloat_CheckExact(engine->now)) {
         when = PyFloat_FromDouble(PyFloat_AS_DOUBLE(engine->now) + dt);
@@ -879,7 +1010,7 @@ scheduler_rearm(SchedulerObject *self, int64_t status)
 static int
 scheduler_finish(SchedulerObject *self, int64_t status, int observe)
 {
-    SchedCtx *c = self->ctx;
+    SchedCtx *c = &self->ctx;
     if (observe && scheduler_replay(self) < 0)
         return -1;
     while (status >= 0) {
@@ -906,14 +1037,53 @@ scheduler_finish(SchedulerObject *self, int64_t status, int observe)
     }
     if (status >= SCH_IDLE)
         return scheduler_rearm(self, status);
-    if (status == SCH_NO_CORE) {
-        PyObject *thread = PyList_GetItem(self->threads, c->fault);
-        return thread == NULL ? -1 : thread_error(thread, "not on any core");
-    }
+    if (status == SCH_NO_CORE)
+        return thread_error(THREAD_OBJECT(c->threads[c->fault]),
+                            "not on any core");
     return 0;
 fail:
     c->in_decide = 0;
     return -1;
+}
+
+/* A new row of the mix table holding ``mix``'s cpi, L2 pressure and L2
+ * sensitivity; mix_rows maps the mix (and every value-equal one) to it. */
+static int64_t
+scheduler_add_mix(SchedulerObject *self, PyObject *mix)
+{
+    PyObject *names[MIX_WIDTH] = {str_cpi, str_l2_pressure,
+                                  str_l2_sensitivity};
+    double values[MIX_WIDTH];
+    for (int i = 0; i < MIX_WIDTH; i++) {
+        PyObject *value = PyObject_GetAttr(mix, names[i]);
+        if (value == NULL)
+            return -1;
+        values[i] = PyFloat_AsDouble(value);
+        Py_DECREF(value);
+        if (values[i] == -1.0 && PyErr_Occurred())
+            return -1;
+    }
+    Py_ssize_t row = self->n_mixes;
+    if (row >= self->mixes_cap) {
+        Py_ssize_t cap = 2 * row + 4;
+        double *grown = PyMem_Realloc(self->ctx.mixes,
+                                      cap * MIX_WIDTH * sizeof(double));
+        if (grown == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        self->ctx.mixes = grown;
+        self->mixes_cap = cap;
+    }
+    PyObject *key = PyLong_FromSsize_t(row);
+    if (key == NULL || PyDict_SetItem(self->mix_rows, mix, key) < 0) {
+        Py_XDECREF(key);
+        return -1;
+    }
+    Py_DECREF(key);
+    memcpy(self->ctx.mixes + row * MIX_WIDTH, values, sizeof values);
+    self->n_mixes = row + 1;
+    return row;
 }
 
 /* Row of ``mix`` in the mix table: identity first, then by value (the
@@ -925,21 +1095,24 @@ scheduler_mix_row(SchedulerObject *self, PyObject *mix)
         if (self->mix_seen[i] == mix)
             return self->mix_seen_row[i];
     }
+    int64_t value;
     PyObject *row = PyDict_GetItemWithError(self->mix_rows, mix);
     if (row != NULL) {
-        Py_INCREF(row);
+        value = PyLong_AsLongLong(row);
+        if (value == -1 && PyErr_Occurred())
+            return -1;
+        if (value < 0 || value >= self->n_mixes) {
+            PyErr_SetString(PyExc_RuntimeError, "_mix_rows was altered");
+            return -1;
+        }
     }
     else {
         if (PyErr_Occurred())
             return -1;
-        row = PyObject_CallMethodOneArg((PyObject *)self, str_add_mix, mix);
-        if (row == NULL)
+        value = scheduler_add_mix(self, mix);
+        if (value < 0)
             return -1;
     }
-    int64_t value = PyLong_AsLongLong(row);
-    Py_DECREF(row);
-    if (value == -1 && PyErr_Occurred())
-        return -1;
     if (self->n_mix_seen < MIX_SEEN) {
         Py_INCREF(mix);
         self->mix_seen[self->n_mix_seen] = mix;
@@ -1000,7 +1173,7 @@ scheduler_submit(SchedulerObject *self, PyObject *const *args,
     int64_t row = scheduler_mix_row(self, mix);
     if (row < 0)
         return NULL;
-    SchedCtx *c = self->ctx;
+    SchedCtx *c = &self->ctx;
     double demand = PyFloat_AsDouble(cycles);
     if (demand == -1.0 && PyErr_Occurred())
         return NULL;
@@ -1056,7 +1229,7 @@ scheduler_exit_thread(SchedulerObject *self, PyObject *thread)
         return NULL;
     Py_ssize_t slot = slot_of(self, thread);
     if (slot >= 0) {
-        if (self->ctx->threads[slot]->state == TS_DONE)
+        if (self->ctx.threads[slot]->state == TS_DONE)
             Py_RETURN_NONE;
     }
     else {
@@ -1076,7 +1249,7 @@ scheduler_exit_thread(SchedulerObject *self, PyObject *thread)
     int observe;
     if (scheduler_sync(self, &observe) < 0)
         return NULL;
-    if (scheduler_finish(self, sched_exit(self->ctx, slot), observe) < 0)
+    if (scheduler_finish(self, sched_exit(&self->ctx, slot), observe) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -1089,7 +1262,7 @@ scheduler_charge_elapsed(SchedulerObject *self, PyObject *Py_UNUSED(ignored))
     int observe;
     if (scheduler_sync(self, &observe) < 0)
         return NULL;
-    sched_charge(self->ctx);
+    sched_charge(&self->ctx);
     if (observe && scheduler_replay(self) < 0)
         return NULL;
     Py_RETURN_NONE;
@@ -1103,7 +1276,7 @@ scheduler_decide(SchedulerObject *self, PyObject *Py_UNUSED(ignored))
     int observe;
     if (scheduler_sync(self, &observe) < 0)
         return NULL;
-    if (scheduler_finish(self, sched_decide(self->ctx), observe) < 0)
+    if (scheduler_finish(self, sched_decide(&self->ctx), observe) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -1117,8 +1290,49 @@ scheduler_on_tick(SchedulerObject *self, PyObject *Py_UNUSED(ignored))
     int observe;
     if (scheduler_sync(self, &observe) < 0)
         return NULL;
-    if (scheduler_finish(self, sched_tick(self->ctx), observe) < 0)
+    if (scheduler_finish(self, sched_tick(&self->ctx), observe) < 0)
         return NULL;
+    Py_RETURN_NONE;
+}
+
+/* Give a fresh thread the next slot of the thread table (and of the
+ * scheduler's thread list); the table holds a reference to it. */
+static PyObject *
+scheduler_adopt(SchedulerObject *self, PyObject *thread)
+{
+    if (scheduler_ready(self) < 0)
+        return NULL;
+    if (!PyObject_TypeCheck(thread, &ThreadRecordType)) {
+        PyErr_Format(PyExc_TypeError, "a %s is not a thread record",
+                     Py_TYPE(thread)->tp_name);
+        return NULL;
+    }
+    SchedCtx *c = &self->ctx;
+    SchedThread *rec = &((ThreadRecordObject *)thread)->rec;
+    if (rec->slot != -1) {
+        thread_error(thread, "belongs to a scheduler already");
+        return NULL;
+    }
+    if (c->n_threads == self->threads_cap) {
+        /* realloc keeps what a pass suspended at a completion collected */
+        Py_ssize_t cap = 2 * self->threads_cap + 4;
+        SchedThread **threads = PyMem_Realloc(c->threads,
+                                              cap * sizeof *threads);
+        if (threads == NULL)
+            return PyErr_NoMemory();
+        c->threads = threads;
+        int64_t *runnable = PyMem_Realloc(c->runnable,
+                                          cap * sizeof *runnable);
+        if (runnable == NULL)
+            return PyErr_NoMemory();
+        c->runnable = runnable;
+        self->threads_cap = cap;
+    }
+    if (PyList_Append(self->threads, thread) < 0)
+        return NULL;
+    rec->slot = c->n_threads;
+    c->threads[c->n_threads++] = rec;
+    Py_INCREF(thread);
     Py_RETURN_NONE;
 }
 
@@ -1142,13 +1356,32 @@ static PyMethodDef scheduler_methods[] = {
      "(Re)compute placement and speeds; schedule the next tick."},
     {"_on_tick", (PyCFunction)scheduler_on_tick, METH_NOARGS,
      "The timer tick: charge, then a decision pass."},
+    {"_adopt", (PyCFunction)scheduler_adopt, METH_O,
+     "Give a fresh thread the next slot of the thread table."},
     {NULL}
 };
 
+#define CTX_I(name, field, flags, doc) \
+    {name, T_LONGLONG, offsetof(SchedulerObject, ctx.field), flags, doc}
+
 static PyMemberDef scheduler_members[] = {
     {"_mix_rows", T_OBJECT, offsetof(SchedulerObject, mix_rows), READONLY},
+    CTX_I("decisions", decisions, READONLY,
+          "Decision passes made (one per placement)."),
+    CTX_I("submits", submits, READONLY,
+          "submit calls that reached the pass (a thread of another\n"
+          "scheduler is refused before)."),
+    CTX_I("_rr_counter", rr_counter, 0,
+          "The round-robin counter (the balance-set scan numbers boosts)."),
+    CTX_I("_in_decide", in_decide, READONLY, "Whether a pass is running."),
+    CTX_I("_dirty", dirty, READONLY, "Whether a re-entrant call marked "
+          "the running pass for a restart."),
+    {"_last_update", T_DOUBLE, offsetof(SchedulerObject, ctx.last_update),
+     READONLY, "When CPU progress was last charged."},
     {NULL}
 };
+
+#undef CTX_I
 
 static PyGetSetDef scheduler_getset[] = {
     {"_tick_handle", (getter)scheduler_get_tick, NULL,
@@ -1189,16 +1422,29 @@ sched_module_init(PyObject *module)
     str_trace = PyUnicode_InternFromString("trace");
     str_replay = PyUnicode_InternFromString("_replay");
     str_on_tick = PyUnicode_InternFromString("_on_tick");
-    str_add_mix = PyUnicode_InternFromString("_add_mix");
     str_thread_name = PyUnicode_InternFromString("name");
     str_state = PyUnicode_InternFromString("_state");
     str_mix = PyUnicode_InternFromString("mix");
     str_cancel = PyUnicode_InternFromString("cancel");
+    str_cpi = PyUnicode_InternFromString("cpi");
+    str_l2_pressure = PyUnicode_InternFromString("l2_pressure");
+    str_l2_sensitivity = PyUnicode_InternFromString("l2_sensitivity");
     if (!str_paging || !str_paging_factor || !str_enabled || !str_trace
-        || !str_replay || !str_on_tick || !str_add_mix || !str_thread_name
-        || !str_state || !str_mix || !str_cancel)
+        || !str_replay || !str_on_tick || !str_thread_name || !str_state
+        || !str_mix || !str_cancel || !str_cpi || !str_l2_pressure
+        || !str_l2_sensitivity)
         return -1;
-    if (PyType_Ready(&SchedulerType) < 0)
+    if (PyType_Ready(&ThreadRecordType) < 0
+            || PyType_Ready(&CoreRecordType) < 0
+            || PyType_Ready(&L2RecordType) < 0
+            || PyType_Ready(&SchedulerType) < 0)
+        return -1;
+    if (PyModule_AddObjectRef(module, "ThreadRecord",
+                              (PyObject *)&ThreadRecordType) < 0
+            || PyModule_AddObjectRef(module, "CoreRecord",
+                                     (PyObject *)&CoreRecordType) < 0
+            || PyModule_AddObjectRef(module, "L2Record",
+                                     (PyObject *)&L2RecordType) < 0)
         return -1;
     return PyModule_AddObjectRef(module, "Scheduler",
                                  (PyObject *)&SchedulerType);

@@ -18,11 +18,11 @@ IDLE                    4
 
 from __future__ import annotations
 
-import ctypes
 import enum
 from typing import Optional, TYPE_CHECKING
 
 from repro.hardware.cpu import MIX_IDLE, InstructionMix
+from repro.simcore.events import CORE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.events import SimEvent
@@ -48,44 +48,31 @@ STATES = (ThreadState.BLOCKED, ThreadState.READY, ThreadState.RUNNING,
 #: The record's state code of each ``ThreadState``.
 STATE_CODES = {state: code for code, state in enumerate(STATES)}
 
-_D = ctypes.c_double
-_I = ctypes.c_int64
 
-
-class SimThread(ctypes.Structure):
+class SimThread(CORE.ThreadRecord):
     """A schedulable thread.  All mutation goes through the scheduler.
 
-    The thread *is* its scheduler record: the numeric state is a C
-    struct (``SchedThread`` in ``osmodel/_sched.c``) that the compiled
-    decision pass reads and writes in place, and these attribute names
-    are its fields, so the Python pass, the tests and the compiled pass
-    all see one copy.  ``state`` is the record's ``_state`` code as a
-    :class:`ThreadState`; ``_group`` and ``_mix`` are the owning
+    The thread *is* its scheduler record: its base type is the event
+    core's ``ThreadRecord``, whose C body (``SchedThread`` in
+    ``osmodel/_sched.c``) the compiled decision pass reads and writes in
+    place, and whose members are that record's fields, so the tests and
+    the pass see one copy.  ``state`` is the record's ``_state`` code as
+    a :class:`ThreadState`; ``_group`` and ``_mix`` are the owning
     scheduler's ids of :attr:`group` and :attr:`mix`, and ``_slot`` the
-    thread's index in its thread table.  Name, process, mix and group
-    stay Python attributes.  The pending completion is held by the
-    scheduler's crossings: the compiled ones keep it per slot in C,
-    the Python pass in :attr:`completion`.
+    thread's index in its thread table (all -1 until set).  Name,
+    process, mix and group stay Python attributes.  The pending
+    completion is held by the scheduler's crossings: the compiled ones
+    keep it per slot in C, the Python oracle pass in :attr:`completion`.
     """
-
-    _fields_ = [
-        ("remaining_cycles", _D), ("cycles_retired", _D),
-        ("instructions_retired", _D), ("cpu_seconds", _D),
-        ("quantum_used", _D), ("boost_cpu_remaining", _D),
-        ("last_ran_at", _D), ("ready_since", _D),
-        ("rr_seq", _I), ("segments_completed", _I),
-        ("base_priority", _I), ("_state", _I),
-        ("_group", _I), ("_mix", _I), ("_slot", _I),
-    ]
 
     def __init__(self, name: str, base_priority: int = PRIORITY_NORMAL,
                  process: Optional["OsProcess"] = None,
                  group: Optional[str] = None):
         if not 1 <= base_priority <= 15:
             raise ValueError(f"priority must be in [1, 15], got {base_priority}")
-        # every other field starts at zero: BLOCKED, no cycles, rr_seq 0
-        super().__init__(base_priority=base_priority, _group=-1, _mix=-1,
-                         _slot=-1)
+        # the record's other fields start at zero (BLOCKED, no cycles,
+        # rr_seq 0), its ids at -1
+        self.base_priority = base_priority
         self.name = name
         # Affinity group: threads of one VM share a group so elevated
         # VMM service work displaces its *own* vCPU before foreign

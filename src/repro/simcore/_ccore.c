@@ -3,9 +3,11 @@
  * A CPython extension holding the substrate's hot path, a re-encoding of
  * the pure-Python oracle in ``tests/_oracle_core.py`` (which the test
  * suite runs in place of this module to hold it to the same events), and,
- * through the files it includes at the end, the OS scheduler's pass and
- * crossings (``osmodel/_sched.c``) and the network frame path
- * (``osmodel/_frames.c``):
+ * through the files it includes at the end, the OS scheduler's records,
+ * pass and crossings (``osmodel/_sched.c``), the network frame path
+ * (``osmodel/_frames.c``) and the fleet kernels (``fleet/_cloop.c``:
+ * the fault-free event loop, the host-column sampler and the fault-draw
+ * batch, driven by repro.fleet.cloop):
  *
  *   EventHandle  a cancellable callback on the engine heap;
  *   SimEvent     a one-shot condition: succeed/fail/add_callback, the
@@ -27,7 +29,7 @@
  * carried through exactly as the twin carries it.
  *
  * Built by repro.ckernel (compile_extension) and imported as
- * repro.simcore._ccore.
+ * repro.simcore._ccore: the one compiled module of repro.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -1505,6 +1507,11 @@ static PyTypeObject EngineType = {
 #include "../osmodel/_frames.c"
 
 /* ------------------------------------------------------------------ */
+/* the fleet kernels: event loop, column sampler, fault-draw batch     */
+
+#include "../fleet/_cloop.c"
+
+/* ------------------------------------------------------------------ */
 /* module                                                              */
 
 static PyObject *
@@ -1571,7 +1578,8 @@ PyInit__ccore(void)
                                  (PyObject *)&ProcessType) < 0
         || PyModule_AddObjectRef(m, "EngineCore",
                                  (PyObject *)&EngineType) < 0
-        || sched_module_init(m) < 0 || frames_module_init(m) < 0)
+        || sched_module_init(m) < 0 || frames_module_init(m) < 0
+        || cloop_module_init(m) < 0)
         goto fail;
     return m;
 fail:

@@ -3,15 +3,18 @@
 The compiled event core (``simcore/_ccore.c``, with the scheduler's
 crossings and pass of ``osmodel/_sched.c`` and the network frame path of
 ``osmodel/_frames.c``, built by :mod:`repro.ckernel` as
-``repro.simcore._ccore``) has one Python counterpart, this module and
-:mod:`tests._oracle_pass`.  It exports the same entry points:
+``repro.simcore._ccore``, the module that also holds the fleet kernels,
+whose oracles are the fleet's own) has one Python counterpart, this
+module and :mod:`tests._oracle_pass`.  It exports the same event core
+entry points:
 
 * :class:`EventHandle`, the one-shot :class:`SimEvent`, the
   generator-process resume core (:class:`SimProcess`) and the engine's
   clock, ``schedule``/``schedule_at`` and the drains of ``run`` and
   ``run_until_event`` (:class:`EngineCore`);
-* ``Scheduler``: the scheduler's crossings and decision pass
-  (:mod:`tests._oracle_pass`);
+* ``Scheduler``: the scheduler's crossings and decision pass, and the
+  stand-ins of its record types ``ThreadRecord``, ``CoreRecord`` and
+  ``L2Record`` (:mod:`tests._oracle_pass`);
 * ``SendFrames``/``RecvFrames``: the frame loops behind
   ``TcpSocket.send``/``recv``; ``nic_transmit``/``vnic_transmit``: the
   bodies of ``Nic.transmit`` and ``VirtualNic.transmit`` with the
@@ -22,7 +25,9 @@ of a fresh interpreter before :mod:`repro.simcore.events` is imported,
 so the public classes build on it: ``events.Timeout``/``AllOf``/
 ``AnyOf`` and ``resources.Request`` subclass its ``SimEvent``,
 ``process.SimProcess`` its ``SimProcess``, ``engine.Engine`` its
-``EngineCore`` and ``scheduler.Scheduler`` its ``Scheduler``.  Both
+``EngineCore``, ``scheduler.Scheduler`` its ``Scheduler``, and
+``threads.SimThread``, ``scheduler.CoreState`` and ``cache.CacheStats``
+its record stand-ins.  Both
 cores must dispatch the same ``(when, seq, callback)`` sequence, raise
 the same errors and give dispatched callbacks the same trace-hash names;
 the classes keep the names the trace hash sees (``SimEvent.succeed``,
@@ -37,7 +42,12 @@ from typing import Any, Callable, List, Optional, Tuple
 from repro.errors import NetworkError, SimulationError
 from repro.hardware.cpu import MIX_VMM_SERVICE
 from repro.obs.metrics import METRICS
-from tests._oracle_pass import Scheduler  # noqa: F401  (an entry point)
+from tests._oracle_pass import (  # noqa: F401  (entry points)
+    CoreRecord,
+    L2Record,
+    Scheduler,
+    ThreadRecord,
+)
 
 
 class EventHandle:

@@ -1,12 +1,19 @@
-"""The scheduler's crossings and decision pass in Python: the test
-oracle of ``osmodel/_sched.c``.
+"""The scheduler's records, crossings and decision pass in Python: the
+test oracle of ``osmodel/_sched.c``.
 
 :class:`Scheduler` here stands for the compiled base type ``Scheduler``
-of the event core extension: the oracle core (:mod:`tests._oracle_core`)
-exports it, so it is the base of :class:`repro.osmodel.scheduler.Scheduler`
-in an interpreter running on that core (see
-:mod:`tests._python_core`).  Its functions read and write the same C
-records as the compiled pass and must produce the same bits.  The pass
+of the event core extension, and :class:`ThreadRecord`,
+:class:`CoreRecord` and :class:`L2Record` for its record types: the
+oracle core (:mod:`tests._oracle_core`) exports them, so they are the
+bases of :class:`repro.osmodel.scheduler.Scheduler`,
+:class:`~repro.osmodel.threads.SimThread`,
+:class:`~repro.osmodel.scheduler.CoreState` and
+:class:`~repro.hardware.cache.CacheStats` in an interpreter running on
+that core (see :mod:`tests._python_core`).  The records are plain
+attributes with the compiled records' names and starting values; the
+scheduler's counters are attributes of the scheduler, named as the
+compiled type's members.  The pass must produce the same bits as the
+compiled one.  The pass
 is written for constant per-decision cost: states are compared as record codes, the machine frequency is read
 once, and ``freq * l2_factor`` per placement comes from a table memoised
 on the tuple of on-core instruction mixes (the paging factor still
@@ -20,24 +27,50 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List
 
 from repro.errors import SchedulerError
-from repro.hardware.cpu import InstructionMix
 from repro.obs.metrics import METRICS
-from repro.osmodel.threads import (PRIORITY_REALTIME, STATE_CODES, SimThread,
-                                   ThreadState)
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.hardware.cpu import InstructionMix
     from repro.osmodel import scheduler
+    from repro.osmodel.threads import SimThread
     from repro.simcore.events import SimEvent
 
-# Shared, as literals, with _sched.c.
+# Shared, as literals, with _sched.c (this module is imported before the
+# event core is chosen, so it cannot import repro.osmodel.threads).
 _CYCLE_EPSILON = 0.5       # segments within half a cycle count as finished
 _TIME_EPSILON = 1e-9
+PRIORITY_REALTIME = 15
 
-# Record state codes, compared on the hot path (no property calls).
-_BLOCKED = STATE_CODES[ThreadState.BLOCKED]
-_READY = STATE_CODES[ThreadState.READY]
-_RUNNING = STATE_CODES[ThreadState.RUNNING]
-_DONE = STATE_CODES[ThreadState.DONE]
+# Record state codes (TS_* in _sched.c, threads.STATE_CODES), compared
+# on the hot path (no property calls).
+_BLOCKED = 0
+_READY = 1
+_RUNNING = 2
+_DONE = 3
+
+
+class ThreadRecord:
+    """Stand-in for the compiled ``ThreadRecord``: a thread's record
+    fields, zero (BLOCKED, no cycles) but for the ids, -1."""
+
+    remaining_cycles = cycles_retired = instructions_retired = 0.0
+    cpu_seconds = quantum_used = boost_cpu_remaining = 0.0
+    last_ran_at = ready_since = 0.0
+    rr_seq = segments_completed = base_priority = _state = 0
+    _group = _mix = _slot = -1
+
+
+class CoreRecord:
+    """Stand-in for the compiled ``CoreRecord``: an idle core."""
+
+    _thread = -1
+    speed = busy_seconds = 0.0
+
+
+class L2Record:
+    """Stand-in for the compiled ``L2Record``: zeroed statistics."""
+
+    contended_seconds = solo_seconds = worst_factor = 0.0
 
 
 def _priority_order(thread: SimThread):
@@ -57,10 +90,24 @@ class Scheduler:
     speed table: (mix on core 0, mix on core 1, ...) -> per-core
     ``freq * factor``."""
 
-    def __init__(self, engine, threads, memory, metrics, ctx,
-                 ctx_address) -> None:
+    def __init__(self, engine, threads, cores, l2, memory, metrics,
+                 frequency, coeff, quantum) -> None:
         self._tick_handle = None
         self._speed_table = {}
+        self.decisions = 0
+        self.submits = 0
+        self._rr_counter = 0
+        self._in_decide = 0
+        self._dirty = 0
+        self._last_update = engine.now
+
+    def _adopt(self, thread: SimThread) -> None:
+        """Give a fresh thread the next slot of the thread list."""
+        if thread._slot != -1:
+            raise SchedulerError(
+                f"thread {thread.name!r} belongs to a scheduler already")
+        thread._slot = len(self.threads)
+        self.threads.append(thread)
 
     def submit(self: "scheduler.Scheduler", thread: SimThread,
                cycles: float, mix: InstructionMix) -> SimEvent:
@@ -70,8 +117,7 @@ class Scheduler:
         callers sequence their demand through the completion event).
         """
         _check_slot(self, thread)
-        ctx = self._ctx
-        ctx.submits += 1
+        self.submits += 1
         state = thread._state
         if state == _DONE:
             raise SchedulerError(f"thread {thread.name!r} has exited")
@@ -92,8 +138,8 @@ class Scheduler:
         thread.completion = completion
         thread._state = _READY
         thread.ready_since = engine._now
-        ctx.rr_counter += 1
-        thread.rr_seq = ctx.rr_counter
+        self._rr_counter += 1
+        thread.rr_seq = self._rr_counter
         thread.quantum_used = 0.0
         decide(self)
         return completion
@@ -137,10 +183,9 @@ def _check_slot(sched: "scheduler.Scheduler", thread: SimThread) -> None:
 
 def charge(sched: "scheduler.Scheduler") -> None:
     """Account CPU progress since the last decision point."""
-    ctx = sched._ctx
     now = sched.engine._now
-    dt = now - ctx.last_update
-    ctx.last_update = now
+    dt = now - sched._last_update
+    sched._last_update = now
     if dt <= 0:
         return
     frequency = sched._frequency
@@ -179,18 +224,17 @@ def decide(sched: "scheduler.Scheduler") -> None:
     resume a process that submits again; that re-entry only marks the
     context dirty and the pass restarts from *finish* with fresh state.
     """
-    ctx = sched._ctx
-    if ctx.in_decide:
-        ctx.dirty = 1
+    if sched._in_decide:
+        sched._dirty = 1
         return
-    ctx.in_decide = 1
+    sched._in_decide = 1
     engine = sched.engine
     threads = sched.threads
     cores = sched.cores
     n_cores = len(cores)
     try:
         while True:
-            ctx.dirty = 0
+            sched._dirty = 0
             # -- finish, collecting the runnable threads in the same
             # spawn-order scan.  The list may grow while a completion
             # resumes a process that spawns (new threads are BLOCKED).
@@ -219,12 +263,12 @@ def decide(sched: "scheduler.Scheduler") -> None:
                     # may synchronously resume a process that submits
                     # again; re-entrancy is absorbed by the dirty flag.
                     completion.succeed(None)
-            if ctx.dirty:
+            if sched._dirty:
                 # Only submit/exit_thread change a thread's state, and
                 # both mark the pass dirty: a clean pass's runnable list
                 # is current.
                 continue
-            ctx.decisions += 1
+            sched.decisions += 1
             # -- place.  Running threads that burnt their quantum rotate
             # behind same-priority peers (round robin); after every
             # completion, so re-entrant submits number first.
@@ -232,8 +276,8 @@ def decide(sched: "scheduler.Scheduler") -> None:
             for thread in runnable:
                 if (thread._state == _RUNNING
                         and thread.quantum_used >= quantum_spent):
-                    ctx.rr_counter += 1
-                    thread.rr_seq = ctx.rr_counter
+                    sched._rr_counter += 1
+                    thread.rr_seq = sched._rr_counter
                     thread.quantum_used = 0.0
             n_runnable = len(runnable)
             if n_runnable > 1:
@@ -342,10 +386,10 @@ def decide(sched: "scheduler.Scheduler") -> None:
                     next_dt = _TIME_EPSILON
                 sched._tick_handle = engine.schedule(next_dt,
                                                      sched._on_tick)
-            if not ctx.dirty:
+            if not sched._dirty:
                 break
     finally:
-        ctx.in_decide = 0
+        sched._in_decide = 0
 
 
 def _evict(sched: "scheduler.Scheduler", thread: SimThread) -> None:

@@ -3,8 +3,9 @@
 Fault storms pre-draw their ``vm.crash``, ``net.partition`` and
 ``host.dropout`` decisions a block of keys at a time
 (``repro.fleet.server._fault_uniforms`` / ``_fire_mask``), through the
-kernel library's batch (:func:`repro.fleet.cloop.draw_uniforms`) or,
-with no kernel, through :func:`repro.faults.plan._draw` key by key.
+compiled batch (:func:`repro.fleet.cloop.draw_uniforms`) or, when
+the batch refuses a payload, through :func:`repro.faults.plan._draw`
+key by key.
 Both paths must return ``_draw``'s floats exactly for any seed (zero,
 negative, beyond 64 bits), every fleet site, every salt the fleet uses,
 attempts 0-4, keys up to 2**40 and counts that cross mask-block
@@ -14,7 +15,6 @@ fixed buffer take the ``_draw`` path (run under ASan/UBSan by
 ``benchmarks/check_sanitized_kernel.py``).
 """
 
-import ctypes
 import hashlib
 from contextlib import contextmanager, nullcontext
 from unittest import mock
@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro import ckernel
 from repro.faults import SITES, TRANSIENT, FaultPlan
 from repro.faults.plan import _draw, draw_affixes
 from repro.fleet import cloop, server
@@ -84,11 +85,10 @@ def test_draw_keeps_its_payload_format():
          count=_MASK_BLOCK + 1, attempt=4, salt="at")
 def test_bulk_uniforms_equal_draw(seed, site, first, count, attempt, salt):
     expected = reference(seed, site, first, count, attempt, salt).tobytes()
-    if cloop.available():
-        batch = cloop.draw_uniforms(*draw_affixes(seed, site, attempt, salt),
-                                    first, count)
-        assert batch is not None
-        assert batch.tobytes() == expected
+    batch = cloop.draw_uniforms(*draw_affixes(seed, site, attempt, salt),
+                                first, count)
+    assert batch is not None
+    assert batch.tobytes() == expected
     assert _fault_uniforms(seed, site, first, count, attempt,
                            salt).tobytes() == expected
     with no_kernel():
@@ -145,15 +145,12 @@ def test_block_by_block_masks_concatenate(seed, site, first, sizes):
 ])
 def test_over_long_payloads_take_the_draw_path(seed, salt):
     prefix, suffix = draw_affixes(seed, "net.partition", 2, salt)
-    if cloop.available():
-        assert cloop.draw_uniforms(prefix, suffix, 0, 10) is None
+    assert cloop.draw_uniforms(prefix, suffix, 0, 10) is None
     expected = reference(seed, "net.partition", 0, 10, 2, salt)
     got = _fault_uniforms(seed, "net.partition", 0, 10, 2, salt)
     assert got.tobytes() == expected.tobytes()
 
 
-@pytest.mark.skipif(not cloop.available(),
-                    reason="no C compiler / kernel unavailable")
 class TestKernelBatchEdges:
     def test_longest_payload_that_fits(self):
         # the kernel's 128-byte buffer keeps 20 bytes for the key digits:
@@ -176,18 +173,32 @@ class TestKernelBatchEdges:
         assert cloop.draw_uniforms(prefix, suffix, first, count) is None
 
     @pytest.mark.parametrize("plen, slen, first, count", [
-        (10, 200, 0, 1), (-1, 4, 0, 1), (10, 4, -5, 1), (10, 4, 0, -1),
+        (10, 200, 0, 1), (10, 4, -5, 1), (10, 4, 0, -1),
         (10, 4, 2 ** 63 - 2, 2)])
     def test_kernel_guards_its_own_buffer(self, plen, slen, first, count):
-        # the C entry point refuses bad lengths and key ranges itself,
-        # before writing a byte of ``out``
+        # the C entry point refuses over-long payloads and bad key
+        # ranges itself, before writing a byte of ``out``
         affix = b"7" * 256
         out = np.full(4, -1.0)
-        status = cloop._load().fleet_draw_uniforms(
-            affix, plen, affix, slen, first, count,
-            out.ctypes.data_as(ctypes.c_void_p))
+        status = ckernel.load().fleet_draw_uniforms(
+            affix[:plen], affix[:slen], first, count, out)
         assert status == -1
         assert (out == -1.0).all()
+
+    @pytest.mark.parametrize("out", [
+        np.full(2, -1.0),                       # too short for 3 keys
+        np.full(4, -1.0, dtype=np.float32),     # 4-byte items
+        np.full(4, -1, dtype=np.int64),         # integers
+        np.full((4, 2), -1.0)[:, 0],            # not contiguous
+    ], ids=["short", "float32", "int64", "strided"])
+    def test_kernel_refuses_a_bad_out_buffer(self, out):
+        # an ``out`` the batch could overrun or misread is refused
+        # before a byte is written
+        prefix, suffix = draw_affixes(1, "vm.crash", 0)
+        before = out.tobytes()
+        with pytest.raises(ValueError):
+            ckernel.load().fleet_draw_uniforms(prefix, suffix, 0, 3, out)
+        assert out.tobytes() == before
 
     def test_empty_batch(self):
         prefix, suffix = draw_affixes(1, "vm.crash", 0)

@@ -11,7 +11,6 @@ test pins the kernel's SHA-256 against :mod:`hashlib` across the
 padding edges.
 """
 
-import ctypes
 import hashlib
 from contextlib import contextmanager
 from unittest import mock
@@ -20,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro import ckernel
 from repro.fleet import FleetConfig, build_fleet_columns, build_fleet_hosts
 from repro.fleet import cloop, columns
 from repro.fleet.host import AVAILABILITY_CEIL, AVAILABILITY_FLOOR
@@ -130,10 +130,9 @@ def test_session_buffer_growth_resumes_exactly():
 
 
 def test_kernel_sha256_matches_hashlib():
-    lib = cloop._load()
-    out = ctypes.create_string_buffer(32)
+    lib = ckernel.load()
     # 0..130 bytes crosses the 55/56/64-byte padding edges twice
     for length in range(131):
         message = bytes((7 * i + length) % 256 for i in range(length))
-        lib.fleet_sha256(message, length, out)
-        assert out.raw == hashlib.sha256(message).digest(), length
+        assert lib.fleet_sha256(message) == hashlib.sha256(
+            message).digest(), length

@@ -2,9 +2,10 @@
 Python oracle.
 
 The scheduler's hot path, the crossings and decision pass of the event
-core extension (``osmodel/_sched.c``), has a Python oracle over the same
-C records (``tests/_oracle_pass.py``), which runs in a worker
-interpreter on the oracle core
+core extension (``osmodel/_sched.c``), has a Python oracle
+(``tests/_oracle_pass.py``, with stand-ins of the compiled thread, core
+and L2 record types), which runs in a worker interpreter on the oracle
+core
 (:class:`tests._python_core.PythonCoreWorker`).  Each example draws a
 random world (the strategy of
 :mod:`tests.property.test_prop_scheduler_equiv`: mixed priority
@@ -12,8 +13,9 @@ classes and affinity groups, boosts, sleeps, mid-run ``cpu_time()``
 reads, ``exit_thread`` calls, re-entrant submits and paging) on one,
 two or four cores, and runs it on both passes.  Every
 accounting float, every core's busy time, the shared-L2 statistics, the
-tracer records, the scheduler metrics and the trace-hash snapshot must
-be identical (``==``).  The fig1 and fig5 trace-hash pins must hold on
+scheduler's decision and submit counters, the tracer records, the
+scheduler metrics and the trace-hash snapshot must be identical
+(``==``).  The fig1 and fig5 trace-hash pins must hold on
 the oracle too.  Fixed scenarios hold the crossings themselves to the
 oracle: a completion callback that raises, re-entrant
 ``submit``/``exit_thread`` calls from a completion callback, every
@@ -22,24 +24,21 @@ after many crossings (the tick's cancel and re-arm consume the same seq
 numbers).
 """
 
-import ctypes
 import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.osmodel.scheduler as scheduler_module
-from repro import ckernel
 from repro.audit import TRACE_HASH, compare_snapshots
 from repro.audit.tracehash import _event_name
 from repro.errors import SchedulerError
-from repro.hardware.cache import CacheStats
 from repro.hardware.cpu import MIX_KERNEL, MIX_SEVENZIP
 from repro.hardware.machine import Machine
 from repro.hardware.specs import core2duo_e6600
-from repro.osmodel.scheduler import BoostPolicy, CoreState, Scheduler
-from repro.osmodel.threads import SimThread, ThreadState
+from repro.osmodel.scheduler import BoostPolicy, Scheduler
+from repro.osmodel.threads import ThreadState
+from repro.simcore.events import CORE
 from repro.simcore.engine import Engine
 from repro.simcore.rng import RngStreams
 from tests._python_core import PythonCoreWorker
@@ -86,7 +85,18 @@ def _both(oracle, case, *args):
 
 
 def _live_world(world):
-    return _run_world(world, Scheduler, _live_drain)
+    """``_run_world`` on this core's scheduler, plus its counters (the
+    archived reference :func:`_run_world` also serves has none)."""
+    seen = []
+
+    def live(*args, **kwargs):
+        seen.append(Scheduler(*args, **kwargs))
+        return seen[-1]
+
+    result = _run_world(world, live, _live_drain)
+    result["decisions"] = seen[0].decisions
+    result["submits"] = seen[0].submits
+    return result
 
 
 @pytest.fixture(autouse=True)
@@ -96,25 +106,20 @@ def _quiet_global_state():
     _quiet()
 
 
-@pytest.mark.parametrize("export, struct", [
-    ("sched_ctx_layout", scheduler_module._SchedCtx),
-    ("sched_thread_layout", SimThread),
-    ("sched_core_layout", CoreState),
-    ("sched_l2_layout", CacheStats),
-    ("sched_log_layout", scheduler_module._SchedLog),
-])
-def test_c_layout_matches_ctypes_structure(export, struct):
-    # sizeof, then every offsetof in declaration order: a field added,
-    # dropped or reordered on one side only fails here
-    out = (ctypes.c_int64 * 64)()
-    extension = ctypes.CDLL(ckernel.event_core().__file__)
-    layout = getattr(extension, export)
-    layout.argtypes = [ctypes.POINTER(ctypes.c_int64)]
-    layout.restype = ctypes.c_int64
-    count = layout(out)
-    expected = [ctypes.sizeof(struct)] + [
-        getattr(struct, name).offset for name, _ in struct._fields_]
-    assert list(out[:count]) == expected
+def _record_fields(name):
+    """The field names of the event core's record type ``name``: the
+    compiled type's members, or the oracle stand-in's attributes."""
+    record = getattr(CORE, name)
+    return sorted(field for field in vars(record)
+                  if not field.startswith("__"))
+
+
+@pytest.mark.parametrize("name", ["ThreadRecord", "CoreRecord", "L2Record"])
+def test_oracle_records_have_the_compiled_fields(oracle, name):
+    # the oracle's stand-ins must name every field of the compiled
+    # records, or a pass reading one on the other core fails there only
+    fields = _record_fields(name)
+    assert fields and oracle.call("_record_fields", name) == fields
 
 
 @settings(max_examples=120, deadline=None)
@@ -204,7 +209,6 @@ def _machine(engine, cores=2):
 
 def _state(engine, scheduler):
     """Everything a crossing may change, for ``==`` across passes."""
-    ctx = scheduler._ctx
     return {
         "now": engine.now,
         "events": engine.events_processed,
@@ -212,8 +216,9 @@ def _state(engine, scheduler):
         "pending": engine._non_daemon_pending,
         "heap": sorted((when, seq, handle.cancelled, _event_name(handle.fn))
                        for when, seq, handle in engine._heap),
-        "ctx": (ctx.last_update, ctx.rr_counter, ctx.decisions,
-                ctx.in_decide, ctx.dirty, ctx.submits),
+        "ctx": (scheduler._last_update, scheduler._rr_counter,
+                scheduler.decisions, scheduler._in_decide, scheduler._dirty,
+                scheduler.submits),
         "threads": [(t.name, t.state, t.remaining_cycles, t.cycles_retired,
                      t.instructions_retired, t.cpu_seconds, t.rr_seq,
                      t.segments_completed, t.quantum_used)

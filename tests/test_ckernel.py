@@ -1,10 +1,10 @@
 """The compiler contract: ``repro`` builds its compiled code or refuses.
 
 Without a C compiler, without the interpreter's ``Python.h``, or when a
-build fails, loading the kernel library or the event core raises
-:class:`~repro.errors.NativeBuildError` naming what is missing (a failed
-build carries the tail of the compiler's error output); a cached build
-needs no compiler.
+build fails, loading the compiled module (the fleet kernels and the
+event core) raises :class:`~repro.errors.NativeBuildError` naming what
+is missing (a failed build carries the tail of the compiler's error
+output); a cached build needs no compiler.
 """
 
 import shutil
@@ -22,7 +22,7 @@ NO_COMPILER = "repro needs a C compiler and Python.h: no gcc or cc on PATH"
 def cold_cache(tmp_path, monkeypatch):
     """A fresh temp dir (no cached build) and nothing loaded yet."""
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    monkeypatch.setattr(ckernel, "_lib", None)
+    monkeypatch.setattr(ckernel, "_native", None)
     return tmp_path
 
 
@@ -31,7 +31,7 @@ def test_load_without_a_compiler_refuses_cleanly(cold_cache, monkeypatch):
     with pytest.raises(NativeBuildError, match=NO_COMPILER) as error:
         ckernel.load()
     assert isinstance(error.value, ReproError)
-    assert "repro_cloop_" in str(error.value)
+    assert "repro_ccore_" in str(error.value)
     with pytest.raises(NativeBuildError, match=NO_COMPILER):
         ckernel.available()
     assert list(cold_cache.iterdir()) == []
@@ -58,21 +58,21 @@ def test_a_failed_build_carries_the_compiler_stderr(cold_cache,
     compiler = cold_cache / "fake-cc"
     compiler.write_text("#!/bin/sh\n"
                         "echo 'early noise' >&2\n"
-                        "echo '_cloop.c:1: error: boom' >&2\n"
+                        "echo '_ccore.c:1: error: boom' >&2\n"
                         "exit 3\n")
     compiler.chmod(0o755)
     monkeypatch.setattr(shutil, "which", lambda name: str(compiler))
     with pytest.raises(NativeBuildError) as error:
-        ckernel.compile_library()
+        ckernel.compile_extension()
     message = str(error.value)
     assert message.startswith("repro needs a C compiler and Python.h: ")
-    assert "failed to build _cloop.c (exit 3)" in message
-    assert message.endswith("_cloop.c:1: error: boom\n")
+    assert "failed to build _ccore.c (exit 3)" in message
+    assert message.endswith("_ccore.c:1: error: boom\n")
     # the failed build leaves nothing behind that a later run could load
     assert [path.name for path in cold_cache.iterdir()] == ["fake-cc"]
 
 
 def test_a_cached_build_needs_no_compiler(monkeypatch):
-    built = ckernel.compile_library()
+    built = ckernel.compile_extension()
     monkeypatch.setattr(shutil, "which", lambda name: None)
-    assert ckernel.compile_library() == built
+    assert ckernel.compile_extension() == built

@@ -79,10 +79,8 @@ def test_fleet_run_imports_no_heavy_stack(tmp_path):
 def test_serial_figure_run_loads_no_process_pool(tmp_path):
     from repro import ckernel
 
-    # The kernel library and the event core are compiled once per
-    # machine (through ``subprocess``); every later process finds them
-    # cached, as here.
-    ckernel.compile_library()
+    # The compiled module is built once per machine (through
+    # ``subprocess``); every later process finds it cached, as here.
     ckernel.compile_extension()
     code = (
         "from repro.core.experiment import repeat\n"

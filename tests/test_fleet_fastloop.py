@@ -18,16 +18,17 @@ Pins the contracts the columnar rewrite rides on:
   in input order, bit for bit the Python ``+=`` loops they replace (not
   CPython 3.12's compensated ``sum``), and the report renders the same
   bytes whatever its fold block size;
-* the kernel library's C context structs match their ctypes mirrors
-  and its host record and heap node match their numpy dtypes field for
-  field, and ``-O0``/``-O3`` builds keep every output byte;
+* the kernel's host record and heap node match their numpy dtypes
+  field for field, its entry points refuse a buffer of the wrong length,
+  item size, kind or contiguity before writing, and ``-O0``/``-O3``
+  builds keep every output byte;
 * every pause of the event kernel (replica, return, heap and need-ring
   growth) resumes to the fallback's state byte for byte, and so does a
   run whose events tie on time by the dozen, and one where most
   completions land past their deadline.
 """
 
-import ctypes
+import functools
 import json
 from types import SimpleNamespace
 
@@ -35,6 +36,7 @@ import numpy as np
 import pytest
 
 import tests._reference_fleet as ref
+from repro import ckernel
 from repro.faults import RUNLOG, FaultPlan, injected
 from repro.fleet import (
     FleetConfig,
@@ -304,11 +306,11 @@ class TestKernelSizeGuard:
 
     def test_int32_overflow_returns_none_before_allocating(self,
                                                            monkeypatch):
-        monkeypatch.setattr(cloop, "_load", lambda: object())
+        monkeypatch.setattr(ckernel, "load", lambda: object())
         assert run_event_loop(self.prep(2 ** 31)) is None
 
     def test_largest_int32_host_count_passes_the_guard(self, monkeypatch):
-        monkeypatch.setattr(cloop, "_load", lambda: object())
+        monkeypatch.setattr(ckernel, "load", lambda: object())
         with pytest.raises(AttributeError):
             run_event_loop(self.prep(2 ** 31 - 1))
 
@@ -323,39 +325,42 @@ def assert_state_equal(a, b):
             assert value == b[key], key
 
 
-class TestKernelBuild:
-    """The shared library: ABI guard and compiler-flag independence."""
+@functools.lru_cache(maxsize=None)
+def _build_with(flags):
+    """The extension built with ``flags``, imported under a module name of
+    its own next to the production build."""
+    name = "repro_" + "".join(ch for ch in "".join(flags) if ch.isalnum())
+    return ckernel._import_extension(ckernel.compile_extension(flags),
+                                     f"{name}._ccore")
 
-    @pytest.mark.parametrize("export, struct", [
-        ("fleet_ctx_layout", cloop._FleetCtx),
-        ("sample_ctx_layout", cloop._SampleCtx),
-    ])
-    def test_c_layout_matches_ctypes_structure(self, export, struct):
-        # sizeof, then every offsetof in declaration order: a field
-        # added, dropped or reordered on one side only fails here
-        out = (ctypes.c_int64 * 128)()
-        count = getattr(cloop._load(), export)(out)
-        expected = [ctypes.sizeof(struct)] + [
-            getattr(struct, name).offset for name, _ in struct._fields_]
-        assert list(out[:count]) == expected
+
+def _small_run():
+    config = FleetConfig(hosts=40, seed=3, duration_s=21600.0, workunits=30,
+                         quorum=2)
+    prep = FleetServer(config, build_fleet_columns(config))._fast_prep()
+    return prep, run_event_loop(prep)
+
+
+class TestKernelBuild:
+    """The compiled module's fleet entry points: record layouts, buffer
+    checks and compiler-flag independence."""
 
     @pytest.mark.parametrize("export, dtype", [
         ("host_rec_layout", cloop._HOST_DTYPE),
         ("heap_node_layout", cloop._NODE_DTYPE),
     ])
     def test_c_layout_matches_numpy_dtype(self, export, dtype):
-        out = (ctypes.c_int64 * 64)()
-        count = getattr(cloop._load(), export)(out)
+        # sizeof, then every offsetof in declaration order: a field
+        # added, dropped or reordered on one side only fails here
         expected = [dtype.itemsize] + [
             dtype.fields[name][1] for name in dtype.names]
-        assert list(out[:count]) == expected
+        assert list(getattr(ckernel.load(), export)()) == expected
 
     def test_host_records_and_heap_times_are_aligned(self):
         config = CONFIGS[0]
         prep = FleetServer(
             config, build_fleet_columns(config))._fast_prep()
-        hosts = cloop._host_records(cloop._load(), prep, prep.soff,
-                                    prep.fs, prep.fe)
+        hosts = cloop._host_records(prep, prep.soff, prep.fs, prep.fe)
         assert hosts.ctypes.data % 128 == 0
         assert hosts.strides == (128,)
         times, nodes = cloop._heap(37)
@@ -364,11 +369,50 @@ class TestKernelBuild:
             # time 1 opens a line: the four children of any event share it
             assert (heap_t.ctypes.data + 8) % 64 == 0
 
+    @pytest.mark.parametrize("name, bad", [
+        ("wu_out", np.zeros(29, dtype=np.int32)),        # one unit short
+        ("wu_out", np.zeros(30, dtype=np.int64)),        # item size
+        ("wu_validated", np.zeros(30, dtype=np.int64)),  # int, not float
+        ("r_disp", np.zeros((4096, 2))[:, 0]),           # strided
+        ("stretch", np.zeros(8)),                        # 9 factors read
+        ("hosts", np.zeros(40, dtype=np.float64)),       # not records
+    ], ids=["short", "int64", "int-for-float", "strided", "stretch",
+            "hosts"])
+    def test_event_loop_refuses_a_bad_buffer(self, monkeypatch, name, bad):
+        # every FleetRun buffer is checked before the kernel writes:
+        # the bad one is refused and the others keep their bytes
+        lib = ckernel.load()
+        seen = {}
+
+        class Tamper(lib.FleetRun):
+            def __init__(self, **kwargs):
+                seen.update(kwargs)
+                kwargs[name] = bad
+                super().__init__(**kwargs)
+
+        monkeypatch.setattr(lib, "FleetRun", Tamper)
+        with pytest.raises(ValueError):
+            _small_run()
+        assert not seen["wu_state"].any()
+        assert (seen["wu_last"] == -1).all()
+
+    def test_init_hosts_refuses_offsets_past_the_sessions(self):
+        lib = ckernel.load()
+        hosts = np.zeros(2, dtype=cloop._HOST_DTYPE)
+        columns = [np.ones(2) for _ in range(3)]
+        seeds = np.zeros(2, dtype=np.uint64)
+        for soff in ([0, 2, 5], [0, 3, 2], [-1, 1, 2]):
+            with pytest.raises(ValueError, match="soff"):
+                lib.fleet_init_hosts(hosts, np.array(soff), np.zeros(4),
+                                     np.zeros(4), *columns, seeds,
+                                     cloop._ERROR_SPAWN)
+        assert hosts.tobytes() == bytes(hosts.nbytes)
+
     def test_flags_get_their_own_library(self):
-        default = cloop._compile()
-        other = cloop._compile(flags=("-O1",))
+        default = ckernel.compile_extension()
+        other = ckernel.compile_extension(flags=("-O1",))
         assert other is not None and other != default
-        assert cloop._compile(flags=("-O1",)) == other  # cached
+        assert ckernel.compile_extension(flags=("-O1",)) == other  # cached
 
     @pytest.mark.parametrize("flags", [("-O0",), ("-O3",)])
     def test_optimisation_level_keeps_every_byte(self, flags, monkeypatch):
@@ -376,8 +420,9 @@ class TestKernelBuild:
         sampled = cloop.sample_columns(config, 0, config.hosts)
         state = run_event_loop(FleetServer(
             config, build_fleet_columns(config))._fast_prep())
-        monkeypatch.setattr(cloop, "_lib",
-                            cloop._open(cloop._compile(flags=flags)))
+        other = _build_with(flags)
+        assert other.__file__ != ckernel.load().__file__
+        monkeypatch.setattr(ckernel, "load", lambda: other)
         rebuilt = cloop.sample_columns(config, 0, config.hosts)
         assert_state_equal(rebuilt, sampled)
         assert_state_equal(run_event_loop(FleetServer(
@@ -500,21 +545,17 @@ class TestKernelPauses:
                          deadline_factor=0.2)
 
     def test_every_pause_resumes_to_the_same_bytes(self, monkeypatch):
-        lib = cloop._load()
+        lib = ckernel.load()
         pauses = []
 
-        class Spy:
-            def __getattr__(self, name):
-                return getattr(lib, name)
-
-            def fleet_run(self, ctx_ref):
-                status = lib.fleet_run(ctx_ref)
-                ctx = ctx_ref._obj
-                wrapped = ctx.need_head + ctx.need_count > ctx.need_cap
+        class Spy(lib.FleetRun):
+            def run(self):
+                status = super().run()
+                wrapped = self.need_head + self.need_count > self.need_cap
                 pauses.append((status, wrapped))
                 return status
 
-        monkeypatch.setattr(cloop, "_load", Spy)
+        monkeypatch.setattr(lib, "FleetRun", Spy)
         for name in ("_REP_CAP", "_RET_CAP", "_HEAP_CAP"):
             monkeypatch.setattr(cloop, name, (1, 0))
         # two free slots: the ring wraps before it first fills

@@ -19,13 +19,10 @@ import numpy as np
 import pytest
 
 from repro.fleet import FleetConfig, FleetServer, build_fleet_columns
-from repro.fleet.cloop import available, run_event_loop
+from repro.fleet.cloop import run_event_loop
 
 LOOP_BUDGET = 2.0
 REPORT_BUDGET = 0.66
-
-pytestmark = pytest.mark.skipif(not available(),
-                                reason="no C compiler / kernel unavailable")
 
 
 @pytest.fixture(scope="module")

@@ -1,15 +1,16 @@
 """The sanitised kernel check runs, and catches nothing on this tree.
 
-``benchmarks/check_sanitized_kernel.py`` builds ``_cloop.c`` with
+``benchmarks/check_sanitized_kernel.py`` builds the one compiled module
+(``simcore/_ccore.c`` with the scheduler's records, pass and crossings,
+the network frame path and the fleet kernels ``fleet/_cloop.c``) with
 AddressSanitizer and UndefinedBehaviorSanitizer and runs kernel tests
-against it in a subprocess with the sanitiser runtimes preloaded (the
-event core extension ``simcore/_ccore.c``, with the scheduler's pass and
-crossings and the network frame path, too).  CI runs every kernel suite
-that way; this tier-1 test runs the ABI guard, the SHA-256 check, the
-engine suite, the scheduler's fixed 4-core world (compiled crossings
-against the Python pass) and one fixed stream per network device
-(compiled frame path against the Python bodies) on the event core, so
-a build or preload breakage shows up here first.
+against it in a subprocess with the sanitiser runtimes preloaded.  CI
+runs every kernel suite that way; this tier-1 test runs the fleet event
+loop's buffer checks, the SHA-256 check, the engine suite, the
+scheduler's fixed 4-core world (compiled crossings against the Python
+pass) and one fixed stream per network device (compiled frame path
+against the Python bodies), so a build or preload breakage shows up
+here first.
 """
 
 import os
@@ -43,7 +44,7 @@ def test_kernel_checks_pass_under_asan_and_ubsan():
     result = subprocess.run(
         [sys.executable, str(SCRIPT),
          "tests/test_fleet_fastloop.py::TestKernelBuild::"
-         "test_c_layout_matches_ctypes_structure",
+         "test_event_loop_refuses_a_bad_buffer",
          "tests/property/test_prop_fleet_sampler.py::"
          "test_kernel_sha256_matches_hashlib",
          "tests/test_simcore_engine.py",

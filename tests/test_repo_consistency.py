@@ -70,6 +70,26 @@ class TestDesignDoc:
             assert needle in text, needle
 
 
+class TestOneNativeModule:
+    """The compiled code is one extension module: no ctypes binding in
+    ``src/`` and no second build to keep in step with it."""
+
+    def test_no_module_imports_ctypes(self):
+        imports = re.compile(r"^\s*(import|from)\s+ctypes\b", re.MULTILINE)
+        offenders = [str(path.relative_to(ROOT))
+                     for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+                     if imports.search(path.read_text())]
+        assert offenders == []
+
+    def test_ckernel_has_one_compile_function(self):
+        from repro import ckernel
+
+        compilers = [name for name, value in vars(ckernel).items()
+                     if name.lstrip("_").startswith("compile")
+                     and callable(value)]
+        assert compilers == ["compile_extension"]
+
+
 class TestPackageSurface:
     def test_public_subpackages_importable(self):
         import importlib
